@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use sara_governor::{run_governed, run_governed_with, run_pinned, GovernorSearch, RunOptions};
+use sara_governor::{run_governed, run_pinned, GovernorSearch};
 use sara_scenarios::catalog;
 use sara_types::MegaHertz;
 
@@ -35,37 +35,6 @@ fn bench_governed_vs_static(c: &mut Criterion) {
         let search = GovernorSearch::new(spec.ladder_mhz.clone()).with_duration_ms(1.0);
         b.iter(|| black_box(search.run(&scenario).unwrap().chosen));
     });
-    group.finish();
-}
-
-/// Sequential vs parallel lane stepping over the same governed window —
-/// results are byte-identical (the determinism suite proves it), so this
-/// group isolates the pure wall-clock effect of stepping decoupled
-/// channel lanes concurrently between NoC synchronization horizons.
-/// Windows narrower than the spawn threshold advance inline, so the
-/// parallel number also bounds the scheduling overhead honestly.
-fn bench_parallel_stepping(c: &mut Criterion) {
-    let scenario = catalog::by_name("adas-overload").unwrap();
-    let spec = scenario
-        .governor
-        .clone()
-        .expect("adas-overload carries a stanza");
-
-    let mut group = c.benchmark_group("governor/lane-stepping-1ms");
-    for (label, parallel) in [("sequential", false), ("parallel", true)] {
-        group.bench_function(label, |b| {
-            let opts = RunOptions {
-                parallel_channels: parallel,
-            };
-            b.iter(|| {
-                black_box(
-                    run_governed_with(&scenario, &spec, 1.0, opts)
-                        .unwrap()
-                        .freq_changes,
-                )
-            });
-        });
-    }
     // Per-channel control rides the same lanes: one automaton per channel.
     group.bench_function("per-channel", |b| {
         let pc = spec.clone().with_per_channel(true);
@@ -80,5 +49,5 @@ fn bench_parallel_stepping(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_governed_vs_static, bench_parallel_stepping);
+criterion_group!(benches, bench_governed_vs_static);
 criterion_main!(benches);

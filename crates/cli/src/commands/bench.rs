@@ -30,7 +30,7 @@ use crate::output::{emit_value, page, Progress, Sink};
 
 const USAGE: &str = "usage: sara bench [--duration-ms MS] [--repeat N] [--json PATH|-] \
                      [--pretty] [--baseline PATH] [--tolerance F] [--history PATH] \
-                     [--compare-stepping] [--screen] [--min-speedup F]";
+                     [--screen] [--min-speedup F]";
 
 const HELP: &str = "\
 sara bench — measure matrix throughput; emit or check a baseline
@@ -50,23 +50,14 @@ usage: sara bench [options]
   --history PATH     append this run (timestamp, geo mean, per-scenario
                      cells/sec) to a perf-timeline JSON document, creating
                      PATH on first use; summarize it with `sara report`
-  --compare-stepping time sequential vs parallel lane stepping on every
-                     multi-channel catalog scenario instead of the normal
-                     measurement (exclusive mode; --duration-ms, --repeat,
-                     --min-speedup, --json and --pretty apply; the JSON
-                     document carries `\"advisory\": true` on hosts where
-                     the floor is not enforced)
   --screen           time the overload catalog scenarios (saturation,
                      adas-overload) across downclocked frequencies with
                      analytic pre-screening off vs prune, instead of the
                      normal measurement (exclusive mode; --duration-ms,
                      --repeat, --min-speedup, --json and --pretty apply)
-  --min-speedup F    with --compare-stepping or --screen, fail unless the
-                     compared mode is at least F times faster on every
-                     scenario (default 0: report only; for
-                     --compare-stepping, not enforced on
-                     single-hardware-thread hosts, where both modes step
-                     inline)
+  --min-speedup F    with --screen, fail unless prune mode is at least F
+                     times faster on every scenario (default 0: report
+                     only)
 
 Every catalog scenario runs all six policies serially; throughput is
 matrix cells per second. The output shape (keys, scenario order, cell
@@ -85,9 +76,6 @@ pub const FORMAT_TAG: &str = "sara-bench/v1";
 
 /// The `format` tag carried by `--history` perf-timeline documents.
 pub const HISTORY_FORMAT_TAG: &str = "sara-bench-history/v1";
-
-/// The `format` tag carried by `--compare-stepping --json` documents.
-pub const STEPPING_FORMAT_TAG: &str = "sara-bench-stepping/v1";
 
 /// The `format` tag carried by `--screen --json` documents.
 pub const SCREEN_FORMAT_TAG: &str = "sara-bench-screen/v1";
@@ -125,7 +113,6 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage(USAGE, "--tolerance must be ≥ 1"));
     }
     let history_path = args.take_opt("--history")?;
-    let compare_stepping = args.take_flag("--compare-stepping");
     let screen = args.take_flag("--screen");
     let min_speedup = args.take_parsed::<f64>("--min-speedup")?.unwrap_or(0.0);
     if !min_speedup.is_finite() || min_speedup < 0.0 {
@@ -134,38 +121,21 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
     args.finish()?;
 
     let progress = Progress::new(&[json_sink.as_ref()]);
-    if compare_stepping && screen {
-        return Err(CliError::usage(
-            USAGE,
-            "--compare-stepping and --screen are each exclusive modes; pick one",
-        ));
-    }
-    if compare_stepping || screen {
+    if screen {
         if baseline_path.is_some() || history_path.is_some() {
             return Err(CliError::usage(
                 USAGE,
-                "--compare-stepping/--screen are exclusive modes; drop --baseline/--history",
+                "--screen is an exclusive mode; drop --baseline/--history",
             ));
         }
-        return if compare_stepping {
-            compare_stepping_run(
-                duration_ms,
-                repeat,
-                min_speedup,
-                json_sink.as_ref(),
-                pretty,
-                &progress,
-            )
-        } else {
-            screen_bench_run(
-                duration_ms,
-                repeat,
-                min_speedup,
-                json_sink.as_ref(),
-                pretty,
-                &progress,
-            )
-        };
+        return screen_bench_run(
+            duration_ms,
+            repeat,
+            min_speedup,
+            json_sink.as_ref(),
+            pretty,
+            &progress,
+        );
     }
     let measurements = measure(duration_ms, repeat, &progress)?;
     let doc = to_value(duration_ms, &measurements);
@@ -207,105 +177,6 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Times sequential vs parallel lane stepping on every multi-channel
-/// catalog scenario (single policy, one worker thread, best-of `repeat`),
-/// failing if any speedup lands under `min_speedup`. Hosts with one
-/// hardware thread step inline in both modes, so the floor is advisory
-/// there — the delta is scheduler noise, not the pool.
-fn compare_stepping_run(
-    duration_ms: f64,
-    repeat: usize,
-    min_speedup: f64,
-    json_sink: Option<&Sink>,
-    pretty: bool,
-    progress: &Progress,
-) -> Result<(), CliError> {
-    let scenarios: Vec<_> = catalog::builtin()
-        .into_iter()
-        .filter(|s| s.channels > 2)
-        .collect();
-    if scenarios.is_empty() {
-        return Err(CliError::Failure(
-            "no catalog scenario has more than two channels to compare stepping on".to_string(),
-        ));
-    }
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let enforce = cpus >= 2;
-    if !enforce {
-        progress.line(
-            "note: this host has one hardware thread, so the engine steps lanes inline \
-             in both modes — the comparison is timing noise and --min-speedup is not \
-             enforced",
-        );
-    }
-    let mut failures = Vec::new();
-    let mut rows = Vec::new();
-    for s in scenarios {
-        let one = [s.clone()];
-        let time = |parallel: bool| -> Result<f64, CliError> {
-            let spec = MatrixSpec {
-                policies: vec![s.policy],
-                freqs_mhz: Vec::new(),
-                channels: Vec::new(),
-                duration_ms: Some(duration_ms),
-                threads: 1,
-                parallel_channels: parallel,
-                screen: ScreenMode::Off,
-            };
-            let mut best = f64::INFINITY;
-            for _ in 0..repeat {
-                let start = Instant::now();
-                run_matrix(&one, &spec).map_err(|e| CliError::Failure(e.message().to_string()))?;
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            Ok(best)
-        };
-        let seq = time(false)?;
-        let par = time(true)?;
-        let speedup = seq / par;
-        progress.line(format!(
-            "{:<18} {} channels: sequential {seq:.3}s, parallel {par:.3}s -> {speedup:.2}x",
-            s.name, s.channels
-        ));
-        if enforce && speedup < min_speedup {
-            failures.push(format!(
-                "{}: {speedup:.2}x is below the --min-speedup floor of {min_speedup}x",
-                s.name
-            ));
-        }
-        rows.push(Value::Object(vec![
-            ("name".to_string(), s.name.as_str().into()),
-            ("channels".to_string(), s.channels.into()),
-            ("sequential_s".to_string(), seq.into()),
-            ("parallel_s".to_string(), par.into()),
-            ("speedup".to_string(), speedup.into()),
-        ]));
-    }
-    if let Some(sink) = json_sink {
-        let doc = Value::Object(vec![
-            ("format".to_string(), STEPPING_FORMAT_TAG.into()),
-            ("duration_ms".to_string(), duration_ms.into()),
-            ("advisory".to_string(), Value::Bool(!enforce)),
-            ("min_speedup".to_string(), min_speedup.into()),
-            ("scenarios".to_string(), Value::Array(rows)),
-        ]);
-        sink.write(&emit_value(&doc, pretty))?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Failure(format!(
-            "parallel stepping too slow on {} scenario{}:\n  {}",
-            failures.len(),
-            if failures.len() == 1 { "" } else { "s" },
-            failures.join("\n  ")
-        )))
-    }
-}
-
 /// The downclocked frequency ladder `--screen` sweeps: every rung sits
 /// below both overload scenarios' provable-feasibility boundary (rated
 /// demand exceeds the analytic bound by more than the screener's
@@ -341,7 +212,6 @@ fn screen_bench_run(
         channels: Vec::new(),
         duration_ms: Some(duration_ms),
         threads: 1,
-        parallel_channels: false,
         screen,
     };
     progress.line(format!(
@@ -450,7 +320,6 @@ fn measure(
         channels: Vec::new(),
         duration_ms: Some(duration_ms),
         threads: 1,
-        parallel_channels: false,
         screen: ScreenMode::Off,
     };
     progress.line(format!(

@@ -74,7 +74,7 @@ const COMMANDS: &[Command] = &[
             "--csv",
             "--chrome-trace",
         ],
-        bool_flags: &["--parallel-channels", "--pretty"],
+        bool_flags: &["--pretty"],
     },
     Command {
         name: "sweep",
@@ -106,7 +106,7 @@ const COMMANDS: &[Command] = &[
             "--csv",
             "--chrome-trace",
         ],
-        bool_flags: &["--per-channel", "--parallel-channels", "--no-baseline"],
+        bool_flags: &["--per-channel", "--no-baseline"],
     },
     Command {
         name: "gen",
@@ -135,7 +135,7 @@ const COMMANDS: &[Command] = &[
             "--history",
             "--min-speedup",
         ],
-        bool_flags: &["--compare-stepping", "--screen", "--pretty"],
+        bool_flags: &["--screen", "--pretty"],
     },
     Command {
         name: "report",
@@ -157,7 +157,7 @@ const COMMANDS: &[Command] = &[
             "--metrics",
             "--chrome-trace",
         ],
-        bool_flags: &["--parallel-channels"],
+        bool_flags: &[],
     },
     Command {
         name: "completions",

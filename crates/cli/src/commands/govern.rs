@@ -1,6 +1,6 @@
 //! `sara govern` — the online self-aware governor over scenarios.
 
-use sara_governor::{run_governed_with, run_pinned_with, trace, GovernedOutcome, RunOptions};
+use sara_governor::{run_governed, run_pinned, trace, GovernedOutcome};
 use sara_memctrl::PolicyKind;
 use sara_types::MegaHertz;
 
@@ -10,8 +10,8 @@ use crate::output::{emit_value, reject_double_stdout, Progress, Sink};
 
 const USAGE: &str = "usage: sara govern [--dir DIR | --scenarios NAMES] [--epoch-us US] \
                      [--ladder MHZ] [--start MHZ] [--escalate-policy NAME] [--per-channel] \
-                     [--parallel-channels] [--duration-ms MS] [--no-baseline] \
-                     [--json PATH|-] [--csv PATH|-] [--chrome-trace PATH|-]";
+                     [--duration-ms MS] [--no-baseline] [--json PATH|-] [--csv PATH|-] \
+                     [--chrome-trace PATH|-]";
 
 const HELP: &str = "\
 sara govern — run scenarios under the online self-aware governor
@@ -45,9 +45,6 @@ and 100% of their nominal frequency):
 
 run shape and output:
   --duration-ms MS   run length (default: each scenario's nominal duration)
-  --parallel-channels
-                     step decoupled channel lanes concurrently inside the
-                     simulation (byte-identical traces either way)
   --no-baseline      skip the pinned static comparison run
   --json PATH|-      write trace + outcome (+ baseline) as JSON
   --csv PATH|-       write the per-epoch trace as CSV
@@ -98,9 +95,6 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         })?),
     };
     let per_channel = args.take_flag("--per-channel");
-    let opts = RunOptions {
-        parallel_channels: args.take_flag("--parallel-channels"),
-    };
     let duration_ms = args.take_parsed::<f64>("--duration-ms")?;
     if duration_ms.is_some_and(|ms| !ms.is_finite() || ms <= 0.0) {
         return Err(CliError::usage(USAGE, "--duration-ms must be > 0"));
@@ -144,12 +138,9 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         let duration = duration_ms.unwrap_or(s.duration_ms);
         let fail =
             |e: sara_types::ConfigError| CliError::Failure(format!("{}: {}", s.name, e.message()));
-        let governed = run_governed_with(s, &spec, duration, opts).map_err(fail)?;
+        let governed = run_governed(s, &spec, duration).map_err(fail)?;
         let baseline = if baseline_wanted {
-            Some(
-                run_pinned_with(s, &spec, MegaHertz::new(spec.start_mhz()), duration, opts)
-                    .map_err(fail)?,
-            )
+            Some(run_pinned(s, &spec, MegaHertz::new(spec.start_mhz()), duration).map_err(fail)?)
         } else {
             None
         };

@@ -8,8 +8,8 @@ use crate::output::{emit_value, page, reject_double_stdout, Progress, Sink};
 
 const USAGE: &str = "usage: sara matrix [--dir DIR | --scenarios NAMES] [--policies NAMES] \
                      [--freqs MHZ] [--channels COUNTS] [--duration-ms MS] [--jobs N] \
-                     [--parallel-channels] [--screen off|prune|verify] [--json PATH|-] \
-                     [--csv PATH|-] [--chrome-trace PATH|-] [--pretty]";
+                     [--screen off|prune|verify] [--json PATH|-] [--csv PATH|-] \
+                     [--chrome-trace PATH|-] [--pretty]";
 
 const HELP: &str = "\
 sara matrix — run scenarios x policies x frequencies, ranked
@@ -32,10 +32,6 @@ matrix shape:
                      nominal duration
   --jobs N           worker threads (default: all hardware threads; the
                      aggregate is byte-identical for any value)
-  --parallel-channels
-                     step decoupled DRAM-channel lanes concurrently inside
-                     each cell's simulation; results are byte-identical to
-                     the default sequential stepping
   --screen MODE      analytic pre-screening: `off` (default) simulates
                      every cell; `prune` skips provably-decided cells and
                      emits them as synthetic `screened` cells carrying the
@@ -86,7 +82,6 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage(USAGE, "--duration-ms must be > 0"));
     }
     let jobs = args.take_parsed::<usize>("--jobs")?;
-    let parallel_channels = args.take_flag("--parallel-channels");
     let screen = match args.take_opt("--screen")? {
         None => ScreenMode::Off,
         Some(raw) => ScreenMode::parse(&raw)
@@ -110,7 +105,6 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         channels,
         duration_ms,
         threads: jobs.unwrap_or_else(|| MatrixSpec::default().threads),
-        parallel_channels,
         screen,
     };
 

@@ -16,8 +16,8 @@ use crate::args::{Args, CliError};
 use crate::output::{emit_value, page};
 
 const USAGE: &str = "usage: sara serve [--tcp ADDR | --unix PATH] [--workers N] [--budget N] \
-                     [--max-sessions N] [--parallel-channels] [--journal PATH] \
-                     [--journal-max-bytes N] [--metrics ADDR] [--chrome-trace PATH]";
+                     [--max-sessions N] [--journal PATH] [--journal-max-bytes N] \
+                     [--metrics ADDR] [--chrome-trace PATH]";
 
 const HELP: &str = "\
 sara serve — long-lived NDJSON simulation service
@@ -46,9 +46,6 @@ then exit — shell-pipeline friendly):
   --budget N            per-client admission budget: max outstanding
                         cells per client across its in-flight jobs
                         (default 4096)
-  --parallel-channels   simulate a cell's channels on parallel lanes
-                        (same bytes, lower latency for multi-channel
-                        scenarios)
 
 Observability (see docs/observability.md):
 
@@ -95,7 +92,6 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         .take_parsed::<usize>("--budget")?
         .unwrap_or_else(|| ServeConfig::default().budget);
     let max_sessions = args.take_parsed::<usize>("--max-sessions")?;
-    let parallel_channels = args.take_flag("--parallel-channels");
     let journal_path = args.take_opt("--journal")?;
     let journal_max_bytes = args.take_parsed::<u64>("--journal-max-bytes")?;
     let metrics_addr = args.take_opt("--metrics")?;
@@ -153,14 +149,7 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         Journal::disabled()
     };
 
-    let server = Arc::new(
-        Server::new(ServeConfig {
-            workers,
-            budget,
-            parallel_channels,
-        })
-        .with_journal(journal),
-    );
+    let server = Arc::new(Server::new(ServeConfig { workers, budget }).with_journal(journal));
 
     if let Some(addr) = &metrics_addr {
         let listener = TcpListener::bind(addr)

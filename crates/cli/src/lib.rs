@@ -7,9 +7,8 @@
 //! with a CI-gateable baseline.
 //!
 //! The crate is a *library* first ([`run`] takes any argument iterator and
-//! returns the process exit code) so the repository's examples collapse
-//! into thin shims and integration tests can drive every path in-process
-//! or through the built binary.
+//! returns the process exit code) so integration tests can drive every
+//! path in-process or through the built binary.
 //!
 //! Exit codes follow the usual Unix convention the integration tests pin
 //! down: `0` success, `1` runtime failure (missing directory, malformed

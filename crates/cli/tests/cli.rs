@@ -164,6 +164,20 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
         "usage errors must not touch stdout"
     );
 
+    // The retired lane-stepping switches are ordinary unknown flags.
+    for (cmd, flag) in [
+        ("matrix", "--parallel-channels"),
+        ("govern", "--parallel-channels"),
+        ("serve", "--parallel-channels"),
+        ("bench", "--compare-stepping"),
+    ] {
+        let out = sara(&[cmd, flag]);
+        assert_eq!(code(&out), 2, "sara {cmd} {flag}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown flag \"{flag}\"")), "{err}");
+        assert!(err.contains(&format!("usage: sara {cmd}")), "{err}");
+    }
+
     let out = sara(&["matrix", "--duration-ms", "fast"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("--duration-ms"), "{}", stderr(&out));

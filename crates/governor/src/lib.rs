@@ -60,10 +60,7 @@ mod search;
 pub mod trace;
 
 pub use controller::{Governor, GovernorAction};
-pub use run::{
-    run_governed, run_governed_with, run_pinned, run_pinned_with, EpochRecord, GovernedOutcome,
-    RunOptions,
-};
+pub use run::{run_governed, run_pinned, EpochRecord, GovernedOutcome};
 pub use search::{GovernorSearch, SearchOutcome};
 
 // The stanza type lives with the scenario format; re-export it so

@@ -3,7 +3,7 @@
 
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{GovernorSpec, Scenario};
-use sara_sim::{channel_bound_bytes_per_s, ScenarioParams, SimReport, Simulation, SystemConfig};
+use sara_sim::{channel_bound_bytes_per_s, SimReport};
 use sara_types::{ConfigError, Cycle, MegaHertz};
 
 use crate::controller::{Governor, GovernorAction};
@@ -139,27 +139,6 @@ fn beat_freq(scenario: &Scenario, spec: &GovernorSpec) -> MegaHertz {
     MegaHertz::new(top.max(scenario.freq.as_u32()))
 }
 
-/// Execution options for a governed run, orthogonal to the control law in
-/// the [`GovernorSpec`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Advance decoupled channel lanes concurrently between NoC
-    /// synchronization horizons. Bit-identical results either way.
-    pub parallel_channels: bool,
-}
-
-fn build(
-    scenario: &Scenario,
-    beat: MegaHertz,
-    opts: RunOptions,
-) -> Result<Simulation, ConfigError> {
-    let mut params: ScenarioParams = scenario.params();
-    params.freq = beat;
-    let mut cfg = SystemConfig::from_scenario(params)?;
-    cfg.parallel_channels = opts.parallel_channels;
-    Simulation::new(cfg)
-}
-
 /// Runs `scenario` under the online governor for `duration_ms` simulated
 /// milliseconds.
 ///
@@ -177,23 +156,8 @@ pub fn run_governed(
     spec: &GovernorSpec,
     duration_ms: f64,
 ) -> Result<GovernedOutcome, ConfigError> {
-    run_governed_with(scenario, spec, duration_ms, RunOptions::default())
-}
-
-/// [`run_governed`] with explicit [`RunOptions`].
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] for an invalid spec or an inconsistent
-/// scenario.
-pub fn run_governed_with(
-    scenario: &Scenario,
-    spec: &GovernorSpec,
-    duration_ms: f64,
-    opts: RunOptions,
-) -> Result<GovernedOutcome, ConfigError> {
     let beat = beat_freq(scenario, spec);
-    run_at_beat(scenario, spec, beat, duration_ms, opts)
+    run_at_beat(scenario, spec, beat, duration_ms)
 }
 
 /// The per-channel control law: pick which lane (if any) receives the
@@ -234,14 +198,13 @@ fn run_at_beat(
     spec: &GovernorSpec,
     beat: MegaHertz,
     duration_ms: f64,
-    opts: RunOptions,
 ) -> Result<GovernedOutcome, ConfigError> {
     if !duration_ms.is_finite() || duration_ms <= 0.0 {
         return Err(ConfigError::new(format!(
             "duration must be > 0 ms, got {duration_ms}"
         )));
     }
-    let mut sim = build(scenario, beat, opts)?;
+    let mut sim = scenario.clone().with_freq(beat).build()?;
     let channels = sim.channel_count();
     // One automaton for the single knob; one per lane under `per_channel`.
     let mut governors: Vec<Governor> = if spec.per_channel {
@@ -415,34 +378,12 @@ pub fn run_pinned(
     freq: MegaHertz,
     duration_ms: f64,
 ) -> Result<GovernedOutcome, ConfigError> {
-    run_pinned_with(scenario, spec, freq, duration_ms, RunOptions::default())
-}
-
-/// [`run_pinned`] with explicit [`RunOptions`].
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] for an inconsistent scenario or a pin above
-/// the beat clock.
-pub fn run_pinned_with(
-    scenario: &Scenario,
-    spec: &GovernorSpec,
-    freq: MegaHertz,
-    duration_ms: f64,
-    opts: RunOptions,
-) -> Result<GovernedOutcome, ConfigError> {
     let mut pinned = spec.clone();
     pinned.ladder_mhz = vec![freq.as_u32()];
     pinned.start_mhz = None;
     pinned.escalate_policy = None;
     pinned.per_channel = false;
-    run_at_beat(
-        scenario,
-        &pinned,
-        beat_freq(scenario, spec),
-        duration_ms,
-        opts,
-    )
+    run_at_beat(scenario, &pinned, beat_freq(scenario, spec), duration_ms)
 }
 
 #[cfg(test)]

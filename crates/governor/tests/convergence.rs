@@ -8,9 +8,7 @@
 //!    least one mid-run frequency change;
 //! 3. the whole loop is deterministic to the last byte of its trace.
 
-use sara_governor::{
-    run_governed, run_governed_with, run_pinned, trace, GovernorAction, GovernorSpec, RunOptions,
-};
+use sara_governor::{run_governed, run_pinned, trace, GovernorAction, GovernorSpec};
 use sara_scenarios::{catalog, random_scenario_with, GeneratorConfig};
 use sara_types::MegaHertz;
 
@@ -155,30 +153,14 @@ fn per_channel_mode_still_escalates_policy_when_every_lane_tops_out() {
 }
 
 #[test]
-fn per_channel_runs_are_deterministic_and_parallel_stepping_matches() {
+fn per_channel_runs_are_deterministic() {
     let s = catalog::by_name("adas-overload").unwrap();
     let spec = s.governor_spec().with_per_channel(true);
-    let seq = || {
+    let text = || {
         let out = run_governed(&s, &spec, 1.0).unwrap();
         trace::trace_json(&[(out.clone(), None)]) + &trace::trace_csv(&[out])
     };
-    assert_eq!(seq(), seq(), "per-channel trace drifted between runs");
-    // And the parallel stepping mode is byte-identical to sequential.
-    let par = run_governed_with(
-        &s,
-        &spec,
-        1.0,
-        RunOptions {
-            parallel_channels: true,
-        },
-    )
-    .unwrap();
-    let par_text = trace::trace_json(&[(par.clone(), None)]) + &trace::trace_csv(&[par]);
-    assert_eq!(
-        seq(),
-        par_text,
-        "parallel stepping diverged from sequential"
-    );
+    assert_eq!(text(), text(), "per-channel trace drifted between runs");
 }
 
 #[test]

@@ -796,7 +796,7 @@ pub fn names() -> Vec<String> {
 ///
 /// The written files are the same bytes the golden-file conformance tests
 /// pin under `tests/data/`, and the directory is directly runnable with
-/// `examples/scenario_matrix -- --dir <dir>`.
+/// `sara matrix --dir <dir>`.
 ///
 /// # Errors
 ///

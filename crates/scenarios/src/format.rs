@@ -819,7 +819,7 @@ impl Scenario {
 /// Loads every `*.scenario.json` file in a directory, sorted by file name
 /// (so run order is stable no matter what the filesystem returns).
 ///
-/// This is how `examples/scenario_matrix --dir` runs user-supplied
+/// This is how `sara matrix --dir` runs user-supplied
 /// catalogs without recompiling.
 ///
 /// # Errors

@@ -70,10 +70,6 @@ pub struct MatrixSpec {
     pub duration_ms: Option<f64>,
     /// Worker threads (0 and 1 both mean serial; capped at the job count).
     pub threads: usize,
-    /// Parallel channel stepping *within* each cell's simulation (the
-    /// complementary axis to `threads`, which parallelises *across*
-    /// cells). Bit-identical results either way.
-    pub parallel_channels: bool,
     /// Analytic pre-screening mode (see [`ScreenMode`]).
     pub screen: ScreenMode,
 }
@@ -86,7 +82,6 @@ impl Default for MatrixSpec {
             channels: Vec::new(),
             duration_ms: None,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            parallel_channels: false,
             screen: ScreenMode::Off,
         }
     }
@@ -542,7 +537,6 @@ pub fn expand_cells(
 fn run_cell_timed(
     scenario: &Scenario,
     cell: &CellSpec,
-    parallel_channels: bool,
     worker: usize,
     epoch: Instant,
 ) -> Result<(SimReport, CellProfile), ConfigError> {
@@ -553,7 +547,7 @@ fn run_cell_timed(
         .with_policy(cell.policy)
         .with_freq(cell.freq)
         .with_channels(cell.channels)
-        .build_stepped(parallel_channels)?;
+        .build()?;
     let built = Instant::now();
     let end = sim.config().clock().cycles_from_ms(cell.duration_ms);
     sim.advance_until(Cycle::new(end));
@@ -581,12 +575,8 @@ fn run_cell_timed(
 ///
 /// Returns the [`ConfigError`] of a cell whose configuration fails to
 /// lower.
-pub fn run_cell(
-    scenario: &Scenario,
-    cell: &CellSpec,
-    parallel_channels: bool,
-) -> Result<SimReport, ConfigError> {
-    run_cell_timed(scenario, cell, parallel_channels, 0, Instant::now()).map(|(report, _)| report)
+pub fn run_cell(scenario: &Scenario, cell: &CellSpec) -> Result<SimReport, ConfigError> {
+    run_cell_timed(scenario, cell, 0, Instant::now()).map(|(report, _)| report)
 }
 
 /// Assembles completed cells into a [`MatrixSummary`] — the ranking pass
@@ -797,13 +787,7 @@ pub fn run_matrix(scenarios: &[Scenario], spec: &MatrixSpec) -> Result<MatrixSum
     let slots: Vec<Mutex<Option<CellResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
 
     let run_one = |job: &CellSpec, worker: usize| -> CellResult {
-        run_cell_timed(
-            &scenarios[job.scenario],
-            job,
-            spec.parallel_channels,
-            worker,
-            epoch,
-        )
+        run_cell_timed(&scenarios[job.scenario], job, worker, epoch)
     };
 
     if workers <= 1 {
@@ -884,7 +868,6 @@ mod tests {
             channels: Vec::new(),
             duration_ms: Some(0.2),
             threads,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         run_matrix(&scenarios, &spec).unwrap()
@@ -971,7 +954,6 @@ mod tests {
             channels: Vec::new(),
             duration_ms: Some(0.05),
             threads: 1,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let summary = run_matrix(&[s], &spec).unwrap();
@@ -1005,7 +987,6 @@ mod tests {
             channels: Vec::new(),
             duration_ms: Some(0.1),
             threads: 2,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let summary = run_matrix(&scenarios, &spec).unwrap();
@@ -1029,7 +1010,6 @@ mod tests {
             channels: vec![2, 4],
             duration_ms: Some(0.1),
             threads: 2,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let summary = run_matrix(&s, &spec).unwrap();
@@ -1058,14 +1038,13 @@ mod tests {
             channels: Vec::new(),
             duration_ms: Some(0.1),
             threads: 2,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let summary = run_matrix(&scenarios, &spec).unwrap();
         let cells = expand_cells(&scenarios, &spec).unwrap();
         assert_eq!(cells.len(), summary.cells.len());
         for (spec_cell, matrix_cell) in cells.iter().zip(&summary.cells) {
-            let report = run_cell(&scenarios[spec_cell.scenario], spec_cell, false).unwrap();
+            let report = run_cell(&scenarios[spec_cell.scenario], spec_cell).unwrap();
             assert_eq!(
                 report.to_json_value().to_string_compact(),
                 matrix_cell
@@ -1080,11 +1059,7 @@ mod tests {
         // JSON, so placeholder timings are fine).
         let outcomes: Vec<CellOutcome> = cells
             .iter()
-            .map(|c| {
-                CellOutcome::Simulated(Box::new(
-                    run_cell(&scenarios[c.scenario], c, false).unwrap(),
-                ))
-            })
+            .map(|c| CellOutcome::Simulated(Box::new(run_cell(&scenarios[c.scenario], c).unwrap())))
             .collect();
         let profile: Vec<CellProfile> = summary.profile.clone();
         let rebuilt = summarize_cells(&scenarios, &cells, outcomes, profile);
@@ -1135,7 +1110,6 @@ mod tests {
             channels: Vec::new(),
             duration_ms: Some(0.1),
             threads: 1,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let cells = expand_cells(&scenarios, &spec).unwrap();
@@ -1164,7 +1138,6 @@ mod tests {
             channels: vec![2],
             duration_ms: Some(0.1),
             threads: 2,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let off = run_matrix(&scenarios, &base).unwrap();
@@ -1218,7 +1191,6 @@ mod tests {
             channels: vec![2],
             duration_ms: Some(0.1),
             threads,
-            parallel_channels: false,
             screen: ScreenMode::Prune,
         };
         let one = run_matrix(&scenarios, &spec(1)).unwrap().to_json();
@@ -1238,7 +1210,6 @@ mod tests {
             channels: vec![2],
             duration_ms: Some(2.0),
             threads: 2,
-            parallel_channels: false,
             screen: ScreenMode::Verify,
         };
         let summary = run_matrix(&scenarios, &spec).unwrap();
@@ -1262,7 +1233,7 @@ mod tests {
             duration_ms: 0.1,
         };
         let screened = screen_cell(&s, &cell).unwrap();
-        let simulated = run_cell(&s, &cell, false).unwrap();
+        let simulated = run_cell(&s, &cell).unwrap();
         assert_eq!(screened, simulated.analytic);
     }
 
@@ -1275,7 +1246,6 @@ mod tests {
             channels: Vec::new(),
             duration_ms: Some(0.1),
             threads: 2,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         let summary = run_matrix(&s, &spec).unwrap();

@@ -172,38 +172,24 @@ impl Scenario {
     ///
     /// Returns [`ConfigError`] on an inconsistent spec.
     pub fn run_for_ms(&self, ms: f64) -> Result<SimReport, ConfigError> {
-        self.run_for_ms_stepped(ms, false)
-    }
-
-    /// Like [`Scenario::run_for_ms`], with the lane-stepping strategy made
-    /// explicit: `parallel_channels` advances decoupled channel lanes
-    /// concurrently between NoC synchronization horizons. The report is
-    /// bit-identical either way (the determinism suite asserts it); the
-    /// knob only trades wall-clock for thread fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] on an inconsistent spec.
-    pub fn run_for_ms_stepped(
-        &self,
-        ms: f64,
-        parallel_channels: bool,
-    ) -> Result<SimReport, ConfigError> {
-        Ok(self.build_stepped(parallel_channels)?.run_for_ms(ms))
+        Ok(self.build()?.run_for_ms(ms))
     }
 
     /// Builds the runnable simulation without advancing it — the setup
-    /// half of [`Scenario::run_for_ms_stepped`], split out so harnesses
-    /// can drive (and time) the setup, simulation and reporting phases
-    /// separately.
+    /// half of [`Scenario::run_for_ms`], split out so harnesses can drive
+    /// (and time) the setup, simulation and reporting phases separately.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] on an inconsistent spec.
-    pub fn build_stepped(&self, parallel_channels: bool) -> Result<Simulation, ConfigError> {
-        let mut cfg = self.config()?;
-        cfg.parallel_channels = parallel_channels;
-        Simulation::new(cfg)
+    pub fn build(&self) -> Result<Simulation, ConfigError> {
+        Simulation::new(self.config()?)
+    }
+
+    /// [`Scenario::build`] under its old name, for the frozen `benchmark/` package.
+    #[doc(hidden)]
+    pub fn build_stepped(&self, _: bool) -> Result<Simulation, ConfigError> {
+        self.build()
     }
 
     /// Total offered load of all rated (non-elastic) traffic, GB/s.

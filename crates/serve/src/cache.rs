@@ -81,7 +81,7 @@ mod tests {
             duration_ms: 0.05,
         };
         let key = cell_fingerprint(&scenario, &cell, sara_sim::ENGINE_VERSION);
-        let report = run_cell(&scenario, &cell, false).unwrap();
+        let report = run_cell(&scenario, &cell).unwrap();
 
         let mut cache = ResultCache::new();
         assert!(cache.is_empty());

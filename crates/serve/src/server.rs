@@ -53,9 +53,6 @@ pub struct ServeConfig {
     /// Per-client admission budget: the most cells one client may have
     /// outstanding across its in-flight jobs.
     pub budget: usize,
-    /// Parallel channel stepping *within* each cell (bit-identical either
-    /// way; see `MatrixSpec::parallel_channels`).
-    pub parallel_channels: bool,
 }
 
 impl Default for ServeConfig {
@@ -63,7 +60,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             budget: 4096,
-            parallel_channels: false,
         }
     }
 }
@@ -407,7 +403,6 @@ impl Server {
             channels: job.channels.clone(),
             duration_ms: job.duration_ms,
             threads: 1, // sharding happens on the serve pool, not in run_matrix
-            parallel_channels: self.config.parallel_channels,
             screen: job.screen,
         };
         let cells = match expand_cells(&scenarios, &spec) {
@@ -554,11 +549,7 @@ impl Server {
                         }
                         let i = run_indices[k];
                         let start_us = self.clock.now_us();
-                        let result = run_cell(
-                            &scenarios[cells[i].scenario],
-                            &cells[i],
-                            self.config.parallel_channels,
-                        );
+                        let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
                         let end_us = self.clock.now_us();
                         *slots[i].lock().expect("cell slot") = Some(TimedResult {
                             result,
@@ -677,11 +668,7 @@ impl Server {
                 CellSource::Run => {
                     let timed = if inline {
                         let start_us = self.clock.now_us();
-                        let result = run_cell(
-                            &scenarios[cells[i].scenario],
-                            &cells[i],
-                            self.config.parallel_channels,
-                        );
+                        let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
                         let end_us = self.clock.now_us();
                         TimedResult {
                             result,

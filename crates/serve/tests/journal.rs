@@ -287,7 +287,6 @@ fn concurrent_tcp_clients_keep_budgets_and_ordering_separate() {
     let server = Server::new(ServeConfig {
         budget: 4,
         workers: 2,
-        ..Default::default()
     });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");

@@ -39,7 +39,6 @@ fn submit_spec() -> MatrixSpec {
         channels: Vec::new(),
         duration_ms: Some(0.05),
         threads: 1,
-        parallel_channels: false,
         screen: ScreenMode::Off,
     }
 }

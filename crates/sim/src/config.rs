@@ -8,7 +8,7 @@ use sara_workloads::{CoreSpec, TestCase, FRAMES_PER_SECOND};
 
 /// Default NoC→lane admission latency in cycles (see
 /// [`SystemConfig::admit_latency`]): a plausible interconnect forwarding
-/// delay that doubles as the lane look-ahead window for parallel stepping.
+/// delay that doubles as the lane look-ahead window.
 pub(crate) const DEFAULT_ADMIT_LATENCY: u64 = 48;
 
 /// The NoC arbitration discipline matching a memory-controller policy, so
@@ -129,9 +129,7 @@ pub struct SystemConfig {
     /// Cycles between a NoC admission decision and the transaction
     /// becoming visible to its channel lane. Modelling this forward
     /// latency is also what lets decoupled lanes run that many cycles
-    /// ahead of the event drain — the look-ahead window that makes
-    /// parallel stepping profitable. Both stepping modes honour it
-    /// identically, so results stay bit-identical.
+    /// ahead of the event drain — the engine's look-ahead window.
     pub admit_latency: u64,
     /// Master seed for all stochastic generators.
     pub seed: u64,
@@ -141,11 +139,6 @@ pub struct SystemConfig {
     pub priority_bits: PriorityBits,
     /// Per-transaction trace ring size (0 disables tracing).
     pub trace_capacity: usize,
-    /// Opt-in parallel channel stepping: decoupled lanes advance
-    /// concurrently between NoC synchronization horizons. Purely an
-    /// execution strategy — reports and traces are bit-identical to the
-    /// sequential mode (asserted by the determinism suite).
-    pub parallel_channels: bool,
 }
 
 impl SystemConfig {
@@ -225,7 +218,6 @@ impl SystemConfig {
             seed: params.seed,
             priority_bits: PriorityBits::PAPER,
             trace_capacity: 0,
-            parallel_channels: false,
         })
     }
 

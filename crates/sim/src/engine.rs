@@ -23,11 +23,10 @@
 //! never reads anything outside its lane). The lanes' buffered outputs —
 //! completions becoming `Deliver` events, freed shared-budget credit
 //! waking the NoC — are then merged in a fixed `(cycle, lane)` order and
-//! the window's events drain in time order. Because lane advancement is
-//! independent and the merge order is fixed, advancing lanes sequentially
-//! or concurrently (the opt-in parallel stepping mode, served by a
-//! persistent per-lane worker pool, see [`crate::lanepool`]) produces
-//! bit-identical results.
+//! the window's events drain in time order. Lanes advance one after another
+//! on the calling thread: a window is well under a microsecond of work per
+//! lane, below the cost of any cross-thread handoff, and cores are
+//! saturated one level up by running many cells at once.
 //!
 //! Wake-up suppression keeps the event count proportional to transaction
 //! count rather than simulated cycles, so a full 33 ms frame at 1866 MHz
@@ -35,7 +34,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 use sara_dram::{AddressMap, ChannelStats, Dram, DramStats};
 use sara_memctrl::{AdmissionControl, ChannelController, McStats, PolicyKind};
@@ -47,19 +45,11 @@ use sara_types::{
 use crate::config::SystemConfig;
 use crate::health::{DmaHealth, SystemHealth};
 use crate::lane::{ChannelLane, LaneCompletion};
-use crate::lanepool::LanePool;
 use crate::report::{ReportBuilder, SimReport};
 use crate::runtime::{build_dmas, DmaRuntime, BURST_BYTES};
 use crate::sampling::Samplers;
 use crate::telemetry::{SimTelemetry, TelemetryReport};
 use crate::trace::{TraceRecord, TransactionTrace};
-
-/// Minimum horizon width (in cycles from the earliest pending lane tick)
-/// before the parallel stepping mode hands a window to the worker pool;
-/// narrower windows are advanced inline, where even the park/unpark
-/// handshake would dwarf the work. Purely a scheduling heuristic — results
-/// are bit-identical either way.
-const PARALLEL_WINDOW_MIN: u64 = 16;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
@@ -102,12 +92,8 @@ pub struct Simulation {
     cfg: SystemConfig,
     clock: Clock,
     map: AddressMap,
-    /// The per-channel lanes, shared with the worker pool. The mutexes are
-    /// uncontended by construction: the stepping thread touches lanes only
-    /// between pool windows, and each worker only its own lane.
-    lanes: Arc<Vec<Mutex<ChannelLane>>>,
-    /// Persistent per-lane workers, spawned on the first parallel window.
-    pool: Option<LanePool>,
+    /// The per-channel lanes, in channel order.
+    lanes: Vec<ChannelLane>,
     front: AdmissionControl,
     noc: Noc,
     dmas: Vec<DmaRuntime>,
@@ -127,19 +113,10 @@ pub struct Simulation {
     telemetry: SimTelemetry,
     /// Per-DMA worst sampled NPI since the last [`Simulation::mark_epoch`].
     epoch_floor: Vec<f64>,
-    /// Whether decoupled lanes advance concurrently between horizons.
-    parallel: bool,
-    /// Whether this host can actually run lanes concurrently. On a
-    /// single-hardware-thread machine the pool handshake only adds
-    /// scheduler round trips, so parallel stepping silently falls back to
-    /// inline advancement — results are bit-identical either way.
-    multicore: bool,
     /// Scratch for the deterministic completion merge.
     merge_keys: Vec<(Cycle, usize, usize)>,
     /// Per-lane completion buffers taken out of the lanes for the merge.
     merge_scratch: Vec<Vec<LaneCompletion>>,
-    /// Per-lane window-participation scratch for the pool handoff.
-    select_scratch: Vec<bool>,
     /// Events at or below this cycle may drain without re-entering the
     /// lanes: every lane has already advanced past it. Raised when a new
     /// look-ahead window opens, shrunk whenever a lane is armed (the
@@ -168,7 +145,7 @@ impl Simulation {
         }
         let dram = Dram::new(cfg.dram.clone(), cfg.interleave)?;
         let (_, map, channels) = dram.into_parts();
-        let lanes: Vec<Mutex<ChannelLane>> = channels
+        let lanes: Vec<ChannelLane> = channels
             .into_iter()
             .enumerate()
             .map(|(ch, chan)| {
@@ -178,10 +155,8 @@ impl Simulation {
                     chan,
                     cfg.freq,
                 )
-                .map(Mutex::new)
             })
             .collect::<Result<_, _>>()?;
-        let lanes = Arc::new(lanes);
         let front = AdmissionControl::new(&cfg.mc);
         let dmas = build_dmas(
             &cfg.cores,
@@ -199,9 +174,7 @@ impl Simulation {
             clock,
             map,
             merge_scratch: lanes.iter().map(|_| Vec::new()).collect(),
-            select_scratch: vec![false; lanes.len()],
             lanes,
-            pool: None,
             front,
             noc,
             dma_pending: vec![None; dmas.len()],
@@ -217,9 +190,6 @@ impl Simulation {
             trace: TransactionTrace::new(cfg.trace_capacity),
             telemetry: SimTelemetry::new(dmas.len(), channel_count),
             epoch_floor: vec![f64::INFINITY; dmas.len()],
-            parallel: cfg.parallel_channels,
-            multicore: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                >= 2,
             merge_keys: Vec::new(),
             drain_limit: Cycle::ZERO,
             dmas,
@@ -245,18 +215,6 @@ impl Simulation {
     /// Number of DRAM channels (= lanes).
     pub fn channel_count(&self) -> usize {
         self.channels
-    }
-
-    /// Switches between sequential and parallel lane stepping mid-run.
-    /// Purely an execution-strategy knob: both modes produce bit-identical
-    /// reports and traces (asserted by the determinism suite).
-    pub fn set_parallel_channels(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
-    /// Whether decoupled lanes advance concurrently between horizons.
-    pub fn parallel_channels(&self) -> bool {
-        self.parallel
     }
 
     /// Runs until `end` (absolute cycle) without building a report — the
@@ -301,10 +259,7 @@ impl Simulation {
                     // through the end boundary (inclusive). Completions may
                     // surface new global events inside the window, so loop
                     // until quiescent.
-                    let busy = self
-                        .lanes
-                        .iter()
-                        .any(|slot| lock_lane(slot).has_work_below(end + 1));
+                    let busy = self.lanes.iter().any(|lane| lane.has_work_below(end + 1));
                     if busy {
                         self.advance_lanes(end + 1);
                     } else {
@@ -328,13 +283,9 @@ impl Simulation {
         self.run_until(end)
     }
 
-    /// Advances every lane with work below `bound` (exclusive) —
-    /// sequentially, or via the persistent worker pool when parallel
-    /// stepping is enabled and the window is wide enough to amortise the
-    /// handshake — then merges the lanes' buffered outputs in a fixed
-    /// order. The merge is what makes the two strategies
-    /// indistinguishable: completions are re-ordered by `(cycle, lane)`
-    /// before any global state is touched.
+    /// Advances every lane with work below `bound` (exclusive), then
+    /// merges the lanes' buffered outputs: completions are re-ordered by
+    /// `(cycle, lane)` before any global state is touched.
     ///
     /// Returns the earliest cycle a lane may still produce output before
     /// `bound` (the first merged completion plus the admission latency),
@@ -342,33 +293,9 @@ impl Simulation {
     /// event-drain limit.
     fn advance_lanes(&mut self, bound: Cycle) -> Cycle {
         let latency = self.cfg.admit_latency;
-        let mut active = 0usize;
-        let mut earliest = Cycle::MAX;
-        for (i, slot) in self.lanes.iter().enumerate() {
-            let lane = lock_lane(slot);
-            let sel = lane.has_work_below(bound);
-            self.select_scratch[i] = sel;
-            if sel {
-                active += 1;
-                if let Some(t) = lane.pending {
-                    earliest = earliest.min(t);
-                }
-            }
-        }
-        if active > 0 {
-            let wide = bound.saturating_sub(earliest) >= PARALLEL_WINDOW_MIN;
-            if self.parallel && self.multicore && active >= 2 && wide {
-                let lanes = &self.lanes;
-                let pool = self
-                    .pool
-                    .get_or_insert_with(|| LanePool::new(Arc::clone(lanes)));
-                pool.advance(&self.select_scratch, bound, latency);
-            } else {
-                for (i, slot) in self.lanes.iter().enumerate() {
-                    if self.select_scratch[i] {
-                        lock_lane(slot).advance_to(bound, latency);
-                    }
-                }
+        for lane in &mut self.lanes {
+            if lane.has_work_below(bound) {
+                lane.advance_to(bound, latency);
             }
         }
         self.merge_lane_outputs()
@@ -381,8 +308,7 @@ impl Simulation {
     /// cycle (a freed controller entry may unblock the root arbiter).
     /// Returns the earliest merged completion cycle, if any.
     fn merge_lane_outputs(&mut self) -> Option<Cycle> {
-        for (li, slot) in self.lanes.iter().enumerate() {
-            let mut lane = lock_lane(slot);
+        for (li, lane) in self.lanes.iter_mut().enumerate() {
             if !lane.out.is_empty() {
                 std::mem::swap(&mut lane.out, &mut self.merge_scratch[li]);
             }
@@ -397,7 +323,7 @@ impl Simulation {
             return None;
         }
         // At most one command per cycle per lane makes (cycle, lane)
-        // unique, so the order is total and mode-independent.
+        // unique, so the order is total.
         self.merge_keys.sort_unstable();
         let keys = std::mem::take(&mut self.merge_keys);
         let first = keys[0].0;
@@ -560,7 +486,7 @@ impl Simulation {
         let admit_at = now + self.cfg.admit_latency;
         // One bit per channel (a ChannelId addresses at most 256).
         let mut accepted = [0u64; 4];
-        let (noc, front, lanes, map) = (&mut self.noc, &mut self.front, &self.lanes, &self.map);
+        let (noc, front, lanes, map) = (&mut self.noc, &mut self.front, &mut self.lanes, &self.map);
         let outcome = noc.pump(now, &mut |txn| {
             let q = txn.class.queue_index();
             if !front.has_room(q) {
@@ -570,7 +496,7 @@ impl Simulation {
             let loc = map.decode(txn.addr);
             front.admit(q);
             accepted[loc.channel >> 6] |= 1u64 << (loc.channel & 63);
-            let mut lane = lock_lane(&lanes[loc.channel]);
+            let lane = &mut lanes[loc.channel];
             debug_assert_eq!(lane.id.index(), loc.channel, "lane order matches channels");
             lane.ctrl.accept(txn, loc, admit_at);
             Ok(())
@@ -618,7 +544,7 @@ impl Simulation {
     fn dram_bytes(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|slot| lock_lane(slot).chan.stats().total_bytes())
+            .map(|lane| lane.chan.stats().total_bytes())
             .sum()
     }
 
@@ -655,7 +581,7 @@ impl Simulation {
     pub fn effective_dram_freq(&self) -> MegaHertz {
         self.lanes
             .iter()
-            .map(|slot| lock_lane(slot).effective_freq)
+            .map(|lane| lane.effective_freq)
             .max()
             .expect("at least one channel")
     }
@@ -663,10 +589,7 @@ impl Simulation {
     /// Effective DRAM frequency of every channel's clock domain, in
     /// channel order.
     pub fn channel_freqs(&self) -> Vec<MegaHertz> {
-        self.lanes
-            .iter()
-            .map(|slot| lock_lane(slot).effective_freq)
-            .collect()
+        self.lanes.iter().map(|lane| lane.effective_freq).collect()
     }
 
     /// Steps every channel's clock domain to `target` — the single-knob
@@ -724,7 +647,7 @@ impl Simulation {
         }
         let now = self.now;
         let beat = self.cfg.freq.as_u32() as u64;
-        let mut lane = lock_lane(&self.lanes[channel]);
+        let lane = &mut self.lanes[channel];
         if target == lane.effective_freq {
             return Ok(());
         }
@@ -733,9 +656,7 @@ impl Simulation {
         // Re-arm the lane if it has queued work: a step *up* moves legal
         // issue times earlier than any pending retry wake, and waiting for
         // the stale (late) wake would idle the faster device.
-        let rearm = lane.ctrl.queued() > 0;
-        drop(lane);
-        if rearm {
+        if lane.ctrl.queued() > 0 {
             self.arm_lane(channel, now);
         }
         Ok(())
@@ -745,7 +666,7 @@ impl Simulation {
     /// down to it: the lane may now produce output from `at` on, so no
     /// later event may dispatch before the lane re-advances.
     fn arm_lane(&mut self, channel: usize, at: Cycle) {
-        lock_lane(&self.lanes[channel]).arm(at);
+        self.lanes[channel].arm(at);
         self.drain_limit = self.drain_limit.min(at);
     }
 
@@ -756,8 +677,8 @@ impl Simulation {
     /// paper's QoS enforcement point.
     pub fn set_policy(&mut self, policy: PolicyKind) {
         self.cfg.policy = policy;
-        for slot in self.lanes.iter() {
-            lock_lane(slot).ctrl.set_policy(policy);
+        for lane in &mut self.lanes {
+            lane.ctrl.set_policy(policy);
         }
     }
 
@@ -788,11 +709,7 @@ impl Simulation {
             now,
             dmas,
             mc_occupancy: self.front.occupancy(),
-            queued_per_channel: self
-                .lanes
-                .iter()
-                .map(|slot| lock_lane(slot).ctrl.queued())
-                .collect(),
+            queued_per_channel: self.lanes.iter().map(|lane| lane.ctrl.queued()).collect(),
             freq_per_channel: self.channel_freqs(),
             dram_bytes: self.dram_bytes(),
             effective_freq: self.effective_dram_freq(),
@@ -813,8 +730,8 @@ impl Simulation {
     /// lane's scheduling counters.
     fn mc_stats(&self) -> McStats {
         let mut stats = self.front.stats().clone();
-        for slot in self.lanes.iter() {
-            stats.merge_scheduling(lock_lane(slot).ctrl.stats());
+        for lane in &self.lanes {
+            stats.merge_scheduling(lane.ctrl.stats());
         }
         stats
     }
@@ -824,7 +741,7 @@ impl Simulation {
         let channel_stats: Vec<ChannelStats> = self
             .lanes
             .iter()
-            .map(|slot| lock_lane(slot).chan.stats().clone())
+            .map(|lane| lane.chan.stats().clone())
             .collect();
         let dram = DramStats::from_channels(&channel_stats);
         let mc = self.mc_stats();
@@ -842,15 +759,6 @@ impl Simulation {
         }
         .build()
     }
-}
-
-/// Locks a lane. The mutexes are uncontended by construction (the stepping
-/// thread and the pool workers never race for the same lane), so this
-/// never blocks; poisoning only occurs if a worker panicked, which is
-/// already fatal.
-#[inline]
-fn lock_lane(slot: &Mutex<ChannelLane>) -> MutexGuard<'_, ChannelLane> {
-    slot.lock().expect("lane mutex poisoned")
 }
 
 #[cfg(test)]
@@ -878,31 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_handshake_matches_sequential_even_when_forced_on_small_hosts() {
-        // The engine skips the worker pool on a single-hardware-thread
-        // host, which would leave the handshake uncovered there; force the
-        // multicore path so the pool itself (spawn, window handoff,
-        // shutdown) runs and stays byte-identical to inline stepping.
-        let params = crate::config::ScenarioParams::new(
-            TestCase::B.dram_freq(),
-            PolicyKind::Priority,
-            TestCase::B.cores(),
-        )
-        .channels(4);
-        let cfg = SystemConfig::from_scenario(params).unwrap();
-        let mut seq = Simulation::new(cfg.clone()).unwrap();
-        let baseline = seq.run_for_ms(0.05);
-
-        let mut parallel_cfg = cfg;
-        parallel_cfg.parallel_channels = true;
-        let mut par = Simulation::new(parallel_cfg).unwrap();
-        par.multicore = true;
-        let forced = par.run_for_ms(0.05);
-        assert!(par.pool.is_some(), "forced run must have spawned the pool");
-        assert_eq!(baseline.to_json(), forced.to_json());
-    }
-
-    #[test]
     fn clock_mismatch_rejected() {
         use sara_dram::DramConfig;
         use sara_types::MegaHertz;
@@ -918,32 +801,6 @@ mod tests {
         let _ = sim.run_for_ms(0.1);
         let expected = sim.config().clock().cycles_from_ms(0.1);
         assert_eq!(sim.now().as_u64(), expected);
-    }
-
-    #[test]
-    fn parallel_stepping_is_bit_identical_to_sequential() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let mut seq = Simulation::new(cfg.clone()).unwrap();
-        assert!(!seq.parallel_channels());
-        let a = seq.run_for_ms(0.4);
-
-        let mut par_cfg = cfg;
-        par_cfg.parallel_channels = true;
-        let mut par = Simulation::new(par_cfg).unwrap();
-        assert!(par.parallel_channels());
-        let b = par.run_for_ms(0.4);
-
-        assert_eq!(a.dram, b.dram);
-        assert_eq!(a.mc, b.mc);
-        assert_eq!(a.noc_forwarded, b.noc_forwarded);
-        for (x, y) in a.cores.iter().zip(&b.cores) {
-            assert_eq!(x.min_npi, y.min_npi);
-            assert_eq!(x.completed, y.completed);
-            assert_eq!(x.priority_residency, y.priority_residency);
-        }
-        for (kind, series) in &a.npi_series {
-            assert_eq!(series, &b.npi_series[kind]);
-        }
     }
 }
 

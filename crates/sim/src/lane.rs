@@ -5,10 +5,10 @@
 //! engine. Between two synchronization horizons (the global events that
 //! couple lanes to the NoC and the DMAs — pumps, injects, delivers,
 //! samples), a lane's tick chain touches nothing but its own
-//! [`ChannelController`] and [`Channel`], so the engine may advance lanes
-//! one after another *or concurrently* and obtain bit-identical state:
-//! every cross-lane effect (completions → delivers, freed budget → pump)
-//! is buffered in [`ChannelLane::out`] and merged by the engine in a fixed
+//! [`ChannelController`] and [`Channel`], so the engine advances the lanes
+//! one after another in any order and obtains the same state: every
+//! cross-lane effect (completions → delivers, freed budget → pump) is
+//! buffered in [`ChannelLane::out`] and merged by the engine in a fixed
 //! lane order after all lanes reach the horizon.
 
 use sara_dram::Channel;
@@ -102,7 +102,7 @@ impl ChannelLane {
 
     /// Advances this lane's tick chain up to `bound` (exclusive), buffering
     /// completions into [`ChannelLane::out`]. Touches nothing outside the
-    /// lane — the property that makes concurrent advancement sound.
+    /// lane, so the order lanes advance in cannot matter.
     ///
     /// A completion frees a shared-budget entry, and the NoC must get a
     /// chance to exploit it before the lane's own frontier outruns the

@@ -53,7 +53,6 @@ pub mod experiment;
 mod health;
 pub mod json;
 mod lane;
-mod lanepool;
 mod report;
 mod runtime;
 mod sampling;

@@ -8,9 +8,8 @@
 //! the fixed `(cycle, lane)` merge order, and every accumulator is an
 //! integer [`Counter`](sara_telemetry::Counter) or log2 [`Histogram`]
 //! with exact merge, so the
-//! recorder's state — and the JSON it snapshots to — is byte-identical
-//! between sequential and parallel lane stepping (pinned by the
-//! determinism suite).
+//! recorder's state — and the JSON it snapshots to — is a pure function
+//! of the simulated run (pinned by the determinism suite).
 //!
 //! [`TelemetryReport`] is the owned snapshot: the recorder's distributions
 //! joined with the admission front-end's stall/reject counters, the DRAM
@@ -353,15 +352,14 @@ mod tests {
     use sara_memctrl::PolicyKind;
     use sara_workloads::TestCase;
 
-    fn run(parallel: bool) -> crate::report::SimReport {
-        let mut cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        cfg.parallel_channels = parallel;
+    fn run() -> crate::report::SimReport {
+        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
         Simulation::new(cfg).unwrap().run_for_ms(0.3)
     }
 
     #[test]
     fn telemetry_accounts_for_every_completion_and_delivery() {
-        let report = run(false);
+        let report = run();
         let t = &report.telemetry;
         // Every merged completion landed in exactly one class histogram.
         let hist_total: u64 = t.classes.iter().map(|c| c.queue_delay.count()).sum();
@@ -387,7 +385,7 @@ mod tests {
 
     #[test]
     fn totals_registry_matches_the_breakdowns() {
-        let report = run(false);
+        let report = run();
         let t = &report.telemetry;
         let totals = t.totals();
         let doc = totals.to_json_value();
@@ -401,12 +399,5 @@ mod tests {
         );
         let lat = doc.get("latency_cycles").expect("latency histogram");
         assert!(lat.get("p99").and_then(Value::as_u64).unwrap() > 0);
-    }
-
-    #[test]
-    fn telemetry_json_is_identical_across_stepping_modes() {
-        let seq = run(false).telemetry.to_json_value().to_string_compact();
-        let par = run(true).telemetry.to_json_value().to_string_compact();
-        assert_eq!(seq, par);
     }
 }

@@ -13,8 +13,7 @@
 //! * [`Histogram`] — log2-bucketed latency distributions whose merge is an
 //!   element-wise integer add: **exact** (no rebinning error) and
 //!   **commutative/associative**, so folding per-lane histograms in any
-//!   order yields bit-identical state. This is what lets sequential and
-//!   parallel lane stepping produce byte-identical telemetry;
+//!   order yields bit-identical state;
 //! * [`Registry`] — an insertion-ordered bag of named metrics with a
 //!   deterministic JSON snapshot (via the in-tree `json` document model);
 //! * [`chrome`] — a builder for Chrome trace-event / Perfetto JSON

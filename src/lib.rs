@@ -49,9 +49,8 @@
 //! The production entry point is the `sara` binary (`crates/cli`):
 //! `sara export` / `validate` / `list` / `matrix` / `sweep` / `govern` /
 //! `gen` / `bench` / `report` drive everything above from the command
-//! line, and the
-//! `examples/` are thin shims over the same library. `crates/bench` holds
-//! the binaries regenerating each table and figure of the paper.
+//! line; the `examples/` show the library API directly. `crates/bench`
+//! holds the binaries regenerating each table and figure of the paper.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 use sara::dram::{
     CommandRecord, Dram, DramCommand, DramConfig, Interleave, Issued, TimingChecker, TimingParams,
 };
-use sara::governor::{run_governed, run_governed_with, run_pinned, trace, RunOptions};
+use sara::governor::{run_governed, run_pinned, trace};
 use sara::memctrl::{McConfig, MemoryController, PolicyKind, TickResult};
 use sara::scenarios::catalog;
 use sara::sim::experiment::run_camcorder;
@@ -32,115 +32,83 @@ fn identical_runs_are_bit_identical() {
     for (kind, series) in &a.npi_series {
         assert_eq!(series, &b.npi_series[kind]);
     }
-}
 
-/// Sequential and parallel lane stepping are two execution strategies for
-/// one defined semantics: for every catalog scenario the `SimReport` JSON
-/// must be byte-identical between them. This is the contract that lets
-/// `--parallel-channels` be a pure wall-clock knob.
-#[test]
-fn parallel_stepping_reports_are_byte_identical_across_the_catalog() {
-    for s in catalog::builtin() {
-        let seq = s.run_for_ms_stepped(0.4, false).unwrap().to_json();
-        let par = s.run_for_ms_stepped(0.4, true).unwrap().to_json();
-        assert_eq!(seq, par, "{}: parallel stepping diverged", s.name);
-    }
-}
-
-/// The stepping contract holds as the channel count scales out, pinned
-/// explicitly at 4 and 8 channels: both the catalog's channel-scaled
-/// variants and an unrelated workload re-scaled through `with_channels`
-/// must report byte-identically in both modes. Wider channel counts mean
-/// more lanes stepping concurrently (and the XOR-skewed address map), so
-/// this is where a merge-order bug would surface first.
-#[test]
-fn four_and_eight_channel_runs_are_byte_identical_across_stepping_modes() {
+    // Wider channel counts mean more lanes in the `(cycle, lane)` merge
+    // (and the XOR-skewed address map), so this is where an ordering bug
+    // would surface first: the catalog's channel-scaled variants, and two
+    // unrelated 2-channel workloads re-scaled through `with_channels`.
     let mut subjects = Vec::new();
     for (name, channels) in [("ml-inference-4ch", 4), ("ml-inference-8ch", 8)] {
         let s = catalog::by_name(name).unwrap();
         assert_eq!(s.channels, channels, "{name}: wrong channel count");
         subjects.push(s);
     }
-    for channels in [4usize, 8] {
-        subjects.push(catalog::by_name("adas").unwrap().with_channels(channels));
+    for name in ["adas", "camcorder-b"] {
+        for channels in [4usize, 8] {
+            subjects.push(catalog::by_name(name).unwrap().with_channels(channels));
+        }
     }
     for s in subjects {
-        let seq = s.run_for_ms_stepped(0.4, false).unwrap().to_json();
-        let par = s.run_for_ms_stepped(0.4, true).unwrap().to_json();
+        let json = || s.run_for_ms(0.2).unwrap().to_json();
         assert_eq!(
-            seq, par,
-            "{} at {} channels: parallel stepping diverged",
-            s.name, s.channels
+            json(),
+            json(),
+            "{} at {} channels: report drifted between runs",
+            s.name,
+            s.channels
         );
     }
 }
 
-/// The telemetry layer rides the same contract, called out separately so
-/// a divergence in the metrics substrate fails loudly by name rather
-/// than as an opaque whole-report byte mismatch: for every catalog
-/// scenario, the `telemetry` section of the report JSON — per-class
-/// latency and queue-delay histograms, per-DMA latency, per-lane
-/// row-hit/conflict counters, NoC occupancy — must serialize to
-/// identical bytes whether the lanes stepped sequentially or in
-/// parallel. Histogram merge order differs between the two modes, so
-/// this also exercises the log2-bucket merge's order independence on
-/// real traffic.
-#[test]
-fn telemetry_sections_are_byte_identical_across_stepping_modes() {
-    for s in catalog::builtin() {
-        let section = |parallel| {
-            s.run_for_ms_stepped(0.4, parallel)
-                .unwrap()
-                .to_json_value()
-                .get("telemetry")
-                .expect("report JSON carries a telemetry section")
-                .to_string_compact()
-        };
-        let seq = section(false);
-        let par = section(true);
-        assert_eq!(seq, par, "{}: telemetry diverged", s.name);
-        // And it is real telemetry, not an empty stub.
-        let doc = json::parse(&seq).unwrap();
-        let completed = doc
-            .get("totals")
-            .and_then(|t| t.get("completed"))
-            .and_then(json::Value::as_u64)
-            .unwrap_or(0);
-        assert!(
-            completed > 0,
-            "{}: telemetry recorded no completions",
-            s.name
-        );
+/// 64-bit FNV-1a over a report's JSON bytes, as 16 hex digits.
+fn fnv1a_hex(bytes: &[u8]) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    format!("{hash:016x}")
 }
 
-/// The same contract for governed runs: epoch traces (JSON + CSV) from
-/// the parallel stepping mode are byte-identical to sequential, for every
-/// catalog scenario under its own governor spec — including per-channel
-/// control where the spec enables it.
+/// Every catalog scenario × every policy, 0.1 ms: the report JSON hashes
+/// to the digest committed in `tests/data/catalog-report-digests.json`.
+/// This is the check behind "`ENGINE_VERSION` did not need to move": an
+/// engine refactor that claims no behaviour change must pass it unmodified.
+///
+/// A diff here means simulated behaviour (or the report format) changed:
+/// if intentional, bump the engine version and regenerate with
+/// `SARA_UPDATE_GOLDENS=1 cargo test --test determinism catalog_report`.
 #[test]
-fn governed_traces_match_across_stepping_modes_for_every_catalog_scenario() {
+fn catalog_report_digests_match_the_committed_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/catalog-report-digests.json");
+    let mut digests = Vec::new();
     for s in catalog::builtin() {
-        let spec = s.governor_spec();
-        let text = |parallel| {
-            let out = run_governed_with(
-                &s,
-                &spec,
-                0.6,
-                RunOptions {
-                    parallel_channels: parallel,
-                },
-            )
-            .unwrap();
-            trace::trace_json(&[(out.clone(), None)]) + &trace::trace_csv(&[out])
-        };
-        assert_eq!(
-            text(false),
-            text(true),
-            "{}: governed trace diverged",
-            s.name
-        );
+        for policy in PolicyKind::ALL {
+            let report = s.clone().with_policy(policy).run_for_ms(0.1).unwrap();
+            digests.push((
+                format!("{}/{}", s.name, policy.name()),
+                json::Value::from(fnv1a_hex(report.to_json().as_bytes())),
+            ));
+        }
     }
+    let emitted = json::Value::Object(digests).to_string_pretty() + "\n";
+    if std::env::var_os("SARA_UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &emitted).unwrap();
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\n(regenerate with SARA_UPDATE_GOLDENS=1)",
+            path.display()
+        )
+    });
+    // One `"scenario/policy": "digest"` member per line, so the first
+    // differing line names the cell that drifted.
+    for (got, want) in emitted.lines().zip(committed.lines()) {
+        assert_eq!(got, want, "report bytes drifted from the golden");
+    }
+    assert_eq!(emitted, committed, "digest golden lists different cells");
 }
 
 /// The governor's per-epoch trace — JSON and CSV — is part of the
@@ -167,6 +135,22 @@ fn governor_epoch_trace_json_is_byte_identical() {
     assert_eq!(csv_a, csv_b, "governed CSV trace drifted between runs");
     // And the trace really recorded online adaptation, not a static run.
     assert!(csv_a.lines().any(|l| l.contains(",up:")), "{csv_a}");
+
+    // Every catalog scenario under its own governor spec — including
+    // per-channel control where the spec enables it.
+    for s in catalog::builtin() {
+        let spec = s.governor_spec();
+        let text = || {
+            let out = run_governed(&s, &spec, 0.6).unwrap();
+            trace::trace_json(&[(out.clone(), None)]) + &trace::trace_csv(&[out])
+        };
+        assert_eq!(
+            text(),
+            text(),
+            "{}: governed trace drifted between runs",
+            s.name
+        );
+    }
 }
 
 #[test]

@@ -19,7 +19,6 @@ fn every_builtin_scenario_completes_one_ms() {
         channels: Vec::new(),
         duration_ms: Some(1.0),
         threads: 8,
-        parallel_channels: false,
         screen: ScreenMode::Off,
     };
     let summary = run_matrix(&scenarios, &spec).expect("matrix must run");
@@ -29,6 +28,14 @@ fn every_builtin_scenario_completes_one_ms() {
         assert!(
             cell.report().unwrap().mc.total_completed() > 0,
             "{}: no transactions completed",
+            cell.scenario
+        );
+        let report = cell.report().unwrap();
+        let lane_completions: u64 = report.telemetry.lanes.iter().map(|l| l.completions).sum();
+        assert_eq!(
+            lane_completions,
+            report.mc.total_completed(),
+            "{}: telemetry lost completions",
             cell.scenario
         );
         assert_eq!(
@@ -58,7 +65,6 @@ fn rankings_prefer_the_policy_that_meets_targets() {
         channels: Vec::new(),
         duration_ms: Some(1.5),
         threads: 2,
-        parallel_channels: false,
         screen: ScreenMode::Off,
     };
     let summary = run_matrix(&scenarios, &spec).unwrap();
@@ -98,7 +104,6 @@ fn matrix_json_identical_for_1_2_and_8_workers() {
             channels: Vec::new(),
             duration_ms: Some(0.25),
             threads,
-            parallel_channels: false,
             screen: ScreenMode::Off,
         };
         run_matrix(&scenarios, &spec).unwrap().to_json()
