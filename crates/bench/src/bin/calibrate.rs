@@ -8,10 +8,10 @@
 
 use sara_bench::figure_duration_ms;
 use sara_memctrl::PolicyKind;
-use sara_sim::experiment::{frequency_sweep, policy_comparison, run_camcorder};
+use sara_scenarios::{catalog, run_matrix, MatrixSpec, Scenario};
+use sara_sim::experiment::FreqPoint;
 use sara_sim::SimReport;
 use sara_types::CoreKind;
-use sara_workloads::TestCase;
 
 struct Checker {
     failures: Vec<String>,
@@ -42,25 +42,41 @@ impl Checker {
     }
 }
 
+/// One camcorder case under `policies` (× `freqs_mhz`, if any): the
+/// simulated reports in submission order.
+fn reports(case: Scenario, policies: &[PolicyKind], freqs_mhz: &[u32], ms: f64) -> Vec<SimReport> {
+    let spec = MatrixSpec {
+        policies: policies.to_vec(),
+        freqs_mhz: freqs_mhz.to_vec(),
+        duration_ms: Some(ms),
+        ..MatrixSpec::default()
+    };
+    let summary = run_matrix(&[case], &spec).expect("camcorder runs");
+    summary.reports().cloned().collect()
+}
+
 fn main() {
     let ms = figure_duration_ms();
     println!("calibration at {ms:.1} ms per run");
     let mut c = Checker { failures: vec![] };
 
     // --- Fig. 5 (case A) -------------------------------------------------
-    let [fcfs, rr, frame, qos] = policy_comparison(
-        TestCase::A,
+    // Figs 5, 8 and 9 share one case-A batch.
+    let [fcfs, rr, frame, qos, qos_rb, fr] = reports(
+        catalog::camcorder_a(),
         &[
             PolicyKind::Fcfs,
             PolicyKind::RoundRobin,
             PolicyKind::FrameQos,
             PolicyKind::Priority,
+            PolicyKind::QosRowBuffer,
+            PolicyKind::FrFcfs,
         ],
+        &[],
         ms,
     )
-    .expect("case A runs")
     .try_into()
-    .expect("four reports");
+    .expect("six reports");
 
     // FCFS: display and GPS starve; bursty media and the system streams ride.
     c.core_fails(&fcfs, CoreKind::Display, true);
@@ -91,17 +107,17 @@ fn main() {
     );
 
     // --- Fig. 6 (case B) -------------------------------------------------
-    let [fcfs_b, rr_b, frame_b, qos_b] = policy_comparison(
-        TestCase::B,
+    let [fcfs_b, rr_b, frame_b, qos_b] = reports(
+        catalog::camcorder_b(),
         &[
             PolicyKind::Fcfs,
             PolicyKind::RoundRobin,
             PolicyKind::FrameQos,
             PolicyKind::Priority,
         ],
+        &[],
         ms,
     )
-    .expect("case B runs")
     .try_into()
     .expect("four reports");
     c.core_fails(&fcfs_b, CoreKind::Dsp, true);
@@ -122,8 +138,6 @@ fn main() {
     );
 
     // --- Figs 8 + 9 ------------------------------------------------------
-    let qos_rb = run_camcorder(TestCase::A, PolicyKind::QosRowBuffer, ms).expect("QoS-RB runs");
-    let fr = run_camcorder(TestCase::A, PolicyKind::FrFcfs, ms).expect("FR-FCFS runs");
     c.check(
         &format!(
             "Fig 9: QoS-RB no degradation (failed: {:?})",
@@ -168,9 +182,14 @@ fn main() {
     );
 
     // --- Fig. 7 ------------------------------------------------------------
-    let sweep = frequency_sweep(CoreKind::ImageProcessor, &[1300, 1700], ms).expect("sweep runs");
-    let low = &sweep[0];
-    let high = &sweep[1];
+    let sweep = reports(
+        catalog::camcorder_a(),
+        &[PolicyKind::Priority],
+        &[1300, 1700],
+        ms,
+    );
+    let point = |r| FreqPoint::from_report(r, CoreKind::ImageProcessor).expect("core present");
+    let (low, high) = (point(&sweep[0]), point(&sweep[1]));
     let urgent_low: f64 = low.residency[4..].iter().sum();
     let urgent_high: f64 = high.residency[4..].iter().sum();
     c.check(

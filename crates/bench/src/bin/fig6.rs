@@ -8,22 +8,27 @@
 //! cores; the priority-based policy meets all targets.
 
 use sara_bench::{figure_duration_ms, print_npi_matrix, results_dir, FIG5_POLICIES};
-use sara_sim::experiment::policy_comparison;
+use sara_scenarios::{catalog, run_matrix, MatrixSpec};
 use sara_types::Clock;
 use sara_workloads::TestCase;
 
 fn main() {
     let duration = figure_duration_ms();
     let case = TestCase::B;
-    let reports =
-        policy_comparison(case, &FIG5_POLICIES, duration).expect("camcorder case B builds");
+    let spec = MatrixSpec {
+        policies: FIG5_POLICIES.to_vec(),
+        duration_ms: Some(duration),
+        ..MatrixSpec::default()
+    };
+    let summary = run_matrix(&[catalog::camcorder_b()], &spec).expect("camcorder case B builds");
+    let reports: Vec<_> = summary.reports().collect();
     print_npi_matrix(
         &format!("Fig. 6: case B NPI over {duration:.1} ms"),
         &reports,
         &case.critical_cores(),
     );
     let dir = results_dir();
-    for r in &reports {
+    for r in reports {
         let path = dir.join(format!("fig6_{}.csv", r.policy.name().to_lowercase()));
         r.write_npi_csv(&path, Clock::new(r.freq))
             .expect("write CSV");

@@ -11,14 +11,24 @@
 use std::io::Write;
 
 use sara_bench::{figure_duration_ms, results_dir};
-use sara_sim::experiment::frequency_sweep;
+use sara_memctrl::PolicyKind;
+use sara_scenarios::{catalog, run_matrix, MatrixSpec};
+use sara_sim::experiment::FreqPoint;
 use sara_types::CoreKind;
 
 fn main() {
     let duration = figure_duration_ms();
-    let freqs = [1300, 1400, 1500, 1600, 1700];
-    let points =
-        frequency_sweep(CoreKind::ImageProcessor, &freqs, duration).expect("case-A sweep builds");
+    let spec = MatrixSpec {
+        policies: vec![PolicyKind::Priority],
+        freqs_mhz: vec![1300, 1400, 1500, 1600, 1700],
+        duration_ms: Some(duration),
+        ..MatrixSpec::default()
+    };
+    let summary = run_matrix(&[catalog::camcorder_a()], &spec).expect("case-A sweep builds");
+    let points: Vec<FreqPoint> = summary
+        .reports()
+        .filter_map(|r| FreqPoint::from_report(r, CoreKind::ImageProcessor))
+        .collect();
 
     println!("== Fig. 7: image processor priority residency over {duration:.1} ms ==");
     print!("{:<10}", "freq");

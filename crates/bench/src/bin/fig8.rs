@@ -9,13 +9,18 @@
 use std::io::Write;
 
 use sara_bench::{figure_duration_ms, results_dir, FIG8_POLICIES};
-use sara_sim::experiment::policy_comparison;
-use sara_workloads::TestCase;
+use sara_scenarios::{catalog, run_matrix, MatrixSpec};
+use sara_sim::experiment::DvfsPoint;
 
 fn main() {
     let duration = figure_duration_ms();
-    let reports =
-        policy_comparison(TestCase::A, &FIG8_POLICIES, duration).expect("camcorder case A builds");
+    let spec = MatrixSpec {
+        policies: FIG8_POLICIES.to_vec(),
+        duration_ms: Some(duration),
+        ..MatrixSpec::default()
+    };
+    let summary = run_matrix(&[catalog::camcorder_a()], &spec).expect("camcorder case A builds");
+    let reports: Vec<_> = summary.reports().collect();
 
     println!("== Fig. 8: average DRAM bandwidth over {duration:.1} ms (case A) ==");
     println!(
@@ -30,13 +35,7 @@ fn main() {
     let dir = results_dir();
     let mut csv = std::fs::File::create(dir.join("fig8.csv")).expect("create CSV");
     writeln!(csv, "policy,bandwidth_gbs,row_hit_rate,failures").unwrap();
-    for r in &reports {
-        let energy = sara_dram::estimate_energy(
-            &r.dram.total,
-            &sara_dram::EnergyParams::lpddr4(),
-            r.freq.as_hz(),
-            r.elapsed_cycles,
-        );
+    for r in reports {
         println!(
             "{:<10} {:>12.2} {:>10.1} {:>+9.1}% {:>8} {:>10.1}",
             r.policy.name(),
@@ -44,7 +43,7 @@ fn main() {
             r.row_hit_rate * 100.0,
             (r.bandwidth_gbs / qos_rb - 1.0) * 100.0,
             r.failed_cores().len(),
-            energy.pj_per_bit(r.dram.total.total_bytes()),
+            DvfsPoint::from_report(r).pj_per_bit,
         );
         writeln!(
             csv,

@@ -1,9 +1,9 @@
 //! # sara-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper
-//! (`table1`, `table2`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`), ablation
-//! binaries for the design knobs DESIGN.md calls out, and Criterion
-//! micro/macro benchmarks under `benches/`.
+//! (`table1`, `table2`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`) and
+//! ablation binaries for the design knobs DESIGN.md calls out. Host-time
+//! measurement lives in the standalone `benchmark/` package.
 //!
 //! Binaries print the same rows/series the paper reports and drop CSV files
 //! into `results/`. Absolute bandwidth numbers depend on the synthetic
@@ -50,7 +50,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Prints a per-policy × per-core NPI verdict matrix (the textual form of
 /// Figs 5/6/9).
-pub fn print_npi_matrix(title: &str, reports: &[SimReport], critical: &[CoreKind]) {
+pub fn print_npi_matrix(title: &str, reports: &[&SimReport], critical: &[CoreKind]) {
     println!("== {title} ==");
     print!("{:<14}", "core");
     for r in reports {

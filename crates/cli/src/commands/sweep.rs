@@ -1,16 +1,15 @@
 //! `sara sweep` — DRAM frequency and DVFS-governor sweeps.
 
 use json::Value;
-use sara_governor::GovernorSearch;
-use sara_sim::experiment::{dvfs_governor, frequency_sweep, DvfsPoint};
+use sara_memctrl::PolicyKind;
+use sara_scenarios::{catalog, dvfs_search, run_matrix, MatrixSpec, Scenario, SearchOutcome};
+use sara_sim::experiment::{DvfsPoint, FreqPoint};
 use sara_sim::sweeps::{
     dvfs_point_fields, dvfs_points_csv, dvfs_points_json, dvfs_points_value, freq_points_csv,
     freq_points_json, DVFS_CSV_COLUMNS,
 };
 use sara_sim::MAX_LEVELS;
-use sara_sim::{analytic_report, ScreenVerdict};
-use sara_types::{ConfigError, CoreKind, MegaHertz};
-use sara_workloads::TestCase;
+use sara_types::{ConfigError, CoreKind};
 
 use crate::args::{parse_freqs_ascending, Args, CliError};
 use crate::commands::{load_scenarios, take_scenario_names};
@@ -115,44 +114,16 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
             for s in &scenarios {
                 let fail =
                     |e: ConfigError| CliError::Failure(format!("{}: {}", s.name, e.message()));
-                let mut candidates = freqs.clone();
-                if screen {
-                    let mut kept = Vec::with_capacity(candidates.len());
-                    for f in candidates {
-                        let cfg = s
-                            .clone()
-                            .with_freq(MegaHertz::new(f))
-                            .config()
-                            .map_err(fail)?;
-                        let report = analytic_report(&cfg);
-                        if report.verdict == ScreenVerdict::ProvablyInfeasible {
-                            progress.line(format!(
-                                "{}: screened out {f} MHz ({})",
-                                s.name, report.reason
-                            ));
-                        } else {
-                            kept.push(f);
-                        }
-                    }
-                    candidates = kept;
+                let outcome = dvfs_search(s, &freqs, duration_flag, screen).map_err(fail)?;
+                for (mhz, reason) in &outcome.screened_out {
+                    progress.line(format!("{}: screened out {mhz} MHz ({reason})", s.name));
                 }
-                let outcome = if candidates.is_empty() {
+                if outcome.points.is_empty() {
                     progress.line(format!(
                         "{}: every candidate frequency is provably infeasible",
                         s.name
                     ));
-                    sara_governor::SearchOutcome {
-                        scenario: s.name.clone(),
-                        points: Vec::new(),
-                        chosen: None,
-                    }
-                } else {
-                    let mut search = GovernorSearch::new(candidates);
-                    if let Some(ms) = duration_flag {
-                        search = search.with_duration_ms(ms);
-                    }
-                    search.run(s).map_err(fail)?
-                };
+                }
                 progress.line(format!("{}:", s.name));
                 print_dvfs_table(&progress, &outcome.points);
                 match outcome.chosen_mhz() {
@@ -166,8 +137,9 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
             (search_csv(&outcomes), search_json(&outcomes))
         } else {
             let case = parse_case(case.as_deref().unwrap_or("B"))?;
-            let (points, chosen) = dvfs_governor(case, &freqs, duration_ms)
-                .map_err(|e| CliError::Failure(e.message().to_string()))?;
+            let SearchOutcome { points, chosen, .. } =
+                dvfs_search(&case, &freqs, Some(duration_ms), false)
+                    .map_err(|e| CliError::Failure(e.message().to_string()))?;
             print_dvfs_table(&progress, &points);
             match chosen {
                 Some(i) => progress.line(format!(
@@ -202,8 +174,20 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
             Some(raw) => parse_freqs_ascending(&raw, USAGE)?,
             None => vec![1300, 1500, 1700],
         };
-        let points = frequency_sweep(observed, &freqs, duration_ms)
+        // Fig. 7: the case-A workload under Policy 1, one cell per frequency.
+        let spec = MatrixSpec {
+            policies: vec![PolicyKind::Priority],
+            freqs_mhz: freqs,
+            duration_ms: Some(duration_ms),
+            ..MatrixSpec::default()
+        };
+        let summary = run_matrix(&[catalog::camcorder_a()], &spec)
             .map_err(|e| CliError::Failure(e.message().to_string()))?;
+        let points: Vec<FreqPoint> = summary
+            .reports()
+            .map(|report| FreqPoint::from_report(report, observed))
+            .collect::<Option<_>>()
+            .ok_or_else(|| CliError::Failure(format!("core {observed} not in workload")))?;
         progress.line(format!(
             "{} priority residency vs DRAM frequency",
             observed.name()
@@ -263,7 +247,7 @@ fn print_dvfs_table(progress: &Progress, points: &[DvfsPoint]) {
 
 /// Scenario searches as CSV: the `dvfs_points_csv` columns prefixed with
 /// the scenario name plus a `chosen` marker per row.
-fn search_csv(outcomes: &[sara_governor::SearchOutcome]) -> String {
+fn search_csv(outcomes: &[SearchOutcome]) -> String {
     let mut out = format!("scenario,{DVFS_CSV_COLUMNS},chosen\n");
     for o in outcomes {
         for (i, p) in o.points.iter().enumerate() {
@@ -280,7 +264,7 @@ fn search_csv(outcomes: &[sara_governor::SearchOutcome]) -> String {
 
 /// Scenario searches as a JSON array (one object per scenario), following
 /// the `sara_sim::sweeps` conventions.
-fn search_json(outcomes: &[sara_governor::SearchOutcome]) -> String {
+fn search_json(outcomes: &[SearchOutcome]) -> String {
     let doc = Value::Array(
         outcomes
             .iter()
@@ -302,10 +286,11 @@ fn search_json(outcomes: &[sara_governor::SearchOutcome]) -> String {
     format!("{}\n", doc.to_string_compact())
 }
 
-fn parse_case(raw: &str) -> Result<TestCase, CliError> {
+/// The camcorder test cases are the catalog's `camcorder-a` / `camcorder-b`.
+fn parse_case(raw: &str) -> Result<Scenario, CliError> {
     match raw {
-        "A" | "a" => Ok(TestCase::A),
-        "B" | "b" => Ok(TestCase::B),
+        "A" | "a" => Ok(catalog::camcorder_a()),
+        "B" | "b" => Ok(catalog::camcorder_b()),
         other => Err(CliError::usage(
             USAGE,
             format!("unknown test case \"{other}\" (expected A or B)"),

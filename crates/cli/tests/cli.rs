@@ -452,6 +452,28 @@ fn sweep_rejects_unordered_or_duplicate_freqs() {
     assert_eq!(code(&out), 2);
 }
 
+/// The Fig. 7 sweep, the camcorder DVFS search and a screened scenario
+/// search, byte for byte (generated before the searches moved onto
+/// `run_matrix`; they must not drift).
+#[test]
+fn sweep_output_matches_goldens() {
+    let case_b = "sweep --dvfs --case B --freqs 600,1700 --duration-ms 0.3";
+    let screened = "sweep --dvfs --scenarios adas,ar-headset --freqs 400,1120,1866 --screen \
+                    --duration-ms 0.3";
+    for (args, golden) in [
+        (
+            "sweep --freqs 1300,1700 --duration-ms 0.3 --json -".to_string(),
+            "sweep-freq.json",
+        ),
+        (format!("{case_b} --json -"), "sweep-dvfs-case-b.json"),
+        (format!("{case_b} --csv -"), "sweep-dvfs-case-b.csv"),
+        (format!("{screened} --json -"), "sweep-dvfs-screened.json"),
+        (format!("{screened} --csv -"), "sweep-dvfs-screened.csv"),
+    ] {
+        check_golden(&args.split_whitespace().collect::<Vec<_>>(), golden);
+    }
+}
+
 #[test]
 fn sweep_dvfs_runs_over_scenarios() {
     let out = sara(&[

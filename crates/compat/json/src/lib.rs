@@ -1,7 +1,7 @@
 //! Offline stand-in for a JSON crate.
 //!
 //! This workspace must build with no network access and no registry cache,
-//! so — like the in-tree `rand` and `criterion` — the JSON layer lives
+//! so — like the in-tree `rand` — the JSON layer lives
 //! here: a small document model ([`Value`]), a strict recursive-descent
 //! parser ([`parse`]) and deterministic emitters
 //! ([`Value::to_string_compact`], [`Value::to_string_pretty`]).

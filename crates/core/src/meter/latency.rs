@@ -84,7 +84,7 @@ impl PerformanceMeter for LatencyMeter {
 
     fn npi(&self, now: Cycle) -> Npi {
         // The oldest in-flight transaction has *at least* its current age as
-        // latency. Eqn 1 is an *average* criterion, so the pending age is
+        // latency. Eqn 1 is an *average* condition, so the pending age is
         // blended in as one EWMA sample: a single straggler barely moves the
         // reading, while sustained starvation (pending age growing without
         // completions) steadily degrades it.
@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn single_straggler_is_averaged_not_panicked_over() {
         // Established healthy average; one transaction stuck at 4x the
-        // limit only nudges the EWMA — Eqn 1 is an average criterion.
+        // limit only nudges the EWMA — Eqn 1 is an average condition.
         let mut m = LatencyMeter::new(500.0, 0.05);
         m.on_complete(Cycle::new(100), 128, 250, MemOp::Read);
         m.on_inject(Cycle::new(200));

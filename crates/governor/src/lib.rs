@@ -1,9 +1,9 @@
 //! # sara-governor
 //!
 //! Online, scenario-aware self-adaptation: a closed control loop running
-//! *inside* the simulation. Where `sara_sim::experiment::dvfs_search`
-//! re-runs whole simulations per candidate frequency (offline search),
-//! this crate puts the controller in the loop — at every control epoch it
+//! *inside* the simulation. Where `sara_scenarios::dvfs_search` re-runs
+//! whole simulations per candidate frequency (offline search), this
+//! crate puts the controller in the loop — at every control epoch it
 //! reads SARA's own health signals through the sim layer's snapshot API
 //! ([`sara_sim::Simulation::health`]: per-DMA meters/NPI, queue depths)
 //! and actuates the live platform: it steps the DRAM frequency through a
@@ -24,9 +24,6 @@
 //!   [`SimReport`](sara_sim::SimReport);
 //! * [`run_pinned`] — the equivalent *static* run (same beat clock, fixed
 //!   frequency) every governed run is judged against;
-//! * [`GovernorSearch`] — the offline sweep rebuilt on
-//!   [`sara_sim::experiment::dvfs_search`] and generalised from the
-//!   camcorder test cases to any scenario;
 //! * [`trace`] — CSV/JSON serialization of epoch traces, following the
 //!   `sara_sim::sweeps` conventions.
 //!
@@ -56,12 +53,10 @@
 pub mod chrome;
 mod controller;
 mod run;
-mod search;
 pub mod trace;
 
 pub use controller::{Governor, GovernorAction};
 pub use run::{run_governed, run_pinned, EpochRecord, GovernedOutcome};
-pub use search::{GovernorSearch, SearchOutcome};
 
 // The stanza type lives with the scenario format; re-export it so
 // downstream users need only this crate.

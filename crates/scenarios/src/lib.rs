@@ -29,7 +29,11 @@
 //!   [`catalog::export_all`] for seeding such a directory);
 //! * [`run_matrix`] — scenario × policy × frequency sharded across scoped
 //!   worker threads, aggregated into a ranked [`MatrixSummary`] whose JSON
-//!   is identical no matter the thread count.
+//!   is identical no matter the thread count;
+//! * [`run_ordered`] — the ordered executor under `run_matrix` and every
+//!   `sara serve` job: the one place cells run on threads;
+//! * [`dvfs_search`] — the offline DVFS search: one scenario × candidate
+//!   frequencies as `run_matrix` cells, lowest passing frequency chosen.
 //!
 //! # Examples
 //!
@@ -57,7 +61,9 @@ pub mod format;
 mod generator;
 mod governor_spec;
 mod matrix;
+mod ordered;
 mod scenario;
+mod search;
 
 pub use format::{load_dir, FORMAT_TAG, SCENARIO_FILE_SUFFIX};
 pub use generator::{random_scenario, random_scenario_with, GeneratorConfig};
@@ -69,4 +75,6 @@ pub use matrix::{
     CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec, MatrixSummary, ScenarioRanking,
     ScreenMode,
 };
+pub use ordered::run_ordered;
 pub use scenario::Scenario;
+pub use search::{dvfs_search, SearchOutcome};

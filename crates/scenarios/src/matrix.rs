@@ -3,13 +3,11 @@
 //! into a ranked comparison summary.
 //!
 //! Each cell of the matrix is one fully deterministic single-threaded
-//! simulation; workers pull cells off a shared atomic counter and write
-//! results into per-cell slots, so the aggregate is byte-identical no
-//! matter how many workers run it (the property
-//! `matrix_deterministic_across_thread_counts` pins down).
+//! simulation; [`run_ordered`] collects the cells in submission order, so
+//! the aggregate is byte-identical no matter how many workers run it (the
+//! property `matrix_deterministic_across_thread_counts` pins down).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 use json::Value;
@@ -18,6 +16,7 @@ use sara_sim::{AnalyticReport, ScreenVerdict, SimReport};
 use sara_telemetry::ChromeTrace;
 use sara_types::{ConfigError, Cycle, MegaHertz};
 
+use crate::ordered::run_ordered;
 use crate::scenario::Scenario;
 
 /// How the analytic pre-screener participates in a matrix run.
@@ -221,7 +220,7 @@ impl MatrixCell {
 /// out of [`MatrixSummary::to_json_value`] (whose bytes are pinned across
 /// thread counts); they surface through
 /// [`MatrixSummary::chrome_trace_value`] and direct field access.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CellProfile {
     /// Index of the worker thread that ran the cell (0 for serial runs).
     pub worker: usize,
@@ -268,6 +267,12 @@ pub struct ScenarioRanking {
 }
 
 impl MatrixSummary {
+    /// The simulated cells' reports in submission order (pruned cells
+    /// have none).
+    pub fn reports(&self) -> impl Iterator<Item = &SimReport> {
+        self.cells.iter().filter_map(MatrixCell::report)
+    }
+
     /// The winning cell for a scenario, if it ran.
     pub fn best(&self, scenario: &str) -> Option<&MatrixCell> {
         self.rankings
@@ -473,8 +478,8 @@ fn csv_field(raw: &str) -> String {
 /// override, for how long.
 ///
 /// A matrix is nothing but a vector of these in deterministic submission
-/// order ([`expand_cells`]); `sara serve` shards the same specs across
-/// its own worker pool and caches each one by [`cell_fingerprint`].
+/// order ([`expand_cells`]); `sara serve` runs the same specs through the
+/// same [`run_ordered`] and caches each one by [`cell_fingerprint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Index into the scenario list the cell was expanded from.
@@ -741,7 +746,8 @@ fn verify_screened_cell(
 
 /// Runs every scenario under every policy (× every frequency and
 /// channel-count override), sharding cells across `spec.threads` scoped
-/// worker threads.
+/// worker threads ([`run_ordered`]); once a cell has failed, no further
+/// cell starts.
 ///
 /// With `spec.screen == ScreenMode::Prune`, provably-decided cells skip
 /// simulation entirely and surface as [`CellOutcome::Screened`]; the
@@ -780,73 +786,45 @@ pub fn run_matrix(scenarios: &[Scenario], spec: &MatrixSpec) -> Result<MatrixSum
         })
         .collect();
 
+    // Collect in submission order; stop at the earliest error.
     let simulated_jobs = pruned.iter().filter(|&&p| !p).count();
-    let workers = spec.threads.max(1).min(simulated_jobs.max(1));
-    let next = AtomicUsize::new(0);
-    type CellResult = Result<(SimReport, CellProfile), ConfigError>;
-    let slots: Vec<Mutex<Option<CellResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-
-    let run_one = |job: &CellSpec, worker: usize| -> CellResult {
-        run_cell_timed(&scenarios[job.scenario], job, worker, epoch)
-    };
-
-    if workers <= 1 {
-        for (i, (job, slot)) in jobs.iter().zip(&slots).enumerate() {
-            if pruned[i] {
-                continue;
-            }
-            *slot.lock().expect("slot poisoned") = Some(run_one(job, 0));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let (jobs, slots, next, run_one, pruned) = (&jobs, &slots, &next, &run_one, &pruned);
-            for worker in 0..workers {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    if pruned[i] {
-                        continue;
-                    }
-                    let result = run_one(&jobs[i], worker);
-                    *slots[i].lock().expect("slot poisoned") = Some(result);
-                });
-            }
-        });
-    }
-
-    // Collect in submission order; surface the earliest error.
     let mut outcomes = Vec::with_capacity(jobs.len());
     let mut profile = Vec::with_capacity(jobs.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        if pruned[i] {
-            let (analytic, screen_ms) = screens[i].take().expect("pruned cell was screened");
-            outcomes.push(CellOutcome::Screened(analytic));
-            profile.push(CellProfile {
-                worker: 0,
-                start_ms: 0.0,
-                setup_ms: screen_ms,
-                sim_ms: 0.0,
-                report_ms: 0.0,
-            });
-            continue;
-        }
-        let (report, cell_profile) = slot
-            .into_inner()
-            .expect("slot poisoned")
-            .expect("worker left a cell unfilled")?;
-        if spec.screen == ScreenMode::Verify {
-            let (analytic, _) = screens[i].as_ref().expect("verify screened every cell");
-            verify_screened_cell(
-                &scenarios[jobs[i].scenario].name,
-                &jobs[i],
-                analytic,
-                &report,
-            )?;
-        }
-        outcomes.push(CellOutcome::Simulated(Box::new(report)));
-        profile.push(cell_profile);
+    let stopped = run_ordered(
+        jobs.len(),
+        spec.threads.min(simulated_jobs),
+        |i, worker| {
+            (!pruned[i])
+                .then(|| run_cell_timed(&scenarios[jobs[i].scenario], &jobs[i], worker, epoch))
+        },
+        |i, result| {
+            let Some(result) = result else {
+                let (analytic, screen_ms) = screens[i].take().expect("pruned cell was screened");
+                outcomes.push(CellOutcome::Screened(analytic));
+                profile.push(CellProfile {
+                    setup_ms: screen_ms,
+                    ..CellProfile::default()
+                });
+                return ControlFlow::Continue(());
+            };
+            let (report, cell_profile) = match result {
+                Ok(ran) => ran,
+                Err(e) => return ControlFlow::Break(e),
+            };
+            if spec.screen == ScreenMode::Verify {
+                let (analytic, _) = screens[i].as_ref().expect("verify screened every cell");
+                let name = &scenarios[jobs[i].scenario].name;
+                if let Err(e) = verify_screened_cell(name, &jobs[i], analytic, &report) {
+                    return ControlFlow::Break(e);
+                }
+            }
+            outcomes.push(CellOutcome::Simulated(Box::new(report)));
+            profile.push(cell_profile);
+            ControlFlow::Continue(())
+        },
+    );
+    if let ControlFlow::Break(e) = stopped {
+        return Err(e);
     }
 
     Ok(summarize_cells(scenarios, &jobs, outcomes, profile))
@@ -972,6 +950,30 @@ mod tests {
             ..MatrixSpec::default()
         };
         assert!(run_matrix(&s, &spec).is_err());
+    }
+
+    #[test]
+    fn earliest_failing_cell_wins_at_any_thread_count() {
+        // Cells 1 and 3 fail to lower (3 and 5 channels are not powers
+        // of two); the error must be cell 1's however the cells are
+        // scheduled, and must differ from cell 3's.
+        let s = vec![catalog::by_name("camcorder-b").unwrap()];
+        let error = |channels: Vec<usize>, threads| {
+            let spec = MatrixSpec {
+                policies: vec![PolicyKind::Priority],
+                freqs_mhz: Vec::new(),
+                channels,
+                duration_ms: Some(0.05),
+                threads,
+                screen: ScreenMode::Off,
+            };
+            run_matrix(&s, &spec).unwrap_err().message().to_string()
+        };
+        let first = error(vec![2, 3, 2, 5], 1);
+        assert_ne!(first, error(vec![2, 5], 1));
+        for threads in [1, 4] {
+            assert_eq!(error(vec![2, 3, 2, 5], threads), first, "{threads} threads");
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! `sara-serve/v1` jobs as newline-delimited JSON — over stdin/stdout, a
 //! TCP socket, or a Unix socket — lowers each job into the same
 //! scenario × policy × frequency × channel cells as `sara matrix`,
-//! shards them across a bounded worker pool behind per-client admission
-//! budgets, and streams each cell's result the moment it (and every cell
-//! before it) is done.
+//! shards them across the batch harness's ordered executor
+//! (`sara_scenarios::run_ordered`, at most `workers` threads per job)
+//! behind per-client admission budgets, and streams each cell's result
+//! the moment it (and every cell before it) is done.
 //!
 //! Two properties anchor the design:
 //!
@@ -14,9 +15,9 @@
 //!   `json_out` artifact — are byte-identical to the equivalent
 //!   `sara matrix` run, for any worker count, cache state, or job
 //!   arrival order. The server reuses the batch harness's own
-//!   primitives (`expand_cells` → `run_cell` → `summarize_cells`), and
-//!   streams records in submission order, so there is no second code
-//!   path to drift.
+//!   primitives (`expand_cells` → `run_cell` on `run_ordered` →
+//!   `summarize_cells`), and streams records in submission order, so
+//!   there is no second code path to drift.
 //! * **No cell is simulated twice.** Every cell is content-addressed by
 //!   [`sara_scenarios::cell_fingerprint`] (scenario document, overrides
 //!   and engine version) in the server's [`ResultCache`]; repeats — across

@@ -5,22 +5,22 @@
 //! admission ledger — and [`Server::handle_session`] runs one client
 //! conversation over any `BufRead`/`Write` pair: stdin/stdout, a TCP
 //! stream, or a Unix socket. Each `submit` is lowered through the exact
-//! same primitives as `sara matrix` (`expand_cells` → `run_cell` →
-//! `summarize_cells`), which is what makes a served job byte-identical
-//! to the equivalent batch run no matter the worker count, the cache
-//! state, or the order jobs arrive in.
+//! same primitives as `sara matrix` (`expand_cells` → `run_cell` on
+//! `run_ordered` → `summarize_cells`), which is what makes a served job
+//! byte-identical to the equivalent batch run no matter the worker
+//! count, the cache state, or the order jobs arrive in.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::ops::ControlFlow;
+use std::sync::Mutex;
 
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
-    catalog, cell_fingerprint, expand_cells, run_cell, screen_cell, summarize_cells, CellOutcome,
-    CellProfile, CellSpec, MatrixCell, MatrixSpec, Scenario, ScreenMode,
+    catalog, cell_fingerprint, expand_cells, run_cell, run_ordered, screen_cell, summarize_cells,
+    CellOutcome, CellProfile, MatrixCell, MatrixSpec, Scenario, ScreenMode,
 };
 use sara_sim::{AnalyticReport, ScreenVerdict};
 use sara_sim::{SimReport, ENGINE_VERSION};
@@ -95,7 +95,7 @@ enum CellSource {
     /// before the cache was even consulted; never simulated and never
     /// counted as a hit or a miss.
     Screened(Box<AnalyticReport>),
-    /// Simulated by the worker pool.
+    /// Simulated by the job's workers.
     Run,
 }
 
@@ -103,7 +103,7 @@ enum CellSource {
 /// it and when. Workers only fill these; all journaling and histogram
 /// recording happens later on the session thread in submission order,
 /// which is what keeps the journal's event sequence independent of the
-/// pool's completion order.
+/// workers' completion order.
 struct TimedResult {
     result: Result<SimReport, ConfigError>,
     worker: usize,
@@ -402,7 +402,7 @@ impl Server {
             freqs_mhz: job.freqs_mhz.clone(),
             channels: job.channels.clone(),
             duration_ms: job.duration_ms,
-            threads: 1, // sharding happens on the serve pool, not in run_matrix
+            threads: 1, // unused: the job runs its cells on run_ordered itself
             screen: job.screen,
         };
         let cells = match expand_cells(&scenarios, &spec) {
@@ -445,9 +445,9 @@ impl Server {
 
         // Classify every cell against the cache under one lock, so the
         // hit/miss split is a pure function of job + cache state (no
-        // worker-pool races in the accounting). With `"screen": "prune"`
+        // worker races in the accounting). With `"screen": "prune"`
         // the closed-form screener runs first: a provably-decided cell
-        // never reaches the cache (or the pool) at all.
+        // never reaches the cache (or a worker) at all.
         let fingerprints: Vec<u64> = cells
             .iter()
             .map(|c| cell_fingerprint(&scenarios[c.scenario], c, ENGINE_VERSION))
@@ -511,73 +511,99 @@ impl Server {
         self.bump("cache_hits", hits);
         self.bump("cache_misses", misses);
 
-        // Shard the misses across the pool; stream every cell record the
-        // moment it and all its predecessors are ready. Emission order is
-        // submission order, so the byte stream is independent of worker
-        // count and completion order.
-        let run_indices: Vec<usize> = sources
+        // Shard the misses across the workers; stream every cell record
+        // the moment it and all its predecessors are ready. Emission order
+        // is submission order, so the byte stream is independent of worker
+        // count and completion order. With one worker (or a single
+        // runnable cell) the session thread runs each cell itself right
+        // before emitting it: every clock read then happens on one thread
+        // in canonical order, which is what makes a mock-clock journal
+        // byte-identical across runs.
+        let runnable = sources
             .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, CellSource::Run))
-            .map(|(i, _)| i)
-            .collect();
-        let slots: Vec<Mutex<Option<TimedResult>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let filled = (Mutex::new(()), Condvar::new());
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        // With one worker (or a single runnable cell) the session thread
-        // runs the cells itself at emission time: no pool threads means
-        // every clock read happens on one thread in canonical order,
-        // which is what makes a mock-clock journal byte-identical across
-        // runs. Results are identical either way.
-        let pool_width = self.workers.min(run_indices.len());
-        let inline = pool_width <= 1;
-
-        let outcomes: Option<Vec<CellOutcome>> = std::thread::scope(|scope| {
-            if !inline {
-                for worker in 0..pool_width {
-                    let (slots, filled, next, abort) = (&slots, &filled, &next, &abort);
-                    let (run_indices, cells, scenarios) = (&run_indices, &cells, &scenarios);
-                    scope.spawn(move || loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
+            .filter(|s| matches!(s, CellSource::Run))
+            .count();
+        let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(cells.len());
+        let stopped = run_ordered(
+            cells.len(),
+            self.workers.min(runnable),
+            |i, worker| {
+                matches!(sources[i], CellSource::Run).then(|| {
+                    let start_us = self.clock.now_us();
+                    let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
+                    let end_us = self.clock.now_us();
+                    TimedResult {
+                        result,
+                        worker,
+                        start_us,
+                        end_us,
+                    }
+                })
+            },
+            |i, timed| {
+                let outcome = match &sources[i] {
+                    CellSource::Cached(report) => CellOutcome::Simulated(report.clone()),
+                    CellSource::DupOf(j) => outcomes[*j].clone(),
+                    CellSource::Screened(analytic) => CellOutcome::Screened((**analytic).clone()),
+                    CellSource::Run => {
+                        let timed = timed.expect("a Run cell was simulated");
+                        let wait_us = timed.start_us.saturating_sub(queued_us[i]);
+                        let sim_us = timed.end_us.saturating_sub(timed.start_us);
+                        self.observe("queue_wait_us", wait_us);
+                        self.observe("sim_us", sim_us);
+                        self.journal.sim_started(
+                            job_no,
+                            &job.id,
+                            i,
+                            timed.worker,
+                            wait_us,
+                            timed.start_us,
+                        );
+                        self.journal.sim_finished(
+                            job_no,
+                            &job.id,
+                            i,
+                            timed.worker,
+                            sim_us,
+                            timed.end_us,
+                        );
+                        match timed.result {
+                            Ok(report) => CellOutcome::Simulated(Box::new(report)),
+                            // The job ends at its first failing cell.
+                            Err(e) => {
+                                return ControlFlow::Break(self.refuse(
+                                    "jobs_failed",
+                                    &job.id,
+                                    e.message(),
+                                    writer,
+                                ))
+                            }
                         }
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= run_indices.len() {
-                            break;
-                        }
-                        let i = run_indices[k];
-                        let start_us = self.clock.now_us();
-                        let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
-                        let end_us = self.clock.now_us();
-                        *slots[i].lock().expect("cell slot") = Some(TimedResult {
-                            result,
-                            worker,
-                            start_us,
-                            end_us,
-                        });
-                        let _hold = filled.0.lock().expect("completion lock");
-                        filled.1.notify_all();
-                    });
+                    }
+                };
+                let cell = MatrixCell {
+                    scenario: scenarios[cells[i].scenario].name.clone(),
+                    policy: cells[i].policy,
+                    freq: cells[i].freq,
+                    channels: cells[i].channels,
+                    outcome,
+                };
+                if let Err(e) = self.emit_cell(job, job_no, i, &cell, writer) {
+                    return ControlFlow::Break(Err(e));
                 }
-            }
-            let outcome = self.emit_cells(
-                job, job_no, &scenarios, &cells, &sources, &queued_us, &slots, &filled, inline,
-                writer,
-            );
-            abort.store(true, Ordering::Relaxed);
-            outcome
-        })?;
-        let Some(outcomes) = outcomes else {
-            return Ok(()); // a cell failed; the error record is already out
-        };
+                outcomes.push(cell.outcome);
+                ControlFlow::Continue(())
+            },
+        );
+        if let ControlFlow::Break(ended) = stopped {
+            return ended;
+        }
 
         // Publish fresh results so no future job simulates these cells.
         {
             let mut cache = self.cache.lock().expect("cache");
-            for &i in &run_indices {
-                if let CellOutcome::Simulated(report) = &outcomes[i] {
+            for (i, source) in sources.iter().enumerate() {
+                if let (CellSource::Run, CellOutcome::Simulated(report)) = (source, &outcomes[i]) {
                     cache.insert(fingerprints[i], (**report).clone());
                 }
             }
@@ -599,16 +625,7 @@ impl Server {
                 // for this job's matrix: same cells, same rankings, same
                 // bytes (profiles are wall-clock and stay out of the JSON,
                 // so zeroed placeholders are invisible).
-                let profile = vec![
-                    CellProfile {
-                        worker: 0,
-                        start_ms: 0.0,
-                        setup_ms: 0.0,
-                        sim_ms: 0.0,
-                        report_ms: 0.0,
-                    };
-                    cells.len()
-                ];
+                let profile = vec![CellProfile::default(); cells.len()];
                 let summary = summarize_cells(&scenarios, &cells, outcomes.clone(), profile);
                 let write =
                     std::fs::File::create(path).and_then(|mut f| summary.to_json_writer(&mut f));
@@ -640,106 +657,23 @@ impl Server {
         writer.flush()
     }
 
-    /// Streams the job's cell records in submission order, waiting on the
-    /// pool for cells still simulating (or, in `inline` mode, running
-    /// them right here). Returns the cell outcomes (aligned with the
-    /// cells) or `None` after emitting the error record of the first
-    /// failing cell.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_cells<W: Write>(
+    /// Writes one cell record and journals its emission.
+    fn emit_cell<W: Write>(
         &self,
         job: &JobRequest,
         job_no: u64,
-        scenarios: &[Scenario],
-        cells: &[CellSpec],
-        sources: &[CellSource],
-        queued_us: &[u64],
-        slots: &[Mutex<Option<TimedResult>>],
-        filled: &(Mutex<()>, Condvar),
-        inline: bool,
+        i: usize,
+        cell: &MatrixCell,
         writer: &mut W,
-    ) -> io::Result<Option<Vec<CellOutcome>>> {
-        let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-        for (i, source) in sources.iter().enumerate() {
-            let outcome = match source {
-                CellSource::Cached(report) => CellOutcome::Simulated(report.clone()),
-                CellSource::DupOf(j) => outcomes[*j].clone(),
-                CellSource::Screened(analytic) => CellOutcome::Screened((**analytic).clone()),
-                CellSource::Run => {
-                    let timed = if inline {
-                        let start_us = self.clock.now_us();
-                        let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
-                        let end_us = self.clock.now_us();
-                        TimedResult {
-                            result,
-                            worker: 0,
-                            start_us,
-                            end_us,
-                        }
-                    } else {
-                        loop {
-                            if let Some(timed) = slots[i].lock().expect("cell slot").take() {
-                                break timed;
-                            }
-                            let guard = filled.0.lock().expect("completion lock");
-                            // Re-check under the notify lock: a worker that
-                            // filled the slot in between will have notified
-                            // already, and we must not sleep through it.
-                            if slots[i].lock().expect("cell slot").is_some() {
-                                continue;
-                            }
-                            drop(filled.1.wait(guard).expect("completion wait"));
-                        }
-                    };
-                    let wait_us = timed.start_us.saturating_sub(queued_us[i]);
-                    let sim_us = timed.end_us.saturating_sub(timed.start_us);
-                    self.observe("queue_wait_us", wait_us);
-                    self.observe("sim_us", sim_us);
-                    self.journal.sim_started(
-                        job_no,
-                        &job.id,
-                        i,
-                        timed.worker,
-                        wait_us,
-                        timed.start_us,
-                    );
-                    self.journal.sim_finished(
-                        job_no,
-                        &job.id,
-                        i,
-                        timed.worker,
-                        sim_us,
-                        timed.end_us,
-                    );
-                    match timed.result {
-                        Ok(report) => CellOutcome::Simulated(Box::new(report)),
-                        Err(e) => {
-                            self.bump("jobs_failed", 1);
-                            protocol::error_record(Some(&job.id), e.message())
-                                .write_ndjson_line(writer)?;
-                            writer.flush()?;
-                            return Ok(None);
-                        }
-                    }
-                }
-            };
-            let cell = MatrixCell {
-                scenario: scenarios[cells[i].scenario].name.clone(),
-                policy: cells[i].policy,
-                freq: cells[i].freq,
-                channels: cells[i].channels,
-                outcome,
-            };
-            let t_emit = self.clock.now_us();
-            protocol::cell_record(&job.id, i, &cell).write_ndjson_line(writer)?;
-            writer.flush()?;
-            let t_done = self.clock.now_us();
-            let emit_us = t_done.saturating_sub(t_emit);
-            self.observe("emit_us", emit_us);
-            self.journal
-                .cell_emitted(job_no, &job.id, i, emit_us, t_done);
-            outcomes.push(cell.outcome);
-        }
-        Ok(Some(outcomes))
+    ) -> io::Result<()> {
+        let t_emit = self.clock.now_us();
+        protocol::cell_record(&job.id, i, cell).write_ndjson_line(writer)?;
+        writer.flush()?;
+        let t_done = self.clock.now_us();
+        let emit_us = t_done.saturating_sub(t_emit);
+        self.observe("emit_us", emit_us);
+        self.journal
+            .cell_emitted(job_no, &job.id, i, emit_us, t_done);
+        Ok(())
     }
 }

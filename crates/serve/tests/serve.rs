@@ -393,6 +393,37 @@ fn accepted_precedes_cells_and_streaming_is_in_submission_order() {
 }
 
 #[test]
+fn a_failing_cell_ends_the_job_after_its_predecessors_streamed() {
+    // camcorder-a does not fit one DRAM channel, so the job's last cell
+    // fails to lower: the three before it stream, then one error record
+    // ends the job — no summary, a live session.
+    let job = format!(
+        "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"f\",\
+         \"scenarios\":[\"camcorder-b\",\"camcorder-a\"],\"policies\":[\"QoS\"],\
+         \"channels\":[2,1],\"duration_ms\":0.05}}\n\
+         {{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}\n"
+    );
+    for workers in [1, 4] {
+        let server = Server::new(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        });
+        let replies = records(&run_session(&server, &job));
+        let kinds: Vec<&str> = replies
+            .iter()
+            .map(|r| r.get("type").and_then(Value::as_str).unwrap())
+            .collect();
+        let want = ["accepted", "cell", "cell", "cell", "error", "pong"];
+        assert_eq!(kinds, want, "{workers} workers");
+        let error = replies[4].get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("exceed DRAM capacity"), "{error}");
+        assert_eq!(u64_field(&server.counters(), "jobs_failed"), 1);
+        // Only completed jobs publish to the cache.
+        assert_eq!(server.cache_len(), 0);
+    }
+}
+
+#[test]
 fn screened_cells_stream_verdicts_and_skip_the_cache() {
     let server = Server::new(ServeConfig::default());
     let line = "{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"scr\",\

@@ -1,4 +1,6 @@
-//! Canned experiment runners behind the paper's figures.
+//! Single-cell runners and the per-report projections behind the
+//! paper's sweeps. Batches of cells (policy comparisons, frequency
+//! sweeps, the DVFS search) run through `sara-scenarios`' `run_matrix`.
 
 use sara_memctrl::PolicyKind;
 use sara_types::{ConfigError, CoreKind, MegaHertz};
@@ -9,9 +11,8 @@ use crate::engine::Simulation;
 use crate::report::SimReport;
 use crate::sampling::MAX_LEVELS;
 
-/// Runs an arbitrary scenario parameterisation to completion — the generic
-/// runner every canned experiment (and the `sara-scenarios` batch harness)
-/// funnels through.
+/// Runs an arbitrary scenario parameterisation to completion — the
+/// single-cell convenience tests and doc examples use.
 ///
 /// # Errors
 ///
@@ -37,23 +38,8 @@ pub fn run_camcorder(
     )
 }
 
-/// Runs the camcorder workload under several policies (Figs 5, 6, 8).
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] on inconsistent configuration.
-pub fn policy_comparison(
-    case: TestCase,
-    policies: &[PolicyKind],
-    duration_ms: f64,
-) -> Result<Vec<SimReport>, ConfigError> {
-    policies
-        .iter()
-        .map(|&p| run_camcorder(case, p, duration_ms))
-        .collect()
-}
-
-/// One point of the Fig. 7 frequency sweep.
+/// One point of the Fig. 7 frequency sweep: one core's priority
+/// adaptation as observed in one run.
 #[derive(Debug, Clone)]
 pub struct FreqPoint {
     /// DRAM frequency of this run.
@@ -68,34 +54,19 @@ pub struct FreqPoint {
     pub system_bandwidth_gbs: f64,
 }
 
-/// Sweeps DRAM frequency with the case-A workload under Policy 1 and
-/// observes one core's priority adaptation (Fig. 7: the image processor).
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] on inconsistent configuration.
-pub fn frequency_sweep(
-    observed: CoreKind,
-    freqs_mhz: &[u32],
-    duration_ms: f64,
-) -> Result<Vec<FreqPoint>, ConfigError> {
-    let mut out = Vec::with_capacity(freqs_mhz.len());
-    for &mhz in freqs_mhz {
-        let freq = MegaHertz::new(mhz);
-        let params = ScenarioParams::new(freq, PolicyKind::Priority, TestCase::A.cores());
-        let report = run_params(params, duration_ms)?;
-        let core = report
-            .core(observed)
-            .ok_or_else(|| ConfigError::new(format!("core {observed} not in workload")))?;
-        out.push(FreqPoint {
-            freq,
+impl FreqPoint {
+    /// Projects `observed`'s adaptation out of one report; `None` if the
+    /// core is not in the workload.
+    pub fn from_report(report: &SimReport, observed: CoreKind) -> Option<Self> {
+        let core = report.core(observed)?;
+        Some(FreqPoint {
+            freq: report.freq,
             residency: core.priority_residency,
             min_npi: core.min_npi,
             core_bytes_per_s: core.bytes as f64 / (report.elapsed_ms / 1e3),
             system_bandwidth_gbs: report.bandwidth_gbs,
-        });
+        })
     }
-    Ok(out)
 }
 
 /// Outcome of one DVFS candidate frequency.
@@ -113,71 +84,24 @@ pub struct DvfsPoint {
     pub bandwidth_gbs: f64,
 }
 
-/// The generic offline DVFS search every scenario can run: re-simulate
-/// `base` at each candidate DRAM frequency and pick the lowest one at
-/// which *every* core still meets its target — the natural energy-saving
-/// extension of the paper's Fig. 7 observation that the adaptation
-/// absorbs frequency loss until capacity truly runs out.
-///
-/// This is the engine under both the camcorder [`dvfs_governor`] shim and
-/// `sara-governor`'s `GovernorSearch` (which lowers any declarative
-/// `Scenario` onto `base`). For the *online* counterpart — stepping the
-/// frequency inside one run instead of re-running per candidate — see the
-/// `sara-governor` crate.
-///
-/// Returns all evaluated points plus the index of the chosen one (the
-/// lowest passing frequency), or `None` if no candidate passes.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] on inconsistent configuration.
-pub fn dvfs_search(
-    base: &ScenarioParams,
-    freqs_mhz: &[u32],
-    duration_ms: f64,
-) -> Result<(Vec<DvfsPoint>, Option<usize>), ConfigError> {
-    let mut points = Vec::with_capacity(freqs_mhz.len());
-    for &mhz in freqs_mhz {
-        let freq = MegaHertz::new(mhz);
-        let mut params = base.clone();
-        params.freq = freq;
-        let report = run_params(params, duration_ms)?;
+impl DvfsPoint {
+    /// Projects one candidate's verdict, energy and bandwidth out of its
+    /// report.
+    pub fn from_report(report: &SimReport) -> Self {
         let energy = sara_dram::estimate_energy(
             &report.dram.total,
             &sara_dram::EnergyParams::lpddr4(),
-            freq.as_hz(),
+            report.freq.as_hz(),
             report.elapsed_cycles,
         );
-        points.push(DvfsPoint {
-            freq,
+        DvfsPoint {
+            freq: report.freq,
             all_met: report.all_targets_met(),
             energy_mj: energy.total_mj(),
             pj_per_bit: energy.pj_per_bit(report.dram.total.total_bytes()),
             bandwidth_gbs: report.bandwidth_gbs,
-        });
+        }
     }
-    let chosen = points
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.all_met)
-        .min_by_key(|(_, p)| p.freq.as_u32())
-        .map(|(i, _)| i);
-    Ok((points, chosen))
-}
-
-/// [`dvfs_search`] specialised to the paper's camcorder workload under
-/// Policy 1 (the original Fig. 7-adjacent experiment).
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] on inconsistent configuration.
-pub fn dvfs_governor(
-    case: TestCase,
-    freqs_mhz: &[u32],
-    duration_ms: f64,
-) -> Result<(Vec<DvfsPoint>, Option<usize>), ConfigError> {
-    let base = ScenarioParams::new(case.dram_freq(), PolicyKind::Priority, case.cores());
-    dvfs_search(&base, freqs_mhz, duration_ms)
 }
 
 #[cfg(test)]
@@ -198,17 +122,6 @@ mod tests {
         for c in &report.cores {
             assert!(!report.npi_series[&c.kind].is_empty());
         }
-    }
-
-    #[test]
-    fn dvfs_governor_picks_lowest_passing_frequency() {
-        // Case B at a short window: 1700 passes, an absurdly low clock fails.
-        let (points, chosen) = dvfs_governor(TestCase::B, &[600, 1700], 1.5).unwrap();
-        assert_eq!(points.len(), 2);
-        assert!(!points[0].all_met, "600 MHz cannot carry the camcorder");
-        assert!(points[1].all_met);
-        assert_eq!(chosen, Some(1));
-        assert!(points[1].energy_mj > 0.0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   [`SystemConfig::from_scenario`],
 //! * [`Simulation`] — build with [`Simulation::new`], drive with
 //!   [`Simulation::run_for_ms`], inspect the returned [`SimReport`],
-//! * [`experiment`] — canned runners for the paper's figures (policy
-//!   comparisons, frequency sweeps),
+//! * [`experiment`] — single-cell runners and the per-report projections
+//!   behind the paper's sweeps (batches run through `sara-scenarios`),
 //! * [`SystemHealth`] — the live snapshot API ([`Simulation::health`])
 //!   and the online actuators ([`Simulation::set_dram_freq`],
 //!   [`Simulation::set_policy`]) that the `sara-governor` closed loop

@@ -18,14 +18,14 @@
 //!   traffic/pattern/meter vocabulary ([`workloads::builders`]);
 //! * [`scenarios`] — the scenario catalog beyond the camcorder (AR
 //!   headset, automotive ADAS, smartphone multitasking, ML offload,
-//!   saturation stress), a seeded random scenario generator, and the
-//!   multi-threaded scenario × policy × frequency batch harness;
-//! * [`sim`] — the event-driven co-simulation engine and the experiment
-//!   runners behind every figure;
+//!   saturation stress), a seeded random scenario generator, the
+//!   multi-threaded scenario × policy × frequency batch harness, and the
+//!   offline DVFS search over its cells;
+//! * [`sim`] — the event-driven co-simulation engine and the per-report
+//!   projections behind the paper's sweeps;
 //! * [`governor`] — online, scenario-aware self-adaptation: a closed
 //!   control loop stepping DRAM frequency (and optionally the scheduling
-//!   policy) *inside* a running simulation, plus the offline
-//!   `GovernorSearch` over any scenario;
+//!   policy) *inside* a running simulation;
 //! * [`telemetry`] — the deterministic metrics substrate: counters,
 //!   gauges, log2-bucketed latency histograms with exact merge, and the
 //!   Chrome trace-event builder behind every `--chrome-trace` export.

@@ -3,14 +3,25 @@
 //! (frequency ↓ → priority residency ↑) holds on the full system.
 
 use sara::memctrl::PolicyKind;
-use sara::sim::experiment::{frequency_sweep, run_camcorder};
+use sara::scenarios::{catalog, run_matrix, MatrixSpec};
+use sara::sim::experiment::{run_camcorder, FreqPoint};
 use sara::sim::{Simulation, SystemConfig};
 use sara::types::{CoreKind, MegaHertz};
 use sara::workloads::TestCase;
 
 #[test]
 fn priority_residency_shifts_with_frequency() {
-    let sweep = frequency_sweep(CoreKind::ImageProcessor, &[1300, 1700], 3.0).unwrap();
+    let spec = MatrixSpec {
+        policies: vec![PolicyKind::Priority],
+        freqs_mhz: vec![1300, 1700],
+        duration_ms: Some(3.0),
+        ..MatrixSpec::default()
+    };
+    let summary = run_matrix(&[catalog::camcorder_a()], &spec).unwrap();
+    let sweep: Vec<FreqPoint> = summary
+        .reports()
+        .filter_map(|r| FreqPoint::from_report(r, CoreKind::ImageProcessor))
+        .collect();
     let low = &sweep[0];
     let high = &sweep[1];
     assert!(
