@@ -8,7 +8,7 @@
 //! reaching a priority-7-dominated distribution at 1300 MHz, while the
 //! core's average bandwidth stays above target.
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 
 use sara_bench::{figure_duration_ms, results_dir};
 use sara_memctrl::PolicyKind;
@@ -37,7 +37,7 @@ fn main() {
     }
     println!("  {:>8} {:>10}", "minNPI", "coreGB/s");
     let dir = results_dir();
-    let mut csv = std::fs::File::create(dir.join("fig7.csv")).expect("create CSV");
+    let mut csv = BufWriter::new(std::fs::File::create(dir.join("fig7.csv")).expect("create CSV"));
     writeln!(csv, "freq_mhz,p0,p1,p2,p3,p4,p5,p6,p7,min_npi,core_gbs").unwrap();
     for p in &points {
         print!("{:<10}", p.freq.to_string());
@@ -51,5 +51,6 @@ fn main() {
         }
         writeln!(csv, ",{:.4},{:.4}", p.min_npi, p.core_bytes_per_s / 1e9).unwrap();
     }
+    csv.flush().expect("write CSV");
     println!("wrote {}", dir.join("fig7.csv").display());
 }

@@ -6,7 +6,7 @@
 //! and plain QoS by roughly +24%, +12% and +10% — without any QoS failures
 //! (that part is Fig. 9).
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 
 use sara_bench::{figure_duration_ms, results_dir, FIG8_POLICIES};
 use sara_scenarios::{catalog, run_matrix, MatrixSpec};
@@ -33,7 +33,7 @@ fn main() {
         .expect("QoS-RB in set")
         .bandwidth_gbs;
     let dir = results_dir();
-    let mut csv = std::fs::File::create(dir.join("fig8.csv")).expect("create CSV");
+    let mut csv = BufWriter::new(std::fs::File::create(dir.join("fig8.csv")).expect("create CSV"));
     writeln!(csv, "policy,bandwidth_gbs,row_hit_rate,failures").unwrap();
     for r in reports {
         println!(
@@ -55,5 +55,6 @@ fn main() {
         )
         .unwrap();
     }
+    csv.flush().expect("write CSV");
     println!("wrote {}", dir.join("fig8.csv").display());
 }

@@ -62,57 +62,20 @@ impl Value {
         out
     }
 
-    /// Streams the compact form directly into an `io::Write` — the NDJSON
-    /// hot path: a server emitting one record per line writes straight to
-    /// the (buffered) socket or pipe with no intermediate `String` per
-    /// record. Byte-identical to [`Value::to_string_compact`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_compact_io<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        match self {
-            Value::Array(items) => {
-                w.write_all(b"[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        w.write_all(b",")?;
-                    }
-                    item.write_compact_io(w)?;
-                }
-                w.write_all(b"]")
-            }
-            Value::Object(members) => {
-                w.write_all(b"{")?;
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        w.write_all(b",")?;
-                    }
-                    w.write_all(b"\"")?;
-                    w.write_all(escape_into_string(key).as_bytes())?;
-                    w.write_all(b"\":")?;
-                    value.write_compact_io(w)?;
-                }
-                w.write_all(b"}")
-            }
-            scalar => {
-                let mut token = String::new();
-                scalar.write_scalar(&mut token);
-                w.write_all(token.as_bytes())
-            }
-        }
-    }
-
     /// Writes the document as one newline-delimited-JSON record: the
-    /// compact form plus a trailing `\n`, streamed via
-    /// [`Value::write_compact_io`]. The caller decides when to flush.
+    /// compact form plus a trailing `\n`, handed to the writer in **one**
+    /// `write_all`. A record is the unit a reader waits for, so it is
+    /// also the unit of I/O: on a raw socket, pipe or `File` that is one
+    /// syscall per record whether or not the caller wrapped the sink in a
+    /// `BufWriter`. The caller decides when to flush.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from the writer.
     pub fn write_ndjson_line<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        self.write_compact_io(w)?;
-        w.write_all(b"\n")
+        let mut line = self.to_string_compact();
+        line.push('\n');
+        w.write_all(line.as_bytes())
     }
 
     fn write_scalar(&self, out: &mut String) {
@@ -245,9 +208,27 @@ mod tests {
     }
 
     #[test]
-    fn io_streaming_matches_the_string_emitter() {
+    fn an_ndjson_line_is_one_write_of_the_compact_form() {
+        /// Accepts everything it is handed and counts the calls.
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl std::io::Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
         // The NDJSON writer must be the compact emitter, byte for byte —
-        // a protocol spec pinned against one must hold for the other.
+        // a protocol spec pinned against one must hold for the other —
+        // and a record must reach the sink whole: a per-token write path
+        // costs a syscall per token on an unbuffered socket.
         for text in [
             r#"{"name":"a\"b","n":[1,-2,2.5],"ok":true,"none":null,"empty":{},"e2":[]}"#,
             r#"[{"k":"v"},[],{},"x",0]"#,
@@ -255,16 +236,11 @@ mod tests {
             "-7",
         ] {
             let doc = parse(text).expect("valid sample");
-            let mut streamed = Vec::new();
-            doc.write_compact_io(&mut streamed).unwrap();
+            let mut sink = Counting::default();
+            doc.write_ndjson_line(&mut sink).unwrap();
+            assert_eq!(sink.writes, 1, "{text}");
             assert_eq!(
-                String::from_utf8(streamed).unwrap(),
-                doc.to_string_compact()
-            );
-            let mut line = Vec::new();
-            doc.write_ndjson_line(&mut line).unwrap();
-            assert_eq!(
-                String::from_utf8(line).unwrap(),
+                String::from_utf8(sink.bytes).unwrap(),
                 format!("{}\n", doc.to_string_compact())
             );
         }

@@ -72,8 +72,8 @@ pub use governor_spec::{
 };
 pub use matrix::{
     cell_fingerprint, expand_cells, run_cell, run_matrix, screen_cell, summarize_cells,
-    CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec, MatrixSummary, ScenarioRanking,
-    ScreenMode,
+    CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec, MatrixSummary, ScenarioFingerprint,
+    ScenarioRanking, ScreenMode,
 };
 pub use ordered::run_ordered;
 pub use scenario::Scenario;

@@ -662,28 +662,47 @@ pub fn summarize_cells(
 /// engine version ties keys to the code that produced them, so persisted
 /// caches cannot leak stale reports across releases.
 pub fn cell_fingerprint(scenario: &Scenario, cell: &CellSpec, engine_version: &str) -> u64 {
-    // FNV-1a, 64-bit: tiny, dependency-free, and plenty for cache keying
-    // (collisions would need ~2^32 distinct cells in one server).
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    ScenarioFingerprint::new(scenario).cell(cell, engine_version)
+}
+
+/// The part of [`cell_fingerprint`] every cell of one scenario shares:
+/// the hash state after the scenario's canonical document. Serialising
+/// and hashing that document is nearly all of a fingerprint's cost, so a
+/// caller keying many cells of one scenario (a `sara serve` job) builds
+/// this once and finishes it per cell with [`ScenarioFingerprint::cell`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScenarioFingerprint(u64);
+
+impl ScenarioFingerprint {
+    /// Hashes `scenario`'s canonical `.scenario.json` bytes.
+    pub fn new(scenario: &Scenario) -> Self {
+        // FNV-1a, 64-bit: tiny, dependency-free, and plenty for cache
+        // keying (collisions would need ~2^32 distinct cells in one server).
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        ScenarioFingerprint(fnv_field(OFFSET, scenario.to_json().as_bytes()))
+    }
+
+    /// The [`cell_fingerprint`] of `cell` run on this scenario.
+    pub fn cell(self, cell: &CellSpec, engine_version: &str) -> u64 {
+        let mut hash = self.0;
+        hash = fnv_field(hash, cell.policy.name().as_bytes());
+        hash = fnv_field(hash, &cell.freq.as_u32().to_le_bytes());
+        hash = fnv_field(hash, &(cell.channels as u64).to_le_bytes());
+        hash = fnv_field(hash, &cell.duration_ms.to_bits().to_le_bytes());
+        fnv_field(hash, engine_version.as_bytes())
+    }
+}
+
+/// Folds one field into an FNV-1a state, followed by its byte count as an
+/// out-of-band separator (keeps "ab"+"c" distinct from "a"+"bc").
+fn fnv_field(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        // Field separator: an out-of-band byte count keeps "ab"+"c"
-        // distinct from "a"+"bc".
-        hash ^= bytes.len() as u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
         hash = hash.wrapping_mul(PRIME);
-    };
-    eat(scenario.to_json().as_bytes());
-    eat(cell.policy.name().as_bytes());
-    eat(&cell.freq.as_u32().to_le_bytes());
-    eat(&(cell.channels as u64).to_le_bytes());
-    eat(&cell.duration_ms.to_bits().to_le_bytes());
-    eat(engine_version.as_bytes());
-    hash
+    }
+    hash ^= bytes.len() as u64;
+    hash.wrapping_mul(PRIME)
 }
 
 /// Evaluates the closed-form screener for one cell: lowers the scenario
@@ -1098,6 +1117,81 @@ mod tests {
         let adas = catalog::by_name("adas").unwrap();
         assert_ne!(base, cell_fingerprint(&adas, &cell, "0.1.0"));
         assert_ne!(base, cell_fingerprint(&s, &cell, "0.2.0"));
+    }
+
+    /// The fingerprint as first shipped: one FNV-1a pass over the fields,
+    /// each followed by its length. Caches are keyed by these values, so
+    /// the scenario-prefix/cell-suffix split must reproduce them exactly.
+    fn one_pass_fingerprint(scenario: &Scenario, cell: &CellSpec, engine_version: &str) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for field in [
+            scenario.to_json().as_bytes(),
+            cell.policy.name().as_bytes(),
+            &cell.freq.as_u32().to_le_bytes(),
+            &(cell.channels as u64).to_le_bytes(),
+            &cell.duration_ms.to_bits().to_le_bytes(),
+            engine_version.as_bytes(),
+        ] {
+            for &b in field {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            hash = (hash ^ field.len() as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn a_scenario_prefix_plus_a_cell_suffix_is_the_cell_fingerprint() {
+        for scenario in catalog::builtin() {
+            let prefix = ScenarioFingerprint::new(&scenario);
+            for policy in PolicyKind::ALL {
+                for freq in [800, 1866] {
+                    for channels in [1, 4] {
+                        for duration_ms in [0.05, 2.0] {
+                            let cell = CellSpec {
+                                scenario: 0,
+                                policy,
+                                freq: MegaHertz::new(freq),
+                                channels,
+                                duration_ms,
+                            };
+                            let want = one_pass_fingerprint(&scenario, &cell, "0.1.0");
+                            assert_eq!(cell_fingerprint(&scenario, &cell, "0.1.0"), want);
+                            assert_eq!(prefix.cell(&cell, "0.1.0"), want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Literal keys, so a change to the hash, the field order or a
+        // catalog scenario's canonical document cannot move cache keys
+        // without this test saying so.
+        let key = |name: &str, policy, freq, channels, duration_ms| {
+            let cell = CellSpec {
+                scenario: 0,
+                policy,
+                freq: MegaHertz::new(freq),
+                channels,
+                duration_ms,
+            };
+            cell_fingerprint(&catalog::by_name(name).unwrap(), &cell, "0.1.0")
+        };
+        assert_eq!(
+            key("camcorder-a", PolicyKind::Priority, 1866, 2, 0.05),
+            0xa845_b532_0954_39ea
+        );
+        assert_eq!(
+            key("adas", PolicyKind::Fcfs, 1600, 4, 2.0),
+            0x75c7_f4cd_c89b_e65c
+        );
+        assert_eq!(
+            key("ml-inference-8ch", PolicyKind::FrFcfs, 800, 8, 0.1),
+            0x3629_2722_cc34_73ed
+        );
     }
 
     #[test]

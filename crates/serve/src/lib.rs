@@ -62,4 +62,4 @@ mod server;
 pub use cache::ResultCache;
 pub use journal::{Journal, JOURNAL_TAG};
 pub use protocol::{JobRequest, JobSummary, ProtocolError, Request, ScenarioRef, FORMAT_TAG};
-pub use server::{ServeConfig, Server, COUNTERS, STAGE_HISTOGRAMS};
+pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE, STAGE_HISTOGRAMS};

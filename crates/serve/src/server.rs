@@ -11,7 +11,7 @@
 //! count, the cache state, or the order jobs arrive in.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
@@ -19,8 +19,8 @@ use std::sync::Mutex;
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
-    catalog, cell_fingerprint, expand_cells, run_cell, run_ordered, screen_cell, summarize_cells,
-    CellOutcome, CellProfile, MatrixCell, MatrixSpec, Scenario, ScreenMode,
+    catalog, expand_cells, run_cell, run_ordered, screen_cell, summarize_cells, CellOutcome,
+    CellProfile, MatrixCell, MatrixSpec, Scenario, ScenarioFingerprint, ScreenMode,
 };
 use sara_sim::{AnalyticReport, ScreenVerdict};
 use sara_sim::{SimReport, ENGINE_VERSION};
@@ -43,6 +43,12 @@ pub const COUNTERS: [&str; 8] = [
     "cache_misses",
     "protocol_errors",
 ];
+
+/// The longest request line a session holds in memory, in bytes
+/// (terminator excluded): 1 MiB, two orders of magnitude above a catalog
+/// scenario sent inline. A longer line is answered with an `error` record
+/// and skipped, so a newline-free stream cannot grow the server's memory.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,18 +255,39 @@ impl Server {
         }
     }
 
-    fn session_loop<R: BufRead, W: Write>(&self, reader: R, writer: &mut W) -> io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+    fn session_loop<R: BufRead, W: Write>(&self, mut reader: R, writer: &mut W) -> io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the cap tells a line of exactly the cap (plus
+            // its newline) from a longer one.
+            let mut within_cap = (&mut reader).take(MAX_REQUEST_LINE as u64 + 1);
+            if within_cap.read_until(b'\n', &mut buf)? == 0 {
+                return Ok(());
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            } else if buf.len() > MAX_REQUEST_LINE {
+                self.refuse(
+                    "protocol_errors",
+                    None,
+                    &format!("request line exceeds {MAX_REQUEST_LINE} bytes; skipped"),
+                    writer,
+                )?;
+                reader.skip_until(b'\n')?;
+                continue;
+            }
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             if line.trim().is_empty() {
                 continue;
             }
-            match protocol::parse_request(&line) {
+            match protocol::parse_request(line) {
                 Err(err) => {
-                    self.bump("protocol_errors", 1);
-                    protocol::error_record(err.id.as_deref(), &err.message)
-                        .write_ndjson_line(writer)?;
-                    writer.flush()?;
+                    self.refuse("protocol_errors", err.id.as_deref(), &err.message, writer)?;
                 }
                 Ok(Request::Ping) => {
                     protocol::pong_record().write_ndjson_line(writer)?;
@@ -278,7 +305,6 @@ impl Server {
                 Ok(Request::Submit(job)) => self.run_job(&job, writer)?,
             }
         }
-        Ok(())
     }
 
     /// Accepts TCP connections until `max_sessions` have been served
@@ -293,18 +319,14 @@ impl Server {
         listener: &TcpListener,
         max_sessions: Option<usize>,
     ) -> io::Result<()> {
-        std::thread::scope(|scope| {
-            let mut served = 0usize;
-            while max_sessions.is_none_or(|max| served < max) {
-                let (stream, _addr) = listener.accept()?;
-                served += 1;
-                scope.spawn(move || {
-                    if let Ok(read_half) = stream.try_clone() {
-                        let _ = self.handle_session(BufReader::new(read_half), stream);
-                    }
-                });
-            }
-            Ok(())
+        self.serve_streams(max_sessions, || {
+            let (stream, _addr) = listener.accept()?;
+            // A session is request/response with a flush per record.
+            // Under Nagle a small record waits for the ACK of the one
+            // before it, which a peer with delayed ACKs holds for 40 ms.
+            // Failing to set the option costs latency, never bytes.
+            let _ = stream.set_nodelay(true);
+            Ok(stream)
         })
     }
 
@@ -319,15 +341,27 @@ impl Server {
         listener: &std::os::unix::net::UnixListener,
         max_sessions: Option<usize>,
     ) -> io::Result<()> {
+        self.serve_streams(max_sessions, || Ok(listener.accept()?.0))
+    }
+
+    /// The accept loop under every listener: one session thread per
+    /// stream `accept` yields, until `max_sessions` have been accepted.
+    fn serve_streams<S>(
+        &self,
+        max_sessions: Option<usize>,
+        mut accept: impl FnMut() -> io::Result<S>,
+    ) -> io::Result<()>
+    where
+        S: Send,
+        for<'a> &'a S: Read + Write,
+    {
         std::thread::scope(|scope| {
             let mut served = 0usize;
             while max_sessions.is_none_or(|max| served < max) {
-                let (stream, _addr) = listener.accept()?;
+                let stream = accept()?;
                 served += 1;
                 scope.spawn(move || {
-                    if let Ok(read_half) = stream.try_clone() {
-                        let _ = self.handle_session(BufReader::new(read_half), stream);
-                    }
+                    let _ = self.handle_session(BufReader::new(&stream), &stream);
                 });
             }
             Ok(())
@@ -349,15 +383,17 @@ impl Server {
         })
     }
 
+    /// Counts a refusal and answers it with an `error` record (`id`: the
+    /// job's, when the request got far enough to have one).
     fn refuse<W: Write>(
         &self,
         counter: &str,
-        id: &str,
+        id: Option<&str>,
         message: &str,
         writer: &mut W,
     ) -> io::Result<()> {
         self.bump(counter, 1);
-        protocol::error_record(Some(id), message).write_ndjson_line(writer)?;
+        protocol::error_record(id, message).write_ndjson_line(writer)?;
         writer.flush()
     }
 
@@ -382,7 +418,7 @@ impl Server {
                         );
                         return self.refuse(
                             "jobs_failed",
-                            &job.id,
+                            Some(&job.id),
                             &format!(
                                 "unknown scenario {name:?} (catalog: {})",
                                 catalog::names().join(", ")
@@ -415,7 +451,7 @@ impl Server {
                     "bad-matrix",
                     self.clock.now_us(),
                 );
-                return self.refuse("jobs_failed", &job.id, e.message(), writer);
+                return self.refuse("jobs_failed", Some(&job.id), e.message(), writer);
             }
         };
 
@@ -424,7 +460,7 @@ impl Server {
                 .job_rejected(job_no, &job.id, &job.client, "budget", self.clock.now_us());
             return self.refuse(
                 "jobs_rejected",
-                &job.id,
+                Some(&job.id),
                 &format!(
                     "admission refused: {} cells would exceed client {:?}'s budget of {}",
                     cells.len(),
@@ -443,15 +479,20 @@ impl Server {
         protocol::accepted_record(&job.id, cells.len()).write_ndjson_line(writer)?;
         writer.flush()?;
 
+        // A scenario's document is serialised and hashed once per job,
+        // not once per cell.
+        let prefixes: Vec<ScenarioFingerprint> =
+            scenarios.iter().map(ScenarioFingerprint::new).collect();
+        let fingerprints: Vec<u64> = cells
+            .iter()
+            .map(|c| prefixes[c.scenario].cell(c, ENGINE_VERSION))
+            .collect();
+
         // Classify every cell against the cache under one lock, so the
         // hit/miss split is a pure function of job + cache state (no
         // worker races in the accounting). With `"screen": "prune"`
         // the closed-form screener runs first: a provably-decided cell
         // never reaches the cache (or a worker) at all.
-        let fingerprints: Vec<u64> = cells
-            .iter()
-            .map(|c| cell_fingerprint(&scenarios[c.scenario], c, ENGINE_VERSION))
-            .collect();
         let mut sources: Vec<CellSource> = Vec::with_capacity(cells.len());
         let mut first_seen: HashMap<u64, usize> = HashMap::new();
         let (mut hits, mut misses, mut screened) = (0u64, 0u64, 0u64);
@@ -573,7 +614,7 @@ impl Server {
                             Err(e) => {
                                 return ControlFlow::Break(self.refuse(
                                     "jobs_failed",
-                                    &job.id,
+                                    Some(&job.id),
                                     e.message(),
                                     writer,
                                 ))
@@ -632,7 +673,7 @@ impl Server {
                 if let Err(e) = write {
                     return self.refuse(
                         "jobs_failed",
-                        &job.id,
+                        Some(&job.id),
                         &format!("failed to write artifact {}: {e}", path.display()),
                         writer,
                     );

@@ -1,17 +1,18 @@
 //! End-to-end tests of the service against its two core guarantees:
 //! byte-identity with `sara matrix` (for any worker count, cache state,
 //! or arrival order) and "no cell is ever simulated twice" (proved by
-//! the cache-hit accounting), plus admission control and the TCP
-//! transport.
+//! the cache-hit accounting), plus admission control and the
+//! transports: one write per record, no delayed-ACK stall over TCP, a
+//! capped request line.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{catalog, run_matrix, MatrixSpec, ScreenMode};
-use sara_serve::{ServeConfig, Server, FORMAT_TAG};
+use sara_serve::{ServeConfig, Server, FORMAT_TAG, MAX_REQUEST_LINE};
 
 /// Runs one in-process session and returns its reply stream.
 fn run_session(server: &Server, input: &str) -> String {
@@ -336,6 +337,137 @@ fn tcp_sessions_stream_the_same_bytes_as_stdio() {
         mask_elapsed(&stdio),
         "transport leaked into the byte stream"
     );
+}
+
+#[test]
+fn every_record_reaches_the_transport_in_one_write() {
+    /// A transport that accepts whatever it is handed and counts the calls.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    // Every reply kind with a body: pong, a simulated job, the same job
+    // from cache, stats.
+    let session = format!(
+        "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}\n{}{}\
+         {{\"format\":\"{FORMAT_TAG}\",\"type\":\"stats\"}}\n",
+        submit("cold", ""),
+        submit("warm", "")
+    );
+    let stdio = run_session(&Server::new(ServeConfig::default()), &session);
+
+    let mut counted = Counting::default();
+    Server::new(ServeConfig::default())
+        .handle_session(session.as_bytes(), &mut counted)
+        .expect("session I/O");
+    let transcript = String::from_utf8(counted.bytes).expect("utf-8 replies");
+    assert_eq!(mask_elapsed(&transcript), mask_elapsed(&stdio));
+    // pong + 2 × (accepted, 2 cells, summary) + stats.
+    assert_eq!(transcript.lines().count(), 10);
+    assert_eq!(
+        counted.writes, 10,
+        "a record must cost the transport one write, not one per token"
+    );
+}
+
+#[test]
+fn small_records_do_not_wait_out_delayed_acks_over_tcp() {
+    // 36 analytically screened cells: 38 small records per job, written
+    // back to back. The client is a plain `TcpStream` — no TCP_NODELAY,
+    // no TCP_QUICKACK — so it delays its ACKs; a server that leaves
+    // Nagle on then sits on the second record of every job until the
+    // client's 40 ms ACK timer fires.
+    let job = format!(
+        "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"s\",\
+         \"scenarios\":[\"saturation\",\"adas-overload\"],\
+         \"freqs_mhz\":[266,333,400],\"screen\":\"prune\"}}\n"
+    );
+    let server = Server::new(ServeConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let mut job_ms: Vec<f64> = std::thread::scope(|scope| {
+        let service = scope.spawn(|| server.serve_listener(&listener, Some(1)));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        let job_ms = (0..20)
+            .map(|_| {
+                let sent = std::time::Instant::now();
+                stream.write_all(job.as_bytes()).expect("send");
+                let mut cells = 0;
+                loop {
+                    line.clear();
+                    assert!(replies.read_line(&mut line).expect("read") > 0, "EOF");
+                    if line.contains("\"type\":\"summary\"") {
+                        break;
+                    }
+                    assert!(!line.contains("\"type\":\"error\""), "{line}");
+                    cells += usize::from(line.contains("\"screened\":"));
+                }
+                assert_eq!(cells, 36, "every cell of the job is screened");
+                sent.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        stream
+            .write_all(b"{\"format\":\"sara-serve/v1\",\"type\":\"shutdown\"}\n")
+            .expect("send shutdown");
+        service
+            .join()
+            .expect("service thread")
+            .expect("accept loop");
+        job_ms
+    });
+    job_ms.sort_by(f64::total_cmp);
+    let median = job_ms[job_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median screened job took {median:.1} ms (all: {job_ms:.1?}); a delayed-ACK stall is >= 40 ms"
+    );
+}
+
+#[test]
+fn an_over_long_request_line_is_refused_and_skipped() {
+    let ping = format!("{{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}");
+    let server = Server::new(ServeConfig::default());
+    // A line of exactly the cap is served (trailing blanks are legal
+    // JSON); one byte more is refused, skipped up to its newline — here
+    // several caps away — and the session carries on.
+    let padded = |len: usize| format!("{ping}{}\n", " ".repeat(len - ping.len()));
+    let (at_cap, too_long) = (padded(MAX_REQUEST_LINE), padded(3 * MAX_REQUEST_LINE + 7));
+    let replies = records(&run_session(
+        &server,
+        &format!("{at_cap}{too_long}{ping}\r\n"),
+    ));
+    let kinds: Vec<&str> = replies
+        .iter()
+        .map(|r| r.get("type").and_then(Value::as_str).unwrap())
+        .collect();
+    assert_eq!(kinds, ["pong", "error", "pong"]);
+    let message = replies[1].get("error").and_then(Value::as_str).unwrap();
+    assert!(message.contains(&MAX_REQUEST_LINE.to_string()), "{message}");
+    assert_eq!(u64_field(&server.counters(), "protocol_errors"), 1);
+
+    // A stream that never sends a newline gets one refusal, not a buffer
+    // that grows with it.
+    let endless = std::io::repeat(b'x').take(64 * MAX_REQUEST_LINE as u64);
+    let mut out = Vec::new();
+    server
+        .handle_session(BufReader::new(endless), &mut out)
+        .expect("session I/O");
+    let replies = records(&String::from_utf8(out).unwrap());
+    assert_eq!(replies.len(), 1);
+    assert_eq!(u64_field(&server.counters(), "protocol_errors"), 2);
 }
 
 #[cfg(unix)]

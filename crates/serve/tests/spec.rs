@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use json::Value;
 use sara_serve::protocol::{record_keys, METRICS_REPLY, STATS_REPLY};
-use sara_serve::{ServeConfig, Server, FORMAT_TAG};
+use sara_serve::{ServeConfig, Server, FORMAT_TAG, MAX_REQUEST_LINE};
 
 /// One `### \`type\`` section of the spec.
 #[derive(Debug, Default)]
@@ -154,6 +154,16 @@ fn spec_field_tables_match_the_implementation() {
     ] {
         assert!(documented.contains(key), "record type `{key}` undocumented");
     }
+}
+
+#[test]
+fn spec_states_the_request_line_cap_the_server_enforces() {
+    let text = spec_text();
+    let sentence = format!("A request line may be at most **{MAX_REQUEST_LINE} bytes**");
+    assert!(
+        text.contains(&sentence),
+        "docs/serve-protocol.md must state the cap as: {sentence}"
+    );
 }
 
 #[test]

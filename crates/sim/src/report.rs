@@ -1,7 +1,7 @@
 //! Simulation reports: per-core QoS verdicts, DRAM efficiency, NPI series.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use sara_dram::DramStats;
@@ -144,7 +144,7 @@ impl SimReport {
     ///
     /// Returns any I/O error from creating or writing the file.
     pub fn write_residency_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
+        let mut f = BufWriter::new(std::fs::File::create(path)?);
         write!(f, "core")?;
         for level in 0..MAX_LEVELS {
             write!(f, ",p{level}")?;
@@ -157,7 +157,7 @@ impl SimReport {
             }
             writeln!(f)?;
         }
-        Ok(())
+        f.flush()
     }
 
     /// Writes the delivered-bandwidth timeline (GB/s per sample) as CSV.
@@ -166,14 +166,14 @@ impl SimReport {
     ///
     /// Returns any I/O error from creating or writing the file.
     pub fn write_bandwidth_csv(&self, path: &Path, clock: Clock) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
+        let mut f = BufWriter::new(std::fs::File::create(path)?);
         writeln!(f, "time_ms,bandwidth_gbs")?;
         for (k, bpc) in self.bandwidth_series.iter().enumerate() {
             let t_ms = clock.ns_from_cycles((k as u64 + 1) * self.sample_period) / 1e6;
             let gbs = bpc * self.freq.as_hz() as f64 / 1e9;
             writeln!(f, "{t_ms:.4},{gbs:.4}")?;
         }
-        Ok(())
+        f.flush()
     }
 
     /// Writes the per-core NPI series as CSV (`time_ms` column + one column
@@ -183,7 +183,7 @@ impl SimReport {
     ///
     /// Returns any I/O error from creating or writing the file.
     pub fn write_npi_csv(&self, path: &Path, clock: Clock) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
+        let mut f = BufWriter::new(std::fs::File::create(path)?);
         write!(f, "time_ms")?;
         for kind in self.npi_series.keys() {
             write!(f, ",{}", kind.name().replace(' ', "_"))?;
@@ -199,7 +199,7 @@ impl SimReport {
             }
             writeln!(f)?;
         }
-        Ok(())
+        f.flush()
     }
 }
 

@@ -3,7 +3,7 @@
 //! rescued by aging).
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use sara_types::{CoreKind, Cycle, DmaId, MemOp, Priority, TransactionId};
@@ -109,7 +109,7 @@ impl TransactionTrace {
     ///
     /// Returns any I/O error from creating or writing the file.
     pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
+        let mut f = BufWriter::new(std::fs::File::create(path)?);
         writeln!(
             f,
             "id,dma,core,op,priority,injected_at,done_at,latency,queued_for,row_hit,was_aged"
@@ -131,7 +131,7 @@ impl TransactionTrace {
                 r.was_aged as u8,
             )?;
         }
-        Ok(())
+        f.flush()
     }
 }
 
