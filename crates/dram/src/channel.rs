@@ -7,7 +7,7 @@ use sara_types::{Cycle, MemOp};
 
 use crate::address::Location;
 use crate::bank::Bank;
-use crate::command::{Issued, NextCommand};
+use crate::command::{CommandRecord, DramCommand, Issued, NextCommand};
 use crate::stats::ChannelStats;
 use crate::timing::TimingParams;
 
@@ -18,6 +18,9 @@ struct RankTiming {
     has_act: bool,
     /// Issue times of up to the last four ACTs (for tFAW).
     recent_acts: VecDeque<Cycle>,
+    /// Earliest next ACT under the timing in force: tRRD and tFAW applied
+    /// to the history above, recomputed whenever either changes.
+    next_act: Cycle,
 }
 
 impl RankTiming {
@@ -26,10 +29,12 @@ impl RankTiming {
             last_act: Cycle::ZERO,
             has_act: false,
             recent_acts: VecDeque::with_capacity(4),
+            next_act: Cycle::ZERO,
         }
     }
 
-    fn earliest_act(&self, timing: &TimingParams) -> Cycle {
+    /// Re-derives `next_act` from the ACT history under `timing`.
+    fn retime(&mut self, timing: &TimingParams) {
         let mut at = Cycle::ZERO;
         if self.has_act {
             at = at.max(self.last_act + timing.trrd());
@@ -37,17 +42,36 @@ impl RankTiming {
         if self.recent_acts.len() == 4 {
             at = at.max(*self.recent_acts.front().expect("len checked") + timing.tfaw());
         }
-        at
+        self.next_act = at;
     }
 
-    fn record_act(&mut self, t: Cycle) {
+    fn record_act(&mut self, t: Cycle, timing: &TimingParams) {
         self.last_act = t;
         self.has_act = true;
         if self.recent_acts.len() == 4 {
             self.recent_acts.pop_front();
         }
         self.recent_acts.push_back(t);
+        self.retime(timing);
     }
+}
+
+/// The channel-wide part of every legality bound, computed once per
+/// scheduling scan by [`Channel::gates`]: nothing in here depends on which
+/// bank a transaction targets, so a scan over N queue entries pays for it
+/// once instead of N times. Valid until the channel next changes state
+/// ([`Channel::issue`], a refresh performed by [`Channel::advance`], or a
+/// timing swap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gates {
+    /// Command bus free and refresh over: gates ACT and PRE.
+    row: Cycle,
+    /// `row` plus tCCD, write→read turnaround and the data-bus
+    /// reservation: gates RD.
+    read: Cycle,
+    /// `row` plus tCCD, read→write turnaround and the data-bus
+    /// reservation: gates WR.
+    write: Cycle,
 }
 
 /// One DRAM channel: an independent command/data bus with its own ranks and
@@ -90,6 +114,8 @@ pub struct Channel {
     /// Latest `advance` time seen — the channel's notion of "now", used
     /// to re-arm refresh sanely when a timing swap re-enables it.
     advanced_to: Cycle,
+    /// The most recent command [`Channel::issue`] put on the bus.
+    last_issued: Option<CommandRecord>,
     stats: ChannelStats,
 }
 
@@ -114,6 +140,7 @@ impl Channel {
             refresh_due,
             refresh_busy_until: Cycle::ZERO,
             advanced_to: Cycle::ZERO,
+            last_issued: None,
             stats: ChannelStats::default(),
             reference: timing.clone(),
             clock_ratio: (1, 1),
@@ -124,11 +151,6 @@ impl Channel {
     #[inline]
     fn bank_index(&self, loc: &Location) -> usize {
         loc.rank * self.banks_per_rank + loc.bank
-    }
-
-    #[inline]
-    fn bank(&self, loc: &Location) -> &Bank {
-        &self.banks[self.bank_index(loc)]
     }
 
     /// Statistics of this channel.
@@ -203,17 +225,22 @@ impl Channel {
             _ => {}
         }
         self.timing = timing;
+        for rank in &mut self.ranks {
+            rank.retime(&self.timing);
+        }
     }
 
-    /// Lazily performs any refresh that has become due by `now`.
+    /// Lazily performs any refresh that has become due by `now`; returns
+    /// whether one was performed (bank state and the refresh horizon
+    /// changed, so values read before the call are stale).
     ///
     /// Refresh is modelled conservatively: once due, the channel stops
     /// accepting new commands, waits until every bank may precharge, then
     /// spends `tRP + tRFC` refreshing. Banks come back closed.
-    pub fn advance(&mut self, now: Cycle) {
+    pub fn advance(&mut self, now: Cycle) -> bool {
         self.advanced_to = self.advanced_to.max(now);
-        if !self.timing.refresh_enabled() {
-            return;
+        if now < self.refresh_due || !self.timing.refresh_enabled() {
+            return false;
         }
         while now >= self.refresh_due {
             // Refresh may only start once every bank can legally precharge
@@ -232,43 +259,61 @@ impl Channel {
             self.refresh_due += self.timing.trefi();
             self.stats.refreshes += 1;
         }
+        true
     }
 
     /// The command a transaction at `loc` needs next.
     pub fn next_command(&self, loc: &Location) -> NextCommand {
-        self.bank(loc).next_command(loc.row)
+        self.banks[self.bank_index(loc)].next_command(loc.row)
+    }
+
+    /// The channel-wide legality bounds in force right now — the per-scan
+    /// half of [`Channel::probe`].
+    pub fn gates(&self) -> Gates {
+        let t = &self.timing;
+        let row = self.cmd_free_at.max(self.refresh_busy_until);
+        let cas = row.max(self.cas_ready);
+        // Data may start at issue + CL (WL for writes); it must not
+        // overlap the bus reservation.
+        let read_data = Cycle::new(self.bus_free_at.saturating_sub(Cycle::new(t.cl())));
+        let write_data = Cycle::new(self.bus_free_at.saturating_sub(Cycle::new(t.wl())));
+        Gates {
+            row,
+            read: cas.max(self.rd_ready).max(read_data),
+            write: cas.max(self.wr_ready).max(write_data),
+        }
+    }
+
+    /// The command (`loc`, `op`) needs next and the earliest cycle it may
+    /// legally issue, from one bank lookup: the bank- and rank-local
+    /// bounds joined with `gates`. This is the one place legality is
+    /// computed — [`Channel::earliest`] and [`Channel::issue`]'s assert
+    /// both go through it.
+    #[inline]
+    pub fn probe(&self, gates: &Gates, loc: &Location, op: MemOp) -> (NextCommand, Cycle) {
+        let bank = &self.banks[self.bank_index(loc)];
+        let next = bank.next_command(loc.row);
+        // Every arm is a gate joined with plain loads, so the choice can
+        // compile to selects: which entries hit their open row is data a
+        // branch predictor cannot learn.
+        let (gate, local) = match next {
+            NextCommand::Activate => (gates.row, bank.act_at().max(self.ranks[loc.rank].next_act)),
+            NextCommand::Precharge => (gates.row, bank.pre_at()),
+            NextCommand::Column => (
+                match op {
+                    MemOp::Read => gates.read,
+                    MemOp::Write => gates.write,
+                },
+                bank.cas_at(),
+            ),
+        };
+        (next, gate.max(local))
     }
 
     /// Earliest cycle at which the *next* command for (`loc`, `op`) may
     /// legally issue. Always ≥ the refresh-busy horizon.
     pub fn earliest(&self, loc: &Location, op: MemOp) -> Cycle {
-        let bank = self.bank(loc);
-        let t = &self.timing;
-        let base = self.cmd_free_at.max(self.refresh_busy_until);
-        match bank.next_command(loc.row) {
-            NextCommand::Activate => base
-                .max(bank.act_at())
-                .max(self.ranks[loc.rank].earliest_act(t)),
-            NextCommand::Precharge => base.max(bank.pre_at()),
-            NextCommand::Column => {
-                let mut at = base.max(bank.cas_at()).max(self.cas_ready);
-                match op {
-                    MemOp::Read => {
-                        at = at.max(self.rd_ready);
-                        // Data may start at issue + CL; it must not overlap
-                        // the bus reservation.
-                        let data_gate = self.bus_free_at.saturating_sub(Cycle::new(t.cl()));
-                        at = at.max(Cycle::new(data_gate));
-                    }
-                    MemOp::Write => {
-                        at = at.max(self.wr_ready);
-                        let data_gate = self.bus_free_at.saturating_sub(Cycle::new(t.wl()));
-                        at = at.max(Cycle::new(data_gate));
-                    }
-                }
-                at
-            }
-        }
+        self.probe(&self.gates(), loc, op).1
     }
 
     /// Issues the next command needed by (`loc`, `op`) at cycle `now`.
@@ -278,23 +323,23 @@ impl Channel {
     /// Panics (in all builds) if `now` is earlier than [`Self::earliest`]
     /// allows — the memory controller must never issue an illegal command.
     pub fn issue(&mut self, loc: &Location, op: MemOp, now: Cycle) -> Issued {
-        let legal_at = self.earliest(loc, op);
+        let (need, legal_at) = self.probe(&self.gates(), loc, op);
         assert!(
             now >= legal_at,
             "illegal command issue at {now} (earliest {legal_at}) for {loc} {op}"
         );
-        let t = self.timing.clone();
+        let t = &self.timing;
         let bank_idx = self.bank_index(loc);
-        let need = self.banks[bank_idx].next_command(loc.row);
+        let bank = &mut self.banks[bank_idx];
         let issued = match need {
             NextCommand::Activate => {
-                self.banks[bank_idx].apply_activate(now, loc.row, t.trcd(), t.tras());
-                self.ranks[loc.rank].record_act(now);
+                bank.apply_activate(now, loc.row, t.trcd(), t.tras());
+                self.ranks[loc.rank].record_act(now, t);
                 self.stats.activates += 1;
                 Issued::Activate
             }
             NextCommand::Precharge => {
-                self.banks[bank_idx].apply_precharge(now, t.trp());
+                bank.apply_precharge(now, t.trp());
                 self.stats.precharges += 1;
                 Issued::Precharge
             }
@@ -310,7 +355,7 @@ impl Channel {
                         // a turnaround gap.
                         let wr_gate = (data_end + t.rtw_gap()).saturating_sub(Cycle::new(t.wl()));
                         self.wr_ready = self.wr_ready.max(Cycle::new(wr_gate));
-                        let outcome = self.banks[bank_idx].apply_read(now, t.trtp());
+                        let outcome = bank.apply_read(now, t.trtp());
                         self.stats.record_outcome(outcome);
                         self.stats.reads += 1;
                         self.stats.data_beats += bl;
@@ -325,7 +370,7 @@ impl Channel {
                         self.bus_free_at = data_end;
                         // Write→read turnaround measured from end of data.
                         self.rd_ready = self.rd_ready.max(data_end + t.twtr());
-                        let outcome = self.banks[bank_idx].apply_write(now, data_end, t.twr());
+                        let outcome = bank.apply_write(now, data_end, t.twr());
                         self.stats.record_outcome(outcome);
                         self.stats.writes += 1;
                         self.stats.data_beats += bl;
@@ -338,7 +383,25 @@ impl Channel {
             }
         };
         self.cmd_free_at = now + 1;
+        self.last_issued = Some(CommandRecord {
+            at: now,
+            loc: *loc,
+            cmd: match issued {
+                Issued::Activate => DramCommand::Activate { row: loc.row },
+                Issued::Precharge => DramCommand::Precharge,
+                Issued::Read { .. } => DramCommand::Read,
+                Issued::Write { .. } => DramCommand::Write,
+            },
+        });
         issued
+    }
+
+    /// The most recent command [`Channel::issue`] put on the bus (`None`
+    /// before the first). Lets a test tee a controller-driven command
+    /// stream into the independent [`crate::TimingChecker`].
+    #[inline]
+    pub fn last_issued(&self) -> Option<CommandRecord> {
+        self.last_issued
     }
 
     /// Cycle when the channel next becomes usable if it is refresh-blocked.
@@ -510,6 +573,36 @@ mod tests {
         let mut ch = test_channel();
         ch.advance(Cycle::new(7280 * 3 + 10));
         assert_eq!(ch.stats().refreshes, 3);
+    }
+
+    #[test]
+    fn rank_act_spacing_follows_a_timing_swap() {
+        // tRRD/tFAW gate the *next* ACT with the timing in force when it
+        // is asked for, not the one in force when the last ACT issued.
+        let mut ch = test_channel();
+        ch.issue(&loc(0, 0, 1, 0), MemOp::Read, Cycle::ZERO);
+        let other_bank = loc(0, 1, 1, 0);
+        assert_eq!(ch.earliest(&other_bank, MemOp::Read), Cycle::new(19));
+        ch.set_clock(2, 1);
+        assert_eq!(ch.timing().trrd(), 38);
+        assert_eq!(ch.earliest(&other_bank, MemOp::Read), Cycle::new(38));
+        ch.set_clock(1, 1);
+        assert_eq!(ch.earliest(&other_bank, MemOp::Read), Cycle::new(19));
+    }
+
+    #[test]
+    fn last_issued_records_each_command() {
+        let mut ch = test_channel();
+        assert_eq!(ch.last_issued(), None);
+        let l = loc(1, 3, 7, 2);
+        ch.issue(&l, MemOp::Write, Cycle::new(5));
+        let act = ch.last_issued().unwrap();
+        assert_eq!((act.at, act.loc), (Cycle::new(5), l));
+        assert_eq!(act.cmd, DramCommand::Activate { row: 7 });
+        let at = ch.earliest(&l, MemOp::Write);
+        ch.issue(&l, MemOp::Write, at);
+        assert_eq!(ch.last_issued().unwrap().cmd, DramCommand::Write);
+        assert_eq!(ch.last_issued().unwrap().at, at);
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod timing;
 
 pub use address::{AddressMap, Interleave, Location};
 pub use bank::AccessOutcome;
-pub use channel::Channel;
+pub use channel::{Channel, Gates};
 pub use checker::{TimingChecker, TimingViolation};
 pub use command::{CommandRecord, DramCommand, Issued, NextCommand};
 pub use config::{DramConfig, DramConfigBuilder};

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use sara_dram::{Channel, Issued, Location};
+use sara_dram::{Channel, Location, NextCommand};
 use sara_types::{Cycle, Transaction};
 
 use crate::config::{McConfig, NUM_QUEUES};
@@ -27,6 +27,16 @@ pub(crate) struct Entry {
     pub(crate) txn: Transaction,
     pub(crate) loc: Location,
     pub(crate) accepted_at: Cycle,
+}
+
+/// One queue entry as the last scan saw it: where it sits, the command it
+/// needs next and the earliest cycle that command is legal.
+#[derive(Debug, Clone, Copy)]
+struct Probed {
+    queue: usize,
+    pos: usize,
+    next: NextCommand,
+    earliest: Cycle,
 }
 
 /// The scheduling engine for one DRAM channel.
@@ -73,7 +83,17 @@ pub struct ChannelController {
     queues: [VecDeque<Entry>; NUM_QUEUES],
     state: PolicyState,
     stats: McStats,
-    scratch: Vec<(usize, usize, Candidate)>,
+    /// Scratch of the last scan, reused across ticks.
+    probed: Vec<Probed>,
+    /// Banks with a queued row hit at the last scan (row-guard mask).
+    banks_with_hits: u64,
+    /// Earliest legality cycle over the last scan ([`Cycle::MAX`] when
+    /// nothing is queued): no decision before it can find a candidate.
+    first_legal: Cycle,
+    /// Scratch of the last decision: the candidates handed to the policy
+    /// and, per candidate, its index into `probed`.
+    cands: Vec<Candidate>,
+    cand_probe: Vec<usize>,
 }
 
 impl ChannelController {
@@ -84,7 +104,11 @@ impl ChannelController {
             queues: Default::default(),
             state: PolicyState::default(),
             stats: McStats::default(),
-            scratch: Vec::with_capacity(cfg.total_entries()),
+            probed: Vec::with_capacity(cfg.total_entries()),
+            banks_with_hits: 0,
+            first_legal: Cycle::MAX,
+            cands: Vec::with_capacity(cfg.total_entries()),
+            cand_probe: Vec::with_capacity(cfg.total_entries()),
             cfg,
         }
     }
@@ -147,8 +171,76 @@ impl ChannelController {
     /// `now`. Work-conserving, at most one command per call; the caller
     /// must not call again for the same channel in the same cycle.
     pub fn tick(&mut self, now: Cycle, chan: &mut Channel) -> TickResult {
-        chan.advance(now);
+        self.tick_until(now, now + 1, chan).1
+    }
 
+    /// Issues the first command that becomes legal in `[now, limit)` and
+    /// returns it with its issue cycle — exactly what a chain of
+    /// [`ChannelController::tick`] calls following each `retry_at` would
+    /// do, for one queue scan instead of one per call. When nothing is
+    /// issuable at `now` the decision moves to the earliest recorded
+    /// legality cycle and is re-evaluated from the scan's values; those
+    /// only go stale when [`Channel::advance`] performs a refresh on the
+    /// way, which triggers a rescan. If nothing can issue before `limit`
+    /// the result is `Idle` with the next retry cycle (≥ `limit`), paired
+    /// with the last cycle a decision was evaluated at. `now` itself is
+    /// always evaluated, whatever `limit` is.
+    pub fn tick_until(
+        &mut self,
+        now: Cycle,
+        limit: Cycle,
+        chan: &mut Channel,
+    ) -> (Cycle, TickResult) {
+        chan.advance(now);
+        self.scan(chan);
+        let mut at = now;
+        loop {
+            match self.decide(at) {
+                Ok(winner) => return (at, self.issue(winner, at, chan)),
+                Err(Some(next)) if next < limit => {
+                    at = next;
+                    if chan.advance(at) {
+                        self.scan(chan);
+                    }
+                }
+                Err(retry_at) => return (at, TickResult::Idle { retry_at }),
+            }
+        }
+    }
+
+    /// Records, for every queued entry, the command it needs next and the
+    /// earliest cycle that command is legal, plus the banks holding a
+    /// queued row hit. One bank lookup per entry; the values stay true
+    /// until the channel changes state.
+    fn scan(&mut self, chan: &Channel) {
+        let gates = chan.gates();
+        self.probed.clear();
+        self.banks_with_hits = 0;
+        self.first_legal = Cycle::MAX;
+        for (qi, queue) in self.queues.iter().enumerate() {
+            for (pos, entry) in queue.iter().enumerate() {
+                let (next, earliest) = chan.probe(&gates, &entry.loc, entry.txn.op);
+                if next.is_row_hit() {
+                    self.banks_with_hits |= bank_bit(&entry.loc);
+                }
+                self.first_legal = self.first_legal.min(earliest);
+                self.probed.push(Probed {
+                    queue: qi,
+                    pos,
+                    next,
+                    earliest,
+                });
+            }
+        }
+    }
+
+    /// Runs the policy over the entries the last scan found legal at `at`.
+    /// Returns the winner's index into the candidate scratch, or the
+    /// earliest later cycle any entry becomes legal.
+    fn decide(&mut self, at: Cycle) -> Result<usize, Option<Cycle>> {
+        if self.first_legal > at {
+            return Err((!self.probed.is_empty()).then_some(self.first_legal));
+        }
         // Row-buffer protection (open-page policy): banks that still have
         // queued same-row hits should not be precharged from under them by
         // low-urgency traffic. Policy 2 enforces this below δ (its row-hit
@@ -156,118 +248,98 @@ impl ChannelController {
         // what "first-ready" means); the other policies ignore it.
         let policy = self.cfg.policy();
         let row_guard = matches!(policy, PolicyKind::QosRowBuffer | PolicyKind::FrFcfs);
-        let mut banks_with_hits: u64 = 0;
-        if row_guard {
-            for queue in &self.queues {
-                for entry in queue {
-                    if chan.next_command(&entry.loc).is_row_hit() {
-                        banks_with_hits |= 1 << (entry.loc.rank * 32 + entry.loc.bank).min(63);
-                    }
-                }
-            }
-        }
-
-        // Gather issuable candidates and the earliest future opportunity.
-        self.scratch.clear();
-        let mut retry_at: Option<Cycle> = None;
-        let aging = if self.cfg.policy().uses_priorities() {
+        let aging = if policy.uses_priorities() {
             self.cfg.aging_threshold()
         } else {
             None
         };
-        for (qi, queue) in self.queues.iter().enumerate() {
-            for (pos, entry) in queue.iter().enumerate() {
-                let earliest = chan.earliest(&entry.loc, entry.txn.op);
-                if earliest > now {
-                    retry_at = Some(match retry_at {
-                        Some(cur) => cur.min(earliest),
-                        None => earliest,
-                    });
+        self.cands.clear();
+        self.cand_probe.clear();
+        for (i, probe) in self.probed.iter().enumerate() {
+            if probe.earliest > at {
+                continue;
+            }
+            let entry = &self.queues[probe.queue][probe.pos];
+            // Backlog clearing (§3.3) bounds the waiting time of
+            // transactions with a QoS stamp; best-effort (priority 0)
+            // traffic has no target to protect and never ages.
+            let aged = entry.txn.priority.as_u8() > 0
+                && matches!(aging, Some(t) if at.saturating_sub(entry.accepted_at) >= t);
+            let effective_priority = if aged {
+                AGED_PRIORITY
+            } else {
+                entry.txn.priority.as_u8()
+            };
+            if row_guard
+                && matches!(probe.next, NextCommand::Precharge)
+                && self.banks_with_hits & bank_bit(&entry.loc) != 0
+            {
+                // Suppress the row-closing precharge while hits are
+                // pending — unless this transaction is urgent enough to
+                // break the row (Policy 2's δ rule; aged counts too).
+                let may_break = policy == PolicyKind::QosRowBuffer
+                    && effective_priority >= self.cfg.delta().as_u8();
+                if !may_break {
                     continue;
                 }
-                // Backlog clearing (§3.3) bounds the waiting time of
-                // transactions with a QoS stamp; best-effort (priority 0)
-                // traffic has no target to protect and never ages.
-                let aged = entry.txn.priority.as_u8() > 0
-                    && matches!(aging, Some(t) if now.saturating_sub(entry.accepted_at) >= t);
-                let effective_priority = if aged {
-                    AGED_PRIORITY
-                } else {
-                    entry.txn.priority.as_u8()
-                };
-                let next = chan.next_command(&entry.loc);
-                if row_guard
-                    && matches!(next, sara_dram::NextCommand::Precharge)
-                    && banks_with_hits & (1 << (entry.loc.rank * 32 + entry.loc.bank).min(63)) != 0
-                {
-                    // Suppress the row-closing precharge while hits are
-                    // pending — unless this transaction is urgent enough to
-                    // break the row (Policy 2's δ rule; aged counts too).
-                    let may_break = policy == PolicyKind::QosRowBuffer
-                        && effective_priority >= self.cfg.delta().as_u8();
-                    if !may_break {
-                        continue;
-                    }
-                }
-                self.scratch.push((
-                    qi,
-                    pos,
-                    Candidate {
-                        queue: qi,
-                        seq: entry.txn.id.as_u64(),
-                        dma: entry.txn.dma,
-                        priority: entry.txn.priority,
-                        effective_priority,
-                        urgent: entry.txn.urgent,
-                        row_hit: next.is_row_hit(),
-                    },
-                ));
             }
+            self.cands.push(Candidate {
+                queue: probe.queue,
+                seq: entry.txn.id.as_u64(),
+                dma: entry.txn.dma,
+                priority: entry.txn.priority,
+                effective_priority,
+                urgent: entry.txn.urgent,
+                row_hit: probe.next.is_row_hit(),
+            });
+            self.cand_probe.push(i);
         }
+        select(policy, &self.cands, &mut self.state, self.cfg.delta()).ok_or_else(|| {
+            let later = self.probed.iter().map(|p| p.earliest).filter(|&e| e > at);
+            later.min()
+        })
+    }
 
-        let cands: Vec<Candidate> = self.scratch.iter().map(|(_, _, c)| *c).collect();
-        let Some(winner) = select(self.cfg.policy(), &cands, &mut self.state, self.cfg.delta())
-        else {
-            return TickResult::Idle { retry_at };
-        };
-        let (qi, pos, cand) = self.scratch[winner];
-
+    /// Issues the next command of candidate `winner` at `now`; a column
+    /// command completes its transaction and removes it from the queue.
+    fn issue(&mut self, winner: usize, now: Cycle, chan: &mut Channel) -> TickResult {
+        let cand = self.cands[winner];
+        let Probed { queue: qi, pos, .. } = self.probed[self.cand_probe[winner]];
         let entry = &self.queues[qi][pos];
         let issued = chan.issue(&entry.loc, entry.txn.op, now);
         self.stats.commands_issued += 1;
 
-        let completed = match issued {
-            Issued::Read { data_ready } => Some(data_ready),
-            Issued::Write { data_done } => Some(data_done),
-            Issued::Activate | Issued::Precharge => None,
+        let Some(done_at) = issued.completion() else {
+            return TickResult::Issued { completed: None };
         };
-        match completed {
-            None => TickResult::Issued { completed: None },
-            Some(done_at) => {
-                let entry = self.queues[qi].remove(pos).expect("winner position valid");
-                let queued_for = now.saturating_sub(entry.accepted_at);
-                let was_aged = cand.effective_priority == AGED_PRIORITY;
-                let class = self.stats.class_mut(qi);
-                class.completed += 1;
-                class.total_wait += queued_for;
-                class.max_wait = class.max_wait.max(queued_for);
-                if was_aged {
-                    class.aged += 1;
-                }
-                self.state.advance(qi, entry.txn.dma);
-                TickResult::Issued {
-                    completed: Some(Completion {
-                        txn: entry.txn,
-                        done_at,
-                        issued_at: now,
-                        queued_for,
-                        row_hit: cand.row_hit,
-                        was_aged,
-                    }),
-                }
-            }
+        let entry = self.queues[qi].remove(pos).expect("winner position valid");
+        let queued_for = now.saturating_sub(entry.accepted_at);
+        let was_aged = cand.effective_priority == AGED_PRIORITY;
+        let class = self.stats.class_mut(qi);
+        class.completed += 1;
+        class.total_wait += queued_for;
+        class.max_wait = class.max_wait.max(queued_for);
+        if was_aged {
+            class.aged += 1;
+        }
+        self.state.advance(qi, entry.txn.dma);
+        TickResult::Issued {
+            completed: Some(Completion {
+                txn: entry.txn,
+                done_at,
+                issued_at: now,
+                queued_for,
+                row_hit: cand.row_hit,
+                was_aged,
+            }),
         }
     }
+}
+
+/// The row-guard bitmask position of `loc`'s bank.
+#[inline]
+fn bank_bit(loc: &Location) -> u64 {
+    1 << (loc.rank * 32 + loc.bank).min(63)
 }
 
 /// The shared policy front-end of the split controller: admission against

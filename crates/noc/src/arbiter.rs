@@ -72,22 +72,52 @@ pub fn select(kind: ArbiterKind, contenders: &[Contender], cursor: usize) -> Opt
     if contenders.is_empty() {
         return None;
     }
-    // Distance from the cursor, so that round-robin ties rotate fairly.
-    let rr_key = |c: &Contender| {
-        let n = contenders.iter().map(|x| x.port).max().unwrap_or(0) + 1;
-        (c.port + n - (cursor % n)) % n
-    };
     let winner = match kind {
         ArbiterKind::Fcfs => contenders.iter().min_by_key(|c| c.id),
-        ArbiterKind::RoundRobin => contenders.iter().min_by_key(|c| rr_key(c)),
+        ArbiterKind::RoundRobin => {
+            let rr = RoundRobin::new(contenders, cursor);
+            contenders.iter().min_by_key(|c| rr.distance(c))
+        }
         ArbiterKind::FrameUrgent => contenders
             .iter()
             .min_by_key(|c| (core::cmp::Reverse(c.urgent as u8), c.id)),
-        ArbiterKind::Priority => contenders
-            .iter()
-            .min_by_key(|c| (core::cmp::Reverse(c.priority.as_u8()), rr_key(c))),
+        ArbiterKind::Priority => {
+            let rr = RoundRobin::new(contenders, cursor);
+            contenders
+                .iter()
+                .min_by_key(|c| (core::cmp::Reverse(c.priority.as_u8()), rr.distance(c)))
+        }
     };
     winner.copied()
+}
+
+/// Round-robin rotation over the ports present in one contender set: the
+/// modulus is the highest contending port + 1 (not the node's port count),
+/// computed once per decision.
+struct RoundRobin {
+    n: usize,
+    start: usize,
+}
+
+impl RoundRobin {
+    fn new(contenders: &[Contender], cursor: usize) -> Self {
+        let n = contenders.iter().map(|c| c.port).max().unwrap_or(0) + 1;
+        RoundRobin {
+            n,
+            start: cursor % n,
+        }
+    }
+
+    /// Distance from the cursor, so that ties rotate fairly:
+    /// `(port - start) mod n`, without the division (both are below `n`).
+    #[inline]
+    fn distance(&self, c: &Contender) -> usize {
+        if c.port >= self.start {
+            c.port - self.start
+        } else {
+            c.port + self.n - self.start
+        }
+    }
 }
 
 #[cfg(test)]
@@ -156,5 +186,62 @@ mod tests {
     fn names() {
         assert_eq!(ArbiterKind::Priority.name(), "Priority");
         assert_eq!(ArbiterKind::default(), ArbiterKind::RoundRobin);
+    }
+
+    /// The selection rules spelled out port by port, including the quirk
+    /// that the round-robin modulus is the highest *contending* port + 1.
+    fn reference(kind: ArbiterKind, contenders: &[Contender], cursor: usize) -> Option<Contender> {
+        let n = contenders.iter().map(|c| c.port).max()? + 1;
+        let distance = |c: &Contender| (c.port + n - (cursor % n)) % n;
+        let mut best: Option<Contender> = None;
+        for c in contenders {
+            let beats = |b: &Contender| match kind {
+                ArbiterKind::Fcfs => c.id < b.id,
+                ArbiterKind::RoundRobin => distance(c) < distance(b),
+                ArbiterKind::FrameUrgent => (!c.urgent, c.id) < (!b.urgent, b.id),
+                ArbiterKind::Priority => {
+                    c.priority.as_u8() > b.priority.as_u8()
+                        || (c.priority == b.priority && distance(c) < distance(b))
+                }
+            };
+            if best.as_ref().is_none_or(beats) {
+                best = Some(*c);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn select_matches_the_spelled_out_rules() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let kinds = [
+            ArbiterKind::Fcfs,
+            ArbiterKind::RoundRobin,
+            ArbiterKind::FrameUrgent,
+            ArbiterKind::Priority,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5e1e_c700);
+        for case in 0..4000 {
+            // A random subset of up to 24 ports, so ports are missing and
+            // the highest contender is often below the node's port count.
+            let ports = rng.gen_range(1usize..24);
+            let mut heads = Vec::new();
+            for port in 0..ports {
+                if rng.gen_bool(0.6) {
+                    let id = rng.gen_range(0u64..50) * 24 + port as u64;
+                    heads.push(c(port, id, rng.gen_range(0u8..4), rng.gen_bool(0.3)));
+                }
+            }
+            // Cursors run past the port count (take leaves `port + 1`).
+            let cursor = rng.gen_range(0usize..30);
+            for kind in kinds {
+                assert_eq!(
+                    select(kind, &heads, cursor),
+                    reference(kind, &heads, cursor),
+                    "case {case} {kind:?} cursor {cursor} heads {heads:?}"
+                );
+            }
+        }
     }
 }

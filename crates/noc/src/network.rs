@@ -223,26 +223,14 @@ impl Noc {
         // five transaction queues behave like virtual channels. A blocked
         // port stays blocked for the rest of this sweep (the controller
         // cannot drain mid-sweep).
-        let mut blocked = vec![false; self.root.ports()];
+        let mut blocked = 0u64;
         loop {
             let mut progressed = false;
 
             // Root first: frees root input ports for the leaves below.
-            while let Some(winner) = self.root.winner_excluding(now, &blocked) {
-                // Offer-and-undo: dequeue only sticks on sink acceptance.
-                let txn = self.root.take(winner, now);
-                match sink(txn) {
-                    Ok(()) => {
-                        delivered += 1;
-                        progressed = true;
-                        break;
-                    }
-                    Err(txn) => {
-                        self.root.undo_take(winner.port, txn);
-                        self.root.record_blocked();
-                        blocked[winner.port] = true;
-                    }
-                }
+            if self.root.offer(now, &mut blocked, sink) {
+                delivered += 1;
+                progressed = true;
             }
 
             // Leaves forward into the root.

@@ -26,11 +26,6 @@ impl InputPort {
         self.queue.len() >= self.capacity
     }
 
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     fn push(&mut self, ready_at: Cycle, txn: Transaction) -> Result<(), Transaction> {
         if self.is_full() {
             return Err(txn);
@@ -84,6 +79,9 @@ pub struct ArbiterNode {
     cursor: usize,
     service_period: u64,
     next_free: Cycle,
+    /// Transactions queued across all ports, kept in step by
+    /// enqueue/take/undo.
+    occupancy: usize,
     stats: NodeStats,
     scratch: Vec<Contender>,
     /// Saved (cursor, next_free) for undoing a refused take.
@@ -114,6 +112,7 @@ impl ArbiterNode {
             cursor: 0,
             service_period,
             next_free: Cycle::ZERO,
+            occupancy: 0,
             stats: NodeStats::default(),
             scratch: Vec::with_capacity(ports),
             undo: None,
@@ -145,8 +144,9 @@ impl ArbiterNode {
     }
 
     /// Total queued transactions across ports.
+    #[inline]
     pub fn occupancy(&self) -> usize {
-        self.inputs.iter().map(|p| p.len()).sum()
+        self.occupancy
     }
 
     /// Enqueues `txn` into input `port`, visible to arbitration at
@@ -163,26 +163,27 @@ impl ArbiterNode {
     ) -> Result<(), Transaction> {
         let res = self.inputs[port].push(ready_at, txn);
         if res.is_ok() {
-            self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupancy());
+            self.occupancy += 1;
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupancy);
         }
         res
     }
 
     /// The winning head at `now`, if the node is free and any head is ready.
     pub fn winner(&mut self, now: Cycle) -> Option<Contender> {
-        self.winner_excluding(now, &[])
+        self.gather(now, 0);
+        select(self.kind, &self.scratch, self.cursor)
     }
 
-    /// Like [`Self::winner`], but ignores ports flagged in `blocked`
-    /// (per-class virtual-channel flow control: a head destined for a full
-    /// downstream queue must not block other classes).
-    pub fn winner_excluding(&mut self, now: Cycle, blocked: &[bool]) -> Option<Contender> {
-        if now < self.next_free {
-            return None;
-        }
+    /// Collects the ready heads of the ports not flagged in `blocked` into
+    /// the contender scratch (left empty while the node is busy).
+    fn gather(&mut self, now: Cycle, blocked: u64) {
         self.scratch.clear();
+        if self.occupancy == 0 || now < self.next_free {
+            return;
+        }
         for (i, port) in self.inputs.iter().enumerate() {
-            if blocked.get(i).copied().unwrap_or(false) {
+            if i < 64 && blocked & (1 << i) != 0 {
                 continue;
             }
             if let Some(txn) = port.ready_head(now) {
@@ -194,7 +195,40 @@ impl ArbiterNode {
                 });
             }
         }
-        select(self.kind, &self.scratch, self.cursor)
+    }
+
+    /// Offers ready heads to `sink` in arbitration order until one is
+    /// accepted (returns `true`) or every head has been refused. A refused
+    /// head stays queued, counts in [`NodeStats::blocked`], and flags its
+    /// port in `blocked` (bit `i` = port `i`; ports past 63 cannot be
+    /// flagged), which keeps it from being offered again while the caller
+    /// holds the flag — per-class virtual-channel flow control: a head
+    /// destined for a full downstream queue must not block other classes.
+    pub fn offer(
+        &mut self,
+        now: Cycle,
+        blocked: &mut u64,
+        sink: &mut dyn FnMut(Transaction) -> Result<(), Transaction>,
+    ) -> bool {
+        // A refusal changes nothing the arbiter reads, so the contenders
+        // are gathered once and the refused one just drops out.
+        self.gather(now, *blocked);
+        while let Some(winner) = select(self.kind, &self.scratch, self.cursor) {
+            // Offer-and-undo: the dequeue only sticks on sink acceptance.
+            let txn = self.take(winner, now);
+            match sink(txn) {
+                Ok(()) => return true,
+                Err(txn) => {
+                    self.undo_take(winner.port, txn);
+                    self.stats.blocked += 1;
+                    if winner.port < 64 {
+                        *blocked |= 1 << winner.port;
+                    }
+                    self.scratch.retain(|c| c.port != winner.port);
+                }
+            }
+        }
+        false
     }
 
     /// Removes and returns the winner chosen by [`Self::winner`], advancing
@@ -207,6 +241,7 @@ impl ArbiterNode {
         debug_assert_eq!(txn.id, contender.id, "winner desynchronised from port head");
         self.cursor = contender.port + 1;
         self.next_free = now + self.service_period;
+        self.occupancy -= 1;
         self.stats.forwarded += 1;
         txn
     }
@@ -221,18 +256,17 @@ impl ArbiterNode {
         let (cursor, next_free) = self.undo.take().expect("no take to undo");
         self.cursor = cursor;
         self.next_free = next_free;
+        self.occupancy += 1;
         self.stats.forwarded -= 1;
         self.inputs[port].push_front_ready(txn);
-    }
-
-    /// Records that a forward attempt was refused downstream.
-    pub fn record_blocked(&mut self) {
-        self.stats.blocked += 1;
     }
 
     /// Earliest cycle at which this node could possibly forward something,
     /// or `None` if all inputs are empty.
     pub fn earliest_action(&self) -> Option<Cycle> {
+        if self.occupancy == 0 {
+            return None;
+        }
         let head = self.inputs.iter().filter_map(|p| p.head_ready_at()).min()?;
         Some(head.max(self.next_free))
     }
@@ -241,6 +275,7 @@ impl ArbiterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
     use sara_types::{Addr, CoreKind, DmaId, MemOp, Priority, TransactionId};
 
     fn txn(id: u64, prio: u8) -> Transaction {
@@ -321,6 +356,91 @@ mod tests {
         n.enqueue(1, Cycle::ZERO, txn(1, 0)).unwrap();
         n.enqueue(1, Cycle::ZERO, txn(2, 0)).unwrap();
         assert_eq!(n.stats().peak_occupancy, 3);
+    }
+
+    /// The running occupancy equals the sum of the port lengths, and the
+    /// peak equals a maximum recomputed after every successful enqueue,
+    /// over seeded enqueue / take / take-and-undo / offer sequences.
+    #[test]
+    fn running_occupancy_matches_the_port_sum() {
+        for seed in 0..48u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x0cc0_0000 + seed);
+            let ports = rng.gen_range(1usize..7);
+            let mut n = ArbiterNode::new(ArbiterKind::Priority, ports, 3, 1).unwrap();
+            let mut peak = 0;
+            let mut id = 0u64;
+            for step in 0..400u64 {
+                let now = Cycle::new(step);
+                match rng.gen_range(0u8..4) {
+                    0 | 1 => {
+                        let txn = txn(id, rng.gen_range(0u8..8));
+                        id += 1;
+                        if n.enqueue(rng.gen_range(0..ports), now, txn).is_ok() {
+                            peak = peak.max(n.inputs.iter().map(|p| p.queue.len()).sum());
+                        }
+                    }
+                    2 => {
+                        if let Some(w) = n.winner(now) {
+                            let txn = n.take(w, now);
+                            if rng.gen_bool(0.4) {
+                                n.undo_take(w.port, txn);
+                            }
+                        }
+                    }
+                    _ => {
+                        // Refuse a random number of heads, then accept.
+                        let mut refusals = rng.gen_range(0u8..3);
+                        let mut blocked = 0;
+                        n.offer(now, &mut blocked, &mut |txn| {
+                            if refusals > 0 {
+                                refusals -= 1;
+                                Err(txn)
+                            } else {
+                                Ok(())
+                            }
+                        });
+                    }
+                }
+                let sum: usize = n.inputs.iter().map(|p| p.queue.len()).sum();
+                assert_eq!(n.occupancy(), sum, "seed {seed} step {step}");
+                assert_eq!(n.stats().peak_occupancy, peak, "seed {seed} step {step}");
+                assert_eq!(n.earliest_action().is_none(), sum == 0);
+            }
+        }
+    }
+
+    /// `offer` tries heads in arbitration order, counts and flags each
+    /// refusal, and leaves refused heads queued in place.
+    #[test]
+    fn offer_skips_refused_heads_in_arbitration_order() {
+        let mut n = ArbiterNode::new(ArbiterKind::Priority, 3, 4, 1).unwrap();
+        for (port, prio) in [(0, 7u8), (1, 5), (2, 3)] {
+            n.enqueue(port, Cycle::ZERO, txn(port as u64, prio))
+                .unwrap();
+        }
+        let mut offered = Vec::new();
+        let mut blocked = 0;
+        let accepted = n.offer(Cycle::ZERO, &mut blocked, &mut |txn| {
+            offered.push(txn.id.as_u64());
+            if txn.id.as_u64() < 2 {
+                Err(txn)
+            } else {
+                Ok(())
+            }
+        });
+        assert!(accepted);
+        assert_eq!(offered, [0, 1, 2], "highest priority first");
+        assert_eq!(blocked, 0b011);
+        assert_eq!(n.stats().blocked, 2);
+        assert_eq!(n.stats().forwarded, 1);
+        assert_eq!(n.occupancy(), 2);
+        // The node is busy for its service period; the flagged heads stay.
+        assert!(!n.offer(Cycle::ZERO, &mut blocked, &mut |_| Ok(())));
+        let mut all = 0;
+        assert!(n.offer(Cycle::new(1), &mut all, &mut |txn| {
+            assert_eq!(txn.id.as_u64(), 0, "refused head kept its place");
+            Ok(())
+        }));
     }
 }
 

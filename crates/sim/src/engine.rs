@@ -5,12 +5,16 @@
 //! [`ChannelLane`] owns one DRAM channel, that channel's slice of the
 //! controller, and its clock domain, and is advanced as a self-contained
 //! state machine. The lanes couple to the rest of the system only at the
-//! NoC pump/deliver boundary, through four global event kinds:
+//! NoC pump/deliver boundary, through five global event kinds:
 //!
 //! * `Inject`  — a DMA's stimulus released transactions; stamp priorities
 //!   and push them into the NoC (backpressure-aware),
 //! * `Pump`    — sweep the NoC arbitration tree; admitted transactions are
 //!   routed to their channel's lane,
+//! * `Release` — a completed transaction's entry in the shared 42-entry
+//!   budget returns to the admission front-end at the cycle its final
+//!   column command issued (not at merge time, so a pump earlier in the
+//!   same lane window cannot spend it), and the NoC gets a pump there,
 //! * `Deliver` — completed data returns to the DMA; its meter and priority
 //!   adaptation update,
 //! * `Sample`  — periodic NPI/priority/bandwidth sampling.
@@ -113,10 +117,9 @@ pub struct Simulation {
     telemetry: SimTelemetry,
     /// Per-DMA worst sampled NPI since the last [`Simulation::mark_epoch`].
     epoch_floor: Vec<f64>,
-    /// Scratch for the deterministic completion merge.
-    merge_keys: Vec<(Cycle, usize, usize)>,
-    /// Per-lane completion buffers taken out of the lanes for the merge.
-    merge_scratch: Vec<Vec<LaneCompletion>>,
+    /// Scratch for the deterministic completion merge: the window's
+    /// completions moved out of the lanes, each with its lane index.
+    merged: Vec<(usize, LaneCompletion)>,
     /// Events at or below this cycle may drain without re-entering the
     /// lanes: every lane has already advanced past it. Raised when a new
     /// look-ahead window opens, shrunk whenever a lane is armed (the
@@ -173,7 +176,6 @@ impl Simulation {
         let mut sim = Simulation {
             clock,
             map,
-            merge_scratch: lanes.iter().map(|_| Vec::new()).collect(),
             lanes,
             front,
             noc,
@@ -190,7 +192,7 @@ impl Simulation {
             trace: TransactionTrace::new(cfg.trace_capacity),
             telemetry: SimTelemetry::new(dmas.len(), channel_count),
             epoch_floor: vec![f64::INFINITY; dmas.len()],
-            merge_keys: Vec::new(),
+            merged: Vec::new(),
             drain_limit: Cycle::ZERO,
             dmas,
             cfg,
@@ -308,27 +310,15 @@ impl Simulation {
     /// cycle (a freed controller entry may unblock the root arbiter).
     /// Returns the earliest merged completion cycle, if any.
     fn merge_lane_outputs(&mut self) -> Option<Cycle> {
+        let mut merged = std::mem::take(&mut self.merged);
         for (li, lane) in self.lanes.iter_mut().enumerate() {
-            if !lane.out.is_empty() {
-                std::mem::swap(&mut lane.out, &mut self.merge_scratch[li]);
-            }
-        }
-        self.merge_keys.clear();
-        for (li, out) in self.merge_scratch.iter().enumerate() {
-            for (i, c) in out.iter().enumerate() {
-                self.merge_keys.push((c.at, li, i));
-            }
-        }
-        if self.merge_keys.is_empty() {
-            return None;
+            merged.extend(lane.out.drain(..).map(|c| (li, c)));
         }
         // At most one command per cycle per lane makes (cycle, lane)
         // unique, so the order is total.
-        self.merge_keys.sort_unstable();
-        let keys = std::mem::take(&mut self.merge_keys);
-        let first = keys[0].0;
-        for &(at, li, i) in &keys {
-            let c = self.merge_scratch[li][i].completion.clone();
+        merged.sort_unstable_by_key(|(li, c)| (c.at, *li));
+        let first = merged.first().map(|(_, c)| c.at);
+        for (li, LaneCompletion { at, completion: c }) in merged.drain(..) {
             self.telemetry
                 .record_completion(li, c.txn.class, c.queued_for, c.row_hit, c.was_aged);
             if self.cfg.trace_capacity > 0 {
@@ -365,11 +355,8 @@ impl Simulation {
             // time — see `EventKind::Release`.
             self.push(at, EventKind::Release(c.txn.class.queue_index() as u8));
         }
-        self.merge_keys = keys;
-        for out in &mut self.merge_scratch {
-            out.clear();
-        }
-        Some(first)
+        self.merged = merged;
+        first
     }
 
     fn dispatch(&mut self, at: Cycle, kind: EventKind) {
@@ -769,19 +756,26 @@ mod tests {
 
     #[test]
     fn run_until_is_resumable() {
-        // One run to 0.4 ms must equal two stacked runs 0.2 + 0.2 ms.
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
+        // One run to 0.4 ms must equal stacked runs cut anywhere, byte for
+        // byte: a lane's fused retry jump may straddle the boundary of an
+        // `advance_until` call, and the cut must not move it.
+        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::QosRowBuffer).unwrap();
+        let end = cfg.clock().cycles_from_ms(0.4);
         let mut one = Simulation::new(cfg.clone()).unwrap();
-        let full = one.run_for_ms(0.4);
+        let full = one.run_until(Cycle::new(end)).to_json();
 
-        let mut two = Simulation::new(cfg).unwrap();
-        let _mid = two.run_for_ms(0.2);
-        let resumed = two.run_for_ms(0.4);
-
-        assert_eq!(full.dram.total, resumed.dram.total);
-        assert_eq!(full.mc.total_completed(), resumed.mc.total_completed());
-        for (a, b) in full.cores.iter().zip(&resumed.cores) {
-            assert_eq!(a.completed, b.completed);
+        // Half way, an odd cycle just past it, and three cuts in one run.
+        for cuts in [
+            vec![end / 2],
+            vec![end / 2 + 7],
+            vec![end / 5, end / 3 + 1, end - 9],
+        ] {
+            let mut stacked = Simulation::new(cfg.clone()).unwrap();
+            for &cut in &cuts {
+                stacked.advance_until(Cycle::new(cut));
+            }
+            let resumed = stacked.run_until(Cycle::new(end)).to_json();
+            assert!(full == resumed, "cuts at {cuts:?} changed the report");
         }
     }
 

@@ -115,23 +115,24 @@ impl ChannelLane {
     pub(crate) fn advance_to(&mut self, bound: Cycle, cap_latency: u64) {
         let mut cap = Cycle::MAX;
         while let Some(t) = self.pending {
-            if t >= bound || t >= cap {
+            let limit = bound.min(cap);
+            if t >= limit {
                 break;
             }
-            self.pending = None;
-            self.frontier = t + 1;
-            match self.ctrl.tick(t, &mut self.chan) {
+            // The controller walks its own retry chain inside the window:
+            // `at` is the last cycle it evaluated, i.e. the tick this lane
+            // actually processed.
+            let (at, result) = self.ctrl.tick_until(t, limit, &mut self.chan);
+            self.frontier = at + 1;
+            match result {
                 TickResult::Issued { completed } => {
                     // Command bus: one command per cycle per channel.
-                    self.pending = Some(t + 1);
+                    self.pending = Some(at + 1);
                     if let Some(c) = completed {
                         if cap == Cycle::MAX {
-                            cap = t + cap_latency;
+                            cap = at + cap_latency;
                         }
-                        self.out.push(LaneCompletion {
-                            at: t,
-                            completion: c,
-                        });
+                        self.out.push(LaneCompletion { at, completion: c });
                     }
                 }
                 TickResult::Idle { retry_at } => self.pending = retry_at,
