@@ -124,20 +124,6 @@ const COMMANDS: &[Command] = &[
         bool_flags: &[],
     },
     Command {
-        name: "bench",
-        summary: "measure matrix throughput",
-        value_flags: &[
-            "--duration-ms",
-            "--repeat",
-            "--json",
-            "--baseline",
-            "--tolerance",
-            "--history",
-            "--min-speedup",
-        ],
-        bool_flags: &["--screen", "--pretty"],
-    },
-    Command {
         name: "report",
         summary: "summarize or diff sara JSON dumps",
         value_flags: &["--tolerance"],

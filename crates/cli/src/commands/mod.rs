@@ -1,7 +1,6 @@
 //! The subcommands, one module each, plus the scenario-loading driver
 //! logic they share.
 
-pub mod bench;
 pub mod completions;
 pub mod export;
 pub mod gen;

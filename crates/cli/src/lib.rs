@@ -3,8 +3,8 @@
 //! The production entry point for the SARA reproduction: one `sara` binary
 //! wrapping the scenario subsystem — catalog export, strict scenario-file
 //! validation, the scenario × policy × frequency batch matrix, frequency
-//! and DVFS sweeps, seeded scenario generation, and a throughput benchmark
-//! with a CI-gateable baseline.
+//! and DVFS sweeps, seeded scenario generation, the online governor, a
+//! reader for every dump it writes, and the job service.
 //!
 //! The crate is a *library* first ([`run`] takes any argument iterator and
 //! returns the process exit code) so integration tests can drive every
@@ -12,8 +12,8 @@
 //!
 //! Exit codes follow the usual Unix convention the integration tests pin
 //! down: `0` success, `1` runtime failure (missing directory, malformed
-//! scenario file, simulation error, baseline regression), `2` usage error
-//! (unknown command or flag, unparseable value).
+//! scenario file, simulation error, `report --diff` regression), `2` usage
+//! error (unknown command or flag, unparseable value).
 //!
 //! # Examples
 //!
@@ -47,8 +47,7 @@ commands:
   sweep      DRAM frequency / DVFS sweeps (offline search)
   govern     online self-aware governor: closed-loop DVFS inside one run
   gen        generate seeded random scenarios
-  bench      measure matrix throughput; emit or check a baseline
-  report     summarize or diff matrix/bench/govern/serve JSON dumps
+  report     summarize or diff matrix/govern/serve JSON dumps
   serve      long-lived NDJSON simulation service (stdin, TCP or Unix socket)
   completions
              emit a bash/zsh/fish completion script
@@ -57,7 +56,7 @@ run `sara <command> --help` for per-command options.";
 
 /// One-line usage hint printed with top-level usage errors.
 const USAGE: &str = "usage: sara \
-                     <export|validate|list|matrix|sweep|govern|gen|bench|report|serve|completions> \
+                     <export|validate|list|matrix|sweep|govern|gen|report|serve|completions> \
                      [options] (see `sara --help`)";
 
 /// Runs the CLI on the given arguments (without the program name) and
@@ -107,7 +106,6 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         "sweep" => commands::sweep::run(rest),
         "govern" => commands::govern::run(rest),
         "gen" => commands::gen::run(rest),
-        "bench" => commands::bench::run(rest),
         "report" => commands::report::run(rest),
         "serve" => commands::serve::run(rest),
         "completions" => commands::completions::run(rest),

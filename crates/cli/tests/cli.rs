@@ -1,7 +1,6 @@
 //! Integration tests driving the built `sara` binary: exit codes and
-//! stderr on bad invocations, golden `--help` output, the
-//! export → validate → matrix end-to-end path, and the deterministic
-//! shape of `sara bench` output.
+//! stderr on bad invocations, golden `--help` output, and the
+//! export → validate → matrix end-to-end path.
 //!
 //! Golden regeneration (after an intentional help-text change):
 //!
@@ -17,7 +16,6 @@ use json::Value;
 fn sara(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sara"))
         .args(args)
-        .env_remove("SARA_UPDATE_BASELINE")
         .output()
         .expect("spawn sara")
 }
@@ -81,7 +79,6 @@ fn check_golden(args: &[&str], name: &str) {
 fn help_output_matches_goldens() {
     check_golden(&["--help"], "help.txt");
     check_golden(&["matrix", "--help"], "help-matrix.txt");
-    check_golden(&["bench", "--help"], "help-bench.txt");
     check_golden(&["govern", "--help"], "help-govern.txt");
     check_golden(&["report", "--help"], "help-report.txt");
     check_golden(&["serve", "--help"], "help-serve.txt");
@@ -111,7 +108,6 @@ fn completion_scripts_match_goldens() {
             "sweep",
             "govern",
             "gen",
-            "bench",
             "report",
             "serve",
             "completions",
@@ -135,7 +131,6 @@ fn every_subcommand_answers_help() {
         "sweep",
         "govern",
         "gen",
-        "bench",
         "report",
         "serve",
         "completions",
@@ -169,7 +164,6 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
         ("matrix", "--parallel-channels"),
         ("govern", "--parallel-channels"),
         ("serve", "--parallel-channels"),
-        ("bench", "--compare-stepping"),
     ] {
         let out = sara(&[cmd, flag]);
         assert_eq!(code(&out), 2, "sara {cmd} {flag}");
@@ -177,6 +171,16 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
         assert!(err.contains(&format!("unknown flag \"{flag}\"")), "{err}");
         assert!(err.contains(&format!("usage: sara {cmd}")), "{err}");
     }
+
+    // The retired `bench` subcommand is an ordinary unknown command.
+    let out = sara(&["bench"]);
+    assert_eq!(code(&out), 2);
+    assert!(
+        stderr(&out).contains("unknown command \"bench\""),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty());
 
     let out = sara(&["matrix", "--duration-ms", "fast"]);
     assert_eq!(code(&out), 2);
@@ -506,56 +510,6 @@ fn sweep_dvfs_runs_over_scenarios() {
     );
 }
 
-// --- bench: deterministic shape and the baseline gate -----------------------
-
-/// Replaces every measured timing with zero so two runs can be compared
-/// structurally.
-fn zero_timings(doc: &Value) -> Value {
-    match doc {
-        Value::Object(members) => Value::Object(
-            members
-                .iter()
-                .map(|(k, v)| {
-                    if k == "cells_per_sec" {
-                        (k.clone(), Value::UInt(0))
-                    } else {
-                        (k.clone(), zero_timings(v))
-                    }
-                })
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.iter().map(zero_timings).collect()),
-        other => other.clone(),
-    }
-}
-
-#[test]
-fn bench_output_shape_is_deterministic() {
-    let run = || {
-        let out = sara(&[
-            "bench",
-            "--duration-ms",
-            "0.02",
-            "--repeat",
-            "1",
-            "--json",
-            "-",
-        ]);
-        assert_eq!(code(&out), 0, "{}", stderr(&out));
-        json::parse(stdout(&out).trim()).expect("bench JSON parses")
-    };
-    let (first, second) = (run(), run());
-    // Identical shape — only the timings may differ.
-    assert_eq!(zero_timings(&first), zero_timings(&second));
-    let scenarios = first.get("scenarios").and_then(Value::as_array).unwrap();
-    assert_eq!(scenarios.len(), 10);
-    for s in scenarios {
-        assert_eq!(s.get("cells").and_then(Value::as_u64), Some(6));
-        let cps = s.get("cells_per_sec").and_then(Value::as_f64).unwrap();
-        assert!(cps > 0.0, "throughput must be positive");
-    }
-}
-
 // --- report: summarize and diff ---------------------------------------------
 
 /// Walks a document scaling every `bandwidth_gbs` by `factor` — the
@@ -719,193 +673,6 @@ fn matrix_chrome_trace_profiles_the_harness() {
         .map(|e| e.get("name").and_then(Value::as_str).unwrap())
         .collect();
     assert!(phases.contains(&"sim"), "{phases:?}");
-}
-
-#[test]
-fn bench_history_appends_timestamped_records() {
-    let dir = scratch("bench-history");
-    let path = dir.join("history.json");
-    for _ in 0..2 {
-        let out = sara(&[
-            "bench",
-            "--duration-ms",
-            "0.02",
-            "--repeat",
-            "1",
-            "--history",
-            path.to_str().unwrap(),
-        ]);
-        assert_eq!(code(&out), 0, "{}", stderr(&out));
-        assert!(stdout(&out).contains("appended to history"));
-    }
-    let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(
-        doc.get("format").and_then(Value::as_str),
-        Some("sara-bench-history/v1")
-    );
-    let records = doc.get("records").and_then(Value::as_array).unwrap();
-    assert_eq!(records.len(), 2);
-    for r in records {
-        let scenarios = r.get("scenarios").and_then(Value::as_array).unwrap();
-        assert_eq!(scenarios.len(), 10, "one entry per catalog scenario");
-        assert!(r.get("geo_mean").and_then(Value::as_f64).unwrap() > 0.0);
-    }
-    // The timeline summarizes through `sara report`.
-    let out = sara(&["report", path.to_str().unwrap()]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    assert!(
-        stdout(&out).contains("bench history: 2 records"),
-        "{}",
-        stdout(&out)
-    );
-    // A timeline diffed against itself is clean; collapsing the newer
-    // timeline's throughput trips the geo-mean gate with exit 1.
-    let out = sara(&[
-        "report",
-        "--diff",
-        path.to_str().unwrap(),
-        path.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    assert!(stdout(&out).contains("no regressions"), "{}", stdout(&out));
-    fn collapse_throughput(doc: &Value) -> Value {
-        match doc {
-            Value::Object(members) => Value::Object(
-                members
-                    .iter()
-                    .map(|(k, v)| {
-                        if k == "geo_mean" || k == "cells_per_sec" {
-                            (k.clone(), Value::Float(v.as_f64().unwrap() * 0.1))
-                        } else {
-                            (k.clone(), collapse_throughput(v))
-                        }
-                    })
-                    .collect(),
-            ),
-            Value::Array(items) => Value::Array(items.iter().map(collapse_throughput).collect()),
-            other => other.clone(),
-        }
-    }
-    let slow = dir.join("slow.json");
-    std::fs::write(&slow, collapse_throughput(&doc).to_string_compact()).unwrap();
-    let out = sara(&[
-        "report",
-        "--diff",
-        path.to_str().unwrap(),
-        slow.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 1, "{}", stderr(&out));
-    assert!(stderr(&out).contains("regression"), "{}", stderr(&out));
-}
-
-#[test]
-fn bench_baseline_update_check_and_regression() {
-    let dir = scratch("baseline");
-    let baseline = dir.join("baseline.json");
-    let baseline = baseline.to_str().unwrap();
-
-    // SARA_UPDATE_BASELINE=1 writes the file.
-    let out = Command::new(env!("CARGO_BIN_EXE_sara"))
-        .args([
-            "bench",
-            "--duration-ms",
-            "0.02",
-            "--repeat",
-            "1",
-            "--baseline",
-            baseline,
-        ])
-        .env("SARA_UPDATE_BASELINE", "1")
-        .output()
-        .expect("spawn sara");
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    assert!(stdout(&out).contains("wrote baseline"));
-
-    // A fresh run against its own baseline passes the 2.5x gate.
-    let out = sara(&[
-        "bench",
-        "--duration-ms",
-        "0.02",
-        "--repeat",
-        "1",
-        "--baseline",
-        baseline,
-    ]);
-    assert_eq!(code(&out), 0, "{}", stderr(&out));
-    assert!(stdout(&out).contains("baseline check passed"));
-
-    // The gate is relative: inflating EVERY scenario uniformly models a
-    // faster recording machine and must NOT trip it...
-    fn scale_one(doc: &Value, only: Option<&str>, factor: f64) -> Value {
-        fn walk(doc: &Value, only: Option<&str>, factor: f64, in_target: bool) -> Value {
-            match doc {
-                Value::Object(members) => {
-                    let hit = only.is_none()
-                        || members
-                            .iter()
-                            .any(|(k, v)| k == "name" && v.as_str() == only);
-                    Value::Object(
-                        members
-                            .iter()
-                            .map(|(k, v)| {
-                                if k == "cells_per_sec" && (in_target || hit) {
-                                    let cps = v.as_f64().unwrap();
-                                    (k.clone(), Value::Float(cps * factor))
-                                } else {
-                                    (k.clone(), walk(v, only, factor, in_target || hit))
-                                }
-                            })
-                            .collect(),
-                    )
-                }
-                Value::Array(items) => Value::Array(
-                    items
-                        .iter()
-                        .map(|v| walk(v, only, factor, in_target))
-                        .collect(),
-                ),
-                other => other.clone(),
-            }
-        }
-        walk(doc, only, factor, false)
-    }
-    let text = std::fs::read_to_string(baseline).unwrap();
-    let original = json::parse(&text).unwrap();
-    let uniform = scale_one(&original, None, 1000.0);
-    std::fs::write(baseline, uniform.to_string_pretty()).unwrap();
-    let out = sara(&[
-        "bench",
-        "--duration-ms",
-        "0.02",
-        "--repeat",
-        "1",
-        "--baseline",
-        baseline,
-    ]);
-    assert_eq!(
-        code(&out),
-        0,
-        "uniform speed difference must not trip the relative gate: {}",
-        stderr(&out)
-    );
-
-    // ...but skewing ONE scenario's baseline far above its peers is a
-    // relative regression: exit 1 with a regen hint.
-    let skewed = scale_one(&original, Some("adas"), 9e6);
-    std::fs::write(baseline, skewed.to_string_pretty()).unwrap();
-    let out = sara(&[
-        "bench",
-        "--duration-ms",
-        "0.02",
-        "--repeat",
-        "1",
-        "--baseline",
-        baseline,
-    ]);
-    assert_eq!(code(&out), 1);
-    let err = stderr(&out);
-    assert!(err.contains("throughput regression"), "{err}");
-    assert!(err.contains("SARA_UPDATE_BASELINE"), "{err}");
 }
 
 // --- serve: the service mode end to end --------------------------------------
@@ -1197,11 +964,9 @@ fn format_docs_name_every_tag_and_are_linked_from_the_readme() {
     let formats = std::fs::read_to_string(root.join("docs/formats.md")).expect("docs/formats.md");
     // Every on-disk format tag the workspace emits is catalogued.
     for tag in [
-        "sara-scenario/v1",
-        "sara-bench/v1",
-        "sara-bench-history/v1",
-        "sara-serve/v1",
-        "sara-serve-journal/v1",
+        sara_scenarios::FORMAT_TAG,
+        sara_serve::FORMAT_TAG,
+        sara_serve::JOURNAL_TAG,
     ] {
         assert!(formats.contains(tag), "docs/formats.md missing tag {tag}");
     }

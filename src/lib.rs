@@ -48,7 +48,7 @@
 //!
 //! The production entry point is the `sara` binary (`crates/cli`):
 //! `sara export` / `validate` / `list` / `matrix` / `sweep` / `govern` /
-//! `gen` / `bench` / `report` drive everything above from the command
+//! `gen` / `report` / `serve` drive everything above from the command
 //! line; the `examples/` show the library API directly. `crates/bench`
 //! holds the binaries regenerating each table and figure of the paper.
 

@@ -112,10 +112,9 @@ fn no_stale_golden_files() {
     for entry in std::fs::read_dir(&dir).unwrap() {
         let file_name = entry.unwrap().file_name();
         let file_name = file_name.to_str().unwrap();
-        // The bench-baseline document (`sara bench --baseline`, gated by CI)
-        // and the report-digest golden (`tests/determinism.rs`) share the
+        // The report-digest golden (`tests/determinism.rs`) shares the
         // directory.
-        if file_name == "bench-baseline.json" || file_name == "catalog-report-digests.json" {
+        if file_name == "catalog-report-digests.json" {
             continue;
         }
         let Some(stem) = file_name.strip_suffix(SCENARIO_FILE_SUFFIX) else {
