@@ -130,6 +130,12 @@ const COMMANDS: &[Command] = &[
         bool_flags: &["--diff"],
     },
     Command {
+        name: "repro",
+        summary: "paper tables, figures and ablations with every claim checked",
+        value_flags: &["--duration-ms", "--out"],
+        bool_flags: &[],
+    },
+    Command {
         name: "serve",
         summary: "long-lived NDJSON simulation service",
         value_flags: &[

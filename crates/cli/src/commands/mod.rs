@@ -8,6 +8,7 @@ pub mod govern;
 pub mod list;
 pub mod matrix;
 pub mod report;
+pub mod repro;
 pub mod serve;
 pub mod sweep;
 pub mod validate;

@@ -192,20 +192,7 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
             "{} priority residency vs DRAM frequency",
             observed.name()
         ));
-        let mut header = format!("{:<10}", "freq");
-        for level in 0..MAX_LEVELS {
-            header.push_str(&format!(" {:>6}", format!("P{level}")));
-        }
-        header.push_str(&format!("  {:>7}", "minNPI"));
-        progress.line(header);
-        for p in &points {
-            let mut row = format!("{:<10}", p.freq.to_string());
-            for level in 0..MAX_LEVELS {
-                row.push_str(&format!(" {:>5.1}%", p.residency[level] * 100.0));
-            }
-            row.push_str(&format!("  {:>7.3}", p.min_npi));
-            progress.line(row);
-        }
+        progress.line(residency_table(&points));
         (
             freq_points_csv(&points),
             format!("{}\n", freq_points_json(&points)),
@@ -225,6 +212,28 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// The priority-residency table of the Fig. 7 sweep, one row per
+/// frequency (what `sara repro fig7` prints too).
+pub fn residency_table(points: &[FreqPoint]) -> String {
+    let mut out = format!("{:<10}", "freq");
+    for level in 0..MAX_LEVELS {
+        out.push_str(&format!(" {:>6}", format!("P{level}")));
+    }
+    out.push_str(&format!("  {:>7} {:>9}", "minNPI", "coreGB/s"));
+    for p in points {
+        out.push_str(&format!("\n{:<10}", p.freq.to_string()));
+        for level in 0..MAX_LEVELS {
+            out.push_str(&format!(" {:>5.1}%", p.residency[level] * 100.0));
+        }
+        out.push_str(&format!(
+            "  {:>7.3} {:>9.2}",
+            p.min_npi,
+            p.core_bytes_per_s / 1e9
+        ));
+    }
+    out
 }
 
 /// The shared per-candidate table of `--dvfs` output.

@@ -4,7 +4,8 @@
 //! wrapping the scenario subsystem — catalog export, strict scenario-file
 //! validation, the scenario × policy × frequency batch matrix, frequency
 //! and DVFS sweeps, seeded scenario generation, the online governor, a
-//! reader for every dump it writes, and the job service.
+//! reader for every dump it writes, the paper reproduction with its
+//! claims checked, and the job service.
 //!
 //! The crate is a *library* first ([`run`] takes any argument iterator and
 //! returns the process exit code) so integration tests can drive every
@@ -12,7 +13,8 @@
 //!
 //! Exit codes follow the usual Unix convention the integration tests pin
 //! down: `0` success, `1` runtime failure (missing directory, malformed
-//! scenario file, simulation error, `report --diff` regression), `2` usage
+//! scenario file, simulation error, `report --diff` regression, a failed
+//! `repro` claim), `2` usage
 //! error (unknown command or flag, unparseable value).
 //!
 //! # Examples
@@ -48,6 +50,7 @@ commands:
   govern     online self-aware governor: closed-loop DVFS inside one run
   gen        generate seeded random scenarios
   report     summarize or diff matrix/govern/serve JSON dumps
+  repro      reproduce the paper's tables and figures, every claim checked
   serve      long-lived NDJSON simulation service (stdin, TCP or Unix socket)
   completions
              emit a bash/zsh/fish completion script
@@ -56,7 +59,7 @@ run `sara <command> --help` for per-command options.";
 
 /// One-line usage hint printed with top-level usage errors.
 const USAGE: &str = "usage: sara \
-                     <export|validate|list|matrix|sweep|govern|gen|report|serve|completions> \
+                     <export|validate|list|matrix|sweep|govern|gen|report|repro|serve|completions> \
                      [options] (see `sara --help`)";
 
 /// Runs the CLI on the given arguments (without the program name) and
@@ -107,6 +110,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         "govern" => commands::govern::run(rest),
         "gen" => commands::gen::run(rest),
         "report" => commands::report::run(rest),
+        "repro" => commands::repro::run(rest),
         "serve" => commands::serve::run(rest),
         "completions" => commands::completions::run(rest),
         other => Err(CliError::Usage(format!(

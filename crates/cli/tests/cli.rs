@@ -81,6 +81,7 @@ fn help_output_matches_goldens() {
     check_golden(&["matrix", "--help"], "help-matrix.txt");
     check_golden(&["govern", "--help"], "help-govern.txt");
     check_golden(&["report", "--help"], "help-report.txt");
+    check_golden(&["repro", "--help"], "help-repro.txt");
     check_golden(&["serve", "--help"], "help-serve.txt");
 }
 
@@ -109,6 +110,7 @@ fn completion_scripts_match_goldens() {
             "govern",
             "gen",
             "report",
+            "repro",
             "serve",
             "completions",
         ] {
@@ -132,6 +134,7 @@ fn every_subcommand_answers_help() {
         "govern",
         "gen",
         "report",
+        "repro",
         "serve",
         "completions",
     ] {
@@ -185,6 +188,23 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
     let out = sara(&["matrix", "--duration-ms", "fast"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("--duration-ms"), "{}", stderr(&out));
+
+    // `repro` needs a known target and a positive duration.
+    for (args, complaint) in [
+        (&["repro"][..], "which target?"),
+        (&["repro", "fig10"], "unknown target \"fig10\""),
+        (
+            &["repro", "table1", "--duration-ms", "0"],
+            "--duration-ms must be > 0",
+        ),
+    ] {
+        let out = sara(args);
+        assert_eq!(code(&out), 2, "sara {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(complaint), "{err}");
+        assert!(err.contains("usage: sara repro"), "{err}");
+        assert!(stdout(&out).is_empty());
+    }
 
     let out = sara(&["matrix", "--policies", "qos"]);
     assert_eq!(code(&out), 2);
@@ -333,6 +353,39 @@ fn gen_writes_deterministic_loadable_scenarios() {
     }
     let out = sara(&["validate", a.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "{}", stderr(&out));
+}
+
+// --- the paper reproduction ---------------------------------------------------
+
+/// Tier-1's check of the paper: every claim of Figs 5–9 holds at 3 ms (15
+/// cells, shared between the figures). `fig9` alone then prints the same
+/// section and writes the same two NPI series: what a target reports does
+/// not depend on what it ran beside, or on the run.
+#[test]
+fn repro_checks_every_figure_claim_and_is_target_independent() {
+    // No simulation: the bytes the former `table1` / `table2` binaries printed.
+    check_golden(&["repro", "table1"], "repro-table1.txt");
+    check_golden(&["repro", "table2"], "repro-table2.txt");
+
+    let dir = scratch("repro");
+    let flags = ["--duration-ms", "3", "--out", dir.to_str().unwrap()];
+    let figures = ["repro", "fig5", "fig6", "fig7", "fig8", "fig9"];
+    let out = sara(&[&figures[..], &flags].concat());
+    let together = stdout(&out);
+    assert_eq!(code(&out), 0, "{together}{}", stderr(&out));
+    assert!(together.ends_with(" claims hold\n"), "{together}");
+    assert!(!together.contains("[FAIL]"), "{together}");
+    let written = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(written, 12, "10 NPI series, fig7.csv and fig8.csv");
+    let npi = |policy| std::fs::read(dir.join(format!("fig9_{policy}.csv"))).unwrap();
+    let series = [npi("fr-fcfs"), npi("qos-rb")];
+
+    let out = sara(&[&["repro", "fig9"], &flags[..]].concat());
+    let alone = stdout(&out);
+    assert_eq!(code(&out), 0, "{alone}{}", stderr(&out));
+    let section = alone.strip_suffix("4 of 4 claims hold\n").expect("trailer");
+    assert!(together.contains(section), "{alone}\nvs\n{together}");
+    assert_eq!([npi("fr-fcfs"), npi("qos-rb")], series);
 }
 
 // --- the online governor -----------------------------------------------------

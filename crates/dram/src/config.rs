@@ -47,7 +47,7 @@ impl DramConfig {
     /// 1700 MHz; Fig. 7 sweeps 1300–1700 MHz).
     ///
     /// Cycle-denominated timings are kept constant across frequencies; the
-    /// wall-clock duration of a cycle scales instead (see DESIGN.md §3).
+    /// wall-clock duration of a cycle scales instead (`docs/reproduction.md`).
     pub fn table1(io_freq: MegaHertz) -> Self {
         DramConfig {
             channels: 2,

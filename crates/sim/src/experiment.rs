@@ -109,8 +109,7 @@ mod tests {
     use super::*;
 
     /// A short smoke run: the full camcorder system simulates end to end
-    /// and produces sane numbers. (Figure-length runs live in the bench
-    /// harness and integration tests.)
+    /// and produces sane numbers. (Figure-length runs are `sara repro`.)
     #[test]
     fn camcorder_smoke() {
         let report = run_camcorder(TestCase::A, PolicyKind::Priority, 0.5).unwrap();

@@ -138,44 +138,6 @@ impl SimReport {
         s
     }
 
-    /// Writes per-core priority residency (Fig. 7-style rows) as CSV.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn write_residency_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = BufWriter::new(std::fs::File::create(path)?);
-        write!(f, "core")?;
-        for level in 0..MAX_LEVELS {
-            write!(f, ",p{level}")?;
-        }
-        writeln!(f)?;
-        for core in &self.cores {
-            write!(f, "{}", core.kind.name().replace(' ', "_"))?;
-            for v in core.priority_residency {
-                write!(f, ",{v:.5}")?;
-            }
-            writeln!(f)?;
-        }
-        f.flush()
-    }
-
-    /// Writes the delivered-bandwidth timeline (GB/s per sample) as CSV.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn write_bandwidth_csv(&self, path: &Path, clock: Clock) -> std::io::Result<()> {
-        let mut f = BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "time_ms,bandwidth_gbs")?;
-        for (k, bpc) in self.bandwidth_series.iter().enumerate() {
-            let t_ms = clock.ns_from_cycles((k as u64 + 1) * self.sample_period) / 1e6;
-            let gbs = bpc * self.freq.as_hz() as f64 / 1e9;
-            writeln!(f, "{t_ms:.4},{gbs:.4}")?;
-        }
-        f.flush()
-    }
-
     /// Writes the per-core NPI series as CSV (`time_ms` column + one column
     /// per core), clamped into the paper's log-scale plot range.
     ///
@@ -349,16 +311,6 @@ mod csv_tests {
         for line in lines {
             assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
         }
-
-        let res = dir.join("residency.csv");
-        report.write_residency_csv(&res).unwrap();
-        let text = std::fs::read_to_string(&res).unwrap();
-        assert_eq!(text.lines().count(), report.cores.len() + 1);
-
-        let bw = dir.join("bw.csv");
-        report.write_bandwidth_csv(&bw, clock).unwrap();
-        let text = std::fs::read_to_string(&bw).unwrap();
-        assert!(text.lines().count() > 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

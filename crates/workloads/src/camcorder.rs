@@ -9,7 +9,7 @@
 //! and fixed-rate best-effort CPU background traffic.
 //!
 //! Rates are the repo's calibrated "next-generation" substitution for the
-//! proprietary traces the paper used (see DESIGN.md §1): fixed-demand cores
+//! proprietary traces the paper used (README, "Provenance"): fixed-demand cores
 //! (QoS cores) sum to ≈ 11 GB/s and the best-effort CPU offers ≈ 9 GB/s
 //! more, against a 29.9 GB/s dual-channel LPDDR4-1866 peak whose deliverable
 //! fraction depends on row-buffer efficiency — the regime all five figures
@@ -435,7 +435,7 @@ mod tests {
             .iter()
             .map(|c| c.mean_demand_bytes_per_s())
             .sum();
-        // DESIGN.md: ~18 GB/s offered against 29.9 GB/s peak.
+        // `sara repro table2`: ~20 GB/s offered against 29.9 GB/s peak.
         assert!((19.0e9..21.5e9).contains(&total), "total = {total}");
     }
 }

@@ -7,8 +7,8 @@
 //! generators.
 //!
 //! This crate is the substitution for the paper's proprietary
-//! "next-generation MPSoC" traces (DESIGN.md §1): what matters for every
-//! figure is the traffic *class* per core — bursty frame sources, constant
+//! "next-generation MPSoC" traces (README, "Provenance"): what matters for
+//! every figure is the traffic *class* per core — bursty frame sources, constant
 //! rate streams, Poisson latency-sensitive arrivals, periodic work units,
 //! elastic best-effort — plus per-core rates and locality, all of which are
 //! reproduced here deterministically.

@@ -49,8 +49,8 @@
 //! The production entry point is the `sara` binary (`crates/cli`):
 //! `sara export` / `validate` / `list` / `matrix` / `sweep` / `govern` /
 //! `gen` / `report` / `serve` drive everything above from the command
-//! line; the `examples/` show the library API directly. `crates/bench`
-//! holds the binaries regenerating each table and figure of the paper.
+//! line, and `sara repro` regenerates each table and figure of the paper
+//! with its claims checked; the `examples/` show the library API directly.
 
 #![warn(missing_docs)]
 
