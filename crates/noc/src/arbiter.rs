@@ -68,9 +68,11 @@ pub struct Contender {
 /// assert_eq!(select(ArbiterKind::Priority, &heads, 0).unwrap().port, 1);
 /// assert_eq!(select(ArbiterKind::Fcfs, &heads, 0).unwrap().port, 1); // id 5 older
 /// ```
+#[inline]
 pub fn select(kind: ArbiterKind, contenders: &[Contender], cursor: usize) -> Option<Contender> {
-    if contenders.is_empty() {
-        return None;
+    // A lone contender wins under every policy.
+    if contenders.len() <= 1 {
+        return contenders.first().copied();
     }
     let winner = match kind {
         ArbiterKind::Fcfs => contenders.iter().min_by_key(|c| c.id),

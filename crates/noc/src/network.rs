@@ -211,43 +211,48 @@ impl Noc {
     ///
     /// `sink` receives transactions leaving the root (the memory-controller
     /// ingress) and may refuse them by returning them (`Err`), which leaves
-    /// them queued at the root.
+    /// them queued at the root. This is [`Noc::pump_ref`] with each offered
+    /// head cloned for the by-value sink.
     pub fn pump(
         &mut self,
         now: Cycle,
         sink: &mut dyn FnMut(Transaction) -> Result<(), Transaction>,
     ) -> PumpOutcome {
+        self.pump_ref(now, &mut |txn| sink(txn.clone()).is_ok())
+    }
+
+    /// Sweeps the tree, forwarding everything that can move at `now`.
+    ///
+    /// `sink` is shown each transaction the root would forward (the
+    /// memory-controller ingress) while it is still queued, and accepts it
+    /// by returning `true`; only then is it dequeued. A refused head stays
+    /// where it is.
+    ///
+    /// With a non-zero hop latency the tree is swept once: a forward lands
+    /// `hop_latency` cycles later, so nothing enqueued during the sweep is
+    /// ready at `now`; every node that forwarded is busy for its service
+    /// period (validated non-zero); every head the sink refused is flagged
+    /// in `blocked`; and the root's delivery — the one thing that frees
+    /// space a leaf waits for — precedes the leaves inside the sweep. A
+    /// second sweep at the same cycle would therefore change no state and
+    /// no statistic. With `hop_latency == 0` a leaf's forward is ready at
+    /// the root in the same cycle, so the sweep repeats until nothing moves.
+    pub fn pump_ref(
+        &mut self,
+        now: Cycle,
+        sink: &mut dyn FnMut(&Transaction) -> bool,
+    ) -> PumpOutcome {
         let mut delivered = 0u32;
         // Per-port sink blocking: a head refused by the controller (its
         // class queue is full) must not stall other classes — the paper's
         // five transaction queues behave like virtual channels. A blocked
-        // port stays blocked for the rest of this sweep (the controller
-        // cannot drain mid-sweep).
+        // port stays blocked for the rest of this pump (the controller
+        // cannot drain mid-pump).
         let mut blocked = 0u64;
         loop {
-            let mut progressed = false;
-
-            // Root first: frees root input ports for the leaves below.
-            if self.root.offer(now, &mut blocked, sink) {
-                delivered += 1;
-                progressed = true;
-            }
-
-            // Leaves forward into the root.
-            for (leaf_idx, leaf) in self.leaves.iter_mut().enumerate() {
-                if !self.root.can_accept(leaf_idx) {
-                    continue;
-                }
-                if let Some(winner) = leaf.winner(now) {
-                    let txn = leaf.take(winner, now);
-                    self.root
-                        .enqueue(leaf_idx, now + self.cfg.hop_latency, txn)
-                        .expect("checked can_accept above");
-                    progressed = true;
-                }
-            }
-
-            if !progressed {
+            let (left_root, forwarded) = self.sweep(now, &mut blocked, sink);
+            delivered += left_root as u32;
+            if !(left_root || forwarded) || self.cfg.hop_latency > 0 {
                 break;
             }
         }
@@ -255,21 +260,44 @@ impl Noc {
         // Only genuinely time-gated work counts towards the wake hint; a
         // node whose head is ready *now* but blocked by space will be
         // re-pumped by the drain event that frees that space.
-        let mut next_action: Option<Cycle> = None;
-        for node in self.leaves.iter().chain(core::iter::once(&self.root)) {
-            if let Some(at) = node.earliest_action() {
-                if at > now {
-                    next_action = Some(match next_action {
-                        Some(cur) => cur.min(at),
-                        None => at,
-                    });
-                }
-            }
-        }
+        let next_action = self
+            .leaves
+            .iter()
+            .chain(core::iter::once(&self.root))
+            .filter_map(ArbiterNode::earliest_action)
+            .filter(|&at| at > now)
+            .min();
         PumpOutcome {
             delivered,
             next_action,
         }
+    }
+
+    /// One pass over the tree at `now`: the root offers its heads to `sink`
+    /// (first, which frees a root input port for the leaves below), then
+    /// every leaf with room at the root forwards its winner. Returns whether
+    /// a transaction left the root and whether any leaf forwarded.
+    fn sweep(
+        &mut self,
+        now: Cycle,
+        blocked: &mut u64,
+        sink: &mut dyn FnMut(&Transaction) -> bool,
+    ) -> (bool, bool) {
+        let left_root = self.root.offer(now, blocked, sink);
+        let mut forwarded = false;
+        for (leaf_idx, leaf) in self.leaves.iter_mut().enumerate() {
+            if !self.root.can_accept(leaf_idx) {
+                continue;
+            }
+            if let Some(winner) = leaf.winner(now) {
+                let txn = leaf.take(winner, now);
+                self.root
+                    .enqueue(leaf_idx, now + self.cfg.hop_latency, txn)
+                    .expect("checked can_accept above");
+                forwarded = true;
+            }
+        }
+        (left_root, forwarded)
     }
 
     /// Total transactions buffered anywhere in the tree.
@@ -546,5 +574,185 @@ mod conservation {
             unique.dedup();
             assert_eq!(unique.len(), delivered.len(), "case {case}");
         }
+    }
+}
+
+#[cfg(test)]
+mod by_reference {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sara_types::{Addr, CoreKind, DmaId, MemOp, Priority, TransactionId};
+
+    const KINDS: [ArbiterKind; 4] = [
+        ArbiterKind::Fcfs,
+        ArbiterKind::RoundRobin,
+        ArbiterKind::FrameUrgent,
+        ArbiterKind::Priority,
+    ];
+    /// Two CPU DMAs share a leaf; the other classes have one each.
+    const CORES: [CoreKind; 6] = [
+        CoreKind::Cpu,
+        CoreKind::Cpu,
+        CoreKind::Gpu,
+        CoreKind::Dsp,
+        CoreKind::Display,
+        CoreKind::Usb,
+    ];
+
+    fn noc(cfg: NocConfig) -> Noc {
+        let classes: Vec<_> = CORES.iter().map(|k| k.class()).collect();
+        Noc::class_tree(cfg, &classes).unwrap()
+    }
+
+    fn txn(id: u64, dma: usize, now: Cycle, rng: &mut StdRng) -> Transaction {
+        Transaction {
+            id: TransactionId::new(id),
+            dma: DmaId::new(dma as u16),
+            core: CORES[dma],
+            class: CORES[dma].class(),
+            op: MemOp::Read,
+            addr: Addr::new(id * 128),
+            bytes: 128,
+            injected_at: now,
+            priority: Priority::new(rng.gen_range(0u8..8)),
+            urgent: rng.gen_bool(0.3),
+        }
+    }
+
+    /// Everything a pump can change that a caller can read.
+    fn observable(noc: &Noc) -> (Vec<NodeStats>, usize) {
+        let mut stats = vec![noc.root_stats().clone()];
+        stats.extend(CoreClass::ALL.map(|c| noc.leaf_stats(c).clone()));
+        (stats, noc.occupancy())
+    }
+
+    /// The by-value `pump` and `pump_ref` are the same network: over seeded
+    /// inject/pump scripts whose sinks refuse one class outright and every
+    /// n-th offer besides, both deliver the same transactions in the same
+    /// order with the same outcomes, node statistics and occupancy.
+    #[test]
+    fn pump_and_pump_ref_agree() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x0b7e_f000 + seed);
+            let cfg = NocConfig::new(KINDS[(seed % 4) as usize])
+                .with_port_capacity(rng.gen_range(2usize..6))
+                .with_root_port_capacity(rng.gen_range(1usize..4));
+            let (mut by_value, mut by_ref) = (noc(cfg.clone()), noc(cfg));
+            let (mut out_value, mut out_ref) = (Vec::new(), Vec::new());
+            let (mut offers_value, mut offers_ref) = (0u64, 0u64);
+            let mut id = 0u64;
+            for step in 0..600u64 {
+                let now = Cycle::new(step);
+                // The refused class changes every 50 cycles, so every class
+                // is both starved and drained; the count refusal hits the
+                // others.
+                let starved = CoreClass::ALL[(step / 50 % 5) as usize];
+                let period = rng.gen_range(2u64..6);
+                if rng.gen_bool(0.6) {
+                    let dma = rng.gen_range(0..CORES.len());
+                    let t = txn(id, dma, now, &mut rng);
+                    id += 1;
+                    let a = by_value.inject(dma, now, t.clone()).is_ok();
+                    let b = by_ref.inject(dma, now, t).is_ok();
+                    assert_eq!(a, b, "seed {seed} step {step}");
+                } else {
+                    let a = by_value.pump(now, &mut |t| {
+                        offers_value += 1;
+                        if t.class == starved || offers_value.is_multiple_of(period) {
+                            return Err(t);
+                        }
+                        out_value.push(t);
+                        Ok(())
+                    });
+                    let b = by_ref.pump_ref(now, &mut |t| {
+                        offers_ref += 1;
+                        if t.class == starved || offers_ref.is_multiple_of(period) {
+                            return false;
+                        }
+                        out_ref.push(t.clone());
+                        true
+                    });
+                    assert_eq!(a, b, "seed {seed} step {step}");
+                }
+                assert_eq!(observable(&by_value), observable(&by_ref));
+            }
+            assert_eq!(out_value, out_ref, "seed {seed}");
+            assert!(!out_ref.is_empty(), "seed {seed}: the script moved nothing");
+            assert!(by_ref.root_stats().blocked > 0, "seed {seed}: no refusal");
+        }
+    }
+
+    /// With a zero hop latency a forward is ready at the next node in the
+    /// same cycle, so one pump carries a transaction leaf → root → sink:
+    /// the repeated sweep still runs there.
+    #[test]
+    fn zero_hop_latency_delivers_in_the_injecting_pump() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut noc = noc(NocConfig::new(ArbiterKind::Priority).with_hop_latency(0));
+        let t = Cycle::new(40);
+        noc.inject(2, t, txn(0, 2, t, &mut rng)).unwrap();
+        let mut out = Vec::new();
+        let r = noc.pump(t, &mut |txn| {
+            out.push(txn.id.as_u64());
+            Ok(())
+        });
+        assert_eq!(r.delivered, 1);
+        assert_eq!(out, [0]);
+        assert_eq!(noc.occupancy(), 0);
+    }
+
+    /// A sink that logs what it accepts and refuses the CPU class on demand.
+    fn cpu_starving_sink(
+        starve: bool,
+        out: &mut Vec<TransactionId>,
+    ) -> impl FnMut(&Transaction) -> bool + '_ {
+        move |t| {
+            let accept = !(starve && t.class == CoreClass::Cpu);
+            if accept {
+                out.push(t.id);
+            }
+            accept
+        }
+    }
+
+    /// With the default 6-cycle hop a second sweep at the same cycle finds
+    /// nothing to do: sweeping once and sweeping twice (sharing the pump's
+    /// `blocked` flags) leave two networks identical, under contention on a
+    /// shared leaf, full root ports and a sink that starves a class.
+    #[test]
+    fn a_second_sweep_at_the_same_cycle_changes_nothing() {
+        let mut rng = StdRng::seed_from_u64(0x2_5eeb);
+        let cfg = NocConfig::new(ArbiterKind::Priority).with_root_port_capacity(2);
+        let (mut once, mut twice) = (noc(cfg.clone()), noc(cfg));
+        let (mut out_once, mut out_twice) = (Vec::new(), Vec::new());
+        let mut id = 0u64;
+        for step in 0..400u64 {
+            let now = Cycle::new(step);
+            for dma in 0..CORES.len() {
+                if rng.gen_bool(0.35) {
+                    let t = txn(id, dma, now, &mut rng);
+                    id += 1;
+                    let a = once.inject(dma, now, t.clone()).is_ok();
+                    assert_eq!(a, twice.inject(dma, now, t).is_ok());
+                }
+            }
+            // The CPU queue is "full" for the first half, then drains.
+            let starve_cpu = step < 200;
+            once.sweep(
+                now,
+                &mut 0,
+                &mut cpu_starving_sink(starve_cpu, &mut out_once),
+            );
+            let mut blocked = 0;
+            let mut sink = cpu_starving_sink(starve_cpu, &mut out_twice);
+            twice.sweep(now, &mut blocked, &mut sink);
+            let second = twice.sweep(now, &mut blocked, &mut sink);
+            assert_eq!(second, (false, false), "step {step}");
+            assert_eq!(observable(&once), observable(&twice), "step {step}");
+        }
+        assert_eq!(out_once, out_twice);
+        assert!(once.root_stats().blocked > 0 && once.root_stats().forwarded > 100);
+        assert!(once.leaf_stats(CoreClass::Cpu).peak_occupancy > 2);
     }
 }

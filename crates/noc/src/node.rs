@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use sara_types::{ConfigError, Cycle, Transaction};
+use sara_types::{ConfigError, Cycle, Priority, Transaction, TransactionId};
 
 use crate::arbiter::{select, ArbiterKind, Contender};
 
@@ -34,28 +34,41 @@ impl InputPort {
         Ok(())
     }
 
-    /// Head transaction if it has arrived by `now`.
-    fn ready_head(&self, now: Cycle) -> Option<&Transaction> {
-        match self.queue.front() {
-            Some((ready, txn)) if *ready <= now => Some(txn),
-            _ => None,
-        }
-    }
-
-    /// Earliest instant the head becomes ready (None if empty).
-    fn head_ready_at(&self) -> Option<Cycle> {
-        self.queue.front().map(|(ready, _)| *ready)
-    }
-
     fn pop(&mut self) -> Option<Transaction> {
         self.queue.pop_front().map(|(_, txn)| txn)
     }
 
-    /// Returns a just-popped transaction to the head of the queue, already
-    /// arrived (used to undo a refused forward).
-    fn push_front_ready(&mut self, txn: Transaction) {
-        self.queue.push_front((Cycle::ZERO, txn));
+    /// What arbitration reads of the head (`Head::EMPTY` if none queued).
+    fn head(&self) -> Head {
+        self.queue
+            .front()
+            .map_or(Head::EMPTY, |(ready_at, txn)| Head {
+                ready_at: *ready_at,
+                id: txn.id,
+                priority: txn.priority,
+                urgent: txn.urgent,
+            })
     }
+}
+
+/// The arbitration metadata of one port's head, cached by the node so a
+/// decision reads one compact array instead of every port's queue front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    /// Arrival cycle of the head; [`Cycle::MAX`] while the port is empty.
+    ready_at: Cycle,
+    id: TransactionId,
+    priority: Priority,
+    urgent: bool,
+}
+
+impl Head {
+    const EMPTY: Head = Head {
+        ready_at: Cycle::MAX,
+        id: TransactionId::new(0),
+        priority: Priority::LOWEST,
+        urgent: false,
+    };
 }
 
 /// Counters for one arbitration node.
@@ -79,13 +92,16 @@ pub struct ArbiterNode {
     cursor: usize,
     service_period: u64,
     next_free: Cycle,
-    /// Transactions queued across all ports, kept in step by
-    /// enqueue/take/undo.
+    /// Transactions queued across all ports, kept in step by enqueue/take.
     occupancy: usize,
     stats: NodeStats,
     scratch: Vec<Contender>,
-    /// Saved (cursor, next_free) for undoing a refused take.
-    undo: Option<(usize, Cycle)>,
+    /// Each port's head, refreshed when an enqueue fills an empty port and
+    /// when a take exposes the next entry.
+    heads: Vec<Head>,
+    /// Earliest head arrival across ports ([`Cycle::MAX`] when all are
+    /// empty): below it no head is ready.
+    min_arrival: Cycle,
 }
 
 impl ArbiterNode {
@@ -115,7 +131,8 @@ impl ArbiterNode {
             occupancy: 0,
             stats: NodeStats::default(),
             scratch: Vec::with_capacity(ports),
-            undo: None,
+            heads: vec![Head::EMPTY; ports],
+            min_arrival: Cycle::MAX,
         })
     }
 
@@ -165,6 +182,10 @@ impl ArbiterNode {
         if res.is_ok() {
             self.occupancy += 1;
             self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupancy);
+            if self.inputs[port].queue.len() == 1 {
+                self.heads[port] = self.inputs[port].head();
+                self.min_arrival = self.min_arrival.min(ready_at);
+            }
         }
         res
     }
@@ -176,30 +197,30 @@ impl ArbiterNode {
     }
 
     /// Collects the ready heads of the ports not flagged in `blocked` into
-    /// the contender scratch (left empty while the node is busy).
+    /// the contender scratch (left empty while the node is busy or before
+    /// the first head arrives).
     fn gather(&mut self, now: Cycle, blocked: u64) {
         self.scratch.clear();
-        if self.occupancy == 0 || now < self.next_free {
+        if now < self.next_free.max(self.min_arrival) {
             return;
         }
-        for (i, port) in self.inputs.iter().enumerate() {
-            if i < 64 && blocked & (1 << i) != 0 {
+        for (i, head) in self.heads.iter().enumerate() {
+            if head.ready_at > now || (i < 64 && blocked & (1 << i) != 0) {
                 continue;
             }
-            if let Some(txn) = port.ready_head(now) {
-                self.scratch.push(Contender {
-                    port: i,
-                    id: txn.id,
-                    priority: txn.priority,
-                    urgent: txn.urgent,
-                });
-            }
+            self.scratch.push(Contender {
+                port: i,
+                id: head.id,
+                priority: head.priority,
+                urgent: head.urgent,
+            });
         }
     }
 
     /// Offers ready heads to `sink` in arbitration order until one is
-    /// accepted (returns `true`) or every head has been refused. A refused
-    /// head stays queued, counts in [`NodeStats::blocked`], and flags its
+    /// accepted (`sink` returns `true`; the head is dequeued and this
+    /// returns `true`) or every head has been refused. A refused head is
+    /// never dequeued: it counts in [`NodeStats::blocked`] and flags its
     /// port in `blocked` (bit `i` = port `i`; ports past 63 cannot be
     /// flagged), which keeps it from being offered again while the caller
     /// holds the flag — per-class virtual-channel flow control: a head
@@ -208,25 +229,25 @@ impl ArbiterNode {
         &mut self,
         now: Cycle,
         blocked: &mut u64,
-        sink: &mut dyn FnMut(Transaction) -> Result<(), Transaction>,
+        sink: &mut dyn FnMut(&Transaction) -> bool,
     ) -> bool {
         // A refusal changes nothing the arbiter reads, so the contenders
         // are gathered once and the refused one just drops out.
         self.gather(now, *blocked);
         while let Some(winner) = select(self.kind, &self.scratch, self.cursor) {
-            // Offer-and-undo: the dequeue only sticks on sink acceptance.
-            let txn = self.take(winner, now);
-            match sink(txn) {
-                Ok(()) => return true,
-                Err(txn) => {
-                    self.undo_take(winner.port, txn);
-                    self.stats.blocked += 1;
-                    if winner.port < 64 {
-                        *blocked |= 1 << winner.port;
-                    }
-                    self.scratch.retain(|c| c.port != winner.port);
-                }
+            let (_, head) = self.inputs[winner.port]
+                .queue
+                .front()
+                .expect("winner port cannot be empty");
+            if sink(head) {
+                self.take(winner, now);
+                return true;
             }
+            self.stats.blocked += 1;
+            if winner.port < 64 {
+                *blocked |= 1 << winner.port;
+            }
+            self.scratch.retain(|c| c.port != winner.port);
         }
         false
     }
@@ -234,11 +255,14 @@ impl ArbiterNode {
     /// Removes and returns the winner chosen by [`Self::winner`], advancing
     /// the round-robin cursor and the service window.
     pub fn take(&mut self, contender: Contender, now: Cycle) -> Transaction {
-        self.undo = Some((self.cursor, self.next_free));
-        let txn = self.inputs[contender.port]
-            .pop()
-            .expect("winner port cannot be empty");
+        let port = &mut self.inputs[contender.port];
+        let txn = port.pop().expect("winner port cannot be empty");
         debug_assert_eq!(txn.id, contender.id, "winner desynchronised from port head");
+        self.heads[contender.port] = port.head();
+        self.min_arrival = self
+            .heads
+            .iter()
+            .fold(Cycle::MAX, |min, head| min.min(head.ready_at));
         self.cursor = contender.port + 1;
         self.next_free = now + self.service_period;
         self.occupancy -= 1;
@@ -246,29 +270,11 @@ impl ArbiterNode {
         txn
     }
 
-    /// Reverts the most recent [`Self::take`], returning `txn` to the head
-    /// of `port`. Used when the downstream sink refuses the transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no take is pending to undo.
-    pub fn undo_take(&mut self, port: usize, txn: Transaction) {
-        let (cursor, next_free) = self.undo.take().expect("no take to undo");
-        self.cursor = cursor;
-        self.next_free = next_free;
-        self.occupancy += 1;
-        self.stats.forwarded -= 1;
-        self.inputs[port].push_front_ready(txn);
-    }
-
     /// Earliest cycle at which this node could possibly forward something,
     /// or `None` if all inputs are empty.
+    #[inline]
     pub fn earliest_action(&self) -> Option<Cycle> {
-        if self.occupancy == 0 {
-            return None;
-        }
-        let head = self.inputs.iter().filter_map(|p| p.head_ready_at()).min()?;
-        Some(head.max(self.next_free))
+        (self.occupancy > 0).then(|| self.min_arrival.max(self.next_free))
     }
 }
 
@@ -358,9 +364,10 @@ mod tests {
         assert_eq!(n.stats().peak_occupancy, 3);
     }
 
-    /// The running occupancy equals the sum of the port lengths, and the
-    /// peak equals a maximum recomputed after every successful enqueue,
-    /// over seeded enqueue / take / take-and-undo / offer sequences.
+    /// The running occupancy equals the sum of the port lengths, the peak
+    /// equals a maximum recomputed after every successful enqueue, and the
+    /// cached heads and their minimum equal what the queues hold, over
+    /// seeded enqueue / take / refused-offer / offer sequences.
     #[test]
     fn running_occupancy_matches_the_port_sum() {
         for seed in 0..48u64 {
@@ -375,36 +382,43 @@ mod tests {
                     0 | 1 => {
                         let txn = txn(id, rng.gen_range(0u8..8));
                         id += 1;
-                        if n.enqueue(rng.gen_range(0..ports), now, txn).is_ok() {
+                        // Some arrive now, some a few cycles out.
+                        let ready_at = now + rng.gen_range(0u64..4);
+                        if n.enqueue(rng.gen_range(0..ports), ready_at, txn).is_ok() {
                             peak = peak.max(n.inputs.iter().map(|p| p.queue.len()).sum());
                         }
                     }
                     2 => {
-                        if let Some(w) = n.winner(now) {
-                            let txn = n.take(w, now);
-                            if rng.gen_bool(0.4) {
-                                n.undo_take(w.port, txn);
-                            }
+                        if rng.gen_bool(0.4) {
+                            // Every ready head refused: nothing may move.
+                            let before = n.stats().forwarded;
+                            assert!(!n.offer(now, &mut 0, &mut |_| false));
+                            assert_eq!(n.stats().forwarded, before);
+                        } else if let Some(w) = n.winner(now) {
+                            n.take(w, now);
                         }
                     }
                     _ => {
                         // Refuse a random number of heads, then accept.
                         let mut refusals = rng.gen_range(0u8..3);
                         let mut blocked = 0;
-                        n.offer(now, &mut blocked, &mut |txn| {
-                            if refusals > 0 {
-                                refusals -= 1;
-                                Err(txn)
-                            } else {
-                                Ok(())
-                            }
+                        n.offer(now, &mut blocked, &mut |_| {
+                            let accept = refusals == 0;
+                            refusals = refusals.saturating_sub(1);
+                            accept
                         });
                     }
                 }
                 let sum: usize = n.inputs.iter().map(|p| p.queue.len()).sum();
                 assert_eq!(n.occupancy(), sum, "seed {seed} step {step}");
                 assert_eq!(n.stats().peak_occupancy, peak, "seed {seed} step {step}");
-                assert_eq!(n.earliest_action().is_none(), sum == 0);
+                for (port, cached) in n.inputs.iter().zip(&n.heads) {
+                    assert_eq!(*cached, port.head(), "seed {seed} step {step}");
+                }
+                let arrivals = n.inputs.iter().filter_map(|p| p.queue.front());
+                let min = arrivals.map(|(at, _)| *at).min();
+                assert_eq!(n.min_arrival, min.unwrap_or(Cycle::MAX));
+                assert_eq!(n.earliest_action(), min.map(|at| at.max(n.next_free)));
             }
         }
     }
@@ -422,11 +436,7 @@ mod tests {
         let mut blocked = 0;
         let accepted = n.offer(Cycle::ZERO, &mut blocked, &mut |txn| {
             offered.push(txn.id.as_u64());
-            if txn.id.as_u64() < 2 {
-                Err(txn)
-            } else {
-                Ok(())
-            }
+            txn.id.as_u64() >= 2
         });
         assert!(accepted);
         assert_eq!(offered, [0, 1, 2], "highest priority first");
@@ -435,58 +445,11 @@ mod tests {
         assert_eq!(n.stats().forwarded, 1);
         assert_eq!(n.occupancy(), 2);
         // The node is busy for its service period; the flagged heads stay.
-        assert!(!n.offer(Cycle::ZERO, &mut blocked, &mut |_| Ok(())));
+        assert!(!n.offer(Cycle::ZERO, &mut blocked, &mut |_| true));
         let mut all = 0;
         assert!(n.offer(Cycle::new(1), &mut all, &mut |txn| {
             assert_eq!(txn.id.as_u64(), 0, "refused head kept its place");
-            Ok(())
+            true
         }));
-    }
-}
-
-#[cfg(test)]
-mod undo_tests {
-    use super::*;
-    use sara_types::{Addr, CoreKind, DmaId, MemOp, Priority, TransactionId};
-
-    fn txn(id: u64) -> Transaction {
-        Transaction {
-            id: TransactionId::new(id),
-            dma: DmaId::new(0),
-            core: CoreKind::Cpu,
-            class: CoreKind::Cpu.class(),
-            op: MemOp::Read,
-            addr: Addr::new(id * 128),
-            bytes: 128,
-            injected_at: Cycle::ZERO,
-            priority: Priority::LOWEST,
-            urgent: false,
-        }
-    }
-
-    #[test]
-    fn undo_take_restores_order_cursor_and_stats() {
-        let mut n = ArbiterNode::new(ArbiterKind::RoundRobin, 2, 4, 3).unwrap();
-        n.enqueue(0, Cycle::ZERO, txn(0)).unwrap();
-        n.enqueue(1, Cycle::ZERO, txn(1)).unwrap();
-        let w = n.winner(Cycle::ZERO).unwrap();
-        let t = n.take(w, Cycle::ZERO);
-        n.undo_take(w.port, t);
-        assert_eq!(n.stats().forwarded, 0);
-        assert_eq!(n.occupancy(), 2);
-        // Same winner again: cursor was restored.
-        let w2 = n.winner(Cycle::ZERO).unwrap();
-        assert_eq!(w2.port, w.port);
-        assert_eq!(w2.id, w.id);
-        // Service window was restored too: taking now must succeed at t=0.
-        let t2 = n.take(w2, Cycle::ZERO);
-        assert_eq!(t2.id, w.id);
-    }
-
-    #[test]
-    #[should_panic(expected = "no take to undo")]
-    fn undo_without_take_panics() {
-        let mut n = ArbiterNode::new(ArbiterKind::Fcfs, 1, 4, 1).unwrap();
-        n.undo_take(0, txn(0));
     }
 }

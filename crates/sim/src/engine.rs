@@ -35,9 +35,16 @@
 //! Wake-up suppression keeps the event count proportional to transaction
 //! count rather than simulated cycles, so a full 33 ms frame at 1866 MHz
 //! (≈62 M cycles, millions of transactions) simulates in seconds.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! The pending events sit in one short list kept sorted latest first
+//! (`crate::event_queue`): the next event is its last element, and events
+//! of one cycle dispatch in the order they were pushed because a push
+//! inserts behind its cycle-mates — position encodes what a sequence number
+//! would, so none is stored. The list is bounded by two events per
+//! in-flight transaction plus one timer per DMA plus the pump and sample
+//! timers (a few dozen entries in practice), and nearly every push lands
+//! within a few cycles of the current one, so an insert is a short
+//! `memmove`.
 
 use sara_dram::{AddressMap, ChannelStats, Dram, DramStats};
 use sara_memctrl::{AdmissionControl, ChannelController, McStats, PolicyKind};
@@ -47,6 +54,7 @@ use sara_types::{
 };
 
 use crate::config::SystemConfig;
+use crate::event_queue::{EventKind, EventQueue};
 use crate::health::{DmaHealth, SystemHealth};
 use crate::lane::{ChannelLane, LaneCompletion};
 use crate::report::{ReportBuilder, SimReport};
@@ -54,27 +62,6 @@ use crate::runtime::{build_dmas, DmaRuntime, BURST_BYTES};
 use crate::sampling::Samplers;
 use crate::telemetry::{SimTelemetry, TelemetryReport};
 use crate::trace::{TraceRecord, TransactionTrace};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    Inject(u16),
-    Pump,
-    /// A completed transaction's shared-budget credit returns to the
-    /// admission front-end (and the NoC gets a pump to exploit it). Kept
-    /// as an event so a credit freed late in a lane window cannot be spent
-    /// by a pump running at an earlier cycle of the same window — the
-    /// 42-entry budget stays cycle-accurate.
-    Release(u8),
-    Deliver {
-        dma: u16,
-        bytes: u32,
-        injected_at: Cycle,
-        is_read: bool,
-    },
-    Sample,
-}
-
-type Entry = Reverse<(Cycle, u64, EventKind)>;
 
 /// One runnable system instance.
 ///
@@ -101,8 +88,7 @@ pub struct Simulation {
     front: AdmissionControl,
     noc: Noc,
     dmas: Vec<DmaRuntime>,
-    heap: BinaryHeap<Entry>,
-    seq: u64,
+    events: EventQueue,
     now: Cycle,
     txn_seq: u64,
     channels: usize,
@@ -182,8 +168,7 @@ impl Simulation {
             dma_pending: vec![None; dmas.len()],
             noc_pending: None,
             leaf_forwarded: [0; 5],
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::default(),
             now: Cycle::ZERO,
             txn_seq: 0,
             channels: channel_count,
@@ -200,7 +185,7 @@ impl Simulation {
         for i in 0..sim.dmas.len() {
             sim.schedule_inject(i, Cycle::ZERO);
         }
-        sim.push(sim.next_sample, EventKind::Sample);
+        sim.events.push(sim.next_sample, EventKind::Sample);
         Ok(sim)
     }
 
@@ -225,10 +210,12 @@ impl Simulation {
     /// [`Simulation::health`] instead of paying for a full report per
     /// epoch).
     pub fn advance_until(&mut self, end: Cycle) {
+        // A request that ends in the past is a no-op: time never runs
+        // backwards.
+        let end = end.max(self.now);
         let latency = self.cfg.admit_latency;
         loop {
-            let next_global = self.heap.peek().map(|Reverse((at, _, _))| *at);
-            match next_global {
+            match self.events.peek() {
                 Some(h) if h <= end => {
                     if h > self.drain_limit {
                         // Admission-latency look-ahead: nothing the NoC
@@ -236,7 +223,7 @@ impl Simulation {
                         // h + latency, so every lane may run through
                         // [h, h + latency) first. The advance may surface
                         // completions (and with them events earlier than
-                        // h); re-peek so the heap drains strictly in time
+                        // h); re-peek so the list drains strictly in time
                         // order either way. The drain limit is the window
                         // bound, pulled down to just past the first merged
                         // completion (the pump may react to the freed
@@ -251,7 +238,7 @@ impl Simulation {
                     // events up to it dispatch without re-entering the
                     // lanes. Fresh admissions shrink the limit (see
                     // `Simulation::arm_lane`), closing the window early.
-                    let Reverse((at, _, kind)) = self.heap.pop().expect("peeked");
+                    let (at, kind) = self.events.pop().expect("peeked");
                     debug_assert!(at >= self.now, "time went backwards");
                     self.now = at;
                     self.dispatch(at, kind);
@@ -341,7 +328,7 @@ impl Simulation {
             } else {
                 c.done_at
             };
-            self.push(
+            self.events.push(
                 deliver_at,
                 EventKind::Deliver {
                     dma: c.txn.dma.index() as u16,
@@ -353,7 +340,8 @@ impl Simulation {
             // The freed controller entry becomes visible to admission (and
             // the NoC gets its pump) at the completion cycle, not at merge
             // time — see `EventKind::Release`.
-            self.push(at, EventKind::Release(c.txn.class.queue_index() as u8));
+            self.events
+                .push(at, EventKind::Release(c.txn.class.queue_index() as u8));
         }
         self.merged = merged;
         first
@@ -392,18 +380,13 @@ impl Simulation {
         }
     }
 
-    fn push(&mut self, at: Cycle, kind: EventKind) {
-        self.heap.push(Reverse((at, self.seq, kind)));
-        self.seq += 1;
-    }
-
     fn schedule_inject(&mut self, dma: usize, at: Cycle) {
         let at = at.max(self.now);
         if matches!(self.dma_pending[dma], Some(t) if t <= at) {
             return;
         }
         self.dma_pending[dma] = Some(at);
-        self.push(at, EventKind::Inject(dma as u16));
+        self.events.push(at, EventKind::Inject(dma as u16));
     }
 
     fn schedule_pump(&mut self, at: Cycle) {
@@ -412,7 +395,7 @@ impl Simulation {
             return;
         }
         self.noc_pending = Some(at);
-        self.push(at, EventKind::Pump);
+        self.events.push(at, EventKind::Pump);
     }
 
     fn try_inject(&mut self, i: usize) {
@@ -474,19 +457,19 @@ impl Simulation {
         // One bit per channel (a ChannelId addresses at most 256).
         let mut accepted = [0u64; 4];
         let (noc, front, lanes, map) = (&mut self.noc, &mut self.front, &mut self.lanes, &self.map);
-        let outcome = noc.pump(now, &mut |txn| {
+        let outcome = noc.pump_ref(now, &mut |txn| {
             let q = txn.class.queue_index();
             if !front.has_room(q) {
                 front.reject(q);
-                return Err(txn);
+                return false;
             }
             let loc = map.decode(txn.addr);
             front.admit(q);
             accepted[loc.channel >> 6] |= 1u64 << (loc.channel & 63);
             let lane = &mut lanes[loc.channel];
             debug_assert_eq!(lane.id.index(), loc.channel, "lane order matches channels");
-            lane.ctrl.accept(txn, loc, admit_at);
-            Ok(())
+            lane.ctrl.accept(txn.clone(), loc, admit_at);
+            true
         });
         for ch in 0..self.channels {
             if accepted[ch >> 6] & (1u64 << (ch & 63)) != 0 {
@@ -546,7 +529,7 @@ impl Simulation {
         let bytes = self.dram_bytes();
         self.samplers.record_bandwidth(bytes);
         self.next_sample = now + self.cfg.sample_period;
-        self.push(self.next_sample, EventKind::Sample);
+        self.events.push(self.next_sample, EventKind::Sample);
     }
 
     /// The per-transaction trace (empty unless `trace_capacity` was set).
@@ -795,6 +778,20 @@ mod tests {
         let _ = sim.run_for_ms(0.1);
         let expected = sim.config().clock().cycles_from_ms(0.1);
         assert_eq!(sim.now().as_u64(), expected);
+    }
+
+    #[test]
+    fn a_run_that_ends_in_the_past_is_a_no_op() {
+        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
+        let mut sim = Simulation::new(cfg.clone()).unwrap();
+        let first = sim.run_for_ms(0.2).to_json();
+        let reached = sim.now();
+        let second = sim.run_for_ms(0.1).to_json();
+        assert_eq!(sim.now(), reached, "time ran backwards");
+        assert!(first == second, "the shorter request changed the report");
+        let resumed = sim.run_for_ms(0.3).to_json();
+        let uninterrupted = Simulation::new(cfg).unwrap().run_for_ms(0.3).to_json();
+        assert!(resumed == uninterrupted, "the no-op request left a mark");
     }
 }
 

@@ -49,6 +49,7 @@
 mod analytic;
 mod config;
 mod engine;
+mod event_queue;
 pub mod experiment;
 mod health;
 pub mod json;
