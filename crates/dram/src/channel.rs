@@ -56,12 +56,11 @@ impl RankTiming {
     }
 }
 
-/// The channel-wide part of every legality bound, computed once per
-/// scheduling scan by [`Channel::gates`]: nothing in here depends on which
-/// bank a transaction targets, so a scan over N queue entries pays for it
-/// once instead of N times. Valid until the channel next changes state
-/// ([`Channel::issue`], a refresh performed by [`Channel::advance`], or a
-/// timing swap).
+/// The channel-wide half of every legality bound, from [`Channel::gates`]:
+/// nothing in here depends on which bank a transaction targets, so a pass
+/// over N queue entries pays for it once instead of N times. Valid while
+/// [`Channel::version`] reads what it read when the gates were taken:
+/// every [`Channel::issue`] moves at least one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gates {
     /// Command bus free and refresh over: gates ACT and PRE.
@@ -72,6 +71,25 @@ pub struct Gates {
     /// `row` plus tCCD, read→write turnaround and the data-bus
     /// reservation: gates WR.
     write: Cycle,
+}
+
+impl Gates {
+    /// The channel-wide bound on command `next` of an `op` transaction —
+    /// the half of [`Channel::probe`] that [`Channel::probe_local`] leaves
+    /// out. It moves with every issued command, so a caller that caches
+    /// `probe_local` results must still re-join them with fresh gates
+    /// whenever [`Channel::version`] has moved.
+    #[inline]
+    pub fn bound(&self, next: NextCommand, op: MemOp) -> Cycle {
+        // Plain loads behind data-dependent choices, so the match can
+        // compile to selects: which entries hit their open row is data a
+        // branch predictor cannot learn.
+        match (next, op) {
+            (NextCommand::Activate | NextCommand::Precharge, _) => self.row,
+            (NextCommand::Column, MemOp::Read) => self.read,
+            (NextCommand::Column, MemOp::Write) => self.write,
+        }
+    }
 }
 
 /// One DRAM channel: an independent command/data bus with its own ranks and
@@ -116,6 +134,9 @@ pub struct Channel {
     advanced_to: Cycle,
     /// The most recent command [`Channel::issue`] put on the bus.
     last_issued: Option<CommandRecord>,
+    /// Counts the state changes that can move a legality bound; see
+    /// [`Channel::version`].
+    version: u64,
     stats: ChannelStats,
 }
 
@@ -141,6 +162,7 @@ impl Channel {
             refresh_busy_until: Cycle::ZERO,
             advanced_to: Cycle::ZERO,
             last_issued: None,
+            version: 0,
             stats: ChannelStats::default(),
             reference: timing.clone(),
             clock_ratio: (1, 1),
@@ -148,9 +170,27 @@ impl Channel {
         }
     }
 
+    /// The channel-wide index of `loc`'s bank, `rank * banks + bank`:
+    /// distinct for every bank of the channel and below `ranks * banks`
+    /// (at most 64 for a [`crate::DramConfig`]-built channel, so it can
+    /// index a `u64` bank mask exactly). Two locations with the same index
+    /// share their [`Channel::probe_local`] state; a command to one bank
+    /// never changes the bank-local bound of a location with another index.
     #[inline]
-    fn bank_index(&self, loc: &Location) -> usize {
+    pub fn bank_index(&self, loc: &Location) -> usize {
         loc.rank * self.banks_per_rank + loc.bank
+    }
+
+    /// A counter that moves whenever a legality bound may have: on every
+    /// [`Channel::issue`], on a refresh performed by [`Channel::advance`]
+    /// and on [`Channel::set_timing`] (hence [`Channel::set_clock`]).
+    /// While it reads the same, every [`Channel::gates`] and
+    /// [`Channel::probe_local`] value taken earlier is still exact, so a
+    /// scheduler that repairs its cached bounds after its own commands
+    /// needs one compare per tick to notice everyone else's.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Statistics of this channel.
@@ -228,6 +268,7 @@ impl Channel {
         for rank in &mut self.ranks {
             rank.retime(&self.timing);
         }
+        self.version += 1;
     }
 
     /// Lazily performs any refresh that has become due by `now`; returns
@@ -259,6 +300,7 @@ impl Channel {
             self.refresh_due += self.timing.trefi();
             self.stats.refreshes += 1;
         }
+        self.version += 1;
         true
     }
 
@@ -267,8 +309,8 @@ impl Channel {
         self.banks[self.bank_index(loc)].next_command(loc.row)
     }
 
-    /// The channel-wide legality bounds in force right now — the per-scan
-    /// half of [`Channel::probe`].
+    /// The channel-wide legality bounds in force right now — the half of
+    /// [`Channel::probe`] that does not depend on the bank.
     pub fn gates(&self) -> Gates {
         let t = &self.timing;
         let row = self.cmd_free_at.max(self.refresh_busy_until);
@@ -284,30 +326,35 @@ impl Channel {
         }
     }
 
-    /// The command (`loc`, `op`) needs next and the earliest cycle it may
-    /// legally issue, from one bank lookup: the bank- and rank-local
-    /// bounds joined with `gates`. This is the one place legality is
-    /// computed — [`Channel::earliest`] and [`Channel::issue`]'s assert
-    /// both go through it.
+    /// The command a transaction at `loc` needs next and the bank- and
+    /// rank-local bound on it (tRCD, tRAS, tRTP, tWR, tRP, tRFC; tRRD and
+    /// tFAW for an ACT), from one bank lookup — the half of
+    /// [`Channel::probe`] a scheduler may cache. With [`Channel::version`]
+    /// unmoved the pair is exact; an [`Channel::issue`] changes it only
+    /// for locations with the issued [`Channel::bank_index`] and, when the
+    /// command was an ACT, for locations of the same rank that themselves
+    /// need an ACT; a refresh or a timing swap may change all of them.
     #[inline]
-    pub fn probe(&self, gates: &Gates, loc: &Location, op: MemOp) -> (NextCommand, Cycle) {
+    pub fn probe_local(&self, loc: &Location) -> (NextCommand, Cycle) {
         let bank = &self.banks[self.bank_index(loc)];
         let next = bank.next_command(loc.row);
-        // Every arm is a gate joined with plain loads, so the choice can
-        // compile to selects: which entries hit their open row is data a
-        // branch predictor cannot learn.
-        let (gate, local) = match next {
-            NextCommand::Activate => (gates.row, bank.act_at().max(self.ranks[loc.rank].next_act)),
-            NextCommand::Precharge => (gates.row, bank.pre_at()),
-            NextCommand::Column => (
-                match op {
-                    MemOp::Read => gates.read,
-                    MemOp::Write => gates.write,
-                },
-                bank.cas_at(),
-            ),
+        let local = match next {
+            NextCommand::Activate => bank.act_at().max(self.ranks[loc.rank].next_act),
+            NextCommand::Precharge => bank.pre_at(),
+            NextCommand::Column => bank.cas_at(),
         };
-        (next, gate.max(local))
+        (next, local)
+    }
+
+    /// The command (`loc`, `op`) needs next and the earliest cycle it may
+    /// legally issue: [`Channel::probe_local`] joined with
+    /// [`Gates::bound`]. This is the one place legality is computed —
+    /// [`Channel::earliest`] and [`Channel::issue`]'s assert both go
+    /// through it.
+    #[inline]
+    pub fn probe(&self, gates: &Gates, loc: &Location, op: MemOp) -> (NextCommand, Cycle) {
+        let (next, local) = self.probe_local(loc);
+        (next, local.max(gates.bound(next, op)))
     }
 
     /// Earliest cycle at which the *next* command for (`loc`, `op`) may
@@ -383,6 +430,7 @@ impl Channel {
             }
         };
         self.cmd_free_at = now + 1;
+        self.version += 1;
         self.last_issued = Some(CommandRecord {
             at: now,
             loc: *loc,

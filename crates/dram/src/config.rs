@@ -229,7 +229,8 @@ impl DramConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any dimension is zero or not a power of
-    /// two, if the row size is not a multiple of the burst size, or if the
+    /// two, if a channel would have more than 64 banks (`ranks * banks`),
+    /// if the row size is not a multiple of the burst size, or if the
     /// burst size is not a multiple of the channel width (bursts must occupy
     /// a whole number of beats matching the timing set's BL).
     pub fn build(self) -> Result<DramConfig, ConfigError> {
@@ -245,6 +246,15 @@ impl DramConfigBuilder {
                     "{name} must be a non-zero power of two, got {v}"
                 )));
             }
+        }
+        if c.ranks * c.banks > 64 {
+            return Err(ConfigError::new(format!(
+                "{} ranks x {} banks is {} banks per channel; the limit is 64, one bit \
+                 each in the memory controller's row-guard bank mask",
+                c.ranks,
+                c.banks,
+                c.ranks * c.banks
+            )));
         }
         if !c.row_bytes.is_power_of_two() || !c.burst_bytes.is_power_of_two() {
             return Err(ConfigError::new(
@@ -289,6 +299,17 @@ mod tests {
     fn builder_rejects_non_power_of_two() {
         assert!(DramConfig::builder().channels(3).build().is_err());
         assert!(DramConfig::builder().rows(0).build().is_err());
+    }
+
+    #[test]
+    fn builder_rejects_more_than_64_banks_per_channel() {
+        let err = DramConfig::builder()
+            .ranks(8)
+            .banks(16)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("limit is 64"), "{err}");
+        assert!(DramConfig::builder().ranks(4).banks(16).build().is_ok());
     }
 
     #[test]

@@ -10,8 +10,37 @@
 //! decision reads — queued entries, per-policy round-robin/aging state,
 //! the channel's DRAM timing — is local to this struct plus the
 //! [`Channel`] it is ticked against.
-
-use std::collections::VecDeque;
+//!
+//! # The scheduling table
+//!
+//! Queued transactions live in one flat table in arrival order. Besides
+//! the transaction, an entry carries the command it needs next, the
+//! bank- and rank-local bound on that command ([`Channel::probe_local`])
+//! and `earliest`, that bound joined with the channel gate of the command
+//! ([`sara_dram::Gates::bound`]); the controller keeps the minimum
+//! `earliest` (`first_legal`) and the mask of banks with a queued row
+//! hit. **Invariant:** whenever a decision reads the table, every entry
+//! equals a fresh [`Channel::probe`] of it, and the two summaries
+//! equal what a pass over the entries would compute. Three events
+//! invalidate that, and each has one owner that repairs it:
+//!
+//! 1. *The controller issues a command.* That changes the local bound of
+//!    the entries on the issued bank, of the ACT-pending entries of the
+//!    rank when the command was an ACT, and all three gates — so
+//!    `issue` ends with the one pass that re-probes exactly those entries
+//!    and re-joins every entry with the new gates.
+//! 2. *A transaction is accepted.* It is appended unprobed (`accept` has no
+//!    channel to ask); the next tick probes the entries behind `synced`.
+//! 3. *Anything else moves the channel* — a refresh performed by
+//!    [`Channel::advance`], [`Channel::set_clock`], another driver issuing
+//!    on the same channel, a cloned controller that fell behind. All of
+//!    them move [`Channel::version`]; a tick compares it with the version
+//!    the table was last repaired against and re-probes everything when
+//!    they differ. This is the only full re-probe.
+//!
+//! Nothing is checked per entry, and an idle tick does no pass at all.
+//! Debug builds verify the invariant against a fresh probe of every entry
+//! on every tick.
 
 use sara_dram::{Channel, Location, NextCommand};
 use sara_types::{Cycle, Transaction};
@@ -21,30 +50,32 @@ use crate::controller::{Completion, TickResult};
 use crate::policy::{select, Candidate, PolicyKind, PolicyState, AGED_PRIORITY};
 use crate::stats::McStats;
 
-/// A transaction resident in a class queue.
+/// One row of the scheduling table: a queued transaction and what the
+/// channel last said about it (see the module docs for when that is
+/// current).
 #[derive(Debug, Clone)]
-pub(crate) struct Entry {
-    pub(crate) txn: Transaction,
-    pub(crate) loc: Location,
-    pub(crate) accepted_at: Cycle,
-}
-
-/// One queue entry as the last scan saw it: where it sits, the command it
-/// needs next and the earliest cycle that command is legal.
-#[derive(Debug, Clone, Copy)]
-struct Probed {
-    queue: usize,
-    pos: usize,
+struct Entry {
+    txn: Transaction,
+    loc: Location,
+    accepted_at: Cycle,
+    /// [`Channel::bank_index`] of `loc`: which issued commands invalidate
+    /// this entry, and its bit in the row-guard mask.
+    bank: usize,
+    /// The command the transaction needs next.
     next: NextCommand,
+    /// The bank- and rank-local bound on `next`.
+    local: Cycle,
+    /// Earliest legal issue cycle: `local` joined with the gate of `next`.
     earliest: Cycle,
 }
 
 /// The scheduling engine for one DRAM channel.
 ///
-/// Owns the channel's slice of the five class queues, its own
-/// round-robin/aging [`PolicyState`] and its own counters, and issues at
-/// most one DRAM command per [`ChannelController::tick`] against the
-/// [`Channel`] it is paired with. Admission (the shared 42-entry budget)
+/// Owns the channel's slice of the five class queues (as one scheduling
+/// table, see the module docs), its own round-robin/aging [`PolicyState`]
+/// and its own counters, and issues at most one DRAM command per
+/// [`ChannelController::tick`] against the one [`Channel`] it is paired
+/// with for life. Admission (the shared 42-entry budget)
 /// is the front-end's job; [`ChannelController::accept`] trusts that the
 /// caller already charged the budget.
 ///
@@ -80,20 +111,27 @@ struct Probed {
 pub struct ChannelController {
     channel: usize,
     cfg: McConfig,
-    queues: [VecDeque<Entry>; NUM_QUEUES],
+    /// The scheduling table, in arrival order.
+    table: Vec<Entry>,
+    /// Entries of `table` per class queue.
+    class_counts: [usize; NUM_QUEUES],
+    /// `table[..synced]` has been probed; the rest was accepted since.
+    synced: usize,
+    /// [`Channel::version`] the probed entries and the two summaries below
+    /// are exact against.
+    version: u64,
+    /// Banks with a probed row hit, by [`Channel::bank_index`] (row-guard
+    /// mask).
+    banks_with_hits: u64,
+    /// Earliest legality cycle over the probed entries ([`Cycle::MAX`]
+    /// when there are none): no decision before it can find a candidate.
+    first_legal: Cycle,
     state: PolicyState,
     stats: McStats,
-    /// Scratch of the last scan, reused across ticks.
-    probed: Vec<Probed>,
-    /// Banks with a queued row hit at the last scan (row-guard mask).
-    banks_with_hits: u64,
-    /// Earliest legality cycle over the last scan ([`Cycle::MAX`] when
-    /// nothing is queued): no decision before it can find a candidate.
-    first_legal: Cycle,
     /// Scratch of the last decision: the candidates handed to the policy
-    /// and, per candidate, its index into `probed`.
+    /// and, per candidate, its index into `table`.
     cands: Vec<Candidate>,
-    cand_probe: Vec<usize>,
+    cand_entry: Vec<usize>,
 }
 
 impl ChannelController {
@@ -101,14 +139,17 @@ impl ChannelController {
     pub fn new(cfg: McConfig, channel: usize) -> Self {
         ChannelController {
             channel,
-            queues: Default::default(),
-            state: PolicyState::default(),
-            stats: McStats::default(),
-            probed: Vec::with_capacity(cfg.total_entries()),
+            table: Vec::with_capacity(cfg.total_entries()),
+            class_counts: [0; NUM_QUEUES],
+            synced: 0,
+            // No channel's counter reaches this, so the first tick probes.
+            version: u64::MAX,
             banks_with_hits: 0,
             first_legal: Cycle::MAX,
+            state: PolicyState::default(),
+            stats: McStats::default(),
             cands: Vec::with_capacity(cfg.total_entries()),
-            cand_probe: Vec::with_capacity(cfg.total_entries()),
+            cand_entry: Vec::with_capacity(cfg.total_entries()),
             cfg,
         }
     }
@@ -136,13 +177,13 @@ impl ChannelController {
     /// Transactions currently queued on this channel.
     #[inline]
     pub fn queued(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.table.len()
     }
 
     /// Transactions of one class queued on this channel.
     #[inline]
     pub fn queued_in_class(&self, class_queue: usize) -> usize {
-        self.queues[class_queue].len()
+        self.class_counts[class_queue]
     }
 
     /// Switches the scheduling policy mid-run; queued entries compete
@@ -152,19 +193,25 @@ impl ChannelController {
     }
 
     /// Enqueues a transaction the front-end already admitted against the
-    /// shared budget. `loc` must decode to this controller's channel.
+    /// shared budget. `loc` must decode to this controller's channel. The
+    /// entry is probed by the next tick.
     pub fn accept(&mut self, txn: Transaction, loc: Location, now: Cycle) {
         debug_assert_eq!(
             loc.channel, self.channel,
             "transaction routed to wrong lane"
         );
         let q = txn.class.queue_index();
-        self.queues[q].push_back(Entry {
+        self.class_counts[q] += 1;
+        self.stats.class_mut(q).accepted += 1;
+        self.table.push(Entry {
             txn,
             loc,
             accepted_at: now,
+            bank: 0,
+            next: NextCommand::Activate,
+            local: Cycle::MAX,
+            earliest: Cycle::MAX,
         });
-        self.stats.class_mut(q).accepted += 1;
     }
 
     /// Attempts to issue one DRAM command on the paired channel at cycle
@@ -177,14 +224,19 @@ impl ChannelController {
     /// Issues the first command that becomes legal in `[now, limit)` and
     /// returns it with its issue cycle — exactly what a chain of
     /// [`ChannelController::tick`] calls following each `retry_at` would
-    /// do, for one queue scan instead of one per call. When nothing is
-    /// issuable at `now` the decision moves to the earliest recorded
-    /// legality cycle and is re-evaluated from the scan's values; those
-    /// only go stale when [`Channel::advance`] performs a refresh on the
-    /// way, which triggers a rescan. If nothing can issue before `limit`
-    /// the result is `Idle` with the next retry cycle (≥ `limit`), paired
-    /// with the last cycle a decision was evaluated at. `now` itself is
-    /// always evaluated, whatever `limit` is.
+    /// do, without re-deriving anything the chain would find unchanged.
+    /// The call first brings the scheduling table up to date (module
+    /// docs): it probes the entries accepted since the last tick, or every
+    /// entry when [`Channel::version`] says something other than this
+    /// controller's own commands moved the channel. When nothing is
+    /// issuable at `now` the decision moves to the earliest legality cycle
+    /// in the table and is re-evaluated there; the table only goes stale
+    /// on the way when [`Channel::advance`] performs a refresh, which
+    /// moves the version and so triggers the full re-probe. An issued
+    /// command repairs the table before the call returns. If nothing can
+    /// issue before `limit` the result is `Idle` with the next retry cycle
+    /// (≥ `limit`), paired with the last cycle a decision was evaluated
+    /// at. `now` itself is always evaluated, whatever `limit` is.
     pub fn tick_until(
         &mut self,
         now: Cycle,
@@ -192,7 +244,7 @@ impl ChannelController {
         chan: &mut Channel,
     ) -> (Cycle, TickResult) {
         chan.advance(now);
-        self.scan(chan);
+        self.sync(chan);
         let mut at = now;
         loop {
             match self.decide(at) {
@@ -200,7 +252,7 @@ impl ChannelController {
                 Err(Some(next)) if next < limit => {
                     at = next;
                     if chan.advance(at) {
-                        self.scan(chan);
+                        self.sync(chan);
                     }
                 }
                 Err(retry_at) => return (at, TickResult::Idle { retry_at }),
@@ -208,38 +260,71 @@ impl ChannelController {
         }
     }
 
-    /// Records, for every queued entry, the command it needs next and the
-    /// earliest cycle that command is legal, plus the banks holding a
-    /// queued row hit. One bank lookup per entry; the values stay true
-    /// until the channel changes state.
-    fn scan(&mut self, chan: &Channel) {
-        let gates = chan.gates();
-        self.probed.clear();
-        self.banks_with_hits = 0;
-        self.first_legal = Cycle::MAX;
-        for (qi, queue) in self.queues.iter().enumerate() {
-            for (pos, entry) in queue.iter().enumerate() {
-                let (next, earliest) = chan.probe(&gates, &entry.loc, entry.txn.op);
-                if next.is_row_hit() {
-                    self.banks_with_hits |= bank_bit(&entry.loc);
-                }
-                self.first_legal = self.first_legal.min(earliest);
-                self.probed.push(Probed {
-                    queue: qi,
-                    pos,
-                    next,
-                    earliest,
-                });
-            }
+    /// Makes the table current against `chan`: probes the entries accepted
+    /// since the last tick — every entry, when the channel's version is
+    /// not the one the table was last repaired against.
+    fn sync(&mut self, chan: &Channel) {
+        let moved = self.version != chan.version();
+        if moved || self.synced < self.table.len() {
+            self.repair(chan, if moved { 0 } else { self.synced }, |_| true);
         }
+        #[cfg(debug_assertions)]
+        self.assert_current(chan);
     }
 
-    /// Runs the policy over the entries the last scan found legal at `at`.
-    /// Returns the winner's index into the candidate scratch, or the
-    /// earliest later cycle any entry becomes legal.
+    /// The one pass that keeps the table current: re-probes the entries of
+    /// `table[from..]` that `stale` names, re-joins every one of them with
+    /// the channel's gates and folds them into the two summaries (started
+    /// afresh when `from` is 0). Entries before `from` must be current.
+    #[inline]
+    fn repair(&mut self, chan: &Channel, from: usize, stale: impl Fn(&Entry) -> bool) {
+        if from == 0 {
+            self.banks_with_hits = 0;
+            self.first_legal = Cycle::MAX;
+        }
+        let gates = chan.gates();
+        for entry in &mut self.table[from..] {
+            if stale(entry) {
+                entry.bank = chan.bank_index(&entry.loc);
+                (entry.next, entry.local) = chan.probe_local(&entry.loc);
+            }
+            entry.earliest = entry.local.max(gates.bound(entry.next, entry.txn.op));
+            self.banks_with_hits |= entry.hit_bit();
+            self.first_legal = self.first_legal.min(entry.earliest);
+        }
+        self.version = chan.version();
+        self.synced = self.table.len();
+    }
+
+    /// The table's invariant, checked against a fresh probe of every
+    /// entry (debug builds, every tick).
+    #[cfg(debug_assertions)]
+    fn assert_current(&self, chan: &Channel) {
+        let gates = chan.gates();
+        let (mut hits, mut first) = (0, Cycle::MAX);
+        for entry in &self.table {
+            let fresh = chan.probe(&gates, &entry.loc, entry.txn.op);
+            assert_eq!(
+                (entry.next, entry.earliest),
+                fresh,
+                "stale table entry for {} at {}",
+                entry.txn.id,
+                entry.loc
+            );
+            assert_eq!(entry.bank, chan.bank_index(&entry.loc));
+            hits |= entry.hit_bit();
+            first = first.min(fresh.1);
+        }
+        assert_eq!(self.banks_with_hits, hits, "stale row-guard mask");
+        assert_eq!(self.first_legal, first, "stale first_legal");
+    }
+
+    /// Runs the policy over the entries legal at `at`. Returns the
+    /// winner's index into the candidate scratch, or the earliest later
+    /// cycle any entry becomes legal.
     fn decide(&mut self, at: Cycle) -> Result<usize, Option<Cycle>> {
         if self.first_legal > at {
-            return Err((!self.probed.is_empty()).then_some(self.first_legal));
+            return Err((!self.table.is_empty()).then_some(self.first_legal));
         }
         // Row-buffer protection (open-page policy): banks that still have
         // queued same-row hits should not be precharged from under them by
@@ -254,12 +339,11 @@ impl ChannelController {
             None
         };
         self.cands.clear();
-        self.cand_probe.clear();
-        for (i, probe) in self.probed.iter().enumerate() {
-            if probe.earliest > at {
+        self.cand_entry.clear();
+        for (i, entry) in self.table.iter().enumerate() {
+            if entry.earliest > at {
                 continue;
             }
-            let entry = &self.queues[probe.queue][probe.pos];
             // Backlog clearing (§3.3) bounds the waiting time of
             // transactions with a QoS stamp; best-effort (priority 0)
             // traffic has no target to protect and never ages.
@@ -271,8 +355,8 @@ impl ChannelController {
                 entry.txn.priority.as_u8()
             };
             if row_guard
-                && matches!(probe.next, NextCommand::Precharge)
-                && self.banks_with_hits & bank_bit(&entry.loc) != 0
+                && matches!(entry.next, NextCommand::Precharge)
+                && self.banks_with_hits & bank_bit(entry.bank) != 0
             {
                 // Suppress the row-closing precharge while hits are
                 // pending — unless this transaction is urgent enough to
@@ -284,62 +368,86 @@ impl ChannelController {
                 }
             }
             self.cands.push(Candidate {
-                queue: probe.queue,
+                queue: entry.txn.class.queue_index(),
                 seq: entry.txn.id.as_u64(),
                 dma: entry.txn.dma,
                 priority: entry.txn.priority,
                 effective_priority,
                 urgent: entry.txn.urgent,
-                row_hit: probe.next.is_row_hit(),
+                row_hit: entry.next.is_row_hit(),
             });
-            self.cand_probe.push(i);
+            self.cand_entry.push(i);
         }
         select(policy, &self.cands, &mut self.state, self.cfg.delta()).ok_or_else(|| {
-            let later = self.probed.iter().map(|p| p.earliest).filter(|&e| e > at);
+            let later = self.table.iter().map(|e| e.earliest).filter(|&e| e > at);
             later.min()
         })
     }
 
     /// Issues the next command of candidate `winner` at `now`; a column
-    /// command completes its transaction and removes it from the queue.
+    /// command completes its transaction and removes it from the table.
+    /// Either way the table is repaired against the channel's new state.
     fn issue(&mut self, winner: usize, now: Cycle, chan: &mut Channel) -> TickResult {
         let cand = self.cands[winner];
-        let Probed { queue: qi, pos, .. } = self.probed[self.cand_probe[winner]];
-        let entry = &self.queues[qi][pos];
+        let pos = self.cand_entry[winner];
+        let entry = &self.table[pos];
+        let (bank, rank) = (entry.bank, entry.loc.rank);
+        let was_act = matches!(entry.next, NextCommand::Activate);
         let issued = chan.issue(&entry.loc, entry.txn.op, now);
         self.stats.commands_issued += 1;
 
-        let Some(done_at) = issued.completion() else {
-            return TickResult::Issued { completed: None };
-        };
-        let entry = self.queues[qi].remove(pos).expect("winner position valid");
-        let queued_for = now.saturating_sub(entry.accepted_at);
-        let was_aged = cand.effective_priority == AGED_PRIORITY;
-        let class = self.stats.class_mut(qi);
-        class.completed += 1;
-        class.total_wait += queued_for;
-        class.max_wait = class.max_wait.max(queued_for);
-        if was_aged {
-            class.aged += 1;
-        }
-        self.state.advance(qi, entry.txn.dma);
-        TickResult::Issued {
-            completed: Some(Completion {
+        let completed = issued.completion().map(|done_at| {
+            let entry = self.table.remove(pos);
+            let queued_for = now.saturating_sub(entry.accepted_at);
+            let was_aged = cand.effective_priority == AGED_PRIORITY;
+            self.class_counts[cand.queue] -= 1;
+            let class = self.stats.class_mut(cand.queue);
+            class.completed += 1;
+            class.total_wait += queued_for;
+            class.max_wait = class.max_wait.max(queued_for);
+            if was_aged {
+                class.aged += 1;
+            }
+            self.state.advance(cand.queue, entry.txn.dma);
+            Completion {
                 txn: entry.txn,
                 done_at,
                 issued_at: now,
                 queued_for,
                 row_hit: cand.row_hit,
                 was_aged,
-            }),
-        }
+            }
+        });
+
+        // The command moved the local bound of the entries on its bank —
+        // and, as an ACT, tRRD/tFAW for the entries of its rank that wait
+        // for an ACT themselves — and every gate. Everything was probed
+        // before the decision, so nothing else is behind.
+        self.repair(chan, 0, |entry| {
+            entry.bank == bank
+                || (was_act
+                    && entry.loc.rank == rank
+                    && matches!(entry.next, NextCommand::Activate))
+        });
+        TickResult::Issued { completed }
     }
 }
 
-/// The row-guard bitmask position of `loc`'s bank.
+impl Entry {
+    /// This entry's bit in the row-guard mask if it is a row hit, else 0.
+    #[inline]
+    fn hit_bit(&self) -> u64 {
+        u64::from(self.next.is_row_hit()) * bank_bit(self.bank)
+    }
+}
+
+/// The row-guard mask bit of the bank with [`Channel::bank_index`] `bank`:
+/// one bit per bank for the at most 64 banks per channel a
+/// [`sara_dram::DramConfig`] allows. A larger hand-built [`Channel`] would
+/// share a bit between banks 64 apart, which can only over-guard.
 #[inline]
-fn bank_bit(loc: &Location) -> u64 {
-    1 << (loc.rank * 32 + loc.bank).min(63)
+fn bank_bit(bank: usize) -> u64 {
+    1 << (bank % 64)
 }
 
 /// The shared policy front-end of the split controller: admission against
@@ -477,6 +585,57 @@ mod tests {
         assert_eq!(ctrl.queued(), 0);
         assert_eq!(ctrl.stats().total_completed(), 2);
         assert!(ctrl.stats().commands_issued >= 2);
+    }
+
+    /// The row guard protects a bank with a queued row hit from being
+    /// precharged — that bank, not every bank that shares a mask bit with
+    /// it. With `rank * 32 + bank` clamped to 63, all banks of ranks ≥ 2
+    /// shared bit 63, so a pending hit in rank 2 held back a legal PRE in
+    /// rank 3.
+    #[test]
+    fn row_guard_does_not_alias_banks_across_ranks() {
+        use sara_dram::DramCommand;
+        let at = |rank, bank, row| Location {
+            channel: 0,
+            rank,
+            bank,
+            row,
+            col: 0,
+        };
+        for policy in [PolicyKind::FrFcfs, PolicyKind::QosRowBuffer] {
+            for (hit_rank, other_rank) in [(0, 1), (2, 3)] {
+                let mut chan = Channel::new(TimingParams::lpddr4_1866(), 4, 8, 128);
+                let cfg = McConfig::builder(policy).build().unwrap();
+                let mut ctrl = ChannelController::new(cfg, 0);
+                // Open row 1 in both banks with one read each.
+                ctrl.accept(txn(0, CoreKind::Cpu, 1), at(hit_rank, 0, 1), Cycle::ZERO);
+                ctrl.accept(txn(1, CoreKind::Cpu, 1), at(other_rank, 5, 1), Cycle::ZERO);
+                let mut now = Cycle::ZERO;
+                while ctrl.queued() > 0 {
+                    now = match ctrl.tick(now, &mut chan) {
+                        TickResult::Issued { .. } => now + 1,
+                        TickResult::Idle { retry_at } => retry_at.expect("work queued"),
+                    };
+                }
+                // A write hit that must wait out the read→write turnaround,
+                // and a low-priority conflict in another bank whose PRE is
+                // legal right now.
+                let conflict = at(other_rank, 5, 2);
+                let now = chan.earliest(&conflict, MemOp::Read).max(now);
+                let mut hit = txn(2, CoreKind::Cpu, 1);
+                hit.op = MemOp::Write;
+                assert!(chan.earliest(&at(hit_rank, 0, 1), MemOp::Write) > now);
+                ctrl.accept(hit, at(hit_rank, 0, 1), now);
+                ctrl.accept(txn(3, CoreKind::Cpu, 1), conflict, now);
+                assert_eq!(
+                    ctrl.tick(now, &mut chan),
+                    TickResult::Issued { completed: None },
+                    "{policy:?}: hit in rank {hit_rank} must not guard rank {other_rank}"
+                );
+                let cmd = chan.last_issued().expect("just issued");
+                assert_eq!((cmd.loc, cmd.cmd), (conflict, DramCommand::Precharge));
+            }
+        }
     }
 
     #[test]
