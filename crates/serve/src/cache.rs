@@ -9,15 +9,62 @@
 //! `SimReport::to_json_value`) to what a fresh simulation of the same
 //! cell would produce — which is what lets the server serve hits without
 //! perturbing the byte-level output contract.
+//!
+//! An entry ([`CachedReport`]) holds the report and, from the first time
+//! it answers a hit, the report's compact JSON. The cache hands entries
+//! out behind an [`Arc`], so a hit copies a pointer under the cache lock
+//! and nothing else; the JSON is rendered by whoever first asks for it
+//! ([`CachedReport::json`], outside the lock) and every later hit copies
+//! those bytes. An entry that is never hit never carries a rendering: a
+//! report is a few hundred bytes, its JSON about 8 KB, and most entries of
+//! a long-running server are inserted once and not asked for again.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use sara_sim::SimReport;
+
+/// One cache entry: a report plus, once a hit has asked for it, the
+/// report's compact JSON.
+#[derive(Debug)]
+pub struct CachedReport {
+    report: SimReport,
+    json: OnceLock<Box<str>>,
+}
+
+impl CachedReport {
+    /// Wraps a report; nothing is rendered yet.
+    pub(crate) fn new(report: SimReport) -> Self {
+        CachedReport {
+            report,
+            json: OnceLock::new(),
+        }
+    }
+
+    /// The report itself.
+    pub fn report(&self) -> &SimReport {
+        &self.report
+    }
+
+    /// The report's compact JSON — `to_json_value().to_string_compact()`
+    /// — rendered by the first call and kept with the entry; every later
+    /// call returns the same string.
+    pub fn json(&self) -> &str {
+        // Boxed: the stored copy keeps no spare capacity.
+        self.json.get_or_init(|| self.render().into_boxed_str())
+    }
+
+    /// The same bytes as [`CachedReport::json`], rendered afresh and not
+    /// kept: what a just-simulated cell is answered with.
+    pub(crate) fn render(&self) -> String {
+        self.report.to_json_value().to_string_compact()
+    }
+}
 
 /// An in-memory fingerprint → report store with hit/miss accounting.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    reports: HashMap<u64, SimReport>,
+    reports: HashMap<u64, Arc<CachedReport>>,
     hits: u64,
     misses: u64,
 }
@@ -29,12 +76,13 @@ impl ResultCache {
     }
 
     /// Looks a fingerprint up, counting the outcome: a hit bumps the hit
-    /// counter, a miss the miss counter.
-    pub fn lookup(&mut self, fingerprint: u64) -> Option<SimReport> {
+    /// counter, a miss the miss counter. A hit shares the entry; no
+    /// report is copied.
+    pub fn lookup(&mut self, fingerprint: u64) -> Option<Arc<CachedReport>> {
         match self.reports.get(&fingerprint) {
-            Some(report) => {
+            Some(entry) => {
                 self.hits += 1;
-                Some(report.clone())
+                Some(Arc::clone(entry))
             }
             None => {
                 self.misses += 1;
@@ -45,7 +93,13 @@ impl ResultCache {
 
     /// Stores a freshly simulated report under its fingerprint.
     pub fn insert(&mut self, fingerprint: u64, report: SimReport) {
-        self.reports.insert(fingerprint, report);
+        self.insert_shared(fingerprint, Arc::new(CachedReport::new(report)));
+    }
+
+    /// Stores an entry its producer keeps a handle on: the report is
+    /// shared with the job that simulated it, not copied.
+    pub(crate) fn insert_shared(&mut self, fingerprint: u64, entry: Arc<CachedReport>) {
+        self.reports.insert(fingerprint, entry);
     }
 
     /// Number of distinct cells cached.
@@ -70,8 +124,7 @@ mod tests {
     use sara_memctrl::PolicyKind;
     use sara_scenarios::{catalog, cell_fingerprint, run_cell, CellSpec};
 
-    #[test]
-    fn lookup_counts_and_returns_identical_reports() {
+    fn camcorder_b_fcfs() -> (u64, SimReport) {
         let scenario = catalog::by_name("camcorder-b").unwrap();
         let cell = CellSpec {
             scenario: 0,
@@ -81,8 +134,12 @@ mod tests {
             duration_ms: 0.05,
         };
         let key = cell_fingerprint(&scenario, &cell, sara_sim::ENGINE_VERSION);
-        let report = run_cell(&scenario, &cell).unwrap();
+        (key, run_cell(&scenario, &cell).unwrap())
+    }
 
+    #[test]
+    fn lookup_counts_and_returns_identical_reports() {
+        let (key, report) = camcorder_b_fcfs();
         let mut cache = ResultCache::new();
         assert!(cache.is_empty());
         assert!(cache.lookup(key).is_none());
@@ -90,10 +147,43 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let hit = cache.lookup(key).expect("cached");
         assert_eq!(
-            hit.to_json_value().to_string_compact(),
+            hit.report().to_json_value().to_string_compact(),
             report.to_json_value().to_string_compact(),
             "a cache hit is byte-identical to the stored report"
         );
         assert_eq!(cache.stats(), (1, 1));
+    }
+
+    #[test]
+    fn hits_share_one_entry_rendered_once_on_first_use() {
+        let (key, report) = camcorder_b_fcfs();
+        let mut cache = ResultCache::new();
+        cache.insert(key, report.clone());
+        cache.insert(key + 1, report.clone());
+
+        let first = cache.lookup(key).expect("cached");
+        let second = cache.lookup(key).expect("cached");
+        assert!(Arc::ptr_eq(&first, &second), "a hit copies a pointer");
+        assert!(
+            first.json.get().is_none(),
+            "looking an entry up does not render it"
+        );
+
+        let rendered = first.json();
+        assert_eq!(rendered, report.to_json_value().to_string_compact());
+        assert_eq!(rendered, first.render());
+        assert!(
+            std::ptr::eq(rendered, second.json()),
+            "the second hit reads the first one's rendering"
+        );
+
+        // The entry nobody asked for holds no rendering, and the counters
+        // read as they always did: two hits above, one hit and one miss
+        // here.
+        assert!(cache.reports[&(key + 1)].json.get().is_none());
+        assert!(cache.lookup(key + 2).is_none());
+        assert!(cache.lookup(key + 1).is_some());
+        assert_eq!(cache.stats(), (3, 1));
+        assert_eq!(cache.len(), 2);
     }
 }

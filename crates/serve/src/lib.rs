@@ -59,7 +59,7 @@ pub mod journal;
 pub mod protocol;
 mod server;
 
-pub use cache::ResultCache;
+pub use cache::{CachedReport, ResultCache};
 pub use journal::{Journal, JOURNAL_TAG};
 pub use protocol::{JobRequest, JobSummary, ProtocolError, Request, ScenarioRef, FORMAT_TAG};
 pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE, STAGE_HISTOGRAMS};

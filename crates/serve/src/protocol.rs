@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use json::Value;
 use sara_memctrl::PolicyKind;
-use sara_scenarios::{MatrixCell, Scenario, ScreenMode};
+use sara_scenarios::{CellSpec, MatrixCell, Scenario, ScreenMode};
 
 /// The version tag carried by every request and response record.
 pub const FORMAT_TAG: &str = "sara-serve/v1";
@@ -407,11 +407,48 @@ pub fn accepted_record(id: &str, cells: usize) -> Value {
 /// `sara matrix` dump's `cells[seq]` entry carries, so the payload is
 /// byte-identical to the batch harness's output for the same cell.
 pub fn cell_record(id: &str, seq: usize, cell: &MatrixCell) -> Value {
+    let mut members = cell_envelope(id, seq);
+    members.extend(cell.json_members());
+    Value::Object(members)
+}
+
+/// What a `cell` record carries ahead of the cell's own members.
+fn cell_envelope(id: &str, seq: usize) -> Vec<(String, Value)> {
     let mut members = envelope("cell");
     members.push(kv("id", id));
     members.push(kv("seq", seq as u64));
-    members.extend(cell.json_members());
-    Value::Object(members)
+    members
+}
+
+/// The line — terminator included — of a simulated cell's record, built
+/// around the report's compact JSON as already rendered
+/// (`SimReport::to_json_value().to_string_compact()`): only the record's
+/// small head is assembled here, and `report_json` is copied in behind it
+/// as the `report` member. For the same cell the bytes equal
+/// `cell_record(..).write_ndjson_line(..)`, which stays the reference
+/// (and the builder for pruned cells); this is what lets the server answer
+/// a cache hit without walking the report again.
+pub fn simulated_cell_line(
+    id: &str,
+    seq: usize,
+    scenario: &str,
+    spec: &CellSpec,
+    report_json: &str,
+) -> String {
+    let mut members = cell_envelope(id, seq);
+    members.push(kv("scenario", scenario));
+    members.push(kv("policy", spec.policy.name()));
+    members.push(kv("freq_mhz", spec.freq.as_u32()));
+    members.push(kv("channels", spec.channels as u64));
+    let mut line = Value::Object(members).to_string_compact();
+    // Reopen the object: the head's closing brace makes way for one more
+    // member.
+    line.pop();
+    line.reserve(report_json.len() + 12);
+    line.push_str(",\"report\":");
+    line.push_str(report_json);
+    line.push_str("}\n");
+    line
 }
 
 /// Builds a job's final `summary` record.
@@ -591,6 +628,40 @@ mod tests {
         for (scenarios, needle) in [("[]", "scenarios"), ("[42]", "scenarios[0]")] {
             let err = parse_request(&submit_with(scenarios, "")).unwrap_err();
             assert!(err.message.contains(needle), "{scenarios}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn a_spliced_cell_line_equals_the_built_record() {
+        use sara_scenarios::{catalog, run_cell, CellOutcome};
+        let scenario = catalog::by_name("camcorder-b").unwrap();
+        let spec = CellSpec {
+            scenario: 0,
+            policy: PolicyKind::QosRowBuffer,
+            freq: scenario.freq,
+            channels: scenario.channels,
+            duration_ms: 0.05,
+        };
+        let report = run_cell(&scenario, &spec).unwrap();
+        let report_json = report.to_json_value().to_string_compact();
+        // Ids and scenario names come from the client: the head goes
+        // through the same escaping as the built record.
+        for (id, name) in [("j", "camcorder-b"), ("a\"b\\c\n", "inline \"x\"\t\u{1}é")] {
+            let cell = MatrixCell {
+                scenario: name.to_string(),
+                policy: spec.policy,
+                freq: spec.freq,
+                channels: spec.channels,
+                outcome: CellOutcome::Simulated(Box::new(report.clone())),
+            };
+            let mut built = Vec::new();
+            cell_record(id, 7, &cell)
+                .write_ndjson_line(&mut built)
+                .unwrap();
+            assert_eq!(
+                simulated_cell_line(id, 7, name, &spec, &report_json).into_bytes(),
+                built
+            );
         }
     }
 

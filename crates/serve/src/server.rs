@@ -14,20 +14,20 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::ops::ControlFlow;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
     catalog, expand_cells, run_cell, run_ordered, screen_cell, summarize_cells, CellOutcome,
-    CellProfile, MatrixCell, MatrixSpec, Scenario, ScenarioFingerprint, ScreenMode,
+    CellProfile, CellSpec, MatrixCell, MatrixSpec, Scenario, ScenarioFingerprint, ScreenMode,
 };
 use sara_sim::{AnalyticReport, ScreenVerdict};
 use sara_sim::{SimReport, ENGINE_VERSION};
 use sara_telemetry::{prometheus, Metric, Registry, TimeSource, WallClock};
 use sara_types::ConfigError;
 
-use crate::cache::ResultCache;
+use crate::cache::{CachedReport, ResultCache};
 use crate::journal::Journal;
 use crate::protocol::{self, JobRequest, JobSummary, Request, ScenarioRef};
 
@@ -92,8 +92,8 @@ pub struct Server {
 /// Where a cell's report comes from, decided up front so the hit/miss
 /// accounting is a pure function of the job and the cache state.
 enum CellSource {
-    /// Served from the result cache.
-    Cached(Box<SimReport>),
+    /// Served from the result cache: a handle on the entry, not a copy.
+    Cached(Arc<CachedReport>),
     /// A within-job duplicate of an earlier cell (by fingerprint); filled
     /// from that cell's report, never simulated.
     DupOf(usize),
@@ -103,6 +103,24 @@ enum CellSource {
     Screened(Box<AnalyticReport>),
     /// Simulated by the job's workers.
     Run,
+}
+
+/// What an emitted cell was answered with, kept to the end of the job.
+#[derive(Clone)]
+enum Answer<'a> {
+    /// A report: the cache's entry on a hit, the entry-to-be of a cell
+    /// this job simulated. Shared, never copied.
+    Simulated(Arc<CachedReport>),
+    /// The screener's evaluation, held by the cell's [`CellSource`].
+    Screened(&'a AnalyticReport),
+}
+
+/// What follows the head of a `cell` record.
+enum CellBody<'a> {
+    /// A simulated cell: its report's compact JSON, spliced in as is.
+    Report(&'a str),
+    /// A pruned cell: the verdict and the closed-form evaluation.
+    Screened(&'a AnalyticReport),
 }
 
 /// A simulated cell's outcome with its capture context: which worker ran
@@ -529,10 +547,10 @@ impl Server {
                     hits += 1;
                     sources.push(CellSource::DupOf(j));
                     true
-                } else if let Some(report) = cache.lookup(fp) {
+                } else if let Some(entry) = cache.lookup(fp) {
                     hits += 1;
                     first_seen.insert(fp, i);
-                    sources.push(CellSource::Cached(Box::new(report)));
+                    sources.push(CellSource::Cached(entry));
                     true
                 } else {
                     misses += 1;
@@ -564,7 +582,7 @@ impl Server {
             .iter()
             .filter(|s| matches!(s, CellSource::Run))
             .count();
-        let mut outcomes: Vec<CellOutcome> = Vec::with_capacity(cells.len());
+        let mut answers: Vec<Answer> = Vec::with_capacity(cells.len());
         let stopped = run_ordered(
             cells.len(),
             self.workers.min(runnable),
@@ -582,10 +600,15 @@ impl Server {
                 })
             },
             |i, timed| {
-                let outcome = match &sources[i] {
-                    CellSource::Cached(report) => CellOutcome::Simulated(report.clone()),
-                    CellSource::DupOf(j) => outcomes[*j].clone(),
-                    CellSource::Screened(analytic) => CellOutcome::Screened((**analytic).clone()),
+                // A hit is answered with its entry's stored rendering (made
+                // on the entry's first hit), and so is an in-job duplicate,
+                // which counts as one; a cell simulated here is answered
+                // with a rendering that lives no longer than its record.
+                let mut fresh_json = None;
+                let answer = match &sources[i] {
+                    CellSource::Cached(entry) => Answer::Simulated(Arc::clone(entry)),
+                    CellSource::DupOf(j) => answers[*j].clone(),
+                    CellSource::Screened(analytic) => Answer::Screened(analytic),
                     CellSource::Run => {
                         let timed = timed.expect("a Run cell was simulated");
                         let wait_us = timed.start_us.saturating_sub(queued_us[i]);
@@ -609,7 +632,11 @@ impl Server {
                             timed.end_us,
                         );
                         match timed.result {
-                            Ok(report) => CellOutcome::Simulated(Box::new(report)),
+                            Ok(report) => {
+                                let entry = CachedReport::new(report);
+                                fresh_json = Some(entry.render());
+                                Answer::Simulated(Arc::new(entry))
+                            }
                             // The job ends at its first failing cell.
                             Err(e) => {
                                 return ControlFlow::Break(self.refuse(
@@ -622,17 +649,17 @@ impl Server {
                         }
                     }
                 };
-                let cell = MatrixCell {
-                    scenario: scenarios[cells[i].scenario].name.clone(),
-                    policy: cells[i].policy,
-                    freq: cells[i].freq,
-                    channels: cells[i].channels,
-                    outcome,
+                let body = match &answer {
+                    Answer::Simulated(entry) => {
+                        CellBody::Report(fresh_json.as_deref().unwrap_or_else(|| entry.json()))
+                    }
+                    Answer::Screened(analytic) => CellBody::Screened(analytic),
                 };
-                if let Err(e) = self.emit_cell(job, job_no, i, &cell, writer) {
+                let name = &scenarios[cells[i].scenario].name;
+                if let Err(e) = self.emit_cell(job, job_no, i, name, &cells[i], body, writer) {
                     return ControlFlow::Break(Err(e));
                 }
-                outcomes.push(cell.outcome);
+                answers.push(answer);
                 ControlFlow::Continue(())
             },
         );
@@ -640,23 +667,24 @@ impl Server {
             return ended;
         }
 
-        // Publish fresh results so no future job simulates these cells.
+        // Publish fresh results so no future job simulates these cells:
+        // the cache takes a handle on the entry the job already holds.
         {
             let mut cache = self.cache.lock().expect("cache");
-            for (i, source) in sources.iter().enumerate() {
-                if let (CellSource::Run, CellOutcome::Simulated(report)) = (source, &outcomes[i]) {
-                    cache.insert(fingerprints[i], (**report).clone());
+            for (i, answer) in answers.iter().enumerate() {
+                if let (CellSource::Run, Answer::Simulated(entry)) = (&sources[i], answer) {
+                    cache.insert_shared(fingerprints[i], Arc::clone(entry));
                 }
             }
         }
 
-        let targets_met = outcomes
+        let targets_met = answers
             .iter()
-            .filter(|o| match o {
-                CellOutcome::Simulated(r) => r.all_targets_met(),
+            .filter(|answer| match answer {
+                Answer::Simulated(entry) => entry.report().all_targets_met(),
                 // A pruned cell counts exactly as its verdict proves:
                 // trivial cells meet every target, infeasible ones don't.
-                CellOutcome::Screened(a) => a.verdict == ScreenVerdict::ProvablyTrivial,
+                Answer::Screened(a) => a.verdict == ScreenVerdict::ProvablyTrivial,
             })
             .count();
         let artifact = match &job.json_out {
@@ -665,9 +693,19 @@ impl Server {
                 // The artifact is the exact `sara matrix --json` document
                 // for this job's matrix: same cells, same rankings, same
                 // bytes (profiles are wall-clock and stay out of the JSON,
-                // so zeroed placeholders are invisible).
+                // so zeroed placeholders are invisible). It is the one
+                // place a served report is copied out of its entry.
+                let outcomes = answers
+                    .iter()
+                    .map(|answer| match answer {
+                        Answer::Simulated(entry) => {
+                            CellOutcome::Simulated(Box::new(entry.report().clone()))
+                        }
+                        Answer::Screened(analytic) => CellOutcome::Screened((*analytic).clone()),
+                    })
+                    .collect();
                 let profile = vec![CellProfile::default(); cells.len()];
-                let summary = summarize_cells(&scenarios, &cells, outcomes.clone(), profile);
+                let summary = summarize_cells(&scenarios, &cells, outcomes, profile);
                 let write =
                     std::fs::File::create(path).and_then(|mut f| summary.to_json_writer(&mut f));
                 if let Err(e) = write {
@@ -698,17 +736,37 @@ impl Server {
         writer.flush()
     }
 
-    /// Writes one cell record and journals its emission.
+    /// Writes one cell record — a single `write` — and journals its
+    /// emission. A simulated cell's line is its small head with the
+    /// report's JSON spliced in behind it, whoever rendered that JSON:
+    /// this job a moment ago, or the first hit on the cache entry.
+    #[allow(clippy::too_many_arguments)]
     fn emit_cell<W: Write>(
         &self,
         job: &JobRequest,
         job_no: u64,
         i: usize,
-        cell: &MatrixCell,
+        scenario: &str,
+        spec: &CellSpec,
+        body: CellBody<'_>,
         writer: &mut W,
     ) -> io::Result<()> {
         let t_emit = self.clock.now_us();
-        protocol::cell_record(&job.id, i, cell).write_ndjson_line(writer)?;
+        match body {
+            CellBody::Report(report_json) => writer.write_all(
+                protocol::simulated_cell_line(&job.id, i, scenario, spec, report_json).as_bytes(),
+            )?,
+            CellBody::Screened(analytic) => {
+                let cell = MatrixCell {
+                    scenario: scenario.to_string(),
+                    policy: spec.policy,
+                    freq: spec.freq,
+                    channels: spec.channels,
+                    outcome: CellOutcome::Screened(analytic.clone()),
+                };
+                protocol::cell_record(&job.id, i, &cell).write_ndjson_line(writer)?;
+            }
+        }
         writer.flush()?;
         let t_done = self.clock.now_us();
         let emit_us = t_done.saturating_sub(t_emit);

@@ -223,6 +223,106 @@ fn served_cells_and_artifact_match_the_batch_harness_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `cell` lines of a transcript, terminators dropped.
+fn cell_lines(transcript: &str) -> Vec<&str> {
+    transcript
+        .lines()
+        .filter(|l| l.contains("\"type\":\"cell\""))
+        .collect()
+}
+
+#[test]
+fn a_hit_replays_the_cold_cell_lines_whether_it_renders_or_copies() {
+    // One server, the whole catalog under all six policies: the cold job
+    // simulates and renders, the first warm job renders each entry's
+    // stored JSON, the second copies it.
+    let server = Server::new(ServeConfig::default());
+    for name in catalog::names() {
+        let line = format!(
+            "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"cat\",\
+             \"scenarios\":[\"{name}\"],\"duration_ms\":0.05}}\n"
+        );
+        let cold = run_session(&server, &line);
+        let rendering = run_session(&server, &line);
+        let copying = run_session(&server, &line);
+        assert_eq!(cell_lines(&cold).len(), 6, "{name}");
+        for (warm, what) in [(&rendering, "first"), (&copying, "second")] {
+            let summary = of_type(&records(warm), "summary")[0].clone();
+            assert_eq!(u64_field(&summary, "cache_hits"), 6, "{name}");
+            assert_eq!(
+                cell_lines(warm),
+                cell_lines(&cold),
+                "{name}: the {what} warm reply drifted from the cold one"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_kind_of_cell_is_emitted_as_the_reference_builder_would() {
+    // saturation and camcorder-b at 400 MHz are pruned; 1866 MHz twice
+    // makes each simulated cell and an in-job duplicate of it. With
+    // saturation's two simulated cells cached beforehand the job holds a
+    // hit, a miss, a duplicate of each and screened cells.
+    let server = Server::new(ServeConfig::default());
+    let warm_up = "{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"w\",\
+                   \"scenarios\":[\"saturation\"],\"policies\":[\"FCFS\",\"QoS\"],\
+                   \"freqs_mhz\":[1866],\"duration_ms\":0.05}\n";
+    run_session(&server, warm_up);
+    let mixed = "{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"mix\",\
+                 \"scenarios\":[\"saturation\",\"camcorder-b\"],\
+                 \"policies\":[\"FCFS\",\"QoS\"],\"freqs_mhz\":[400,1866,1866],\
+                 \"duration_ms\":0.05,\"screen\":\"prune\"}\n";
+    let transcript = run_session(&server, mixed);
+    let summary = of_type(&records(&transcript), "summary")[0].clone();
+    assert_eq!(u64_field(&summary, "cells"), 12);
+    assert_eq!(u64_field(&summary, "screened"), 4);
+    assert_eq!(u64_field(&summary, "cache_misses"), 2);
+    // Two cached cells, and the second copy of all four simulated ones.
+    assert_eq!(u64_field(&summary, "cache_hits"), 6);
+
+    let scenarios: Vec<_> = ["saturation", "camcorder-b"]
+        .iter()
+        .map(|name| catalog::by_name(name).unwrap())
+        .collect();
+    let batch = run_matrix(
+        &scenarios,
+        &MatrixSpec {
+            freqs_mhz: vec![400, 1866, 1866],
+            screen: ScreenMode::Prune,
+            ..submit_spec()
+        },
+    )
+    .unwrap();
+    let mut reference = Vec::new();
+    for (seq, cell) in batch.cells.iter().enumerate() {
+        sara_serve::protocol::cell_record("mix", seq, cell)
+            .write_ndjson_line(&mut reference)
+            .expect("writing to a Vec cannot fail");
+    }
+    let reference = String::from_utf8(reference).expect("utf-8 records");
+    assert_eq!(cell_lines(&transcript), cell_lines(&reference));
+}
+
+#[test]
+fn an_all_hit_job_writes_the_artifact_of_the_all_miss_job_before_it() {
+    let dir = scratch("artifact-from-cache");
+    let (cold, warm) = (dir.join("cold.json"), dir.join("warm.json"));
+    let server = Server::new(ServeConfig::default());
+    for (id, path, hits) in [("cold", &cold, 0), ("warm", &warm, 2)] {
+        let transcript = run_session(
+            &server,
+            &submit(id, &format!(",\"json_out\":\"{}\"", path.display())),
+        );
+        let summary = of_type(&records(&transcript), "summary")[0].clone();
+        assert_eq!(u64_field(&summary, "cache_hits"), hits);
+    }
+    let cold_bytes = std::fs::read(&cold).expect("cold artifact written");
+    assert!(!cold_bytes.is_empty());
+    assert_eq!(std::fs::read(&warm).expect("warm artifact"), cold_bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn duplicate_cells_within_one_job_simulate_once() {
     // The same frequency twice expands to two fingerprint-identical
