@@ -37,14 +37,14 @@ impl std::error::Error for CliError {}
 
 /// A consumable view of a subcommand's arguments.
 #[derive(Debug)]
-pub struct Args<'a> {
+pub(crate) struct Args<'a> {
     items: Vec<String>,
     usage: &'a str,
 }
 
 impl<'a> Args<'a> {
     /// Wraps the raw arguments with the owning command's usage text.
-    pub fn new(items: &[String], usage: &'a str) -> Self {
+    pub(crate) fn new(items: &[String], usage: &'a str) -> Self {
         Args {
             items: items.to_vec(),
             usage,
@@ -53,13 +53,13 @@ impl<'a> Args<'a> {
 
     /// Whether `--help`/`-h` appears anywhere (checked before parsing, so
     /// a broken invocation can still ask for help).
-    pub fn help_requested(&self) -> bool {
+    pub(crate) fn help_requested(&self) -> bool {
         self.items.iter().any(|a| a == "--help" || a == "-h")
     }
 
     /// Removes a boolean flag (every occurrence), returning whether it was
     /// present.
-    pub fn take_flag(&mut self, name: &str) -> bool {
+    pub(crate) fn take_flag(&mut self, name: &str) -> bool {
         let before = self.items.len();
         self.items.retain(|a| a != name);
         self.items.len() != before
@@ -75,7 +75,7 @@ impl<'a> Args<'a> {
     /// the next token is another flag (a lone `-`, the stdout sink, is a
     /// value; `--anything` is not), so `--json --pretty` fails loudly
     /// instead of writing a file named `--pretty`.
-    pub fn take_opt(&mut self, name: &str) -> Result<Option<String>, CliError> {
+    pub(crate) fn take_opt(&mut self, name: &str) -> Result<Option<String>, CliError> {
         let mut value = None;
         while let Some(i) = self.items.iter().position(|a| a == name) {
             let next = self.items.get(i + 1);
@@ -96,7 +96,10 @@ impl<'a> Args<'a> {
     /// # Errors
     ///
     /// Usage error on a missing or unparseable value.
-    pub fn take_parsed<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+    pub(crate) fn take_parsed<T: std::str::FromStr>(
+        &mut self,
+        name: &str,
+    ) -> Result<Option<T>, CliError> {
         match self.take_opt(name)? {
             None => Ok(None),
             Some(raw) => raw.parse().map(Some).map_err(|_| {
@@ -111,7 +114,7 @@ impl<'a> Args<'a> {
     /// # Errors
     ///
     /// Usage error on an unknown flag or too many positionals.
-    pub fn finish_positional(self, max: usize) -> Result<Vec<String>, CliError> {
+    pub(crate) fn finish_positional(self, max: usize) -> Result<Vec<String>, CliError> {
         if let Some(flag) = self.items.iter().find(|a| a.starts_with('-')) {
             return Err(CliError::usage(
                 self.usage,
@@ -136,7 +139,7 @@ impl<'a> Args<'a> {
     /// # Errors
     ///
     /// Usage error if anything remains.
-    pub fn finish(self) -> Result<(), CliError> {
+    pub(crate) fn finish(self) -> Result<(), CliError> {
         self.finish_positional(0).map(|_| ())
     }
 }
@@ -147,7 +150,7 @@ impl<'a> Args<'a> {
 /// # Errors
 ///
 /// Usage error naming the unknown policy and the full vocabulary.
-pub fn parse_policies(raw: &str, usage: &str) -> Result<Vec<PolicyKind>, CliError> {
+pub(crate) fn parse_policies(raw: &str, usage: &str) -> Result<Vec<PolicyKind>, CliError> {
     if raw == "all" {
         return Ok(PolicyKind::ALL.to_vec());
     }
@@ -172,7 +175,7 @@ pub fn parse_policies(raw: &str, usage: &str) -> Result<Vec<PolicyKind>, CliErro
 /// # Errors
 ///
 /// Usage error on an unparseable or zero entry.
-pub fn parse_freqs(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
+pub(crate) fn parse_freqs(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
     raw.split(',')
         .map(|tok| match tok.parse::<u32>() {
             Ok(mhz) if mhz > 0 => Ok(mhz),
@@ -191,7 +194,7 @@ pub fn parse_freqs(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
 /// # Errors
 ///
 /// Usage error naming the offending token.
-pub fn parse_channels(raw: &str, usage: &str) -> Result<Vec<usize>, CliError> {
+pub(crate) fn parse_channels(raw: &str, usage: &str) -> Result<Vec<usize>, CliError> {
     raw.split(',')
         .map(|tok| match tok.parse::<usize>() {
             Ok(n) if n > 0 && n <= 256 && n.is_power_of_two() => Ok(n),
@@ -211,7 +214,7 @@ pub fn parse_channels(raw: &str, usage: &str) -> Result<Vec<usize>, CliError> {
 /// # Errors
 ///
 /// Usage error naming the offending pair.
-pub fn parse_freqs_ascending(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
+pub(crate) fn parse_freqs_ascending(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
     let freqs = parse_freqs(raw, usage)?;
     for pair in freqs.windows(2) {
         if pair[1] == pair[0] {
@@ -234,7 +237,7 @@ pub fn parse_freqs_ascending(raw: &str, usage: &str) -> Result<Vec<u32>, CliErro
 }
 
 /// Splits a comma-separated name list, dropping empty segments.
-pub fn parse_names(raw: &str) -> Vec<String> {
+pub(crate) fn parse_names(raw: &str) -> Vec<String> {
     raw.split(',')
         .filter(|s| !s.is_empty())
         .map(str::to_string)

@@ -164,7 +164,7 @@ const COMMANDS: &[Command] = &[
 /// # Errors
 ///
 /// Usage error for a missing or unknown shell name.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

@@ -22,7 +22,7 @@ the goldens under tests/data/ and are directly runnable with
 /// # Errors
 ///
 /// Usage error for bad flags; runtime failure on I/O errors.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

@@ -42,7 +42,7 @@ Generated files validate and run like any catalog entry:
 ///
 /// Usage error for bad flags or degenerate bounds; runtime failure on
 /// I/O errors.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

@@ -64,7 +64,7 @@ Traces are byte-deterministic: identical inputs give identical files.
 ///
 /// Usage error for bad flags or selections; runtime failure for load,
 /// simulation, or output I/O errors.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         crate::output::page(HELP);

@@ -26,7 +26,7 @@ elastic) demand, DMA count and description.";
 ///
 /// Usage error for bad flags; runtime failure if the directory cannot be
 /// loaded.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

@@ -57,7 +57,7 @@ output:
 ///
 /// Usage error for bad flags or selections; runtime failure for load,
 /// simulation, or output I/O errors.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

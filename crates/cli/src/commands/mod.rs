@@ -1,17 +1,17 @@
 //! The subcommands, one module each, plus the scenario-loading driver
 //! logic they share.
 
-pub mod completions;
-pub mod export;
-pub mod gen;
-pub mod govern;
-pub mod list;
-pub mod matrix;
-pub mod report;
-pub mod repro;
-pub mod serve;
-pub mod sweep;
-pub mod validate;
+pub(crate) mod completions;
+pub(crate) mod export;
+pub(crate) mod gen;
+pub(crate) mod govern;
+pub(crate) mod list;
+pub(crate) mod matrix;
+pub(crate) mod report;
+pub(crate) mod repro;
+pub(crate) mod serve;
+pub(crate) mod sweep;
+pub(crate) mod validate;
 
 use sara_scenarios::{catalog, load_dir, Scenario};
 
@@ -25,7 +25,7 @@ use crate::args::{parse_names, Args, CliError};
 /// # Errors
 ///
 /// Usage error on a present-but-empty selection.
-pub fn take_scenario_names(args: &mut Args, usage: &str) -> Result<Vec<String>, CliError> {
+pub(crate) fn take_scenario_names(args: &mut Args, usage: &str) -> Result<Vec<String>, CliError> {
     match args.take_opt("--scenarios")? {
         None => Ok(Vec::new()),
         Some(raw) => {
@@ -49,7 +49,7 @@ pub fn take_scenario_names(args: &mut Args, usage: &str) -> Result<Vec<String>, 
 ///
 /// Usage error if both selectors are given or a name is not in the
 /// catalog; runtime failure if the directory cannot be loaded.
-pub fn load_scenarios(
+pub(crate) fn load_scenarios(
     dir: Option<&str>,
     names: &[String],
     usage: &str,
@@ -79,7 +79,7 @@ pub fn load_scenarios(
 }
 
 /// One formatted catalog row shared by `list`, `matrix` and `gen`.
-pub fn scenario_row(s: &Scenario) -> String {
+pub(crate) fn scenario_row(s: &Scenario) -> String {
     format!(
         "{:<18} {:>5} MHz {:>6.1} GB/s offered  {:>2} DMAs  {}",
         s.name,

@@ -97,7 +97,7 @@ impl Kind {
 /// Usage error for bad flags; runtime failure for unreadable or
 /// unrecognizable files, and for any detected regression in `--diff`
 /// mode (exit code 1, the acceptance gate).
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

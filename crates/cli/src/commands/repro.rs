@@ -393,7 +393,7 @@ static TARGETS: [Target; 11] = [
 ///
 /// Usage error for bad flags or an unknown target; runtime failure for
 /// simulation or output I/O errors, and when a claim fails.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

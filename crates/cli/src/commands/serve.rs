@@ -6,9 +6,10 @@
 //! the wire format is specified in `docs/serve-protocol.md`.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 use sara_serve::{journal, Journal, ServeConfig, Server};
 
@@ -79,7 +80,7 @@ in submission order.";
 ///
 /// Usage error for conflicting transports or bad values; runtime failure
 /// when the listener cannot bind or a session dies on I/O.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);
@@ -290,6 +291,18 @@ fn serve(
     }
 }
 
+/// The most bytes of an HTTP request head (request line, headers, blank
+/// line) a scrape may send: 8 KiB, the usual server limit and two orders
+/// of magnitude above what Prometheus or `curl` sends. A longer head is
+/// dropped unanswered, so a newline-free stream cannot grow the buffer.
+const MAX_SCRAPE_HEAD: u64 = 8 << 10;
+
+/// How long a scrape may keep the metrics thread waiting for its next
+/// byte. Scrapes are answered one at a time, so without it a peer that
+/// connects and sends nothing would block every later scrape for the life
+/// of the server.
+const SCRAPE_READ_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Answers every HTTP request on `listener` with the server's current
 /// Prometheus text exposition. Runs on a detached thread; process exit
 /// reaps it.
@@ -301,18 +314,24 @@ fn serve_metrics(listener: &TcpListener, server: &Server) {
 }
 
 fn answer_scrape(stream: TcpStream, server: &Server) -> io::Result<()> {
-    let mut reader = BufReader::new(stream);
+    stream.set_read_timeout(Some(SCRAPE_READ_TIMEOUT))?;
     // Drain the request head; the path is irrelevant — every request
-    // gets the exposition.
+    // gets the exposition. The cap is over the whole head, not per line.
+    let mut head = BufReader::new((&stream).take(MAX_SCRAPE_HEAD));
     let mut line = String::new();
-    while reader.read_line(&mut line)? > 0 {
-        if line == "\r\n" || line == "\n" {
-            break;
-        }
+    let mut ended = false;
+    while !ended && head.read_line(&mut line)? > 0 {
+        ended = line == "\r\n" || line == "\n";
         line.clear();
     }
+    if !ended && head.get_ref().limit() == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request head exceeds {MAX_SCRAPE_HEAD} bytes"),
+        ));
+    }
     let body = server.prometheus_text();
-    let mut stream = reader.into_inner();
+    let mut stream = &stream;
     write!(
         stream,
         "HTTP/1.0 200 OK\r\n\

@@ -56,7 +56,7 @@ Frequency lists must be strictly ascending (duplicates rejected).
 ///
 /// Usage error for bad flags; runtime failure for simulation or output
 /// I/O errors.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let mut args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);
@@ -216,7 +216,7 @@ pub fn run(raw: &[String]) -> Result<(), CliError> {
 
 /// The priority-residency table of the Fig. 7 sweep, one row per
 /// frequency (what `sara repro fig7` prints too).
-pub fn residency_table(points: &[FreqPoint]) -> String {
+pub(crate) fn residency_table(points: &[FreqPoint]) -> String {
     let mut out = format!("{:<10}", "freq");
     for level in 0..MAX_LEVELS {
         out.push_str(&format!(" {:>6}", format!("P{level}")));

@@ -27,7 +27,7 @@ Exits non-zero on the first error.";
 ///
 /// Usage error when no path is given; runtime failure naming the first
 /// file that fails to parse, check, or lower.
-pub fn run(raw: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let args = Args::new(raw, USAGE);
     if args.help_requested() {
         page(HELP);

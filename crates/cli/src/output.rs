@@ -11,7 +11,7 @@ use crate::args::CliError;
 
 /// Where serialized output goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sink {
+pub(crate) enum Sink {
     /// `-`: write to stdout.
     Stdout,
     /// Anything else: write (create/truncate) the named file.
@@ -20,7 +20,7 @@ pub enum Sink {
 
 impl Sink {
     /// Parses a `--json`/`--csv` flag value.
-    pub fn parse(raw: &str) -> Sink {
+    pub(crate) fn parse(raw: &str) -> Sink {
         if raw == "-" {
             Sink::Stdout
         } else {
@@ -29,7 +29,7 @@ impl Sink {
     }
 
     /// Whether this sink writes to stdout.
-    pub fn is_stdout(&self) -> bool {
+    pub(crate) fn is_stdout(&self) -> bool {
         matches!(self, Sink::Stdout)
     }
 
@@ -41,7 +41,7 @@ impl Sink {
     /// # Errors
     ///
     /// Runtime failure naming the file on any I/O error.
-    pub fn write(&self, text: &str) -> Result<(), CliError> {
+    pub(crate) fn write(&self, text: &str) -> Result<(), CliError> {
         match self {
             Sink::Stdout => {
                 use std::io::Write;
@@ -58,7 +58,7 @@ impl Sink {
     }
 
     /// A human description for "wrote …" progress lines.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Sink::Stdout => "stdout".to_string(),
             Sink::File(path) => path.display().to_string(),
@@ -69,7 +69,7 @@ impl Sink {
 /// Serializes a JSON document for a sink: compact by default, pretty on
 /// request (both via the shared `sara_compat_json` emitters), always with
 /// a trailing newline.
-pub fn emit_value(value: &Value, pretty: bool) -> String {
+pub(crate) fn emit_value(value: &Value, pretty: bool) -> String {
     let mut text = if pretty {
         value.to_string_pretty()
     } else {
@@ -85,7 +85,7 @@ pub fn emit_value(value: &Value, pretty: bool) -> String {
 /// # Errors
 ///
 /// Usage error when both sinks are `-`.
-pub fn reject_double_stdout(
+pub(crate) fn reject_double_stdout(
     a: Option<&Sink>,
     b: Option<&Sink>,
     usage: &str,
@@ -104,7 +104,7 @@ pub fn reject_double_stdout(
 /// wants, exactly like the machine sinks already do. All CLI
 /// human-output paths route through this (or [`Progress::line`]) instead
 /// of `println!`, whose default panic hook aborts on EPIPE.
-pub fn page(text: impl AsRef<str>) {
+pub(crate) fn page(text: impl AsRef<str>) {
     use std::io::Write;
     let _ = writeln!(std::io::stdout(), "{}", text.as_ref());
 }
@@ -112,13 +112,13 @@ pub fn page(text: impl AsRef<str>) {
 /// A progress printer that yields stdout to machine output when any sink
 /// claims it.
 #[derive(Debug, Clone, Copy)]
-pub struct Progress {
+pub(crate) struct Progress {
     to_stderr: bool,
 }
 
 impl Progress {
     /// Chooses the progress stream given the sinks in play.
-    pub fn new(sinks: &[Option<&Sink>]) -> Progress {
+    pub(crate) fn new(sinks: &[Option<&Sink>]) -> Progress {
         Progress {
             to_stderr: sinks.iter().any(|s| s.is_some_and(Sink::is_stdout)),
         }
@@ -126,7 +126,7 @@ impl Progress {
 
     /// Prints one progress line on the chosen stream. A closed pipe drops
     /// the line instead of panicking mid-run.
-    pub fn line(&self, text: impl AsRef<str>) {
+    pub(crate) fn line(&self, text: impl AsRef<str>) {
         use std::io::Write;
         let _ = if self.to_stderr {
             writeln!(std::io::stderr(), "{}", text.as_ref())

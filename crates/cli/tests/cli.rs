@@ -897,6 +897,14 @@ fn serve_observability_journal_metrics_and_trace() {
         "{summary:?}"
     );
 
+    // Two hostile scrapes first — one that never sends a byte, one that
+    // sends 64 KiB without a newline. Scrapes are answered one at a time,
+    // so the honest one below only gets through if both are dropped.
+    let mut silent = TcpStream::connect(&addr).expect("connect metrics");
+    let mut endless = TcpStream::connect(&addr).expect("connect metrics");
+    // The server may hang up mid-write; that is the point.
+    let _ = endless.write_all(&[b'x'; 64 << 10]);
+
     // Scrape the Prometheus endpoint mid-session.
     let mut scrape = TcpStream::connect(&addr).expect("connect metrics");
     scrape
@@ -914,6 +922,13 @@ fn serve_observability_journal_metrics_and_trace() {
     assert!(body.contains("cache_misses 2\n"), "{body}");
     assert!(body.contains("sim_us_bucket{le=\""), "{body}");
     assert!(body.contains("jobs{client=\"ci\"} 1\n"), "{body}");
+
+    for (name, hostile) in [("silent", &mut silent), ("endless", &mut endless)] {
+        let mut answer = Vec::new();
+        // A reset (unread request bytes at close) is as good as an EOF.
+        let _ = hostile.read_to_end(&mut answer);
+        assert!(answer.is_empty(), "the {name} scrape was answered");
+    }
 
     // The strict checker in `sara report` validates the scrape.
     let exposition = dir.join("metrics.txt");

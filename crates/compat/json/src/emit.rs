@@ -5,12 +5,6 @@ use std::fmt::Write as _;
 use crate::Value;
 
 /// Escapes `s` for a JSON string body (no surrounding quotes).
-pub(crate) fn escape_into_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
 fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -32,7 +26,7 @@ fn escape_into(out: &mut String, s: &str) {
 /// normalizes to `0`: Rust would print `-0`, which reads back as the
 /// integer 0 and would break the emit∘parse byte-identity the crate
 /// promises.
-pub(crate) fn float_token(v: f64) -> String {
+fn float_token(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
     } else if v.is_finite() {

@@ -204,18 +204,6 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document (without the
-/// surrounding quotes).
-pub fn escape_str(s: &str) -> String {
-    emit::escape_into_string(s)
-}
-
-/// Formats an `f64` the way the emitters do: shortest round-trip
-/// representation, `null` for NaN/±infinity (which JSON cannot carry).
-pub fn emit_f64(v: f64) -> String {
-    emit::float_token(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

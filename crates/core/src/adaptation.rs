@@ -97,11 +97,6 @@ impl SelfAwareDma {
         self.last_npi
     }
 
-    /// Live NPI at `now` (without updating the stamped priority).
-    pub fn npi_at(&self, now: Cycle) -> Npi {
-        self.meter.npi(now)
-    }
-
     /// A side-effect-free health readout at `now`: the live meter value
     /// plus the stamped adaptation state (see [`HealthSnapshot`]). This is
     /// the per-DMA signal the online governor aggregates each epoch.
@@ -172,7 +167,7 @@ mod tests {
         );
         dma.refresh(Cycle::ZERO);
         let stamped = dma.priority();
-        let _live = dma.npi_at(Cycle::new(900));
+        let _live = dma.meter().npi(Cycle::new(900));
         assert_eq!(dma.priority(), stamped);
     }
 

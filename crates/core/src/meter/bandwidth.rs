@@ -77,13 +77,6 @@ impl BandwidthMeter {
             self.buckets[idx] = 0;
         }
     }
-
-    /// The measured average rate over the window, in bytes per cycle.
-    pub fn measured_rate(&self, now: Cycle) -> f64 {
-        let total: u64 = self.buckets.iter().sum();
-        let elapsed = now.as_u64().max(1).min(self.window);
-        total as f64 / elapsed as f64
-    }
 }
 
 impl PerformanceMeter for BandwidthMeter {
@@ -169,8 +162,9 @@ mod tests {
     fn measured_rate_is_bytes_per_cycle() {
         let mut m = BandwidthMeter::new(0.5, 1600);
         m.on_complete(Cycle::new(100), 800, 10, MemOp::Read);
-        let rate = m.measured_rate(Cycle::new(1600));
-        assert!((rate - 0.5).abs() < 1e-9);
+        // 800 bytes over the 1600-cycle window is exactly the 0.5 target.
+        let npi = m.npi(Cycle::new(1600)).as_f64();
+        assert!((npi - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -57,20 +57,6 @@ impl FrameProgressMeter {
         }
     }
 
-    /// Total bytes completed so far.
-    #[inline]
-    pub fn completed_bytes(&self) -> u64 {
-        self.completed
-    }
-
-    /// Progress within the current frame, in [0, 1] (caps at 1 when ahead).
-    pub fn frame_progress(&self, now: Cycle) -> f64 {
-        let frame = now.as_u64() / self.frame_period;
-        let base = frame * self.bytes_per_frame;
-        let into = self.completed.saturating_sub(base) as f64 / self.bytes_per_frame as f64;
-        into.min(1.0)
-    }
-
     /// Completed frames that missed their deadline, judged retrospectively
     /// at `now`: frame k missed if fewer than `(k+1) * bytes_per_frame`
     /// bytes had completed by its end. (Deficit-carrying meters recover, so
@@ -130,15 +116,6 @@ mod tests {
         // Catching up restores health.
         m.on_complete(Cycle::new(2100), 700, 5, MemOp::Read);
         assert!(m.npi(Cycle::new(2100)).is_met());
-    }
-
-    #[test]
-    fn frame_progress_resets_each_frame() {
-        let mut m = FrameProgressMeter::new(1000, 1000);
-        m.on_complete(Cycle::new(400), 1000, 5, MemOp::Read);
-        assert!((m.frame_progress(Cycle::new(400)) - 1.0).abs() < 1e-12);
-        // New frame, nothing done yet.
-        assert_eq!(m.frame_progress(Cycle::new(1001)), 0.0);
     }
 
     #[test]

@@ -132,13 +132,6 @@ impl OccupancyMeter {
         }
     }
 
-    /// Current occupancy as a fraction of capacity (after integrating to
-    /// the last event; call [`PerformanceMeter::npi`] for an up-to-date
-    /// figure).
-    pub fn occupancy_fraction(&self) -> f64 {
-        self.level / self.capacity
-    }
-
     /// Times the display-style buffer ran empty.
     #[inline]
     pub fn underruns(&self) -> u64 {
@@ -297,7 +290,7 @@ mod tests {
         let a = m.npi(Cycle::new(100));
         let b = m.npi(Cycle::new(100));
         assert_eq!(a, b);
-        assert!((m.occupancy_fraction() - 0.5).abs() < 1e-12);
+        assert!((m.level / m.capacity - 0.5).abs() < 1e-12);
     }
 }
 
@@ -327,7 +320,7 @@ mod properties {
                 for (dt, bytes) in &events {
                     now += dt;
                     m.on_complete(Cycle::new(now), *bytes, 10, MemOp::Read);
-                    let frac = m.occupancy_fraction();
+                    let frac = m.level / m.capacity;
                     assert!((0.0..=1.0).contains(&frac), "case {case}: fraction {frac}");
                     let npi = m.npi(Cycle::new(now)).as_f64();
                     assert!(npi.is_finite() && npi >= 0.0, "case {case}: npi {npi}");

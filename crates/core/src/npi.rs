@@ -17,8 +17,7 @@ use core::fmt;
 /// assert!(healthy.is_met());
 /// let failing = Npi::new(0.13); // the paper's display under FCFS
 /// assert!(!failing.is_met());
-/// assert_eq!(failing.clamped_for_plot().as_f64(), 0.13);
-/// assert_eq!(Npi::new(300.0).clamped_for_plot().as_f64(), 10.0);
+/// assert_eq!(healthy.min(failing), failing);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Npi(f64);
@@ -26,11 +25,6 @@ pub struct Npi(f64);
 impl Npi {
     /// Exactly on target.
     pub const ON_TARGET: Npi = Npi(1.0);
-
-    /// Lower plotting bound used by the paper's figures (log scale 0.1–10).
-    pub const PLOT_MIN: f64 = 0.1;
-    /// Upper plotting bound used by the paper's figures.
-    pub const PLOT_MAX: f64 = 10.0;
 
     /// Creates an NPI sample.
     ///
@@ -56,11 +50,6 @@ impl Npi {
     #[inline]
     pub fn is_met(self) -> bool {
         self.0 >= 1.0
-    }
-
-    /// Clamped into the figures' log-scale range [0.1, 10].
-    pub fn clamped_for_plot(self) -> Npi {
-        Npi(self.0.clamp(Self::PLOT_MIN, Self::PLOT_MAX))
     }
 
     /// The smaller of two samples (worst health).
@@ -97,17 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn plot_clamping() {
-        assert_eq!(Npi::new(0.0).clamped_for_plot().as_f64(), 0.1);
-        assert_eq!(Npi::new(42.0).clamped_for_plot().as_f64(), 10.0);
-        assert_eq!(Npi::new(2.5).clamped_for_plot().as_f64(), 2.5);
-    }
-
-    #[test]
     fn infinity_allowed_for_idle_meters() {
         let idle = Npi::new(f64::INFINITY);
         assert!(idle.is_met());
-        assert_eq!(idle.clamped_for_plot().as_f64(), 10.0);
     }
 
     #[test]

@@ -214,22 +214,6 @@ impl PriorityMap {
         &self.bounds
     }
 
-    /// The hardware cost of this LUT per §3.4: one register and one
-    /// comparator per level (the paper's k = 3 → "eight registers and eight
-    /// comparators per core"), plus the divider shared by the meter.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sara_core::PriorityMap;
-    ///
-    /// let (registers, comparators) = PriorityMap::paper_default().hardware_cost();
-    /// assert_eq!((registers, comparators), (8, 8));
-    /// ```
-    pub fn hardware_cost(&self) -> (usize, usize) {
-        (self.bounds.len(), self.bounds.len())
-    }
-
     /// Translates an NPI sample to a priority level: the lowest level whose
     /// stored bound does not exceed the NPI (parallel-comparator semantics).
     pub fn map(&self, npi: Npi) -> Priority {

@@ -231,17 +231,6 @@ impl AddressMap {
     pub fn scheme(&self) -> Interleave {
         self.scheme
     }
-
-    /// Bytes covered by consecutive columns of one row in one channel
-    /// (i.e. how long a sequential stream stays in an open row).
-    pub fn sequential_row_span(&self) -> u64 {
-        match self.scheme {
-            Interleave::RowRankBankColChan | Interleave::RowRankBankColChanXor => {
-                1u64 << (self.offset_bits + self.chan_bits + self.col_bits)
-            }
-            Interleave::RowColRankBankChan => 1u64 << (self.offset_bits + self.chan_bits),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,8 +260,7 @@ mod tests {
     #[test]
     fn sequential_stream_stays_in_row_for_span() {
         let m = map(Interleave::default());
-        let span = m.sequential_row_span();
-        assert_eq!(span, 128 * 2 * 16); // burst * channels * cols
+        let span = 128 * 2 * 16; // burst * channels * cols
         let first = m.decode(Addr::new(0));
         let last = m.decode(Addr::new(span - 128));
         assert_eq!(first.row, last.row);
@@ -350,7 +338,7 @@ mod tests {
         let m = wide_map(4);
         // Next row, same low bits: span covers col+chan, then 8 banks x 2
         // ranks sit between the column bits and the row bits.
-        let row_stride = m.sequential_row_span() * 8 * 2;
+        let row_stride = (128 * 4 * 16) * 8 * 2;
         let a = m.decode(Addr::new(0));
         let b = m.decode(Addr::new(row_stride));
         assert_eq!(b.row, a.row + 1);
@@ -392,9 +380,12 @@ mod tests {
 
     #[test]
     fn xor_skew_preserves_sequential_row_span() {
-        assert_eq!(
-            wide_map(4).sequential_row_span(),
-            128 * 4 * 16 // burst * channels * cols
-        );
+        let m = wide_map(4);
+        let span = 128 * 4 * 16; // burst * channels * cols
+        let first = m.decode(Addr::new(0));
+        let last = m.decode(Addr::new(span - 128));
+        assert_eq!((first.row, first.bank), (last.row, last.bank));
+        let next = m.decode(Addr::new(span));
+        assert_ne!((next.row, next.bank), (first.row, first.bank));
     }
 }

@@ -198,12 +198,6 @@ impl Channel {
         &self.stats
     }
 
-    /// The reference timing set (datasheet values at the beat clock).
-    #[inline]
-    pub fn reference_timing(&self) -> &TimingParams {
-        &self.reference
-    }
-
     /// The timing set currently gating commands (the reference set
     /// rescaled by [`Channel::clock_ratio`]).
     #[inline]
@@ -696,7 +690,7 @@ mod tests {
         // reference timing bit-for-bit (no compounding).
         ch.set_clock(3, 2);
         ch.set_clock(1, 1);
-        assert_eq!(ch.timing(), ch.reference_timing());
+        assert_eq!(ch.timing(), &ch.reference);
         assert_eq!(ch.timing(), &TimingParams::lpddr4_1866());
     }
 

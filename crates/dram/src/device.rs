@@ -154,17 +154,6 @@ impl Dram {
         }
     }
 
-    /// Steps one channel's clock domain to `den/num` of the beat clock
-    /// (see [`Channel::set_clock`]); the other channels are untouched —
-    /// per-channel DVFS.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num` or `den` is zero.
-    pub fn set_channel_clock(&mut self, channel: usize, num: u64, den: u64) {
-        self.channels[channel].set_clock(num, den);
-    }
-
     /// Statistics of one channel.
     pub fn channel_stats(&self, channel: usize) -> &ChannelStats {
         self.channels[channel].stats()

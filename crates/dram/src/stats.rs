@@ -69,24 +69,6 @@ impl ChannelStats {
         self.read_bytes + self.write_bytes
     }
 
-    /// Data-bus utilisation over `elapsed_cycles` (0.0–1.0).
-    pub fn bus_utilization(&self, elapsed_cycles: u64) -> f64 {
-        if elapsed_cycles == 0 {
-            0.0
-        } else {
-            self.data_beats as f64 / elapsed_cycles as f64
-        }
-    }
-
-    /// Average delivered bandwidth in bytes/cycle over `elapsed_cycles`.
-    pub fn bandwidth_bytes_per_cycle(&self, elapsed_cycles: u64) -> f64 {
-        if elapsed_cycles == 0 {
-            0.0
-        } else {
-            self.total_bytes() as f64 / elapsed_cycles as f64
-        }
-    }
-
     /// Merges another channel's counters into this one.
     pub fn merge(&mut self, other: &ChannelStats) {
         self.activates += other.activates;
@@ -181,7 +163,6 @@ mod tests {
     fn bandwidth_math() {
         let mut s = ChannelStats::default();
         s.read_bytes = 1000;
-        assert!((s.bandwidth_bytes_per_cycle(100) - 10.0).abs() < 1e-12);
         let d = DramStats {
             total: s.clone(),
             per_channel: vec![s],
@@ -192,8 +173,12 @@ mod tests {
 
     #[test]
     fn zero_elapsed_is_zero_bandwidth() {
-        let s = ChannelStats::default();
-        assert_eq!(s.bus_utilization(0), 0.0);
-        assert_eq!(s.bandwidth_bytes_per_cycle(0), 0.0);
+        let mut s = ChannelStats::default();
+        s.read_bytes = 1000;
+        let d = DramStats {
+            total: s.clone(),
+            per_channel: vec![s],
+        };
+        assert_eq!(d.bandwidth_bytes_per_s(1_000_000_000, 0), 0.0);
     }
 }

@@ -238,12 +238,6 @@ impl TimingParams {
         scaled
     }
 
-    /// Cost in cycles of a row miss on a closed bank (ACT→CAS).
-    #[inline]
-    pub fn row_miss_penalty(&self) -> u64 {
-        self.trcd
-    }
-
     /// Cost in cycles of a row conflict (PRE→ACT→CAS).
     #[inline]
     pub fn row_conflict_penalty(&self) -> u64 {
@@ -404,7 +398,7 @@ mod tests {
         let t = TimingParams::lpddr4_1866();
         assert_eq!(t.trc(), 102);
         assert_eq!(t.row_conflict_penalty(), 68);
-        assert!(t.row_conflict_penalty() > t.row_miss_penalty());
+        assert!(t.row_conflict_penalty() > t.trcd());
     }
 
     #[test]

@@ -105,12 +105,6 @@ impl Governor {
         self.ladder[self.rung]
     }
 
-    /// The ladder's top rung (the beat clock a governed system runs at).
-    #[inline]
-    pub fn top_freq(&self) -> MegaHertz {
-        *self.ladder.last().expect("ladder non-empty")
-    }
-
     /// One control decision, fed the epoch's worst observed NPI. Updates
     /// internal state; the caller applies the returned action.
     pub fn decide(&mut self, worst_npi: f64) -> GovernorAction {

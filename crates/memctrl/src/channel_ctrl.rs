@@ -180,12 +180,6 @@ impl ChannelController {
         self.table.len()
     }
 
-    /// Transactions of one class queued on this channel.
-    #[inline]
-    pub fn queued_in_class(&self, class_queue: usize) -> usize {
-        self.class_counts[class_queue]
-    }
-
     /// Switches the scheduling policy mid-run; queued entries compete
     /// under the new rules from the next tick on.
     pub fn set_policy(&mut self, policy: PolicyKind) {
@@ -486,12 +480,6 @@ impl AdmissionControl {
         self.occupancy
     }
 
-    /// Transactions of one class currently admitted.
-    #[inline]
-    pub fn class_count(&self, class_queue: usize) -> usize {
-        self.class_counts[class_queue]
-    }
-
     /// Whether a transaction of `class_queue` would currently be admitted.
     #[inline]
     pub fn has_room(&self, class_queue: usize) -> bool {
@@ -659,7 +647,7 @@ mod tests {
         assert_eq!(front.stats().total_rejected(), 1);
         front.release(0);
         assert!(front.has_room(0));
-        assert_eq!(front.class_count(0), 1);
+        assert_eq!(front.class_counts[0], 1);
         assert_eq!(front.stats().peak_occupancy, 3, "peak sticks");
     }
 }

@@ -200,11 +200,6 @@ impl MemoryController {
         }
         result
     }
-
-    /// Queued transactions targeting `channel`.
-    pub fn queued_for_channel(&self, channel: usize) -> usize {
-        self.lanes.get(channel).map_or(0, ChannelController::queued)
-    }
 }
 
 #[cfg(test)]
@@ -478,8 +473,8 @@ mod tests {
             .unwrap(); // ch 0
         m.try_accept(txn(1, CoreKind::Cpu, 128, 0), Cycle::ZERO, &d)
             .unwrap(); // ch 1
-        assert_eq!(m.queued_for_channel(0), 1);
-        assert_eq!(m.queued_for_channel(1), 1);
+        assert_eq!(m.lanes[0].queued(), 1);
+        assert_eq!(m.lanes[1].queued(), 1);
     }
 }
 

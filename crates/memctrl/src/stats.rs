@@ -21,17 +21,6 @@ pub struct ClassStats {
     pub aged: u64,
 }
 
-impl ClassStats {
-    /// Mean queueing delay in cycles.
-    pub fn mean_wait(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total_wait as f64 / self.completed as f64
-        }
-    }
-}
-
 /// Controller-wide statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct McStats {
@@ -81,12 +70,6 @@ impl McStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_wait_handles_zero() {
-        let s = ClassStats::default();
-        assert_eq!(s.mean_wait(), 0.0);
-    }
 
     #[test]
     fn totals_aggregate_classes() {

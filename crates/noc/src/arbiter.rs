@@ -9,7 +9,7 @@
 
 use sara_types::{Priority, TransactionId};
 
-/// Arbitration discipline used by an [`crate::ArbiterNode`].
+/// Arbitration discipline applied at every node of the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ArbiterKind {
     /// Oldest transaction first (global arrival order).

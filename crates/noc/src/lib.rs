@@ -51,4 +51,4 @@ mod node;
 
 pub use arbiter::{select, ArbiterKind, Contender};
 pub use network::{Noc, NocConfig, PumpOutcome};
-pub use node::{ArbiterNode, NodeStats};
+pub use node::NodeStats;

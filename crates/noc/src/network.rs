@@ -13,52 +13,50 @@ use sara_types::{ConfigError, CoreClass, Cycle, Transaction};
 use crate::arbiter::ArbiterKind;
 use crate::node::{ArbiterNode, NodeStats};
 
-/// Configuration of the arbitration tree.
+/// Per-hop link latency in cycles: a forward is ready at the next node
+/// this much later. Non-zero, which is what makes one sweep per pump
+/// complete (see [`Noc::pump_ref`]).
+const HOP_LATENCY: u64 = 6;
+
+/// Cycles per forwarded transaction per node.
+const SERVICE_PERIOD: u64 = 2;
+
+/// Configuration of the arbitration tree: the policy and the port depths.
+/// Hops take 6 cycles and every node forwards one transaction per 2
+/// cycles; neither is settable.
 ///
 /// # Examples
 ///
 /// ```
-/// use sara_noc::{ArbiterKind, NocConfig};
+/// use sara_noc::{ArbiterKind, Noc, NocConfig};
+/// use sara_types::CoreClass;
 ///
-/// let cfg = NocConfig::new(ArbiterKind::Priority);
-/// assert_eq!(cfg.hop_latency(), 6);
+/// // One-entry leaf ports: a DMA is backpressured after one injection.
+/// let cfg = NocConfig::new(ArbiterKind::Priority).with_port_capacity(1);
+/// let noc = Noc::class_tree(cfg, &[CoreClass::Cpu])?;
+/// assert!(noc.can_inject(0));
+/// # Ok::<(), sara_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NocConfig {
     kind: ArbiterKind,
-    hop_latency: u64,
-    service_period: u64,
     port_capacity: usize,
     root_port_capacity: usize,
 }
 
 impl NocConfig {
     /// Creates the default tree configuration with the given policy:
-    /// 6-cycle hops, one forward per 2 cycles per node; 64-entry leaf port
-    /// FIFOs (deep enough to hold a DMA's full outstanding window, so
-    /// arbitration — not ingress blocking — decides shares) and 8-entry
-    /// root ports (shallow, so a high-priority transaction is never buried
-    /// behind a long run of low-priority same-class traffic).
+    /// 64-entry leaf port FIFOs (deep enough to hold a DMA's full
+    /// outstanding window, so arbitration — not ingress blocking — decides
+    /// shares) and 8-entry root ports (shallow, so a high-priority
+    /// transaction is never buried behind a long run of low-priority
+    /// same-class traffic).
     pub fn new(kind: ArbiterKind) -> Self {
         NocConfig {
             kind,
-            hop_latency: 6,
-            service_period: 2,
             port_capacity: 64,
             root_port_capacity: 8,
         }
-    }
-
-    /// Sets the per-hop link latency in cycles.
-    pub fn with_hop_latency(mut self, cycles: u64) -> Self {
-        self.hop_latency = cycles;
-        self
-    }
-
-    /// Sets the per-node service period (cycles per forwarded transaction).
-    pub fn with_service_period(mut self, cycles: u64) -> Self {
-        self.service_period = cycles;
-        self
     }
 
     /// Sets the input FIFO depth of every leaf port.
@@ -71,36 +69,6 @@ impl NocConfig {
     pub fn with_root_port_capacity(mut self, entries: usize) -> Self {
         self.root_port_capacity = entries;
         self
-    }
-
-    /// The arbitration policy applied at every node.
-    #[inline]
-    pub fn kind(&self) -> ArbiterKind {
-        self.kind
-    }
-
-    /// Per-hop link latency in cycles.
-    #[inline]
-    pub fn hop_latency(&self) -> u64 {
-        self.hop_latency
-    }
-
-    /// Cycles per forwarded transaction per node.
-    #[inline]
-    pub fn service_period(&self) -> u64 {
-        self.service_period
-    }
-
-    /// Leaf input FIFO depth.
-    #[inline]
-    pub fn port_capacity(&self) -> usize {
-        self.port_capacity
-    }
-
-    /// Root input FIFO depth.
-    #[inline]
-    pub fn root_port_capacity(&self) -> usize {
-        self.root_port_capacity
     }
 }
 
@@ -129,7 +97,6 @@ pub struct PumpOutcome {
 /// (injection, controller dequeue, service window expiry).
 #[derive(Debug)]
 pub struct Noc {
-    cfg: NocConfig,
     /// Leaf nodes, one per class in [`CoreClass::ALL`] order.
     leaves: Vec<ArbiterNode>,
     /// Root node with one port per leaf.
@@ -167,22 +134,15 @@ impl Noc {
                 cfg.kind,
                 count.max(1),
                 cfg.port_capacity,
-                cfg.service_period,
+                SERVICE_PERIOD,
             )?);
         }
-        let root = ArbiterNode::new(cfg.kind, 5, cfg.root_port_capacity, cfg.service_period)?;
+        let root = ArbiterNode::new(cfg.kind, 5, cfg.root_port_capacity, SERVICE_PERIOD)?;
         Ok(Noc {
-            cfg,
             leaves,
             root,
             ingress,
         })
-    }
-
-    /// The configuration.
-    #[inline]
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
     }
 
     /// Whether DMA `dma_index` can inject right now (its leaf port has room).
@@ -204,7 +164,7 @@ impl Noc {
         txn: Transaction,
     ) -> Result<(), Transaction> {
         let ing = self.ingress[dma_index];
-        self.leaves[ing.leaf].enqueue(ing.port, now + self.cfg.hop_latency, txn)
+        self.leaves[ing.leaf].enqueue(ing.port, now + HOP_LATENCY, txn)
     }
 
     /// Sweeps the tree, forwarding everything that can move at `now`.
@@ -228,34 +188,25 @@ impl Noc {
     /// by returning `true`; only then is it dequeued. A refused head stays
     /// where it is.
     ///
-    /// With a non-zero hop latency the tree is swept once: a forward lands
-    /// `hop_latency` cycles later, so nothing enqueued during the sweep is
-    /// ready at `now`; every node that forwarded is busy for its service
-    /// period (validated non-zero); every head the sink refused is flagged
-    /// in `blocked`; and the root's delivery — the one thing that frees
-    /// space a leaf waits for — precedes the leaves inside the sweep. A
-    /// second sweep at the same cycle would therefore change no state and
-    /// no statistic. With `hop_latency == 0` a leaf's forward is ready at
-    /// the root in the same cycle, so the sweep repeats until nothing moves.
+    /// The tree is swept once: a forward lands `HOP_LATENCY` (6) cycles
+    /// later, so nothing enqueued during the sweep is ready at `now`; every
+    /// node that forwarded is busy for its service period; every head the
+    /// sink refused is flagged in `blocked`; and the root's delivery — the
+    /// one thing that frees space a leaf waits for — precedes the leaves
+    /// inside the sweep. A second sweep at the same cycle would therefore
+    /// change no state and no statistic.
     pub fn pump_ref(
         &mut self,
         now: Cycle,
         sink: &mut dyn FnMut(&Transaction) -> bool,
     ) -> PumpOutcome {
-        let mut delivered = 0u32;
         // Per-port sink blocking: a head refused by the controller (its
         // class queue is full) must not stall other classes — the paper's
         // five transaction queues behave like virtual channels. A blocked
         // port stays blocked for the rest of this pump (the controller
         // cannot drain mid-pump).
         let mut blocked = 0u64;
-        loop {
-            let (left_root, forwarded) = self.sweep(now, &mut blocked, sink);
-            delivered += left_root as u32;
-            if !(left_root || forwarded) || self.cfg.hop_latency > 0 {
-                break;
-            }
-        }
+        let left_root = self.sweep(now, &mut blocked, sink);
 
         // Only genuinely time-gated work counts towards the wake hint; a
         // node whose head is ready *now* but blocked by space will be
@@ -268,7 +219,7 @@ impl Noc {
             .filter(|&at| at > now)
             .min();
         PumpOutcome {
-            delivered,
+            delivered: left_root as u32,
             next_action,
         }
     }
@@ -276,15 +227,14 @@ impl Noc {
     /// One pass over the tree at `now`: the root offers its heads to `sink`
     /// (first, which frees a root input port for the leaves below), then
     /// every leaf with room at the root forwards its winner. Returns whether
-    /// a transaction left the root and whether any leaf forwarded.
+    /// a transaction left the root.
     fn sweep(
         &mut self,
         now: Cycle,
         blocked: &mut u64,
         sink: &mut dyn FnMut(&Transaction) -> bool,
-    ) -> (bool, bool) {
+    ) -> bool {
         let left_root = self.root.offer(now, blocked, sink);
-        let mut forwarded = false;
         for (leaf_idx, leaf) in self.leaves.iter_mut().enumerate() {
             if !self.root.can_accept(leaf_idx) {
                 continue;
@@ -292,12 +242,11 @@ impl Noc {
             if let Some(winner) = leaf.winner(now) {
                 let txn = leaf.take(winner, now);
                 self.root
-                    .enqueue(leaf_idx, now + self.cfg.hop_latency, txn)
+                    .enqueue(leaf_idx, now + HOP_LATENCY, txn)
                     .expect("checked can_accept above");
-                forwarded = true;
             }
         }
-        (left_root, forwarded)
+        left_root
     }
 
     /// Total transactions buffered anywhere in the tree.
@@ -313,12 +262,6 @@ impl Noc {
     /// Statistics of the leaf node serving `class`.
     pub fn leaf_stats(&self, class: CoreClass) -> &NodeStats {
         self.leaves[class.queue_index()].stats()
-    }
-
-    /// Minimum end-to-end latency (two hops + two service slots), useful
-    /// for calibrating meters.
-    pub fn min_traversal_cycles(&self) -> u64 {
-        2 * self.cfg.hop_latency + 2 * self.cfg.service_period
     }
 }
 
@@ -457,7 +400,6 @@ mod tests {
     #[test]
     fn min_traversal_matches_observed() {
         let mut noc = small_noc(ArbiterKind::Fcfs);
-        assert_eq!(noc.min_traversal_cycles(), 16);
         noc.inject(0, Cycle::ZERO, txn(0, CoreKind::Cpu, 0))
             .unwrap();
         let mut delivered_at = None;
@@ -683,25 +625,6 @@ mod by_reference {
         }
     }
 
-    /// With a zero hop latency a forward is ready at the next node in the
-    /// same cycle, so one pump carries a transaction leaf → root → sink:
-    /// the repeated sweep still runs there.
-    #[test]
-    fn zero_hop_latency_delivers_in_the_injecting_pump() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut noc = noc(NocConfig::new(ArbiterKind::Priority).with_hop_latency(0));
-        let t = Cycle::new(40);
-        noc.inject(2, t, txn(0, 2, t, &mut rng)).unwrap();
-        let mut out = Vec::new();
-        let r = noc.pump(t, &mut |txn| {
-            out.push(txn.id.as_u64());
-            Ok(())
-        });
-        assert_eq!(r.delivered, 1);
-        assert_eq!(out, [0]);
-        assert_eq!(noc.occupancy(), 0);
-    }
-
     /// A sink that logs what it accepts and refuses the CPU class on demand.
     fn cpu_starving_sink(
         starve: bool,
@@ -747,8 +670,9 @@ mod by_reference {
             let mut blocked = 0;
             let mut sink = cpu_starving_sink(starve_cpu, &mut out_twice);
             twice.sweep(now, &mut blocked, &mut sink);
-            let second = twice.sweep(now, &mut blocked, &mut sink);
-            assert_eq!(second, (false, false), "step {step}");
+            // Nothing leaves the root; a leaf forward would show in the
+            // statistics compared below.
+            assert!(!twice.sweep(now, &mut blocked, &mut sink), "step {step}");
             assert_eq!(observable(&once), observable(&twice), "step {step}");
         }
         assert_eq!(out_once, out_twice);

@@ -86,7 +86,7 @@ pub struct NodeStats {
 /// transaction forwarded per `service_period` cycles, winner chosen by an
 /// [`ArbiterKind`] policy.
 #[derive(Debug, Clone)]
-pub struct ArbiterNode {
+pub(crate) struct ArbiterNode {
     kind: ArbiterKind,
     inputs: Vec<InputPort>,
     cursor: usize,
@@ -111,7 +111,7 @@ impl ArbiterNode {
     ///
     /// Returns [`ConfigError`] if `ports`, `capacity` or `service_period`
     /// is zero.
-    pub fn new(
+    pub(crate) fn new(
         kind: ArbiterKind,
         ports: usize,
         capacity: usize,
@@ -136,33 +136,21 @@ impl ArbiterNode {
         })
     }
 
-    /// Number of input ports.
-    #[inline]
-    pub fn ports(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// The arbitration policy.
-    #[inline]
-    pub fn kind(&self) -> ArbiterKind {
-        self.kind
-    }
-
     /// Statistics snapshot.
     #[inline]
-    pub fn stats(&self) -> &NodeStats {
+    pub(crate) fn stats(&self) -> &NodeStats {
         &self.stats
     }
 
     /// Whether input `port` can accept another transaction.
     #[inline]
-    pub fn can_accept(&self, port: usize) -> bool {
+    pub(crate) fn can_accept(&self, port: usize) -> bool {
         !self.inputs[port].is_full()
     }
 
     /// Total queued transactions across ports.
     #[inline]
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         self.occupancy
     }
 
@@ -172,7 +160,7 @@ impl ArbiterNode {
     /// # Errors
     ///
     /// Returns the transaction back if the port FIFO is full.
-    pub fn enqueue(
+    pub(crate) fn enqueue(
         &mut self,
         port: usize,
         ready_at: Cycle,
@@ -191,7 +179,7 @@ impl ArbiterNode {
     }
 
     /// The winning head at `now`, if the node is free and any head is ready.
-    pub fn winner(&mut self, now: Cycle) -> Option<Contender> {
+    pub(crate) fn winner(&mut self, now: Cycle) -> Option<Contender> {
         self.gather(now, 0);
         select(self.kind, &self.scratch, self.cursor)
     }
@@ -225,7 +213,7 @@ impl ArbiterNode {
     /// flagged), which keeps it from being offered again while the caller
     /// holds the flag — per-class virtual-channel flow control: a head
     /// destined for a full downstream queue must not block other classes.
-    pub fn offer(
+    pub(crate) fn offer(
         &mut self,
         now: Cycle,
         blocked: &mut u64,
@@ -254,7 +242,7 @@ impl ArbiterNode {
 
     /// Removes and returns the winner chosen by [`Self::winner`], advancing
     /// the round-robin cursor and the service window.
-    pub fn take(&mut self, contender: Contender, now: Cycle) -> Transaction {
+    pub(crate) fn take(&mut self, contender: Contender, now: Cycle) -> Transaction {
         let port = &mut self.inputs[contender.port];
         let txn = port.pop().expect("winner port cannot be empty");
         debug_assert_eq!(txn.id, contender.id, "winner desynchronised from port head");
@@ -273,7 +261,7 @@ impl ArbiterNode {
     /// Earliest cycle at which this node could possibly forward something,
     /// or `None` if all inputs are empty.
     #[inline]
-    pub fn earliest_action(&self) -> Option<Cycle> {
+    pub(crate) fn earliest_action(&self) -> Option<Cycle> {
         (self.occupancy > 0).then(|| self.min_arrival.max(self.next_free))
     }
 }

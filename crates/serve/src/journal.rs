@@ -92,13 +92,8 @@ impl Journal {
         }
     }
 
-    /// Whether events are being recorded anywhere.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Allocates the next monotonic job number (1-based).
-    pub fn next_job(&self) -> u64 {
+    pub(crate) fn next_job(&self) -> u64 {
         self.next_job.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -143,7 +138,7 @@ impl Journal {
     }
 
     /// Job passed admission and expands to `cells` cells.
-    pub fn job_accepted(&self, job: u64, id: &str, client: &str, cells: usize, ts_us: u64) {
+    pub(crate) fn job_accepted(&self, job: u64, id: &str, client: &str, cells: usize, ts_us: u64) {
         self.append(
             "accepted",
             vec![
@@ -158,7 +153,7 @@ impl Journal {
 
     /// Job refused before any cell ran (`reason`: `"unknown-scenario"`,
     /// `"bad-matrix"` or `"budget"`).
-    pub fn job_rejected(&self, job: u64, id: &str, client: &str, reason: &str, ts_us: u64) {
+    pub(crate) fn job_rejected(&self, job: u64, id: &str, client: &str, reason: &str, ts_us: u64) {
         self.append(
             "rejected",
             vec![
@@ -172,7 +167,7 @@ impl Journal {
     }
 
     /// Cell `seq` entered classification.
-    pub fn cell_queued(&self, job: u64, id: &str, seq: usize, ts_us: u64) {
+    pub(crate) fn cell_queued(&self, job: u64, id: &str, seq: usize, ts_us: u64) {
         self.append(
             "queued",
             vec![
@@ -188,7 +183,7 @@ impl Journal {
     /// (`verdict`: `"infeasible"` or `"trivial"`) and will never be
     /// simulated; `dur_us` is the screening time.
     #[allow(clippy::too_many_arguments)]
-    pub fn cell_screened(
+    pub(crate) fn cell_screened(
         &self,
         job: u64,
         id: &str,
@@ -212,7 +207,15 @@ impl Journal {
 
     /// Cell `seq` was classified against the result cache; `dur_us` is
     /// the lookup time.
-    pub fn cell_cache(&self, job: u64, id: &str, seq: usize, hit: bool, dur_us: u64, ts_us: u64) {
+    pub(crate) fn cell_cache(
+        &self,
+        job: u64,
+        id: &str,
+        seq: usize,
+        hit: bool,
+        dur_us: u64,
+        ts_us: u64,
+    ) {
         self.append(
             if hit { "cache_hit" } else { "cache_miss" },
             vec![
@@ -228,7 +231,7 @@ impl Journal {
     /// Cell `seq` started simulating on `worker`; `dur_us` is the queue
     /// wait (classification → sim start), `ts_us` the sim start time.
     #[allow(clippy::too_many_arguments)]
-    pub fn sim_started(
+    pub(crate) fn sim_started(
         &self,
         job: u64,
         id: &str,
@@ -253,7 +256,7 @@ impl Journal {
     /// Cell `seq` finished simulating on `worker`; `dur_us` is the sim
     /// time.
     #[allow(clippy::too_many_arguments)]
-    pub fn sim_finished(
+    pub(crate) fn sim_finished(
         &self,
         job: u64,
         id: &str,
@@ -277,7 +280,7 @@ impl Journal {
 
     /// Cell `seq`'s result record was written to the client; `dur_us`
     /// is the write+flush time.
-    pub fn cell_emitted(&self, job: u64, id: &str, seq: usize, dur_us: u64, ts_us: u64) {
+    pub(crate) fn cell_emitted(&self, job: u64, id: &str, seq: usize, dur_us: u64, ts_us: u64) {
         self.append(
             "emitted",
             vec![
@@ -390,7 +393,6 @@ mod tests {
     #[test]
     fn disabled_journal_records_nothing_but_counts_jobs() {
         let j = Journal::disabled();
-        assert!(!j.is_enabled());
         assert_eq!(j.next_job(), 1);
         assert_eq!(j.next_job(), 2);
         j.job_accepted(1, "a", "ci", 2, 10);

@@ -721,3 +721,123 @@ mod tests {
             .starts_with("{\"format\":\"sara-serve/v1\",\"type\":\"pong\""));
     }
 }
+
+/// Seeded fuzzing of [`parse_request`], the first thing every byte from a
+/// client reaches: it never panics, a rejection always says why, and an
+/// accepted `submit` always names a job and something to run.
+#[cfg(test)]
+mod fuzz {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use sara_scenarios::catalog;
+
+    fn check(line: &str) {
+        match parse_request(line) {
+            Err(e) => assert!(!e.message.is_empty(), "silent rejection of {line:?}"),
+            Ok(Request::Submit(job)) => {
+                assert!(!job.id.is_empty(), "empty id accepted from {line:?}");
+                assert!(!job.scenarios.is_empty(), "empty job accepted: {line:?}");
+            }
+            Ok(_) => {}
+        }
+    }
+
+    /// The members of a valid `submit` that sets every key the protocol
+    /// knows, one scenario inline.
+    fn submit_members() -> Vec<(&'static str, String)> {
+        let inline = catalog::by_name("camcorder-b").expect("catalog").to_json();
+        vec![
+            ("format", format!("{FORMAT_TAG:?}")),
+            ("type", "\"submit\"".to_string()),
+            ("id", "\"fuzz-1\"".to_string()),
+            ("client", "\"ci\"".to_string()),
+            ("scenarios", format!("[\"adas\",{}]", inline.trim())),
+            ("policies", "[\"FCFS\",\"QoS-RB\"]".to_string()),
+            ("freqs_mhz", "[1600,1866]".to_string()),
+            ("channels", "[2,4]".to_string()),
+            ("duration_ms", "0.05".to_string()),
+            ("screen", "\"prune\"".to_string()),
+            ("json_out", "\"/tmp/out.json\"".to_string()),
+        ]
+    }
+
+    fn line_of(members: &[(&str, String)]) -> String {
+        let body: Vec<String> = members.iter().map(|(k, v)| format!("{k:?}:{v}")).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    fn random_scalar(rng: &mut StdRng) -> String {
+        match rng.gen_range(0u32..8) {
+            0 => "null".to_string(),
+            1 => rng.gen_bool(0.5).to_string(),
+            2 => rng.next_u64().to_string(),
+            3 => format!("-{}", rng.gen_range(0u64..1 << 40)),
+            4 => format!("{:e}", f64::from_bits(rng.next_u64())),
+            5 => "\"\"".to_string(),
+            6 => format!("\"{}\"", rng.next_u64()),
+            _ => "0".to_string(),
+        }
+    }
+
+    #[test]
+    fn the_unmutated_submit_is_accepted() {
+        let line = line_of(&submit_members());
+        assert!(
+            matches!(parse_request(&line), Ok(Request::Submit(_))),
+            "{:?}",
+            parse_request(&line)
+        );
+    }
+
+    #[test]
+    fn arbitrary_bytes_are_rejected_with_a_reason() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x5e7e_0000 + seed);
+            for _ in 0..64 {
+                let len = rng.gen_range(0usize..256);
+                // Half the lines draw from JSON's own alphabet, so some get
+                // past the first token.
+                const JSON_ALPHABET: &[u8] = b"{}[]\":,\\ 0123456789.-+eEtruefalsn";
+                let structural = rng.gen_bool(0.5);
+                let bytes: Vec<u8> = (0..len)
+                    .map(|_| {
+                        if structural {
+                            JSON_ALPHABET[rng.gen_range(0..JSON_ALPHABET.len())]
+                        } else {
+                            rng.gen_range(0u32..256) as u8
+                        }
+                    })
+                    .collect();
+                check(&String::from_utf8_lossy(&bytes));
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_submits_never_yield_an_empty_job() {
+        let members = submit_members();
+        let valid = line_of(&members);
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x5e7e_1000 + seed);
+            for _ in 0..16 {
+                // One byte flipped (any bit pattern, so UTF-8 may break).
+                let mut bytes = valid.clone().into_bytes();
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.gen_range(0u32..8);
+                check(&String::from_utf8_lossy(&bytes));
+
+                // One key dropped.
+                let mut fewer = members.clone();
+                fewer.remove(rng.gen_range(0..fewer.len()));
+                check(&line_of(&fewer));
+
+                // One value replaced by a random scalar.
+                let mut swapped = members.clone();
+                let at = rng.gen_range(0..swapped.len());
+                swapped[at].1 = random_scalar(&mut rng);
+                check(&line_of(&swapped));
+            }
+        }
+    }
+}

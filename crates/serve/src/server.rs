@@ -298,8 +298,17 @@ impl Server {
                 reader.skip_until(b'\n')?;
                 continue;
             }
-            let line = std::str::from_utf8(&buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            // A line that is not UTF-8 is one more malformed request, not
+            // the end of the session.
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                self.refuse(
+                    "protocol_errors",
+                    None,
+                    "request line is not valid UTF-8; skipped",
+                    writer,
+                )?;
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }

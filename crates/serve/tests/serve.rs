@@ -570,6 +570,28 @@ fn an_over_long_request_line_is_refused_and_skipped() {
     assert_eq!(u64_field(&server.counters(), "protocol_errors"), 2);
 }
 
+#[test]
+fn a_request_line_that_is_not_utf8_is_refused_and_the_session_goes_on() {
+    let server = Server::new(ServeConfig::default());
+    let mut input = b"\xff\xfe{\n".to_vec();
+    input.extend_from_slice(
+        format!("{{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}\n").as_bytes(),
+    );
+    let mut out = Vec::new();
+    server
+        .handle_session(input.as_slice(), &mut out)
+        .expect("one hostile byte must not end the session");
+    let replies = records(&String::from_utf8(out).unwrap());
+    let kinds: Vec<&str> = replies
+        .iter()
+        .map(|r| r.get("type").and_then(Value::as_str).unwrap())
+        .collect();
+    assert_eq!(kinds, ["error", "pong"]);
+    let message = replies[0].get("error").and_then(Value::as_str).unwrap();
+    assert!(message.contains("UTF-8"), "{message}");
+    assert_eq!(u64_field(&server.counters(), "protocol_errors"), 1);
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_sessions_work() {

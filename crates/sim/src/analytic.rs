@@ -7,7 +7,7 @@
 
 use sara_analytic::{evaluate, AnalyticInput, AnalyticReport};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, ADMIT_LATENCY, READ_RESPONSE_LATENCY};
 
 /// Evaluates the closed-form analytic model for a configured cell:
 /// optimistic bandwidth bound, rated demand, latency feasibility, the
@@ -26,8 +26,8 @@ pub fn analytic_report(cfg: &SystemConfig) -> AnalyticReport {
         burst_bytes: cfg.dram.burst_bytes(),
         freq: cfg.freq,
         cores: &cfg.cores,
-        admit_latency: cfg.admit_latency,
-        read_response_latency: cfg.read_response_latency,
+        admit_latency: ADMIT_LATENCY,
+        read_response_latency: READ_RESPONSE_LATENCY,
     })
 }
 

@@ -6,15 +6,26 @@ use sara_noc::{ArbiterKind, NocConfig};
 use sara_types::{Clock, ConfigError, MegaHertz, PriorityBits};
 use sara_workloads::{CoreSpec, TestCase, FRAMES_PER_SECOND};
 
-/// Default NoC→lane admission latency in cycles (see
-/// [`SystemConfig::admit_latency`]): a plausible interconnect forwarding
-/// delay that doubles as the lane look-ahead window.
-pub(crate) const DEFAULT_ADMIT_LATENCY: u64 = 48;
+/// Cycles between a NoC admission decision and the transaction becoming
+/// visible to its channel lane: a plausible interconnect forwarding delay.
+/// Modelling this forward latency is also what lets decoupled lanes run
+/// that many cycles ahead of the event drain — the engine's look-ahead
+/// window.
+pub(crate) const ADMIT_LATENCY: u64 = 48;
+
+/// Extra cycles for read data to travel back through the interconnect.
+pub(crate) const READ_RESPONSE_LATENCY: u64 = 10;
+
+/// NPI/priority/bandwidth sampling period.
+const SAMPLE_PERIOD_NS: f64 = 10_000.0;
+
+/// Time ignored by failure verdicts while the meters settle.
+const WARMUP_NS: f64 = 1_000_000.0;
 
 /// The NoC arbitration discipline matching a memory-controller policy, so
 /// the whole path applies one consistent QoS scheme (§2's end-to-end
 /// argument).
-pub fn arbiter_for(policy: PolicyKind) -> ArbiterKind {
+pub(crate) fn arbiter_for(policy: PolicyKind) -> ArbiterKind {
     match policy {
         PolicyKind::Fcfs => ArbiterKind::Fcfs,
         PolicyKind::RoundRobin => ArbiterKind::RoundRobin,
@@ -106,7 +117,7 @@ impl ScenarioParams {
 pub struct SystemConfig {
     /// DRAM I/O frequency (also the simulation beat clock).
     pub freq: MegaHertz,
-    /// Memory scheduling policy (NoC arbiters follow via [`arbiter_for`]).
+    /// Memory scheduling policy (the NoC arbiters follow it).
     pub policy: PolicyKind,
     /// The workload.
     pub cores: Vec<CoreSpec>,
@@ -120,17 +131,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// Address interleaving.
     pub interleave: Interleave,
-    /// NPI/priority sampling period in cycles.
-    pub sample_period: u64,
-    /// Cycles ignored by failure verdicts while meters settle.
-    pub warmup_cycles: u64,
-    /// Extra cycles for read data to travel back through the interconnect.
-    pub read_response_latency: u64,
-    /// Cycles between a NoC admission decision and the transaction
-    /// becoming visible to its channel lane. Modelling this forward
-    /// latency is also what lets decoupled lanes run that many cycles
-    /// ahead of the event drain — the engine's look-ahead window.
-    pub admit_latency: u64,
     /// Master seed for all stochastic generators.
     pub seed: u64,
     /// Priority encoding width k (the paper uses 3 bits; the ablation
@@ -211,10 +211,6 @@ impl SystemConfig {
             mc: McConfig::builder(params.policy).build()?,
             dram,
             interleave,
-            sample_period: clock.cycles_from_ns(10_000.0), // 10 µs
-            warmup_cycles: clock.cycles_from_ns(1_000_000.0), // 1 ms
-            read_response_latency: 10,
-            admit_latency: DEFAULT_ADMIT_LATENCY,
             seed: params.seed,
             priority_bits: PriorityBits::PAPER,
             trace_capacity: 0,
@@ -224,6 +220,16 @@ impl SystemConfig {
     /// The clock for wall-clock conversions.
     pub fn clock(&self) -> Clock {
         Clock::new(self.freq)
+    }
+
+    /// NPI/priority/bandwidth sampling period in cycles (10 µs).
+    pub(crate) fn sample_period(&self) -> u64 {
+        self.clock().cycles_from_ns(SAMPLE_PERIOD_NS)
+    }
+
+    /// Cycles ignored by failure verdicts while the meters settle (1 ms).
+    pub(crate) fn warmup_cycles(&self) -> u64 {
+        self.clock().cycles_from_ns(WARMUP_NS)
     }
 }
 

@@ -21,8 +21,8 @@
 //!
 //! Execution is horizon-stepped with an admission-latency look-ahead: a
 //! transaction the NoC admits at cycle `e` reaches its lane at
-//! `e + admit_latency`, so when the next global event sits at `h`, every
-//! lane may advance its own tick chain through `[h, h + admit_latency)`
+//! `e + ADMIT_LATENCY`, so when the next global event sits at `h`, every
+//! lane may advance its own tick chain through `[h, h + ADMIT_LATENCY)`
 //! before any event in that window is processed (DRAM command scheduling
 //! never reads anything outside its lane). The lanes' buffered outputs —
 //! completions becoming `Deliver` events, freed shared-budget credit
@@ -47,16 +47,16 @@
 //! `memmove`.
 
 use sara_dram::{AddressMap, ChannelStats, Dram, DramStats};
-use sara_memctrl::{AdmissionControl, ChannelController, McStats, PolicyKind};
+use sara_memctrl::{AdmissionControl, ChannelController, Completion, McStats, PolicyKind};
 use sara_noc::Noc;
 use sara_types::{
     Clock, ConfigError, CoreClass, Cycle, DmaId, MegaHertz, MemOp, Transaction, TransactionId,
 };
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, ADMIT_LATENCY, READ_RESPONSE_LATENCY};
 use crate::event_queue::{EventKind, EventQueue};
 use crate::health::{DmaHealth, SystemHealth};
-use crate::lane::{ChannelLane, LaneCompletion};
+use crate::lane::ChannelLane;
 use crate::report::{ReportBuilder, SimReport};
 use crate::runtime::{build_dmas, DmaRuntime, BURST_BYTES};
 use crate::sampling::Samplers;
@@ -105,7 +105,7 @@ pub struct Simulation {
     epoch_floor: Vec<f64>,
     /// Scratch for the deterministic completion merge: the window's
     /// completions moved out of the lanes, each with its lane index.
-    merged: Vec<(usize, LaneCompletion)>,
+    merged: Vec<(usize, Completion)>,
     /// Events at or below this cycle may drain without re-entering the
     /// lanes: every lane has already advanced past it. Raised when a new
     /// look-ahead window opens, shrunk whenever a lane is armed (the
@@ -158,7 +158,7 @@ impl Simulation {
         let classes: Vec<CoreClass> = dmas.iter().map(|d| d.class).collect();
         let noc = Noc::class_tree(cfg.noc.clone(), &classes)?;
         let channel_count = lanes.len();
-        let samplers = Samplers::new(dmas.len(), cfg.sample_period);
+        let samplers = Samplers::new(dmas.len(), cfg.sample_period());
         let mut sim = Simulation {
             clock,
             map,
@@ -173,7 +173,7 @@ impl Simulation {
             txn_seq: 0,
             channels: channel_count,
             samplers,
-            next_sample: Cycle::new(cfg.sample_period),
+            next_sample: Cycle::new(cfg.sample_period()),
             trace: TransactionTrace::new(cfg.trace_capacity),
             telemetry: SimTelemetry::new(dmas.len(), channel_count),
             epoch_floor: vec![f64::INFINITY; dmas.len()],
@@ -213,7 +213,6 @@ impl Simulation {
         // A request that ends in the past is a no-op: time never runs
         // backwards.
         let end = end.max(self.now);
-        let latency = self.cfg.admit_latency;
         loop {
             match self.events.peek() {
                 Some(h) if h <= end => {
@@ -229,7 +228,7 @@ impl Simulation {
                         // completion (the pump may react to the freed
                         // entry, and its admission must not land behind a
                         // lane's frontier).
-                        let bound = h + latency;
+                        let bound = h + ADMIT_LATENCY;
                         let cap = self.advance_lanes(bound);
                         self.drain_limit = bound.min(cap);
                         continue;
@@ -281,14 +280,13 @@ impl Simulation {
     /// or [`Cycle::MAX`] if the whole window completed — the caller's
     /// event-drain limit.
     fn advance_lanes(&mut self, bound: Cycle) -> Cycle {
-        let latency = self.cfg.admit_latency;
         for lane in &mut self.lanes {
             if lane.has_work_below(bound) {
-                lane.advance_to(bound, latency);
+                lane.advance_to(bound);
             }
         }
         self.merge_lane_outputs()
-            .map_or(Cycle::MAX, |first| first + latency)
+            .map_or(Cycle::MAX, |first| first + ADMIT_LATENCY)
     }
 
     /// Applies the lanes' buffered window outputs to the global state in
@@ -303,9 +301,9 @@ impl Simulation {
         }
         // At most one command per cycle per lane makes (cycle, lane)
         // unique, so the order is total.
-        merged.sort_unstable_by_key(|(li, c)| (c.at, *li));
-        let first = merged.first().map(|(_, c)| c.at);
-        for (li, LaneCompletion { at, completion: c }) in merged.drain(..) {
+        merged.sort_unstable_by_key(|(li, c)| (c.issued_at, *li));
+        let first = merged.first().map(|(_, c)| c.issued_at);
+        for (li, c) in merged.drain(..) {
             self.telemetry
                 .record_completion(li, c.txn.class, c.queued_for, c.row_hit, c.was_aged);
             if self.cfg.trace_capacity > 0 {
@@ -324,7 +322,7 @@ impl Simulation {
             }
             let is_read = c.txn.op.is_read();
             let deliver_at = if is_read {
-                c.done_at + self.cfg.read_response_latency
+                c.done_at + READ_RESPONSE_LATENCY
             } else {
                 c.done_at
             };
@@ -340,8 +338,10 @@ impl Simulation {
             // The freed controller entry becomes visible to admission (and
             // the NoC gets its pump) at the completion cycle, not at merge
             // time — see `EventKind::Release`.
-            self.events
-                .push(at, EventKind::Release(c.txn.class.queue_index() as u8));
+            self.events.push(
+                c.issued_at,
+                EventKind::Release(c.txn.class.queue_index() as u8),
+            );
         }
         self.merged = merged;
         first
@@ -451,9 +451,9 @@ impl Simulation {
     fn pump(&mut self) {
         let now = self.now;
         // Admission latency: a transaction the NoC admits now physically
-        // reaches its lane `admit_latency` cycles later — the slack that
+        // reaches its lane `ADMIT_LATENCY` cycles later — the slack that
         // lets lanes run ahead of the event drain.
-        let admit_at = now + self.cfg.admit_latency;
+        let admit_at = now + ADMIT_LATENCY;
         // One bit per channel (a ChannelId addresses at most 256).
         let mut accepted = [0u64; 4];
         let (noc, front, lanes, map) = (&mut self.noc, &mut self.front, &mut self.lanes, &self.map);
@@ -528,7 +528,7 @@ impl Simulation {
         }
         let bytes = self.dram_bytes();
         self.samplers.record_bandwidth(bytes);
-        self.next_sample = now + self.cfg.sample_period;
+        self.next_sample = now + self.samplers.period();
         self.events.push(self.next_sample, EventKind::Sample);
     }
 

@@ -6,21 +6,10 @@ use sara_memctrl::PolicyKind;
 use sara_types::{ConfigError, CoreKind, MegaHertz};
 use sara_workloads::TestCase;
 
-use crate::config::{ScenarioParams, SystemConfig};
+use crate::config::SystemConfig;
 use crate::engine::Simulation;
 use crate::report::SimReport;
 use crate::sampling::MAX_LEVELS;
-
-/// Runs an arbitrary scenario parameterisation to completion — the
-/// single-cell convenience tests and doc examples use.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] on inconsistent configuration.
-pub fn run_params(params: ScenarioParams, duration_ms: f64) -> Result<SimReport, ConfigError> {
-    let cfg = SystemConfig::from_scenario(params)?;
-    Ok(Simulation::new(cfg)?.run_for_ms(duration_ms))
-}
 
 /// Runs the camcorder workload for one policy (Figs 5/6/9 machinery).
 ///
@@ -32,10 +21,8 @@ pub fn run_camcorder(
     policy: PolicyKind,
     duration_ms: f64,
 ) -> Result<SimReport, ConfigError> {
-    run_params(
-        ScenarioParams::new(case.dram_freq(), policy, case.cores()),
-        duration_ms,
-    )
+    let cfg = SystemConfig::camcorder(case, policy)?;
+    Ok(Simulation::new(cfg)?.run_for_ms(duration_ms))
 }
 
 /// One point of the Fig. 7 frequency sweep: one core's priority

@@ -15,7 +15,7 @@ use sara_types::{CoreClass, CoreKind, Cycle, MegaHertz};
 /// Health of one DMA engine at a snapshot instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DmaHealth {
-    /// Index in workload order (matches [`crate::DmaRuntime`] order).
+    /// Index in workload order: the order of the DMAs in `SystemConfig::cores`.
     pub dma: usize,
     /// Owning core.
     pub core: CoreKind,

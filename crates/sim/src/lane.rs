@@ -15,15 +15,7 @@ use sara_dram::Channel;
 use sara_memctrl::{ChannelController, Completion, TickResult};
 use sara_types::{ChannelId, ConfigError, Cycle, MegaHertz};
 
-/// One completion surfaced by a lane advance, stamped with the cycle its
-/// final column command issued at (the merge sort key).
-#[derive(Debug)]
-pub(crate) struct LaneCompletion {
-    /// Tick cycle of the final column command.
-    pub at: Cycle,
-    /// The completed transaction.
-    pub completion: Completion,
-}
+use crate::config::ADMIT_LATENCY;
 
 /// One channel's lane: controller slice + DRAM channel + clock domain +
 /// pending-tick state.
@@ -47,9 +39,11 @@ pub(crate) struct ChannelLane {
     /// Effective DRAM frequency of this lane's clock domain (≤ the beat
     /// clock; the beat clock itself never changes).
     pub effective_freq: MegaHertz,
-    /// Completions produced by the last advance, in tick order. Drained by
-    /// the engine's merge step.
-    pub out: Vec<LaneCompletion>,
+    /// Completions produced by the last advance, in tick order; each
+    /// carries the cycle its final column command issued at
+    /// ([`Completion::issued_at`], the merge sort key). Drained by the
+    /// engine's merge step.
+    pub out: Vec<Completion>,
 }
 
 impl ChannelLane {
@@ -106,13 +100,13 @@ impl ChannelLane {
     ///
     /// A completion frees a shared-budget entry, and the NoC must get a
     /// chance to exploit it before the lane's own frontier outruns the
-    /// freed cycle. The admission latency gives the lane `cap_latency`
+    /// freed cycle. The admission latency gives the lane [`ADMIT_LATENCY`]
     /// cycles of slack: the first completion at `t1` caps the advance at
-    /// `t1 + cap_latency` (exclusive), because anything the pump admits in
+    /// `t1 + ADMIT_LATENCY` (exclusive), because anything the pump admits in
     /// reaction reaches the lane no earlier than that. The engine re-enters
     /// with a fresh horizon after merging, so lanes still run decoupled
     /// through every completion-free stretch.
-    pub(crate) fn advance_to(&mut self, bound: Cycle, cap_latency: u64) {
+    pub(crate) fn advance_to(&mut self, bound: Cycle) {
         let mut cap = Cycle::MAX;
         while let Some(t) = self.pending {
             let limit = bound.min(cap);
@@ -130,9 +124,10 @@ impl ChannelLane {
                     self.pending = Some(at + 1);
                     if let Some(c) = completed {
                         if cap == Cycle::MAX {
-                            cap = at + cap_latency;
+                            cap = at + ADMIT_LATENCY;
                         }
-                        self.out.push(LaneCompletion { at, completion: c });
+                        debug_assert_eq!(c.issued_at, at, "completion stamped off its tick");
+                        self.out.push(c);
                     }
                 }
                 TickResult::Idle { retry_at } => self.pending = retry_at,

@@ -69,14 +69,13 @@ mod trace;
 pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 pub use analytic::analytic_report;
-pub use config::{arbiter_for, ScenarioParams, SystemConfig};
+pub use config::{ScenarioParams, SystemConfig};
 // Re-exported so downstream crates read verdicts without a direct
 // `sara-analytic` dependency.
 pub use engine::Simulation;
 pub use health::{DmaHealth, SystemHealth};
-pub use report::{CoreReport, SimReport, FAIL_THRESHOLD};
-pub use runtime::{DmaRuntime, BURST_BYTES};
-pub use sampling::{Samplers, MAX_LEVELS};
+pub use report::{CoreReport, SimReport};
+pub use sampling::MAX_LEVELS;
 pub use sara_analytic::{channel_bound_bytes_per_s, AnalyticReport, ScreenVerdict};
 pub use telemetry::{SimTelemetry, TelemetryReport};
 pub use trace::{TraceRecord, TransactionTrace};

@@ -17,7 +17,7 @@ use crate::telemetry::TelemetryReport;
 /// NPI below this is a failed target. Slightly under 1.0 to absorb the
 /// quantisation ripple of byte-granular meters; real failures in this
 /// regime are drastic (the paper reports cores at 10–13% of target).
-pub const FAIL_THRESHOLD: f64 = 0.97;
+pub(crate) const FAIL_THRESHOLD: f64 = 0.97;
 
 /// QoS outcome of one core over the simulated window.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,7 +185,7 @@ pub(crate) struct ReportBuilder<'a> {
 impl ReportBuilder<'_> {
     pub(crate) fn build(self) -> SimReport {
         let elapsed = self.now.as_u64().max(1);
-        let warmup_samples = (self.cfg.warmup_cycles / self.cfg.sample_period) as usize;
+        let warmup_samples = (self.cfg.warmup_cycles() / self.samplers.period()) as usize;
 
         // Group DMAs by core kind, preserving workload order.
         let mut order: Vec<CoreKind> = Vec::new();
@@ -263,7 +263,7 @@ impl ReportBuilder<'_> {
             dram: dram_stats,
             mc: self.mc,
             noc_forwarded: self.noc.root_stats().forwarded,
-            sample_period: self.cfg.sample_period,
+            sample_period: self.samplers.period(),
             npi_series,
             bandwidth_series: self.samplers.bandwidth_series(),
             telemetry: self.telemetry,

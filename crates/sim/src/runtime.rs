@@ -11,13 +11,11 @@ use sara_workloads::{
 };
 
 /// Burst size of every DMA transaction (one DRAM column burst).
-pub const BURST_BYTES: u32 = 128;
+pub(crate) const BURST_BYTES: u32 = 128;
 
 /// Runtime state of one DMA engine.
 #[derive(Debug)]
-pub struct DmaRuntime {
-    /// Spec name (e.g. `"rotator-wr"`).
-    pub name: String,
+pub(crate) struct DmaRuntime {
     /// Owning core kind.
     pub core: CoreKind,
     /// Traffic class.
@@ -44,17 +42,6 @@ pub struct DmaRuntime {
     pub total_latency: u64,
     /// Whether injection is currently stalled on NoC backpressure.
     pub blocked_on_noc: bool,
-}
-
-impl DmaRuntime {
-    /// Mean completion latency in cycles.
-    pub fn mean_latency(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / self.completed as f64
-        }
-    }
 }
 
 /// Allocates private, 1 MiB-aligned DRAM regions to DMAs.
@@ -92,7 +79,7 @@ impl RegionAllocator {
 /// Returns [`ConfigError`] when a meter spec is incompatible with its
 /// traffic spec (e.g. an occupancy meter on bursty traffic) or the address
 /// regions exceed DRAM capacity.
-pub fn build_dmas(
+pub(crate) fn build_dmas(
     cores: &[CoreSpec],
     clock: Clock,
     frame_period_cycles: u64,
@@ -280,7 +267,6 @@ fn build_dma(
         }
     };
     Ok(DmaRuntime {
-        name: spec.name.clone(),
         core: kind,
         class: kind.class(),
         op: spec.op,

@@ -9,7 +9,7 @@ pub const MAX_LEVELS: usize = 16;
 
 /// Collected sample streams for every DMA.
 #[derive(Debug, Clone)]
-pub struct Samplers {
+pub(crate) struct Samplers {
     period: u64,
     /// `npi[dma][k]` = NPI at sample k.
     npi: Vec<Vec<f64>>,
@@ -21,7 +21,7 @@ pub struct Samplers {
 
 impl Samplers {
     /// Creates samplers for `dmas` DMAs at the given period (cycles).
-    pub fn new(dmas: usize, period: u64) -> Self {
+    pub(crate) fn new(dmas: usize, period: u64) -> Self {
         Samplers {
             period,
             npi: vec![Vec::new(); dmas],
@@ -32,40 +32,30 @@ impl Samplers {
 
     /// The sampling period in cycles.
     #[inline]
-    pub fn period(&self) -> u64 {
+    pub(crate) fn period(&self) -> u64 {
         self.period
     }
 
     /// Records one DMA's sample: the NPI value and the priority level it
     /// held for the elapsed period.
-    pub fn record(&mut self, dma: usize, npi: Npi, priority: Priority) {
+    pub(crate) fn record(&mut self, dma: usize, npi: Npi, priority: Priority) {
         self.npi[dma].push(npi.as_f64());
         self.priority_cycles[dma][priority.index()] += self.period;
     }
 
     /// Records the cumulative DRAM byte counter.
-    pub fn record_bandwidth(&mut self, total_bytes: u64) {
+    pub(crate) fn record_bandwidth(&mut self, total_bytes: u64) {
         self.bytes.push(total_bytes);
     }
 
     /// NPI series of one DMA.
-    pub fn npi_series(&self, dma: usize) -> &[f64] {
+    pub(crate) fn npi_series(&self, dma: usize) -> &[f64] {
         &self.npi[dma]
-    }
-
-    /// Number of samples taken.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether no samples were taken.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Priority residency of one DMA: fraction of sampled time at each
     /// level (Fig. 7's horizontal bars).
-    pub fn residency(&self, dma: usize) -> [f64; MAX_LEVELS] {
+    pub(crate) fn residency(&self, dma: usize) -> [f64; MAX_LEVELS] {
         let total: u64 = self.priority_cycles[dma].iter().sum();
         let mut out = [0.0; MAX_LEVELS];
         if total > 0 {
@@ -77,7 +67,7 @@ impl Samplers {
     }
 
     /// Delivered bandwidth in bytes/cycle per sampling interval.
-    pub fn bandwidth_series(&self) -> Vec<f64> {
+    pub(crate) fn bandwidth_series(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.bytes.len());
         let mut prev = 0u64;
         for &b in &self.bytes {
@@ -117,8 +107,6 @@ mod tests {
         s.record_bandwidth(3000);
         let bw = s.bandwidth_series();
         assert_eq!(bw, vec![10.0, 20.0]);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
     }
 }
 
@@ -141,7 +129,6 @@ mod more_tests {
     #[test]
     fn bandwidth_series_empty_initially() {
         let s = Samplers::new(1, 10);
-        assert!(s.is_empty());
         assert_eq!(s.bandwidth_series(), Vec::<f64>::new());
     }
 }

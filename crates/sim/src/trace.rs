@@ -3,8 +3,6 @@
 //! rescued by aging).
 
 use std::collections::VecDeque;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 
 use sara_types::{CoreKind, Cycle, DmaId, MemOp, Priority, TransactionId};
 
@@ -102,37 +100,6 @@ impl TransactionTrace {
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
     }
-
-    /// Writes the retained records as CSV.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = BufWriter::new(std::fs::File::create(path)?);
-        writeln!(
-            f,
-            "id,dma,core,op,priority,injected_at,done_at,latency,queued_for,row_hit,was_aged"
-        )?;
-        for r in &self.records {
-            writeln!(
-                f,
-                "{},{},{},{},{},{},{},{},{},{},{}",
-                r.id.as_u64(),
-                r.dma.index(),
-                r.core.name().replace(' ', "_"),
-                r.op,
-                r.priority.as_u8(),
-                r.injected_at.as_u64(),
-                r.done_at.as_u64(),
-                r.done_at.saturating_sub(r.injected_at),
-                r.queued_for,
-                r.row_hit as u8,
-                r.was_aged as u8,
-            )?;
-        }
-        f.flush()
-    }
 }
 
 #[cfg(test)]
@@ -172,21 +139,5 @@ mod tests {
         t.push(record(0));
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 1);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_record() {
-        let mut t = TransactionTrace::new(8);
-        for i in 0..5 {
-            t.push(record(i));
-        }
-        let dir = std::env::temp_dir().join("sara_trace_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.csv");
-        t.write_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 6); // header + 5
-        assert!(text.lines().nth(1).unwrap().starts_with("0,0,DSP,RD,3,"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,7 @@
 use json::Value;
 
 /// Number of buckets: one for zero plus one per bit position of a `u64`.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// Bucket index of a value: 0 holds exactly the value 0; bucket `k ≥ 1`
 /// holds the range `[2^(k-1), 2^k - 1]`.

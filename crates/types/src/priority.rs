@@ -120,12 +120,6 @@ impl Priority {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Whether this level is at least as urgent as `other`.
-    #[inline]
-    pub fn at_least(self, other: Priority) -> bool {
-        self.0 >= other.0
-    }
 }
 
 impl fmt::Display for Priority {
@@ -161,8 +155,8 @@ mod tests {
     #[test]
     fn ordering_is_urgency() {
         assert!(Priority::new(7) > Priority::new(3));
-        assert!(Priority::new(3).at_least(Priority::new(3)));
-        assert!(!Priority::new(2).at_least(Priority::new(3)));
+        assert!(Priority::new(3) >= Priority::new(3));
+        assert!(Priority::new(2) < Priority::new(3));
     }
 
     #[test]

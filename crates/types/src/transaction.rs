@@ -55,7 +55,6 @@ impl fmt::Display for MemOp {
 ///
 /// let a = Addr::new(0x4000_0000);
 /// assert_eq!(a.as_u64(), 0x4000_0000);
-/// assert_eq!(a.offset(128).as_u64(), 0x4000_0080);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Addr(u64);
@@ -71,12 +70,6 @@ impl Addr {
     #[inline]
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// This address advanced by `bytes`.
-    #[inline]
-    pub const fn offset(self, bytes: u64) -> Addr {
-        Addr(self.0 + bytes)
     }
 }
 
@@ -206,11 +199,6 @@ mod tests {
         assert!(s.contains("RD"));
         assert!(s.contains("P5"));
         assert_eq!(format!("{:x}", t.addr), "1000");
-    }
-
-    #[test]
-    fn addr_offset() {
-        assert_eq!(Addr::new(0).offset(128), Addr::new(128));
     }
 
     #[test]

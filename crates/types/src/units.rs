@@ -24,33 +24,6 @@ pub fn mb_per_s(mb: f64) -> f64 {
     mb * 1e6
 }
 
-/// Converts a rate in gigabytes per second (decimal, 10⁹) to bytes/second.
-///
-/// # Examples
-///
-/// ```
-/// use sara_types::units::gb_per_s;
-///
-/// assert_eq!(gb_per_s(1.5), 1_500_000_000.0);
-/// ```
-#[inline]
-pub fn gb_per_s(gb: f64) -> f64 {
-    gb * 1e9
-}
-
-/// Formats a bytes/second rate as a human-readable GB/s string.
-///
-/// # Examples
-///
-/// ```
-/// use sara_types::units::format_gb_per_s;
-///
-/// assert_eq!(format_gb_per_s(14_930_000_000.0), "14.93 GB/s");
-/// ```
-pub fn format_gb_per_s(bytes_per_s: f64) -> String {
-    format!("{:.2} GB/s", bytes_per_s / 1e9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,11 +38,5 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(mb_per_s(1.0), 1e6);
-        assert_eq!(gb_per_s(2.0), 2e9);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(format_gb_per_s(1e9), "1.00 GB/s");
     }
 }
