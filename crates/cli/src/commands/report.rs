@@ -9,12 +9,14 @@
 //! dumps, exiting non-zero when the new one regressed, which is what CI
 //! wires into a gate.
 
+use std::collections::{HashMap, HashSet};
+
 use json::Value;
 
 use crate::args::{Args, CliError};
 use crate::output::page;
 use sara_serve::FORMAT_TAG as SERVE_TAG;
-use sara_serve::JOURNAL_TAG;
+use sara_serve::{EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
 
 const USAGE: &str = "usage: sara report FILE | sara report --diff OLD NEW [--tolerance F]";
 
@@ -202,36 +204,30 @@ fn load(path: &str) -> Result<(Value, Kind), CliError> {
 /// when any line fails to parse or the lines are not uniformly tagged
 /// `sara-serve/v1` (a transcript) or `sara-serve-journal/v1` (a journal).
 fn parse_ndjson(text: &str) -> Option<Value> {
-    let mut records = Vec::new();
-    let mut tag: Option<String> = None;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = json::parse(line).ok()?;
-        let format = record.get("format").and_then(Value::as_str)?.to_string();
-        if format != SERVE_TAG && format != JOURNAL_TAG {
-            return None;
-        }
-        match &tag {
-            None => tag = Some(format),
-            Some(t) if *t == format => {}
-            Some(_) => return None,
-        }
-        records.push(record);
+    let records = text
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| json::parse(line).ok())
+        .collect::<Option<Vec<Value>>>()?;
+    let kind = tagged_kind(records.first()?)?;
+    let uniform = records.iter().all(|r| tagged_kind(r) == Some(kind));
+    uniform.then_some(Value::Array(records))
+}
+
+/// The kind a record's `format` tag names: a serve transcript's or a
+/// serve journal's.
+fn tagged_kind(record: &Value) -> Option<Kind> {
+    match record.get("format").and_then(Value::as_str)? {
+        SERVE_TAG => Some(Kind::Serve),
+        JOURNAL_TAG => Some(Kind::Journal),
+        _ => None,
     }
-    if records.is_empty() {
-        return None;
-    }
-    Some(Value::Array(records))
 }
 
 /// Classifies a document by its shape.
 fn detect(doc: &Value) -> Option<Kind> {
-    match doc.get("format").and_then(Value::as_str) {
-        Some(SERVE_TAG) => return Some(Kind::Serve),
-        Some(JOURNAL_TAG) => return Some(Kind::Journal),
-        _ => {}
+    if let Some(kind) = tagged_kind(doc) {
+        return Some(kind);
     }
     if doc.get("cells").is_some() && doc.get("rankings").is_some() {
         return Some(Kind::Matrix);
@@ -239,32 +235,13 @@ fn detect(doc: &Value) -> Option<Kind> {
     if doc.get("traceEvents").is_some() {
         return Some(Kind::Chrome);
     }
-    if let Some(records) = doc.as_array() {
-        if !records.is_empty() {
-            let all_tagged = |tag| {
-                records
-                    .iter()
-                    .all(|r| r.get("format").and_then(Value::as_str) == Some(tag))
-            };
-            if all_tagged(SERVE_TAG) {
-                return Some(Kind::Serve);
-            }
-            if all_tagged(JOURNAL_TAG) {
-                return Some(Kind::Journal);
-            }
-        }
+    let records = doc.as_array().filter(|records| !records.is_empty())?;
+    let kind = tagged_kind(&records[0]);
+    if kind.is_some() && records.iter().all(|r| tagged_kind(r) == kind) {
+        return kind;
     }
-    match doc.as_array() {
-        Some(runs)
-            if !runs.is_empty()
-                && runs
-                    .iter()
-                    .all(|r| r.get("scenario").is_some() && r.get("trace").is_some()) =>
-        {
-            Some(Kind::Govern)
-        }
-        _ => None,
-    }
+    let governed = |r: &Value| r.get("scenario").is_some() && r.get("trace").is_some();
+    records.iter().all(governed).then_some(Kind::Govern)
 }
 
 // --- field access helpers ----------------------------------------------------
@@ -298,6 +275,58 @@ fn req_array<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a [Value], Cli
     req(v, key, what)?
         .as_array()
         .ok_or_else(|| CliError::Failure(format!("{what}: \"{key}\" is not an array")))
+}
+
+// --- the diff rule -----------------------------------------------------------
+
+/// The one rule every `--diff` follows: each OLD entry is paired with the
+/// first NEW entry of the same key, found through one index of NEW. An OLD
+/// key missing from NEW is a regression and a key only in NEW is noted.
+/// `judge` rules on a pair with its faults (none: the pair is fine) and
+/// the line to print when it is fine, or has nothing to say.
+fn diff_keyed<T>(
+    noun: &str,
+    old: &[T],
+    new: &[T],
+    key: impl Fn(&T) -> String,
+    judge: impl Fn(&str, &T, &T) -> Option<(Vec<String>, String)>,
+) -> (Vec<String>, Vec<String>) {
+    let new_keys: Vec<String> = new.iter().map(&key).collect();
+    let mut index: HashMap<&str, usize> = HashMap::with_capacity(new.len());
+    for (i, k) in new_keys.iter().enumerate() {
+        index.entry(k.as_str()).or_insert(i);
+    }
+    let (mut ok, mut bad) = (Vec::new(), Vec::new());
+    let mut old_keys = HashSet::with_capacity(old.len());
+    for o in old {
+        let k = key(o);
+        match index.get(k.as_str()) {
+            None => bad.push(format!("{k}: {noun} missing from the new dump")),
+            Some(&i) => match judge(&k, o, &new[i]) {
+                Some((faults, _)) if !faults.is_empty() => {
+                    bad.push(format!("{k}: {}", faults.join("; ")));
+                }
+                Some((_, line)) => ok.push(line),
+                None => {}
+            },
+        }
+        old_keys.insert(k);
+    }
+    for k in new_keys {
+        if !old_keys.contains(&k) {
+            ok.push(format!("new {noun} {k} (not in the old dump)"));
+        }
+    }
+    (ok, bad)
+}
+
+/// `" (N screened without simulation)"`, or nothing when none were.
+fn screened_note(screened: usize) -> String {
+    if screened > 0 {
+        format!(" ({screened} screened without simulation)")
+    } else {
+        String::new()
+    }
 }
 
 // --- matrix ------------------------------------------------------------------
@@ -390,12 +419,35 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
     })
 }
 
-fn matrix_cells(doc: &Value, what: &str) -> Result<Vec<CellFacts>, CliError> {
-    req_array(doc, "cells", what)?
-        .iter()
+/// Every cell's facts, in order: a matrix dump's `cells`, or a serve
+/// transcript's `cell` records.
+fn cells_of(doc: &Value, kind: Kind, what: &str) -> Result<Vec<CellFacts>, CliError> {
+    let (cells, at): (Vec<&Value>, &str) = match kind {
+        Kind::Matrix => (req_array(doc, "cells", what)?.iter().collect(), "cells"),
+        _ => (
+            serve_records(doc, what)?
+                .iter()
+                .filter(|r| r.get("type").and_then(Value::as_str) == Some("cell"))
+                .collect(),
+            "cell record ",
+        ),
+    };
+    cells
+        .into_iter()
         .enumerate()
-        .map(|(i, cell)| cell_facts(cell, &format!("{what}: cells[{i}]")))
+        .map(|(i, cell)| cell_facts(cell, &format!("{what}: {at}[{i}]")))
         .collect()
+}
+
+/// `"all targets met in M/N {what}"`, plus how many of them were screened.
+fn targets_met(cells: &[CellFacts], what: &str) -> String {
+    let met = cells.iter().filter(|c| c.targets_met).count();
+    let screened = cells.iter().filter(|c| c.screened.is_some()).count();
+    format!(
+        "all targets met in {met}/{} {what}{}",
+        cells.len(),
+        screened_note(screened)
+    )
 }
 
 /// Achieved bandwidth within this fraction of the analytic bound is
@@ -405,20 +457,13 @@ const NEAR_BOUND: f64 = 0.98;
 
 fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
     const WHAT: &str = "matrix dump";
-    let cells = matrix_cells(doc, WHAT)?;
+    let cells = cells_of(doc, Kind::Matrix, WHAT)?;
     let rankings = req_array(doc, "rankings", WHAT)?;
-    let met = cells.iter().filter(|c| c.targets_met).count();
-    let screened = cells.iter().filter(|c| c.screened.is_some()).count();
     let mut lines = vec![format!(
-        "matrix dump: {} cells across {} scenarios; all targets met in {met}/{} cells{}",
+        "matrix dump: {} cells across {} scenarios; {}",
         cells.len(),
         rankings.len(),
-        cells.len(),
-        if screened > 0 {
-            format!(" ({screened} screened without simulation)")
-        } else {
-            String::new()
-        }
+        targets_met(&cells, "cells")
     )];
     for r in rankings {
         let scenario = req_str(r, "scenario", WHAT)?;
@@ -480,13 +525,7 @@ fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
 /// The cell-level regression check shared by matrix dumps and serve
 /// transcripts (in any combination).
 fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, Vec<String>) {
-    let mut ok = Vec::new();
-    let mut bad = Vec::new();
-    for o in old {
-        let Some(n) = new.iter().find(|n| n.key() == o.key()) else {
-            bad.push(format!("{}: cell missing from the new dump", o.key()));
-            continue;
-        };
+    diff_keyed("cell", old, new, CellFacts::key, |key, o, n| {
         let mut faults = Vec::new();
         if o.targets_met && !n.targets_met {
             faults.push("QoS targets newly missed".to_string());
@@ -514,32 +553,20 @@ fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, V
                 faults.push(format!("screening verdict {ov} -> {nv}"));
             }
         }
-        if faults.is_empty() {
-            ok.push(if comparable {
-                format!(
-                    "ok {:<36} {:.3} -> {:.3} GB/s",
-                    o.key(),
-                    o.bandwidth_gbs,
-                    n.bandwidth_gbs
-                )
-            } else {
-                format!(
-                    "ok {:<36} screened ({} -> {})",
-                    o.key(),
-                    o.screened.as_deref().unwrap_or("simulated"),
-                    n.screened.as_deref().unwrap_or("simulated")
-                )
-            });
+        let line = if comparable {
+            format!(
+                "ok {key:<36} {:.3} -> {:.3} GB/s",
+                o.bandwidth_gbs, n.bandwidth_gbs
+            )
         } else {
-            bad.push(format!("{}: {}", o.key(), faults.join("; ")));
-        }
-    }
-    for n in new {
-        if !old.iter().any(|o| o.key() == n.key()) {
-            ok.push(format!("new cell {} (not in the old dump)", n.key()));
-        }
-    }
-    (ok, bad)
+            format!(
+                "ok {key:<36} screened ({} -> {})",
+                o.screened.as_deref().unwrap_or("simulated"),
+                n.screened.as_deref().unwrap_or("simulated")
+            )
+        };
+        Some((faults, line))
+    })
 }
 
 // --- serve -------------------------------------------------------------------
@@ -548,16 +575,6 @@ fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, V
 fn serve_records<'a>(doc: &'a Value, what: &str) -> Result<&'a [Value], CliError> {
     doc.as_array()
         .ok_or_else(|| CliError::Failure(format!("{what}: not a serve record array")))
-}
-
-/// Every `cell` record's comparable facts, in stream order.
-fn serve_cells(doc: &Value, what: &str) -> Result<Vec<CellFacts>, CliError> {
-    serve_records(doc, what)?
-        .iter()
-        .filter(|r| r.get("type").and_then(Value::as_str) == Some("cell"))
-        .enumerate()
-        .map(|(i, cell)| cell_facts(cell, &format!("{what}: cell record [{i}]")))
-        .collect()
 }
 
 fn summarize_serve(doc: &Value) -> Result<Vec<String>, CliError> {
@@ -601,30 +618,28 @@ fn summarize_serve(doc: &Value) -> Result<Vec<String>, CliError> {
             }
         ));
     }
-    let cells = serve_cells(doc, WHAT)?;
+    let cells = cells_of(doc, Kind::Serve, WHAT)?;
     if !cells.is_empty() {
-        let met = cells.iter().filter(|c| c.targets_met).count();
-        let screened = cells.iter().filter(|c| c.screened.is_some()).count();
-        lines.push(format!(
-            "  all targets met in {met}/{} streamed cells{}",
-            cells.len(),
-            if screened > 0 {
-                format!(" ({screened} screened without simulation)")
-            } else {
-                String::new()
-            }
-        ));
+        lines.push(format!("  {}", targets_met(&cells, "streamed cells")));
     }
     Ok(lines)
 }
 
 // --- govern ------------------------------------------------------------------
 
-/// What the govern diff compares, one entry per governed run.
+/// One governed run, read once for its summary and its diff.
 struct RunFacts {
     scenario: String,
+    epochs: usize,
+    final_mhz: u64,
+    final_policy: String,
+    freq_changes: u64,
     failing_epochs: u64,
     qos_deficit: f64,
+    /// Achieved over analytic bound, per epoch that carries a bound.
+    bound_ratios: Vec<f64>,
+    /// The pinned static baseline: (MHz, failing epochs, QoS deficit).
+    baseline: Option<(u64, u64, f64)>,
 }
 
 fn govern_runs(doc: &Value, what: &str) -> Result<Vec<RunFacts>, CliError> {
@@ -635,56 +650,71 @@ fn govern_runs(doc: &Value, what: &str) -> Result<Vec<RunFacts>, CliError> {
         .map(|(i, run)| {
             let what = format!("{what}: runs[{i}]");
             let outcome = req(run, "outcome", &what)?;
+            let trace = req_array(run, "trace", &what)?;
+            // Fields are read in the order the summary prints them, so the
+            // first missing one is the one reported.
             Ok(RunFacts {
                 scenario: req_str(run, "scenario", &what)?,
+                epochs: trace.len(),
+                final_mhz: req_u64(outcome, "final_mhz", &what)?,
+                final_policy: req_str(outcome, "final_policy", &what)?,
+                freq_changes: req_u64(outcome, "freq_changes", &what)?,
                 failing_epochs: req_u64(outcome, "failing_epochs", &what)?,
                 qos_deficit: req_f64(outcome, "qos_deficit", &what)?,
+                bound_ratios: bound_ratios(trace),
+                baseline: match run.get("baseline") {
+                    None => None,
+                    Some(baseline) => {
+                        let b = req(baseline, "outcome", &what)?;
+                        let deficit = req_f64(b, "qos_deficit", &what)?;
+                        let pinned_mhz = req_u64(baseline, "pinned_mhz", &what)?;
+                        Some((pinned_mhz, req_u64(b, "failing_epochs", &what)?, deficit))
+                    }
+                },
             })
         })
         .collect()
 }
 
+/// Achieved-vs-bound per epoch, when the trace carries analytic bounds:
+/// achieved = epoch bytes over the epoch's wall-clock share, bound = the
+/// closed-form ceiling at the epoch's operating point.
+fn bound_ratios(trace: &[Value]) -> Vec<f64> {
+    let mut ratios = Vec::new();
+    let mut prev_ms = 0.0;
+    for e in trace {
+        let end_ms = e.get("end_ms").and_then(Value::as_f64).unwrap_or(prev_ms);
+        let span_s = (end_ms - prev_ms) / 1e3;
+        prev_ms = end_ms;
+        let (Some(bound), Some(bytes)) = (
+            e.get("bound_gbs").and_then(Value::as_f64),
+            e.get("bytes").and_then(Value::as_u64),
+        ) else {
+            continue;
+        };
+        if span_s > 0.0 && bound > 0.0 {
+            let achieved_gbs = bytes as f64 / span_s / 1e9;
+            ratios.push(achieved_gbs / bound);
+        }
+    }
+    ratios
+}
+
 fn summarize_govern(doc: &Value) -> Result<Vec<String>, CliError> {
-    const WHAT: &str = "govern dump";
-    let runs = doc
-        .as_array()
-        .ok_or_else(|| CliError::Failure(format!("{WHAT}: not a run array")))?;
+    let runs = govern_runs(doc, "govern dump")?;
     let mut lines = vec![format!("governed runs: {}", runs.len())];
-    for (i, run) in runs.iter().enumerate() {
-        let what = format!("{WHAT}: runs[{i}]");
-        let outcome = req(run, "outcome", &what)?;
-        let trace = req_array(run, "trace", &what)?;
+    for run in &runs {
         lines.push(format!(
             "  {:<18} {} epochs, final {} MHz {}, {} freq changes, {} failing epochs, deficit {:.4}",
-            req_str(run, "scenario", &what)?,
-            trace.len(),
-            req_u64(outcome, "final_mhz", &what)?,
-            req_str(outcome, "final_policy", &what)?,
-            req_u64(outcome, "freq_changes", &what)?,
-            req_u64(outcome, "failing_epochs", &what)?,
-            req_f64(outcome, "qos_deficit", &what)?
+            run.scenario,
+            run.epochs,
+            run.final_mhz,
+            run.final_policy,
+            run.freq_changes,
+            run.failing_epochs,
+            run.qos_deficit
         ));
-        // Achieved-vs-bound per epoch, when the trace carries analytic
-        // bounds: achieved = epoch bytes over the epoch's wall-clock
-        // share, bound = the closed-form ceiling at the epoch's operating
-        // point.
-        let mut ratios = Vec::new();
-        let mut prev_ms = 0.0;
-        for e in trace {
-            let end_ms = e.get("end_ms").and_then(Value::as_f64).unwrap_or(prev_ms);
-            let span_s = (end_ms - prev_ms) / 1e3;
-            prev_ms = end_ms;
-            let (Some(bound), Some(bytes)) = (
-                e.get("bound_gbs").and_then(Value::as_f64),
-                e.get("bytes").and_then(Value::as_u64),
-            ) else {
-                continue;
-            };
-            if span_s > 0.0 && bound > 0.0 {
-                let achieved_gbs = bytes as f64 / span_s / 1e9;
-                ratios.push(achieved_gbs / bound);
-            }
-        }
+        let ratios = &run.bound_ratios;
         if !ratios.is_empty() {
             let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
             let peak = ratios.iter().cloned().fold(f64::MIN, f64::max);
@@ -698,18 +728,10 @@ fn summarize_govern(doc: &Value) -> Result<Vec<String>, CliError> {
                 (1.0 - NEAR_BOUND) * 100.0
             ));
         }
-        if let Some(baseline) = run.get("baseline") {
-            let b = req(baseline, "outcome", &what)?;
-            let (b_deficit, g_deficit) = (
-                req_f64(b, "qos_deficit", &what)?,
-                req_f64(outcome, "qos_deficit", &what)?,
-            );
+        if let Some((pinned_mhz, b_failing, b_deficit)) = run.baseline {
             lines.push(format!(
-                "    vs static @{} MHz: {} failing epochs, deficit {:.4} ({})",
-                req_u64(baseline, "pinned_mhz", &what)?,
-                req_u64(b, "failing_epochs", &what)?,
-                b_deficit,
-                if g_deficit <= b_deficit {
+                "    vs static @{pinned_mhz} MHz: {b_failing} failing epochs, deficit {b_deficit:.4} ({})",
+                if run.qos_deficit <= b_deficit {
                     "governed improves"
                 } else {
                     "governed regresses"
@@ -723,13 +745,8 @@ fn summarize_govern(doc: &Value) -> Result<Vec<String>, CliError> {
 fn diff_govern(old: &Value, new: &Value, tol: f64) -> Result<(Vec<String>, Vec<String>), CliError> {
     let old = govern_runs(old, "OLD")?;
     let new = govern_runs(new, "NEW")?;
-    let mut ok = Vec::new();
-    let mut bad = Vec::new();
-    for o in &old {
-        let Some(n) = new.iter().find(|n| n.scenario == o.scenario) else {
-            bad.push(format!("{}: run missing from the new dump", o.scenario));
-            continue;
-        };
+    let key = |r: &RunFacts| r.scenario.clone();
+    Ok(diff_keyed("run", &old, &new, key, |scenario, o, n| {
         let mut faults = Vec::new();
         if n.failing_epochs > o.failing_epochs {
             faults.push(format!(
@@ -745,55 +762,47 @@ fn diff_govern(old: &Value, new: &Value, tol: f64) -> Result<(Vec<String>, Vec<S
                 tol * 100.0
             ));
         }
-        if faults.is_empty() {
-            ok.push(format!(
-                "ok {:<18} deficit {:.4} -> {:.4}",
-                o.scenario, o.qos_deficit, n.qos_deficit
-            ));
-        } else {
-            bad.push(format!("{}: {}", o.scenario, faults.join("; ")));
-        }
-    }
-    for n in &new {
-        if !old.iter().any(|o| o.scenario == n.scenario) {
-            ok.push(format!("new run {} (not in the old dump)", n.scenario));
-        }
-    }
-    Ok((ok, bad))
+        let line = format!(
+            "ok {scenario:<18} deficit {:.4} -> {:.4}",
+            o.qos_deficit, n.qos_deficit
+        );
+        Some((faults, line))
+    }))
 }
 
 // --- serve journal -----------------------------------------------------------
 
-/// The four wall-clock stages a journal samples, in pipeline order, and
-/// the event that carries each stage's `dur_us`.
-const JOURNAL_STAGES: [(&str, &str); 4] = [
-    ("cache lookup", "cache"),
-    ("queue wait", "sim_start"),
-    ("sim", "sim_end"),
-    ("emit", "emitted"),
-];
-
 /// What a journal summary and diff work from.
 struct JournalFacts {
     events: usize,
-    accepted: u64,
-    rejected: u64,
+    /// How many events of each [`EVENTS`] name, in table order.
+    counts: [u64; EVENTS.len()],
     cells: u64,
-    hits: u64,
-    misses: u64,
-    /// Cells answered by the analytic screener without simulation.
-    screened: u64,
-    /// Stage name → ascending-sorted `dur_us` samples, in pipeline order.
-    stages: Vec<(&'static str, Vec<u64>)>,
+    /// Per [`STAGE_HISTOGRAMS`] stage, in pipeline order: its name
+    /// (`queue_wait_us` reads "queue wait") and the ascending-sorted
+    /// `dur_us` samples of the events [`EVENTS`] maps to it.
+    stages: Vec<(String, Vec<u64>)>,
     /// Client → (jobs, cells), in first-appearance order.
     clients: Vec<(String, u64, u64)>,
 }
 
 impl JournalFacts {
+    /// How many `event` events the journal holds.
+    fn count(&self, event: &str) -> u64 {
+        EVENTS
+            .iter()
+            .position(|(name, _)| *name == event)
+            .map_or(0, |i| self.counts[i])
+    }
+
     /// Cache hit rate as a fraction, when any lookup happened.
     fn hit_rate(&self) -> Option<f64> {
-        let lookups = self.hits + self.misses;
-        (lookups > 0).then(|| self.hits as f64 / lookups as f64)
+        let (hits, lookups) = (self.count("cache_hit"), self.lookups());
+        (lookups > 0).then(|| hits as f64 / lookups as f64)
+    }
+
+    fn lookups(&self) -> u64 {
+        self.count("cache_hit") + self.count("cache_miss")
     }
 }
 
@@ -803,59 +812,38 @@ fn journal_facts(doc: &Value, what: &str) -> Result<JournalFacts, CliError> {
         .ok_or_else(|| CliError::Failure(format!("{what}: not a journal event array")))?;
     let mut facts = JournalFacts {
         events: records.len(),
-        accepted: 0,
-        rejected: 0,
+        counts: [0; EVENTS.len()],
         cells: 0,
-        hits: 0,
-        misses: 0,
-        screened: 0,
-        stages: JOURNAL_STAGES
+        stages: STAGE_HISTOGRAMS
             .iter()
-            .map(|(s, _)| (*s, Vec::new()))
+            .map(|h| (h.trim_end_matches("_us").replace('_', " "), Vec::new()))
             .collect(),
         clients: Vec::new(),
-    };
-    let mut sample = |stage: &str, dur: u64| {
-        if let Some((_, samples)) = facts.stages.iter_mut().find(|(s, _)| *s == stage) {
-            samples.push(dur);
-        }
     };
     for (i, r) in records.iter().enumerate() {
         let what = format!("{what}: events[{i}]");
         let event = req_str(r, "event", &what)?;
-        let dur = || req_u64(r, "dur_us", &what);
-        match event.as_str() {
-            "accepted" => {
-                facts.accepted += 1;
-                let cells = req_u64(r, "cells", &what)?;
-                facts.cells += cells;
-                let client = req_str(r, "client", &what)?;
-                match facts.clients.iter_mut().find(|(c, _, _)| *c == client) {
-                    Some((_, jobs, total)) => {
-                        *jobs += 1;
-                        *total += cells;
-                    }
-                    None => facts.clients.push((client, 1, cells)),
+        let Some(e) = EVENTS.iter().position(|(name, _)| *name == event) else {
+            return Err(CliError::Failure(format!(
+                "{what}: unknown journal event \"{event}\""
+            )));
+        };
+        facts.counts[e] += 1;
+        if let Some(histogram) = EVENTS[e].1 {
+            let stage = STAGE_HISTOGRAMS.iter().position(|h| *h == histogram);
+            let samples = &mut facts.stages[stage.expect("EVENTS names stage histograms")].1;
+            samples.push(req_u64(r, "dur_us", &what)?);
+        }
+        if event == "accepted" {
+            let cells = req_u64(r, "cells", &what)?;
+            facts.cells += cells;
+            let client = req_str(r, "client", &what)?;
+            match facts.clients.iter_mut().find(|(c, _, _)| *c == client) {
+                Some((_, jobs, total)) => {
+                    *jobs += 1;
+                    *total += cells;
                 }
-            }
-            "rejected" => facts.rejected += 1,
-            "queued" => {}
-            "cache_hit" => {
-                facts.hits += 1;
-                sample("cache lookup", dur()?);
-            }
-            "cache_miss" => {
-                facts.misses += 1;
-                sample("cache lookup", dur()?);
-            }
-            "screened" => facts.screened += 1,
-            "sim_start" => sample("queue wait", dur()?),
-            "sim_end" => sample("sim", dur()?),
-            "emitted" => sample("emit", dur()?),
-            other => {
-                return Err(CliError::Failure(format!(
-                    "{what}: unknown journal event \"{other}\""
-                )))
+                None => facts.clients.push((client, 1, cells)),
             }
         }
     }
@@ -873,28 +861,23 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 
 fn summarize_journal(doc: &Value) -> Result<Vec<String>, CliError> {
     let facts = journal_facts(doc, "serve journal")?;
-    let screened_note = if facts.screened > 0 {
-        format!(" ({} screened without simulation)", facts.screened)
-    } else {
-        String::new()
-    };
-    let mut lines = vec![match facts.hit_rate() {
-        Some(rate) => format!(
-            "serve journal: {} events; {} jobs accepted, {} rejected, {} cells{screened_note}; \
-             cache hit rate {:.1}% ({}/{} lookups)",
-            facts.events,
-            facts.accepted,
-            facts.rejected,
-            facts.cells,
+    let mut head = format!(
+        "serve journal: {} events; {} jobs accepted, {} rejected, {} cells{}",
+        facts.events,
+        facts.count("accepted"),
+        facts.count("rejected"),
+        facts.cells,
+        screened_note(facts.count("screened") as usize)
+    );
+    if let Some(rate) = facts.hit_rate() {
+        head.push_str(&format!(
+            "; cache hit rate {:.1}% ({}/{} lookups)",
             rate * 100.0,
-            facts.hits,
-            facts.hits + facts.misses
-        ),
-        None => format!(
-            "serve journal: {} events; {} jobs accepted, {} rejected, {} cells{screened_note}",
-            facts.events, facts.accepted, facts.rejected, facts.cells
-        ),
-    }];
+            facts.count("cache_hit"),
+            facts.lookups()
+        ));
+    }
+    let mut lines = vec![head];
     for (stage, samples) in &facts.stages {
         if samples.is_empty() {
             continue;
@@ -921,7 +904,8 @@ fn summarize_journal(doc: &Value) -> Result<Vec<String>, CliError> {
 /// Diffs two journals: per-stage latency quantiles must not grow past
 /// the tolerance (plus a small absolute allowance, so microsecond jitter
 /// on near-zero stages never flags), and the cache hit rate must not
-/// drop more than the tolerance.
+/// drop more than the tolerance. A stage with no samples in NEW is noted,
+/// not flagged: that journal's jobs never reached it.
 fn diff_journal(
     old: &Value,
     new: &Value,
@@ -930,36 +914,38 @@ fn diff_journal(
     const SLACK_US: f64 = 50.0;
     let old = journal_facts(old, "OLD")?;
     let new = journal_facts(new, "NEW")?;
-    let mut ok = Vec::new();
-    let mut bad = Vec::new();
-    for (stage, o_samples) in &old.stages {
-        if o_samples.is_empty() {
-            continue;
-        }
-        let Some((_, n_samples)) = new.stages.iter().find(|(s, _)| s == stage) else {
-            unreachable!("both fact sets carry every stage")
-        };
-        if n_samples.is_empty() {
-            ok.push(format!("stage {stage} absent from the new journal"));
-            continue;
-        }
-        let mut faults = Vec::new();
-        for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            let (o_q, n_q) = (quantile(o_samples, q), quantile(n_samples, q));
-            if n_q as f64 > o_q as f64 * (1.0 + tol) + SLACK_US {
-                faults.push(format!("{label} {o_q} -> {n_q} us"));
+    let key = |(stage, _): &(String, Vec<u64>)| stage.clone();
+    let (mut ok, mut bad) = diff_keyed(
+        "stage",
+        &old.stages,
+        &new.stages,
+        key,
+        |stage, (_, o), (_, n)| {
+            if o.is_empty() {
+                return None;
             }
-        }
-        if faults.is_empty() {
-            ok.push(format!(
+            if n.is_empty() {
+                return Some((
+                    Vec::new(),
+                    format!("stage {stage} absent from the new journal"),
+                ));
+            }
+            let faults = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)]
+                .into_iter()
+                .filter_map(|(label, q)| {
+                    let (o_q, n_q) = (quantile(o, q), quantile(n, q));
+                    let grew = n_q as f64 > o_q as f64 * (1.0 + tol) + SLACK_US;
+                    grew.then(|| format!("{label} {o_q} -> {n_q} us"))
+                })
+                .collect();
+            let line = format!(
                 "ok {stage:<13} p95 {} -> {} us",
-                quantile(o_samples, 0.95),
-                quantile(n_samples, 0.95)
-            ));
-        } else {
-            bad.push(format!("{stage}: {}", faults.join("; ")));
-        }
-    }
+                quantile(o, 0.95),
+                quantile(n, 0.95)
+            );
+            Some((faults, line))
+        },
+    );
     if let (Some(o_rate), Some(n_rate)) = (old.hit_rate(), new.hit_rate()) {
         if n_rate < o_rate - tol {
             bad.push(format!(
@@ -1302,15 +1288,6 @@ fn summarize(doc: &Value, kind: Kind) -> Result<Vec<String>, CliError> {
     }
 }
 
-/// Facts for a cell-carrying dump, by its kind.
-fn cells_of(doc: &Value, kind: Kind, what: &str) -> Result<Vec<CellFacts>, CliError> {
-    match kind {
-        Kind::Matrix => matrix_cells(doc, what),
-        Kind::Serve => serve_cells(doc, what),
-        _ => unreachable!("cells_of is only called for cell-carrying kinds"),
-    }
-}
-
 fn diff(
     old: &Value,
     new: &Value,
@@ -1343,8 +1320,8 @@ mod tests {
         tol: f64,
     ) -> Result<(Vec<String>, Vec<String>), CliError> {
         Ok(diff_cells(
-            &matrix_cells(old, "OLD")?,
-            &matrix_cells(new, "NEW")?,
+            &cells_of(old, Kind::Matrix, "OLD")?,
+            &cells_of(new, Kind::Matrix, "NEW")?,
             tol,
         ))
     }
@@ -1489,7 +1466,7 @@ mod tests {
         // New dumps stamp the channel count into the cell key; dumps from
         // before the channels axis (no key) keep their old identity.
         let mut doc = matrix_doc(&[("a", "FCFS", 1600, true, 0, 10.0)]);
-        let cells = matrix_cells(&doc, "t").unwrap();
+        let cells = cells_of(&doc, Kind::Matrix, "t").unwrap();
         assert_eq!(cells[0].key(), "a FCFS @1600 MHz");
         if let Value::Object(members) = &mut doc {
             if let Value::Array(cells) = &mut members[0].1 {
@@ -1498,7 +1475,7 @@ mod tests {
                 }
             }
         }
-        let cells = matrix_cells(&doc, "t").unwrap();
+        let cells = cells_of(&doc, Kind::Matrix, "t").unwrap();
         assert_eq!(cells[0].key(), "a FCFS @1600 MHz x4ch");
     }
 

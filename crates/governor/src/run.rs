@@ -39,7 +39,7 @@ pub struct EpochRecord {
     /// Closed-form aggregate bandwidth bound at the operating point in
     /// force during the epoch (sum over channels of the analytic
     /// per-channel ceiling at each lane's stretched timings), GB/s.
-    pub bound_gbs: Option<f64>,
+    pub bound_gbs: f64,
     /// The governor's decision at the epoch's end (applies to the next
     /// epoch).
     pub action: GovernorAction,
@@ -300,19 +300,17 @@ fn run_at_beat(
                 }
             }
         }
-        let bound_gbs = Some(
-            freqs_during
-                .iter()
-                .map(|&f| {
-                    channel_bound_bytes_per_s(
-                        &ref_timing.rescaled(beat_u, u64::from(f)),
-                        burst_bytes,
-                        beat_hz,
-                    )
-                })
-                .sum::<f64>()
-                / 1e9,
-        );
+        let bound_gbs = freqs_during
+            .iter()
+            .map(|&f| {
+                channel_bound_bytes_per_s(
+                    &ref_timing.rescaled(beat_u, u64::from(f)),
+                    burst_bytes,
+                    beat_hz,
+                )
+            })
+            .sum::<f64>()
+            / 1e9;
         trace.push(EpochRecord {
             epoch,
             end_ms: clock.ns_from_cycles(epoch_end.as_u64()) / 1e6,

@@ -24,13 +24,14 @@ fn lanes_cell<T: std::fmt::Display>(values: &[T]) -> String {
 /// The CSV header shared by every epoch-trace row. The `*_per_channel`
 /// columns pack one value per DRAM channel, semicolon-joined in channel
 /// order; `action_lane` names the channel a per-channel action applied to
-/// (`-` for the single knob and for holds).
+/// (`-` for the single knob and for holds); `bound` is the epoch's
+/// analytic bandwidth bound in GB/s.
 pub const TRACE_CSV_HEADER: &str = "scenario,epoch,end_ms,freq_mhz,freq_per_channel,policy,\
-     worst_npi,failing_dmas,mc_occupancy,queued_per_channel,bytes,action,action_lane";
+     worst_npi,failing_dmas,mc_occupancy,queued_per_channel,bytes,action,action_lane,bound";
 
-fn epoch_row(scenario: &str, e: &EpochRecord, with_bound: bool) -> String {
-    let mut row = format!(
-        "{scenario},{},{},{},{},{},{},{},{},{},{},{},{}",
+fn epoch_row(scenario: &str, e: &EpochRecord) -> String {
+    format!(
+        "{scenario},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
         e.epoch,
         cell(e.end_ms),
         e.freq_mhz,
@@ -45,47 +46,26 @@ fn epoch_row(scenario: &str, e: &EpochRecord, with_bound: bool) -> String {
         match e.action_lane {
             Some(ch) => ch.to_string(),
             None => "-".to_string(),
-        }
-    );
-    if with_bound {
-        row.push(',');
-        match e.bound_gbs {
-            Some(b) => row.push_str(&cell(b)),
-            None => row.push('-'),
-        }
-    }
-    row.push('\n');
-    row
+        },
+        cell(e.bound_gbs)
+    )
 }
 
 /// Serializes governed runs as CSV: one row per (scenario, epoch).
 /// Borrow-based so callers holding `(outcome, baseline)` pairs can feed
 /// it without cloning traces.
-///
-/// When any epoch carries an analytic bandwidth bound, a trailing `bound`
-/// column (GB/s; `-` for boundless epochs) is appended after
-/// `action_lane`; traces recorded without bounds keep the v1 header
-/// byte-for-byte.
 pub fn trace_csv<'a>(outcomes: impl IntoIterator<Item = &'a GovernedOutcome>) -> String {
-    let outcomes: Vec<&GovernedOutcome> = outcomes.into_iter().collect();
-    let with_bound = outcomes
-        .iter()
-        .any(|o| o.trace.iter().any(|e| e.bound_gbs.is_some()));
-    let mut out = String::from(TRACE_CSV_HEADER);
-    if with_bound {
-        out.push_str(",bound");
-    }
-    out.push('\n');
+    let mut out = format!("{TRACE_CSV_HEADER}\n");
     for o in outcomes {
         for e in &o.trace {
-            out.push_str(&epoch_row(&o.scenario, e, with_bound));
+            out.push_str(&epoch_row(&o.scenario, e));
         }
     }
     out
 }
 
 fn epoch_value(e: &EpochRecord) -> Value {
-    let mut value = Value::Object(vec![
+    Value::Object(vec![
         ("epoch".to_string(), e.epoch.into()),
         ("end_ms".to_string(), e.end_ms.into()),
         ("freq_mhz".to_string(), e.freq_mhz.into()),
@@ -115,16 +95,8 @@ fn epoch_value(e: &EpochRecord) -> Value {
                 None => Value::Null,
             },
         ),
-    ]);
-    // Appended last, and only when computed, so pre-bound traces keep
-    // their v1 shape byte-for-byte.
-    if let Some(b) = e.bound_gbs {
-        let Value::Object(members) = &mut value else {
-            unreachable!("epoch_value builds an object")
-        };
-        members.push(("bound_gbs".to_string(), b.into()));
-    }
-    value
+        ("bound_gbs".to_string(), e.bound_gbs.into()),
+    ])
 }
 
 /// Aggregate QoS accounting of a run as a JSON node (shared between the
@@ -229,30 +201,17 @@ mod tests {
         let csv = trace_csv(std::slice::from_ref(&o));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), o.trace.len() + 1);
-        // Live runs carry per-epoch analytic bounds, so the trailing
-        // `bound` column is present.
-        assert_eq!(lines[0], format!("{TRACE_CSV_HEADER},bound"));
+        assert_eq!(lines[0], TRACE_CSV_HEADER);
         let cols = lines[0].split(',').count();
         assert!(lines.iter().all(|l| l.split(',').count() == cols));
         assert!(lines[1].starts_with("adas,0,"));
     }
 
     #[test]
-    fn csv_without_bounds_keeps_the_v1_header() {
-        let mut o = outcome();
-        for e in &mut o.trace {
-            e.bound_gbs = None;
-        }
-        let csv = trace_csv(std::slice::from_ref(&o));
-        assert_eq!(csv.lines().next(), Some(TRACE_CSV_HEADER));
-    }
-
-    #[test]
     fn epoch_bounds_are_positive_and_track_frequency() {
         let o = outcome();
         for e in &o.trace {
-            let b = e.bound_gbs.expect("live runs compute bounds");
-            assert!(b > 0.0 && b.is_finite());
+            assert!(e.bound_gbs > 0.0 && e.bound_gbs.is_finite());
         }
         // A lower operating point can never have a higher bound.
         for pair in o.trace.windows(2) {

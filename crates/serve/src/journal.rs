@@ -3,26 +3,13 @@
 //! flight recorder.
 //!
 //! Every record is a single-line JSON object led by
-//! `"format": "sara-serve-journal/v1"`, an `event` name, and a
-//! journal-wide monotonic `span` id; job-scoped events add a monotonic
-//! `job` number plus the client-chosen job `id`. Timestamps (`ts_us`)
-//! and durations (`dur_us`) are microseconds from the server's
-//! [`TimeSource`](sara_telemetry::TimeSource) — wall-clock in
-//! production, deterministic under a mock clock in tests.
-//!
-//! The event vocabulary, in the order one successful two-cell job
-//! produces it:
-//!
-//! | event | scope | extra fields | `dur_us` measures |
-//! |---|---|---|---|
-//! | `accepted` | job | `client`, `cells` | — |
-//! | `queued` | cell | `seq` | — |
-//! | `screened` | cell | `seq`, `verdict` | analytic screening |
-//! | `cache_hit` / `cache_miss` | cell | `seq` | cache classification |
-//! | `sim_start` | cell | `seq`, `worker` | queue wait |
-//! | `sim_end` | cell | `seq`, `worker` | simulation |
-//! | `emitted` | cell | `seq` | result write |
-//! | `rejected` | job | `client`, `reason` | — |
+//! `"format": "sara-serve-journal/v1"`, an `event` name, a journal-wide
+//! monotonic `span` id, the monotonic `job` number and the client-chosen
+//! job `id`. Timestamps (`ts_us`) and durations (`dur_us`) are
+//! microseconds from the server's [`TimeSource`](sara_telemetry::TimeSource)
+//! — wall-clock in production, deterministic under a mock clock in tests.
+//! [`EVENTS`] is the vocabulary and the stage histogram each event's
+//! `dur_us` feeds; `docs/observability.md` lists each event's fields.
 //!
 //! All appends happen on the session thread in submission (`seq`) order
 //! — workers only capture timestamps — so the *sequence* of events is a
@@ -40,6 +27,27 @@ use sara_telemetry::ChromeTrace;
 
 /// The version tag carried by every journal record.
 pub const JOURNAL_TAG: &str = "sara-serve-journal/v1";
+
+/// The wall-clock service histograms, one per job stage in pipeline
+/// order, all in microseconds: cache classification, queue wait
+/// (classification → sim start), simulation, and result write.
+pub const STAGE_HISTOGRAMS: [&str; 4] = ["cache_lookup_us", "queue_wait_us", "sim_us", "emit_us"];
+
+/// Every journal event, in the order one job produces them, with the
+/// stage histogram its `dur_us` feeds. `screened` carries the screening
+/// time as its `dur_us` but feeds no stage: a screened cell never
+/// reaches the cache.
+pub const EVENTS: [(&str, Option<&str>); 9] = [
+    ("accepted", None),
+    ("queued", None),
+    ("screened", None),
+    ("cache_hit", Some(STAGE_HISTOGRAMS[0])),
+    ("cache_miss", Some(STAGE_HISTOGRAMS[0])),
+    ("sim_start", Some(STAGE_HISTOGRAMS[1])),
+    ("sim_end", Some(STAGE_HISTOGRAMS[2])),
+    ("emitted", Some(STAGE_HISTOGRAMS[3])),
+    ("rejected", None),
+];
 
 /// The server's event journal: streams records to an optional writer
 /// and/or retains them in memory for Chrome-trace export.
@@ -70,17 +78,13 @@ impl std::fmt::Debug for Journal {
 impl Journal {
     /// A journal that records nothing (the default for a bare server).
     pub fn disabled() -> Journal {
-        Journal::build(None, false)
+        Journal::new(None, false)
     }
 
     /// A journal streaming NDJSON records to `writer` (when given) and
     /// retaining events in memory when `retain` is set (required for
     /// [`Journal::chrome_trace`]).
     pub fn new(writer: Option<Box<dyn Write + Send>>, retain: bool) -> Journal {
-        Journal::build(writer, retain)
-    }
-
-    fn build(writer: Option<Box<dyn Write + Send>>, retain: bool) -> Journal {
         Journal {
             next_job: AtomicU64::new(1),
             enabled: writer.is_some() || retain,
@@ -107,10 +111,17 @@ impl Journal {
             .unwrap_or_default()
     }
 
-    /// Appends one event. `tail` follows the `format`/`event`/`span`
-    /// lead-in; writes are best-effort (a full disk must not kill the
+    /// Appends one [`EVENTS`] record of job number `job` (client id `id`):
+    /// the `format`/`event`/`span`/`job`/`id` lead-in, then `fields` in
+    /// order. Writes are best-effort (a full disk must not kill the
     /// service).
-    fn append(&self, event: &str, tail: Vec<(String, Value)>) {
+    pub(crate) fn append(
+        &self,
+        event: &str,
+        job: u64,
+        id: &str,
+        fields: impl IntoIterator<Item = (&'static str, Value)>,
+    ) {
         if !self.enabled {
             return;
         }
@@ -121,8 +132,10 @@ impl Journal {
             ("format".to_string(), JOURNAL_TAG.into()),
             ("event".to_string(), event.into()),
             ("span".to_string(), span.into()),
+            ("job".to_string(), job.into()),
+            ("id".to_string(), id.into()),
         ];
-        members.extend(tail);
+        members.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
         let record = Value::Object(members);
         if let Some(w) = &mut inner.writer {
             let _ = record.write_ndjson_line(w);
@@ -131,166 +144,6 @@ impl Journal {
         if let Some(events) = &mut inner.retained {
             events.push(record);
         }
-    }
-
-    fn kv(key: &str, value: impl Into<Value>) -> (String, Value) {
-        (key.to_string(), value.into())
-    }
-
-    /// Job passed admission and expands to `cells` cells.
-    pub(crate) fn job_accepted(&self, job: u64, id: &str, client: &str, cells: usize, ts_us: u64) {
-        self.append(
-            "accepted",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("client", client),
-                Self::kv("cells", cells as u64),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Job refused before any cell ran (`reason`: `"unknown-scenario"`,
-    /// `"bad-matrix"` or `"budget"`).
-    pub(crate) fn job_rejected(&self, job: u64, id: &str, client: &str, reason: &str, ts_us: u64) {
-        self.append(
-            "rejected",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("client", client),
-                Self::kv("reason", reason),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Cell `seq` entered classification.
-    pub(crate) fn cell_queued(&self, job: u64, id: &str, seq: usize, ts_us: u64) {
-        self.append(
-            "queued",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("seq", seq as u64),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Cell `seq` was provably decided by the analytic screener
-    /// (`verdict`: `"infeasible"` or `"trivial"`) and will never be
-    /// simulated; `dur_us` is the screening time.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn cell_screened(
-        &self,
-        job: u64,
-        id: &str,
-        seq: usize,
-        verdict: &str,
-        dur_us: u64,
-        ts_us: u64,
-    ) {
-        self.append(
-            "screened",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("seq", seq as u64),
-                Self::kv("verdict", verdict),
-                Self::kv("dur_us", dur_us),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Cell `seq` was classified against the result cache; `dur_us` is
-    /// the lookup time.
-    pub(crate) fn cell_cache(
-        &self,
-        job: u64,
-        id: &str,
-        seq: usize,
-        hit: bool,
-        dur_us: u64,
-        ts_us: u64,
-    ) {
-        self.append(
-            if hit { "cache_hit" } else { "cache_miss" },
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("seq", seq as u64),
-                Self::kv("dur_us", dur_us),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Cell `seq` started simulating on `worker`; `dur_us` is the queue
-    /// wait (classification → sim start), `ts_us` the sim start time.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sim_started(
-        &self,
-        job: u64,
-        id: &str,
-        seq: usize,
-        worker: usize,
-        dur_us: u64,
-        ts_us: u64,
-    ) {
-        self.append(
-            "sim_start",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("seq", seq as u64),
-                Self::kv("worker", worker as u64),
-                Self::kv("dur_us", dur_us),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Cell `seq` finished simulating on `worker`; `dur_us` is the sim
-    /// time.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sim_finished(
-        &self,
-        job: u64,
-        id: &str,
-        seq: usize,
-        worker: usize,
-        dur_us: u64,
-        ts_us: u64,
-    ) {
-        self.append(
-            "sim_end",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("seq", seq as u64),
-                Self::kv("worker", worker as u64),
-                Self::kv("dur_us", dur_us),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
-    }
-
-    /// Cell `seq`'s result record was written to the client; `dur_us`
-    /// is the write+flush time.
-    pub(crate) fn cell_emitted(&self, job: u64, id: &str, seq: usize, dur_us: u64, ts_us: u64) {
-        self.append(
-            "emitted",
-            vec![
-                Self::kv("job", job),
-                Self::kv("id", id),
-                Self::kv("seq", seq as u64),
-                Self::kv("dur_us", dur_us),
-                Self::kv("ts_us", ts_us),
-            ],
-        );
     }
 
     /// Renders the retained events as a Chrome trace: one track per
@@ -329,19 +182,11 @@ pub fn chrome_trace_of(events: &[Value]) -> ChromeTrace {
             Some(seq) => format!("{id}[{seq}]"),
             None => id.to_string(),
         };
-        let args = |v: &Value| -> Vec<(String, Value)> {
-            v.as_object()
-                .map(|m| {
-                    m.iter()
-                        .filter(|(k, _)| matches!(k.as_str(), "job" | "client" | "reason"))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let arg_pairs = args(e);
-        let arg_refs: Vec<(&str, Value)> = arg_pairs
+        let arg_refs: Vec<(&str, Value)> = e
+            .as_object()
+            .unwrap_or_default()
             .iter()
+            .filter(|(k, _)| matches!(k.as_str(), "job" | "client" | "reason"))
             .map(|(k, v)| (k.as_str(), v.clone()))
             .collect();
         match event {
@@ -390,12 +235,35 @@ mod tests {
         }
     }
 
+    /// Appends cell events of job `job` (id `a`) with integer fields.
+    fn cells(j: &Journal, job: u64, events: &[(&str, &[(&'static str, u64)])]) {
+        for &(event, fields) in events {
+            j.append(event, job, "a", fields.iter().map(|&(k, v)| (k, v.into())));
+        }
+    }
+
+    /// The fields of an `accepted` event.
+    fn accepted(client: &str, cells: u64, ts_us: u64) -> [(&'static str, Value); 3] {
+        [
+            ("client", client.into()),
+            ("cells", cells.into()),
+            ("ts_us", ts_us.into()),
+        ]
+    }
+
+    #[test]
+    fn every_stage_histogram_is_fed_and_only_by_events() {
+        let fed: Vec<&str> = EVENTS.iter().filter_map(|&(_, h)| h).collect();
+        assert!(fed.iter().all(|h| STAGE_HISTOGRAMS.contains(h)), "{fed:?}");
+        assert!(STAGE_HISTOGRAMS.iter().all(|h| fed.contains(h)), "{fed:?}");
+    }
+
     #[test]
     fn disabled_journal_records_nothing_but_counts_jobs() {
         let j = Journal::disabled();
         assert_eq!(j.next_job(), 1);
         assert_eq!(j.next_job(), 2);
-        j.job_accepted(1, "a", "ci", 2, 10);
+        j.append("accepted", 1, "a", accepted("ci", 2, 10));
         assert!(j.events().is_empty());
     }
 
@@ -404,12 +272,24 @@ mod tests {
         let sink = Shared::default();
         let j = Journal::new(Some(Box::new(sink.clone())), true);
         let job = j.next_job();
-        j.job_accepted(job, "a", "ci", 1, 100);
-        j.cell_queued(job, "a", 0, 110);
-        j.cell_cache(job, "a", 0, false, 5, 115);
-        j.sim_started(job, "a", 0, 3, 10, 125);
-        j.sim_finished(job, "a", 0, 3, 50, 175);
-        j.cell_emitted(job, "a", 0, 7, 182);
+        j.append("accepted", job, "a", accepted("ci", 1, 100));
+        cells(
+            &j,
+            job,
+            &[
+                ("queued", &[("seq", 0), ("ts_us", 110)]),
+                ("cache_miss", &[("seq", 0), ("dur_us", 5), ("ts_us", 115)]),
+                (
+                    "sim_start",
+                    &[("seq", 0), ("worker", 3), ("dur_us", 10), ("ts_us", 125)],
+                ),
+                (
+                    "sim_end",
+                    &[("seq", 0), ("worker", 3), ("dur_us", 50), ("ts_us", 175)],
+                ),
+                ("emitted", &[("seq", 0), ("dur_us", 7), ("ts_us", 182)]),
+            ],
+        );
 
         let events = j.events();
         assert_eq!(events.len(), 6);
@@ -437,13 +317,35 @@ mod tests {
     fn chrome_trace_has_one_track_per_worker() {
         let j = Journal::new(None, true);
         let job = j.next_job();
-        j.job_accepted(job, "a", "ci", 2, 0);
-        for (seq, worker) in [(0usize, 1usize), (1, 0)] {
-            j.cell_queued(job, "a", seq, 1);
-            j.cell_cache(job, "a", seq, false, 1, 2);
-            j.sim_started(job, "a", seq, worker, 3, 5);
-            j.sim_finished(job, "a", seq, worker, 20, 25);
-            j.cell_emitted(job, "a", seq, 2, 27);
+        j.append("accepted", job, "a", accepted("ci", 2, 0));
+        for (seq, worker) in [(0, 1), (1, 0)] {
+            cells(
+                &j,
+                job,
+                &[
+                    ("queued", &[("seq", seq), ("ts_us", 1)]),
+                    ("cache_miss", &[("seq", seq), ("dur_us", 1), ("ts_us", 2)]),
+                    (
+                        "sim_start",
+                        &[
+                            ("seq", seq),
+                            ("worker", worker),
+                            ("dur_us", 3),
+                            ("ts_us", 5),
+                        ],
+                    ),
+                    (
+                        "sim_end",
+                        &[
+                            ("seq", seq),
+                            ("worker", worker),
+                            ("dur_us", 20),
+                            ("ts_us", 25),
+                        ],
+                    ),
+                    ("emitted", &[("seq", seq), ("dur_us", 2), ("ts_us", 27)]),
+                ],
+            );
         }
         let doc = j.chrome_trace().to_value();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();

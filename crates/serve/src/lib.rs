@@ -60,6 +60,6 @@ pub mod protocol;
 mod server;
 
 pub use cache::{CachedReport, ResultCache};
-pub use journal::{Journal, JOURNAL_TAG};
+pub use journal::{Journal, EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
 pub use protocol::{JobRequest, JobSummary, ProtocolError, Request, ScenarioRef, FORMAT_TAG};
-pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE, STAGE_HISTOGRAMS};
+pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE};

@@ -28,7 +28,7 @@ use sara_telemetry::{prometheus, Metric, Registry, TimeSource, WallClock};
 use sara_types::ConfigError;
 
 use crate::cache::{CachedReport, ResultCache};
-use crate::journal::Journal;
+use crate::journal::{Journal, EVENTS};
 use crate::protocol::{self, JobRequest, JobSummary, Request, ScenarioRef};
 
 /// The server's cumulative counters, registered in this order at
@@ -69,13 +69,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// The wall-clock service histograms, one per job stage, all in
-/// microseconds: cache classification, queue wait (classification →
-/// sim start), simulation, and result write. Registered lazily on
-/// first sample; the fixed [`COUNTERS`] stay ahead of them in the
-/// registry, so `stats` replies are unaffected.
-pub const STAGE_HISTOGRAMS: [&str; 4] = ["cache_lookup_us", "queue_wait_us", "sim_us", "emit_us"];
 
 /// A running service instance; shared by every session.
 #[derive(Debug)]
@@ -238,13 +231,47 @@ impl Server {
             .add(by);
     }
 
-    /// Records one sample into a stage histogram.
+    /// Records one sample into a stage histogram. Stage histograms are
+    /// registered on first sample, behind the fixed [`COUNTERS`], so
+    /// `stats` replies are unaffected.
     fn observe(&self, name: &str, v: u64) {
         self.registry
             .lock()
             .expect("registry")
             .histogram(name)
             .record(v);
+    }
+
+    /// Records a timed transition of job `job_no` that ran from `from_us`
+    /// to `to_us`: its duration goes into the stage histogram [`EVENTS`]
+    /// gives `event`, if any, and the event is journaled with `fields`
+    /// followed by `dur_us` and `ts_us` (= `to_us`).
+    fn record(
+        &self,
+        event: &str,
+        job_no: u64,
+        id: &str,
+        fields: impl IntoIterator<Item = (&'static str, Value)>,
+        from_us: u64,
+        to_us: u64,
+    ) {
+        let dur_us = to_us.saturating_sub(from_us);
+        if let Some(&(_, Some(stage))) = EVENTS.iter().find(|(name, _)| *name == event) {
+            self.observe(stage, dur_us);
+        }
+        let timing = [("dur_us", dur_us.into()), ("ts_us", to_us.into())];
+        self.journal
+            .append(event, job_no, id, fields.into_iter().chain(timing));
+    }
+
+    /// Journals the refusal of job `job_no` for `reason`.
+    fn journal_rejected(&self, job_no: u64, job: &JobRequest, reason: &str) {
+        let fields = [
+            ("client", job.client.as_str().into()),
+            ("reason", reason.into()),
+            ("ts_us", self.clock.now_us().into()),
+        ];
+        self.journal.append("rejected", job_no, &job.id, fields);
     }
 
     /// Bumps a per-client counter series (`kind{client="…"}`), escaping
@@ -436,13 +463,7 @@ impl Server {
                 ScenarioRef::Catalog(name) => match catalog::by_name(name) {
                     Some(s) => scenarios.push(s),
                     None => {
-                        self.journal.job_rejected(
-                            job_no,
-                            &job.id,
-                            &job.client,
-                            "unknown-scenario",
-                            self.clock.now_us(),
-                        );
+                        self.journal_rejected(job_no, job, "unknown-scenario");
                         return self.refuse(
                             "jobs_failed",
                             Some(&job.id),
@@ -471,20 +492,13 @@ impl Server {
         let cells = match expand_cells(&scenarios, &spec) {
             Ok(cells) => cells,
             Err(e) => {
-                self.journal.job_rejected(
-                    job_no,
-                    &job.id,
-                    &job.client,
-                    "bad-matrix",
-                    self.clock.now_us(),
-                );
+                self.journal_rejected(job_no, job, "bad-matrix");
                 return self.refuse("jobs_failed", Some(&job.id), e.message(), writer);
             }
         };
 
         let Some(_budget) = self.admit(&job.client, cells.len()) else {
-            self.journal
-                .job_rejected(job_no, &job.id, &job.client, "budget", self.clock.now_us());
+            self.journal_rejected(job_no, job, "budget");
             return self.refuse(
                 "jobs_rejected",
                 Some(&job.id),
@@ -501,8 +515,12 @@ impl Server {
         self.bump("cells_total", cells.len() as u64);
         self.bump_client("jobs", &job.client, 1);
         self.bump_client("cells", &job.client, cells.len() as u64);
-        self.journal
-            .job_accepted(job_no, &job.id, &job.client, cells.len(), t_accept);
+        let fields = [
+            ("client", job.client.as_str().into()),
+            ("cells", cells.len().into()),
+            ("ts_us", t_accept.into()),
+        ];
+        self.journal.append("accepted", job_no, &job.id, fields);
         protocol::accepted_record(&job.id, cells.len()).write_ndjson_line(writer)?;
         writer.flush()?;
 
@@ -530,22 +548,16 @@ impl Server {
             let mut cache = self.cache.lock().expect("cache");
             for (i, &fp) in fingerprints.iter().enumerate() {
                 let t_queued = self.clock.now_us();
-                self.journal.cell_queued(job_no, &job.id, i, t_queued);
+                let queued = [("seq", i.into()), ("ts_us", t_queued.into())];
+                self.journal.append("queued", job_no, &job.id, queued);
                 if job.screen == ScreenMode::Prune {
                     if let Ok(analytic) = screen_cell(&scenarios[cells[i].scenario], &cells[i]) {
                         if !analytic.verdict.needs_sim() {
                             screened += 1;
                             let t_screened = self.clock.now_us();
-                            let screen_us = t_screened.saturating_sub(t_queued);
-                            self.observe("cache_lookup_us", screen_us);
-                            self.journal.cell_screened(
-                                job_no,
-                                &job.id,
-                                i,
-                                analytic.verdict.label().unwrap_or("needs-sim"),
-                                screen_us,
-                                t_screened,
-                            );
+                            let verdict = analytic.verdict.label().unwrap_or("needs-sim");
+                            let fields = [("seq", i.into()), ("verdict", verdict.into())];
+                            self.record("screened", job_no, &job.id, fields, t_queued, t_screened);
                             sources.push(CellSource::Screened(Box::new(analytic)));
                             queued_us.push(t_screened);
                             continue;
@@ -568,10 +580,9 @@ impl Server {
                     false
                 };
                 let t_classified = self.clock.now_us();
-                let lookup_us = t_classified.saturating_sub(t_queued);
-                self.observe("cache_lookup_us", lookup_us);
-                self.journal
-                    .cell_cache(job_no, &job.id, i, hit, lookup_us, t_classified);
+                let event = if hit { "cache_hit" } else { "cache_miss" };
+                let fields = [("seq", i.into())];
+                self.record(event, job_no, &job.id, fields, t_queued, t_classified);
                 queued_us.push(t_classified);
             }
         }
@@ -620,26 +631,10 @@ impl Server {
                     CellSource::Screened(analytic) => Answer::Screened(analytic),
                     CellSource::Run => {
                         let timed = timed.expect("a Run cell was simulated");
-                        let wait_us = timed.start_us.saturating_sub(queued_us[i]);
-                        let sim_us = timed.end_us.saturating_sub(timed.start_us);
-                        self.observe("queue_wait_us", wait_us);
-                        self.observe("sim_us", sim_us);
-                        self.journal.sim_started(
-                            job_no,
-                            &job.id,
-                            i,
-                            timed.worker,
-                            wait_us,
-                            timed.start_us,
-                        );
-                        self.journal.sim_finished(
-                            job_no,
-                            &job.id,
-                            i,
-                            timed.worker,
-                            sim_us,
-                            timed.end_us,
-                        );
+                        let fields = || [("seq", i.into()), ("worker", timed.worker.into())];
+                        let (start, end) = (timed.start_us, timed.end_us);
+                        self.record("sim_start", job_no, &job.id, fields(), queued_us[i], start);
+                        self.record("sim_end", job_no, &job.id, fields(), start, end);
                         match timed.result {
                             Ok(report) => {
                                 let entry = CachedReport::new(report);
@@ -778,10 +773,8 @@ impl Server {
         }
         writer.flush()?;
         let t_done = self.clock.now_us();
-        let emit_us = t_done.saturating_sub(t_emit);
-        self.observe("emit_us", emit_us);
-        self.journal
-            .cell_emitted(job_no, &job.id, i, emit_us, t_done);
+        let fields = [("seq", i.into())];
+        self.record("emitted", job_no, &job.id, fields, t_emit, t_done);
         Ok(())
     }
 }

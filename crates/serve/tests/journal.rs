@@ -143,6 +143,110 @@ fn mock_clock_journal_is_byte_identical_across_runs() {
     assert_eq!(u64_field(&events[11], "job"), 2);
 }
 
+/// A `submit` line with the given id and members.
+fn submit_with(id: &str, members: &str) -> String {
+    format!("{{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"{id}\",{members}}}\n")
+}
+
+/// One infeasible cell under `"screen":"prune"`: never looked up, never
+/// simulated.
+const PRUNED: &str = "\"scenarios\":[\"saturation\"],\"policies\":[\"FCFS\"],\
+                      \"freqs_mhz\":[400],\"duration_ms\":0.05,\"screen\":\"prune\"";
+
+/// The journal of one fixed mock-clock session — a miss/hit double
+/// submit, a prune job and a budget rejection — captured byte for byte
+/// from the journal before its eight event methods became one `append`.
+const PINNED_JOURNAL: &str = r#"{"format":"sara-serve-journal/v1","event":"accepted","span":1,"job":1,"id":"a","client":"anonymous","cells":2,"ts_us":0}
+{"format":"sara-serve-journal/v1","event":"queued","span":2,"job":1,"id":"a","seq":0,"ts_us":7}
+{"format":"sara-serve-journal/v1","event":"cache_miss","span":3,"job":1,"id":"a","seq":0,"dur_us":7,"ts_us":14}
+{"format":"sara-serve-journal/v1","event":"queued","span":4,"job":1,"id":"a","seq":1,"ts_us":21}
+{"format":"sara-serve-journal/v1","event":"cache_miss","span":5,"job":1,"id":"a","seq":1,"dur_us":7,"ts_us":28}
+{"format":"sara-serve-journal/v1","event":"sim_start","span":6,"job":1,"id":"a","seq":0,"worker":0,"dur_us":21,"ts_us":35}
+{"format":"sara-serve-journal/v1","event":"sim_end","span":7,"job":1,"id":"a","seq":0,"worker":0,"dur_us":7,"ts_us":42}
+{"format":"sara-serve-journal/v1","event":"emitted","span":8,"job":1,"id":"a","seq":0,"dur_us":7,"ts_us":56}
+{"format":"sara-serve-journal/v1","event":"sim_start","span":9,"job":1,"id":"a","seq":1,"worker":0,"dur_us":35,"ts_us":63}
+{"format":"sara-serve-journal/v1","event":"sim_end","span":10,"job":1,"id":"a","seq":1,"worker":0,"dur_us":7,"ts_us":70}
+{"format":"sara-serve-journal/v1","event":"emitted","span":11,"job":1,"id":"a","seq":1,"dur_us":7,"ts_us":84}
+{"format":"sara-serve-journal/v1","event":"accepted","span":12,"job":2,"id":"b","client":"anonymous","cells":2,"ts_us":98}
+{"format":"sara-serve-journal/v1","event":"queued","span":13,"job":2,"id":"b","seq":0,"ts_us":105}
+{"format":"sara-serve-journal/v1","event":"cache_hit","span":14,"job":2,"id":"b","seq":0,"dur_us":7,"ts_us":112}
+{"format":"sara-serve-journal/v1","event":"queued","span":15,"job":2,"id":"b","seq":1,"ts_us":119}
+{"format":"sara-serve-journal/v1","event":"cache_hit","span":16,"job":2,"id":"b","seq":1,"dur_us":7,"ts_us":126}
+{"format":"sara-serve-journal/v1","event":"emitted","span":17,"job":2,"id":"b","seq":0,"dur_us":7,"ts_us":140}
+{"format":"sara-serve-journal/v1","event":"emitted","span":18,"job":2,"id":"b","seq":1,"dur_us":7,"ts_us":154}
+{"format":"sara-serve-journal/v1","event":"accepted","span":19,"job":3,"id":"p","client":"anonymous","cells":1,"ts_us":168}
+{"format":"sara-serve-journal/v1","event":"queued","span":20,"job":3,"id":"p","seq":0,"ts_us":175}
+{"format":"sara-serve-journal/v1","event":"screened","span":21,"job":3,"id":"p","seq":0,"verdict":"infeasible","dur_us":7,"ts_us":182}
+{"format":"sara-serve-journal/v1","event":"emitted","span":22,"job":3,"id":"p","seq":0,"dur_us":7,"ts_us":196}
+{"format":"sara-serve-journal/v1","event":"rejected","span":23,"job":4,"id":"big","client":"anonymous","reason":"budget","ts_us":217}
+"#;
+
+#[test]
+fn mock_clock_journal_bytes_are_pinned() {
+    let server = Server::new(ServeConfig {
+        workers: 1,
+        budget: 4,
+    })
+    .with_clock(Box::new(MockClock::new(7)))
+    .with_journal(Journal::new(None, true));
+    let input = [
+        submit("a", ""),
+        submit("b", ""),
+        submit_with("p", PRUNED),
+        submit_with(
+            "big",
+            "\"scenarios\":[\"camcorder-b\"],\"duration_ms\":0.05",
+        ),
+    ]
+    .concat();
+    run_session(&server, &input);
+    assert_eq!(journal_text(&server), PINNED_JOURNAL);
+}
+
+/// A screened cell's screening time is journaled, but it is not a cache
+/// lookup: the `cache_lookup_us` histogram counts exactly the lookups the
+/// `stats` counters and the journal's `cache_hit`/`cache_miss` events do.
+#[test]
+fn screening_time_is_not_a_cache_lookup() {
+    let server = Server::new(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    })
+    .with_journal(Journal::new(None, true));
+    let input = [
+        submit_with("p", PRUNED),
+        submit_with(
+            "one",
+            "\"scenarios\":[\"camcorder-b\"],\"policies\":[\"FCFS\"],\"duration_ms\":0.05",
+        ),
+        "{\"format\":\"sara-serve/v1\",\"type\":\"stats\"}\n".to_string(),
+    ]
+    .concat();
+    let replies = records(&run_session(&server, &input));
+    let counters = of_type(&replies, "stats")[0]
+        .get("counters")
+        .expect("counters object");
+    let lookups = u64_field(counters, "cache_hits") + u64_field(counters, "cache_misses");
+    assert_eq!(u64_field(counters, "cells_screened"), 1);
+    assert_eq!(lookups, 1);
+    let exposition = server.prometheus_text();
+    assert!(
+        exposition.contains(&format!("cache_lookup_us_count {lookups}\n")),
+        "{exposition}"
+    );
+    let journaled = server
+        .journal_events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.get("event").and_then(Value::as_str),
+                Some("cache_hit" | "cache_miss")
+            )
+        })
+        .count();
+    assert_eq!(journaled as u64, lookups);
+}
+
 #[test]
 fn masked_journal_sequence_is_worker_count_invariant() {
     // 1 scenario × 6 policies so a wide pool actually shards.

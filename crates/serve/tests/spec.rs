@@ -2,13 +2,15 @@
 //! against the implementation, in both directions. If the document's
 //! field tables or examples disagree with `protocol::record_keys` — or
 //! with the records a live session actually emits — the build fails,
-//! which is what keeps the prose normative.
+//! which is what keeps the prose normative. `docs/observability.md`'s
+//! journal event table and stage histograms are held to the journal's
+//! own [`EVENTS`] and [`STAGE_HISTOGRAMS`] the same way.
 
 use std::collections::BTreeSet;
 
 use json::Value;
 use sara_serve::protocol::{record_keys, METRICS_REPLY, STATS_REPLY};
-use sara_serve::{ServeConfig, Server, FORMAT_TAG, MAX_REQUEST_LINE};
+use sara_serve::{ServeConfig, Server, EVENTS, FORMAT_TAG, MAX_REQUEST_LINE, STAGE_HISTOGRAMS};
 
 /// One `### \`type\`` section of the spec.
 #[derive(Debug, Default)]
@@ -32,9 +34,22 @@ fn lookup_name(name: &str, request: bool) -> String {
     }
 }
 
+fn doc_text(name: &str) -> String {
+    let path = format!("{}/../../docs/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 fn spec_text() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/serve-protocol.md");
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    doc_text("serve-protocol.md")
+}
+
+/// The lines of a markdown document's `## {heading}` section.
+fn section<'a>(text: &'a str, heading: &str) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|l| l.strip_prefix("## ") != Some(heading))
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .collect()
 }
 
 /// Parses the spec's record sections: heading, field table, examples.
@@ -294,4 +309,48 @@ fn live_session_records_obey_the_spec() {
             );
         }
     }
+}
+
+#[test]
+fn observability_journal_table_is_the_stage_table() {
+    let text = doc_text("observability.md");
+    // One row per event (`a` / `b` rows name two), the stage histogram in
+    // the last column, `—` for none.
+    let mut documented: Vec<(String, Option<String>)> = Vec::new();
+    for row in section(&text, "The serve event journal (`sara-serve-journal/v1`)") {
+        if !row.starts_with("| `") {
+            continue;
+        }
+        let cells: Vec<&str> = row.trim_matches('|').split(" | ").map(str::trim).collect();
+        let histogram = match cells[cells.len() - 1] {
+            "—" => None,
+            h => Some(h.trim_matches('`').to_string()),
+        };
+        for event in cells[0].split(" / ") {
+            documented.push((event.trim_matches('`').to_string(), histogram.clone()));
+        }
+    }
+    let want: Vec<(String, Option<String>)> = EVENTS
+        .iter()
+        .map(|(event, h)| (event.to_string(), h.map(str::to_string)))
+        .collect();
+    assert_eq!(
+        documented, want,
+        "docs/observability.md's journal table vs sara_serve::EVENTS"
+    );
+}
+
+#[test]
+fn observability_lists_the_stage_histograms() {
+    let text = doc_text("observability.md");
+    let prose = section(&text, "The metrics endpoint").join(" ");
+    let (_, rest) = prose
+        .split_once("stage histograms** (")
+        .expect("the metrics endpoint section lists its stage histograms");
+    let (list, _) = rest.split_once(')').expect("a closed list");
+    let listed: Vec<&str> = list
+        .split(',')
+        .map(|h| h.trim().trim_matches('`'))
+        .collect();
+    assert_eq!(listed, STAGE_HISTOGRAMS);
 }
