@@ -5,7 +5,11 @@
 //! the argument list, then whatever remains must be expected positionals —
 //! anything else is a usage error naming the stray token.
 
+use std::str::FromStr;
+
+use json::read;
 use sara_memctrl::PolicyKind;
+use sara_scenarios::Scenario;
 
 /// Everything a subcommand can fail with, split by exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +38,13 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+/// A `json::read` complaint about a document is a runtime failure.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Failure(message)
+    }
+}
 
 /// A consumable view of a subcommand's arguments.
 #[derive(Debug)]
@@ -91,21 +102,35 @@ impl<'a> Args<'a> {
         Ok(value)
     }
 
-    /// Like [`Args::take_opt`], but parses the value.
-    ///
-    /// # Errors
-    ///
-    /// Usage error on a missing or unparseable value.
-    pub(crate) fn take_parsed<T: std::str::FromStr>(
+    /// Like [`Args::take_one`], with a plain parse of the value.
+    pub(crate) fn take_parsed<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+        self.take_one(name, number)
+    }
+
+    /// Like [`Args::take_opt`], but reads the value with `read` (one of the
+    /// value readers below); what it refuses is a usage error.
+    pub(crate) fn take_one<T>(
         &mut self,
         name: &str,
+        read: impl FnOnce(&str, &str) -> Result<T, String>,
     ) -> Result<Option<T>, CliError> {
         match self.take_opt(name)? {
             None => Ok(None),
-            Some(raw) => raw.parse().map(Some).map_err(|_| {
-                CliError::usage(self.usage, format!("{name}: cannot parse \"{raw}\""))
-            }),
+            Some(raw) => read(name, &raw)
+                .map(Some)
+                .map_err(|message| CliError::usage(self.usage, message)),
         }
+    }
+
+    /// Like [`Args::take_one`], for a comma-separated list of entries.
+    pub(crate) fn take_list<T>(
+        &mut self,
+        name: &str,
+        read: impl Fn(&str, &str) -> Result<T, String>,
+    ) -> Result<Option<Vec<T>>, CliError> {
+        self.take_one(name, |name, raw| {
+            raw.split(',').map(|entry| read(name, entry)).collect()
+        })
     }
 
     /// Consumes the remaining arguments as positionals (at most `max`; any
@@ -144,96 +169,70 @@ impl<'a> Args<'a> {
     }
 }
 
-/// Parses a comma-separated policy list (`FCFS,QoS,FR-FCFS`) using the
-/// report spellings; `all` selects every policy.
-///
-/// # Errors
-///
-/// Usage error naming the unknown policy and the full vocabulary.
-pub(crate) fn parse_policies(raw: &str, usage: &str) -> Result<Vec<PolicyKind>, CliError> {
+/// `raw` as a number, or `<flag>: cannot parse "<raw>"`.
+fn number<T: FromStr>(name: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("{name}: cannot parse \"{raw}\""))
+}
+
+/// A rule's text after the flag it refused: `--freqs must be ≥ 1`.
+fn flag_rule<T>(name: &str, rule: Result<T, String>) -> Result<T, String> {
+    rule.map_err(|rule| format!("{name} {rule}"))
+}
+
+/// A finite quantity > 0 (a duration, an epoch, a rate).
+pub(crate) fn positive(name: &str, raw: &str) -> Result<f64, String> {
+    flag_rule(name, read::positive(number(name, raw)?))
+}
+
+/// A count of at least one, in the caller's integer type.
+pub(crate) fn count<T: FromStr + Copy + TryInto<u64>>(name: &str, raw: &str) -> Result<T, String> {
+    let n: T = number(name, raw)?;
+    flag_rule(name, read::at_least_one(n.try_into().unwrap_or(u64::MAX))).map(|_| n)
+}
+
+/// A DRAM frequency in MHz.
+pub(crate) fn mhz(name: &str, raw: &str) -> Result<u32, String> {
+    flag_rule(name, read::mhz(number(name, raw)?))
+}
+
+/// A DRAM channel count.
+pub(crate) fn channels(name: &str, raw: &str) -> Result<usize, String> {
+    flag_rule(name, Scenario::channel_count(number(name, raw)?))
+}
+
+/// A name a `parse` vocabulary lacks: `--policies: unknown policy "qos" (…)`.
+pub(crate) fn flag_word<T>(name: &str, parsed: Result<T, String>) -> Result<T, String> {
+    parsed.map_err(|message| format!("{name}: {message}"))
+}
+
+/// A comma-separated policy list (`FCFS,QoS,FR-FCFS`); `all` selects
+/// every policy.
+pub(crate) fn policies(name: &str, raw: &str) -> Result<Vec<PolicyKind>, String> {
     if raw == "all" {
         return Ok(PolicyKind::ALL.to_vec());
     }
     raw.split(',')
-        .map(|name| {
-            PolicyKind::from_name(name).ok_or_else(|| {
-                let known: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-                CliError::usage(
-                    usage,
-                    format!(
-                        "unknown policy \"{name}\" (expected one of: {}, or \"all\")",
-                        known.join(", ")
-                    ),
-                )
-            })
-        })
+        .map(|entry| flag_word(name, PolicyKind::parse(entry)))
         .collect()
 }
 
-/// Parses a comma-separated MHz list (`1333,1700`).
-///
-/// # Errors
-///
-/// Usage error on an unparseable or zero entry.
-pub(crate) fn parse_freqs(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
-    raw.split(',')
-        .map(|tok| match tok.parse::<u32>() {
-            Ok(mhz) if mhz > 0 => Ok(mhz),
-            _ => Err(CliError::usage(
-                usage,
-                format!("bad frequency \"{tok}\" (expected a positive MHz integer)"),
-            )),
-        })
-        .collect()
-}
-
-/// Parses a comma-separated DRAM channel-count list; each entry must be
-/// a power of two in `1..=256` (the address map folds the channel index
-/// out of power-of-two bit fields).
-///
-/// # Errors
-///
-/// Usage error naming the offending token.
-pub(crate) fn parse_channels(raw: &str, usage: &str) -> Result<Vec<usize>, CliError> {
-    raw.split(',')
-        .map(|tok| match tok.parse::<usize>() {
-            Ok(n) if n > 0 && n <= 256 && n.is_power_of_two() => Ok(n),
-            _ => Err(CliError::usage(
-                usage,
-                format!("bad channel count \"{tok}\" (expected a power of two in 1..=256)"),
-            )),
-        })
-        .collect()
-}
-
-/// Like [`parse_freqs`], but additionally rejects duplicate and
-/// non-ascending candidate lists — sweep and ladder semantics depend on
-/// order, and silently sweeping `1700,1333,1700` would burn simulation
-/// time on a malformed experiment.
-///
-/// # Errors
-///
-/// Usage error naming the offending pair.
-pub(crate) fn parse_freqs_ascending(raw: &str, usage: &str) -> Result<Vec<u32>, CliError> {
-    let freqs = parse_freqs(raw, usage)?;
-    for pair in freqs.windows(2) {
-        if pair[1] == pair[0] {
-            return Err(CliError::usage(
-                usage,
-                format!("duplicate frequency {} MHz in \"{raw}\"", pair[0]),
-            ));
-        }
-        if pair[1] < pair[0] {
-            return Err(CliError::usage(
-                usage,
-                format!(
-                    "frequencies must be ascending ({} MHz after {} MHz in \"{raw}\")",
-                    pair[1], pair[0]
-                ),
-            ));
-        }
+/// A comma-separated MHz list that must be strictly ascending — sweep and
+/// ladder semantics depend on order, and silently sweeping
+/// `1700,1333,1700` would burn simulation time on a malformed experiment.
+pub(crate) fn ascending_mhz(name: &str, raw: &str) -> Result<Vec<u32>, String> {
+    let freqs: Vec<u32> = raw
+        .split(',')
+        .map(|entry| mhz(name, entry))
+        .collect::<Result<_, _>>()?;
+    match freqs.windows(2).find(|pair| pair[1] <= pair[0]) {
+        None => Ok(freqs),
+        Some([a, b]) if a == b => Err(format!("duplicate frequency {a} MHz in \"{raw}\"")),
+        Some(pair) => Err(format!(
+            "frequencies must be ascending ({} MHz after {} MHz in \"{raw}\")",
+            pair[1], pair[0]
+        )),
     }
-    Ok(freqs)
 }
 
 /// Splits a comma-separated name list, dropping empty segments.
@@ -310,28 +309,37 @@ mod tests {
 
     #[test]
     fn policy_and_freq_lists_parse() {
-        let got = parse_policies("FCFS,QoS-RB", "u").unwrap();
+        let got = policies("--policies", "FCFS,QoS-RB").unwrap();
         assert_eq!(got, vec![PolicyKind::Fcfs, PolicyKind::QosRowBuffer]);
         assert_eq!(
-            parse_policies("all", "u").unwrap(),
+            policies("--policies", "all").unwrap(),
             PolicyKind::ALL.to_vec()
         );
-        assert!(parse_policies("qos", "u").is_err());
-        assert_eq!(parse_freqs("1333,1700", "u").unwrap(), vec![1333, 1700]);
-        assert!(parse_freqs("0", "u").is_err());
-        assert!(parse_freqs("fast", "u").is_err());
+        assert!(policies("--policies", "qos").is_err());
+        let mut a = args(&["--freqs", "1333,1700"]);
+        assert_eq!(a.take_list("--freqs", mhz).unwrap(), Some(vec![1333, 1700]));
+        assert_eq!(mhz("--freqs", "0").unwrap_err(), "--freqs must be ≥ 1");
+        assert_eq!(
+            mhz("--freqs", "fast").unwrap_err(),
+            "--freqs: cannot parse \"fast\""
+        );
+        let mut a = args(&["--duration-ms", "0"]);
+        let err = a.take_one("--duration-ms", positive).unwrap_err();
+        assert!(matches!(&err, CliError::Usage(m) if m.starts_with("--duration-ms must be > 0")));
     }
 
     #[test]
     fn ascending_freq_lists_reject_duplicates_and_disorder() {
         assert_eq!(
-            parse_freqs_ascending("1333,1600,1866", "u").unwrap(),
+            ascending_mhz("--freqs", "1333,1600,1866").unwrap(),
             vec![1333, 1600, 1866]
         );
-        let err = parse_freqs_ascending("1333,1333", "u").unwrap_err();
-        assert!(matches!(&err, CliError::Usage(m) if m.contains("duplicate")));
-        let err = parse_freqs_ascending("1700,1333", "u").unwrap_err();
-        assert!(matches!(&err, CliError::Usage(m) if m.contains("ascending")));
-        assert!(parse_freqs_ascending("1333,fast", "u").is_err());
+        assert!(ascending_mhz("--freqs", "1333,1333")
+            .unwrap_err()
+            .contains("duplicate"));
+        assert!(ascending_mhz("--freqs", "1700,1333")
+            .unwrap_err()
+            .contains("ascending"));
+        assert!(ascending_mhz("--freqs", "1333,fast").is_err());
     }
 }

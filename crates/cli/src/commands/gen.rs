@@ -4,7 +4,7 @@ use std::path::Path;
 
 use sara_scenarios::{random_scenario_with, GeneratorConfig, Scenario, SCENARIO_FILE_SUFFIX};
 
-use crate::args::{Args, CliError};
+use crate::args::{channels, count, positive, Args, CliError};
 use crate::commands::scenario_row;
 use crate::output::page;
 
@@ -48,25 +48,16 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         page(HELP);
         return Ok(());
     }
-    let count = args.take_parsed::<u64>("--count")?.unwrap_or(1);
+    let count = args.take_one("--count", count)?.unwrap_or(1);
     let seed = args.take_parsed::<u64>("--seed")?.unwrap_or(0);
     let out = args.take_opt("--out")?;
-    let overload = args.take_parsed::<f64>("--overload")?;
-    let max_gbs = args.take_parsed::<f64>("--max-gbs")?;
+    let overload = args.take_one("--overload", positive)?;
+    let max_gbs = args.take_one("--max-gbs", positive)?;
     let min_cores = args.take_parsed::<usize>("--min-cores")?;
     let max_cores = args.take_parsed::<usize>("--max-cores")?;
-    let channels = args.take_parsed::<usize>("--channels")?;
+    let channels = args.take_one("--channels", channels)?;
     args.finish()?;
 
-    if count == 0 {
-        return Err(CliError::usage(USAGE, "--count must be ≥ 1"));
-    }
-    if overload.is_some_and(|f| !(f.is_finite() && f > 0.0)) {
-        return Err(CliError::usage(
-            USAGE,
-            "--overload must be a finite factor > 0",
-        ));
-    }
     let defaults = GeneratorConfig::default();
     let cfg = GeneratorConfig {
         min_cores: min_cores.unwrap_or(defaults.min_cores),
@@ -79,15 +70,6 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage(
             USAGE,
             "core-count bounds must satisfy 1 ≤ min ≤ max ≤ 14",
-        ));
-    }
-    if !cfg.max_offered_gbs.is_finite() || cfg.max_offered_gbs <= 0.0 {
-        return Err(CliError::usage(USAGE, "--max-gbs must be > 0"));
-    }
-    if channels.is_some_and(|n| n == 0 || n > 256 || !n.is_power_of_two()) {
-        return Err(CliError::usage(
-            USAGE,
-            "--channels must be a power of two in 1..=256",
         ));
     }
 

@@ -4,7 +4,7 @@ use sara_governor::{run_governed, run_pinned, trace, GovernedOutcome};
 use sara_memctrl::PolicyKind;
 use sara_types::MegaHertz;
 
-use crate::args::{parse_freqs_ascending, Args, CliError};
+use crate::args::{ascending_mhz, flag_word, positive, Args, CliError};
 use crate::commands::{load_scenarios, take_scenario_names};
 use crate::output::{emit_value, reject_double_stdout, Progress, Sink};
 
@@ -72,33 +72,14 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     }
     let dir = args.take_opt("--dir")?;
     let names = take_scenario_names(&mut args, USAGE)?;
-    let epoch_us = args.take_parsed::<f64>("--epoch-us")?;
-    if epoch_us.is_some_and(|us| !us.is_finite() || us <= 0.0) {
-        return Err(CliError::usage(USAGE, "--epoch-us must be > 0"));
-    }
-    let ladder = match args.take_opt("--ladder")? {
-        None => None,
-        Some(raw) => Some(parse_freqs_ascending(&raw, USAGE)?),
-    };
+    let epoch_us = args.take_one("--epoch-us", positive)?;
+    let ladder = args.take_one("--ladder", ascending_mhz)?;
     let start = args.take_parsed::<u32>("--start")?;
-    let escalate = match args.take_opt("--escalate-policy")? {
-        None => None,
-        Some(name) => Some(PolicyKind::from_name(&name).ok_or_else(|| {
-            let known: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-            CliError::usage(
-                USAGE,
-                format!(
-                    "unknown policy \"{name}\" (expected one of: {})",
-                    known.join(", ")
-                ),
-            )
-        })?),
-    };
+    let escalate = args.take_one("--escalate-policy", |name, raw| {
+        flag_word(name, PolicyKind::parse(raw))
+    })?;
     let per_channel = args.take_flag("--per-channel");
-    let duration_ms = args.take_parsed::<f64>("--duration-ms")?;
-    if duration_ms.is_some_and(|ms| !ms.is_finite() || ms <= 0.0) {
-        return Err(CliError::usage(USAGE, "--duration-ms must be > 0"));
-    }
+    let duration_ms = args.take_one("--duration-ms", positive)?;
     let baseline_wanted = !args.take_flag("--no-baseline");
     let json_sink = args.take_opt("--json")?.map(|raw| Sink::parse(&raw));
     let csv_sink = args.take_opt("--csv")?.map(|raw| Sink::parse(&raw));

@@ -2,7 +2,7 @@
 
 use sara_scenarios::{run_matrix, MatrixSpec, ScreenMode};
 
-use crate::args::{parse_channels, parse_freqs, parse_policies, Args, CliError};
+use crate::args::{channels, flag_word, mhz, policies, positive, Args, CliError};
 use crate::commands::{load_scenarios, scenario_row, take_scenario_names};
 use crate::output::{emit_value, page, reject_double_stdout, Progress, Sink};
 
@@ -65,28 +65,18 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     }
     let dir = args.take_opt("--dir")?;
     let names = take_scenario_names(&mut args, USAGE)?;
-    let policies = match args.take_opt("--policies")? {
-        Some(raw) => parse_policies(&raw, USAGE)?,
-        None => sara_memctrl::PolicyKind::ALL.to_vec(),
-    };
-    let freqs_mhz = match args.take_opt("--freqs")? {
-        Some(raw) => parse_freqs(&raw, USAGE)?,
-        None => Vec::new(),
-    };
-    let channels = match args.take_opt("--channels")? {
-        Some(raw) => parse_channels(&raw, USAGE)?,
-        None => Vec::new(),
-    };
-    let duration_ms = args.take_parsed::<f64>("--duration-ms")?;
-    if duration_ms.is_some_and(|ms| !ms.is_finite() || ms <= 0.0) {
-        return Err(CliError::usage(USAGE, "--duration-ms must be > 0"));
-    }
+    let policies = args
+        .take_one("--policies", policies)?
+        .unwrap_or_else(|| sara_memctrl::PolicyKind::ALL.to_vec());
+    let freqs_mhz = args.take_list("--freqs", mhz)?.unwrap_or_default();
+    let channels = args.take_list("--channels", channels)?.unwrap_or_default();
+    let duration_ms = args.take_one("--duration-ms", positive)?;
     let jobs = args.take_parsed::<usize>("--jobs")?;
-    let screen = match args.take_opt("--screen")? {
-        None => ScreenMode::Off,
-        Some(raw) => ScreenMode::parse(&raw)
-            .ok_or_else(|| CliError::usage(USAGE, "--screen must be one of: off, prune, verify"))?,
-    };
+    let screen = args
+        .take_one("--screen", |name, raw| {
+            flag_word(name, ScreenMode::parse(raw))
+        })?
+        .unwrap_or_default();
     let json_sink = args.take_opt("--json")?.map(|raw| Sink::parse(&raw));
     let csv_sink = args.take_opt("--csv")?.map(|raw| Sink::parse(&raw));
     let chrome_sink = args

@@ -11,6 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use json::read::Fields;
 use json::Value;
 
 use crate::args::{Args, CliError};
@@ -244,39 +245,6 @@ fn detect(doc: &Value) -> Option<Kind> {
     records.iter().all(governed).then_some(Kind::Govern)
 }
 
-// --- field access helpers ----------------------------------------------------
-
-fn req<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a Value, CliError> {
-    v.get(key)
-        .ok_or_else(|| CliError::Failure(format!("{what}: missing \"{key}\"")))
-}
-
-fn req_str(v: &Value, key: &str, what: &str) -> Result<String, CliError> {
-    req(v, key, what)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| CliError::Failure(format!("{what}: \"{key}\" is not a string")))
-}
-
-fn req_u64(v: &Value, key: &str, what: &str) -> Result<u64, CliError> {
-    req(v, key, what)?
-        .as_u64()
-        .ok_or_else(|| CliError::Failure(format!("{what}: \"{key}\" is not an integer")))
-}
-
-fn req_f64(v: &Value, key: &str, what: &str) -> Result<f64, CliError> {
-    req(v, key, what)?
-        .as_f64()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| CliError::Failure(format!("{what}: \"{key}\" is not a finite number")))
-}
-
-fn req_array<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a [Value], CliError> {
-    req(v, key, what)?
-        .as_array()
-        .ok_or_else(|| CliError::Failure(format!("{what}: \"{key}\" is not an array")))
-}
-
 // --- the diff rule -----------------------------------------------------------
 
 /// The one rule every `--diff` follows: each OLD entry is paired with the
@@ -369,15 +337,15 @@ impl CellFacts {
 /// (`cell` records), which is what lets the two kinds diff against each
 /// other.
 fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
-    let scenario = req_str(cell, "scenario", what)?;
-    let policy = req_str(cell, "policy", what)?;
-    let freq_mhz = req_u64(cell, "freq_mhz", what)?;
-    let channels = cell.get("channels").and_then(Value::as_u64);
+    let cell = Fields::new(cell, what)?;
+    let scenario = cell.str("scenario")?.to_string();
+    let policy = cell.str("policy")?.to_string();
+    let freq_mhz = cell.u64("freq_mhz")?;
+    let channels = cell.opt("channels").and_then(Value::as_u64);
     // A pruned cell was never simulated: it carries a screening verdict
     // and the closed-form evaluation instead of a report.
-    if let Some(verdict) = cell.get("screened").and_then(Value::as_str) {
-        let analytic = req(cell, "analytic", what)?;
-        let bound_gbs = req_f64(analytic, "bound_gbs", what)?;
+    if let Some(verdict) = cell.opt("screened").and_then(Value::as_str) {
+        let bound_gbs = Fields::new(cell.get("analytic")?, what)?.finite("bound_gbs")?;
         return Ok(CellFacts {
             scenario,
             policy,
@@ -391,24 +359,21 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
             achieved_over_bound: None,
         });
     }
-    let report = req(cell, "report", what)?;
-    let failed_cores = req_array(report, "cores", what)?
+    let report = Fields::new(cell.get("report")?, what)?;
+    let failed_cores = report
+        .array("cores")?
         .iter()
         .filter(|c| c.get("failed").and_then(Value::as_bool) == Some(true))
         .count();
-    let analytic = report.get("analytic");
+    let analytic = report.opt("analytic");
     Ok(CellFacts {
         scenario,
         policy,
         freq_mhz,
         channels,
-        targets_met: req(report, "all_targets_met", what)?
-            .as_bool()
-            .ok_or_else(|| {
-                CliError::Failure(format!("{what}: \"all_targets_met\" is not a bool"))
-            })?,
+        targets_met: report.bool("all_targets_met")?,
         failed_cores,
-        bandwidth_gbs: req_f64(report, "bandwidth_gbs", what)?,
+        bandwidth_gbs: report.finite("bandwidth_gbs")?,
         screened: None,
         bound_gbs: analytic
             .and_then(|a| a.get("bound_gbs"))
@@ -423,7 +388,10 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
 /// transcript's `cell` records.
 fn cells_of(doc: &Value, kind: Kind, what: &str) -> Result<Vec<CellFacts>, CliError> {
     let (cells, at): (Vec<&Value>, &str) = match kind {
-        Kind::Matrix => (req_array(doc, "cells", what)?.iter().collect(), "cells"),
+        Kind::Matrix => (
+            Fields::new(doc, what)?.array("cells")?.iter().collect(),
+            "cells",
+        ),
         _ => (
             serve_records(doc, what)?
                 .iter()
@@ -458,7 +426,7 @@ const NEAR_BOUND: f64 = 0.98;
 fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
     const WHAT: &str = "matrix dump";
     let cells = cells_of(doc, Kind::Matrix, WHAT)?;
-    let rankings = req_array(doc, "rankings", WHAT)?;
+    let rankings = Fields::new(doc, WHAT)?.array("rankings")?;
     let mut lines = vec![format!(
         "matrix dump: {} cells across {} scenarios; {}",
         cells.len(),
@@ -466,8 +434,9 @@ fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
         targets_met(&cells, "cells")
     )];
     for r in rankings {
-        let scenario = req_str(r, "scenario", WHAT)?;
-        let ranked = req_array(r, "ranked", WHAT)?;
+        let r = Fields::new(r, WHAT)?;
+        let scenario = r.str("scenario")?;
+        let ranked = r.array("ranked")?;
         let best = ranked
             .first()
             .and_then(Value::as_u64)
@@ -599,16 +568,17 @@ fn summarize_serve(doc: &Value) -> Result<Vec<String>, CliError> {
             continue;
         }
         let what = format!("{WHAT}: records[{i}]");
+        let r = Fields::new(r, &what)?;
         let (cells, hits, misses) = (
-            req_u64(r, "cells", &what)?,
-            req_u64(r, "cache_hits", &what)?,
-            req_u64(r, "cache_misses", &what)?,
+            r.u64("cells")?,
+            r.u64("cache_hits")?,
+            r.u64("cache_misses")?,
         );
-        let screened = r.get("screened").and_then(Value::as_u64).unwrap_or(0);
+        let screened = r.opt("screened").and_then(Value::as_u64).unwrap_or(0);
         lines.push(format!(
             "  job {:<12} {cells} cells ({} targets met), cache {hits} hit{} / {misses} miss{}{}",
-            req_str(r, "id", &what)?,
-            req_u64(r, "targets_met", &what)?,
+            r.str("id")?,
+            r.u64("targets_met")?,
             if hits == 1 { "" } else { "s" },
             if misses == 1 { "" } else { "es" },
             if screened > 0 {
@@ -649,26 +619,28 @@ fn govern_runs(doc: &Value, what: &str) -> Result<Vec<RunFacts>, CliError> {
         .enumerate()
         .map(|(i, run)| {
             let what = format!("{what}: runs[{i}]");
-            let outcome = req(run, "outcome", &what)?;
-            let trace = req_array(run, "trace", &what)?;
+            let run = Fields::new(run, &what)?;
+            let outcome = Fields::new(run.get("outcome")?, &what)?;
+            let trace = run.array("trace")?;
             // Fields are read in the order the summary prints them, so the
             // first missing one is the one reported.
             Ok(RunFacts {
-                scenario: req_str(run, "scenario", &what)?,
+                scenario: run.str("scenario")?.to_string(),
                 epochs: trace.len(),
-                final_mhz: req_u64(outcome, "final_mhz", &what)?,
-                final_policy: req_str(outcome, "final_policy", &what)?,
-                freq_changes: req_u64(outcome, "freq_changes", &what)?,
-                failing_epochs: req_u64(outcome, "failing_epochs", &what)?,
-                qos_deficit: req_f64(outcome, "qos_deficit", &what)?,
+                final_mhz: outcome.u64("final_mhz")?,
+                final_policy: outcome.str("final_policy")?.to_string(),
+                freq_changes: outcome.u64("freq_changes")?,
+                failing_epochs: outcome.u64("failing_epochs")?,
+                qos_deficit: outcome.finite("qos_deficit")?,
                 bound_ratios: bound_ratios(trace),
-                baseline: match run.get("baseline") {
+                baseline: match run.opt("baseline") {
                     None => None,
                     Some(baseline) => {
-                        let b = req(baseline, "outcome", &what)?;
-                        let deficit = req_f64(b, "qos_deficit", &what)?;
-                        let pinned_mhz = req_u64(baseline, "pinned_mhz", &what)?;
-                        Some((pinned_mhz, req_u64(b, "failing_epochs", &what)?, deficit))
+                        let baseline = Fields::new(baseline, &what)?;
+                        let b = Fields::new(baseline.get("outcome")?, &what)?;
+                        let deficit = b.finite("qos_deficit")?;
+                        let pinned_mhz = baseline.u64("pinned_mhz")?;
+                        Some((pinned_mhz, b.u64("failing_epochs")?, deficit))
                     }
                 },
             })
@@ -822,7 +794,8 @@ fn journal_facts(doc: &Value, what: &str) -> Result<JournalFacts, CliError> {
     };
     for (i, r) in records.iter().enumerate() {
         let what = format!("{what}: events[{i}]");
-        let event = req_str(r, "event", &what)?;
+        let r = Fields::new(r, &what)?;
+        let event = r.str("event")?;
         let Some(e) = EVENTS.iter().position(|(name, _)| *name == event) else {
             return Err(CliError::Failure(format!(
                 "{what}: unknown journal event \"{event}\""
@@ -832,12 +805,12 @@ fn journal_facts(doc: &Value, what: &str) -> Result<JournalFacts, CliError> {
         if let Some(histogram) = EVENTS[e].1 {
             let stage = STAGE_HISTOGRAMS.iter().position(|h| *h == histogram);
             let samples = &mut facts.stages[stage.expect("EVENTS names stage histograms")].1;
-            samples.push(req_u64(r, "dur_us", &what)?);
+            samples.push(r.u64("dur_us")?);
         }
         if event == "accepted" {
-            let cells = req_u64(r, "cells", &what)?;
+            let cells = r.u64("cells")?;
             facts.cells += cells;
-            let client = req_str(r, "client", &what)?;
+            let client = r.str("client")?.to_string();
             match facts.clients.iter_mut().find(|(c, _, _)| *c == client) {
                 Some((_, jobs, total)) => {
                     *jobs += 1;
@@ -1241,7 +1214,7 @@ fn check_histogram(family: &str, members: &[&Sample]) -> Result<(), CliError> {
 
 fn summarize_chrome(doc: &Value) -> Result<Vec<String>, CliError> {
     const WHAT: &str = "chrome trace";
-    let events = req_array(doc, "traceEvents", WHAT)?;
+    let events = Fields::new(doc, WHAT)?.array("traceEvents")?;
     let count_ph = |ph: &str| {
         events
             .iter()

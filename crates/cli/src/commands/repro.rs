@@ -23,7 +23,7 @@ use sara_sim::{CoreReport, SimReport, Simulation, SystemConfig};
 use sara_types::{Clock, ConfigError, CoreClass, CoreKind, Priority, PriorityBits};
 use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
 
-use crate::args::{Args, CliError};
+use crate::args::{positive, Args, CliError};
 use crate::commands::sweep::residency_table;
 use crate::output::{page, Sink};
 
@@ -400,11 +400,8 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let ms = args
-        .take_parsed::<f64>("--duration-ms")?
+        .take_one("--duration-ms", positive)?
         .unwrap_or(FRAME_MS);
-    if !ms.is_finite() || ms <= 0.0 {
-        return Err(CliError::usage(USAGE, "--duration-ms must be > 0"));
-    }
     let out = args.take_opt("--out")?;
     let names = args.finish_positional(usize::MAX)?;
     if names.is_empty() {

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use sara_serve::{journal, Journal, ServeConfig, Server};
 
-use crate::args::{Args, CliError};
+use crate::args::{count, Args, CliError};
 use crate::output::{emit_value, page};
 
 const USAGE: &str = "usage: sara serve [--tcp ADDR | --unix PATH] [--workers N] [--budget N] \
@@ -90,21 +90,15 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let unix = args.take_opt("--unix")?;
     let workers = args.take_parsed::<usize>("--workers")?.unwrap_or(0);
     let budget = args
-        .take_parsed::<usize>("--budget")?
+        .take_one("--budget", count)?
         .unwrap_or_else(|| ServeConfig::default().budget);
-    let max_sessions = args.take_parsed::<usize>("--max-sessions")?;
+    let max_sessions = args.take_one("--max-sessions", count)?;
     let journal_path = args.take_opt("--journal")?;
-    let journal_max_bytes = args.take_parsed::<u64>("--journal-max-bytes")?;
+    let journal_max_bytes = args.take_one("--journal-max-bytes", count)?;
     let metrics_addr = args.take_opt("--metrics")?;
     let chrome_path = args.take_opt("--chrome-trace")?;
     args.finish()?;
 
-    if journal_max_bytes == Some(0) {
-        return Err(CliError::usage(
-            USAGE,
-            "--journal-max-bytes must be at least 1",
-        ));
-    }
     if journal_max_bytes.is_some() && journal_path.is_none() {
         return Err(CliError::usage(
             USAGE,
@@ -112,17 +106,11 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         ));
     }
 
-    if budget == 0 {
-        return Err(CliError::usage(USAGE, "--budget must be at least 1"));
-    }
     if tcp.is_some() && unix.is_some() {
         return Err(CliError::usage(
             USAGE,
             "--tcp and --unix are mutually exclusive",
         ));
-    }
-    if max_sessions == Some(0) {
-        return Err(CliError::usage(USAGE, "--max-sessions must be at least 1"));
     }
     if max_sessions.is_some() && tcp.is_none() && unix.is_none() {
         return Err(CliError::usage(
@@ -392,7 +380,7 @@ mod tests {
         let err = run(&argv(&["--max-sessions", "1"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--max-sessions")));
         let err = run(&argv(&["--tcp", "127.0.0.1:0", "--max-sessions", "0"])).unwrap_err();
-        assert!(matches!(&err, CliError::Usage(m) if m.contains("at least 1")));
+        assert!(matches!(&err, CliError::Usage(m) if m.contains("--max-sessions must be ≥ 1")));
     }
 
     #[test]
@@ -406,7 +394,9 @@ mod tests {
         let err = run(&argv(&["--journal-max-bytes", "1024"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--journal PATH")));
         let err = run(&argv(&["--journal", "/tmp/j", "--journal-max-bytes", "0"])).unwrap_err();
-        assert!(matches!(&err, CliError::Usage(m) if m.contains("at least 1")));
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--journal-max-bytes must be ≥ 1"))
+        );
     }
 
     /// Every NDJSON property rotation must preserve: files hold only

@@ -11,7 +11,7 @@ use sara_sim::sweeps::{
 use sara_sim::MAX_LEVELS;
 use sara_types::{ConfigError, CoreKind};
 
-use crate::args::{parse_freqs_ascending, Args, CliError};
+use crate::args::{ascending_mhz, flag_word, positive, Args, CliError};
 use crate::commands::{load_scenarios, take_scenario_names};
 use crate::output::{page, reject_double_stdout, Progress, Sink};
 
@@ -63,16 +63,13 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let dvfs = args.take_flag("--dvfs");
-    let core = args.take_opt("--core")?;
+    let core = args.take_one("--core", |name, raw| flag_word(name, CoreKind::parse(raw)))?;
     let case = args.take_opt("--case")?;
     let dir = args.take_opt("--dir")?;
     let names = take_scenario_names(&mut args, USAGE)?;
-    let freqs = args.take_opt("--freqs")?;
+    let freqs = args.take_one("--freqs", ascending_mhz)?;
     let screen = args.take_flag("--screen");
-    let duration_flag = args.take_parsed::<f64>("--duration-ms")?;
-    if duration_flag.is_some_and(|ms| !ms.is_finite() || ms <= 0.0) {
-        return Err(CliError::usage(USAGE, "--duration-ms must be > 0"));
-    }
+    let duration_flag = args.take_one("--duration-ms", positive)?;
     let duration_ms = duration_flag.unwrap_or(6.0);
     let csv_sink = args.take_opt("--csv")?.map(|raw| Sink::parse(&raw));
     let json_sink = args.take_opt("--json")?.map(|raw| Sink::parse(&raw));
@@ -98,10 +95,7 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         if core.is_some() {
             return Err(CliError::usage(USAGE, "--core only applies without --dvfs"));
         }
-        let freqs = match freqs {
-            Some(raw) => parse_freqs_ascending(&raw, USAGE)?,
-            None => vec![1333, 1600, 1700, 1866],
-        };
+        let freqs = freqs.unwrap_or_else(|| vec![1333, 1600, 1700, 1866]);
         if scenario_mode {
             if case.is_some() {
                 return Err(CliError::usage(
@@ -157,23 +151,8 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         if case.is_some() {
             return Err(CliError::usage(USAGE, "--case only applies with --dvfs"));
         }
-        let observed = match core.as_deref() {
-            None => CoreKind::ImageProcessor,
-            Some(name) => CoreKind::from_name(name).ok_or_else(|| {
-                let known: Vec<&str> = CoreKind::ALL.iter().map(|k| k.name()).collect();
-                CliError::usage(
-                    USAGE,
-                    format!(
-                        "unknown core \"{name}\" (expected one of: {})",
-                        known.join(", ")
-                    ),
-                )
-            })?,
-        };
-        let freqs = match freqs {
-            Some(raw) => parse_freqs_ascending(&raw, USAGE)?,
-            None => vec![1300, 1500, 1700],
-        };
+        let observed = core.unwrap_or(CoreKind::ImageProcessor);
+        let freqs = freqs.unwrap_or_else(|| vec![1300, 1500, 1700]);
         // Fig. 7: the case-A workload under Policy 1, one cell per frequency.
         let spec = MatrixSpec {
             policies: vec![PolicyKind::Priority],

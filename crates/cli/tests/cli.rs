@@ -267,6 +267,99 @@ fn malformed_scenario_files_exit_1_with_the_offender_named() {
     );
 }
 
+/// What follows `subject` on the first line of `message`.
+fn rule_after(message: &str, subject: &str) -> String {
+    let line = message.lines().next().unwrap_or_default();
+    let at = line
+        .find(subject)
+        .unwrap_or_else(|| panic!("{subject:?} not in {message:?}"));
+    line[at + subject.len()..].to_string()
+}
+
+/// One rule per value kind: a bad value is refused by every front door
+/// that reads it — a `.scenario.json` file, a `submit` line, a CLI flag —
+/// and the rule text after the door's own subject is the same string.
+#[test]
+fn every_front_door_words_each_rule_the_same() {
+    let dir = scratch("front-doors");
+    let adas = sara_scenarios::catalog::by_name("adas")
+        .unwrap()
+        .with_channels(8)
+        .to_json();
+    let file = |from: &str, to: &str| {
+        assert!(adas.contains(from), "fixture drifted: {from}");
+        let path = dir.join("bad.scenario.json");
+        std::fs::write(&path, adas.replacen(from, to, 1)).unwrap();
+        let out = sara(&["validate", path.to_str().unwrap()]);
+        assert_eq!(code(&out), 1, "{to}: {}", stderr(&out));
+        stderr(&out)
+    };
+    let submit = |extra: &str| {
+        let line = format!(
+            "{{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"j\",\
+             \"scenarios\":[\"adas\"]{extra}}}"
+        );
+        sara_serve::protocol::parse_request(&line)
+            .unwrap_err()
+            .message
+    };
+    let flags = |args: &[&str]| {
+        let out = sara(args);
+        assert_eq!(code(&out), 2, "{args:?}: {}", stderr(&out));
+        stderr(&out)
+    };
+    let mut cases = Vec::new();
+    for n in ["3", "0", "512"] {
+        cases.push(vec![
+            rule_after(
+                &file("\"channels\": 8", &format!("\"channels\": {n}")),
+                "scenario: \"channels\" ",
+            ),
+            rule_after(
+                &submit(&format!(",\"channels\":[{n}]")),
+                "submit: \"channels[0]\" ",
+            ),
+            rule_after(&flags(&["matrix", "--channels", n]), "--channels "),
+            rule_after(&flags(&["gen", "--channels", n]), "--channels "),
+        ]);
+    }
+    cases.push(vec![
+        rule_after(
+            &file("\"freq_mhz\": 1600", "\"freq_mhz\": 0"),
+            "scenario: \"freq_mhz\" ",
+        ),
+        rule_after(&submit(",\"freqs_mhz\":[0]"), "submit: \"freqs_mhz[0]\" "),
+        rule_after(&flags(&["matrix", "--freqs", "0"]), "--freqs "),
+    ]);
+    cases.push(vec![
+        rule_after(
+            &file("\"policy\": \"QoS\"", "\"policy\": \"qos\""),
+            "scenario: ",
+        ),
+        rule_after(&submit(",\"policies\":[\"qos\"]"), "submit: "),
+        rule_after(&flags(&["matrix", "--policies", "qos"]), "--policies: "),
+        rule_after(
+            &flags(&["govern", "--escalate-policy", "qos"]),
+            "--escalate-policy: ",
+        ),
+    ]);
+    cases.push(vec![
+        rule_after(
+            &file("\"duration_ms\": 5", "\"duration_ms\": 0"),
+            "scenario: \"duration_ms\" ",
+        ),
+        rule_after(&submit(",\"duration_ms\":0"), "submit: \"duration_ms\" "),
+        rule_after(&flags(&["matrix", "--duration-ms", "0"]), "--duration-ms "),
+    ]);
+    for rules in &cases {
+        assert!(!rules[0].is_empty());
+        assert!(rules.iter().all(|r| *r == rules[0]), "{rules:#?}");
+    }
+    assert_eq!(cases[0][0], "must be a power of two in 1..=256, got 3");
+    assert_eq!(cases[3][0], "must be ≥ 1");
+    assert_eq!(cases[5][0], "must be > 0, got 0");
+}
+
 // --- the end-to-end production path -----------------------------------------
 
 #[test]
@@ -1070,4 +1163,55 @@ fn format_docs_name_every_tag_and_are_linked_from_the_readme() {
             "docs/observability.md missing {needle}"
         );
     }
+}
+
+/// Every repository path the README and `docs/*.md` put in backticks
+/// exists (globs and placeholders — spans with `*`, `{` or `<` — aside).
+#[test]
+fn backticked_repository_paths_in_the_docs_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut docs = vec![root.join("README.md")];
+    for entry in std::fs::read_dir(root.join("docs")).expect("docs/") {
+        let path = entry.expect("docs entry").path();
+        if path.extension().is_some_and(|e| e == "md") {
+            docs.push(path);
+        }
+    }
+    let (mut checked, mut missing) = (0, Vec::new());
+    for doc in &docs {
+        let text = std::fs::read_to_string(doc).expect("readable doc");
+        let mut fenced = false;
+        for line in text.lines() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if fenced {
+                continue;
+            }
+            for span in line.split('`').skip(1).step_by(2) {
+                let is_path = [
+                    "crates/",
+                    "tests/",
+                    "docs/",
+                    "benchmark/",
+                    "examples/",
+                    "src/",
+                ]
+                .iter()
+                .any(|p| span.starts_with(p));
+                if is_path && !span.contains(['*', '{', '<']) {
+                    checked += 1;
+                    if !root.join(span).exists() {
+                        missing.push(format!("{}: `{span}`", doc.display()));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        checked >= 26,
+        "only {checked} paths found: the scan drifted"
+    );
+    assert!(missing.is_empty(), "missing paths:\n{}", missing.join("\n"));
 }

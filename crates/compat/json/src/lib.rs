@@ -3,8 +3,9 @@
 //! This workspace must build with no network access and no registry cache,
 //! so — like the in-tree `rand` — the JSON layer lives
 //! here: a small document model ([`Value`]), a strict recursive-descent
-//! parser ([`parse`]) and deterministic emitters
-//! ([`Value::to_string_compact`], [`Value::to_string_pretty`]).
+//! parser ([`parse`]), deterministic emitters
+//! ([`Value::to_string_compact`], [`Value::to_string_pretty`]) and the one
+//! strict object reader every schema layer uses ([`read::Fields`]).
 //!
 //! Design points, in the order they matter to this workspace:
 //!
@@ -23,8 +24,7 @@
 //!   positions, because scenario files are written by hand.
 //!
 //! Non-finite floats cannot be represented in JSON; the emitters write
-//! `null` for them (callers that need to reject that do so at their own
-//! schema layer).
+//! `null` for them ([`read::finite`] rejects that with an explanation).
 //!
 //! # Examples
 //!
@@ -45,6 +45,7 @@
 
 mod emit;
 mod parse;
+pub mod read;
 
 pub use parse::{parse, ParseError};
 

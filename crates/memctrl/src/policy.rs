@@ -62,9 +62,23 @@ impl PolicyKind {
     }
 
     /// Parses the [`PolicyKind::name`] spelling back into a policy — the
-    /// inverse used by scenario file I/O.
-    pub fn from_name(name: &str) -> Option<PolicyKind> {
-        PolicyKind::ALL.into_iter().find(|p| p.name() == name)
+    /// one reading of a policy name, for scenario files, `submit` requests
+    /// and CLI flags alike.
+    ///
+    /// # Errors
+    ///
+    /// `unknown policy "<name>" (expected one of: <every name>)`.
+    pub fn parse(name: &str) -> Result<PolicyKind, String> {
+        PolicyKind::ALL
+            .into_iter()
+            .find(|p| p.name() == name)
+            .ok_or_else(|| {
+                let known: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown policy \"{name}\" (expected one of: {})",
+                    known.join(", ")
+                )
+            })
     }
 
     /// Whether this policy consumes SARA priority levels.
@@ -236,9 +250,16 @@ mod tests {
     #[test]
     fn policy_names_round_trip() {
         for policy in PolicyKind::ALL {
-            assert_eq!(PolicyKind::from_name(policy.name()), Some(policy));
+            assert_eq!(PolicyKind::parse(policy.name()), Ok(policy));
         }
-        assert_eq!(PolicyKind::from_name("qos"), None);
+        assert_eq!(
+            PolicyKind::parse("qos"),
+            Err(
+                "unknown policy \"qos\" (expected one of: FCFS, RR, FrameQoS, QoS, QoS-RB, \
+                 FR-FCFS)"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

@@ -94,6 +94,7 @@
 
 use std::path::Path;
 
+use json::read::{self, Fields};
 use json::Value;
 use sara_core::BufferDirection;
 use sara_memctrl::PolicyKind;
@@ -239,125 +240,14 @@ fn core_value(c: &CoreSpec) -> Value {
     ])
 }
 
-// --- strict reading helpers -----------------------------------------------
-
-fn err(ctx: &str, message: impl AsRef<str>) -> ConfigError {
-    ConfigError::new(format!("{ctx}: {}", message.as_ref()))
-}
-
-fn as_obj<'a>(v: &'a Value, ctx: &str) -> Result<&'a [(String, Value)], ConfigError> {
-    v.as_object()
-        .ok_or_else(|| err(ctx, format!("expected an object, got {}", v.type_name())))
-}
-
-/// Rejects members outside `allowed` — the guard that makes typos loud.
-fn no_unknown_keys(
-    members: &[(String, Value)],
-    allowed: &[&str],
-    ctx: &str,
-) -> Result<(), ConfigError> {
-    for (key, _) in members {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(
-                ctx,
-                format!(
-                    "unknown key \"{key}\" (expected one of: {})",
-                    allowed.join(", ")
-                ),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn field<'a>(
-    members: &'a [(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<&'a Value, ConfigError> {
-    members
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| err(ctx, format!("missing required key \"{key}\"")))
-}
-
-fn str_field<'a>(
-    members: &'a [(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<&'a str, ConfigError> {
-    let v = field(members, key, ctx)?;
-    v.as_str().ok_or_else(|| {
-        err(
-            ctx,
-            format!("\"{key}\" must be a string, got {}", v.type_name()),
-        )
-    })
-}
-
-fn finite_field(members: &[(String, Value)], key: &str, ctx: &str) -> Result<f64, ConfigError> {
-    let v = field(members, key, ctx)?;
-    if v.is_null() {
-        return Err(err(
-            ctx,
-            format!(
-                "\"{key}\" is null — non-finite numbers (NaN/infinity) cannot \
-                 round-trip through JSON and are not valid here"
-            ),
-        ));
-    }
-    match v.as_f64() {
-        Some(f) if f.is_finite() => Ok(f),
-        _ => Err(err(
-            ctx,
-            format!("\"{key}\" must be a finite number, got {}", v.type_name()),
-        )),
-    }
-}
-
-fn positive_field(members: &[(String, Value)], key: &str, ctx: &str) -> Result<f64, ConfigError> {
-    let f = finite_field(members, key, ctx)?;
-    if f > 0.0 {
-        Ok(f)
-    } else {
-        Err(err(ctx, format!("\"{key}\" must be > 0, got {f}")))
-    }
-}
-
-fn u64_field(members: &[(String, Value)], key: &str, ctx: &str) -> Result<u64, ConfigError> {
-    let v = field(members, key, ctx)?;
-    v.as_u64().ok_or_else(|| {
-        err(
-            ctx,
-            format!(
-                "\"{key}\" must be a non-negative integer, got {}",
-                v.type_name()
-            ),
-        )
-    })
-}
-
-fn nonzero_u64_field(
-    members: &[(String, Value)],
-    key: &str,
-    ctx: &str,
-) -> Result<u64, ConfigError> {
-    match u64_field(members, key, ctx)? {
-        0 => Err(err(ctx, format!("\"{key}\" must be ≥ 1"))),
-        n => Ok(n),
-    }
-}
-
 // --- reading the vocabulary -----------------------------------------------
 
-fn traffic_from(v: &Value, ctx: &str) -> Result<TrafficSpec, ConfigError> {
-    let members = as_obj(v, ctx)?;
-    let kind = str_field(members, "kind", ctx)?;
+fn traffic_from(v: &Value, path: &str) -> Result<TrafficSpec, String> {
+    let f = Fields::new(v, path)?;
+    let kind = f.str("kind")?;
     match kind {
         "burst" | "constant" | "poisson" => {
-            no_unknown_keys(members, &["kind", "bytes_per_s"], ctx)?;
-            let bytes_per_s = positive_field(members, "bytes_per_s", ctx)?;
+            let bytes_per_s = f.only(&["kind", "bytes_per_s"])?.positive("bytes_per_s")?;
             Ok(match kind {
                 "burst" => TrafficSpec::Burst { bytes_per_s },
                 "constant" => TrafficSpec::Constant { bytes_per_s },
@@ -365,38 +255,30 @@ fn traffic_from(v: &Value, ctx: &str) -> Result<TrafficSpec, ConfigError> {
             })
         }
         "batch" => {
-            no_unknown_keys(
-                members,
-                &["kind", "unit_bytes", "period_ns", "deadline_ns"],
-                ctx,
-            )?;
+            let f = f.only(&["kind", "unit_bytes", "period_ns", "deadline_ns"])?;
             Ok(TrafficSpec::Batch {
-                unit_bytes: nonzero_u64_field(members, "unit_bytes", ctx)?,
-                period_ns: positive_field(members, "period_ns", ctx)?,
-                deadline_ns: positive_field(members, "deadline_ns", ctx)?,
+                unit_bytes: f.nonzero("unit_bytes")?,
+                period_ns: f.positive("period_ns")?,
+                deadline_ns: f.positive("deadline_ns")?,
             })
         }
         "elastic" => {
-            no_unknown_keys(members, &["kind"], ctx)?;
+            f.only(&["kind"])?;
             Ok(TrafficSpec::Elastic)
         }
-        other => Err(err(
-            ctx,
-            format!(
-                "unknown traffic kind \"{other}\" (expected burst, constant, \
-                 poisson, batch or elastic)"
-            ),
-        )),
+        other => Err(f.error(format!(
+            "unknown traffic kind \"{other}\" (expected burst, constant, poisson, batch or \
+             elastic)"
+        ))),
     }
 }
 
-fn pattern_from(v: &Value, ctx: &str) -> Result<PatternSpec, ConfigError> {
-    let members = as_obj(v, ctx)?;
-    let kind = str_field(members, "kind", ctx)?;
+fn pattern_from(v: &Value, path: &str) -> Result<PatternSpec, String> {
+    let f = Fields::new(v, path)?;
+    let kind = f.str("kind")?;
     match kind {
         "sequential" | "random" => {
-            no_unknown_keys(members, &["kind", "region_bytes"], ctx)?;
-            let region_bytes = nonzero_u64_field(members, "region_bytes", ctx)?;
+            let region_bytes = f.only(&["kind", "region_bytes"])?.nonzero("region_bytes")?;
             Ok(if kind == "sequential" {
                 PatternSpec::Sequential { region_bytes }
             } else {
@@ -404,242 +286,202 @@ fn pattern_from(v: &Value, ctx: &str) -> Result<PatternSpec, ConfigError> {
             })
         }
         "strided" => {
-            no_unknown_keys(members, &["kind", "region_bytes", "stride_bytes"], ctx)?;
+            let f = f.only(&["kind", "region_bytes", "stride_bytes"])?;
             Ok(PatternSpec::Strided {
-                region_bytes: nonzero_u64_field(members, "region_bytes", ctx)?,
-                stride_bytes: nonzero_u64_field(members, "stride_bytes", ctx)?,
+                region_bytes: f.nonzero("region_bytes")?,
+                stride_bytes: f.nonzero("stride_bytes")?,
             })
         }
-        other => Err(err(
-            ctx,
-            format!("unknown pattern kind \"{other}\" (expected sequential, strided or random)"),
-        )),
+        other => Err(f.error(format!(
+            "unknown pattern kind \"{other}\" (expected sequential, strided or random)"
+        ))),
     }
 }
 
-fn meter_from(v: &Value, ctx: &str) -> Result<MeterSpec, ConfigError> {
-    let members = as_obj(v, ctx)?;
-    let kind = str_field(members, "kind", ctx)?;
+fn meter_from(v: &Value, path: &str) -> Result<MeterSpec, String> {
+    let f = Fields::new(v, path)?;
+    let kind = f.str("kind")?;
     match kind {
         "latency" => {
-            no_unknown_keys(members, &["kind", "limit_ns", "alpha"], ctx)?;
-            let limit_ns = positive_field(members, "limit_ns", ctx)?;
-            let alpha = positive_field(members, "alpha", ctx)?;
+            let f = f.only(&["kind", "limit_ns", "alpha"])?;
+            let limit_ns = f.positive("limit_ns")?;
+            let alpha = f.positive("alpha")?;
             if alpha > 1.0 {
-                return Err(err(
-                    ctx,
-                    format!("\"alpha\" must be in (0, 1], got {alpha}"),
-                ));
+                return Err(f.key_error("alpha", format!("must be in (0, 1], got {alpha}")));
             }
             Ok(MeterSpec::Latency { limit_ns, alpha })
         }
         "frame-rate" => {
-            no_unknown_keys(members, &["kind"], ctx)?;
+            f.only(&["kind"])?;
             Ok(MeterSpec::FrameRate)
         }
         "occupancy" => {
-            no_unknown_keys(members, &["kind", "direction", "capacity_bytes"], ctx)?;
-            let direction = match str_field(members, "direction", ctx)? {
+            let f = f.only(&["kind", "direction", "capacity_bytes"])?;
+            let direction = match f.str("direction")? {
                 "fill" => BufferDirection::ConstantFill,
                 "drain" => BufferDirection::ConstantDrain,
                 other => {
-                    return Err(err(
-                        ctx,
-                        format!("unknown direction \"{other}\" (expected \"fill\" or \"drain\")"),
-                    ));
+                    return Err(f.error(format!(
+                        "unknown direction \"{other}\" (expected \"fill\" or \"drain\")"
+                    )));
                 }
             };
             Ok(MeterSpec::Occupancy {
                 direction,
-                capacity_bytes: nonzero_u64_field(members, "capacity_bytes", ctx)?,
+                capacity_bytes: f.nonzero("capacity_bytes")?,
             })
         }
         "bandwidth" => {
-            no_unknown_keys(members, &["kind", "target_fraction", "window_ns"], ctx)?;
+            let f = f.only(&["kind", "target_fraction", "window_ns"])?;
             Ok(MeterSpec::Bandwidth {
-                target_fraction: positive_field(members, "target_fraction", ctx)?,
-                window_ns: positive_field(members, "window_ns", ctx)?,
+                target_fraction: f.positive("target_fraction")?,
+                window_ns: f.positive("window_ns")?,
             })
         }
         "work-unit" => {
-            no_unknown_keys(members, &["kind"], ctx)?;
+            f.only(&["kind"])?;
             Ok(MeterSpec::WorkUnit)
         }
         "best-effort" => {
-            no_unknown_keys(members, &["kind"], ctx)?;
+            f.only(&["kind"])?;
             Ok(MeterSpec::BestEffort)
         }
-        other => Err(err(
-            ctx,
-            format!(
-                "unknown meter kind \"{other}\" (expected latency, frame-rate, \
-                 occupancy, bandwidth, work-unit or best-effort)"
-            ),
-        )),
+        other => Err(f.error(format!(
+            "unknown meter kind \"{other}\" (expected latency, frame-rate, occupancy, \
+             bandwidth, work-unit or best-effort)"
+        ))),
     }
 }
 
-fn governor_from(v: &Value, ctx: &str) -> Result<GovernorSpec, ConfigError> {
-    let members = as_obj(v, ctx)?;
-    no_unknown_keys(
-        members,
-        &[
-            "epoch_us",
-            "ladder_mhz",
-            "up_threshold",
-            "down_threshold",
-            "patience",
-            "start_mhz",
-            "escalate_policy",
-            "per_channel",
-        ],
-        ctx,
-    )?;
-    let ladder_value = field(members, "ladder_mhz", ctx)?;
-    let ladder = ladder_value.as_array().ok_or_else(|| {
-        err(
-            ctx,
-            format!(
-                "\"ladder_mhz\" must be an array, got {}",
-                ladder_value.type_name()
-            ),
-        )
-    })?;
-    let ladder_mhz = ladder
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            let mhz = v.as_u64().ok_or_else(|| {
-                err(
-                    ctx,
-                    format!("\"ladder_mhz[{i}]\" must be a positive integer"),
-                )
-            })?;
-            u32::try_from(mhz).map_err(|_| {
-                err(
-                    ctx,
-                    format!("\"ladder_mhz[{i}]\" {mhz} exceeds {}", u32::MAX),
-                )
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let patience = u64_field(members, "patience", ctx)?;
-    let patience = u32::try_from(patience)
-        .map_err(|_| err(ctx, format!("\"patience\" {patience} exceeds {}", u32::MAX)))?;
-    let start_mhz = match members.iter().find(|(k, _)| k == "start_mhz") {
-        None => None,
-        Some(_) => {
-            let mhz = nonzero_u64_field(members, "start_mhz", ctx)?;
-            Some(
-                u32::try_from(mhz)
-                    .map_err(|_| err(ctx, format!("\"start_mhz\" {mhz} exceeds {}", u32::MAX)))?,
-            )
-        }
-    };
-    let escalate_policy = match members.iter().find(|(k, _)| k == "escalate_policy") {
-        None => None,
-        Some(_) => {
-            let name = str_field(members, "escalate_policy", ctx)?;
-            Some(PolicyKind::from_name(name).ok_or_else(|| {
-                let known: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-                err(
-                    ctx,
-                    format!(
-                        "unknown escalate_policy \"{name}\" (expected one of: {})",
-                        known.join(", ")
-                    ),
-                )
-            })?)
-        }
-    };
-    let per_channel = match members.iter().find(|(k, _)| k == "per_channel") {
-        None => false,
-        Some((_, v)) => v.as_bool().ok_or_else(|| {
-            err(
-                ctx,
-                format!("\"per_channel\" must be a boolean, got {}", v.type_name()),
-            )
-        })?,
-    };
+/// A policy name under `key`.
+fn policy(f: &Fields, key: &str) -> Result<PolicyKind, String> {
+    PolicyKind::parse(f.str(key)?).map_err(|m| f.error(m))
+}
+
+fn governor_from(v: &Value, path: &str) -> Result<GovernorSpec, String> {
+    let f = Fields::new(v, path)?.only(&[
+        "epoch_us",
+        "ladder_mhz",
+        "up_threshold",
+        "down_threshold",
+        "patience",
+        "start_mhz",
+        "escalate_policy",
+        "per_channel",
+    ])?;
+    let ladder_mhz = f.list("ladder_mhz", |v| read::mhz(read::uint(v)?))?;
+    let patience = f.read("patience", |v| read::fits_u32(read::uint(v)?))?;
+    let start_mhz = f.optional("start_mhz", Fields::mhz)?;
+    let escalate_policy = f.optional("escalate_policy", policy)?;
+    let per_channel = f.optional("per_channel", Fields::bool)?.unwrap_or(false);
     let spec = GovernorSpec {
-        epoch_us: positive_field(members, "epoch_us", ctx)?,
+        epoch_us: f.positive("epoch_us")?,
         ladder_mhz,
-        up_threshold: positive_field(members, "up_threshold", ctx)?,
-        down_threshold: positive_field(members, "down_threshold", ctx)?,
+        up_threshold: f.positive("up_threshold")?,
+        down_threshold: f.positive("down_threshold")?,
         patience,
         start_mhz,
         escalate_policy,
         per_channel,
     };
-    spec.validate().map_err(|e| err(ctx, e.message()))?;
+    spec.validate().map_err(|e| f.error(e.message()))?;
     Ok(spec)
 }
 
-fn dma_from(v: &Value, ctx: &str) -> Result<DmaSpec, ConfigError> {
-    let members = as_obj(v, ctx)?;
-    no_unknown_keys(
-        members,
-        &["name", "op", "window", "traffic", "pattern", "meter"],
-        ctx,
-    )?;
-    let name = str_field(members, "name", ctx)?;
-    if name.is_empty() {
-        return Err(err(ctx, "\"name\" must be non-empty"));
-    }
-    let op_name = str_field(members, "op", ctx)?;
+fn dma_from(v: &Value, path: &str) -> Result<DmaSpec, String> {
+    let f = Fields::new(v, path)?.only(&["name", "op", "window", "traffic", "pattern", "meter"])?;
+    let name = f.non_empty("name")?;
+    let op_name = f.str("op")?;
     let op = MemOp::from_name(op_name).ok_or_else(|| {
-        err(
-            ctx,
-            format!("unknown op \"{op_name}\" (expected \"RD\" or \"WR\")"),
-        )
+        f.error(format!(
+            "unknown op \"{op_name}\" (expected \"RD\" or \"WR\")"
+        ))
     })?;
-    let window = nonzero_u64_field(members, "window", ctx)?;
-    let window = usize::try_from(window).map_err(|_| {
-        err(
-            ctx,
-            format!("\"window\" {window} does not fit this platform"),
-        )
-    })?;
+    let window = f.nonzero("window")?;
+    let window = usize::try_from(window)
+        .map_err(|_| f.key_error("window", format!("{window} does not fit this platform")))?;
     Ok(DmaSpec::new(
         name,
         op,
-        traffic_from(field(members, "traffic", ctx)?, &format!("{ctx}.traffic"))?,
-        pattern_from(field(members, "pattern", ctx)?, &format!("{ctx}.pattern"))?,
-        meter_from(field(members, "meter", ctx)?, &format!("{ctx}.meter"))?,
+        traffic_from(f.get("traffic")?, &format!("{path}.traffic"))?,
+        pattern_from(f.get("pattern")?, &format!("{path}.pattern"))?,
+        meter_from(f.get("meter")?, &format!("{path}.meter"))?,
         window,
     ))
 }
 
-fn core_from(v: &Value, ctx: &str) -> Result<CoreSpec, ConfigError> {
-    let members = as_obj(v, ctx)?;
-    no_unknown_keys(members, &["kind", "dmas"], ctx)?;
-    let kind_name = str_field(members, "kind", ctx)?;
-    let kind = CoreKind::from_name(kind_name).ok_or_else(|| {
-        let known: Vec<&str> = CoreKind::ALL.iter().map(|k| k.name()).collect();
-        err(
-            ctx,
-            format!(
-                "unknown core kind \"{kind_name}\" (expected one of: {})",
-                known.join(", ")
-            ),
-        )
-    })?;
-    let dmas_value = field(members, "dmas", ctx)?;
-    let dmas = dmas_value.as_array().ok_or_else(|| {
-        err(
-            ctx,
-            format!("\"dmas\" must be an array, got {}", dmas_value.type_name()),
-        )
-    })?;
+fn core_from(v: &Value, path: &str) -> Result<CoreSpec, String> {
+    let f = Fields::new(v, path)?.only(&["kind", "dmas"])?;
+    let kind = CoreKind::parse(f.str("kind")?).map_err(|m| f.error(m))?;
+    let dmas = f.array("dmas")?;
     if dmas.is_empty() {
-        return Err(err(ctx, "\"dmas\" must contain at least one DMA"));
+        return Err(f.key_error("dmas", "must contain at least one DMA"));
     }
     let dmas = dmas
         .iter()
         .enumerate()
-        .map(|(i, d)| dma_from(d, &format!("{ctx}.dmas[{i}]")))
+        .map(|(i, d)| dma_from(d, &format!("{path}.dmas[{i}]")))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(CoreSpec::new(kind, dmas))
+}
+
+fn scenario_from(doc: &Value) -> Result<Scenario, String> {
+    let path = "scenario";
+    let f = Fields::new(doc, path)?;
+    // Check the version tag before strictness: a v2 document should say
+    // "unsupported version", not "unknown key".
+    let tag = f.str("format")?;
+    if tag != FORMAT_TAG {
+        return Err(f.error(format!(
+            "unsupported format tag \"{tag}\" (this reader understands \"{FORMAT_TAG}\")"
+        )));
+    }
+    let f = f.only(&[
+        "format",
+        "name",
+        "description",
+        "freq_mhz",
+        "policy",
+        "frame_period_ns",
+        "duration_ms",
+        "seed",
+        "channels",
+        "governor",
+        "cores",
+    ])?;
+    let name = f.non_empty("name")?;
+    let freq_mhz = f.mhz("freq_mhz")?;
+    let policy = policy(&f, "policy")?;
+    let cores = f.array("cores")?;
+    if cores.is_empty() {
+        return Err(f.key_error("cores", "must contain at least one core"));
+    }
+    let cores = cores
+        .iter()
+        .enumerate()
+        .map(|(i, c)| core_from(c, &format!("{path}.cores[{i}]")))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Optional count: absent = the two-channel Table 1 part.
+    let channels = f.optional("channels", |f, k| {
+        f.read(k, |v| Scenario::channel_count(read::uint(v)?))
+    })?;
+    // Optional stanza: absent = static run (v1 documents unchanged).
+    let governor = f
+        .opt("governor")
+        .map(|v| governor_from(v, &format!("{path}.governor")))
+        .transpose()?;
+    Ok(Scenario {
+        name: name.to_string(),
+        description: f.str("description")?.to_string(),
+        freq: MegaHertz::new(freq_mhz),
+        policy,
+        cores,
+        frame_period_ns: f.positive("frame_period_ns")?,
+        duration_ms: f.positive("duration_ms")?,
+        seed: f.u64("seed")?,
+        channels: channels.unwrap_or(2),
+        governor,
+    })
 }
 
 impl Scenario {
@@ -689,104 +531,7 @@ impl Scenario {
     /// violation: wrong version tag, missing or unknown keys, wrong types,
     /// `null`ed (non-finite) numbers, or out-of-range values.
     pub fn from_json_value(doc: &Value) -> Result<Scenario, ConfigError> {
-        let ctx = "scenario";
-        let members = as_obj(doc, ctx)?;
-        // Check the version tag before strictness: a v2 document should
-        // say "unsupported version", not "unknown key".
-        let tag = str_field(members, "format", ctx)?;
-        if tag != FORMAT_TAG {
-            return Err(err(
-                ctx,
-                format!(
-                    "unsupported format tag \"{tag}\" (this reader understands \"{FORMAT_TAG}\")"
-                ),
-            ));
-        }
-        no_unknown_keys(
-            members,
-            &[
-                "format",
-                "name",
-                "description",
-                "freq_mhz",
-                "policy",
-                "frame_period_ns",
-                "duration_ms",
-                "seed",
-                "channels",
-                "governor",
-                "cores",
-            ],
-            ctx,
-        )?;
-        let name = str_field(members, "name", ctx)?;
-        if name.is_empty() {
-            return Err(err(ctx, "\"name\" must be non-empty"));
-        }
-        let freq_mhz = nonzero_u64_field(members, "freq_mhz", ctx)?;
-        let freq_mhz = u32::try_from(freq_mhz)
-            .map_err(|_| err(ctx, format!("\"freq_mhz\" {freq_mhz} exceeds {}", u32::MAX)))?;
-        let policy_name = str_field(members, "policy", ctx)?;
-        let policy = PolicyKind::from_name(policy_name).ok_or_else(|| {
-            let known: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-            err(
-                ctx,
-                format!(
-                    "unknown policy \"{policy_name}\" (expected one of: {})",
-                    known.join(", ")
-                ),
-            )
-        })?;
-        let cores_value = field(members, "cores", ctx)?;
-        let cores = cores_value.as_array().ok_or_else(|| {
-            err(
-                ctx,
-                format!(
-                    "\"cores\" must be an array, got {}",
-                    cores_value.type_name()
-                ),
-            )
-        })?;
-        if cores.is_empty() {
-            return Err(err(ctx, "\"cores\" must contain at least one core"));
-        }
-        let cores = cores
-            .iter()
-            .enumerate()
-            .map(|(i, c)| core_from(c, &format!("{ctx}.cores[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Optional count: absent = the two-channel Table 1 part.
-        let channels = match members.iter().find(|(k, _)| k == "channels") {
-            None => 2,
-            Some(_) => {
-                let n = nonzero_u64_field(members, "channels", ctx)?;
-                if n > 256 || !n.is_power_of_two() {
-                    return Err(err(
-                        ctx,
-                        format!("\"channels\" must be a power of two in 1..=256, got {n}"),
-                    ));
-                }
-                n as usize
-            }
-        };
-        // Optional stanza: absent = static run (v1 documents unchanged).
-        let governor = members
-            .iter()
-            .find(|(k, _)| k == "governor")
-            .map(|(_, v)| governor_from(v, &format!("{ctx}.governor")))
-            .transpose()?;
-        Ok(Scenario {
-            name: name.to_string(),
-            description: str_field(members, "description", ctx)?.to_string(),
-            freq: MegaHertz::new(freq_mhz),
-            policy,
-            cores,
-            frame_period_ns: positive_field(members, "frame_period_ns", ctx)?,
-            duration_ms: positive_field(members, "duration_ms", ctx)?,
-            seed: u64_field(members, "seed", ctx)?,
-            channels,
-            governor,
-        })
+        scenario_from(doc).map_err(ConfigError::new)
     }
 
     /// Parses a scenario from `.scenario.json` text.
@@ -1088,6 +833,110 @@ mod tests {
             let e = Scenario::from_json_str(&base.replacen(from, to, 1)).unwrap_err();
             assert!(e.message().contains(expect), "{from} -> {to}: {e}");
             assert!(e.message().contains("governor"), "no path in: {e}");
+        }
+    }
+
+    /// One broken document per rule, with the whole message pinned: these
+    /// are the strings the reader printed before it moved onto
+    /// `json::read::Fields`, and every front door now borrows its wording.
+    #[test]
+    fn every_rule_keeps_its_exact_message() {
+        use crate::governor_spec::GovernorSpec;
+
+        let adas = catalog::by_name("adas").unwrap().to_json();
+        let eight = catalog::by_name("adas").unwrap().with_channels(8).to_json();
+        let governed = catalog::by_name("adas")
+            .unwrap()
+            .with_governor(GovernorSpec::new(vec![1333, 1600]))
+            .to_json();
+        let mut no_seed = json::parse(&adas).unwrap();
+        if let Value::Object(members) = &mut no_seed {
+            members.retain(|(k, _)| k != "seed");
+        }
+        let ladder = "\"ladder_mhz\": [\n      1333,\n      1600\n    ]";
+        let big_rung = "\"ladder_mhz\": [\n      1333,\n      5000000000\n    ]";
+        let cases = [
+            (
+                "[1, 2, 3]".to_string(),
+                "scenario: expected an object, got array",
+            ),
+            (
+                adas.replacen("\"seed\":", "\"sede\":", 1),
+                "scenario: unknown key \"sede\" (expected one of: format, name, description, \
+                 freq_mhz, policy, frame_period_ns, duration_ms, seed, channels, governor, cores)",
+            ),
+            (
+                no_seed.to_string_pretty(),
+                "scenario: missing required key \"seed\"",
+            ),
+            (
+                adas.replacen("\"name\": \"adas\"", "\"name\": 7", 1),
+                "scenario: \"name\" must be a string, got number",
+            ),
+            (
+                adas.replacen("\"duration_ms\": 5", "\"duration_ms\": null", 1),
+                "scenario: \"duration_ms\" is null — non-finite numbers (NaN/infinity) cannot \
+                 round-trip through JSON and are not valid here",
+            ),
+            (
+                adas.replacen("\"duration_ms\": 5", "\"duration_ms\": -1", 1),
+                "scenario: \"duration_ms\" must be > 0, got -1",
+            ),
+            (
+                adas.replacen("\"window\": 8", "\"window\": 0", 1),
+                "scenario.cores[0].dmas[0]: \"window\" must be ≥ 1",
+            ),
+            (
+                adas.replacen("\"freq_mhz\": 1600", "\"freq_mhz\": 5000000000", 1),
+                "scenario: \"freq_mhz\" 5000000000 exceeds 4294967295",
+            ),
+            (
+                adas.replacen("\"policy\": \"QoS\"", "\"policy\": \"qos\"", 1),
+                "scenario: unknown policy \"qos\" (expected one of: FCFS, RR, FrameQoS, QoS, \
+                 QoS-RB, FR-FCFS)",
+            ),
+            (
+                adas.replacen("\"kind\": \"Camera\"", "\"kind\": \"camera\"", 1),
+                "scenario.cores[0]: unknown core kind \"camera\" (expected one of: GPU, DSP, \
+                 Image Proc., Video Codec, Rotator, JPEG, Camera, Display, GPS, WiFi, USB, \
+                 Modem, Audio, CPU)",
+            ),
+            (
+                adas.replacen("\"op\": \"RD\"", "\"op\": \"READ\"", 1),
+                "scenario.cores[1].dmas[0]: unknown op \"READ\" (expected \"RD\" or \"WR\")",
+            ),
+            (
+                adas.replacen("\"direction\": \"fill\"", "\"direction\": \"full\"", 1),
+                "scenario.cores[0].dmas[0].meter: unknown direction \"full\" (expected \"fill\" \
+                 or \"drain\")",
+            ),
+            (
+                adas.replacen("\"kind\": \"burst\"", "\"kind\": \"bursty\"", 1),
+                "scenario.cores[3].dmas[0].traffic: unknown traffic kind \"bursty\" (expected \
+                 burst, constant, poisson, batch or elastic)",
+            ),
+            (
+                adas.replacen("\"kind\": \"sequential\"", "\"kind\": \"linear\"", 1),
+                "scenario.cores[0].dmas[0].pattern: unknown pattern kind \"linear\" (expected \
+                 sequential, strided or random)",
+            ),
+            (
+                adas.replacen("\"kind\": \"work-unit\"", "\"kind\": \"workunit\"", 1),
+                "scenario.cores[1].dmas[0].meter: unknown meter kind \"workunit\" (expected \
+                 latency, frame-rate, occupancy, bandwidth, work-unit or best-effort)",
+            ),
+            (
+                eight.replacen("\"channels\": 8", "\"channels\": 3", 1),
+                "scenario: \"channels\" must be a power of two in 1..=256, got 3",
+            ),
+            (
+                governed.replacen(ladder, big_rung, 1),
+                "scenario.governor: \"ladder_mhz[1]\" 5000000000 exceeds 4294967295",
+            ),
+        ];
+        for (text, want) in cases {
+            let e = Scenario::from_json_str(&text).unwrap_err();
+            assert_eq!(e.message(), want);
         }
     }
 

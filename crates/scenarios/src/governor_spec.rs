@@ -7,6 +7,7 @@
 //! version `v1`: a document without a `governor` key describes a static
 //! run, exactly as before.
 
+use json::read;
 use sara_memctrl::PolicyKind;
 use sara_types::ConfigError;
 
@@ -137,12 +138,10 @@ impl GovernorSpec {
     ///
     /// Returns [`ConfigError`] naming the offending field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if !self.epoch_us.is_finite() || self.epoch_us <= 0.0 {
-            return Err(ConfigError::new(format!(
-                "governor epoch_us must be > 0, got {}",
-                self.epoch_us
-            )));
-        }
+        let rule = |name: &str, rule: Result<(), String>| {
+            rule.map_err(|r| ConfigError::new(format!("governor {name} {r}")))
+        };
+        rule("epoch_us", read::positive(self.epoch_us).map(drop))?;
         if self.ladder_mhz.is_empty() {
             return Err(ConfigError::new("governor ladder must not be empty"));
         }
@@ -157,21 +156,17 @@ impl GovernorSpec {
                 )));
             }
         }
-        if !self.up_threshold.is_finite() || self.up_threshold <= 0.0 {
-            return Err(ConfigError::new(format!(
-                "governor up_threshold must be > 0, got {}",
-                self.up_threshold
-            )));
-        }
+        rule("up_threshold", read::positive(self.up_threshold).map(drop))?;
         if !self.down_threshold.is_finite() || self.down_threshold <= self.up_threshold {
             return Err(ConfigError::new(format!(
                 "governor down_threshold ({}) must exceed up_threshold ({})",
                 self.down_threshold, self.up_threshold
             )));
         }
-        if self.patience == 0 {
-            return Err(ConfigError::new("governor patience must be ≥ 1"));
-        }
+        rule(
+            "patience",
+            read::at_least_one(self.patience.into()).map(drop),
+        )?;
         if let Some(start) = self.start_mhz {
             if !self.ladder_mhz.contains(&start) {
                 return Err(ConfigError::new(format!(

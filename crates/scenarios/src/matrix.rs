@@ -35,13 +35,20 @@ pub enum ScreenMode {
 }
 
 impl ScreenMode {
-    /// Parses the CLI spelling (`off` / `prune` / `verify`).
-    pub fn parse(s: &str) -> Option<Self> {
+    /// Parses the spelling `--screen` and `submit` share (`off` / `prune` /
+    /// `verify`).
+    ///
+    /// # Errors
+    ///
+    /// `unknown screen mode "<s>" (expected one of: off, prune, verify)`.
+    pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "off" => Some(ScreenMode::Off),
-            "prune" => Some(ScreenMode::Prune),
-            "verify" => Some(ScreenMode::Verify),
-            _ => None,
+            "off" => Ok(ScreenMode::Off),
+            "prune" => Ok(ScreenMode::Prune),
+            "verify" => Ok(ScreenMode::Verify),
+            _ => Err(format!(
+                "unknown screen mode \"{s}\" (expected one of: off, prune, verify)"
+            )),
         }
     }
 

@@ -122,6 +122,21 @@ impl Scenario {
         self
     }
 
+    /// The one check of a DRAM channel count, for scenario files, `submit`
+    /// requests and CLI flags alike: a power of two in `1..=256` (the
+    /// address map folds the channel index out of power-of-two bit fields).
+    ///
+    /// # Errors
+    ///
+    /// `must be a power of two in 1..=256, got <n>`.
+    pub fn channel_count(n: u64) -> Result<usize, String> {
+        if n.is_power_of_two() && n <= 256 {
+            Ok(n as usize)
+        } else {
+            Err(format!("must be a power of two in 1..=256, got {n}"))
+        }
+    }
+
     /// Attaches an online-governor stanza (see [`GovernorSpec`]).
     #[must_use]
     pub fn with_governor(mut self, spec: GovernorSpec) -> Self {

@@ -13,6 +13,7 @@
 
 use std::path::PathBuf;
 
+use json::read::{self, Fields};
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{CellSpec, MatrixCell, Scenario, ScreenMode};
@@ -155,15 +156,6 @@ pub struct ProtocolError {
     pub message: String,
 }
 
-impl ProtocolError {
-    fn new(id: Option<&str>, message: impl Into<String>) -> Self {
-        ProtocolError {
-            id: id.map(str::to_string),
-            message: message.into(),
-        }
-    }
-}
-
 /// Parses one request line strictly.
 ///
 /// # Errors
@@ -172,191 +164,101 @@ impl ProtocolError {
 /// one) for malformed JSON, a wrong or missing format tag, an unknown
 /// record type, unknown or missing keys, or out-of-range values.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let doc = json::parse(line).map_err(|e| ProtocolError::new(None, format!("bad JSON: {e}")))?;
-    let members = doc
-        .as_object()
-        .ok_or_else(|| ProtocolError::new(None, "request is not a JSON object"))?;
-    // Recover the id first so even badly-shaped submits are correlatable.
-    let id = doc.get("id").and_then(Value::as_str);
-    let tag = doc
-        .get("format")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ProtocolError::new(id, "missing \"format\" tag"))?;
+    let doc = json::parse(line).map_err(|e| ProtocolError {
+        id: None,
+        message: format!("bad JSON: {e}"),
+    })?;
+    parse_record(&doc).map_err(|message| ProtocolError {
+        // Recover the id so even badly-shaped submits are correlatable.
+        id: doc.get("id").and_then(Value::as_str).map(str::to_string),
+        message,
+    })
+}
+
+/// Reads a parsed request: its format tag, then its record type, then
+/// keys by [`record_keys`].
+fn parse_record(doc: &Value) -> Result<Request, String> {
+    let envelope = Fields::new(doc, "request")?;
+    let tag = envelope.str("format")?;
     if tag != FORMAT_TAG {
-        return Err(ProtocolError::new(
-            id,
-            format!("unsupported format tag {tag:?} (this server speaks {FORMAT_TAG:?})"),
+        return Err(format!(
+            "unsupported format tag {tag:?} (this server speaks {FORMAT_TAG:?})"
         ));
     }
-    let rtype = doc
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ProtocolError::new(id, "missing \"type\""))?;
+    let rtype = envelope.str("type")?;
     let (required, optional) = match rtype {
         "submit" | "stats" | "metrics" | "ping" | "shutdown" => {
             record_keys(rtype).expect("request types are in the key table")
         }
         other => {
-            return Err(ProtocolError::new(
-                id,
-                format!(
-                    "unknown request type {other:?} (expected submit, stats, metrics, ping or shutdown)"
-                ),
+            return Err(format!(
+                "unknown request type {other:?} (expected submit, stats, metrics, ping or shutdown)"
             ))
         }
     };
-    for (key, _) in members {
-        if !required.contains(&key.as_str()) && !optional.contains(&key.as_str()) {
-            return Err(ProtocolError::new(
-                id,
-                format!("unknown key {key:?} in a {rtype:?} request"),
-            ));
-        }
-    }
+    let f = Fields::new(doc, rtype)?.only(required.iter().chain(optional))?;
     for key in required {
-        if doc.get(key).is_none() {
-            return Err(ProtocolError::new(
-                id,
-                format!("{rtype:?} request is missing required key {key:?}"),
-            ));
-        }
+        f.get(key)?;
     }
     match rtype {
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        "submit" => parse_submit(&doc, id).map(|job| Request::Submit(Box::new(job))),
+        "submit" => parse_submit(&f).map(|job| Request::Submit(Box::new(job))),
         _ => unreachable!("handled above"),
     }
 }
 
-fn parse_submit(doc: &Value, id: Option<&str>) -> Result<JobRequest, ProtocolError> {
-    let err = |msg: String| ProtocolError::new(id, msg);
-    let job_id = doc
-        .get("id")
-        .and_then(Value::as_str)
-        .filter(|s| !s.is_empty())
-        .ok_or_else(|| err("\"id\" must be a non-empty string".to_string()))?
-        .to_string();
-    let client = match doc.get("client") {
-        None => "anonymous".to_string(),
-        Some(v) => v
-            .as_str()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| err("\"client\" must be a non-empty string".to_string()))?
-            .to_string(),
-    };
-    let raw_scenarios = doc
-        .get("scenarios")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err("\"scenarios\" must be an array".to_string()))?;
-    if raw_scenarios.is_empty() {
-        return Err(err("\"scenarios\" must be non-empty".to_string()));
+fn parse_submit(f: &Fields) -> Result<JobRequest, String> {
+    let id = f.non_empty("id")?.to_string();
+    let client = f
+        .optional("client", Fields::non_empty)?
+        .unwrap_or("anonymous");
+    let scenarios = f.list("scenarios", |entry| match entry {
+        Value::Str(name) if !name.is_empty() => Ok(ScenarioRef::Catalog(name.clone())),
+        Value::Object(_) => Scenario::from_json_value(entry)
+            .map(|s| ScenarioRef::Inline(Box::new(s)))
+            .map_err(|e| format!("is not a valid scenario: {}", e.message())),
+        other => Err(format!(
+            "must be a catalog name or a scenario object, got {}",
+            other.type_name()
+        )),
+    })?;
+    if scenarios.is_empty() {
+        return Err(f.key_error("scenarios", "must be non-empty"));
     }
-    let scenarios = raw_scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| match entry {
-            Value::Str(name) if !name.is_empty() => Ok(ScenarioRef::Catalog(name.clone())),
-            Value::Object(_) => Scenario::from_json_value(entry)
-                .map(|s| ScenarioRef::Inline(Box::new(s)))
-                .map_err(|e| err(format!("scenarios[{i}]: {}", e.message()))),
-            other => Err(err(format!(
-                "scenarios[{i}]: expected a catalog name or a scenario object, got {}",
-                other.type_name()
-            ))),
-        })
+    let policies = f
+        .optional("policies", |f, k| f.list(k, read::string))?
+        .unwrap_or_default()
+        .into_iter()
+        .map(|name| PolicyKind::parse(name).map_err(|m| f.error(m)))
         .collect::<Result<Vec<_>, _>>()?;
-    let policies = match doc.get("policies") {
-        None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| err("\"policies\" must be an array of policy names".to_string()))?
-            .iter()
-            .map(|p| {
-                p.as_str().and_then(PolicyKind::from_name).ok_or_else(|| {
-                    let known: Vec<&str> = PolicyKind::ALL.iter().map(|p| p.name()).collect();
-                    err(format!(
-                        "bad policy {} (expected one of: {})",
-                        p.to_string_compact(),
-                        known.join(", ")
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let freqs_mhz = match doc.get("freqs_mhz") {
-        None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| err("\"freqs_mhz\" must be an array of MHz integers".to_string()))?
-            .iter()
-            .map(|f| match f.as_u64() {
-                Some(mhz) if mhz > 0 && mhz <= u64::from(u32::MAX) => Ok(mhz as u32),
-                _ => Err(err(format!(
-                    "bad frequency {} (expected a positive MHz integer)",
-                    f.to_string_compact()
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let channels = match doc.get("channels") {
-        None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| err("\"channels\" must be an array of channel counts".to_string()))?
-            .iter()
-            .map(|c| match c.as_u64() {
-                Some(n) if n > 0 && n <= 256 && n.is_power_of_two() => Ok(n as usize),
-                _ => Err(err(format!(
-                    "bad channel count {} (expected a power of two in 1..=256)",
-                    c.to_string_compact()
-                ))),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let duration_ms = match doc.get("duration_ms") {
-        None => None,
-        Some(v) => {
-            let ms = v
-                .as_f64()
-                .filter(|ms| ms.is_finite() && *ms > 0.0)
-                .ok_or_else(|| err("\"duration_ms\" must be a number > 0".to_string()))?;
-            Some(ms)
-        }
-    };
-    let screen = match doc.get("screen") {
+    let freqs_mhz = f.optional("freqs_mhz", |f, k| f.list(k, |v| read::mhz(read::uint(v)?)))?;
+    let channels = f.optional("channels", |f, k| {
+        f.list(k, |v| Scenario::channel_count(read::uint(v)?))
+    })?;
+    let duration_ms = f.optional("duration_ms", Fields::positive)?;
+    let screen = match f.optional("screen", Fields::str)? {
         None => ScreenMode::Off,
-        Some(v) => match v.as_str() {
-            Some("off") => ScreenMode::Off,
-            Some("prune") => ScreenMode::Prune,
-            _ => {
-                return Err(err(format!(
-                    "bad screen mode {} (expected \"off\" or \"prune\")",
-                    v.to_string_compact()
-                )))
+        Some(name) => match ScreenMode::parse(name).map_err(|m| f.error(m))? {
+            ScreenMode::Verify => {
+                return Err(f.key_error("screen", "must be \"off\" or \"prune\", got \"verify\""))
             }
+            mode => mode,
         },
     };
-    let json_out = match doc.get("json_out") {
-        None => None,
-        Some(v) => Some(PathBuf::from(
-            v.as_str()
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| err("\"json_out\" must be a non-empty path".to_string()))?,
-        )),
-    };
+    let json_out = f.optional("json_out", Fields::non_empty)?;
     Ok(JobRequest {
-        id: job_id,
-        client,
+        id,
+        client: client.to_string(),
         scenarios,
         policies,
-        freqs_mhz,
-        channels,
+        freqs_mhz: freqs_mhz.unwrap_or_default(),
+        channels: channels.unwrap_or_default(),
         duration_ms,
         screen,
-        json_out,
+        json_out: json_out.map(PathBuf::from),
     })
 }
 
@@ -598,7 +500,10 @@ mod tests {
         assert!(err.message.contains("unsupported format tag"), "{err:?}");
 
         let err = parse_request("{\"type\":\"ping\"}").unwrap_err();
-        assert!(err.message.contains("missing \"format\""), "{err:?}");
+        assert!(
+            err.message.contains("missing required key \"format\""),
+            "{err:?}"
+        );
 
         let err = parse_request("{\"format\":\"sara-serve/v1\",\"type\":\"dance\"}").unwrap_err();
         assert!(err.message.contains("unknown request type"), "{err:?}");
@@ -613,12 +518,18 @@ mod tests {
         for (extra, needle) in [
             (",\"duration_ms\":0", "duration_ms"),
             (",\"duration_ms\":\"fast\"", "duration_ms"),
-            (",\"freqs_mhz\":[0]", "frequency"),
-            (",\"channels\":[3]", "channel count"),
-            (",\"channels\":[512]", "channel count"),
-            (",\"policies\":[\"qos\"]", "bad policy"),
-            (",\"screen\":\"verify\"", "screen mode"),
-            (",\"screen\":1", "screen mode"),
+            (",\"freqs_mhz\":[0]", "\"freqs_mhz[0]\" must be ≥ 1"),
+            (
+                ",\"channels\":[3]",
+                "\"channels[0]\" must be a power of two",
+            ),
+            (
+                ",\"channels\":[512]",
+                "\"channels[0]\" must be a power of two",
+            ),
+            (",\"policies\":[\"qos\"]", "unknown policy"),
+            (",\"screen\":\"verify\"", "\"screen\""),
+            (",\"screen\":1", "\"screen\""),
             (",\"json_out\":\"\"", "json_out"),
             (",\"client\":\"\"", "client"),
         ] {

@@ -253,18 +253,11 @@ fn build_dma(
     // cores escalate early (level 6 while still on pace); everything else
     // uses the default 3-bit ramp. Non-default encoding widths (the k-bits
     // ablation) use a uniform linear ramp at the requested width.
-    let map = if priority_bits == PriorityBits::PAPER {
-        match spec.meter {
-            MeterSpec::Latency { .. } => PriorityMap::latency_sensitive(),
-            MeterSpec::WorkUnit => PriorityMap::deadline(),
-            _ => PriorityMap::paper_default(),
-        }
-    } else {
-        match spec.meter {
-            MeterSpec::Latency { .. } => PriorityMap::latency_sensitive_for(priority_bits)?,
-            MeterSpec::WorkUnit => PriorityMap::deadline_for(priority_bits)?,
-            _ => PriorityMap::linear(priority_bits, 1.25, 0.70)?,
-        }
+    let map = match spec.meter {
+        MeterSpec::Latency { .. } => PriorityMap::latency_sensitive_for(priority_bits)?,
+        MeterSpec::WorkUnit => PriorityMap::deadline_for(priority_bits)?,
+        _ if priority_bits == PriorityBits::PAPER => PriorityMap::paper_default(),
+        _ => PriorityMap::linear(priority_bits, 1.25, 0.70)?,
     };
     Ok(DmaRuntime {
         core: kind,

@@ -100,10 +100,23 @@ impl CoreKind {
         }
     }
 
-    /// Parses the [`CoreKind::name`] spelling back into a kind — the
-    /// inverse used by scenario file I/O.
-    pub fn from_name(name: &str) -> Option<CoreKind> {
-        CoreKind::ALL.into_iter().find(|k| k.name() == name)
+    /// Parses the [`CoreKind::name`] spelling back into a kind — the one
+    /// reading of a core name, for scenario files and CLI flags alike.
+    ///
+    /// # Errors
+    ///
+    /// `unknown core kind "<name>" (expected one of: <every name>)`.
+    pub fn parse(name: &str) -> Result<CoreKind, String> {
+        CoreKind::ALL
+            .into_iter()
+            .find(|k| k.name() == name)
+            .ok_or_else(|| {
+                let known: Vec<&str> = CoreKind::ALL.iter().map(|k| k.name()).collect();
+                format!(
+                    "unknown core kind \"{name}\" (expected one of: {})",
+                    known.join(", ")
+                )
+            })
     }
 }
 
@@ -287,9 +300,13 @@ mod tests {
     #[test]
     fn core_kind_names_round_trip() {
         for kind in CoreKind::ALL {
-            assert_eq!(CoreKind::from_name(kind.name()), Some(kind));
+            assert_eq!(CoreKind::parse(kind.name()), Ok(kind));
         }
-        assert_eq!(CoreKind::from_name("gpu"), None);
-        assert_eq!(CoreKind::from_name(""), None);
+        let err = CoreKind::parse("gpu").unwrap_err();
+        assert!(
+            err.starts_with("unknown core kind \"gpu\" (expected one of: GPU, "),
+            "{err}"
+        );
+        assert!(CoreKind::parse("").is_err());
     }
 }
