@@ -15,7 +15,7 @@ use crate::node::{ArbiterNode, NodeStats};
 
 /// Per-hop link latency in cycles: a forward is ready at the next node
 /// this much later. Non-zero, which is what makes one sweep per pump
-/// complete (see [`Noc::pump_ref`]).
+/// complete (see [`Noc::pump_closed`]).
 const HOP_LATENCY: u64 = 6;
 
 /// Cycles per forwarded transaction per node.
@@ -79,7 +79,7 @@ struct Ingress {
     port: usize,
 }
 
-/// Outcome of a [`Noc::pump`] sweep.
+/// Outcome of a [`Noc::pump_closed`] sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PumpOutcome {
     /// Transactions delivered to the memory controller in this sweep.
@@ -87,13 +87,20 @@ pub struct PumpOutcome {
     /// Earliest cycle at which the network could make further progress on
     /// its own (head arrivals / service windows), ignoring backpressure.
     pub next_action: Option<Cycle>,
+    /// Classes whose root head was refused in this sweep (bit `i` = class
+    /// queue `i`, [`CoreClass::queue_index`]): each counted once in the
+    /// root's [`NodeStats::blocked`].
+    pub refused: u8,
+    /// Leaves that forwarded to the root in this sweep (bit `i` = the leaf
+    /// of class queue `i`): each freed an ingress slot for its DMAs.
+    pub leaves_forwarded: u8,
 }
 
 /// The arbitration tree.
 ///
 /// Transactions are injected per-DMA ([`Noc::inject`]) and travel
 /// leaf → root → memory controller. The network is passive: the simulation
-/// engine calls [`Noc::pump`] whenever an event may have enabled progress
+/// engine calls [`Noc::pump_closed`] whenever an event may have enabled progress
 /// (injection, controller dequeue, service window expiry).
 #[derive(Debug)]
 pub struct Noc {
@@ -167,86 +174,78 @@ impl Noc {
         self.leaves[ing.leaf].enqueue(ing.port, now + HOP_LATENCY, txn)
     }
 
-    /// Sweeps the tree, forwarding everything that can move at `now`.
+    /// Sweeps the tree with every class open: [`Noc::pump_closed`] with an
+    /// empty mask.
     ///
-    /// `sink` receives transactions leaving the root (the memory-controller
-    /// ingress) and may refuse them by returning them (`Err`), which leaves
-    /// them queued at the root. This is [`Noc::pump_ref`] with each offered
-    /// head cloned for the by-value sink.
+    /// `sink` receives the transaction leaving the root (the
+    /// memory-controller ingress), if one does. A class is refused by
+    /// closing it in [`Noc::pump_closed`]; an `Err` from `sink` is a caller
+    /// bug and panics.
     pub fn pump(
         &mut self,
         now: Cycle,
         sink: &mut dyn FnMut(Transaction) -> Result<(), Transaction>,
     ) -> PumpOutcome {
-        self.pump_ref(now, &mut |txn| sink(txn.clone()).is_ok())
+        self.pump_closed(now, 0, |txn| {
+            sink(txn).expect("a pump sink cannot refuse: close the class instead");
+        })
     }
 
-    /// Sweeps the tree, forwarding everything that can move at `now`.
+    /// Sweeps the tree once, forwarding everything that can move at `now`.
     ///
-    /// `sink` is shown each transaction the root would forward (the
-    /// memory-controller ingress) while it is still queued, and accepts it
-    /// by returning `true`; only then is it dequeued. A refused head stays
-    /// where it is.
+    /// The root refuses the classes flagged in `closed` (bit `i` = class
+    /// queue `i`, [`CoreClass::queue_index`]: the controller queues that
+    /// are full) and hands the first open ready head in arbitration order,
+    /// dequeued, to `sink`. A closed head ranked above it, or every ready
+    /// head if none is open, stays queued and is reported in
+    /// [`PumpOutcome::refused`] — the paper's five transaction queues
+    /// behave like virtual channels. Then every leaf with room at the root
+    /// forwards its winner.
     ///
-    /// The tree is swept once: a forward lands `HOP_LATENCY` (6) cycles
+    /// One sweep is complete: a forward lands `HOP_LATENCY` (6) cycles
     /// later, so nothing enqueued during the sweep is ready at `now`; every
-    /// node that forwarded is busy for its service period; every head the
-    /// sink refused is flagged in `blocked`; and the root's delivery — the
-    /// one thing that frees space a leaf waits for — precedes the leaves
-    /// inside the sweep. A second sweep at the same cycle would therefore
-    /// change no state and no statistic.
-    pub fn pump_ref(
+    /// node that forwarded is busy for its service period; and the root's
+    /// delivery — the one thing that frees space a leaf waits for —
+    /// precedes the leaves. A second sweep at the same cycle would move
+    /// nothing; it would only count the same refusals again.
+    pub fn pump_closed(
         &mut self,
         now: Cycle,
-        sink: &mut dyn FnMut(&Transaction) -> bool,
+        closed: u8,
+        sink: impl FnOnce(Transaction),
     ) -> PumpOutcome {
-        // Per-port sink blocking: a head refused by the controller (its
-        // class queue is full) must not stall other classes — the paper's
-        // five transaction queues behave like virtual channels. A blocked
-        // port stays blocked for the rest of this pump (the controller
-        // cannot drain mid-pump).
-        let mut blocked = 0u64;
-        let left_root = self.sweep(now, &mut blocked, sink);
-
+        let mut delivered = 0;
+        let refused = self.root.offer(now, u64::from(closed), |txn| {
+            debug_assert_eq!(closed & 1 << txn.class.queue_index(), 0, "closed class");
+            delivered = 1;
+            sink(txn);
+        }) as u8;
+        debug_assert_eq!(refused & !closed, 0, "refused an open class");
         // Only genuinely time-gated work counts towards the wake hint; a
         // node whose head is ready *now* but blocked by space will be
         // re-pumped by the drain event that frees that space.
-        let next_action = self
-            .leaves
-            .iter()
-            .chain(core::iter::once(&self.root))
-            .filter_map(ArbiterNode::earliest_action)
-            .filter(|&at| at > now)
-            .min();
+        let wake = |node: &ArbiterNode| node.earliest_action().filter(|&at| at > now);
+        let mut next_action = None;
+        let mut leaves_forwarded = 0;
+        for (i, leaf) in self.leaves.iter_mut().enumerate() {
+            if self.root.can_accept(i) {
+                if let Some(winner) = leaf.winner(now) {
+                    let txn = leaf.take(winner, now);
+                    self.root
+                        .enqueue(i, now + HOP_LATENCY, txn)
+                        .expect("checked can_accept above");
+                    leaves_forwarded |= 1 << i;
+                }
+            }
+            next_action = next_action.into_iter().chain(wake(leaf)).min();
+        }
+        next_action = next_action.into_iter().chain(wake(&self.root)).min();
         PumpOutcome {
-            delivered: left_root as u32,
+            delivered,
             next_action,
+            refused,
+            leaves_forwarded,
         }
-    }
-
-    /// One pass over the tree at `now`: the root offers its heads to `sink`
-    /// (first, which frees a root input port for the leaves below), then
-    /// every leaf with room at the root forwards its winner. Returns whether
-    /// a transaction left the root.
-    fn sweep(
-        &mut self,
-        now: Cycle,
-        blocked: &mut u64,
-        sink: &mut dyn FnMut(&Transaction) -> bool,
-    ) -> bool {
-        let left_root = self.root.offer(now, blocked, sink);
-        for (leaf_idx, leaf) in self.leaves.iter_mut().enumerate() {
-            if !self.root.can_accept(leaf_idx) {
-                continue;
-            }
-            if let Some(winner) = leaf.winner(now) {
-                let txn = leaf.take(winner, now);
-                self.root
-                    .enqueue(leaf_idx, now + HOP_LATENCY, txn)
-                    .expect("checked can_accept above");
-            }
-        }
-        left_root
     }
 
     /// Total transactions buffered anywhere in the tree.
@@ -317,15 +316,21 @@ mod tests {
         assert_eq!(noc.occupancy(), 0);
     }
 
+    /// The mask closing `class` alone.
+    fn closing(class: CoreClass) -> u8 {
+        1 << class.queue_index()
+    }
+
     #[test]
     fn sink_backpressure_keeps_transaction_at_root() {
         let mut noc = small_noc(ArbiterKind::Fcfs);
         noc.inject(0, Cycle::ZERO, txn(0, CoreKind::Cpu, 0))
             .unwrap();
-        let mut refuse = |t: Transaction| Err(t);
-        noc.pump(Cycle::new(6), &mut refuse);
-        let r = noc.pump(Cycle::new(12), &mut refuse);
+        let cpu = closing(CoreClass::Cpu);
+        noc.pump_closed(Cycle::new(6), cpu, |_| panic!("CPU is closed"));
+        let r = noc.pump_closed(Cycle::new(12), cpu, |_| panic!("CPU is closed"));
         assert_eq!(r.delivered, 0);
+        assert_eq!(r.refused, cpu);
         assert_eq!(noc.occupancy(), 1);
         assert_eq!(noc.root_stats().blocked, 1);
         // Accepting sink gets it on the next pump.
@@ -336,7 +341,19 @@ mod tests {
         };
         let r = noc.pump(Cycle::new(14), &mut accept);
         assert_eq!(r.delivered, 1);
+        assert_eq!(r.refused, 0);
         assert_eq!(out, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a pump sink cannot refuse")]
+    fn a_refusing_pump_sink_is_a_caller_bug() {
+        let mut noc = small_noc(ArbiterKind::Fcfs);
+        noc.inject(0, Cycle::ZERO, txn(0, CoreKind::Cpu, 0))
+            .unwrap();
+        for t in [6u64, 12] {
+            noc.pump(Cycle::new(t), &mut |t| Err(t));
+        }
     }
 
     #[test]
@@ -374,25 +391,20 @@ mod tests {
 
     #[test]
     fn full_class_queue_does_not_block_other_classes() {
-        // CPU head refused by the sink; the system-class head behind a
-        // different root port must still get through in the same sweep.
+        // CPU head refused (its queue is "full"); the system-class head
+        // behind a different root port must still get through in the same
+        // sweep.
         let mut noc = small_noc(ArbiterKind::Fcfs);
         noc.inject(0, Cycle::ZERO, txn(0, CoreKind::Cpu, 0))
             .unwrap();
         noc.inject(2, Cycle::ZERO, txn(1, CoreKind::Usb, 0))
             .unwrap();
         let mut delivered = Vec::new();
-        let mut sink = |t: Transaction| {
-            if t.core == CoreKind::Cpu {
-                Err(t) // CPU queue "full"
-            } else {
-                delivered.push(t);
-                Ok(())
-            }
-        };
-        noc.pump(Cycle::new(6), &mut sink);
-        let r = noc.pump(Cycle::new(12), &mut sink);
+        let cpu = closing(CoreClass::Cpu);
+        noc.pump_closed(Cycle::new(6), cpu, |t| delivered.push(t));
+        let r = noc.pump_closed(Cycle::new(12), cpu, |t| delivered.push(t));
         assert_eq!(r.delivered, 1, "USB must bypass the blocked CPU head");
+        assert_eq!(r.refused, cpu, "the older CPU head ranked first");
         assert_eq!(delivered[0].core, CoreKind::Usb);
         assert_eq!(noc.occupancy(), 1); // CPU transaction still queued
     }
@@ -425,19 +437,20 @@ mod conservation {
 
     /// Injected transactions are never lost or duplicated: everything
     /// is either delivered to the sink or still buffered in the tree,
-    /// whatever the policy, priorities and sink behaviour (seeded random
+    /// whatever the policy, priorities and closed classes (seeded random
     /// streams).
     #[test]
     fn inject_pump_conserves_transactions() {
         for case in 0u64..32 {
             let mut rng = StdRng::seed_from_u64(0x0c70_0000 + case);
             let policy = rng.gen_range(0usize..4);
-            let txns: Vec<(u16, u8, bool)> = (0..rng.gen_range(1usize..120))
+            let txns: Vec<(u16, u8, bool, u8)> = (0..rng.gen_range(1usize..120))
                 .map(|_| {
                     (
                         rng.gen_range(0u16..6),
                         rng.gen_range(0u8..8),
                         rng.gen_bool(0.5),
+                        rng.gen_range(0u8..32),
                     )
                 })
                 .collect();
@@ -461,9 +474,8 @@ mod conservation {
 
             let mut injected = 0u64;
             let mut delivered: Vec<u64> = Vec::new();
-            let mut attempt = 0u64;
             let mut now = 0u64;
-            for (i, (dma_sel, prio, urgent)) in txns.iter().enumerate() {
+            for (i, (dma_sel, prio, urgent, closed)) in txns.iter().enumerate() {
                 let dma = (*dma_sel as usize) % cores.len();
                 let txn = Transaction {
                     id: TransactionId::new(i as u64),
@@ -480,17 +492,13 @@ mod conservation {
                 if noc.inject(dma, Cycle::new(now), txn).is_ok() {
                     injected += 1;
                 }
-                // Pump with a sink that refuses periodically.
-                let mut sink = |t: Transaction| {
-                    attempt += 1;
-                    if attempt.is_multiple_of(refusal_period) {
-                        Err(t)
-                    } else {
-                        delivered.push(t.id.as_u64());
-                        Ok(())
-                    }
+                // Every n-th pump closes a random set of classes.
+                let closed = if (i as u64).is_multiple_of(refusal_period) {
+                    *closed
+                } else {
+                    0
                 };
-                noc.pump(Cycle::new(now), &mut sink);
+                noc.pump_closed(Cycle::new(now), closed, |t| delivered.push(t.id.as_u64()));
                 now += 3;
             }
             // Drain with an always-accepting sink.
@@ -569,80 +577,112 @@ mod by_reference {
         (stats, noc.occupancy())
     }
 
-    /// The by-value `pump` and `pump_ref` are the same network: over seeded
-    /// inject/pump scripts whose sinks refuse one class outright and every
-    /// n-th offer besides, both deliver the same transactions in the same
-    /// order with the same outcomes, node statistics and occupancy.
+    /// The offer-by-offer pump [`Noc::pump_closed`] replaced, kept as its
+    /// oracle: the root shows its heads one by one to a sink that refuses
+    /// the closed classes, then the leaves forward, then the wake hint is
+    /// read off every node, and the leaves that forwarded are found by
+    /// comparing their counters.
+    fn pump_by_offer(
+        noc: &mut Noc,
+        now: Cycle,
+        closed: u8,
+        out: &mut Vec<Transaction>,
+    ) -> PumpOutcome {
+        let before = CoreClass::ALL.map(|c| noc.leaf_stats(c).forwarded);
+        let mut refused = 0;
+        let left = noc.root.offer_by_offer(now, &mut refused, &mut |t| {
+            closed & 1 << t.class.queue_index() == 0
+        });
+        let delivered = u32::from(left.is_some());
+        out.extend(left);
+        for (leaf_idx, leaf) in noc.leaves.iter_mut().enumerate() {
+            if !noc.root.can_accept(leaf_idx) {
+                continue;
+            }
+            if let Some(winner) = leaf.winner(now) {
+                let txn = leaf.take(winner, now);
+                noc.root.enqueue(leaf_idx, now + HOP_LATENCY, txn).unwrap();
+            }
+        }
+        let next_action = noc
+            .leaves
+            .iter()
+            .chain(core::iter::once(&noc.root))
+            .filter_map(ArbiterNode::earliest_action)
+            .filter(|&at| at > now)
+            .min();
+        let leaves_forwarded = CoreClass::ALL
+            .iter()
+            .filter(|&&c| noc.leaf_stats(c).forwarded != before[c.queue_index()])
+            .fold(0, |mask, c| mask | 1 << c.queue_index());
+        PumpOutcome {
+            delivered,
+            next_action,
+            refused: refused as u8,
+            leaves_forwarded,
+        }
+    }
+
+    /// `pump_closed` is the offer-by-offer pump: over 64 seeded
+    /// inject/pump scripts per arbitration policy, with none, some or all
+    /// classes closed at each pump, both admit the same stream and report
+    /// the same refused classes, forwarding leaves and wake hint per pump,
+    /// with equal node statistics and occupancy after every step.
     #[test]
-    fn pump_and_pump_ref_agree() {
-        for seed in 0..64u64 {
-            let mut rng = StdRng::seed_from_u64(0x0b7e_f000 + seed);
-            let cfg = NocConfig::new(KINDS[(seed % 4) as usize])
-                .with_port_capacity(rng.gen_range(2usize..6))
-                .with_root_port_capacity(rng.gen_range(1usize..4));
-            let (mut by_value, mut by_ref) = (noc(cfg.clone()), noc(cfg));
-            let (mut out_value, mut out_ref) = (Vec::new(), Vec::new());
-            let (mut offers_value, mut offers_ref) = (0u64, 0u64);
-            let mut id = 0u64;
-            for step in 0..600u64 {
-                let now = Cycle::new(step);
-                // The refused class changes every 50 cycles, so every class
-                // is both starved and drained; the count refusal hits the
-                // others.
-                let starved = CoreClass::ALL[(step / 50 % 5) as usize];
-                let period = rng.gen_range(2u64..6);
-                if rng.gen_bool(0.6) {
-                    let dma = rng.gen_range(0..CORES.len());
-                    let t = txn(id, dma, now, &mut rng);
-                    id += 1;
-                    let a = by_value.inject(dma, now, t.clone()).is_ok();
-                    let b = by_ref.inject(dma, now, t).is_ok();
-                    assert_eq!(a, b, "seed {seed} step {step}");
-                } else {
-                    let a = by_value.pump(now, &mut |t| {
-                        offers_value += 1;
-                        if t.class == starved || offers_value.is_multiple_of(period) {
-                            return Err(t);
-                        }
-                        out_value.push(t);
-                        Ok(())
-                    });
-                    let b = by_ref.pump_ref(now, &mut |t| {
-                        offers_ref += 1;
-                        if t.class == starved || offers_ref.is_multiple_of(period) {
-                            return false;
-                        }
-                        out_ref.push(t.clone());
-                        true
-                    });
-                    assert_eq!(a, b, "seed {seed} step {step}");
+    fn pump_closed_matches_the_offer_by_offer_oracle() {
+        let (mut all_refused, mut mixed) = (0u32, 0u32);
+        for kind in KINDS {
+            for seed in 0..64u64 {
+                let mut rng = StdRng::seed_from_u64(0x0b7e_f000 + seed);
+                let cfg = NocConfig::new(kind)
+                    .with_port_capacity(rng.gen_range(2usize..6))
+                    .with_root_port_capacity(rng.gen_range(1usize..4));
+                let (mut fast, mut oracle) = (noc(cfg.clone()), noc(cfg));
+                let (mut out_fast, mut out_oracle) = (Vec::new(), Vec::new());
+                let mut id = 0u64;
+                for step in 0..600u64 {
+                    let now = Cycle::new(step);
+                    if rng.gen_bool(0.6) {
+                        let dma = rng.gen_range(0..CORES.len());
+                        let t = txn(id, dma, now, &mut rng);
+                        id += 1;
+                        let a = fast.inject(dma, now, t.clone()).is_ok();
+                        let b = oracle.inject(dma, now, t).is_ok();
+                        assert_eq!(a, b, "{kind:?} seed {seed} step {step}");
+                    } else {
+                        let closed = match rng.gen_range(0u8..3) {
+                            0 => 0,
+                            1 => rng.gen_range(1u8..0b11111),
+                            _ => 0b11111,
+                        };
+                        let a = fast.pump_closed(now, closed, |t| out_fast.push(t));
+                        let b = pump_by_offer(&mut oracle, now, closed, &mut out_oracle);
+                        assert_eq!(a, b, "{kind:?} seed {seed} step {step} closed {closed:05b}");
+                        all_refused += u32::from(a.refused != 0 && a.delivered == 0);
+                        mixed += u32::from(a.refused != 0 && a.delivered == 1);
+                    }
+                    assert_eq!(
+                        observable(&fast),
+                        observable(&oracle),
+                        "{kind:?} seed {seed}"
+                    );
                 }
-                assert_eq!(observable(&by_value), observable(&by_ref));
+                assert_eq!(out_fast, out_oracle, "{kind:?} seed {seed}");
+                assert!(
+                    !out_fast.is_empty(),
+                    "{kind:?} seed {seed}: the script moved nothing"
+                );
             }
-            assert_eq!(out_value, out_ref, "seed {seed}");
-            assert!(!out_ref.is_empty(), "seed {seed}: the script moved nothing");
-            assert!(by_ref.root_stats().blocked > 0, "seed {seed}: no refusal");
         }
+        assert!(all_refused > 1000 && mixed > 1000, "{all_refused} {mixed}");
     }
 
-    /// A sink that logs what it accepts and refuses the CPU class on demand.
-    fn cpu_starving_sink(
-        starve: bool,
-        out: &mut Vec<TransactionId>,
-    ) -> impl FnMut(&Transaction) -> bool + '_ {
-        move |t| {
-            let accept = !(starve && t.class == CoreClass::Cpu);
-            if accept {
-                out.push(t.id);
-            }
-            accept
-        }
-    }
-
-    /// With the default 6-cycle hop a second sweep at the same cycle finds
-    /// nothing to do: sweeping once and sweeping twice (sharing the pump's
-    /// `blocked` flags) leave two networks identical, under contention on a
-    /// shared leaf, full root ports and a sink that starves a class.
+    /// With the default 6-cycle hop a second sweep at the same cycle moves
+    /// nothing: it delivers nothing, no leaf forwards, and it only counts
+    /// again the refusals of a root that delivered nothing. So pumping once
+    /// and pumping twice leave two networks identical up to those counts,
+    /// under contention on a shared leaf, full root ports and a closed
+    /// class.
     #[test]
     fn a_second_sweep_at_the_same_cycle_changes_nothing() {
         let mut rng = StdRng::seed_from_u64(0x2_5eeb);
@@ -650,6 +690,7 @@ mod by_reference {
         let (mut once, mut twice) = (noc(cfg.clone()), noc(cfg));
         let (mut out_once, mut out_twice) = (Vec::new(), Vec::new());
         let mut id = 0u64;
+        let mut recounted = 0;
         for step in 0..400u64 {
             let now = Cycle::new(step);
             for dma in 0..CORES.len() {
@@ -660,22 +701,36 @@ mod by_reference {
                     assert_eq!(a, twice.inject(dma, now, t).is_ok());
                 }
             }
-            // The CPU queue is "full" for the first half, then drains.
-            let starve_cpu = step < 200;
-            once.sweep(
-                now,
-                &mut 0,
-                &mut cpu_starving_sink(starve_cpu, &mut out_once),
+            // The CPU queue is "full" for 150 cycles, then every queue is
+            // for 50 more, then all drain.
+            let closed = match step {
+                0..150 => 1 << CoreClass::Cpu.queue_index(),
+                150..200 => 0b11111,
+                _ => 0,
+            };
+            let first = once.pump_closed(now, closed, |t| out_once.push(t.id));
+            assert_eq!(
+                first,
+                twice.pump_closed(now, closed, |t| out_twice.push(t.id))
             );
-            let mut blocked = 0;
-            let mut sink = cpu_starving_sink(starve_cpu, &mut out_twice);
-            twice.sweep(now, &mut blocked, &mut sink);
-            // Nothing leaves the root; a leaf forward would show in the
-            // statistics compared below.
-            assert!(!twice.sweep(now, &mut blocked, &mut sink), "step {step}");
-            assert_eq!(observable(&once), observable(&twice), "step {step}");
+            let second = twice.pump_closed(now, closed, |_| panic!("step {step}: left the root"));
+            // A root that delivered is busy; one that did not refuses the
+            // same heads again.
+            let recount = if first.delivered > 0 {
+                0
+            } else {
+                first.refused
+            };
+            assert_eq!(second.refused, recount, "step {step}");
+            assert_eq!(second.leaves_forwarded, 0, "step {step}");
+            assert_eq!(second.next_action, first.next_action, "step {step}");
+            recounted += u64::from(recount.count_ones());
+            let (mut stats, occupancy) = observable(&twice);
+            stats[0].blocked -= recounted;
+            assert_eq!(observable(&once), (stats, occupancy), "step {step}");
         }
         assert_eq!(out_once, out_twice);
+        assert!(recounted > 0);
         assert!(once.root_stats().blocked > 0 && once.root_stats().forwarded > 100);
         assert!(once.leaf_stats(CoreClass::Cpu).peak_occupancy > 2);
     }

@@ -180,64 +180,65 @@ impl ArbiterNode {
 
     /// The winning head at `now`, if the node is free and any head is ready.
     pub(crate) fn winner(&mut self, now: Cycle) -> Option<Contender> {
-        self.gather(now, 0);
+        if self.earliest_action().is_none_or(|at| at > now) {
+            return None;
+        }
+        self.gather(now);
         select(self.kind, &self.scratch, self.cursor)
     }
 
-    /// Collects the ready heads of the ports not flagged in `blocked` into
-    /// the contender scratch (left empty while the node is busy or before
-    /// the first head arrives).
-    fn gather(&mut self, now: Cycle, blocked: u64) {
+    /// Collects the ready heads into the contender scratch.
+    fn gather(&mut self, now: Cycle) {
         self.scratch.clear();
-        if now < self.next_free.max(self.min_arrival) {
-            return;
-        }
         for (i, head) in self.heads.iter().enumerate() {
-            if head.ready_at > now || (i < 64 && blocked & (1 << i) != 0) {
-                continue;
+            if head.ready_at <= now {
+                self.scratch.push(Contender {
+                    port: i,
+                    id: head.id,
+                    priority: head.priority,
+                    urgent: head.urgent,
+                });
             }
-            self.scratch.push(Contender {
-                port: i,
-                id: head.id,
-                priority: head.priority,
-                urgent: head.urgent,
-            });
         }
     }
 
-    /// Offers ready heads to `sink` in arbitration order until one is
-    /// accepted (`sink` returns `true`; the head is dequeued and this
-    /// returns `true`) or every head has been refused. A refused head is
-    /// never dequeued: it counts in [`NodeStats::blocked`] and flags its
-    /// port in `blocked` (bit `i` = port `i`; ports past 63 cannot be
-    /// flagged), which keeps it from being offered again while the caller
-    /// holds the flag — per-class virtual-channel flow control: a head
-    /// destined for a full downstream queue must not block other classes.
-    pub(crate) fn offer(
-        &mut self,
-        now: Cycle,
-        blocked: &mut u64,
-        sink: &mut dyn FnMut(&Transaction) -> bool,
-    ) -> bool {
+    /// Forwards the first ready head, in arbitration order, whose port is
+    /// open, dequeuing it into `sink`; returns the refused ports (bit `i` =
+    /// port `i`; a node that offers has at most 64 ports). A port flagged in
+    /// `closed` is refused when its ready head is ranked above the forwarded
+    /// one, or when no open head is ready; each refusal counts once in
+    /// [`NodeStats::blocked`] and the head stays queued — per-class
+    /// virtual-channel flow control: a head bound for a full downstream
+    /// queue must not block other classes.
+    pub(crate) fn offer(&mut self, now: Cycle, closed: u64, sink: impl FnOnce(Transaction)) -> u64 {
+        debug_assert!(self.heads.len() <= 64, "ports past 63 cannot be flagged");
+        if self.earliest_action().is_none_or(|at| at > now) {
+            return 0;
+        }
+        let mut ready = 0u64;
+        for (i, head) in self.heads.iter().enumerate() {
+            ready |= u64::from(head.ready_at <= now) << i;
+        }
+        if ready & !closed == 0 {
+            self.stats.blocked += u64::from(ready.count_ones());
+            return ready;
+        }
         // A refusal changes nothing the arbiter reads, so the contenders
-        // are gathered once and the refused one just drops out.
-        self.gather(now, *blocked);
-        while let Some(winner) = select(self.kind, &self.scratch, self.cursor) {
-            let (_, head) = self.inputs[winner.port]
-                .queue
-                .front()
-                .expect("winner port cannot be empty");
-            if sink(head) {
-                self.take(winner, now);
-                return true;
+        // are gathered once and a refused one just drops out; reselecting
+        // recomputes the round-robin modulus over those that remain.
+        self.gather(now);
+        let mut refused = 0;
+        loop {
+            let winner =
+                select(self.kind, &self.scratch, self.cursor).expect("an open head is ready");
+            if closed & 1 << winner.port == 0 {
+                sink(self.take(winner, now));
+                return refused;
             }
             self.stats.blocked += 1;
-            if winner.port < 64 {
-                *blocked |= 1 << winner.port;
-            }
+            refused |= 1 << winner.port;
             self.scratch.retain(|c| c.port != winner.port);
         }
-        false
     }
 
     /// Removes and returns the winner chosen by [`Self::winner`], advancing
@@ -263,6 +264,35 @@ impl ArbiterNode {
     #[inline]
     pub(crate) fn earliest_action(&self) -> Option<Cycle> {
         (self.occupancy > 0).then(|| self.min_arrival.max(self.next_free))
+    }
+}
+
+#[cfg(test)]
+impl ArbiterNode {
+    /// The offer-by-offer root loop [`ArbiterNode::offer`] replaced, kept as
+    /// its oracle: shows ready heads to `sink` in arbitration order, and
+    /// counts, flags and drops each refused one before reselecting, until
+    /// one is accepted (dequeued and returned).
+    pub(crate) fn offer_by_offer(
+        &mut self,
+        now: Cycle,
+        blocked: &mut u64,
+        sink: &mut dyn FnMut(&Transaction) -> bool,
+    ) -> Option<Transaction> {
+        self.scratch.clear();
+        if now >= self.next_free.max(self.min_arrival) {
+            self.gather(now);
+        }
+        while let Some(winner) = select(self.kind, &self.scratch, self.cursor) {
+            let (_, head) = self.inputs[winner.port].queue.front().unwrap();
+            if sink(head) {
+                return Some(self.take(winner, now));
+            }
+            self.stats.blocked += 1;
+            *blocked |= 1 << winner.port;
+            self.scratch.retain(|c| c.port != winner.port);
+        }
+        None
     }
 }
 
@@ -378,23 +408,17 @@ mod tests {
                     }
                     2 => {
                         if rng.gen_bool(0.4) {
-                            // Every ready head refused: nothing may move.
+                            // Every port closed: nothing may move.
                             let before = n.stats().forwarded;
-                            assert!(!n.offer(now, &mut 0, &mut |_| false));
+                            n.offer(now, u64::MAX, |_| panic!("every port is closed"));
                             assert_eq!(n.stats().forwarded, before);
                         } else if let Some(w) = n.winner(now) {
                             n.take(w, now);
                         }
                     }
                     _ => {
-                        // Refuse a random number of heads, then accept.
-                        let mut refusals = rng.gen_range(0u8..3);
-                        let mut blocked = 0;
-                        n.offer(now, &mut blocked, &mut |_| {
-                            let accept = refusals == 0;
-                            refusals = refusals.saturating_sub(1);
-                            accept
-                        });
+                        // Close a random set of ports; an open head moves.
+                        n.offer(now, rng.gen_range(0u64..1 << ports), |_| ());
                     }
                 }
                 let sum: usize = n.inputs.iter().map(|p| p.queue.len()).sum();
@@ -411,33 +435,33 @@ mod tests {
         }
     }
 
-    /// `offer` tries heads in arbitration order, counts and flags each
-    /// refusal, and leaves refused heads queued in place.
+    /// `offer` skips closed heads in arbitration order, counts and flags
+    /// each one ranked above the forwarded head, and leaves them queued in
+    /// place.
     #[test]
     fn offer_skips_refused_heads_in_arbitration_order() {
-        let mut n = ArbiterNode::new(ArbiterKind::Priority, 3, 4, 1).unwrap();
-        for (port, prio) in [(0, 7u8), (1, 5), (2, 3)] {
+        let mut n = ArbiterNode::new(ArbiterKind::Priority, 4, 4, 1).unwrap();
+        for (port, prio) in [(0, 7u8), (1, 5), (2, 3), (3, 1)] {
             n.enqueue(port, Cycle::ZERO, txn(port as u64, prio))
                 .unwrap();
         }
-        let mut offered = Vec::new();
-        let mut blocked = 0;
-        let accepted = n.offer(Cycle::ZERO, &mut blocked, &mut |txn| {
-            offered.push(txn.id.as_u64());
-            txn.id.as_u64() >= 2
-        });
-        assert!(accepted);
-        assert_eq!(offered, [0, 1, 2], "highest priority first");
-        assert_eq!(blocked, 0b011);
+        // Ports 0, 1 and 3 closed: 0 and 1 outrank the open port 2, so they
+        // are refused; 3 ranks below it and is not.
+        let mut forwarded = Vec::new();
+        let refused = n.offer(Cycle::ZERO, 0b1011, |txn| forwarded.push(txn.id.as_u64()));
+        assert_eq!(forwarded, [2], "highest-priority open head");
+        assert_eq!(refused, 0b0011);
         assert_eq!(n.stats().blocked, 2);
         assert_eq!(n.stats().forwarded, 1);
-        assert_eq!(n.occupancy(), 2);
-        // The node is busy for its service period; the flagged heads stay.
-        assert!(!n.offer(Cycle::ZERO, &mut blocked, &mut |_| true));
-        let mut all = 0;
-        assert!(n.offer(Cycle::new(1), &mut all, &mut |txn| {
+        assert_eq!(n.occupancy(), 3);
+        // The node is busy for its service period: nothing is refused.
+        assert_eq!(n.offer(Cycle::ZERO, 0b1011, |_| panic!("busy")), 0);
+        // Every ready head closed: all of them count, none moves.
+        assert_eq!(n.offer(Cycle::new(1), 0b1011, |_| panic!("closed")), 0b1011);
+        assert_eq!(n.stats().blocked, 5);
+        n.offer(Cycle::new(1), 0, |txn| {
             assert_eq!(txn.id.as_u64(), 0, "refused head kept its place");
-            true
-        }));
+        });
+        assert_eq!(n.stats().forwarded, 2);
     }
 }

@@ -94,7 +94,6 @@ pub struct Simulation {
     channels: usize,
     dma_pending: Vec<Option<Cycle>>,
     noc_pending: Option<Cycle>,
-    leaf_forwarded: [u64; 5],
     samplers: Samplers,
     next_sample: Cycle,
     trace: TransactionTrace,
@@ -167,7 +166,6 @@ impl Simulation {
             noc,
             dma_pending: vec![None; dmas.len()],
             noc_pending: None,
-            leaf_forwarded: [0; 5],
             events: EventQueue::default(),
             now: Cycle::ZERO,
             txn_seq: 0,
@@ -454,38 +452,34 @@ impl Simulation {
         // reaches its lane `ADMIT_LATENCY` cycles later — the slack that
         // lets lanes run ahead of the event drain.
         let admit_at = now + ADMIT_LATENCY;
-        // One bit per channel (a ChannelId addresses at most 256).
-        let mut accepted = [0u64; 4];
-        let (noc, front, lanes, map) = (&mut self.noc, &mut self.front, &mut self.lanes, &self.map);
-        let outcome = noc.pump_ref(now, &mut |txn| {
-            let q = txn.class.queue_index();
-            if !front.has_room(q) {
-                front.reject(q);
-                return false;
-            }
-            let loc = map.decode(txn.addr);
-            front.admit(q);
-            accepted[loc.channel >> 6] |= 1u64 << (loc.channel & 63);
-            let lane = &mut lanes[loc.channel];
+        // Root port `q` is class queue `q`. The front-end changes only at
+        // the root's one admission, which ends the root's turn, so a queue
+        // full now stays full for every head the root ranks.
+        let closed = (0..CoreClass::ALL.len())
+            .filter(|&q| !self.front.has_room(q))
+            .fold(0u8, |closed, q| closed | 1 << q);
+        let mut admitted = None;
+        let outcome = self.noc.pump_closed(now, closed, |txn| {
+            let loc = self.map.decode(txn.addr);
+            self.front.admit(txn.class.queue_index());
+            let lane = &mut self.lanes[loc.channel];
             debug_assert_eq!(lane.id.index(), loc.channel, "lane order matches channels");
-            lane.ctrl.accept(txn.clone(), loc, admit_at);
-            true
+            lane.ctrl.accept(txn, loc, admit_at);
+            admitted = Some(loc.channel);
         });
-        for ch in 0..self.channels {
-            if accepted[ch >> 6] & (1u64 << (ch & 63)) != 0 {
-                self.arm_lane(ch, admit_at);
-            }
+        for q in (0..CoreClass::ALL.len()).filter(|q| outcome.refused & 1 << q != 0) {
+            self.front.reject(q);
+        }
+        if let Some(channel) = admitted {
+            self.arm_lane(channel, admit_at);
         }
         if let Some(at) = outcome.next_action {
             self.schedule_pump(at);
         }
-        // Any leaf that forwarded freed an ingress slot: retry the blocked
-        // DMAs of that class.
+        // A leaf that forwarded freed an ingress slot: retry the blocked
+        // DMAs of its class.
         for class in CoreClass::ALL {
-            let qi = class.queue_index();
-            let forwarded = self.noc.leaf_stats(class).forwarded;
-            if forwarded != self.leaf_forwarded[qi] {
-                self.leaf_forwarded[qi] = forwarded;
+            if outcome.leaves_forwarded & 1 << class.queue_index() != 0 {
                 for i in 0..self.dmas.len() {
                     if self.dmas[i].blocked_on_noc && self.dmas[i].class == class {
                         self.schedule_inject(i, now);

@@ -111,6 +111,44 @@ fn catalog_report_digests_match_the_committed_golden() {
     assert_eq!(emitted, committed, "digest golden lists different cells");
 }
 
+/// The refusal and forward counters, in readable form where the digest
+/// above only says "differs": per-class `rejected`, the NoC root's
+/// `blocked` and `noc_forwarded` for two QoS cells at 0.5 ms, as the
+/// offer-by-offer root counted them. Every refused root head counts once
+/// in its class's `rejected` and once in `blocked`; leaves never refuse.
+#[test]
+fn refusal_counters_match_the_pinned_counts() {
+    for (name, rejected, blocked, forwarded) in [
+        (
+            "camcorder-a",
+            [109_531, 114_585, 0, 124_169, 17_215],
+            365_500,
+            62_206,
+        ),
+        (
+            "ml-inference-8ch",
+            [3_971, 169_341, 0, 0, 0],
+            173_312,
+            110_699,
+        ),
+    ] {
+        let report = catalog::by_name(name)
+            .unwrap()
+            .with_policy(PolicyKind::Priority)
+            .run_for_ms(0.5)
+            .unwrap();
+        let telemetry = &report.telemetry;
+        let per_class: Vec<u64> = telemetry.classes.iter().map(|c| c.rejected).collect();
+        assert_eq!(per_class, rejected, "{name}: rejected per class");
+        assert_eq!(
+            telemetry.noc_root.blocked, blocked,
+            "{name}: noc_root.blocked"
+        );
+        assert_eq!(report.noc_forwarded, forwarded, "{name}: noc_forwarded");
+        assert!(telemetry.noc_leaves.iter().all(|leaf| leaf.blocked == 0));
+    }
+}
+
 /// The governor's per-epoch trace — JSON and CSV — is part of the
 /// determinism contract: identical inputs must serialize to identical
 /// bytes, including the online frequency/policy actuation inside the run
