@@ -18,6 +18,7 @@ use crate::args::{Args, CliError};
 use crate::output::page;
 use sara_serve::FORMAT_TAG as SERVE_TAG;
 use sara_serve::{EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
+use sara_telemetry::prometheus;
 
 const USAGE: &str = "usage: sara report FILE | sara report --diff OLD NEW [--tolerance F]";
 
@@ -940,274 +941,15 @@ fn diff_journal(
 
 // --- prometheus --------------------------------------------------------------
 
-/// Is `name` a valid metric-family name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
-fn valid_metric_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':')
-        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-}
-
-/// Is `name` a valid label name (`[a-zA-Z_][a-zA-Z0-9_]*`)?
-fn valid_label_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_')
-        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-/// Parses a `key="value",...` label body (escapes: `\\`, `\"`, `\n`).
-fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
-    let mut labels = Vec::new();
-    let mut rest = body;
-    loop {
-        let eq = rest.find("=\"")?;
-        let key = &rest[..eq];
-        if !valid_label_name(key) {
-            return None;
-        }
-        let mut value = String::new();
-        let mut end = None;
-        let mut escaped = false;
-        for (i, c) in rest[eq + 2..].char_indices() {
-            if escaped {
-                value.push(match c {
-                    'n' => '\n',
-                    other => other,
-                });
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                end = Some(eq + 2 + i + 1);
-                break;
-            } else {
-                value.push(c);
-            }
-        }
-        labels.push((key.to_string(), value));
-        rest = &rest[end?..];
-        if rest.is_empty() {
-            return Some(labels);
-        }
-        rest = rest.strip_prefix(',')?;
-    }
-}
-
-/// Parsed `key="value"` label pairs of one sample, in line order.
-type Labels = Vec<(String, String)>;
-
-/// Parses one sample line into (member name, labels, value).
-fn parse_sample(line: &str) -> Option<(String, Labels, f64)> {
-    let (name_labels, value) = line.rsplit_once(' ')?;
-    let value: f64 = value.parse().ok()?;
-    let (name, labels) = match name_labels.split_once('{') {
-        Some((name, rest)) => (name, parse_labels(rest.strip_suffix('}')?)?),
-        None => (name_labels, Vec::new()),
-    };
-    if !valid_metric_name(name) {
-        return None;
-    }
-    Some((name.to_string(), labels, value))
-}
-
-/// One parsed sample, tagged with the family its name resolved to.
-struct Sample {
-    name: String,
-    family: String,
-    labels: Labels,
-    value: f64,
-}
-
-/// Validates a Prometheus text exposition (format 0.0.4) strictly:
-/// every family has `# HELP` and exactly one `# TYPE` before its
-/// samples, sample lines parse, and histogram families carry cumulative
-/// `le`-ascending buckets terminated by `+Inf` whose count matches
-/// `_count`, plus `_sum`. Returns a one-line summary on success.
-fn check_prometheus(text: &str) -> Result<Vec<String>, CliError> {
-    const WHAT: &str = "prometheus exposition";
-    let mut helps: Vec<String> = Vec::new();
-    let mut types: Vec<(String, String)> = Vec::new();
-    let mut samples: Vec<Sample> = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let fail =
-            |msg: &str| CliError::Failure(format!("{WHAT}: line {}: {msg}: {line:?}", no + 1));
-        if line.trim().is_empty() {
-            return Err(fail("blank line"));
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let (name, help) = rest
-                .split_once(' ')
-                .ok_or_else(|| fail("HELP without text"))?;
-            if !valid_metric_name(name) || help.is_empty() {
-                return Err(fail("malformed HELP"));
-            }
-            helps.push(name.to_string());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let (name, kind) = rest
-                .split_once(' ')
-                .ok_or_else(|| fail("TYPE without kind"))?;
-            if !valid_metric_name(name) {
-                return Err(fail("malformed TYPE name"));
-            }
-            if !["counter", "gauge", "histogram", "summary", "untyped"].contains(&kind) {
-                return Err(fail("unknown TYPE kind"));
-            }
-            if types.iter().any(|(n, _)| n == name) {
-                return Err(fail("duplicate TYPE for family"));
-            }
-            types.push((name.to_string(), kind.to_string()));
-            continue;
-        }
-        if line.starts_with('#') {
-            return Err(fail("unknown comment directive"));
-        }
-        let (name, labels, value) = parse_sample(line).ok_or_else(|| fail("malformed sample"))?;
-        if !value.is_finite() {
-            return Err(fail("non-finite sample value"));
-        }
-        // Resolve the family the sample belongs to: histogram members
-        // wear `_bucket`/`_sum`/`_count` suffixes, everything else
-        // matches its family name exactly.
-        let family = if let Some((f, kind)) = types.iter().find(|(n, _)| *n == name) {
-            if kind == "histogram" {
-                return Err(fail("bare sample under a histogram TYPE"));
-            }
-            f.clone()
-        } else {
-            ["_bucket", "_sum", "_count"]
-                .iter()
-                .find_map(|suffix| {
-                    let base = name.strip_suffix(suffix)?;
-                    types
-                        .iter()
-                        .find(|(n, k)| n == base && k == "histogram")
-                        .map(|(n, _)| n.clone())
-                })
-                .ok_or_else(|| fail("sample precedes its # TYPE"))?
-        };
-        samples.push(Sample {
-            name,
-            family,
-            labels,
-            value,
-        });
-    }
-    let (mut counters, mut gauges, mut histograms) = (0usize, 0usize, 0usize);
-    for (family, kind) in &types {
-        if !helps.contains(family) {
-            return Err(CliError::Failure(format!(
-                "{WHAT}: family {family} has no # HELP"
-            )));
-        }
-        let members: Vec<&Sample> = samples.iter().filter(|s| s.family == *family).collect();
-        if members.is_empty() {
-            return Err(CliError::Failure(format!(
-                "{WHAT}: family {family} has no samples"
-            )));
-        }
-        match kind.as_str() {
-            "counter" => counters += 1,
-            "gauge" => gauges += 1,
-            "histogram" => {
-                histograms += 1;
-                check_histogram(family, &members)?;
-            }
-            _ => {}
-        }
-    }
+/// Runs the strict format check (`sara_telemetry::prometheus::check`) and
+/// prints its census.
+fn summarize_prometheus(doc: &Value) -> Result<Vec<String>, CliError> {
+    let fail = |e: &str| CliError::Failure(format!("prometheus exposition: {e}"));
+    let text = doc.as_str().ok_or_else(|| fail("not a text document"))?;
+    let census = prometheus::check(text).map_err(|e| fail(&e))?;
     Ok(vec![format!(
-        "prometheus exposition: {} families ({counters} counter{}, {gauges} gauge{}, \
-         {histograms} histogram{}), {} samples — format checks passed",
-        types.len(),
-        if counters == 1 { "" } else { "s" },
-        if gauges == 1 { "" } else { "s" },
-        if histograms == 1 { "" } else { "s" },
-        samples.len()
+        "prometheus exposition: {census} — format checks passed"
     )])
-}
-
-/// The histogram-specific consistency checks, per label series.
-fn check_histogram(family: &str, members: &[&Sample]) -> Result<(), CliError> {
-    const WHAT: &str = "prometheus exposition";
-    let fail = |msg: String| CliError::Failure(format!("{WHAT}: histogram {family}: {msg}"));
-    // Group by label set minus `le` — one logical series each:
-    // (base labels, (le, count) buckets, sum, count).
-    type HistSeries = (Labels, Vec<(f64, f64)>, Option<f64>, Option<f64>);
-    let mut series: Vec<HistSeries> = Vec::new();
-    for m in members {
-        let base: Labels = m
-            .labels
-            .iter()
-            .filter(|(k, _)| k != "le")
-            .cloned()
-            .collect();
-        let idx = match series.iter().position(|(b, ..)| *b == base) {
-            Some(i) => i,
-            None => {
-                series.push((base, Vec::new(), None, None));
-                series.len() - 1
-            }
-        };
-        let (_, buckets, sum, count) = &mut series[idx];
-        if m.name.ends_with("_bucket") {
-            let le = m
-                .labels
-                .iter()
-                .find(|(k, _)| k == "le")
-                .ok_or_else(|| fail("bucket without an le label".to_string()))?;
-            let upper = match le.1.as_str() {
-                "+Inf" => f64::INFINITY,
-                other => other
-                    .parse()
-                    .map_err(|_| fail(format!("bad le value {:?}", le.1)))?,
-            };
-            buckets.push((upper, m.value));
-        } else if m.name.ends_with("_sum") {
-            *sum = Some(m.value);
-        } else {
-            *count = Some(m.value);
-        }
-    }
-    for (base, buckets, sum, count) in &series {
-        let series_name = if base.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " ({})",
-                base.iter()
-                    .map(|(k, v)| format!("{k}={v:?}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        };
-        if buckets.is_empty() {
-            return Err(fail(format!("series{series_name} has no buckets")));
-        }
-        for pair in buckets.windows(2) {
-            if pair[1].0 <= pair[0].0 {
-                return Err(fail(format!("series{series_name} le values not ascending")));
-            }
-            if pair[1].1 < pair[0].1 {
-                return Err(fail(format!("series{series_name} buckets not cumulative")));
-            }
-        }
-        let (last_le, last_n) = buckets[buckets.len() - 1];
-        if last_le != f64::INFINITY {
-            return Err(fail(format!("series{series_name} missing the +Inf bucket")));
-        }
-        let count =
-            count.ok_or_else(|| fail(format!("series{series_name} missing {family}_count")))?;
-        if sum.is_none() {
-            return Err(fail(format!("series{series_name} missing {family}_sum")));
-        }
-        if last_n != count {
-            return Err(fail(format!(
-                "series{series_name} +Inf bucket {last_n} != count {count}"
-            )));
-        }
-    }
-    Ok(())
 }
 
 // --- chrome ------------------------------------------------------------------
@@ -1255,9 +997,7 @@ fn summarize(doc: &Value, kind: Kind) -> Result<Vec<String>, CliError> {
         Kind::Chrome => summarize_chrome(doc),
         Kind::Serve => summarize_serve(doc),
         Kind::Journal => summarize_journal(doc),
-        Kind::Prometheus => check_prometheus(doc.as_str().ok_or_else(|| {
-            CliError::Failure("prometheus exposition: not a text document".to_string())
-        })?),
+        Kind::Prometheus => summarize_prometheus(doc),
     }
 }
 
@@ -1736,72 +1476,31 @@ mod tests {
         assert!(bad.iter().any(|b| b.contains("cache hit rate")), "{bad:?}");
     }
 
-    /// A valid exposition in the encoder's own shape.
-    const EXPOSITION: &str = "\
-# HELP jobs_accepted monotonic event count\n\
-# TYPE jobs_accepted counter\n\
-jobs_accepted 2\n\
-# HELP jobs monotonic event count\n\
-# TYPE jobs counter\n\
-jobs{client=\"ci\"} 2\n\
-# HELP sim_us log2-bucketed distribution\n\
-# TYPE sim_us histogram\n\
-sim_us_bucket{le=\"127\"} 1\n\
-sim_us_bucket{le=\"255\"} 2\n\
-sim_us_bucket{le=\"+Inf\"} 2\n\
-sim_us_sum 300\n\
-sim_us_count 2\n";
-
     #[test]
     fn prometheus_checker_accepts_the_encoders_shape() {
-        let lines = check_prometheus(EXPOSITION).unwrap();
-        assert!(lines[0].contains("3 families"), "{lines:?}");
-        assert!(lines[0].contains("2 counters"), "{lines:?}");
-        assert!(lines[0].contains("1 histogram"), "{lines:?}");
-        assert!(lines[0].contains("format checks passed"), "{lines:?}");
+        let mut r = sara_telemetry::Registry::new();
+        r.counter("jobs_accepted").add(2);
+        r.counter("jobs{client=\"ci\"}").add(2);
+        r.histogram("sim_us").record(100);
+        r.histogram("sim_us").record(200);
+        let doc = Value::Str(prometheus::encode(&r));
+        assert_eq!(
+            summarize(&doc, Kind::Prometheus).unwrap(),
+            [
+                "prometheus exposition: 3 families (2 counters, 0 gauges, 1 histogram), \
+              7 samples — format checks passed"
+            ]
+        );
     }
 
     #[test]
     fn prometheus_checker_rejects_malformed_expositions() {
-        let cases: &[(&str, &str)] = &[
-            ("jobs 1\n", "precedes its # TYPE"),
-            ("# TYPE jobs counter\njobs 1\n", "no # HELP"),
-            ("# HELP jobs x\n# TYPE jobs counter\n", "no samples"),
-            (
-                "# HELP jobs x\n# TYPE jobs counter\n# TYPE jobs counter\njobs 1\n",
-                "duplicate TYPE",
-            ),
-            (
-                "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
-                "not cumulative",
-            ),
-            (
-                "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-                "missing the +Inf bucket",
-            ),
-            (
-                "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 2\n",
-                "+Inf bucket 3 != count 2",
-            ),
-            ("# HELP jobs x\n# TYPE jobs counter\njobs one\n", "malformed sample"),
-            ("# HELP jobs x\n# TYPE jobs widget\njobs 1\n", "unknown TYPE kind"),
-        ];
-        for (text, want) in cases {
-            let err = check_prometheus(text).unwrap_err();
-            assert!(
-                matches!(&err, CliError::Failure(m) if m.contains(want)),
-                "{text:?} should fail with {want:?}, got {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_label_values_may_carry_escapes_and_spaces() {
-        let text = "\
-# HELP jobs monotonic event count\n\
-# TYPE jobs counter\n\
-jobs{client=\"a b\\\"c\\\\d\"} 1\n";
-        let lines = check_prometheus(text).unwrap();
-        assert!(lines[0].contains("1 families"), "{lines:?}");
+        // The checker's own cases live beside it; here, the prefix.
+        let err = summarize(&Value::Str("jobs 1\n".to_string()), Kind::Prometheus).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Failure(m)
+                if m == "prometheus exposition: line 1: sample precedes its # TYPE: \"jobs 1\""),
+            "{err:?}"
+        );
     }
 }

@@ -18,13 +18,12 @@ use sara_scenarios::{
     MatrixSpec, Scenario,
 };
 use sara_sim::experiment::{DvfsPoint, FreqPoint};
-use sara_sim::sweeps::freq_points_csv;
 use sara_sim::{CoreReport, SimReport, Simulation, SystemConfig};
 use sara_types::{Clock, ConfigError, CoreClass, CoreKind, Priority, PriorityBits};
 use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
-use crate::commands::sweep::residency_table;
+use crate::commands::sweep::{csv_doc, residency_table};
 use crate::output::{page, Sink};
 
 use CoreKind::{Camera, Display, Dsp, Gps, ImageProcessor, Rotator, Usb, VideoCodec, WiFi};
@@ -746,7 +745,10 @@ fn fig7(_: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<String,
     let points: Vec<FreqPoint> = reports.iter().map(image_processor).collect();
     let mut text = residency_table(&points) + "\n";
     if let Some(dir) = out {
-        text += &write_plot(dir.join("fig7.csv"), &freq_points_csv(&points))?;
+        text += &write_plot(
+            dir.join("fig7.csv"),
+            &csv_doc(&FreqPoint::csv_header(), &points, FreqPoint::csv_row),
+        )?;
     }
     Ok(text)
 }

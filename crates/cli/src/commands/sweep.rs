@@ -2,12 +2,10 @@
 
 use json::Value;
 use sara_memctrl::PolicyKind;
-use sara_scenarios::{catalog, dvfs_search, run_matrix, MatrixSpec, Scenario, SearchOutcome};
-use sara_sim::experiment::{DvfsPoint, FreqPoint};
-use sara_sim::sweeps::{
-    dvfs_point_fields, dvfs_points_csv, dvfs_points_json, dvfs_points_value, freq_points_csv,
-    freq_points_json, DVFS_CSV_COLUMNS,
+use sara_scenarios::{
+    catalog, csv_field, dvfs_search, run_matrix, MatrixSpec, Scenario, SearchOutcome,
 };
+use sara_sim::experiment::{DvfsPoint, FreqPoint};
 use sara_sim::MAX_LEVELS;
 use sara_types::{ConfigError, CoreKind};
 
@@ -143,8 +141,8 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
                 None => progress.line("\nno candidate frequency meets every target"),
             }
             (
-                dvfs_points_csv(&points),
-                format!("{}\n", dvfs_points_json(&points)),
+                csv_doc(DvfsPoint::CSV_HEADER, &points, DvfsPoint::csv_row),
+                json_doc(&points, DvfsPoint::to_json_value),
             )
         }
     } else {
@@ -173,8 +171,8 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         ));
         progress.line(residency_table(&points));
         (
-            freq_points_csv(&points),
-            format!("{}\n", freq_points_json(&points)),
+            csv_doc(&FreqPoint::csv_header(), &points, FreqPoint::csv_row),
+            json_doc(&points, FreqPoint::to_json_value),
         )
     };
 
@@ -191,6 +189,22 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// A CSV document: `header`, then one `row` per point.
+pub(crate) fn csv_doc<T>(header: &str, points: &[T], row: fn(&T) -> String) -> String {
+    let mut out = format!("{header}\n");
+    for p in points {
+        out.push_str(&row(p));
+        out.push('\n');
+    }
+    out
+}
+
+/// The points as one compact JSON array, newline-terminated.
+fn json_doc<T>(points: &[T], value: fn(&T) -> Value) -> String {
+    let doc = Value::Array(points.iter().map(value).collect());
+    format!("{}\n", doc.to_string_compact())
 }
 
 /// The priority-residency table of the Fig. 7 sweep, one row per
@@ -233,25 +247,22 @@ fn print_dvfs_table(progress: &Progress, points: &[DvfsPoint]) {
     }
 }
 
-/// Scenario searches as CSV: the `dvfs_points_csv` columns prefixed with
-/// the scenario name plus a `chosen` marker per row.
+/// Scenario searches as CSV: [`DvfsPoint`]'s columns between the quoted
+/// scenario name and a `chosen` marker per row.
 fn search_csv(outcomes: &[SearchOutcome]) -> String {
-    let mut out = format!("scenario,{DVFS_CSV_COLUMNS},chosen\n");
+    let mut out = format!("scenario,{},chosen\n", DvfsPoint::CSV_HEADER);
     for o in outcomes {
+        let scenario = csv_field(&o.scenario);
         for (i, p) in o.points.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{}\n",
-                o.scenario,
-                dvfs_point_fields(p),
-                o.chosen == Some(i)
-            ));
+            let chosen = o.chosen == Some(i);
+            out.push_str(&format!("{scenario},{},{chosen}\n", p.csv_row()));
         }
     }
     out
 }
 
-/// Scenario searches as a JSON array (one object per scenario), following
-/// the `sara_sim::sweeps` conventions.
+/// Scenario searches as a JSON array (one object per scenario, its points
+/// as [`DvfsPoint`] objects).
 fn search_json(outcomes: &[SearchOutcome]) -> String {
     let doc = Value::Array(
         outcomes
@@ -266,7 +277,10 @@ fn search_json(outcomes: &[SearchOutcome]) -> String {
                             None => Value::Null,
                         },
                     ),
-                    ("points".to_string(), dvfs_points_value(&o.points)),
+                    (
+                        "points".to_string(),
+                        Value::Array(o.points.iter().map(DvfsPoint::to_json_value).collect()),
+                    ),
                 ])
             })
             .collect(),

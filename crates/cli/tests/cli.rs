@@ -624,6 +624,64 @@ fn sweep_output_matches_goldens() {
     }
 }
 
+/// Splits one RFC 4180 row (no embedded newlines) into its fields.
+fn csv_fields(row: &str) -> Vec<String> {
+    let mut fields = vec![String::new()];
+    let mut quoted = false;
+    let mut chars = row.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if quoted && chars.peek() == Some(&'"') => {
+                chars.next();
+                fields.last_mut().unwrap().push('"');
+            }
+            '"' => quoted = !quoted,
+            ',' if !quoted => fields.push(String::new()),
+            c => fields.last_mut().unwrap().push(c),
+        }
+    }
+    fields
+}
+
+/// A legal scenario name carrying CSV metacharacters is quoted the same
+/// way by every CSV writer: each row has the header's column count and
+/// reads back the name.
+#[test]
+fn every_csv_writer_quotes_scenario_names() {
+    const NAME: &str = "adas,\"v2\"";
+    let dir = scratch("csv-quoting");
+    let catalog = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    let text = std::fs::read_to_string(catalog.join("adas.scenario.json")).unwrap();
+    let renamed = text.replacen("\"name\": \"adas\"", "\"name\": \"adas,\\\"v2\\\"\"", 1);
+    assert_ne!(renamed, text);
+    std::fs::write(dir.join("adas-v2.scenario.json"), renamed).unwrap();
+    let dir = dir.to_str().unwrap();
+    for args in [
+        vec!["matrix", "--policies", "FCFS,QoS", "--duration-ms", "0.05"],
+        vec![
+            "sweep",
+            "--dvfs",
+            "--freqs",
+            "1120,1866",
+            "--duration-ms",
+            "0.05",
+        ],
+        vec!["govern", "--duration-ms", "0.2", "--no-baseline"],
+    ] {
+        let out = sara(&[&args[..], &["--dir", dir, "--csv", "-"]].concat());
+        assert_eq!(code(&out), 0, "{args:?}: {}", stderr(&out));
+        let csv = stdout(&out);
+        let mut rows = csv.lines();
+        let columns = csv_fields(rows.next().unwrap()).len();
+        let rows: Vec<Vec<String>> = rows.map(csv_fields).collect();
+        assert!(rows.len() >= 2, "{args:?}: {csv}");
+        for row in rows {
+            assert_eq!(row.len(), columns, "{args:?}: {row:?}");
+            assert_eq!(row[0], NAME, "{args:?}");
+        }
+    }
+}
+
 #[test]
 fn sweep_dvfs_runs_over_scenarios() {
     let out = sara(&[

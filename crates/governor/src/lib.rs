@@ -24,8 +24,7 @@
 //!   [`SimReport`](sara_sim::SimReport);
 //! * [`run_pinned`] — the equivalent *static* run (same beat clock, fixed
 //!   frequency) every governed run is judged against;
-//! * [`trace`] — CSV/JSON serialization of epoch traces, following the
-//!   `sara_sim::sweeps` conventions.
+//! * [`trace`] — CSV/JSON serialization of epoch traces.
 //!
 //! Scenarios opt in declaratively through the `.scenario.json` `governor`
 //! stanza ([`GovernorSpec`]); the `sara govern` CLI drives the whole loop

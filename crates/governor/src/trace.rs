@@ -1,8 +1,11 @@
 //! CSV/JSON serialization for governed-run epoch traces, following the
-//! `sara_sim::sweeps` conventions: stable column/key order, shortest
-//! round-trip floats, byte-identical output for identical runs.
+//! conventions of `sara_sim::experiment`'s sweep points: stable
+//! column/key order, shortest round-trip floats, byte-identical output
+//! for identical runs. Scenario names are quoted by
+//! [`sara_scenarios::csv_field`].
 
 use ::json::Value;
+use sara_scenarios::csv_field;
 
 use crate::run::{EpochRecord, GovernedOutcome};
 
@@ -57,8 +60,9 @@ fn epoch_row(scenario: &str, e: &EpochRecord) -> String {
 pub fn trace_csv<'a>(outcomes: impl IntoIterator<Item = &'a GovernedOutcome>) -> String {
     let mut out = format!("{TRACE_CSV_HEADER}\n");
     for o in outcomes {
+        let scenario = csv_field(&o.scenario);
         for e in &o.trace {
-            out.push_str(&epoch_row(&o.scenario, e));
+            out.push_str(&epoch_row(&scenario, e));
         }
     }
     out

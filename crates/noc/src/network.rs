@@ -31,9 +31,8 @@ const SERVICE_PERIOD: u64 = 2;
 /// use sara_noc::{ArbiterKind, Noc, NocConfig};
 /// use sara_types::CoreClass;
 ///
-/// // One-entry leaf ports: a DMA is backpressured after one injection.
-/// let cfg = NocConfig::new(ArbiterKind::Priority).with_port_capacity(1);
-/// let noc = Noc::class_tree(cfg, &[CoreClass::Cpu])?;
+/// // The default depths: 64-entry leaf ports, 8-entry root ports.
+/// let noc = Noc::class_tree(NocConfig::new(ArbiterKind::Priority), &[CoreClass::Cpu])?;
 /// assert!(noc.can_inject(0));
 /// # Ok::<(), sara_types::ConfigError>(())
 /// ```
@@ -57,18 +56,6 @@ impl NocConfig {
             port_capacity: 64,
             root_port_capacity: 8,
         }
-    }
-
-    /// Sets the input FIFO depth of every leaf port.
-    pub fn with_port_capacity(mut self, entries: usize) -> Self {
-        self.port_capacity = entries;
-        self
-    }
-
-    /// Sets the input FIFO depth of the root's per-class ports.
-    pub fn with_root_port_capacity(mut self, entries: usize) -> Self {
-        self.root_port_capacity = entries;
-        self
     }
 }
 
@@ -358,7 +345,10 @@ mod tests {
 
     #[test]
     fn ingress_backpressure_rejects_when_leaf_full() {
-        let cfg = NocConfig::new(ArbiterKind::Fcfs).with_port_capacity(2);
+        let cfg = NocConfig {
+            port_capacity: 2,
+            ..NocConfig::new(ArbiterKind::Fcfs)
+        };
         let mut noc = Noc::class_tree(cfg, &[CoreClass::Cpu]).unwrap();
         assert!(noc.can_inject(0));
         noc.inject(0, Cycle::ZERO, txn(0, CoreKind::Cpu, 0))
@@ -634,9 +624,11 @@ mod by_reference {
         for kind in KINDS {
             for seed in 0..64u64 {
                 let mut rng = StdRng::seed_from_u64(0x0b7e_f000 + seed);
-                let cfg = NocConfig::new(kind)
-                    .with_port_capacity(rng.gen_range(2usize..6))
-                    .with_root_port_capacity(rng.gen_range(1usize..4));
+                let cfg = NocConfig {
+                    port_capacity: rng.gen_range(2usize..6),
+                    root_port_capacity: rng.gen_range(1usize..4),
+                    ..NocConfig::new(kind)
+                };
                 let (mut fast, mut oracle) = (noc(cfg.clone()), noc(cfg));
                 let (mut out_fast, mut out_oracle) = (Vec::new(), Vec::new());
                 let mut id = 0u64;
@@ -686,7 +678,10 @@ mod by_reference {
     #[test]
     fn a_second_sweep_at_the_same_cycle_changes_nothing() {
         let mut rng = StdRng::seed_from_u64(0x2_5eeb);
-        let cfg = NocConfig::new(ArbiterKind::Priority).with_root_port_capacity(2);
+        let cfg = NocConfig {
+            root_port_capacity: 2,
+            ..NocConfig::new(ArbiterKind::Priority)
+        };
         let (mut once, mut twice) = (noc(cfg.clone()), noc(cfg));
         let (mut out_once, mut out_twice) = (Vec::new(), Vec::new());
         let mut id = 0u64;

@@ -778,10 +778,12 @@ mod tests {
         use sara_memctrl::PolicyKind;
 
         // Full stanza (all optional keys) round-trips value- and byte-exact.
-        let spec = GovernorSpec::new(vec![1333, 1600, 1866])
-            .with_epoch_us(50.0)
-            .with_start_mhz(1600)
-            .with_escalate_policy(PolicyKind::QosRowBuffer);
+        let spec = GovernorSpec {
+            start_mhz: Some(1600),
+            ..GovernorSpec::new(vec![1333, 1600, 1866])
+                .with_epoch_us(50.0)
+                .with_escalate_policy(PolicyKind::QosRowBuffer)
+        };
         let s = catalog::by_name("adas").unwrap().with_governor(spec);
         let text = s.to_json();
         assert!(text.contains("\"governor\""), "{text}");

@@ -108,13 +108,6 @@ impl GovernorSpec {
         self
     }
 
-    /// Replaces the starting rung.
-    #[must_use]
-    pub fn with_start_mhz(mut self, mhz: u32) -> Self {
-        self.start_mhz = Some(mhz);
-        self
-    }
-
     /// Enables policy escalation.
     #[must_use]
     pub fn with_escalate_policy(mut self, policy: PolicyKind) -> Self {
@@ -189,7 +182,10 @@ mod tests {
         spec.validate().unwrap();
         assert_eq!(spec.ladder_mhz, vec![1306, 1586, 1866]);
         assert_eq!(spec.start_mhz(), 1306);
-        let pinned = spec.with_start_mhz(1866);
+        let pinned = GovernorSpec {
+            start_mhz: Some(1866),
+            ..spec
+        };
         pinned.validate().unwrap();
         assert_eq!(pinned.start_mhz(), 1866);
     }

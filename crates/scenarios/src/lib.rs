@@ -13,7 +13,7 @@
 //! once:
 //!
 //! * [`Scenario`] — name + cores + platform knobs, lowered onto
-//!   `SystemConfig` via the sim layer's `ScenarioParams`;
+//!   `SystemConfig::from_scenario` by [`Scenario::config`];
 //! * [`catalog`] — built-ins: the two camcorder cases, an AR headset, an
 //!   automotive ADAS stack (plus a mixed-criticality overload variant),
 //!   smartphone burst multitasking, ML-inference offload, and a
@@ -71,7 +71,7 @@ pub use governor_spec::{
     GovernorSpec, DEFAULT_DOWN_THRESHOLD, DEFAULT_EPOCH_US, DEFAULT_PATIENCE, DEFAULT_UP_THRESHOLD,
 };
 pub use matrix::{
-    cell_fingerprint, expand_cells, run_cell, run_matrix, screen_cell, summarize_cells,
+    cell_fingerprint, csv_field, expand_cells, run_cell, run_matrix, screen_cell, summarize_cells,
     CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec, MatrixSummary, ScenarioFingerprint,
     ScenarioRanking, ScreenMode,
 };

@@ -430,12 +430,10 @@ impl MatrixSummary {
     ///
     /// Columns: `scenario,policy,freq_mhz,channels,bandwidth_gbs,`
     /// `row_hit_rate,failures,all_met,screened,rank`. Floats use the
-    /// shortest round-trip form (the same convention as
-    /// `sara_sim::sweeps`); scenario names with CSV metacharacters are
-    /// RFC 4180-quoted (the format only requires a name to be non-empty,
-    /// so `"adas,v2"` is a legal registry key). Pruned cells carry the
-    /// analytic bound in the bandwidth column, an empty `row_hit_rate`,
-    /// and their verdict label in `screened` (empty for simulated cells).
+    /// shortest round-trip form; scenario names go through [`csv_field`].
+    /// Pruned cells carry the analytic bound in the bandwidth column, an
+    /// empty `row_hit_rate`, and their verdict label in `screened` (empty
+    /// for simulated cells).
     pub fn to_csv(&self) -> String {
         // rank[i] = 1-based position of cell i within its scenario.
         let mut rank = vec![0usize; self.cells.len()];
@@ -472,7 +470,11 @@ impl MatrixSummary {
 
 /// RFC 4180 quoting for a free-text CSV field: wrapped in double quotes
 /// (with `"` doubled) only when it contains a comma, quote, or newline.
-fn csv_field(raw: &str) -> String {
+/// The one quoting rule of every CSV writer that carries a scenario name
+/// (`sara matrix`, `sara sweep --dvfs`, `sara govern`): the format only
+/// requires a name to be non-empty, so `adas,"v2"` is a legal registry
+/// key.
+pub fn csv_field(raw: &str) -> String {
     if raw.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", raw.replace('"', "\"\""))
     } else {

@@ -2,9 +2,9 @@
 //! parameterisation, ready to lower onto a [`SystemConfig`].
 
 use sara_memctrl::PolicyKind;
-use sara_sim::{ScenarioParams, SimReport, Simulation, SystemConfig};
+use sara_sim::{SimReport, Simulation, SystemConfig};
 use sara_types::{ConfigError, MegaHertz};
-use sara_workloads::{CoreSpec, FRAMES_PER_SECOND};
+use sara_workloads::CoreSpec;
 
 use crate::governor_spec::GovernorSpec;
 
@@ -12,8 +12,8 @@ use crate::governor_spec::GovernorSpec;
 /// the platform knobs a run varies (DRAM frequency, scheduling policy,
 /// frame period, duration, seed).
 ///
-/// Scenarios are plain data — SCALL-style declarative specs that the sim
-/// layer lowers via [`ScenarioParams`] / [`SystemConfig::from_scenario`].
+/// Scenarios are plain data — SCALL-style declarative specs that
+/// [`Scenario::config`] lowers onto [`SystemConfig::from_scenario`].
 /// The batch harness ([`crate::run_matrix`]) crosses them with policy and
 /// frequency overrides without touching the workload definition.
 ///
@@ -47,8 +47,7 @@ pub struct Scenario {
     /// Master seed for all stochastic generators.
     pub seed: u64,
     /// Number of DRAM channels (Table 1 ships 2; wider parts use a
-    /// channel-skewed address map — see
-    /// [`ScenarioParams::channels`]).
+    /// channel-skewed address map — see [`SystemConfig::from_scenario`]).
     pub channels: usize,
     /// Optional online self-adaptation stanza (`None` = static run; the
     /// batch harness always runs scenarios statically regardless).
@@ -56,9 +55,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A scenario with the catalog defaults: SARA's Policy 1, the
-    /// camcorder's 30 fps frame period, a 5 ms nominal window and the
-    /// paper seed.
+    /// A scenario with the catalog defaults: SARA's Policy 1, a 5 ms
+    /// nominal window, and the camcorder defaults of [`SystemConfig`]
+    /// (30 fps frame period, the paper seed, two channels).
     pub fn new(
         name: impl Into<String>,
         description: impl Into<String>,
@@ -71,10 +70,10 @@ impl Scenario {
             freq,
             policy: PolicyKind::Priority,
             cores,
-            frame_period_ns: 1e9 / FRAMES_PER_SECOND,
+            frame_period_ns: SystemConfig::DEFAULT_FRAME_PERIOD_NS,
             duration_ms: 5.0,
-            seed: 0x5a5a_0001,
-            channels: 2,
+            seed: SystemConfig::DEFAULT_SEED,
+            channels: SystemConfig::DEFAULT_CHANNELS,
             governor: None,
         }
     }
@@ -154,22 +153,22 @@ impl Scenario {
             .unwrap_or_else(|| GovernorSpec::new(GovernorSpec::default_ladder(self.freq.as_u32())))
     }
 
-    /// Lowers the scenario onto the sim layer's parameter type.
-    pub fn params(&self) -> ScenarioParams {
-        ScenarioParams::new(self.freq, self.policy, self.cores.clone())
-            .frame_period_ns(self.frame_period_ns)
-            .seed(self.seed)
-            .channels(self.channels)
-    }
-
-    /// Builds a full system configuration with default substrates.
+    /// Lowers the scenario onto a full system configuration with default
+    /// substrates.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] on an inconsistent spec (e.g. a meter/traffic
     /// mismatch or address regions exceeding DRAM capacity).
     pub fn config(&self) -> Result<SystemConfig, ConfigError> {
-        SystemConfig::from_scenario(self.params())
+        SystemConfig::from_scenario(
+            self.freq,
+            self.policy,
+            self.cores.clone(),
+            self.frame_period_ns,
+            self.seed,
+            self.channels,
+        )
     }
 
     /// Runs the scenario for its nominal duration.

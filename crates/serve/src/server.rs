@@ -274,13 +274,9 @@ impl Server {
         self.journal.append("rejected", job_no, &job.id, fields);
     }
 
-    /// Bumps a per-client counter series (`kind{client="…"}`), escaping
-    /// the client name into Prometheus label-value syntax.
+    /// Bumps a per-client counter series (`kind{client="…"}`).
     fn bump_client(&self, kind: &str, client: &str, by: u64) {
-        let escaped = client
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n");
+        let escaped = prometheus::escape_label_value(client);
         self.bump(&format!("{kind}{{client=\"{escaped}\"}}"), by);
     }
 

@@ -8,7 +8,7 @@ use std::net::{TcpListener, TcpStream};
 
 use json::Value;
 use sara_serve::{Journal, ServeConfig, Server};
-use sara_telemetry::MockClock;
+use sara_telemetry::{prometheus, MockClock};
 
 fn run_session(server: &Server, input: &str) -> String {
     let mut out = Vec::new();
@@ -307,6 +307,8 @@ fn rejected_jobs_are_journaled_with_a_reason() {
 fn metrics_reply_carries_prometheus_exposition() {
     let server = Server::new(ServeConfig::default());
     run_session(&server, &submit("m", ",\"client\":\"ci\""));
+    // A client name needing every label-value escape: `a "b"\c` + newline.
+    run_session(&server, &submit("n", ",\"client\":\"a \\\"b\\\"\\\\c\\n\""));
     let replies = records(&run_session(
         &server,
         "{\"format\":\"sara-serve/v1\",\"type\":\"metrics\"}\n",
@@ -339,6 +341,14 @@ fn metrics_reply_carries_prometheus_exposition() {
         exposition.contains("cells{client=\"ci\"} 2\n"),
         "{exposition}"
     );
+    assert!(
+        exposition.contains("jobs{client=\"a \\\"b\\\"\\\\c\\n\"} 1\n"),
+        "{exposition}"
+    );
+    // The live exposition passes the strict checker `sara report` runs.
+    if let Err(e) = prometheus::check(exposition) {
+        panic!("{e}\n{exposition}");
+    }
     // `stats` stays the fixed eight counters — wall-clock data must not
     // leak into the deterministic reply.
     let stats = records(&run_session(

@@ -37,68 +37,6 @@ pub(crate) fn arbiter_for(policy: PolicyKind) -> ArbiterKind {
     }
 }
 
-/// The workload-facing slice of a [`SystemConfig`]: everything a scenario
-/// catalog needs to vary per run, with the substrate details (NoC, MC,
-/// DRAM geometry) derived from policy and frequency.
-///
-/// This is the generic entry point the `sara-scenarios` crate lowers its
-/// declarative `Scenario` type onto; the camcorder constructor is one
-/// instantiation of it.
-#[derive(Debug, Clone)]
-pub struct ScenarioParams {
-    /// DRAM I/O frequency (also the simulation beat clock).
-    pub freq: MegaHertz,
-    /// Memory scheduling policy.
-    pub policy: PolicyKind,
-    /// The workload.
-    pub cores: Vec<CoreSpec>,
-    /// Frame period in nanoseconds (drives `Burst` traffic and frame-rate
-    /// meters).
-    pub frame_period_ns: f64,
-    /// Master seed for all stochastic generators.
-    pub seed: u64,
-    /// DRAM channel count. The paper's Table 1 ships 2; wider configs
-    /// (4, 8, ...) scale out the lane-structured engine and switch to the
-    /// channel-skewed address map.
-    pub channels: usize,
-}
-
-impl ScenarioParams {
-    /// Parameters with the camcorder defaults: 30 fps frame period and the
-    /// seed the paper runs use.
-    pub fn new(freq: MegaHertz, policy: PolicyKind, cores: Vec<CoreSpec>) -> Self {
-        ScenarioParams {
-            freq,
-            policy,
-            cores,
-            frame_period_ns: 1e9 / FRAMES_PER_SECOND,
-            seed: 0x5a5a_0001,
-            channels: 2,
-        }
-    }
-
-    /// Replaces the frame period.
-    #[must_use]
-    pub fn frame_period_ns(mut self, ns: f64) -> Self {
-        self.frame_period_ns = ns;
-        self
-    }
-
-    /// Replaces the master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the DRAM channel count.
-    #[must_use]
-    pub fn channels(mut self, channels: usize) -> Self {
-        self.channels = channels;
-        self
-    }
-}
-
 /// Complete configuration of one simulation run.
 ///
 /// # Examples
@@ -142,6 +80,14 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// The frame period every workload starts from (in [`Self::custom`]
+    /// and `sara_scenarios::Scenario::new`): the camcorder's 30 fps.
+    pub const DEFAULT_FRAME_PERIOD_NS: f64 = 1e9 / FRAMES_PER_SECOND;
+    /// The master seed every workload starts from: the paper runs' seed.
+    pub const DEFAULT_SEED: u64 = 0x5a5a_0001;
+    /// The DRAM channel count every workload starts from: Table 1's two.
+    pub const DEFAULT_CHANNELS: usize = 2;
+
     /// The paper's camcorder configuration for a test case and policy:
     /// Table 1 DRAM, 42-entry controller, matching NoC discipline, 30 fps
     /// frame period, ~10 µs NPI sampling.
@@ -155,7 +101,7 @@ impl SystemConfig {
     }
 
     /// A configuration with default substrates for an arbitrary workload at
-    /// the camcorder defaults (30 fps frame period, paper seed).
+    /// the camcorder defaults.
     ///
     /// # Errors
     ///
@@ -165,53 +111,65 @@ impl SystemConfig {
         policy: PolicyKind,
         cores: Vec<CoreSpec>,
     ) -> Result<Self, ConfigError> {
-        Self::from_scenario(ScenarioParams::new(freq, policy, cores))
+        Self::from_scenario(
+            freq,
+            policy,
+            cores,
+            Self::DEFAULT_FRAME_PERIOD_NS,
+            Self::DEFAULT_SEED,
+            Self::DEFAULT_CHANNELS,
+        )
     }
 
-    /// The generic scenario entry point: a configuration with default
-    /// substrates (Table 1 DRAM at the requested frequency, 42-entry
-    /// controller, matching NoC discipline) for an arbitrary workload,
-    /// frame period and seed.
+    /// The one constructor, which a scenario lowers onto: default
+    /// substrates (Table 1 DRAM geometry at the requested frequency and
+    /// channel count, 42-entry controller, matching NoC discipline) for an
+    /// arbitrary workload, frame period and seed.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the substrate configuration is invalid or
     /// the frame period is not positive.
-    pub fn from_scenario(params: ScenarioParams) -> Result<Self, ConfigError> {
-        if !params.frame_period_ns.is_finite() || params.frame_period_ns <= 0.0 {
+    pub fn from_scenario(
+        freq: MegaHertz,
+        policy: PolicyKind,
+        cores: Vec<CoreSpec>,
+        frame_period_ns: f64,
+        seed: u64,
+        channels: usize,
+    ) -> Result<Self, ConfigError> {
+        if !frame_period_ns.is_finite() || frame_period_ns <= 0.0 {
             return Err(ConfigError::new(format!(
-                "frame period must be positive, got {} ns",
-                params.frame_period_ns
+                "frame period must be positive, got {frame_period_ns} ns"
             )));
         }
-        let clock = Clock::new(params.freq);
-        let frame_period_cycles = clock.cycles_from_ns(params.frame_period_ns).max(1);
+        let frame_period_cycles = Clock::new(freq).cycles_from_ns(frame_period_ns).max(1);
         // Table 1 is a 2-channel part; wider configs re-derive the same
         // geometry per channel and adopt the channel-skewed map so strided
         // traffic cannot camp on one lane.
-        let dram = if params.channels == 2 {
-            DramConfig::table1(params.freq)
+        let dram = if channels == 2 {
+            DramConfig::table1(freq)
         } else {
             DramConfig::builder()
-                .channels(params.channels)
-                .io_freq(params.freq)
+                .channels(channels)
+                .io_freq(freq)
                 .build()?
         };
-        let interleave = if params.channels > 2 {
+        let interleave = if channels > 2 {
             Interleave::RowRankBankColChanXor
         } else {
             Interleave::default()
         };
         Ok(SystemConfig {
-            freq: params.freq,
-            policy: params.policy,
-            cores: params.cores,
+            freq,
+            policy,
+            cores,
             frame_period_cycles,
-            noc: NocConfig::new(arbiter_for(params.policy)),
-            mc: McConfig::builder(params.policy).build()?,
+            noc: NocConfig::new(arbiter_for(policy)),
+            mc: McConfig::builder(policy).build()?,
             dram,
             interleave,
-            seed: params.seed,
+            seed,
             priority_bits: PriorityBits::PAPER,
             trace_capacity: 0,
         })
@@ -259,61 +217,47 @@ mod tests {
         assert!(b.frame_period_cycles < a.frame_period_cycles);
     }
 
-    #[test]
-    fn from_scenario_honours_period_and_seed() {
-        let params = ScenarioParams::new(
+    /// `from_scenario` at the camcorder defaults, with one field replaced.
+    fn lowered(
+        frame_period_ns: f64,
+        seed: u64,
+        channels: usize,
+    ) -> Result<SystemConfig, ConfigError> {
+        SystemConfig::from_scenario(
             MegaHertz::new(1600),
             PolicyKind::Priority,
             TestCase::B.cores(),
+            frame_period_ns,
+            seed,
+            channels,
         )
-        .frame_period_ns(1e9 / 90.0) // 90 fps
-        .seed(42);
-        let cfg = SystemConfig::from_scenario(params).unwrap();
+    }
+
+    #[test]
+    fn from_scenario_honours_period_and_seed() {
+        let cfg = lowered(1e9 / 90.0, 42, 2).unwrap(); // 90 fps
         assert_eq!(cfg.seed, 42);
         let expected = 1600.0e6 / 90.0;
         assert!((cfg.frame_period_cycles as f64 - expected).abs() < 2.0);
-
-        let bad = ScenarioParams::new(
-            MegaHertz::new(1600),
-            PolicyKind::Priority,
-            TestCase::B.cores(),
-        )
-        .frame_period_ns(0.0);
-        assert!(SystemConfig::from_scenario(bad).is_err());
+        assert!(lowered(0.0, 42, 2).is_err());
     }
 
     #[test]
     fn channels_knob_scales_dram_and_switches_interleave() {
-        let wide = ScenarioParams::new(
-            MegaHertz::new(1866),
-            PolicyKind::Priority,
-            TestCase::A.cores(),
-        )
-        .channels(4);
-        let cfg = SystemConfig::from_scenario(wide).unwrap();
+        let (period, seed) = (
+            SystemConfig::DEFAULT_FRAME_PERIOD_NS,
+            SystemConfig::DEFAULT_SEED,
+        );
+        let cfg = lowered(period, seed, 4).unwrap();
         assert_eq!(cfg.dram.channels(), 4);
-        assert_eq!(cfg.dram.io_freq().as_u32(), 1866);
+        assert_eq!(cfg.dram.io_freq().as_u32(), 1600);
         assert_eq!(cfg.interleave, Interleave::RowRankBankColChanXor);
 
-        let narrow = ScenarioParams::new(
-            MegaHertz::new(1866),
-            PolicyKind::Priority,
-            TestCase::A.cores(),
-        );
-        let cfg = SystemConfig::from_scenario(narrow).unwrap();
+        let cfg = lowered(period, seed, 2).unwrap();
         assert_eq!(cfg.dram.channels(), 2);
         assert_eq!(cfg.interleave, Interleave::default());
 
-        let bad = ScenarioParams::new(
-            MegaHertz::new(1866),
-            PolicyKind::Priority,
-            TestCase::A.cores(),
-        )
-        .channels(3);
-        assert!(
-            SystemConfig::from_scenario(bad).is_err(),
-            "non-power-of-two"
-        );
+        assert!(lowered(period, seed, 3).is_err(), "non-power-of-two");
     }
 
     #[test]

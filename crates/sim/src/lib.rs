@@ -10,12 +10,12 @@
 //! Entry points:
 //!
 //! * [`SystemConfig`] — one run's clock/policy/workload/substrates; build
-//!   arbitrary workloads via [`ScenarioParams`] +
-//!   [`SystemConfig::from_scenario`],
+//!   arbitrary workloads via [`SystemConfig::from_scenario`],
 //! * [`Simulation`] — build with [`Simulation::new`], drive with
 //!   [`Simulation::run_for_ms`], inspect the returned [`SimReport`],
 //! * [`experiment`] — single-cell runners and the per-report projections
-//!   behind the paper's sweeps (batches run through `sara-scenarios`),
+//!   behind the paper's sweeps, each with its CSV and JSON forms (batches
+//!   run through `sara-scenarios`),
 //! * [`SystemHealth`] — the live snapshot API ([`Simulation::health`])
 //!   and the online actuators ([`Simulation::set_dram_freq`],
 //!   [`Simulation::set_policy`]) that the `sara-governor` closed loop
@@ -24,9 +24,7 @@
 //!   ([`SimReport::to_json`]),
 //! * [`telemetry`] — the deterministic metrics plane: hot-path recorders
 //!   ([`SimTelemetry`]) and the owned snapshot every report embeds
-//!   ([`TelemetryReport`], serialized under the report's `telemetry` key),
-//! * [`sweeps`] — CSV/JSON serialization for frequency and DVFS sweep
-//!   results ([`experiment::FreqPoint`] / [`experiment::DvfsPoint`]).
+//!   ([`TelemetryReport`], serialized under the report's `telemetry` key).
 //!
 //! # Examples
 //!
@@ -57,7 +55,6 @@ mod lane;
 mod report;
 mod runtime;
 mod sampling;
-pub mod sweeps;
 pub mod telemetry;
 mod trace;
 
@@ -69,7 +66,7 @@ mod trace;
 pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 pub use analytic::analytic_report;
-pub use config::{ScenarioParams, SystemConfig};
+pub use config::SystemConfig;
 // Re-exported so downstream crates read verdicts without a direct
 // `sara-analytic` dependency.
 pub use engine::Simulation;

@@ -28,7 +28,8 @@
 //!   microsecond clocks, so service timing is testable under a
 //!   deterministic mock;
 //! * [`prometheus`] — text exposition (format 0.0.4) of a [`Registry`]
-//!   snapshot for scraping, histograms as cumulative `le` series.
+//!   snapshot for scraping, histograms as cumulative `le` series, and the
+//!   strict checker that reads an exposition back.
 //!
 //! # Examples
 //!
@@ -75,12 +76,6 @@ impl Counter {
     /// A zeroed counter.
     pub fn new() -> Self {
         Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
     }
 
     /// Adds `n`.
@@ -262,7 +257,7 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let mut c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
         let mut g = Gauge::new();
@@ -277,7 +272,7 @@ mod tests {
             r.counter("b").add(2);
             r.gauge("a").set(1.0);
             r.histogram("h").record(7);
-            r.counter("b").inc();
+            r.counter("b").add(1);
             r
         };
         let (x, y) = (build(), build());

@@ -81,7 +81,7 @@ impl Default for PriorityBits {
 /// ```
 /// use sara_types::Priority;
 ///
-/// assert!(Priority::MAX_3BIT > Priority::LOWEST);
+/// assert!(Priority::new(7) > Priority::LOWEST);
 /// assert_eq!(Priority::new(5).as_u8(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -90,8 +90,6 @@ pub struct Priority(u8);
 impl Priority {
     /// The least urgent level (0).
     pub const LOWEST: Priority = Priority(0);
-    /// The most urgent level in the paper's 3-bit encoding (7).
-    pub const MAX_3BIT: Priority = Priority(7);
     /// Largest level representable by any supported encoding (4 bits).
     pub const MAX_SUPPORTED: Priority = Priority(15);
 
@@ -143,7 +141,7 @@ mod tests {
         assert_eq!(PriorityBits::new(1).unwrap().levels(), 2);
         assert_eq!(PriorityBits::new(3).unwrap().levels(), 8);
         assert_eq!(PriorityBits::new(4).unwrap().levels(), 16);
-        assert_eq!(PriorityBits::PAPER.max_level(), Priority::MAX_3BIT);
+        assert_eq!(PriorityBits::PAPER.max_level(), Priority::new(7));
     }
 
     #[test]

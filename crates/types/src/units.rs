@@ -4,8 +4,6 @@
 pub const KIB: u64 = 1024;
 /// One mebibyte (1024² bytes).
 pub const MIB: u64 = 1024 * 1024;
-/// One gibibyte (1024³ bytes).
-pub const GIB: u64 = 1024 * 1024 * 1024;
 
 /// Converts a rate in megabytes per second (decimal, 10⁶) to bytes/second.
 ///
@@ -32,7 +30,6 @@ mod tests {
     fn constants() {
         assert_eq!(KIB, 1 << 10);
         assert_eq!(MIB, 1 << 20);
-        assert_eq!(GIB, 1 << 30);
     }
 
     #[test]
