@@ -62,4 +62,4 @@ mod server;
 pub use cache::{CachedReport, ResultCache};
 pub use journal::{Journal, EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
 pub use protocol::{JobRequest, JobSummary, ProtocolError, Request, ScenarioRef, FORMAT_TAG};
-pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE};
+pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE, REPLY_BUFFER};

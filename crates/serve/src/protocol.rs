@@ -11,6 +11,7 @@
 //! emitters, and the spec's drift tests all bind to, so the document
 //! cannot quietly diverge from the implementation.
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use json::read::{self, Fields};
@@ -322,35 +323,41 @@ fn cell_envelope(id: &str, seq: usize) -> Vec<(String, Value)> {
     members
 }
 
-/// The line — terminator included — of a simulated cell's record, built
-/// around the report's compact JSON as already rendered
+/// Writes a simulated cell's record, terminator included, around the
+/// report's compact JSON as already rendered
 /// (`SimReport::to_json_value().to_string_compact()`): only the record's
-/// small head is assembled here, and `report_json` is copied in behind it
-/// as the `report` member. For the same cell the bytes equal
+/// small head is assembled here, and `report_json` goes to `writer` as is,
+/// behind it, as the `report` member. For the same cell the bytes equal
 /// `cell_record(..).write_ndjson_line(..)`, which stays the reference
 /// (and the builder for pruned cells); this is what lets the server answer
-/// a cache hit without walking the report again.
-pub fn simulated_cell_line(
+/// a cache hit without walking the report again, or copying it more than
+/// once. The record reaches `writer` in three pieces, so `writer` should
+/// buffer.
+///
+/// # Errors
+///
+/// Returns the first error `writer` reports.
+pub fn write_simulated_cell<W: Write>(
+    writer: &mut W,
     id: &str,
     seq: usize,
     scenario: &str,
     spec: &CellSpec,
     report_json: &str,
-) -> String {
+) -> io::Result<()> {
     let mut members = cell_envelope(id, seq);
     members.push(kv("scenario", scenario));
     members.push(kv("policy", spec.policy.name()));
     members.push(kv("freq_mhz", spec.freq.as_u32()));
     members.push(kv("channels", spec.channels as u64));
-    let mut line = Value::Object(members).to_string_compact();
+    let mut head = Value::Object(members).to_string_compact();
     // Reopen the object: the head's closing brace makes way for one more
     // member.
-    line.pop();
-    line.reserve(report_json.len() + 12);
-    line.push_str(",\"report\":");
-    line.push_str(report_json);
-    line.push_str("}\n");
-    line
+    head.pop();
+    head.push_str(",\"report\":");
+    writer.write_all(head.as_bytes())?;
+    writer.write_all(report_json.as_bytes())?;
+    writer.write_all(b"}\n")
 }
 
 /// Builds a job's final `summary` record.
@@ -569,10 +576,9 @@ mod tests {
             cell_record(id, 7, &cell)
                 .write_ndjson_line(&mut built)
                 .unwrap();
-            assert_eq!(
-                simulated_cell_line(id, 7, name, &spec, &report_json).into_bytes(),
-                built
-            );
+            let mut spliced = Vec::new();
+            write_simulated_cell(&mut spliced, id, 7, name, &spec, &report_json).unwrap();
+            assert_eq!(spliced, built);
         }
     }
 

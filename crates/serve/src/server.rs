@@ -11,7 +11,7 @@
 //! count, the cache state, or the order jobs arrive in.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
@@ -50,6 +50,14 @@ pub const COUNTERS: [&str; 8] = [
 /// and skipped, so a newline-free stream cannot grow the server's memory.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
+/// The capacity of a session's reply buffer, in bytes: 64 KiB, above a
+/// warm catalog job's whole reply (about 50 KB) and a screened job's. The
+/// buffer is written when it is full, at the end of every reply, and just
+/// before the session waits for a cell to be simulated, so a reply whose
+/// cells are all ready leaves in one write and no record waits behind a
+/// simulation.
+pub const REPLY_BUFFER: usize = 64 << 10;
+
 /// Tunables of one server instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -77,6 +85,9 @@ pub struct Server {
     workers: usize,
     clock: Box<dyn TimeSource>,
     journal: Journal,
+    /// Every catalog scenario, resolved once, with its fingerprint prefix:
+    /// a job that names one neither rebuilds nor re-hashes it.
+    catalog: Vec<(Scenario, ScenarioFingerprint)>,
     cache: Mutex<ResultCache>,
     registry: Mutex<Registry>,
     outstanding: Mutex<HashMap<String, usize>>,
@@ -167,6 +178,13 @@ impl Server {
             workers,
             clock: Box::new(WallClock::new()),
             journal: Journal::disabled(),
+            catalog: catalog::builtin()
+                .into_iter()
+                .map(|s| {
+                    let prefix = ScenarioFingerprint::new(&s);
+                    (s, prefix)
+                })
+                .collect(),
             cache: Mutex::new(ResultCache::new()),
             registry: Mutex::new(registry),
             outstanding: Mutex::new(HashMap::new()),
@@ -281,22 +299,34 @@ impl Server {
     }
 
     /// Runs one client session: reads request lines until EOF or a
-    /// `shutdown` request, writing response records as they become ready.
-    /// Blank lines are ignored; malformed lines get an `error` record and
-    /// the session continues. A client that disconnects mid-stream
-    /// (`BrokenPipe`) ends the session cleanly.
+    /// `shutdown` request, writing response records as they become ready
+    /// through one [`REPLY_BUFFER`]-sized buffer. Blank lines are ignored;
+    /// malformed lines get an `error` record and the session continues. A
+    /// client that disconnects mid-stream (`BrokenPipe`) ends the session
+    /// cleanly.
     ///
     /// # Errors
     ///
     /// Returns any I/O error other than `BrokenPipe` from the transport.
-    pub fn handle_session<R: BufRead, W: Write>(&self, reader: R, mut writer: W) -> io::Result<()> {
-        match self.session_loop(reader, &mut writer) {
+    pub fn handle_session<R: BufRead, W: Write>(&self, reader: R, writer: W) -> io::Result<()> {
+        let mut replies = BufWriter::with_capacity(REPLY_BUFFER, writer);
+        let ended = self
+            .session_loop(reader, &mut replies)
+            .and_then(|()| replies.flush());
+        // Bytes are left over only when a write failed: they are dropped,
+        // not retried on a dead transport.
+        drop(replies.into_parts());
+        match ended {
             Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
             other => other,
         }
     }
 
-    fn session_loop<R: BufRead, W: Write>(&self, mut reader: R, writer: &mut W) -> io::Result<()> {
+    fn session_loop<R: BufRead, W: Write>(
+        &self,
+        mut reader: R,
+        writer: &mut BufWriter<W>,
+    ) -> io::Result<()> {
         let mut buf = Vec::new();
         loop {
             buf.clear();
@@ -371,9 +401,10 @@ impl Server {
     ) -> io::Result<()> {
         self.serve_streams(max_sessions, || {
             let (stream, _addr) = listener.accept()?;
-            // A session is request/response with a flush per record.
-            // Under Nagle a small record waits for the ACK of the one
-            // before it, which a peer with delayed ACKs holds for 40 ms.
+            // A session is request/response, and a reply can leave in
+            // several writes (one per simulated cell). Under Nagle a small
+            // write waits for the ACK of the one before it, which a peer
+            // with delayed ACKs holds for 40 ms.
             // Failing to set the option costs latency, never bytes.
             let _ = stream.set_nodelay(true);
             Ok(stream)
@@ -440,38 +471,43 @@ impl Server {
         counter: &str,
         id: Option<&str>,
         message: &str,
-        writer: &mut W,
+        writer: &mut BufWriter<W>,
     ) -> io::Result<()> {
         self.bump(counter, 1);
         protocol::error_record(id, message).write_ndjson_line(writer)?;
         writer.flush()
     }
 
-    fn run_job<W: Write>(&self, job: &JobRequest, writer: &mut W) -> io::Result<()> {
+    fn run_job<W: Write>(&self, job: &JobRequest, writer: &mut BufWriter<W>) -> io::Result<()> {
         let job_no = self.journal.next_job();
         let t_accept = self.clock.now_us();
         // Lower the job exactly as `sara matrix` would: resolve scenarios,
-        // then expand the cross product in scenario-major order.
+        // then expand the cross product in scenario-major order. A
+        // scenario's document is serialised and hashed at most once per
+        // job (an inline one), or never (a catalog one: `Server::new` did).
         let mut scenarios: Vec<Scenario> = Vec::with_capacity(job.scenarios.len());
+        let mut prefixes: Vec<ScenarioFingerprint> = Vec::with_capacity(job.scenarios.len());
         for sref in &job.scenarios {
-            match sref {
-                ScenarioRef::Inline(s) => scenarios.push((**s).clone()),
-                ScenarioRef::Catalog(name) => match catalog::by_name(name) {
-                    Some(s) => scenarios.push(s),
-                    None => {
+            let (scenario, prefix) = match sref {
+                ScenarioRef::Inline(s) => ((**s).clone(), ScenarioFingerprint::new(s)),
+                ScenarioRef::Catalog(name) => {
+                    let Some((s, prefix)) = self.catalog.iter().find(|(s, _)| s.name == *name)
+                    else {
                         self.journal_rejected(job_no, job, "unknown-scenario");
+                        let names: Vec<&str> =
+                            self.catalog.iter().map(|(s, _)| s.name.as_str()).collect();
                         return self.refuse(
                             "jobs_failed",
                             Some(&job.id),
-                            &format!(
-                                "unknown scenario {name:?} (catalog: {})",
-                                catalog::names().join(", ")
-                            ),
+                            &format!("unknown scenario {name:?} (catalog: {})", names.join(", ")),
                             writer,
                         );
-                    }
-                },
-            }
+                    };
+                    (s.clone(), *prefix)
+                }
+            };
+            scenarios.push(scenario);
+            prefixes.push(prefix);
         }
         let spec = MatrixSpec {
             policies: if job.policies.is_empty() {
@@ -517,13 +553,10 @@ impl Server {
             ("ts_us", t_accept.into()),
         ];
         self.journal.append("accepted", job_no, &job.id, fields);
+        // Buffered: it leaves with the first cell that does not wait for a
+        // simulation, or alone just before the first one that does.
         protocol::accepted_record(&job.id, cells.len()).write_ndjson_line(writer)?;
-        writer.flush()?;
 
-        // A scenario's document is serialised and hashed once per job,
-        // not once per cell.
-        let prefixes: Vec<ScenarioFingerprint> =
-            scenarios.iter().map(ScenarioFingerprint::new).collect();
         let fingerprints: Vec<u64> = cells
             .iter()
             .map(|c| prefixes[c.scenario].cell(c, ENGINE_VERSION))
@@ -585,6 +618,12 @@ impl Server {
         self.bump("cells_screened", screened);
         self.bump("cache_hits", hits);
         self.bump("cache_misses", misses);
+        // The session is about to wait for a simulation: what is buffered
+        // leaves first.
+        let waits_for = |i: usize| matches!(sources.get(i), Some(CellSource::Run));
+        if waits_for(0) {
+            writer.flush()?;
+        }
 
         // Shard the misses across the workers; stream every cell record
         // the moment it and all its predecessors are ready. Emission order
@@ -656,7 +695,10 @@ impl Server {
                     Answer::Screened(analytic) => CellBody::Screened(analytic),
                 };
                 let name = &scenarios[cells[i].scenario].name;
-                if let Err(e) = self.emit_cell(job, job_no, i, name, &cells[i], body, writer) {
+                let ends_run = waits_for(i + 1);
+                let emitted =
+                    self.emit_cell(job, job_no, i, name, &cells[i], body, ends_run, writer);
+                if let Err(e) = emitted {
                     return ControlFlow::Break(Err(e));
                 }
                 answers.push(answer);
@@ -736,10 +778,12 @@ impl Server {
         writer.flush()
     }
 
-    /// Writes one cell record — a single `write` — and journals its
-    /// emission. A simulated cell's line is its small head with the
-    /// report's JSON spliced in behind it, whoever rendered that JSON:
-    /// this job a moment ago, or the first hit on the cache entry.
+    /// Copies one cell record into the reply buffer, writes the buffer
+    /// out when the record ends a run of ready cells (`ends_run`: the next
+    /// cell is simulated), and journals its emission. A simulated cell's
+    /// record is its small head with the report's JSON copied in behind
+    /// it, whoever rendered that JSON: this job a moment ago, or the first
+    /// hit on the cache entry.
     #[allow(clippy::too_many_arguments)]
     fn emit_cell<W: Write>(
         &self,
@@ -749,13 +793,14 @@ impl Server {
         scenario: &str,
         spec: &CellSpec,
         body: CellBody<'_>,
-        writer: &mut W,
+        ends_run: bool,
+        writer: &mut BufWriter<W>,
     ) -> io::Result<()> {
         let t_emit = self.clock.now_us();
         match body {
-            CellBody::Report(report_json) => writer.write_all(
-                protocol::simulated_cell_line(&job.id, i, scenario, spec, report_json).as_bytes(),
-            )?,
+            CellBody::Report(report_json) => {
+                protocol::write_simulated_cell(writer, &job.id, i, scenario, spec, report_json)?;
+            }
             CellBody::Screened(analytic) => {
                 let cell = MatrixCell {
                     scenario: scenario.to_string(),
@@ -767,10 +812,38 @@ impl Server {
                 protocol::cell_record(&job.id, i, &cell).write_ndjson_line(writer)?;
             }
         }
-        writer.flush()?;
+        if ends_run {
+            writer.flush()?;
+        }
         let t_done = self.clock.now_us();
         let fields = [("seq", i.into())];
         self.record("emitted", job_no, &job.id, fields, t_emit, t_done);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_catalog_scenario_is_stored_with_its_own_fingerprint_prefix() {
+        let server = Server::new(ServeConfig::default());
+        let stored: Vec<&str> = server
+            .catalog
+            .iter()
+            .map(|(s, _)| s.name.as_str())
+            .collect();
+        assert_eq!(stored, catalog::names());
+        for (scenario, prefix) in &server.catalog {
+            let built = catalog::by_name(&scenario.name).expect("a catalog name");
+            assert_eq!(*scenario, built);
+            assert_eq!(
+                *prefix,
+                ScenarioFingerprint::new(&built),
+                "{}",
+                scenario.name
+            );
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! byte-identity with `sara matrix` (for any worker count, cache state,
 //! or arrival order) and "no cell is ever simulated twice" (proved by
 //! the cache-hit accounting), plus admission control and the
-//! transports: one write per record, no delayed-ACK stall over TCP, a
+//! transports: one write per reply plus one per simulated cell (the
+//! reply buffer goes out before each simulation), no delayed-ACK stall
+//! over TCP, a client that leaves mid-job ending only its own session, a
 //! capped request line.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -12,7 +14,7 @@ use std::path::PathBuf;
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{catalog, run_matrix, MatrixSpec, ScreenMode};
-use sara_serve::{ServeConfig, Server, FORMAT_TAG, MAX_REQUEST_LINE};
+use sara_serve::{ServeConfig, Server, FORMAT_TAG, MAX_REQUEST_LINE, REPLY_BUFFER};
 
 /// Runs one in-process session and returns its reply stream.
 fn run_session(server: &Server, input: &str) -> String {
@@ -235,18 +237,28 @@ fn cell_lines(transcript: &str) -> Vec<&str> {
 fn a_hit_replays_the_cold_cell_lines_whether_it_renders_or_copies() {
     // One server, the whole catalog under all six policies: the cold job
     // simulates and renders, the first warm job renders each entry's
-    // stored JSON, the second copies it.
+    // stored JSON, the second copies it. The same scenario sent inline
+    // keys the same cells as its catalog name: a third warm job.
     let server = Server::new(ServeConfig::default());
     for name in catalog::names() {
-        let line = format!(
-            "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"cat\",\
-             \"scenarios\":[\"{name}\"],\"duration_ms\":0.05}}\n"
-        );
+        let submit = |scenario: &str| {
+            format!(
+                "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"cat\",\
+                 \"scenarios\":[{scenario}],\"duration_ms\":0.05}}\n"
+            )
+        };
+        let line = submit(&format!("\"{name}\""));
         let cold = run_session(&server, &line);
         let rendering = run_session(&server, &line);
         let copying = run_session(&server, &line);
+        let document = catalog::by_name(&name).unwrap().to_json_value();
+        let inline = run_session(&server, &submit(&document.to_string_compact()));
         assert_eq!(cell_lines(&cold).len(), 6, "{name}");
-        for (warm, what) in [(&rendering, "first"), (&copying, "second")] {
+        for (warm, what) in [
+            (&rendering, "first"),
+            (&copying, "second"),
+            (&inline, "inline"),
+        ] {
             let summary = of_type(&records(warm), "summary")[0].clone();
             assert_eq!(u64_field(&summary, "cache_hits"), 6, "{name}");
             assert_eq!(
@@ -439,24 +451,46 @@ fn tcp_sessions_stream_the_same_bytes_as_stdio() {
     );
 }
 
+/// A transport that accepts whatever it is handed and counts the calls.
+#[derive(Default)]
+struct Counting {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl Write for Counting {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs one session on `server` over a [`Counting`] transport.
+fn counted_session(server: &Server, input: &str) -> Counting {
+    let mut counted = Counting::default();
+    server
+        .handle_session(input.as_bytes(), &mut counted)
+        .expect("session I/O");
+    counted
+}
+
+/// The 36-cell job every cell of which the analytic screener answers:
+/// `saturation` and `adas-overload` under six policies at three deep
+/// downclocks.
+fn screened_job(id: &str) -> String {
+    format!(
+        "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"{id}\",\
+         \"scenarios\":[\"saturation\",\"adas-overload\"],\
+         \"freqs_mhz\":[266,333,400],\"screen\":\"prune\"}}\n"
+    )
+}
+
 #[test]
-fn every_record_reaches_the_transport_in_one_write() {
-    /// A transport that accepts whatever it is handed and counts the calls.
-    #[derive(Default)]
-    struct Counting {
-        bytes: Vec<u8>,
-        writes: usize,
-    }
-    impl Write for Counting {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+fn a_reply_costs_one_write_plus_one_per_simulated_cell() {
     // Every reply kind with a body: pong, a simulated job, the same job
     // from cache, stats.
     let session = format!(
@@ -467,32 +501,113 @@ fn every_record_reaches_the_transport_in_one_write() {
     );
     let stdio = run_session(&Server::new(ServeConfig::default()), &session);
 
-    let mut counted = Counting::default();
-    Server::new(ServeConfig::default())
-        .handle_session(session.as_bytes(), &mut counted)
-        .expect("session I/O");
+    let server = Server::new(ServeConfig::default());
+    let counted = counted_session(&server, &session);
     let transcript = String::from_utf8(counted.bytes).expect("utf-8 replies");
     assert_eq!(mask_elapsed(&transcript), mask_elapsed(&stdio));
     // pong + 2 × (accepted, 2 cells, summary) + stats.
     assert_eq!(transcript.lines().count(), 10);
-    assert_eq!(
-        counted.writes, 10,
-        "a record must cost the transport one write, not one per token"
+    // pong | accepted | cold cell 0 | cold cell 1 + summary | the warm
+    // job | stats: the buffer goes out before each simulation and at the
+    // end of each reply, never once per record or per token.
+    assert_eq!(counted.writes, 6);
+
+    // 38 records, all ready at once: one write while the reply fits the
+    // buffer.
+    let screened = counted_session(&server, &screened_job("s"));
+    assert_eq!(String::from_utf8_lossy(&screened.bytes).lines().count(), 38);
+    assert!(
+        screened.bytes.len() < REPLY_BUFFER,
+        "{}",
+        screened.bytes.len()
     );
+    assert_eq!(screened.writes, 1);
+
+    // A hit, then a miss: the hit leaves with `accepted` before the
+    // session waits for the miss, which leaves with the summary.
+    let hit_then_miss = "{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"hm\",\
+                         \"scenarios\":[\"camcorder-b\"],\"policies\":[\"QoS\",\"QoS-RB\"],\
+                         \"duration_ms\":0.05}\n";
+    let counted = counted_session(&server, hit_then_miss);
+    let summary = of_type(
+        &records(&String::from_utf8_lossy(&counted.bytes)),
+        "summary",
+    )[0]
+    .clone();
+    assert_eq!(
+        (
+            u64_field(&summary, "cache_hits"),
+            u64_field(&summary, "cache_misses")
+        ),
+        (1, 1)
+    );
+    assert_eq!(counted.writes, 2);
+}
+
+#[test]
+fn a_client_that_leaves_mid_job_ends_only_its_own_session() {
+    // Six simulated cells: the client closes its socket as soon as
+    // `accepted` arrives, so the reply's later writes meet a closed
+    // connection. The server drops that session and its job, and the
+    // listener goes on to serve the next client exactly as a fresh server
+    // would.
+    let leaving = "{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"gone\",\
+                   \"scenarios\":[\"camcorder-b\"],\"duration_ms\":0.1}\n";
+    let after = format!(
+        "{}{{\"format\":\"{FORMAT_TAG}\",\"type\":\"shutdown\"}}\n",
+        submit("after", "")
+    );
+    let fresh = run_session(&Server::new(ServeConfig::default()), &after);
+
+    let server = Server::new(ServeConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let transcript = std::thread::scope(|scope| {
+        let service = scope.spawn(|| server.serve_listener(&listener, Some(2)));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(leaving.as_bytes()).expect("send");
+        let mut accepted = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut accepted)
+            .expect("read accepted");
+        assert!(accepted.contains("\"type\":\"accepted\""), "{accepted}");
+        drop(stream);
+
+        let mut stream = TcpStream::connect(addr).expect("connect again");
+        stream.write_all(after.as_bytes()).expect("send");
+        let mut transcript = String::new();
+        BufReader::new(&stream)
+            .read_to_string(&mut transcript)
+            .expect("read replies");
+        service
+            .join()
+            .expect("service thread")
+            .expect("accept loop");
+        transcript
+    });
+    assert_eq!(mask_elapsed(&transcript), mask_elapsed(&fresh));
+    // The abandoned job ended at a failed write and published nothing;
+    // the second session's two cells are all the cache holds.
+    assert_eq!(server.cache_len(), 2);
 }
 
 #[test]
 fn small_records_do_not_wait_out_delayed_acks_over_tcp() {
-    // 36 analytically screened cells: 38 small records per job, written
-    // back to back. The client is a plain `TcpStream` — no TCP_NODELAY,
-    // no TCP_QUICKACK — so it delays its ACKs; a server that leaves
-    // Nagle on then sits on the second record of every job until the
-    // client's 40 ms ACK timer fires.
-    let job = format!(
-        "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"s\",\
-         \"scenarios\":[\"saturation\",\"adas-overload\"],\
-         \"freqs_mhz\":[266,333,400],\"screen\":\"prune\"}}\n"
-    );
+    // Every job is a screened cell, then a cell simulated afresh (each job
+    // asks for a new duration), so its reply leaves in two writes:
+    // `accepted` with the screened cell, then, a simulation later, the
+    // simulated cell with the summary. The client is a plain `TcpStream` —
+    // no TCP_NODELAY, no TCP_QUICKACK — so it delays its ACKs; a server
+    // that leaves Nagle on then holds the second write of every job until
+    // the client's 40 ms ACK timer fires.
+    let job = |i: u32| {
+        format!(
+            "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"s\",\
+             \"scenarios\":[\"saturation\"],\"policies\":[\"FCFS\"],\
+             \"freqs_mhz\":[400,1866],\"duration_ms\":{},\"screen\":\"prune\"}}\n",
+            0.02 + f64::from(i) / 1000.0
+        )
+    };
     let server = Server::new(ServeConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -502,10 +617,10 @@ fn small_records_do_not_wait_out_delayed_acks_over_tcp() {
         let mut replies = BufReader::new(stream.try_clone().expect("clone"));
         let mut line = String::new();
         let job_ms = (0..20)
-            .map(|_| {
+            .map(|i| {
                 let sent = std::time::Instant::now();
-                stream.write_all(job.as_bytes()).expect("send");
-                let mut cells = 0;
+                stream.write_all(job(i).as_bytes()).expect("send");
+                let (mut screened, mut simulated) = (0, 0);
                 loop {
                     line.clear();
                     assert!(replies.read_line(&mut line).expect("read") > 0, "EOF");
@@ -513,9 +628,10 @@ fn small_records_do_not_wait_out_delayed_acks_over_tcp() {
                         break;
                     }
                     assert!(!line.contains("\"type\":\"error\""), "{line}");
-                    cells += usize::from(line.contains("\"screened\":"));
+                    screened += usize::from(line.contains("\"screened\":"));
+                    simulated += usize::from(line.contains("\"report\":"));
                 }
-                assert_eq!(cells, 36, "every cell of the job is screened");
+                assert_eq!((screened, simulated), (1, 1), "job {i}");
                 sent.elapsed().as_secs_f64() * 1e3
             })
             .collect();
@@ -532,7 +648,7 @@ fn small_records_do_not_wait_out_delayed_acks_over_tcp() {
     let median = job_ms[job_ms.len() / 2];
     assert!(
         median < 20.0,
-        "median screened job took {median:.1} ms (all: {job_ms:.1?}); a delayed-ACK stall is >= 40 ms"
+        "median two-write job took {median:.1} ms (all: {job_ms:.1?}); a delayed-ACK stall is >= 40 ms"
     );
 }
 

@@ -10,7 +10,9 @@ use std::collections::BTreeSet;
 
 use json::Value;
 use sara_serve::protocol::{record_keys, METRICS_REPLY, STATS_REPLY};
-use sara_serve::{ServeConfig, Server, EVENTS, FORMAT_TAG, MAX_REQUEST_LINE, STAGE_HISTOGRAMS};
+use sara_serve::{
+    ServeConfig, Server, EVENTS, FORMAT_TAG, MAX_REQUEST_LINE, REPLY_BUFFER, STAGE_HISTOGRAMS,
+};
 
 /// One `### \`type\`` section of the spec.
 #[derive(Debug, Default)]
@@ -178,6 +180,16 @@ fn spec_states_the_request_line_cap_the_server_enforces() {
     assert!(
         text.contains(&sentence),
         "docs/serve-protocol.md must state the cap as: {sentence}"
+    );
+}
+
+#[test]
+fn spec_states_the_reply_buffer_the_server_writes_through() {
+    let text = spec_text();
+    let sentence = format!("through a buffer of **{REPLY_BUFFER} bytes**");
+    assert!(
+        text.contains(&sentence),
+        "docs/serve-protocol.md must state the buffer as: {sentence}"
     );
 }
 
