@@ -120,7 +120,7 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     progress.line(summary.summary_table());
 
     if let Some(sink) = &json_sink {
-        sink.write(&emit_value(&summary.to_json_value(), pretty))?;
+        sink.write_with(|w| summary.write_json(w, pretty))?;
         if !sink.is_stdout() {
             progress.line(format!("wrote {}", sink.describe()));
         }

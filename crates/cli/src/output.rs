@@ -3,6 +3,7 @@
 //! human-readable progress text moves to stderr so machine output stays
 //! parseable in a pipe.
 
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 use json::Value;
@@ -35,24 +36,44 @@ impl Sink {
 
     /// Writes `text` to the sink.
     ///
+    /// # Errors
+    ///
+    /// As [`Sink::write_with`].
+    pub(crate) fn write(&self, text: &str) -> Result<(), CliError> {
+        self.write_with(|w| w.write_all(text.as_bytes()))
+    }
+
+    /// Hands `emit` one `BufWriter` over the sink — the created file, or
+    /// a locked stdout (a bare `Stdout` is line-buffered: one write per
+    /// pretty line) — and flushes it, so a streamed document leaves in
+    /// buffer-sized writes.
+    ///
     /// A closed stdout pipe (the reader took what it wanted — `sara
     /// matrix --json - | head`) is success, not a panic or an error.
     ///
     /// # Errors
     ///
     /// Runtime failure naming the file on any I/O error.
-    pub(crate) fn write(&self, text: &str) -> Result<(), CliError> {
+    pub(crate) fn write_with(
+        &self,
+        emit: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+    ) -> Result<(), CliError> {
+        fn through<W: Write>(
+            sink: W,
+            emit: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+        ) -> std::io::Result<()> {
+            let mut out = BufWriter::new(sink);
+            emit(&mut out)?;
+            out.flush()
+        }
         match self {
-            Sink::Stdout => {
-                use std::io::Write;
-                let mut out = std::io::stdout();
-                match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-                    Ok(()) => Ok(()),
-                    Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
-                    Err(e) => Err(CliError::Failure(format!("stdout: {e}"))),
-                }
-            }
-            Sink::File(path) => std::fs::write(path, text)
+            Sink::Stdout => match through(std::io::stdout().lock(), emit) {
+                Ok(()) => Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+                Err(e) => Err(CliError::Failure(format!("stdout: {e}"))),
+            },
+            Sink::File(path) => std::fs::File::create(path)
+                .and_then(|file| through(file, emit))
                 .map_err(|e| CliError::Failure(format!("{}: {e}", path.display()))),
         }
     }
@@ -105,7 +126,6 @@ pub(crate) fn reject_double_stdout(
 /// human-output paths route through this (or [`Progress::line`]) instead
 /// of `println!`, whose default panic hook aborts on EPIPE.
 pub(crate) fn page(text: impl AsRef<str>) {
-    use std::io::Write;
     let _ = writeln!(std::io::stdout(), "{}", text.as_ref());
 }
 
@@ -127,7 +147,6 @@ impl Progress {
     /// Prints one progress line on the chosen stream. A closed pipe drops
     /// the line instead of panicking mid-run.
     pub(crate) fn line(&self, text: impl AsRef<str>) {
-        use std::io::Write;
         let _ = if self.to_stderr {
             writeln!(std::io::stderr(), "{}", text.as_ref())
         } else {

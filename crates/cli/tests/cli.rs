@@ -740,6 +740,64 @@ fn scale_bandwidth(doc: &Value, factor: f64) -> Value {
 }
 
 #[test]
+fn a_matrix_dump_to_a_full_device_fails_naming_it() {
+    // `/dev/full` opens, then refuses every write: the streamed document
+    // meets the error mid-way, and the run ends as a runtime failure.
+    let out = sara(&[
+        "matrix",
+        "--scenarios",
+        "camcorder-b",
+        "--policies",
+        "FCFS,QoS",
+        "--duration-ms",
+        "0.05",
+        "--json",
+        "/dev/full",
+    ]);
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("/dev/full: "), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_matrix_dump_whose_reader_leaves_early_exits_cleanly() {
+    // `sara matrix --json - --pretty | head -c 4096`: twelve pretty cells
+    // are far more than a pipe holds, so the writer is still going when
+    // the reader closes its end.
+    use std::io::Read;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sara"))
+        .args([
+            "matrix",
+            "--scenarios",
+            "camcorder-b",
+            "--freqs",
+            "1333,1866",
+            "--duration-ms",
+            "0.05",
+            "--json",
+            "-",
+            "--pretty",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sara");
+    let mut head = [0u8; 4096];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("the document's first 4 KiB");
+    assert!(head.starts_with(b"{\n  \"cells\": [\n"));
+    let out = child.wait_with_output().expect("sara exits");
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}
+
+#[test]
 fn report_summarizes_and_diffs_matrix_dumps() {
     let dir = scratch("report-matrix");
     let old = dir.join("old.json");

@@ -41,7 +41,7 @@ impl Value {
     /// summaries use, byte-identical for equal values.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_node::<false>(&mut out, 0);
         out
     }
 
@@ -52,7 +52,7 @@ impl Value {
     /// Empty arrays and objects stay inline (`[]`, `{}`).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write_node::<true>(&mut out, 0);
         out
     }
 
@@ -83,85 +83,203 @@ impl Value {
                 let _ = write!(out, "{i}");
             }
             Value::Float(f) => out.push_str(&float_token(*f)),
-            Value::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
+            Value::Str(s) => push_string(out, s),
             Value::Array(_) | Value::Object(_) => unreachable!("containers handled by callers"),
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the node as it reads `depth` containers deep in a
+    /// document — the one emitter behind both forms and [`Stream`]. The
+    /// form is a constant so the compact one carries no layout branches.
+    fn write_node<const PRETTY: bool>(&self, out: &mut String, depth: usize) {
         match self {
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
+                    push_separator(out, PRETTY, i == 0, depth + 1);
+                    item.write_node::<PRETTY>(out, depth + 1);
                 }
-                out.push(']');
+                push_close(out, PRETTY, !items.is_empty(), depth, ']');
             }
             Value::Object(members) => {
                 out.push('{');
                 for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_into(out, key);
-                    out.push_str("\":");
-                    value.write_compact(out);
+                    push_separator(out, PRETTY, i == 0, depth + 1);
+                    push_key(out, PRETTY, key);
+                    value.write_node::<PRETTY>(out, depth + 1);
                 }
-                out.push('}');
+                push_close(out, PRETTY, !members.is_empty(), depth, '}');
             }
-            scalar => scalar.write_scalar(out),
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            Value::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Value::Object(members) if !members.is_empty() => {
-                out.push_str("{\n");
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    out.push('"');
-                    escape_into(out, key);
-                    out.push_str("\": ");
-                    value.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-            Value::Array(_) => out.push_str("[]"),
-            Value::Object(_) => out.push_str("{}"),
             scalar => scalar.write_scalar(out),
         }
     }
 }
 
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
+// The layout rules, in one place: what goes before a container's child,
+// between a key and its value, and before the closing bracket. An empty
+// container has no child and no line break, so it stays inline.
+
+#[inline]
+fn push_separator(out: &mut String, pretty: bool, first: bool, depth: usize) {
+    if !first {
+        out.push(',');
+    }
+    if pretty {
+        push_line(out, depth);
+    }
+}
+
+#[inline]
+fn push_key(out: &mut String, pretty: bool, key: &str) {
+    push_string(out, key);
+    out.push_str(if pretty { ": " } else { ":" });
+}
+
+#[inline]
+fn push_close(out: &mut String, pretty: bool, any_child: bool, depth: usize, bracket: char) {
+    if pretty && any_child {
+        push_line(out, depth);
+    }
+    out.push(bracket);
+}
+
+/// A line break plus two spaces per level of `depth`.
+#[inline]
+fn push_line(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
         out.push_str("  ");
+    }
+}
+
+#[inline]
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// A document written one node at a time, so a caller with a long array
+/// holds one element in memory instead of the whole tree.
+///
+/// The caller opens and closes containers and hands over complete child
+/// nodes; the stream writes every separator, indent and bracket by the
+/// same rules as [`Value::to_string_compact`] / [`Value::to_string_pretty`],
+/// so the bytes equal those of the assembled [`Value`] (plus the trailing
+/// newline [`Stream::finish`] writes). Each node reaches the writer in
+/// one `write_all`, with the brackets and separators before it, so wrap
+/// an unbuffered sink in a `BufWriter`. An I/O error surfaces at the
+/// call that met it, leaving a partial document behind.
+///
+/// ```
+/// use json::{Stream, Value};
+///
+/// let mut out = Vec::new();
+/// let mut doc = Stream::new(&mut out, true);
+/// doc.open_object(None);
+/// doc.open_array(Some("cells"));
+/// for i in 0..2u64 {
+///     doc.node(None, &Value::UInt(i))?;
+/// }
+/// doc.close();
+/// doc.close();
+/// doc.finish()?;
+/// assert_eq!(out, b"{\n  \"cells\": [\n    0,\n    1\n  ]\n}\n");
+/// # Ok::<(), std::io::Error>(())
+/// ```
+#[derive(Debug)]
+pub struct Stream<'w, W: std::io::Write + ?Sized> {
+    w: &'w mut W,
+    pretty: bool,
+    /// One entry per open container: its closing bracket and whether it
+    /// has a child yet.
+    open: Vec<(char, bool)>,
+    buf: String,
+}
+
+impl<'w, W: std::io::Write + ?Sized> Stream<'w, W> {
+    /// Starts a document on `w`, compact or pretty.
+    pub fn new(w: &'w mut W, pretty: bool) -> Self {
+        Stream {
+            w,
+            pretty,
+            open: Vec::new(),
+            buf: String::new(),
+        }
+    }
+
+    /// Starts the next child of the innermost open container: its
+    /// separator, then `key` when the container is an object.
+    fn child(&mut self, key: Option<&str>) {
+        let in_object = matches!(self.open.last(), Some(('}', _)));
+        debug_assert_eq!(key.is_some(), in_object, "keys name object members");
+        if let Some((_, any_child)) = self.open.last_mut() {
+            let first = !*any_child;
+            *any_child = true;
+            push_separator(&mut self.buf, self.pretty, first, self.open.len());
+        }
+        if let Some(key) = key {
+            push_key(&mut self.buf, self.pretty, key);
+        }
+    }
+
+    /// Opens an object as the next child (`key` names it inside an object).
+    pub fn open_object(&mut self, key: Option<&str>) {
+        self.child(key);
+        self.buf.push('{');
+        self.open.push(('}', false));
+    }
+
+    /// Opens an array as the next child (`key` names it inside an object).
+    pub fn open_array(&mut self, key: Option<&str>) {
+        self.child(key);
+        self.buf.push('[');
+        self.open.push((']', false));
+    }
+
+    /// Writes `value` whole as the next child (`key` names it inside an
+    /// object); the caller may drop it as soon as this returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the writer.
+    pub fn node(&mut self, key: Option<&str>, value: &Value) -> std::io::Result<()> {
+        self.child(key);
+        let depth = self.open.len();
+        if self.pretty {
+            value.write_node::<true>(&mut self.buf, depth);
+        } else {
+            value.write_node::<false>(&mut self.buf, depth);
+        }
+        self.w.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no container is open.
+    pub fn close(&mut self) {
+        let (bracket, any_child) = self.open.pop().expect("close without an open container");
+        let depth = self.open.len();
+        push_close(&mut self.buf, self.pretty, any_child, depth, bracket);
+    }
+
+    /// Writes what is left plus the trailing newline a file ends with.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a container is still open.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        assert!(self.open.is_empty(), "finish with an open container");
+        self.buf.push('\n');
+        self.w.write_all(self.buf.as_bytes())
     }
 }
 
@@ -253,6 +371,97 @@ mod tests {
         }
         let doc = sample();
         assert!(doc.write_ndjson_line(&mut Broken).is_err());
+    }
+
+    /// Streams `value` with the containers of its top `levels` levels
+    /// opened and closed through the stream and every deeper node handed
+    /// over whole.
+    fn stream_into(
+        s: &mut Stream<'_, Vec<u8>>,
+        key: Option<&str>,
+        value: &Value,
+        levels: usize,
+    ) -> std::io::Result<()> {
+        match value {
+            Value::Array(items) if levels > 0 => {
+                s.open_array(key);
+                for item in items {
+                    stream_into(s, None, item, levels - 1)?;
+                }
+                s.close();
+            }
+            Value::Object(members) if levels > 0 => {
+                s.open_object(key);
+                for (k, v) in members {
+                    stream_into(s, Some(k), v, levels - 1)?;
+                }
+                s.close();
+            }
+            _ => s.node(key, value)?,
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_stream_writes_the_bytes_of_the_assembled_value() {
+        for text in [
+            r#"{"name":"a\"b","n":[1,-2,2.5,1e21],"ok":true,"none":null,"empty":{},"e2":[]}"#,
+            r#"[{"k":[{"deep":[[],{}]}]},[],{},"x",0]"#,
+            r#"{"cells":[],"rankings":[]}"#,
+            "[]",
+            "{}",
+        ] {
+            let doc = parse(text).expect("valid sample");
+            for pretty in [false, true] {
+                let want = if pretty {
+                    doc.to_string_pretty()
+                } else {
+                    doc.to_string_compact()
+                };
+                for levels in [1, 2, usize::MAX] {
+                    let mut out = Vec::new();
+                    let mut s = Stream::new(&mut out, pretty);
+                    stream_into(&mut s, None, &doc, levels).unwrap();
+                    s.finish().unwrap();
+                    assert_eq!(
+                        String::from_utf8(out).unwrap(),
+                        format!("{want}\n"),
+                        "{text} pretty={pretty} levels={levels}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_surfaces_writer_errors() {
+        /// Fails every write once `budget` bytes have gone through.
+        struct Full(usize);
+        impl std::io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if buf.len() > self.0 {
+                    return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "full"));
+                }
+                self.0 -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // Mid-document: the second node meets the error.
+        let mut full = Full(2);
+        let mut s = Stream::new(&mut full, false);
+        s.open_array(None);
+        s.node(None, &Value::UInt(1)).unwrap();
+        assert!(s.node(None, &Value::UInt(2)).is_err());
+        // At the end: the closing bracket and newline meet it in `finish`.
+        let mut full = Full(2);
+        let mut s = Stream::new(&mut full, false);
+        s.open_array(None);
+        s.node(None, &Value::UInt(1)).unwrap();
+        s.close();
+        assert!(s.finish().is_err());
     }
 
     #[test]

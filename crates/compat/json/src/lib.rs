@@ -4,7 +4,8 @@
 //! so — like the in-tree `rand` — the JSON layer lives
 //! here: a small document model ([`Value`]), a strict recursive-descent
 //! parser ([`parse`]), deterministic emitters
-//! ([`Value::to_string_compact`], [`Value::to_string_pretty`]) and the one
+//! ([`Value::to_string_compact`], [`Value::to_string_pretty`], and
+//! [`Stream`] for a document too long to hold as one tree) and the one
 //! strict object reader every schema layer uses ([`read::Fields`]).
 //!
 //! Design points, in the order they matter to this workspace:
@@ -47,6 +48,7 @@ mod emit;
 mod parse;
 pub mod read;
 
+pub use emit::Stream;
 pub use parse::{parse, ParseError};
 
 /// A parsed or constructed JSON document node.

@@ -225,13 +225,13 @@ impl<'a> Fields<'a> {
         self.read(key, boolean)
     }
 
-    /// An [`array`].
+    /// An [`array()`].
     #[inline]
     pub fn array(&self, key: &str) -> Result<&'a [Value], String> {
         self.read(key, array)
     }
 
-    /// An [`array`] whose every element is read through `rule`; an
+    /// An [`array()`] whose every element is read through `rule`; an
     /// element's complaint names it `"<key>[<i>]"`.
     pub fn list<T>(
         &self,

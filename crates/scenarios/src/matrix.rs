@@ -224,7 +224,7 @@ impl MatrixCell {
 /// covers.
 ///
 /// Wall-clock readings vary run to run, so profiles are deliberately kept
-/// out of [`MatrixSummary::to_json_value`] (whose bytes are pinned across
+/// out of [`MatrixSummary::write_json`] (whose bytes are pinned across
 /// thread counts); they surface through
 /// [`MatrixSummary::chrome_trace_value`] and direct field access.
 #[derive(Debug, Clone, Copy, Default)]
@@ -271,6 +271,16 @@ pub struct ScenarioRanking {
     /// Ordering: all targets met beats not; fewer failed cores beats more;
     /// then higher delivered bandwidth; submission order breaks exact ties.
     pub ranked: Vec<usize>,
+}
+
+impl ScenarioRanking {
+    /// The ranking as one `rankings[i]` object of a matrix dump.
+    fn to_json_value(&self) -> Value {
+        Value::Object(vec![
+            ("scenario".to_string(), self.scenario.as_str().into()),
+            ("ranked".to_string(), self.ranked.clone().into()),
+        ])
+    }
 }
 
 impl MatrixSummary {
@@ -325,41 +335,60 @@ impl MatrixSummary {
         out
     }
 
-    /// The whole summary (cells + rankings) as one JSON document node.
+    /// Writes the summary document — `cells` then `rankings`, compact or
+    /// pretty, plus a trailing newline — to `w` one cell at a time: each
+    /// cell's [`MatrixCell::to_json_value`] is built, written and dropped
+    /// before the next, so the emit holds one cell's tree, never the
+    /// grid's. The bytes equal those of the assembled document through
+    /// `Value::to_string_compact` / `to_string_pretty`.
     ///
     /// Deterministic for a given matrix regardless of worker-thread count.
-    pub fn to_json_value(&self) -> Value {
-        let cells = Value::Array(self.cells.iter().map(MatrixCell::to_json_value).collect());
-        let rankings = Value::Array(
-            self.rankings
-                .iter()
-                .map(|r| {
-                    Value::Object(vec![
-                        ("scenario".to_string(), r.scenario.as_str().into()),
-                        ("ranked".to_string(), r.ranked.clone().into()),
-                    ])
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("cells".to_string(), cells),
-            ("rankings".to_string(), rankings),
-        ])
-    }
-
-    /// Serializes [`MatrixSummary::to_json_value`] compactly.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string_compact()
-    }
-
-    /// Writes [`MatrixSummary::to_json`] (plus a trailing newline) to a
-    /// writer.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the writer.
+    /// Returns any I/O error from the writer; the cells written before it
+    /// stay written, so a failed write leaves a partial document.
+    pub fn write_json<W: std::io::Write + ?Sized>(
+        &self,
+        w: &mut W,
+        pretty: bool,
+    ) -> std::io::Result<()> {
+        let mut doc = json::Stream::new(w, pretty);
+        doc.open_object(None);
+        doc.open_array(Some("cells"));
+        for cell in &self.cells {
+            doc.node(None, &cell.to_json_value())?;
+        }
+        doc.close();
+        doc.open_array(Some("rankings"));
+        for ranking in &self.rankings {
+            doc.node(None, &ranking.to_json_value())?;
+        }
+        doc.close();
+        doc.close();
+        doc.finish()
+    }
+
+    /// The compact summary document, without the trailing newline
+    /// [`MatrixSummary::write_json`] ends a file with.
+    pub fn to_json(&self) -> String {
+        let mut bytes = Vec::new();
+        self.to_json_writer(&mut bytes)
+            .expect("writing to a Vec cannot fail");
+        bytes.pop();
+        String::from_utf8(bytes).expect("the emitter writes UTF-8")
+    }
+
+    /// Streams the compact summary document plus a trailing newline to a
+    /// writer ([`MatrixSummary::write_json`] with `pretty` off) — the
+    /// bytes of `sara matrix --json` and of a `sara serve` `json_out`
+    /// artifact.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the writer, after a partial document.
     pub fn to_json_writer<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        writeln!(w, "{}", self.to_json())
+        self.write_json(w, false)
     }
 
     /// The harness profile as a Chrome trace-event document
@@ -368,7 +397,7 @@ impl MatrixSummary {
     /// and the cell's headline results attached as span args.
     ///
     /// Timestamps are wall-clock microseconds since the matrix was
-    /// submitted, so — unlike [`MatrixSummary::to_json_value`] — the
+    /// submitted, so — unlike [`MatrixSummary::write_json`] — the
     /// document is *not* byte-stable across runs.
     pub fn chrome_trace_value(&self) -> Value {
         let mut trace = ChromeTrace::new();
@@ -1285,6 +1314,56 @@ mod tests {
         let csv = pruned.to_csv();
         assert!(csv.lines().next().unwrap().ends_with(",screened,rank"));
         assert!(csv.contains(",infeasible,"), "{csv}");
+    }
+
+    #[test]
+    fn the_streamed_document_is_the_assembled_value_byte_for_byte() {
+        // Simulated and screened cells (saturation is provably infeasible
+        // at 400 MHz), two rankings, and the empty summary whose arrays
+        // stay inline.
+        let scenarios = vec![
+            catalog::by_name("saturation").unwrap(),
+            catalog::by_name("camcorder-b").unwrap(),
+        ];
+        let spec = MatrixSpec {
+            policies: vec![PolicyKind::Fcfs, PolicyKind::Priority],
+            freqs_mhz: vec![400, 1866],
+            channels: vec![2],
+            duration_ms: Some(0.05),
+            threads: 2,
+            screen: ScreenMode::Prune,
+        };
+        let mixed = run_matrix(&scenarios, &spec).unwrap();
+        assert!(mixed.cells.iter().any(|c| c.screened().is_some()));
+        assert!(mixed.cells.iter().any(|c| c.report().is_some()));
+        let empty = summarize_cells(&[], &[], vec![], vec![]);
+        for summary in [&mixed, &empty] {
+            let cells = summary.cells.iter().map(MatrixCell::to_json_value);
+            let rankings = summary.rankings.iter().map(ScenarioRanking::to_json_value);
+            let assembled = Value::Object(vec![
+                ("cells".to_string(), Value::Array(cells.collect())),
+                ("rankings".to_string(), Value::Array(rankings.collect())),
+            ]);
+            for pretty in [false, true] {
+                let mut bytes = Vec::new();
+                summary.write_json(&mut bytes, pretty).unwrap();
+                let text = String::from_utf8(bytes).unwrap();
+                let body = text.strip_suffix('\n').expect("a trailing newline");
+                let parsed = json::parse(body).unwrap();
+                let reemitted = if pretty {
+                    parsed.to_string_pretty()
+                } else {
+                    parsed.to_string_compact()
+                };
+                assert_eq!(body, reemitted, "pretty={pretty}");
+                // An integral float emits as an integer and reads back as
+                // one, so the assembled value is compared as read back too.
+                let assembled_read = json::parse(&assembled.to_string_compact()).unwrap();
+                assert_eq!(parsed, assembled_read, "pretty={pretty}");
+            }
+            assert_eq!(summary.to_json(), assembled.to_string_compact());
+        }
+        assert_eq!(empty.to_json(), r#"{"cells":[],"rankings":[]}"#);
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //! and nothing else; the JSON is rendered by whoever first asks for it
 //! ([`CachedReport::json`], outside the lock) and every later hit copies
 //! those bytes. An entry that is never hit never carries a rendering: a
-//! report is a few hundred bytes, its JSON about 8 KB, and most entries of
-//! a long-running server are inserted once and not asked for again.
+//! catalog report of 0.01–0.2 simulated ms holds 11.8–24.9 KB of heap
+//! (77–84 % of it telemetry histograms) and its compact JSON is
+//! 6.1–13.4 KB, so rendering on insert would add about half again to an
+//! entry, and most entries of a long-running server are inserted once
+//! and not asked for again.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};

@@ -748,8 +748,11 @@ impl Server {
                     .collect();
                 let profile = vec![CellProfile::default(); cells.len()];
                 let summary = summarize_cells(&scenarios, &cells, outcomes, profile);
-                let write =
-                    std::fs::File::create(path).and_then(|mut f| summary.to_json_writer(&mut f));
+                let write = std::fs::File::create(path).and_then(|file| {
+                    let mut out = BufWriter::new(file);
+                    summary.to_json_writer(&mut out)?;
+                    out.flush()
+                });
                 if let Err(e) = write {
                     return self.refuse(
                         "jobs_failed",

@@ -336,6 +336,51 @@ fn an_all_hit_job_writes_the_artifact_of_the_all_miss_job_before_it() {
 }
 
 #[test]
+fn an_artifact_that_cannot_be_written_fails_its_job_and_the_session_goes_on() {
+    // `/dev/full` opens, then refuses every write. The simulated job's
+    // artifact meets that mid-document; the screened one-cell job's is
+    // smaller than the artifact writer's buffer, so it meets it only in
+    // the final flush.
+    let screened = |json_out: &str| {
+        format!(
+            "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"screened\",\
+             \"scenarios\":[\"saturation\"],\"policies\":[\"FCFS\"],\"freqs_mhz\":[400],\
+             \"screen\":\"prune\",\"json_out\":\"{json_out}\"}}\n"
+        )
+    };
+    let dir = scratch("artifact-on-a-full-device");
+    let small = dir.join("screened.json");
+    let server = Server::new(ServeConfig::default());
+    run_session(&server, &screened(&small.display().to_string()));
+    let small_len = std::fs::metadata(&small).expect("artifact written").len();
+    assert!(small_len < 8 << 10, "{small_len} bytes fill the buffer");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let transcript = run_session(
+        &server,
+        &format!(
+            "{}{}{{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}\n",
+            submit("simulated", ",\"json_out\":\"/dev/full\""),
+            screened("/dev/full"),
+        ),
+    );
+    let replies = records(&transcript);
+    let errors = of_type(&replies, "error");
+    assert_eq!(errors.len(), 2, "{transcript}");
+    for (error, id) in errors.iter().zip(["simulated", "screened"]) {
+        assert_eq!(error.get("id").and_then(Value::as_str), Some(id));
+        let message = error.get("error").and_then(Value::as_str).unwrap();
+        assert!(
+            message.starts_with("failed to write artifact /dev/full: "),
+            "{message}"
+        );
+    }
+    assert!(of_type(&replies, "summary").is_empty(), "{transcript}");
+    assert_eq!(of_type(&replies, "pong").len(), 1, "session survived");
+    assert_eq!(u64_field(&server.counters(), "jobs_failed"), 2);
+}
+
+#[test]
 fn duplicate_cells_within_one_job_simulate_once() {
     // The same frequency twice expands to two fingerprint-identical
     // cells; the second must come from the first, not the pool.
