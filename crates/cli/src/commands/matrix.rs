@@ -2,7 +2,7 @@
 
 use sara_scenarios::{run_matrix, MatrixSpec, ScreenMode};
 
-use crate::args::{channels, flag_word, mhz, policies, positive, Args, CliError};
+use crate::args::{channels, count, flag_word, mhz, policies, positive, Args, CliError};
 use crate::commands::{load_scenarios, scenario_row, take_scenario_names};
 use crate::output::{emit_value, page, reject_double_stdout, Progress, Sink};
 
@@ -71,7 +71,7 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let freqs_mhz = args.take_list("--freqs", mhz)?.unwrap_or_default();
     let channels = args.take_list("--channels", channels)?.unwrap_or_default();
     let duration_ms = args.take_one("--duration-ms", positive)?;
-    let jobs = args.take_parsed::<usize>("--jobs")?;
+    let jobs = args.take_one("--jobs", count)?;
     let screen = args
         .take_one("--screen", |name, raw| {
             flag_word(name, ScreenMode::parse(raw))

@@ -14,12 +14,11 @@ use std::path::{Path, PathBuf};
 use sara_dram::DramConfig;
 use sara_memctrl::{McConfig, PolicyKind, NUM_QUEUES};
 use sara_scenarios::{
-    catalog, expand_cells, run_matrix, run_ordered, summarize_cells, CellOutcome, CellProfile,
-    MatrixSpec, Scenario,
+    catalog, expand_cells, run_ordered, summarize_cells, CellOutcome, CellProfile, MatrixSpec,
 };
 use sara_sim::experiment::{DvfsPoint, FreqPoint};
 use sara_sim::{CoreReport, SimReport, Simulation, SystemConfig};
-use sara_types::{Clock, ConfigError, CoreClass, CoreKind, Priority, PriorityBits};
+use sara_types::{Clock, ConfigError, CoreClass, CoreKind, MegaHertz, Priority, PriorityBits};
 use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
@@ -69,38 +68,33 @@ const FIG5_POLICIES: [PolicyKind; 4] = [Fcfs, RoundRobin, FrameQos, Qos];
 /// The policies of Fig. 8, in the paper's bar order (bottom to top).
 const FIG8_POLICIES: [PolicyKind; 5] = [RoundRobin, Fcfs, Qos, QosRb, FrFcfs];
 
-/// The simulated cells a target reads. Targets named together share one
-/// batch per camcorder case and one for the frequency sweep.
-enum Cells {
-    /// Nothing is simulated (the tables print live configuration).
-    None,
-    /// One camcorder case at its Table 1 frequency, one cell per policy.
-    Policies(TestCase, &'static [PolicyKind]),
-    /// Case A under Policy 1 at each of [`FIG7_FREQS`].
-    Fig7Sweep,
-    /// Case A with one controller knob varied: per cell, the leading
-    /// column(s) of its table row and its configuration.
-    Knob(fn() -> Vec<(String, SystemConfig)>),
-}
+/// The systems a target simulates: per cell, its row label (the leading
+/// column(s) of an ablation table, empty elsewhere) and its configuration.
+/// Equal systems named by the selected targets simulate once.
+type Cells = fn() -> Vec<(String, SystemConfig)>;
 
-impl Cells {
-    /// Whether these are cells of `case` at its own frequency, `policy`'s
-    /// among them.
-    fn reads(&self, case: TestCase, policy: PolicyKind) -> bool {
-        matches!(self, Cells::Policies(c, policies) if *c == case && policies.contains(&policy))
-    }
-}
+/// A target's labelled cells with their reports, in its `cells` order.
+type Reports = [(String, SimReport)];
 
 /// A claim's text, with the measured values, and whether it holds.
-type Claim = (String, bool);
+struct Claim {
+    text: String,
+    holds: bool,
+}
+
+impl Claim {
+    fn new(text: String, holds: bool) -> Self {
+        Claim { text, holds }
+    }
+}
 
 /// The two verdicts a [`core_claim`] can assert.
 const MISSES: bool = true;
 const MEETS: bool = false;
 
-/// Renders the body under a target's heading from its reports (in `cells`
-/// order) and, given `--out DIR`, writes the plot inputs and names them.
-type Render = fn(&Target, &[SimReport], Option<&Path>) -> Result<String, CliError>;
+/// Renders the body under a target's heading from its reports and, given
+/// `--out DIR`, writes the plot inputs and names them.
+type Render = fn(&Target, &Reports, Option<&Path>) -> Result<String, CliError>;
 
 /// One row of the reproduction: a table or figure of the paper, or one
 /// ablation.
@@ -114,7 +108,7 @@ struct Target {
     /// What the paper reports for this figure.
     paper: &'static str,
     /// The claims checked against that, one per distinct predicate.
-    claims: fn(&[SimReport]) -> Vec<Claim>,
+    claims: fn(&Reports) -> Vec<Claim>,
 }
 
 /// Every paper claim this repository asserts.
@@ -122,7 +116,7 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "table1",
         title: "Table 1: simulation settings",
-        cells: Cells::None,
+        cells: Vec::new,
         render: table1,
         paper: "",
         claims: |_| Vec::new(),
@@ -130,7 +124,7 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "table2",
         title: "Table 2: heterogeneous cores and target performance types",
-        cells: Cells::None,
+        cells: Vec::new,
         render: table2,
         paper: "",
         claims: |_| Vec::new(),
@@ -138,8 +132,8 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig5",
         title: "Fig. 5: case A NPI over {ms} ms",
-        cells: Cells::Policies(TestCase::A, &FIG5_POLICIES),
-        render: npi_figure,
+        cells: || camcorder(TestCase::A, &FIG5_POLICIES),
+        render: |t, r, out| npi_figure(t, TestCase::A, r, out),
         paper: "FCFS starves GPS and the display (display NPI bottoms out around 0.13); RR \
                 starves display and camera (< 10% of target); frame-rate QoS rescues media but \
                 fails every system core; the priority-based policy meets all targets",
@@ -153,7 +147,7 @@ static TARGETS: [Target; 11] = [
                 core_claim(r, Fcfs, Rotator, MEETS),
                 core_claim(r, Fcfs, Usb, MEETS),
                 core_claim(r, Fcfs, WiFi, MEETS),
-                (
+                Claim::new(
                     format!("FCFS: Display starves (min NPI {display:.3} < 0.8)"),
                     display < 0.8,
                 ),
@@ -175,8 +169,8 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig6",
         title: "Fig. 6: case B NPI over {ms} ms",
-        cells: Cells::Policies(TestCase::B, &FIG5_POLICIES),
-        render: npi_figure,
+        cells: || camcorder(TestCase::B, &FIG5_POLICIES),
+        render: |t, r, out| npi_figure(t, TestCase::B, r, out),
         paper: "FCFS hurts the latency-sensitive DSP; RR gives the DSP its own queue (it \
                 recovers) but the display fails from intensified media interference; frame-rate \
                 QoS fails the non-media cores; the priority-based policy meets all targets",
@@ -188,7 +182,7 @@ static TARGETS: [Target; 11] = [
                 core_claim(r, RoundRobin, Display, MISSES),
                 core_claim(r, FrameQos, Dsp, MISSES),
                 all_met("case B QoS: all targets met", by(r, Qos)),
-                (
+                Claim::new(
                     format!(
                         "case B: DSP suffers less under RR ({:.2}) than FCFS ({:.2})",
                         rr.min_npi, fcfs.min_npi
@@ -196,7 +190,7 @@ static TARGETS: [Target; 11] = [
                     rr.min_npi > fcfs.min_npi,
                 ),
                 core_claim(r, Qos, Dsp, MEETS),
-                (
+                Claim::new(
                     format!(
                         "case B: DSP mean latency is lower under QoS ({:.0} cycles) than FCFS \
                          ({:.0})",
@@ -210,14 +204,18 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig7",
         title: "Fig. 7: image processor priority residency over {ms} ms",
-        cells: Cells::Fig7Sweep,
+        cells: || {
+            let at = |mhz| SystemConfig::custom(MegaHertz::new(mhz), Qos, TestCase::A.cores());
+            let cell = |mhz| (String::new(), at(mhz).expect("case A builds"));
+            FIG7_FREQS.map(cell).into()
+        },
         render: fig7,
         paper: "at 1700 MHz the image processor spends ~90% of the frame at priority 0; as the \
                 frequency falls the self-adaptation shifts residency towards the urgent levels, \
                 reaching a priority-7-dominated distribution at 1300 MHz, while the core's \
                 average bandwidth stays above target",
         claims: |r| {
-            let (low, high) = (image_processor(&r[0]), image_processor(&r[r.len() - 1]));
+            let (low, high) = (image_processor(&r[0].1), image_processor(&r[r.len() - 1].1));
             let p0 = |p: &FreqPoint| p.residency[0] * 100.0;
             let urgent = |p: &FreqPoint, from| p.residency[from..].iter().sum::<f64>() * 100.0;
             let shift = |from| {
@@ -226,7 +224,7 @@ static TARGETS: [Target; 11] = [
                     "Fig 7: more urgent (P{from}+) time at 1300 ({low:.0}%) than 1700 \
                      ({high:.0}%)"
                 );
-                (text, low > high)
+                Claim::new(text, low > high)
             };
             let demand = catalog::camcorder_a()
                 .cores
@@ -235,7 +233,7 @@ static TARGETS: [Target; 11] = [
                 .expect("image processor in case A")
                 .mean_demand_bytes_per_s();
             vec![
-                (
+                Claim::new(
                     format!(
                         "Fig 7: more relaxed (P0) time at 1700 ({:.0}%) than 1300 ({:.0}%)",
                         p0(&high),
@@ -245,7 +243,7 @@ static TARGETS: [Target; 11] = [
                 ),
                 shift(4),
                 shift(3),
-                (
+                Claim::new(
                     format!(
                         "Fig 7: image processor average bandwidth at 1300 ({:.2} GB/s) stays \
                          near target ({:.2} GB/s)",
@@ -260,7 +258,7 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig8",
         title: "Fig. 8: average DRAM bandwidth over {ms} ms (case A)",
-        cells: Cells::Policies(TestCase::A, &FIG8_POLICIES),
+        cells: || camcorder(TestCase::A, &FIG8_POLICIES),
         render: fig8,
         paper: "FR-FCFS achieves the most row hits and the highest bandwidth; QoS-RB lands \
                 within ~1% of it and beats RR, FCFS and plain QoS by roughly +24%, +12% and +10%",
@@ -269,29 +267,29 @@ static TARGETS: [Target; 11] = [
             let (rb, qos, rr, fr) = (gbs(QosRb), gbs(Qos), gbs(RoundRobin), gbs(FrFcfs));
             let hits = |policy| by(r, policy).row_hit_rate * 100.0;
             vec![
-                (
+                Claim::new(
                     format!("Fig 8: QoS-RB ({rb:.2}) out-delivers QoS ({qos:.2})"),
                     rb > qos * 1.02,
                 ),
-                (
+                Claim::new(
                     format!("Fig 8: QoS-RB ({rb:.2}) delivers more than QoS ({qos:.2})"),
                     rb > qos,
                 ),
-                (
+                Claim::new(
                     format!("Fig 8: QoS-RB ({rb:.2}) out-delivers RR ({rr:.2})"),
                     rb > rr,
                 ),
                 // With this reproduction's heavier QoS-traffic share the
                 // recovery is partial (docs/reproduction.md): at least a
                 // third of the QoS→FR-FCFS gap is required.
-                (
+                Claim::new(
                     format!(
                         "Fig 8: QoS-RB ({rb:.2}) recovers bandwidth towards FR-FCFS ({fr:.2}) \
                          vs QoS ({qos:.2})"
                     ),
                     rb - qos > (fr - qos) * 0.33,
                 ),
-                (
+                Claim::new(
                     format!(
                         "Fig 8: FR-FCFS row-hit rate ({:.1}%) tops QoS ({:.1}%)",
                         hits(FrFcfs),
@@ -305,8 +303,8 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig9",
         title: "Fig. 9: FR-FCFS vs QoS-RB over {ms} ms",
-        cells: Cells::Policies(TestCase::A, &[FrFcfs, QosRb]),
-        render: npi_figure,
+        cells: || camcorder(TestCase::A, &[FrFcfs, QosRb]),
+        render: |t, r, out| npi_figure(t, TestCase::A, r, out),
         paper: "FR-FCFS maximises row hits but degrades the GPS and the display; QoS-RB keeps \
                 the bandwidth within ~1% of FR-FCFS with no performance degradation to any core",
         claims: |r| {
@@ -315,7 +313,7 @@ static TARGETS: [Target; 11] = [
                 all_met("Fig 9: QoS-RB no degradation", by(r, QosRb)),
                 core_claim(r, FrFcfs, Display, MISSES),
                 core_claim(r, FrFcfs, Gps, MISSES),
-                (
+                Claim::new(
                     format!(
                         "Fig 9: FR-FCFS row-hit rate ({:.1}%) is at least 0.99 of QoS-RB's \
                          ({:.1}%)",
@@ -330,23 +328,23 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "ablations",
         title: "ablation: Policy 2 row-buffer threshold δ ({ms} ms per point)",
-        cells: Cells::Knob(delta_points),
-        render: |t, r, _| {
+        cells: delta_points,
+        render: |_, r, _| {
             let header = "delta          GB/s   row-hit%  failures  failed cores";
             let rest = |r: &SimReport| format!("{:>10.1} {}", r.row_hit_rate * 100.0, failures(r));
-            knob_table(t, header, r, rest)
+            knob_table(header, r, rest)
         },
         paper: "§3.3: a higher δ gives more favor to DRAM bandwidth but potentially causes more \
                 disturbance to the QoS; δ = 6 was found a good setting",
-        claims: |r| setting_meets("the paper's δ = 6", &r[3]),
+        claims: |r| setting_meets("the paper's δ = 6", &r[3].1),
     },
     Target {
         name: "ablations",
         title: "ablation: aging threshold T ({ms} ms per point)",
-        cells: Cells::Knob(aging_points),
-        render: |t, r, _| {
+        cells: aging_points,
+        render: |_, r, _| {
             let header = "T(cycles)        GB/s  failures  maxWait CPU  maxWait med       aged";
-            knob_table(t, header, r, |r| {
+            knob_table(header, r, |r| {
                 let aged: u64 = CoreClass::ALL.iter().map(|&c| r.mc.class(c).aged).sum();
                 format!(
                     "{:>9} {:>12} {:>12} {aged:>10}",
@@ -358,31 +356,31 @@ static TARGETS: [Target; 11] = [
         },
         paper: "§3.3: transactions waiting longer than T = 10000 cycles are promoted, which \
                 bounds starvation without letting backlog clearing dominate the allocation",
-        claims: |r| setting_meets("the paper's T = 10000", &r[1]),
+        claims: |r| setting_meets("the paper's T = 10000", &r[1].1),
     },
     Target {
         name: "ablations",
         title: "ablation: priority bits k ({ms} ms per point)",
-        cells: Cells::Knob(bits_points),
-        render: |t, r, _| {
+        cells: bits_points,
+        render: |_, r, _| {
             let header = "k       levels       GB/s  failures  failed cores";
-            knob_table(t, header, r, failures)
+            knob_table(header, r, failures)
         },
         paper: "§3.2: k = 3 bits provides sufficient granularity in priority levels to produce \
                 satisfying results",
-        claims: |r| setting_meets("the paper's k = 3", &r[2]),
+        claims: |r| setting_meets("the paper's k = 3", &r[2].1),
     },
     Target {
         name: "ablations",
         title: "ablation: 42-entry queue split [CPU,GPU,DSP,media,system] ({ms} ms)",
-        cells: Cells::Knob(split_points),
-        render: |t, r, _| {
+        cells: split_points,
+        render: |_, r, _| {
             let header = "split                        GB/s  failures  failed cores";
-            knob_table(t, header, r, failures)
+            knob_table(header, r, failures)
         },
         paper: "Table 1: 42 entries in five transaction queues (the media-weighted 6/6/4/20/6 \
                 split is this reproduction's choice)",
-        claims: |r| setting_meets("the 6/6/4/20/6 split", &r[0]),
+        claims: |r| setting_meets("the 6/6/4/20/6 split", &r[0].1),
     },
 ];
 
@@ -422,71 +420,52 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         // Before minutes of simulation, not after.
         std::fs::create_dir_all(dir).map_err(|e| io_failure(dir, e))?;
     }
-    let cells = simulate(&selected, ms)?;
+    let cells = simulate(&selected, ms);
     let mut text = String::new();
     let status = evaluate(&selected, &cells, ms, out, &mut text);
     page(text.trim_end());
     status
 }
 
-/// Simulates the selected targets' cells — at most one `run_matrix` batch
-/// per camcorder case and one for the Fig. 7 sweep, however many targets
-/// read them — and returns each target's reports in its own `cells` order.
-fn simulate(selected: &[&Target], ms: f64) -> Result<Vec<Vec<SimReport>>, CliError> {
-    let batch = |scenario: Scenario, policies: Vec<PolicyKind>, freqs_mhz: &[u32]| {
-        if policies.is_empty() {
-            return Ok(Vec::new());
-        }
-        let spec = MatrixSpec {
-            policies,
-            freqs_mhz: freqs_mhz.to_vec(),
-            duration_ms: Some(ms),
-            ..MatrixSpec::default()
-        };
-        let summary = run_matrix(&[scenario], &spec).map_err(failure)?;
-        Ok::<Vec<SimReport>, CliError>(summary.reports().cloned().collect())
+/// Simulates every distinct system the selected targets name, all in one
+/// ordered batch, and returns each target's labelled reports in its own
+/// `cells` order.
+fn simulate(selected: &[&Target], ms: f64) -> Vec<Vec<(String, SimReport)>> {
+    let cells: Vec<_> = selected.iter().map(|t| (t.cells)()).collect();
+    let systems = distinct(&cells);
+    let mut reports = Vec::with_capacity(systems.len());
+    let _: ControlFlow<()> = run_ordered(
+        systems.len(),
+        MatrixSpec::default().threads,
+        |i, _| {
+            let mut sim = Simulation::new(systems[i].clone()).expect("a paper system builds");
+            sim.run_for_ms(ms)
+        },
+        |_, report| {
+            reports.push(report);
+            ControlFlow::Continue(())
+        },
+    );
+    let report = |system: &SystemConfig| {
+        let i = systems.iter().position(|s| *s == system);
+        reports[i.expect("every system ran")].clone()
     };
-    // The policies of `case` that a selected target reads, in canonical order.
-    let case = |case: TestCase| -> Vec<PolicyKind> {
-        let wanted = |p: &PolicyKind| selected.iter().any(|t| t.cells.reads(case, *p));
-        PolicyKind::ALL.into_iter().filter(wanted).collect()
-    };
-    let sweep = if selected.iter().any(|t| matches!(t.cells, Cells::Fig7Sweep)) {
-        vec![Qos]
-    } else {
-        Vec::new()
-    };
-    let case_a = batch(catalog::camcorder_a(), case(TestCase::A), &[])?;
-    let case_b = batch(catalog::camcorder_b(), case(TestCase::B), &[])?;
-    let sweep = batch(catalog::camcorder_a(), sweep, &FIG7_FREQS)?;
+    let labelled = |(label, system): &(String, SystemConfig)| (label.clone(), report(system));
+    cells
+        .iter()
+        .map(|target| target.iter().map(labelled).collect())
+        .collect()
+}
 
-    let pick = |ran: &[SimReport], policies: &[PolicyKind]| -> Vec<SimReport> {
-        policies.iter().map(|&p| by(ran, p).clone()).collect()
-    };
-    let cells = selected.iter().map(|t| match t.cells {
-        Cells::None => Vec::new(),
-        Cells::Policies(TestCase::A, policies) => pick(&case_a, policies),
-        Cells::Policies(TestCase::B, policies) => pick(&case_b, policies),
-        Cells::Fig7Sweep => sweep.clone(),
-        Cells::Knob(points) => {
-            let points = points();
-            let mut reports = Vec::with_capacity(points.len());
-            let _: ControlFlow<()> = run_ordered(
-                points.len(),
-                MatrixSpec::default().threads,
-                |i, _| {
-                    let mut sim = Simulation::new(points[i].1.clone()).expect("case A builds");
-                    sim.run_for_ms(ms)
-                },
-                |_, report| {
-                    reports.push(report);
-                    ControlFlow::Continue(())
-                },
-            );
-            reports
+/// The distinct systems of `cells`, in the order they are first named.
+fn distinct(cells: &[Vec<(String, SystemConfig)>]) -> Vec<&SystemConfig> {
+    let mut systems: Vec<&SystemConfig> = Vec::new();
+    for (_, system) in cells.iter().flatten() {
+        if !systems.contains(&system) {
+            systems.push(system);
         }
-    });
-    Ok(cells.collect())
+    }
+    systems
 }
 
 /// Renders every selected target into `text` and checks its claims.
@@ -497,7 +476,7 @@ fn simulate(selected: &[&Target], ms: f64) -> Result<Vec<Vec<SimReport>>, CliErr
 /// plot input cannot be written.
 fn evaluate(
     selected: &[&Target],
-    cells: &[Vec<SimReport>],
+    cells: &[Vec<(String, SimReport)>],
     ms: f64,
     out: Option<&Path>,
     text: &mut String,
@@ -510,7 +489,7 @@ fn evaluate(
         if !claims.is_empty() {
             let _ = writeln!(text, "paper: {}", t.paper);
         }
-        for (claim, holds) in claims {
+        for Claim { text: claim, holds } in claims {
             let _ = writeln!(text, "[{}] {claim}", if holds { " ok " } else { "FAIL" });
             checked += 1;
             if !holds {
@@ -547,8 +526,8 @@ fn io_failure(path: &Path, e: std::io::Error) -> CliError {
 // --- what the claims read -----------------------------------------------------
 
 /// The report that ran under `policy`.
-fn by(reports: &[SimReport], policy: PolicyKind) -> &SimReport {
-    let ran = reports.iter().find(|r| r.policy == policy);
+fn by(reports: &Reports, policy: PolicyKind) -> &SimReport {
+    let ran = reports.iter().map(|(_, r)| r).find(|r| r.policy == policy);
     ran.expect("the target's cells cover every policy it reads")
 }
 
@@ -561,7 +540,7 @@ fn image_processor(report: &SimReport) -> FreqPoint {
 }
 
 /// Under `policy`, `kind` misses ([`MISSES`]) or meets ([`MEETS`]) its target.
-fn core_claim(reports: &[SimReport], policy: PolicyKind, kind: CoreKind, misses: bool) -> Claim {
+fn core_claim(reports: &Reports, policy: PolicyKind, kind: CoreKind, misses: bool) -> Claim {
     let core = core_report(by(reports, policy), kind);
     let verb = if misses { "misses" } else { "meets" };
     let (policy, kind) = (policy.name(), kind.name());
@@ -569,13 +548,13 @@ fn core_claim(reports: &[SimReport], policy: PolicyKind, kind: CoreKind, misses:
         "{policy}: {kind} {verb} target (min NPI {:.3})",
         core.min_npi
     );
-    (text, core.failed == misses)
+    Claim::new(text, core.failed == misses)
 }
 
 /// Every core of `report` meets its target.
 fn all_met(claim: &str, report: &SimReport) -> Claim {
     let text = format!("{claim} (failed: {:?})", report.failed_cores());
-    (text, report.all_targets_met())
+    Claim::new(text, report.all_targets_met())
 }
 
 /// The one claim of an ablation: its table row at `setting` meets every target.
@@ -588,7 +567,7 @@ fn setting_meets(setting: &str, report: &SimReport) -> Vec<Claim> {
 
 /// Table 1 from the live configuration objects: if the models drift from
 /// the paper's settings, this shows it.
-fn table1(_: &Target, _: &[SimReport], _: Option<&Path>) -> Result<String, CliError> {
+fn table1(_: &Target, _: &Reports, _: Option<&Path>) -> Result<String, CliError> {
     let mut out = String::from("Test cases\n");
     for (case, label) in [(TestCase::A, "A"), (TestCase::B, "B")] {
         let inactive: Vec<&str> = case.inactive().iter().map(|k| k.name()).collect();
@@ -646,7 +625,7 @@ fn table1(_: &Target, _: &[SimReport], _: Option<&Path>) -> Result<String, CliEr
 
 /// Table 2 from the live workload, plus the per-DMA traffic parameters
 /// this reproduction assigns to each core.
-fn table2(_: &Target, _: &[SimReport], _: Option<&Path>) -> Result<String, CliError> {
+fn table2(_: &Target, _: &Reports, _: Option<&Path>) -> Result<String, CliError> {
     let mut out = format!(
         "{:<16} {:<18} {:<12} {:<10} per-DMA traffic\n",
         "core", "performance type", "class", "DMAs"
@@ -706,14 +685,16 @@ fn traffic_label(traffic: &TrafficSpec) -> String {
 
 /// Figs 5, 6 and 9: the per-policy × per-core NPI verdict matrix, and one
 /// NPI-series CSV per policy.
-fn npi_figure(t: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<String, CliError> {
-    let Cells::Policies(case, _) = t.cells else {
-        unreachable!("an NPI figure reads one camcorder case");
-    };
+fn npi_figure(
+    t: &Target,
+    case: TestCase,
+    reports: &Reports,
+    out: Option<&Path>,
+) -> Result<String, CliError> {
     let mut text = String::new();
     let mut row = |label: &str, cell: &dyn Fn(&SimReport) -> String| {
         let _ = write!(text, "{label:<14}");
-        for r in reports {
+        for (_, r) in reports {
             let _ = write!(text, " | {}", cell(r));
         }
         text.push('\n');
@@ -730,7 +711,7 @@ fn npi_figure(t: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<S
     row("row-hit %", &|r| {
         format!("{:>16.1}", r.row_hit_rate * 100.0)
     });
-    for r in reports {
+    for (_, r) in reports {
         let Some(dir) = out else { break };
         let path = dir.join(format!("{}_{}.csv", t.name, r.policy.name().to_lowercase()));
         r.write_npi_csv(&path, Clock::new(r.freq))
@@ -741,8 +722,8 @@ fn npi_figure(t: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<S
 }
 
 /// Fig. 7: the table `sara sweep` prints, and its `--csv`.
-fn fig7(_: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<String, CliError> {
-    let points: Vec<FreqPoint> = reports.iter().map(image_processor).collect();
+fn fig7(_: &Target, reports: &Reports, out: Option<&Path>) -> Result<String, CliError> {
+    let points: Vec<FreqPoint> = reports.iter().map(|(_, r)| image_processor(r)).collect();
     let mut text = residency_table(&points) + "\n";
     if let Some(dir) = out {
         text += &write_plot(
@@ -755,13 +736,13 @@ fn fig7(_: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<String,
 
 /// Fig. 8: delivered bandwidth per policy, and the five cells as
 /// `sara matrix --csv` ranks them.
-fn fig8(_: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<String, CliError> {
+fn fig8(_: &Target, reports: &Reports, out: Option<&Path>) -> Result<String, CliError> {
     let mut text = format!(
         "{:<10} {:>12} {:>10} {:>10} {:>8} {:>10}\n",
         "policy", "GB/s", "row-hit%", "vs QoS-RB", "failures", "pJ/bit"
     );
     let qos_rb = by(reports, QosRb).bandwidth_gbs;
-    for r in reports {
+    for (_, r) in reports {
         let _ = writeln!(
             text,
             "{:<10} {:>12.2} {:>10.1} {:>+9.1}% {:>8} {:>10.1}",
@@ -776,11 +757,11 @@ fn fig8(_: &Target, reports: &[SimReport], out: Option<&Path>) -> Result<String,
     if let Some(dir) = out {
         let scenarios = [catalog::camcorder_a()];
         let spec = MatrixSpec {
-            policies: reports.iter().map(|r| r.policy).collect(),
+            policies: reports.iter().map(|(_, r)| r.policy).collect(),
             ..MatrixSpec::default()
         };
         let cells = expand_cells(&scenarios, &spec).map_err(failure)?;
-        let simulated = |r: &SimReport| CellOutcome::Simulated(Box::new(r.clone()));
+        let simulated = |(_, r): &(String, SimReport)| CellOutcome::Simulated(Box::new(r.clone()));
         let outcomes = reports.iter().map(simulated).collect();
         let profile = vec![CellProfile::default(); cells.len()];
         let csv = summarize_cells(&scenarios, &cells, outcomes, profile).to_csv();
@@ -795,7 +776,16 @@ fn write_plot(path: PathBuf, csv: &str) -> Result<String, CliError> {
     Ok(format!("wrote {}\n", sink.describe()))
 }
 
-// --- ablations: case A with one controller knob varied ------------------------
+// --- cells -------------------------------------------------------------------
+
+/// `case` at its Table 1 frequency, one cell per policy.
+fn camcorder(case: TestCase, policies: &[PolicyKind]) -> Vec<(String, SystemConfig)> {
+    let cell = |&policy| {
+        let system = SystemConfig::camcorder(case, policy).expect("the paper's cases build");
+        (String::new(), system)
+    };
+    policies.iter().map(cell).collect()
+}
 
 /// Case A under `policy` with the controller `mc` builds.
 fn knob(policy: PolicyKind, mc: Result<McConfig, ConfigError>) -> SystemConfig {
@@ -851,16 +841,12 @@ fn split_points() -> Vec<(String, SystemConfig)> {
 /// An ablation table: `header`, then per cell its leading column(s), the
 /// delivered GB/s and the `rest` of its columns.
 fn knob_table(
-    t: &Target,
     header: &str,
-    reports: &[SimReport],
+    reports: &Reports,
     rest: fn(&SimReport) -> String,
 ) -> Result<String, CliError> {
-    let Cells::Knob(points) = t.cells else {
-        unreachable!("an ablation varies a knob");
-    };
     let mut out = format!("{header}\n");
-    for ((label, _), r) in points().iter().zip(reports) {
+    for (label, r) in reports {
         let _ = writeln!(out, "{label} {:>10.2} {}", r.bandwidth_gbs, rest(r));
     }
     Ok(out)
@@ -887,9 +873,12 @@ mod tests {
     #[test]
     fn a_failed_claim_is_marked_listed_and_exits_1() {
         let fcfs = run_camcorder(TestCase::A, Fcfs, 0.3).unwrap();
-        let relabel = |&policy| SimReport {
-            policy,
-            ..fcfs.clone()
+        let relabel = |&policy| {
+            let report = SimReport {
+                policy,
+                ..fcfs.clone()
+            };
+            (String::new(), report)
         };
         let cells = vec![FIG5_POLICIES.iter().map(relabel).collect()];
         let fig5 = TARGETS.iter().find(|t| t.name == "fig5").unwrap();
@@ -901,5 +890,57 @@ mod tests {
         assert!(trailer.contains(&format!("  - fig5: {claim}\n")), "{text}");
         // `sara_cli::run` maps a `Failure` to exit status 1.
         assert!(matches!(status, Err(CliError::Failure(m)) if m.contains("claims failed")));
+    }
+
+    /// The hand-written target lists of `USAGE` and `HELP` name every
+    /// target and `all`, in table order, and nothing else.
+    #[test]
+    fn usage_and_help_list_exactly_the_targets_and_all() {
+        let mut names: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+        names.dedup();
+        names.push("all");
+        let usage = USAGE.split(['<', '>']).nth(1).expect("<targets>");
+        assert_eq!(usage.split('|').collect::<Vec<_>>(), names);
+        let help = HELP.lines().find_map(|l| l.strip_prefix("targets: "));
+        let help: Vec<&str> = help.expect("a targets line").split(' ').collect();
+        assert_eq!(help, names);
+    }
+
+    /// Each ablation's row at the paper's setting (the row its claim reads)
+    /// is the Fig. 5 QoS or Fig. 8 QoS-RB system, and no other row is.
+    #[test]
+    fn each_ablation_at_the_paper_setting_is_a_figure_system() {
+        let figure = |name, policy| {
+            let target = TARGETS.iter().find(|t| t.name == name).unwrap();
+            let mut systems = (target.cells)().into_iter().map(|(_, s)| s);
+            systems.find(|s| s.policy == policy).unwrap()
+        };
+        let (qos, qos_rb) = (figure("fig5", Qos), figure("fig8", QosRb));
+        let ablations: Vec<&Target> = TARGETS.iter().filter(|t| t.name == "ablations").collect();
+        let paper = [
+            (3, "6", &qos_rb),
+            (1, "10000", &qos),
+            (2, "3", &qos),
+            (0, "[6, 6, 4, 20, 6]", &qos),
+        ];
+        for (t, (row, setting, system)) in ablations.iter().zip(paper) {
+            let cells = (t.cells)();
+            assert!(
+                cells[row].0.starts_with(setting),
+                "{}: {}",
+                t.title,
+                cells[row].0
+            );
+            assert!(cells[row].1 == *system, "{}", t.title);
+            assert_eq!(cells.iter().filter(|(_, s)| s == system).count(), 1);
+        }
+    }
+
+    /// `all` names 39 cells and simulates 30 systems.
+    #[test]
+    fn all_targets_name_30_distinct_systems_in_39_cells() {
+        let cells: Vec<_> = TARGETS.iter().map(|t| (t.cells)()).collect();
+        assert_eq!(cells.iter().map(Vec::len).sum::<usize>(), 39);
+        assert_eq!(distinct(&cells).len(), 30);
     }
 }

@@ -88,7 +88,7 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     }
     let tcp = args.take_opt("--tcp")?;
     let unix = args.take_opt("--unix")?;
-    let workers = args.take_parsed::<usize>("--workers")?.unwrap_or(0);
+    let workers = args.take_one("--workers", count)?.unwrap_or(0);
     let budget = args
         .take_one("--budget", count)?
         .unwrap_or_else(|| ServeConfig::default().budget);

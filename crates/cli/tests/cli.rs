@@ -209,6 +209,16 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
     let out = sara(&["matrix", "--policies", "qos"]);
     assert_eq!(code(&out), 2);
     assert!(stderr(&out).contains("unknown policy"), "{}", stderr(&out));
+
+    // A worker count is a count: zero names the flag, like `--budget 0`.
+    for (cmd, flag) in [("matrix", "--jobs"), ("serve", "--workers")] {
+        let out = sara(&[cmd, flag, "0"]);
+        assert_eq!(code(&out), 2, "sara {cmd} {flag} 0");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("{flag} must be ≥ 1")), "{err}");
+        assert!(err.contains(&format!("usage: sara {cmd}")), "{err}");
+        assert!(stdout(&out).is_empty());
+    }
 }
 
 #[test]
@@ -450,8 +460,8 @@ fn gen_writes_deterministic_loadable_scenarios() {
 
 // --- the paper reproduction ---------------------------------------------------
 
-/// Tier-1's check of the paper: every claim of Figs 5–9 holds at 3 ms (15
-/// cells, shared between the figures). `fig9` alone then prints the same
+/// Tier-1's check of the paper: all 44 claims, ablations included, hold at
+/// 3 ms (39 cells, 30 distinct systems). `fig9` alone then prints the same
 /// section and writes the same two NPI series: what a target reports does
 /// not depend on what it ran beside, or on the run.
 #[test]
@@ -462,11 +472,10 @@ fn repro_checks_every_figure_claim_and_is_target_independent() {
 
     let dir = scratch("repro");
     let flags = ["--duration-ms", "3", "--out", dir.to_str().unwrap()];
-    let figures = ["repro", "fig5", "fig6", "fig7", "fig8", "fig9"];
-    let out = sara(&[&figures[..], &flags].concat());
+    let out = sara(&[&["repro", "all"][..], &flags].concat());
     let together = stdout(&out);
     assert_eq!(code(&out), 0, "{together}{}", stderr(&out));
-    assert!(together.ends_with(" claims hold\n"), "{together}");
+    assert!(together.ends_with("\n44 of 44 claims hold\n"), "{together}");
     assert!(!together.contains("[FAIL]"), "{together}");
     let written = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(written, 12, "10 NPI series, fig7.csv and fig8.csv");

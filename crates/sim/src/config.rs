@@ -51,7 +51,7 @@ pub(crate) fn arbiter_for(policy: PolicyKind) -> ArbiterKind {
 /// assert!(cfg.frame_period_cycles > 60_000_000); // 33.3 ms at 1866 MHz
 /// # Ok::<(), sara_types::ConfigError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// DRAM I/O frequency (also the simulation beat clock).
     pub freq: MegaHertz,
