@@ -62,12 +62,6 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// Whether `--help`/`-h` appears anywhere (checked before parsing, so
-    /// a broken invocation can still ask for help).
-    pub(crate) fn help_requested(&self) -> bool {
-        self.items.iter().any(|a| a == "--help" || a == "-h")
-    }
-
     /// Removes a boolean flag (every occurrence), returning whether it was
     /// present.
     pub(crate) fn take_flag(&mut self, name: &str) -> bool {
@@ -167,6 +161,11 @@ impl<'a> Args<'a> {
     pub(crate) fn finish(self) -> Result<(), CliError> {
         self.finish_positional(0).map(|_| ())
     }
+}
+
+/// Whether `--help`/`-h` appears anywhere among a command's arguments.
+pub(crate) fn help_requested(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
 }
 
 /// `raw` as a number, or `<flag>: cannot parse "<raw>"`.

@@ -1,15 +1,21 @@
 //! `sara completions` — static shell completion scripts.
 //!
-//! The scripts are generated from one table of subcommands and flags, so
-//! they cannot drift apart across shells; golden tests pin each script's
+//! Every script is rendered from [`COMMANDS`], so the shells cannot drift
+//! apart, and each command's flags are read off its usage line by
+//! [`Command::flags`](super::Command::flags): inside a `[...]` group each
+//! ` | ` alternative `--flag META` completes as a flag taking a value and a
+//! bare `--flag` as a switch, a flag outside brackets is a switch, and
+//! value flags come first, each kind in usage-line order. A flag the usage
+//! line omits is therefore never completed. Golden tests pin each script's
 //! exact bytes (regen with `SARA_UPDATE_GOLDENS=1`).
 
+use super::COMMANDS;
 use crate::args::{Args, CliError};
 use crate::output::page;
 
-const USAGE: &str = "usage: sara completions <bash|zsh|fish>";
+pub(crate) const USAGE: &str = "usage: sara completions <bash|zsh|fish>";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara completions — emit a static shell completion script
 
 usage: sara completions <bash|zsh|fish>
@@ -25,151 +31,12 @@ Writes the script to stdout; install it with your shell's mechanism:
 The scripts are static: they complete subcommand names and each
 subcommand's flags, and fall back to file completion for values.";
 
-/// One subcommand and the flags it owns, the single source every shell
-/// script is rendered from.
-struct Command {
-    name: &'static str,
-    summary: &'static str,
-    /// Flags that take a value (`--flag VALUE`).
-    value_flags: &'static [&'static str],
-    /// Boolean switches (no value).
-    bool_flags: &'static [&'static str],
-}
-
-/// The completion table. Keep in sync with each subcommand's `USAGE`
-/// (the golden tests make drift loud, and `table_matches_dispatch` pins
-/// the command list against `sara --help`).
-const COMMANDS: &[Command] = &[
-    Command {
-        name: "export",
-        summary: "write the built-in catalog as .scenario.json files",
-        value_flags: &[],
-        bool_flags: &[],
-    },
-    Command {
-        name: "validate",
-        summary: "strictly parse and check scenario files",
-        value_flags: &[],
-        bool_flags: &[],
-    },
-    Command {
-        name: "list",
-        summary: "summarize the catalog",
-        value_flags: &["--dir"],
-        bool_flags: &[],
-    },
-    Command {
-        name: "matrix",
-        summary: "run scenarios x policies x frequencies, ranked",
-        value_flags: &[
-            "--dir",
-            "--scenarios",
-            "--policies",
-            "--freqs",
-            "--channels",
-            "--duration-ms",
-            "--jobs",
-            "--screen",
-            "--json",
-            "--csv",
-            "--chrome-trace",
-        ],
-        bool_flags: &["--pretty"],
-    },
-    Command {
-        name: "sweep",
-        summary: "DRAM frequency / DVFS sweeps",
-        value_flags: &[
-            "--core",
-            "--case",
-            "--dir",
-            "--scenarios",
-            "--freqs",
-            "--duration-ms",
-            "--csv",
-            "--json",
-        ],
-        bool_flags: &["--dvfs", "--screen"],
-    },
-    Command {
-        name: "govern",
-        summary: "online self-aware governor",
-        value_flags: &[
-            "--dir",
-            "--scenarios",
-            "--epoch-us",
-            "--ladder",
-            "--start",
-            "--escalate-policy",
-            "--duration-ms",
-            "--json",
-            "--csv",
-            "--chrome-trace",
-        ],
-        bool_flags: &["--per-channel", "--no-baseline"],
-    },
-    Command {
-        name: "gen",
-        summary: "generate seeded random scenarios",
-        value_flags: &[
-            "--count",
-            "--seed",
-            "--out",
-            "--overload",
-            "--max-gbs",
-            "--min-cores",
-            "--max-cores",
-            "--channels",
-        ],
-        bool_flags: &[],
-    },
-    Command {
-        name: "report",
-        summary: "summarize or diff sara JSON dumps",
-        value_flags: &["--tolerance"],
-        bool_flags: &["--diff"],
-    },
-    Command {
-        name: "repro",
-        summary: "paper tables, figures and ablations with every claim checked",
-        value_flags: &["--duration-ms", "--out"],
-        bool_flags: &[],
-    },
-    Command {
-        name: "serve",
-        summary: "long-lived NDJSON simulation service",
-        value_flags: &[
-            "--tcp",
-            "--unix",
-            "--workers",
-            "--budget",
-            "--max-sessions",
-            "--journal",
-            "--journal-max-bytes",
-            "--metrics",
-            "--chrome-trace",
-        ],
-        bool_flags: &[],
-    },
-    Command {
-        name: "completions",
-        summary: "emit a shell completion script",
-        value_flags: &[],
-        bool_flags: &[],
-    },
-];
-
 /// Runs the subcommand.
 ///
 /// # Errors
 ///
 /// Usage error for a missing or unknown shell name.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(args: Args) -> Result<(), CliError> {
     let positionals = args.finish_positional(1)?;
     let Some(shell) = positionals.first() else {
         return Err(CliError::usage(USAGE, "which shell?"));
@@ -215,8 +82,8 @@ pub(crate) fn bash() -> String {
          \x20   case \"${COMP_WORDS[1]}\" in\n",
     );
     for c in COMMANDS {
-        let mut words: Vec<&str> = c.value_flags.to_vec();
-        words.extend_from_slice(c.bool_flags);
+        let (mut words, switches) = c.flags();
+        words.extend(switches);
         words.push("--help");
         out.push_str(&format!(
             "        {})\n            COMPREPLY=( $(compgen -W \"{}\" -- \"$cur\") )\n            ;;\n",
@@ -253,14 +120,14 @@ pub(crate) fn zsh() -> String {
          \x20   case \"$words[2]\" in\n",
     );
     for c in COMMANDS {
+        let (values, switches) = c.flags();
         // `--flag:value` (space-separated argument): the CLI's scanner
         // takes the value as the next token, not `--flag=value`.
-        let mut specs: Vec<String> = c
-            .value_flags
+        let mut specs: Vec<String> = values
             .iter()
             .map(|f| format!("'{f}:value:_files'"))
             .collect();
-        specs.extend(c.bool_flags.iter().map(|f| format!("'{f}'")));
+        specs.extend(switches.iter().map(|f| format!("'{f}'")));
         specs.push("'--help'".to_string());
         out.push_str(&format!(
             "        {})\n            _arguments -s {} '*:file:_files'\n            ;;\n",
@@ -286,18 +153,13 @@ pub(crate) fn fish() -> String {
             "complete -c sara -n __fish_use_subcommand -a {} -d '{}'\n",
             c.name, c.summary
         ));
-        for flag in c.value_flags {
+        let (values, switches) = c.flags();
+        let flags = values.iter().map(|f| (f, " -r"));
+        for (flag, suffix) in flags.chain(switches.iter().map(|f| (f, ""))) {
             let long = flag.trim_start_matches("--");
             out.push_str(&format!(
-                "complete -c sara -n '__fish_seen_subcommand_from {}' -l {} -r\n",
-                c.name, long
-            ));
-        }
-        for flag in c.bool_flags {
-            let long = flag.trim_start_matches("--");
-            out.push_str(&format!(
-                "complete -c sara -n '__fish_seen_subcommand_from {}' -l {}\n",
-                c.name, long
+                "complete -c sara -n '__fish_seen_subcommand_from {}' -l {long}{suffix}\n",
+                c.name
             ));
         }
         out.push_str(&format!(
@@ -322,39 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn table_matches_dispatch() {
-        // Every completion entry is a real subcommand (per the top-level
-        // help), and every advertised subcommand can be completed.
-        for c in COMMANDS {
-            assert!(
-                crate::HELP.contains(&format!("\n  {}", c.name)),
-                "\"{}\" not in `sara --help`",
-                c.name
-            );
-        }
-        for line in crate::HELP.lines() {
-            if let Some(rest) = line.strip_prefix("  ") {
-                // Command rows are indented exactly two spaces (deeper
-                // indents are summary continuation lines).
-                if rest.starts_with(' ') {
-                    continue;
-                }
-                if let Some(name) = rest.split_whitespace().next() {
-                    assert!(
-                        COMMANDS.iter().any(|c| c.name == name),
-                        "\"{name}\" has no completion entry"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unknown_shell_is_a_usage_error() {
-        let err = run(&["powershell".to_string()]).unwrap_err();
+        let err = run(Args::new(&["powershell".to_string()], USAGE)).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("powershell")));
         assert!(matches!(
-            run(&[]).unwrap_err(),
+            run(Args::new(&[], USAGE)).unwrap_err(),
             CliError::Usage(m) if m.contains("which shell")
         ));
     }

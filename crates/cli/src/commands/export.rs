@@ -5,9 +5,9 @@ use sara_scenarios::catalog;
 use crate::args::{Args, CliError};
 use crate::output::page;
 
-const USAGE: &str = "usage: sara export [DIR]";
+pub(crate) const USAGE: &str = "usage: sara export [DIR]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara export — write the built-in catalog as .scenario.json files
 
 usage: sara export [DIR]
@@ -22,12 +22,7 @@ the goldens under tests/data/ and are directly runnable with
 /// # Errors
 ///
 /// Usage error for bad flags; runtime failure on I/O errors.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(args: Args) -> Result<(), CliError> {
     let positional = args.finish_positional(1)?;
     let dir = positional
         .first()

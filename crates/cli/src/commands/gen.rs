@@ -8,10 +8,10 @@ use crate::args::{channels, count, positive, Args, CliError};
 use crate::commands::scenario_row;
 use crate::output::page;
 
-const USAGE: &str = "usage: sara gen [--count N] [--seed S] [--out DIR] [--overload F] \
-                     [--max-gbs G] [--min-cores N] [--max-cores N] [--channels N]";
+pub(crate) const USAGE: &str = "usage: sara gen [--count N] [--seed S] [--out DIR] [--overload F] \
+                                [--max-gbs G] [--min-cores N] [--max-cores N] [--channels N]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara gen — generate seeded random scenarios
 
 usage: sara gen [options]
@@ -42,12 +42,7 @@ Generated files validate and run like any catalog entry:
 ///
 /// Usage error for bad flags or degenerate bounds; runtime failure on
 /// I/O errors.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let count = args.take_one("--count", count)?.unwrap_or(1);
     let seed = args.take_parsed::<u64>("--seed")?.unwrap_or(0);
     let out = args.take_opt("--out")?;

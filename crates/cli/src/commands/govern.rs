@@ -6,14 +6,15 @@ use sara_types::MegaHertz;
 
 use crate::args::{ascending_mhz, flag_word, positive, Args, CliError};
 use crate::commands::{load_scenarios, take_scenario_names};
-use crate::output::{emit_value, reject_double_stdout, Progress, Sink};
+use crate::output::{emit_value, Progress, Sink};
 
-const USAGE: &str = "usage: sara govern [--dir DIR | --scenarios NAMES] [--epoch-us US] \
-                     [--ladder MHZ] [--start MHZ] [--escalate-policy NAME] [--per-channel] \
-                     [--duration-ms MS] [--no-baseline] [--json PATH|-] [--csv PATH|-] \
-                     [--chrome-trace PATH|-]";
+pub(crate) const USAGE: &str =
+    "usage: sara govern [--dir DIR | --scenarios NAMES] [--epoch-us US] \
+     [--ladder MHZ] [--start MHZ] [--escalate-policy NAME] [--per-channel] \
+     [--duration-ms MS] [--no-baseline] [--json PATH|-] [--csv PATH|-] \
+     [--chrome-trace PATH|-]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara govern — run scenarios under the online self-aware governor
 
 usage: sara govern [options]
@@ -64,12 +65,7 @@ Traces are byte-deterministic: identical inputs give identical files.
 ///
 /// Usage error for bad flags or selections; runtime failure for load,
 /// simulation, or output I/O errors.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        crate::output::page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let dir = args.take_opt("--dir")?;
     let names = take_scenario_names(&mut args, USAGE)?;
     let epoch_us = args.take_one("--epoch-us", positive)?;
@@ -86,13 +82,17 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let chrome_sink = args
         .take_opt("--chrome-trace")?
         .map(|raw| Sink::parse(&raw));
-    reject_double_stdout(json_sink.as_ref(), csv_sink.as_ref(), USAGE)?;
-    reject_double_stdout(json_sink.as_ref(), chrome_sink.as_ref(), USAGE)?;
-    reject_double_stdout(csv_sink.as_ref(), chrome_sink.as_ref(), USAGE)?;
+    let progress = Progress::for_outputs(
+        &[
+            ("--json", &json_sink),
+            ("--csv", &csv_sink),
+            ("--chrome-trace", &chrome_sink),
+        ],
+        USAGE,
+    )?;
     args.finish()?;
 
     let scenarios = load_scenarios(dir.as_deref(), &names, USAGE)?;
-    let progress = Progress::new(&[json_sink.as_ref(), csv_sink.as_ref(), chrome_sink.as_ref()]);
 
     let mut runs: Vec<(GovernedOutcome, Option<GovernedOutcome>)> = Vec::new();
     for s in &scenarios {
@@ -158,23 +158,17 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(sink) = &json_sink {
-        sink.write(&format!("{}\n", trace::trace_json(&runs)))?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        sink.deliver(progress, |w| writeln!(w, "{}", trace::trace_json(&runs)))?;
     }
     if let Some(sink) = &csv_sink {
-        sink.write(&trace::trace_csv(runs.iter().map(|(o, _)| o)))?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        let csv = trace::trace_csv(runs.iter().map(|(o, _)| o));
+        sink.deliver(progress, |w| w.write_all(csv.as_bytes()))?;
     }
     if let Some(sink) = &chrome_sink {
         let doc = sara_governor::chrome::chrome_trace_value(runs.iter().map(|(o, _)| o));
-        sink.write(&emit_value(&doc, false))?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        sink.deliver(progress, |w| {
+            w.write_all(emit_value(&doc, false).as_bytes())
+        })?;
     }
     Ok(())
 }

@@ -6,9 +6,9 @@ use crate::args::{Args, CliError};
 use crate::commands::scenario_row;
 use crate::output::page;
 
-const USAGE: &str = "usage: sara list [--dir DIR]";
+pub(crate) const USAGE: &str = "usage: sara list [--dir DIR]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara list — summarize the catalog (and optionally a scenario directory)
 
 usage: sara list [--dir DIR]
@@ -26,12 +26,7 @@ elastic) demand, DMA count and description.";
 ///
 /// Usage error for bad flags; runtime failure if the directory cannot be
 /// loaded.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let dir = args.take_opt("--dir")?;
     args.finish()?;
 

@@ -4,14 +4,15 @@ use sara_scenarios::{run_matrix, MatrixSpec, ScreenMode};
 
 use crate::args::{channels, count, flag_word, mhz, policies, positive, Args, CliError};
 use crate::commands::{load_scenarios, scenario_row, take_scenario_names};
-use crate::output::{emit_value, page, reject_double_stdout, Progress, Sink};
+use crate::output::{emit_value, Progress, Sink};
 
-const USAGE: &str = "usage: sara matrix [--dir DIR | --scenarios NAMES] [--policies NAMES] \
-                     [--freqs MHZ] [--channels COUNTS] [--duration-ms MS] [--jobs N] \
-                     [--screen off|prune|verify] [--json PATH|-] [--csv PATH|-] \
-                     [--chrome-trace PATH|-] [--pretty]";
+pub(crate) const USAGE: &str =
+    "usage: sara matrix [--dir DIR | --scenarios NAMES] [--policies NAMES] \
+     [--freqs MHZ] [--channels COUNTS] [--duration-ms MS] [--jobs N] \
+     [--screen off|prune|verify] [--json PATH|-] [--csv PATH|-] \
+     [--chrome-trace PATH|-] [--pretty]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara matrix — run scenarios x policies x frequencies, ranked
 
 usage: sara matrix [options]
@@ -57,12 +58,7 @@ output:
 ///
 /// Usage error for bad flags or selections; runtime failure for load,
 /// simulation, or output I/O errors.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let dir = args.take_opt("--dir")?;
     let names = take_scenario_names(&mut args, USAGE)?;
     let policies = args
@@ -82,9 +78,14 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let chrome_sink = args
         .take_opt("--chrome-trace")?
         .map(|raw| Sink::parse(&raw));
-    reject_double_stdout(json_sink.as_ref(), csv_sink.as_ref(), USAGE)?;
-    reject_double_stdout(json_sink.as_ref(), chrome_sink.as_ref(), USAGE)?;
-    reject_double_stdout(csv_sink.as_ref(), chrome_sink.as_ref(), USAGE)?;
+    let progress = Progress::for_outputs(
+        &[
+            ("--json", &json_sink),
+            ("--csv", &csv_sink),
+            ("--chrome-trace", &chrome_sink),
+        ],
+        USAGE,
+    )?;
     let pretty = args.take_flag("--pretty");
     args.finish()?;
 
@@ -98,7 +99,6 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         screen,
     };
 
-    let progress = Progress::new(&[json_sink.as_ref(), csv_sink.as_ref(), chrome_sink.as_ref()]);
     for s in &scenarios {
         progress.line(scenario_row(s));
     }
@@ -120,22 +120,14 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     progress.line(summary.summary_table());
 
     if let Some(sink) = &json_sink {
-        sink.write_with(|w| summary.write_json(w, pretty))?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        sink.deliver(progress, |w| summary.write_json(w, pretty))?;
     }
     if let Some(sink) = &csv_sink {
-        sink.write(&summary.to_csv())?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        sink.deliver(progress, |w| w.write_all(summary.to_csv().as_bytes()))?;
     }
     if let Some(sink) = &chrome_sink {
-        sink.write(&emit_value(&summary.chrome_trace_value(), pretty))?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        let doc = emit_value(&summary.chrome_trace_value(), pretty);
+        sink.deliver(progress, |w| w.write_all(doc.as_bytes()))?;
     }
     Ok(())
 }

@@ -1,21 +1,96 @@
-//! The subcommands, one module each, plus the scenario-loading driver
-//! logic they share.
+//! The subcommands, one module each, the [`COMMANDS`] table that names
+//! them, plus the scenario-loading driver logic they share.
 
-pub(crate) mod completions;
-pub(crate) mod export;
-pub(crate) mod gen;
-pub(crate) mod govern;
-pub(crate) mod list;
-pub(crate) mod matrix;
-pub(crate) mod report;
-pub(crate) mod repro;
-pub(crate) mod serve;
-pub(crate) mod sweep;
-pub(crate) mod validate;
+mod completions;
+mod export;
+mod gen;
+mod govern;
+mod list;
+mod matrix;
+mod report;
+mod repro;
+mod serve;
+mod sweep;
+mod validate;
 
 use sara_scenarios::{catalog, load_dir, Scenario};
 
 use crate::args::{parse_names, Args, CliError};
+
+/// One subcommand: everything the dispatcher, the top-level usage line
+/// and the shell completions know about it.
+pub(crate) struct Command {
+    pub(crate) name: &'static str,
+    /// The one-line description a completion menu shows.
+    pub(crate) summary: &'static str,
+    /// The usage line; its flags are the ones completions offer.
+    pub(crate) usage: &'static str,
+    /// The `--help` page.
+    pub(crate) help: &'static str,
+    /// Parses the command's arguments (its `--help` already answered)
+    /// and runs it.
+    pub(crate) run: fn(Args) -> Result<(), CliError>,
+}
+
+impl Command {
+    /// The flags the usage line names, as `(value flags, switches)`, each
+    /// kind in usage-line order. Inside a `[...]` group every ` | `
+    /// alternative `--flag META` takes a value and a bare `--flag` is a
+    /// switch; a flag outside brackets (`report`'s `--diff OLD NEW`) is a
+    /// switch.
+    pub(crate) fn flags(&self) -> (Vec<&'static str>, Vec<&'static str>) {
+        let (mut values, mut switches) = (Vec::new(), Vec::new());
+        // Brackets do not nest, so odd pieces are the bracketed groups.
+        for (i, piece) in self.usage.split(['[', ']']).enumerate() {
+            let is_flag = |word: &&str| word.starts_with("--");
+            if i % 2 == 0 {
+                switches.extend(piece.split_whitespace().filter(is_flag));
+                continue;
+            }
+            for alternative in piece.split(" | ") {
+                let mut words = alternative.split_whitespace();
+                if let Some(flag) = words.next().filter(is_flag) {
+                    match words.next() {
+                        Some(_) => values.push(flag),
+                        None => switches.push(flag),
+                    }
+                }
+            }
+        }
+        (values, switches)
+    }
+}
+
+/// A [`COMMANDS`] row for the command implemented by module `$name`.
+macro_rules! command {
+    ($name:ident, $summary:literal) => {
+        Command {
+            name: stringify!($name),
+            summary: $summary,
+            usage: $name::USAGE,
+            help: $name::HELP,
+            run: $name::run,
+        }
+    };
+}
+
+/// Every subcommand, in `sara --help` order.
+pub(crate) const COMMANDS: &[Command] = &[
+    command!(export, "write the built-in catalog as .scenario.json files"),
+    command!(validate, "strictly parse and check scenario files"),
+    command!(list, "summarize the catalog"),
+    command!(matrix, "run scenarios x policies x frequencies, ranked"),
+    command!(sweep, "DRAM frequency / DVFS sweeps"),
+    command!(govern, "online self-aware governor"),
+    command!(gen, "generate seeded random scenarios"),
+    command!(report, "summarize or diff sara JSON dumps"),
+    command!(
+        repro,
+        "paper tables, figures and ablations with every claim checked"
+    ),
+    command!(serve, "long-lived NDJSON simulation service"),
+    command!(completions, "emit a shell completion script"),
+];
 
 /// Consumes a command's `--scenarios` flag: a comma-separated name list,
 /// where an empty selection (e.g. an unset shell variable) is a loud
@@ -93,6 +168,43 @@ pub(crate) fn scenario_row(s: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_table_matches_the_help_page() {
+        // Command rows of `sara --help` are indented exactly two spaces
+        // (deeper indents continue a summary).
+        let rows: Vec<&str> = crate::HELP
+            .lines()
+            .filter_map(|line| line.strip_prefix("  "))
+            .filter(|rest| !rest.starts_with(' '))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(rows, names);
+        for c in COMMANDS {
+            let head = format!("usage: sara {} ", c.name);
+            assert!(c.usage.starts_with(&head), "{}", c.usage);
+        }
+    }
+
+    #[test]
+    fn every_flag_a_usage_line_names_is_parsed() {
+        // The trailing unknown flag stops each command at its parser, so
+        // nothing runs and nothing is written.
+        for c in COMMANDS {
+            let (values, switches) = c.flags();
+            let with_value = values.iter().map(|f| vec![c.name, f, "1"]);
+            for mut argv in with_value.chain(switches.iter().map(|f| vec![c.name, f])) {
+                argv.push("--not-a-flag");
+                let args: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+                let unknown = format!("unknown flag \"{}\"", argv[1]);
+                match crate::dispatch(&args) {
+                    Err(CliError::Usage(m)) => assert!(!m.contains(&unknown), "{argv:?}: {m}"),
+                    other => panic!("{argv:?} got past its parser: {other:?}"),
+                }
+            }
+        }
+    }
 
     #[test]
     fn load_scenarios_defaults_to_the_catalog() {

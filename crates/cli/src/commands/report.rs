@@ -20,9 +20,10 @@ use sara_serve::FORMAT_TAG as SERVE_TAG;
 use sara_serve::{EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
 use sara_telemetry::prometheus;
 
-const USAGE: &str = "usage: sara report FILE | sara report --diff OLD NEW [--tolerance F]";
+pub(crate) const USAGE: &str =
+    "usage: sara report FILE | sara report --diff OLD NEW [--tolerance F]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara report — summarize or diff sara JSON dumps
 
 usage: sara report FILE
@@ -101,12 +102,7 @@ impl Kind {
 /// Usage error for bad flags; runtime failure for unreadable or
 /// unrecognizable files, and for any detected regression in `--diff`
 /// mode (exit code 1, the acceptance gate).
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let diff_mode = args.take_flag("--diff");
     let tolerance = args.take_parsed::<f64>("--tolerance")?.unwrap_or(0.05);
     if !tolerance.is_finite() || tolerance < 0.0 {

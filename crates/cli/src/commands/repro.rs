@@ -23,16 +23,16 @@ use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
 use crate::commands::sweep::{csv_doc, residency_table};
-use crate::output::{page, Sink};
+use crate::output::page;
 
 use CoreKind::{Camera, Display, Dsp, Gps, ImageProcessor, Rotator, Usb, VideoCodec, WiFi};
 use PolicyKind::{Fcfs, FrFcfs, FrameQos, Priority as Qos, QosRowBuffer as QosRb, RoundRobin};
 
-const USAGE: &str = "usage: sara repro \
-                     <table1|table2|fig5|fig6|fig7|fig8|fig9|ablations|all>... \
-                     [--duration-ms MS] [--out DIR]";
+pub(crate) const USAGE: &str = "usage: sara repro \
+                                <table1|table2|fig5|fig6|fig7|fig8|fig9|ablations|all>... \
+                                [--duration-ms MS] [--out DIR]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara repro — the paper's tables, figures and ablations, every claim checked
 
 usage: sara repro <target>... [options]
@@ -390,12 +390,7 @@ static TARGETS: [Target; 11] = [
 ///
 /// Usage error for bad flags or an unknown target; runtime failure for
 /// simulation or output I/O errors, and when a claim fails.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let ms = args
         .take_one("--duration-ms", positive)?
         .unwrap_or(FRAME_MS);
@@ -771,9 +766,8 @@ fn fig8(_: &Target, reports: &Reports, out: Option<&Path>) -> Result<String, Cli
 }
 
 fn write_plot(path: PathBuf, csv: &str) -> Result<String, CliError> {
-    let sink = Sink::File(path);
-    sink.write(csv)?;
-    Ok(format!("wrote {}\n", sink.describe()))
+    std::fs::write(&path, csv).map_err(|e| io_failure(&path, e))?;
+    Ok(format!("wrote {}\n", path.display()))
 }
 
 // --- cells -------------------------------------------------------------------

@@ -16,11 +16,12 @@ use sara_serve::{journal, Journal, ServeConfig, Server};
 use crate::args::{count, Args, CliError};
 use crate::output::{emit_value, page};
 
-const USAGE: &str = "usage: sara serve [--tcp ADDR | --unix PATH] [--workers N] [--budget N] \
-                     [--max-sessions N] [--journal PATH] [--journal-max-bytes N] \
-                     [--metrics ADDR] [--chrome-trace PATH]";
+pub(crate) const USAGE: &str =
+    "usage: sara serve [--tcp ADDR | --unix PATH] [--workers N] [--budget N] \
+     [--max-sessions N] [--journal PATH] [--journal-max-bytes N] \
+     [--metrics ADDR] [--chrome-trace PATH]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara serve — long-lived NDJSON simulation service
 
 usage: sara serve [options]
@@ -80,12 +81,7 @@ in submission order.";
 ///
 /// Usage error for conflicting transports or bad values; runtime failure
 /// when the listener cannot bind or a session dies on I/O.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let tcp = args.take_opt("--tcp")?;
     let unix = args.take_opt("--unix")?;
     let workers = args.take_one("--workers", count)?.unwrap_or(0);
@@ -359,41 +355,42 @@ fn serve_unix(_server: &Server, _path: &str, _max: Option<usize>) -> Result<(), 
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn argv(args: &[&str]) -> Args<'static> {
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Args::new(&owned, USAGE)
     }
 
     #[test]
     fn conflicting_transports_are_a_usage_error() {
-        let err = run(&argv(&["--tcp", "127.0.0.1:0", "--unix", "/tmp/x"])).unwrap_err();
+        let err = run(argv(&["--tcp", "127.0.0.1:0", "--unix", "/tmp/x"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("mutually exclusive")));
     }
 
     #[test]
     fn zero_budget_is_a_usage_error() {
-        let err = run(&argv(&["--budget", "0"])).unwrap_err();
+        let err = run(argv(&["--budget", "0"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--budget")));
     }
 
     #[test]
     fn max_sessions_requires_a_listener() {
-        let err = run(&argv(&["--max-sessions", "1"])).unwrap_err();
+        let err = run(argv(&["--max-sessions", "1"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--max-sessions")));
-        let err = run(&argv(&["--tcp", "127.0.0.1:0", "--max-sessions", "0"])).unwrap_err();
+        let err = run(argv(&["--tcp", "127.0.0.1:0", "--max-sessions", "0"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--max-sessions must be ≥ 1")));
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let err = run(&argv(&["--port", "7979"])).unwrap_err();
+        let err = run(argv(&["--port", "7979"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
     }
 
     #[test]
     fn journal_max_bytes_needs_a_journal_and_a_positive_cap() {
-        let err = run(&argv(&["--journal-max-bytes", "1024"])).unwrap_err();
+        let err = run(argv(&["--journal-max-bytes", "1024"])).unwrap_err();
         assert!(matches!(&err, CliError::Usage(m) if m.contains("--journal PATH")));
-        let err = run(&argv(&["--journal", "/tmp/j", "--journal-max-bytes", "0"])).unwrap_err();
+        let err = run(argv(&["--journal", "/tmp/j", "--journal-max-bytes", "0"])).unwrap_err();
         assert!(
             matches!(&err, CliError::Usage(m) if m.contains("--journal-max-bytes must be ≥ 1"))
         );

@@ -11,13 +11,13 @@ use sara_types::{ConfigError, CoreKind};
 
 use crate::args::{ascending_mhz, flag_word, positive, Args, CliError};
 use crate::commands::{load_scenarios, take_scenario_names};
-use crate::output::{page, reject_double_stdout, Progress, Sink};
+use crate::output::{Progress, Sink};
 
-const USAGE: &str = "usage: sara sweep [--dvfs] [--core NAME] [--case A|B] \
-                     [--dir DIR | --scenarios NAMES] [--freqs MHZ] [--screen] \
-                     [--duration-ms MS] [--csv PATH|-] [--json PATH|-]";
+pub(crate) const USAGE: &str = "usage: sara sweep [--dvfs] [--core NAME] [--case A|B] \
+                                [--dir DIR | --scenarios NAMES] [--freqs MHZ] [--screen] \
+                                [--duration-ms MS] [--csv PATH|-] [--json PATH|-]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara sweep — DRAM frequency / DVFS sweeps
 
 usage: sara sweep [options]
@@ -54,12 +54,7 @@ Frequency lists must be strictly ascending (duplicates rejected).
 ///
 /// Usage error for bad flags; runtime failure for simulation or output
 /// I/O errors.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let mut args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let dvfs = args.take_flag("--dvfs");
     let core = args.take_one("--core", |name, raw| flag_word(name, CoreKind::parse(raw)))?;
     let case = args.take_opt("--case")?;
@@ -71,7 +66,7 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     let duration_ms = duration_flag.unwrap_or(6.0);
     let csv_sink = args.take_opt("--csv")?.map(|raw| Sink::parse(&raw));
     let json_sink = args.take_opt("--json")?.map(|raw| Sink::parse(&raw));
-    reject_double_stdout(csv_sink.as_ref(), json_sink.as_ref(), USAGE)?;
+    let progress = Progress::for_outputs(&[("--json", &json_sink), ("--csv", &csv_sink)], USAGE)?;
     args.finish()?;
 
     let scenario_mode = dir.is_some() || !names.is_empty();
@@ -88,7 +83,6 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
         ));
     }
 
-    let progress = Progress::new(&[csv_sink.as_ref(), json_sink.as_ref()]);
     let (csv, json) = if dvfs {
         if core.is_some() {
             return Err(CliError::usage(USAGE, "--core only applies without --dvfs"));
@@ -177,16 +171,10 @@ pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
     };
 
     if let Some(sink) = &csv_sink {
-        sink.write(&csv)?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        sink.deliver(progress, |w| w.write_all(csv.as_bytes()))?;
     }
     if let Some(sink) = &json_sink {
-        sink.write(&json)?;
-        if !sink.is_stdout() {
-            progress.line(format!("wrote {}", sink.describe()));
-        }
+        sink.deliver(progress, |w| w.write_all(json.as_bytes()))?;
     }
     Ok(())
 }

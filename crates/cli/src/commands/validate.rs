@@ -7,9 +7,9 @@ use sara_scenarios::{Scenario, SCENARIO_FILE_SUFFIX};
 use crate::args::{Args, CliError};
 use crate::output::page;
 
-const USAGE: &str = "usage: sara validate PATH [PATH ...]";
+pub(crate) const USAGE: &str = "usage: sara validate PATH [PATH ...]";
 
-const HELP: &str = "\
+pub(crate) const HELP: &str = "\
 sara validate — strictly parse and check scenario files
 
 usage: sara validate PATH [PATH ...]
@@ -27,12 +27,7 @@ Exits non-zero on the first error.";
 ///
 /// Usage error when no path is given; runtime failure naming the first
 /// file that fails to parse, check, or lower.
-pub(crate) fn run(raw: &[String]) -> Result<(), CliError> {
-    let args = Args::new(raw, USAGE);
-    if args.help_requested() {
-        page(HELP);
-        return Ok(());
-    }
+pub(crate) fn run(args: Args) -> Result<(), CliError> {
     let paths = args.finish_positional(usize::MAX)?;
     if paths.is_empty() {
         return Err(CliError::usage(

@@ -33,6 +33,9 @@ mod output;
 
 pub use args::CliError;
 
+use args::{help_requested, Args};
+use commands::COMMANDS;
+
 /// The top-level `sara --help` text (pinned by a golden file in the
 /// integration tests — update `crates/cli/tests/data/help.txt` via
 /// `SARA_UPDATE_GOLDENS=1` after an intentional change).
@@ -56,11 +59,6 @@ commands:
              emit a bash/zsh/fish completion script
 
 run `sara <command> --help` for per-command options.";
-
-/// One-line usage hint printed with top-level usage errors.
-const USAGE: &str = "usage: sara \
-                     <export|validate|list|matrix|sweep|govern|gen|report|repro|serve|completions> \
-                     [options] (see `sara --help`)";
 
 /// Runs the CLI on the given arguments (without the program name) and
 /// returns the process exit code.
@@ -86,9 +84,18 @@ where
     }
 }
 
+/// One-line usage hint printed with top-level usage errors.
+fn usage() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    format!(
+        "usage: sara <{}> [options] (see `sara --help`)",
+        names.join("|")
+    )
+}
+
 fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some(command) = args.first() else {
-        return Err(CliError::Usage(USAGE.to_string()));
+        return Err(CliError::Usage(usage()));
     };
     let rest = &args[1..];
     match command.as_str() {
@@ -102,20 +109,19 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
             output::page(HELP);
             Ok(())
         }
-        "export" => commands::export::run(rest),
-        "validate" => commands::validate::run(rest),
-        "list" => commands::list::run(rest),
-        "matrix" => commands::matrix::run(rest),
-        "sweep" => commands::sweep::run(rest),
-        "govern" => commands::govern::run(rest),
-        "gen" => commands::gen::run(rest),
-        "report" => commands::report::run(rest),
-        "repro" => commands::repro::run(rest),
-        "serve" => commands::serve::run(rest),
-        "completions" => commands::completions::run(rest),
-        other => Err(CliError::Usage(format!(
-            "unknown command \"{other}\"\n{USAGE}"
-        ))),
+        name => match COMMANDS.iter().find(|c| c.name == name) {
+            // Checked before parsing, so a broken invocation can still
+            // ask for help.
+            Some(c) if help_requested(rest) => {
+                output::page(c.help);
+                Ok(())
+            }
+            Some(c) => (c.run)(Args::new(rest, c.usage)),
+            None => Err(CliError::Usage(format!(
+                "unknown command \"{name}\"\n{}",
+                usage()
+            ))),
+        },
     }
 }
 

@@ -34,15 +34,6 @@ impl Sink {
         matches!(self, Sink::Stdout)
     }
 
-    /// Writes `text` to the sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`Sink::write_with`].
-    pub(crate) fn write(&self, text: &str) -> Result<(), CliError> {
-        self.write_with(|w| w.write_all(text.as_bytes()))
-    }
-
     /// Hands `emit` one `BufWriter` over the sink — the created file, or
     /// a locked stdout (a bare `Stdout` is line-buffered: one write per
     /// pretty line) — and flushes it, so a streamed document leaves in
@@ -78,12 +69,22 @@ impl Sink {
         }
     }
 
-    /// A human description for "wrote …" progress lines.
-    pub(crate) fn describe(&self) -> String {
-        match self {
-            Sink::Stdout => "stdout".to_string(),
-            Sink::File(path) => path.display().to_string(),
+    /// Writes one machine output through [`Sink::write_with`] and, when it
+    /// went to a file, says so on the progress stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`Sink::write_with`].
+    pub(crate) fn deliver(
+        &self,
+        progress: Progress,
+        emit: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+    ) -> Result<(), CliError> {
+        self.write_with(emit)?;
+        if let Sink::File(path) = self {
+            progress.line(format!("wrote {}", path.display()));
         }
+        Ok(())
     }
 }
 
@@ -98,26 +99,6 @@ pub(crate) fn emit_value(value: &Value, pretty: bool) -> String {
     };
     text.push('\n');
     text
-}
-
-/// Rejects two sinks both claiming stdout: the interleaved stream would be
-/// neither valid JSON nor valid CSV.
-///
-/// # Errors
-///
-/// Usage error when both sinks are `-`.
-pub(crate) fn reject_double_stdout(
-    a: Option<&Sink>,
-    b: Option<&Sink>,
-    usage: &str,
-) -> Result<(), CliError> {
-    if a.is_some_and(Sink::is_stdout) && b.is_some_and(Sink::is_stdout) {
-        return Err(CliError::usage(
-            usage,
-            "at most one of --json/--csv can write to stdout (`-`); send the other to a file",
-        ));
-    }
-    Ok(())
 }
 
 /// Prints one human-readable line to stdout, tolerating a closed pipe:
@@ -137,11 +118,34 @@ pub(crate) struct Progress {
 }
 
 impl Progress {
-    /// Chooses the progress stream given the sinks in play.
-    pub(crate) fn new(sinks: &[Option<&Sink>]) -> Progress {
-        Progress {
-            to_stderr: sinks.iter().any(|s| s.is_some_and(Sink::is_stdout)),
+    /// Checks a command's machine outputs, each `(flag, sink)`, as one
+    /// set and chooses the progress stream: stderr when an output claims
+    /// stdout, stdout otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Usage error naming the first two flags that both claim stdout: the
+    /// interleaved stream would be no valid document.
+    pub(crate) fn for_outputs(
+        outputs: &[(&str, &Option<Sink>)],
+        usage: &str,
+    ) -> Result<Progress, CliError> {
+        let mut on_stdout = outputs
+            .iter()
+            .filter(|(_, sink)| sink.as_ref().is_some_and(Sink::is_stdout))
+            .map(|(flag, _)| flag);
+        let first = on_stdout.next();
+        if let (Some(a), Some(b)) = (first, on_stdout.next()) {
+            return Err(CliError::usage(
+                usage,
+                format!(
+                    "at most one of {a}/{b} can write to stdout (`-`); send the other to a file"
+                ),
+            ));
         }
+        Ok(Progress {
+            to_stderr: first.is_some(),
+        })
     }
 
     /// Prints one progress line on the chosen stream. A closed pipe drops
@@ -166,7 +170,6 @@ mod tests {
         let file = Sink::parse("out/matrix.json");
         assert_eq!(file, Sink::File(PathBuf::from("out/matrix.json")));
         assert!(!file.is_stdout());
-        assert_eq!(file.describe(), "out/matrix.json");
     }
 
     #[test]
@@ -181,19 +184,26 @@ mod tests {
     }
 
     #[test]
-    fn double_stdout_sinks_are_rejected() {
-        let stdout = Sink::Stdout;
-        let file = Sink::File(PathBuf::from("x.json"));
-        assert!(reject_double_stdout(Some(&stdout), Some(&stdout), "u").is_err());
-        assert!(reject_double_stdout(Some(&stdout), Some(&file), "u").is_ok());
-        assert!(reject_double_stdout(Some(&stdout), None, "u").is_ok());
-        assert!(reject_double_stdout(None, None, "u").is_ok());
+    fn two_outputs_on_stdout_are_refused_by_name() {
+        let (stdout, file) = (Some(Sink::Stdout), Some(Sink::File(PathBuf::from("x"))));
+        let outputs = [
+            ("--json", &stdout),
+            ("--csv", &file),
+            ("--chrome-trace", &stdout),
+        ];
+        let err = Progress::for_outputs(&outputs, "u").unwrap_err();
+        assert!(matches!(&err, CliError::Usage(m)
+            if m.starts_with("at most one of --json/--chrome-trace can write to stdout")));
+        let progress = Progress::for_outputs(&outputs[..2], "u").unwrap();
+        assert!(progress.to_stderr);
+        let progress = Progress::for_outputs(&[("--json", &file), ("--csv", &None)], "u").unwrap();
+        assert!(!progress.to_stderr);
     }
 
     #[test]
     fn file_sink_write_failure_names_the_path() {
         let sink = Sink::File(PathBuf::from("/nonexistent-dir/x.json"));
-        let err = sink.write("x").unwrap_err();
+        let err = sink.write_with(|w| w.write_all(b"x")).unwrap_err();
         assert!(matches!(&err, CliError::Failure(m) if m.contains("/nonexistent-dir/x.json")));
     }
 }

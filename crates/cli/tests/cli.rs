@@ -222,6 +222,31 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
 }
 
 #[test]
+fn two_outputs_claiming_stdout_are_refused_by_name() {
+    for (cmd, a, b) in [
+        ("matrix", "--json", "--chrome-trace"),
+        ("sweep", "--json", "--csv"),
+        ("govern", "--csv", "--chrome-trace"),
+    ] {
+        let out = sara(&[cmd, a, "-", b, "-"]);
+        assert_eq!(code(&out), 2, "sara {cmd} {a} - {b} -");
+        assert!(stdout(&out).is_empty(), "sara {cmd} {a} - {b} -");
+        let err = stderr(&out);
+        assert!(
+            err.starts_with(&format!("at most one of {a}/{b} can write to stdout")),
+            "{err}"
+        );
+        assert!(err.contains(&format!("usage: sara {cmd}")), "{err}");
+    }
+    // The --json/--csv wording is unchanged, whichever comes first.
+    let out = sara(&["sweep", "--csv", "-", "--json", "-"]);
+    assert_eq!(
+        stderr(&out).lines().next(),
+        Some("at most one of --json/--csv can write to stdout (`-`); send the other to a file")
+    );
+}
+
+#[test]
 fn unknown_and_missing_commands_exit_2() {
     let out = sara(&["conquer"]);
     assert_eq!(code(&out), 2);
