@@ -256,6 +256,27 @@ impl<'w, W: std::io::Write + ?Sized> Stream<'w, W> {
         Ok(())
     }
 
+    /// Writes `compact` — the compact text of a complete value, as
+    /// [`Value::to_string_compact`] renders it — as the next child (`key`
+    /// names it inside an object), copied as is: the bytes equal those of
+    /// [`Stream::node`] on the value, without rebuilding it. This is how a
+    /// document splices in a member rendered earlier.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a pretty stream, whose layout the compact text lacks.
+    pub fn raw(&mut self, key: Option<&str>, compact: &str) -> std::io::Result<()> {
+        assert!(!self.pretty, "raw compact text in a pretty document");
+        self.child(key);
+        self.w.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        self.w.write_all(compact.as_bytes())
+    }
+
     /// Closes the innermost open container.
     ///
     /// # Panics
@@ -431,6 +452,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_stream_splices_raw_compact_text_as_the_node_would_write_it() {
+        let doc = parse(r#"{"k":[{"deep":[[],{}]}],"s":"a\"b","n":-2.5}"#).expect("valid sample");
+        let Value::Object(members) = &doc else {
+            unreachable!("an object sample")
+        };
+        let write = |raw: bool| {
+            let mut out = Vec::new();
+            let mut s = Stream::new(&mut out, false);
+            s.open_array(None);
+            s.open_object(None);
+            for (key, value) in members {
+                if raw {
+                    s.raw(Some(key), &value.to_string_compact()).unwrap();
+                } else {
+                    s.node(Some(key), value).unwrap();
+                }
+            }
+            s.close();
+            if raw {
+                s.raw(None, &doc.to_string_compact()).unwrap();
+            } else {
+                s.node(None, &doc).unwrap();
+            }
+            s.close();
+            s.finish().unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(write(true), write(false));
+        assert_eq!(write(true), format!("[{0},{0}]\n", doc.to_string_compact()));
+    }
+
+    #[test]
+    #[should_panic(expected = "pretty document")]
+    fn raw_text_in_a_pretty_stream_panics() {
+        let mut out = Vec::new();
+        let mut s = Stream::new(&mut out, true);
+        s.open_array(None);
+        let _ = s.raw(None, "[1,2]");
     }
 
     #[test]

@@ -147,40 +147,12 @@ impl MatrixCell {
         }
     }
 
-    /// Whether every core met its target: the engine's verdict for
-    /// simulated cells, the proof's for screened ones.
-    pub fn all_targets_met(&self) -> bool {
+    /// What the rankings read of the cell: the engine's figures for a
+    /// simulated cell, the screener's proof for a pruned one.
+    pub fn rank_key(&self) -> RankKey {
         match &self.outcome {
-            CellOutcome::Simulated(r) => r.all_targets_met(),
-            CellOutcome::Screened(a) => a.verdict == ScreenVerdict::ProvablyTrivial,
-        }
-    }
-
-    /// Number of cores that missed their targets. For screened-infeasible
-    /// cells this is the rated-core count — a deterministic pessimistic
-    /// stand-in (at least one of them must fail; the exact set is
-    /// unknowable without simulating).
-    pub fn failures(&self) -> usize {
-        match &self.outcome {
-            CellOutcome::Simulated(r) => r.failed_cores().len(),
-            CellOutcome::Screened(a) => match a.verdict {
-                ScreenVerdict::ProvablyTrivial => 0,
-                _ => a
-                    .static_alloc
-                    .iter()
-                    .filter(|s| s.demand_gbs > 0.0)
-                    .count()
-                    .max(1),
-            },
-        }
-    }
-
-    /// Delivered bandwidth for simulated cells; the analytic bound for
-    /// screened ones (the only bandwidth figure a pruned cell has).
-    pub fn bandwidth_gbs(&self) -> f64 {
-        match &self.outcome {
-            CellOutcome::Simulated(r) => r.bandwidth_gbs,
-            CellOutcome::Screened(a) => a.bound_gbs,
+            CellOutcome::Simulated(r) => RankKey::of(r),
+            CellOutcome::Screened(a) => RankKey::screened(a),
         }
     }
 
@@ -216,6 +188,54 @@ impl MatrixCell {
             }
         }
         members
+    }
+}
+
+/// The facts a cell is ranked by, and all a ranking needs of it:
+/// [`rank_cells`] orders cells by these alone, so a caller that keeps a
+/// report only as rendered JSON can still rank it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankKey {
+    /// Whether every core met its target.
+    pub met: bool,
+    /// Number of cores that missed their targets.
+    pub failures: usize,
+    /// Delivered bandwidth, GB/s.
+    pub bandwidth_gbs: f64,
+}
+
+impl RankKey {
+    /// A simulated cell's key: the report's own verdict and figures.
+    pub fn of(report: &SimReport) -> RankKey {
+        RankKey {
+            met: report.all_targets_met(),
+            failures: report.failed_cores().len(),
+            bandwidth_gbs: report.bandwidth_gbs,
+        }
+    }
+
+    /// A pruned cell's key. Provably trivial cells meet every target;
+    /// provably infeasible ones fail the rated-core count — a
+    /// deterministic pessimistic stand-in (at least one of them must
+    /// fail; the exact set is unknowable without simulating). The
+    /// analytic bound stands in for delivered bandwidth.
+    pub fn screened(analytic: &AnalyticReport) -> RankKey {
+        let met = analytic.verdict == ScreenVerdict::ProvablyTrivial;
+        let failures = if met {
+            0
+        } else {
+            analytic
+                .static_alloc
+                .iter()
+                .filter(|s| s.demand_gbs > 0.0)
+                .count()
+                .max(1)
+        };
+        RankKey {
+            met,
+            failures,
+            bandwidth_gbs: analytic.bound_gbs,
+        }
     }
 }
 
@@ -266,16 +286,14 @@ pub struct MatrixSummary {
 pub struct ScenarioRanking {
     /// Scenario registry name.
     pub scenario: String,
-    /// Indices into [`MatrixSummary::cells`], best candidate first.
-    ///
-    /// Ordering: all targets met beats not; fewer failed cores beats more;
-    /// then higher delivered bandwidth; submission order breaks exact ties.
+    /// Indices into [`MatrixSummary::cells`], best candidate first, in
+    /// [`rank_cells`] order.
     pub ranked: Vec<usize>,
 }
 
 impl ScenarioRanking {
     /// The ranking as one `rankings[i]` object of a matrix dump.
-    fn to_json_value(&self) -> Value {
+    pub fn to_json_value(&self) -> Value {
         Value::Object(vec![
             ("scenario".to_string(), self.scenario.as_str().into()),
             ("ranked".to_string(), self.ranked.clone().into()),
@@ -318,7 +336,7 @@ impl MatrixSummary {
                         c.freq.as_u32(),
                         r.bandwidth_gbs,
                         r.row_hit_rate * 100.0,
-                        c.failures()
+                        c.rank_key().failures
                     )),
                     CellOutcome::Screened(a) => out.push_str(&format!(
                         "{:<6} {:<10} {:>6} {:>8.2} {:>9} {:>10}\n",
@@ -418,6 +436,7 @@ impl MatrixSummary {
                 cell.freq.as_u32()
             );
             let start = us(p.start_ms);
+            let key = cell.rank_key();
             trace.complete(
                 0,
                 tid,
@@ -426,9 +445,9 @@ impl MatrixSummary {
                 start,
                 us(p.total_ms()),
                 &[
-                    ("bandwidth_gbs", cell.bandwidth_gbs().into()),
-                    ("all_targets_met", cell.all_targets_met().into()),
-                    ("failures", cell.failures().into()),
+                    ("bandwidth_gbs", key.bandwidth_gbs.into()),
+                    ("all_targets_met", key.met.into()),
+                    ("failures", key.failures.into()),
                 ],
             );
             trace.complete(0, tid, "setup", "phase", start, us(p.setup_ms), &[]);
@@ -479,16 +498,17 @@ impl MatrixSummary {
                 .report()
                 .map(|r| r.row_hit_rate.to_string())
                 .unwrap_or_default();
+            let key = c.rank_key();
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{},{}\n",
                 csv_field(&c.scenario),
                 c.policy.name(),
                 c.freq.as_u32(),
                 c.channels,
-                c.bandwidth_gbs(),
+                key.bandwidth_gbs,
                 row_hit,
-                c.failures(),
-                c.all_targets_met(),
+                key.failures,
+                key.met,
                 c.screened().unwrap_or(""),
                 rank[i]
             ));
@@ -622,9 +642,9 @@ pub fn run_cell(scenario: &Scenario, cell: &CellSpec) -> Result<SimReport, Confi
     run_cell_timed(scenario, cell, 0, Instant::now()).map(|(report, _)| report)
 }
 
-/// Assembles completed cells into a [`MatrixSummary`] — the ranking pass
-/// shared by [`run_matrix`] and the serve cache path, so a summary built
-/// from cached reports is byte-identical to a freshly simulated one.
+/// Assembles completed cells into a [`MatrixSummary`], ranked by
+/// [`rank_cells`] — the pass under [`run_matrix`], `sara repro` and the
+/// benchmark.
 ///
 /// `reports` and `profile` must align with `cells` (one entry each, in
 /// expansion order).
@@ -653,39 +673,54 @@ pub fn summarize_cells(
         })
         .collect();
 
-    // Rank each scenario's cells, matching by submitted scenario index
-    // (not name) so two entries that happen to share a name — e.g. the
-    // same catalog scenario at two frequencies — keep separate rankings.
-    // Screened cells rank through their synthetic keys: provably-trivial
-    // counts as met, provably-infeasible as not, and the analytic bound
-    // stands in for delivered bandwidth.
-    let mut rankings = Vec::with_capacity(scenarios.len());
-    for (si, s) in scenarios.iter().enumerate() {
-        let mut idxs: Vec<usize> = specs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.scenario == si)
-            .map(|(i, _)| i)
-            .collect();
-        idxs.sort_by(|&a, &b| {
-            let (ca, cb) = (&cells[a], &cells[b]);
-            cb.all_targets_met()
-                .cmp(&ca.all_targets_met())
-                .then(ca.failures().cmp(&cb.failures()))
-                .then(cb.bandwidth_gbs().total_cmp(&ca.bandwidth_gbs()))
-                .then(a.cmp(&b))
-        });
-        rankings.push(ScenarioRanking {
-            scenario: s.name.clone(),
-            ranked: idxs,
-        });
-    }
+    let keys: Vec<RankKey> = cells.iter().map(MatrixCell::rank_key).collect();
+    let rankings = rank_cells(scenarios, specs, &keys);
 
     MatrixSummary {
         cells,
         rankings,
         profile,
     }
+}
+
+/// Ranks each scenario's cells by their keys (`keys[i]` is cell `i`'s),
+/// best first: all targets met beats not, fewer failed cores beats more,
+/// then higher bandwidth, and submission order breaks exact ties. Cells
+/// match their scenario by submitted index, not name, so two entries that
+/// share a name — the same catalog scenario at two frequencies — keep
+/// separate rankings. The one ranking rule: [`summarize_cells`] and a
+/// `sara serve` artifact both rank through it.
+///
+/// # Panics
+///
+/// Panics if `keys` and `specs` disagree on length.
+pub fn rank_cells(
+    scenarios: &[Scenario],
+    specs: &[CellSpec],
+    keys: &[RankKey],
+) -> Vec<ScenarioRanking> {
+    assert_eq!(specs.len(), keys.len(), "one key per cell");
+    scenarios
+        .iter()
+        .enumerate()
+        .map(|(si, s)| {
+            let mut ranked: Vec<usize> = (0..specs.len())
+                .filter(|&i| specs[i].scenario == si)
+                .collect();
+            ranked.sort_by(|&a, &b| {
+                let (ka, kb) = (&keys[a], &keys[b]);
+                kb.met
+                    .cmp(&ka.met)
+                    .then(ka.failures.cmp(&kb.failures))
+                    .then(kb.bandwidth_gbs.total_cmp(&ka.bandwidth_gbs))
+                    .then(a.cmp(&b))
+            });
+            ScenarioRanking {
+                scenario: s.name.clone(),
+                ranked,
+            }
+        })
+        .collect()
 }
 
 /// Content fingerprint of one cell: a 64-bit FNV-1a hash over the
@@ -1302,7 +1337,7 @@ mod tests {
                 Some(label) => {
                     assert_eq!(label, "infeasible");
                     assert_eq!(p.analytic().verdict, ScreenVerdict::ProvablyInfeasible);
-                    assert!(!p.all_targets_met());
+                    assert!(!p.rank_key().met);
                     let json = p.to_json_value().to_string_compact();
                     assert!(json.contains("\"screened\":\"infeasible\""), "{json}");
                     assert!(json.contains("\"bound_gbs\""), "{json}");

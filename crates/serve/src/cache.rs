@@ -10,57 +10,52 @@
 //! cell would produce — which is what lets the server serve hits without
 //! perturbing the byte-level output contract.
 //!
-//! An entry ([`CachedReport`]) holds the report and, from the first time
-//! it answers a hit, the report's compact JSON. The cache hands entries
-//! out behind an [`Arc`], so a hit copies a pointer under the cache lock
-//! and nothing else; the JSON is rendered by whoever first asks for it
-//! ([`CachedReport::json`], outside the lock) and every later hit copies
-//! those bytes. An entry that is never hit never carries a rendering: a
-//! catalog report of 0.01–0.2 simulated ms holds 11.8–24.9 KB of heap
-//! (77–84 % of it telemetry histograms) and its compact JSON is
-//! 6.1–13.4 KB, so rendering on insert would add about half again to an
-//! entry, and most entries of a long-running server are inserted once
-//! and not asked for again.
+//! An entry ([`CachedReport`]) is the report's compact JSON plus its
+//! [`RankKey`]: the only bytes a hit ever sends, and the only facts a
+//! job's summary and artifact rankings read. The JSON is rendered once,
+//! when the cell is simulated, and that rendering is both the record the
+//! simulating job streams and what every later hit copies; the report
+//! itself is dropped right after. A catalog report of 0.01–0.2 simulated
+//! ms holds 11.8–24.9 KB of heap (77–84 % of it telemetry histograms)
+//! while its compact JSON is 6.1–13.4 KB. Over the 60 catalog × policy
+//! cells at 0.05 ms (`tests/cache_memory.rs`) the cache retains 8.3 KB
+//! an entry — its 8.2 KB of JSON plus under 100 B — where an entry that
+//! kept its report retained 16.2 KB, so `json().len()` plus a small
+//! constant is an entry's whole size. The cache hands entries out behind
+//! an [`Arc`], so a hit copies a pointer under the cache lock and nothing
+//! else.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
+use sara_scenarios::RankKey;
 use sara_sim::SimReport;
 
-/// One cache entry: a report plus, once a hit has asked for it, the
-/// report's compact JSON.
+/// One cache entry: a report's compact JSON and rank key.
 #[derive(Debug)]
 pub struct CachedReport {
-    report: SimReport,
-    json: OnceLock<Box<str>>,
+    json: Box<str>,
+    key: RankKey,
 }
 
 impl CachedReport {
-    /// Wraps a report; nothing is rendered yet.
-    pub(crate) fn new(report: SimReport) -> Self {
+    /// Renders a report into an entry; the report is not kept.
+    pub(crate) fn new(report: &SimReport) -> Self {
         CachedReport {
-            report,
-            json: OnceLock::new(),
+            // Boxed: the stored copy keeps no spare capacity.
+            json: report.to_json_value().to_string_compact().into_boxed_str(),
+            key: RankKey::of(report),
         }
     }
 
-    /// The report itself.
-    pub fn report(&self) -> &SimReport {
-        &self.report
-    }
-
-    /// The report's compact JSON — `to_json_value().to_string_compact()`
-    /// — rendered by the first call and kept with the entry; every later
-    /// call returns the same string.
+    /// The report's compact JSON: `to_json_value().to_string_compact()`.
     pub fn json(&self) -> &str {
-        // Boxed: the stored copy keeps no spare capacity.
-        self.json.get_or_init(|| self.render().into_boxed_str())
+        &self.json
     }
 
-    /// The same bytes as [`CachedReport::json`], rendered afresh and not
-    /// kept: what a just-simulated cell is answered with.
-    pub(crate) fn render(&self) -> String {
-        self.report.to_json_value().to_string_compact()
+    /// What the rankings read of the report.
+    pub fn key(&self) -> RankKey {
+        self.key
     }
 }
 
@@ -94,12 +89,13 @@ impl ResultCache {
         }
     }
 
-    /// Stores a freshly simulated report under its fingerprint.
+    /// Renders a freshly simulated report and stores the entry under its
+    /// fingerprint.
     pub fn insert(&mut self, fingerprint: u64, report: SimReport) {
-        self.insert_shared(fingerprint, Arc::new(CachedReport::new(report)));
+        self.insert_shared(fingerprint, Arc::new(CachedReport::new(&report)));
     }
 
-    /// Stores an entry its producer keeps a handle on: the report is
+    /// Stores an entry its producer keeps a handle on: the rendering is
     /// shared with the job that simulated it, not copied.
     pub(crate) fn insert_shared(&mut self, fingerprint: u64, entry: Arc<CachedReport>) {
         self.reports.insert(fingerprint, entry);
@@ -150,7 +146,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let hit = cache.lookup(key).expect("cached");
         assert_eq!(
-            hit.report().to_json_value().to_string_compact(),
+            hit.json(),
             report.to_json_value().to_string_compact(),
             "a cache hit is byte-identical to the stored report"
         );
@@ -158,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn hits_share_one_entry_rendered_once_on_first_use() {
+    fn hits_share_one_entry_rendered_when_inserted() {
         let (key, report) = camcorder_b_fcfs();
         let mut cache = ResultCache::new();
         cache.insert(key, report.clone());
@@ -167,23 +163,14 @@ mod tests {
         let first = cache.lookup(key).expect("cached");
         let second = cache.lookup(key).expect("cached");
         assert!(Arc::ptr_eq(&first, &second), "a hit copies a pointer");
+        assert_eq!(first.json(), report.to_json_value().to_string_compact());
+        assert_eq!(first.key(), RankKey::of(&report));
         assert!(
-            first.json.get().is_none(),
-            "looking an entry up does not render it"
+            std::ptr::eq(first.json(), second.json()),
+            "every hit reads the one rendering"
         );
 
-        let rendered = first.json();
-        assert_eq!(rendered, report.to_json_value().to_string_compact());
-        assert_eq!(rendered, first.render());
-        assert!(
-            std::ptr::eq(rendered, second.json()),
-            "the second hit reads the first one's rendering"
-        );
-
-        // The entry nobody asked for holds no rendering, and the counters
-        // read as they always did: two hits above, one hit and one miss
-        // here.
-        assert!(cache.reports[&(key + 1)].json.get().is_none());
+        // Two hits above, one hit and one miss here.
         assert!(cache.lookup(key + 2).is_none());
         assert!(cache.lookup(key + 1).is_some());
         assert_eq!(cache.stats(), (3, 1));

@@ -16,7 +16,7 @@
 //!   `sara matrix` run, for any worker count, cache state, or job
 //!   arrival order. The server reuses the batch harness's own
 //!   primitives (`expand_cells` → `run_cell` on `run_ordered` →
-//!   `summarize_cells`), and streams records in submission order, so
+//!   `rank_cells`), and streams records in submission order, so
 //!   there is no second code path to drift.
 //! * **No cell is simulated twice.** Every cell is content-addressed by
 //!   [`sara_scenarios::cell_fingerprint`] (scenario document, overrides

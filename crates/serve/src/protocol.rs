@@ -15,7 +15,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 
 use json::read::{self, Fields};
-use json::Value;
+use json::{Stream, Value};
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{CellSpec, MatrixCell, Scenario, ScreenMode};
 
@@ -326,12 +326,12 @@ fn cell_envelope(id: &str, seq: usize) -> Vec<(String, Value)> {
 /// Writes a simulated cell's record, terminator included, around the
 /// report's compact JSON as already rendered
 /// (`SimReport::to_json_value().to_string_compact()`): only the record's
-/// small head is assembled here, and `report_json` goes to `writer` as is,
-/// behind it, as the `report` member. For the same cell the bytes equal
-/// `cell_record(..).write_ndjson_line(..)`, which stays the reference
+/// small head is assembled here, and `report_json` is spliced in as the
+/// `report` member ([`json::Stream::raw`]). For the same cell the bytes
+/// equal `cell_record(..).write_ndjson_line(..)`, which stays the reference
 /// (and the builder for pruned cells); this is what lets the server answer
 /// a cache hit without walking the report again, or copying it more than
-/// once. The record reaches `writer` in three pieces, so `writer` should
+/// once. The record reaches `writer` in several pieces, so `writer` should
 /// buffer.
 ///
 /// # Errors
@@ -345,19 +345,31 @@ pub fn write_simulated_cell<W: Write>(
     spec: &CellSpec,
     report_json: &str,
 ) -> io::Result<()> {
-    let mut members = cell_envelope(id, seq);
-    members.push(kv("scenario", scenario));
-    members.push(kv("policy", spec.policy.name()));
-    members.push(kv("freq_mhz", spec.freq.as_u32()));
-    members.push(kv("channels", spec.channels as u64));
-    let mut head = Value::Object(members).to_string_compact();
-    // Reopen the object: the head's closing brace makes way for one more
-    // member.
-    head.pop();
-    head.push_str(",\"report\":");
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(report_json.as_bytes())?;
-    writer.write_all(b"}\n")
+    let mut record = Stream::new(writer, false);
+    record.open_object(None);
+    for (key, value) in cell_envelope(id, seq) {
+        record.node(Some(&key), &value)?;
+    }
+    write_simulated_members(&mut record, scenario, spec, report_json)?;
+    record.close();
+    record.finish()
+}
+
+/// Writes a simulated cell's members into the open object of `doc`: those
+/// of [`MatrixCell::json_members`], with `report_json` spliced in as the
+/// `report` member. A `cell` record and a matrix dump's `cells[i]` entry
+/// share them.
+pub(crate) fn write_simulated_members<W: Write + ?Sized>(
+    doc: &mut Stream<'_, W>,
+    scenario: &str,
+    spec: &CellSpec,
+    report_json: &str,
+) -> io::Result<()> {
+    doc.node(Some("scenario"), &scenario.into())?;
+    doc.node(Some("policy"), &spec.policy.name().into())?;
+    doc.node(Some("freq_mhz"), &spec.freq.as_u32().into())?;
+    doc.node(Some("channels"), &(spec.channels as u64).into())?;
+    doc.raw(Some("report"), report_json)
 }
 
 /// Builds a job's final `summary` record.

@@ -6,7 +6,7 @@
 //! conversation over any `BufRead`/`Write` pair: stdin/stdout, a TCP
 //! stream, or a Unix socket. Each `submit` is lowered through the exact
 //! same primitives as `sara matrix` (`expand_cells` → `run_cell` on
-//! `run_ordered` → `summarize_cells`), which is what makes a served job
+//! `run_ordered` → `rank_cells`), which is what makes a served job
 //! byte-identical to the equivalent batch run no matter the worker
 //! count, the cache state, or the order jobs arrive in.
 
@@ -19,11 +19,10 @@ use std::sync::{Arc, Mutex};
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
-    catalog, expand_cells, run_cell, run_ordered, screen_cell, summarize_cells, CellOutcome,
-    CellProfile, CellSpec, MatrixCell, MatrixSpec, Scenario, ScenarioFingerprint, ScreenMode,
+    catalog, expand_cells, rank_cells, run_cell, run_ordered, screen_cell, CellOutcome, CellSpec,
+    MatrixCell, MatrixSpec, RankKey, Scenario, ScenarioFingerprint, ScreenMode,
 };
-use sara_sim::{AnalyticReport, ScreenVerdict};
-use sara_sim::{SimReport, ENGINE_VERSION};
+use sara_sim::{AnalyticReport, ENGINE_VERSION};
 use sara_telemetry::{prometheus, Metric, Registry, TimeSource, WallClock};
 use sara_types::ConfigError;
 
@@ -112,19 +111,21 @@ enum CellSource {
 /// What an emitted cell was answered with, kept to the end of the job.
 #[derive(Clone)]
 enum Answer<'a> {
-    /// A report: the cache's entry on a hit, the entry-to-be of a cell
-    /// this job simulated. Shared, never copied.
+    /// A rendered report: the cache's entry on a hit, the entry-to-be of a
+    /// cell this job simulated. Shared, never copied.
     Simulated(Arc<CachedReport>),
     /// The screener's evaluation, held by the cell's [`CellSource`].
     Screened(&'a AnalyticReport),
 }
 
-/// What follows the head of a `cell` record.
-enum CellBody<'a> {
-    /// A simulated cell: its report's compact JSON, spliced in as is.
-    Report(&'a str),
-    /// A pruned cell: the verdict and the closed-form evaluation.
-    Screened(&'a AnalyticReport),
+impl Answer<'_> {
+    /// What the rankings read of the cell.
+    fn key(&self) -> RankKey {
+        match self {
+            Answer::Simulated(entry) => entry.key(),
+            Answer::Screened(analytic) => RankKey::screened(analytic),
+        }
+    }
 }
 
 /// A simulated cell's outcome with its capture context: which worker ran
@@ -133,7 +134,9 @@ enum CellBody<'a> {
 /// which is what keeps the journal's event sequence independent of the
 /// workers' completion order.
 struct TimedResult {
-    result: Result<SimReport, ConfigError>,
+    /// The cell's cache entry, rendered on the worker as soon as the
+    /// simulation ends; the report itself is not kept.
+    result: Result<CachedReport, ConfigError>,
     worker: usize,
     start_us: u64,
     end_us: u64,
@@ -647,7 +650,7 @@ impl Server {
                     let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
                     let end_us = self.clock.now_us();
                     TimedResult {
-                        result,
+                        result: result.map(|report| CachedReport::new(&report)),
                         worker,
                         start_us,
                         end_us,
@@ -655,11 +658,9 @@ impl Server {
                 })
             },
             |i, timed| {
-                // A hit is answered with its entry's stored rendering (made
-                // on the entry's first hit), and so is an in-job duplicate,
-                // which counts as one; a cell simulated here is answered
-                // with a rendering that lives no longer than its record.
-                let mut fresh_json = None;
+                // Every simulated cell is answered with its entry's one
+                // rendering: a hit's, an in-job duplicate's (which counts
+                // as one) and a fresh cell's, made as its simulation ended.
                 let answer = match &sources[i] {
                     CellSource::Cached(entry) => Answer::Simulated(Arc::clone(entry)),
                     CellSource::DupOf(j) => answers[*j].clone(),
@@ -671,11 +672,7 @@ impl Server {
                         self.record("sim_start", job_no, &job.id, fields(), queued_us[i], start);
                         self.record("sim_end", job_no, &job.id, fields(), start, end);
                         match timed.result {
-                            Ok(report) => {
-                                let entry = CachedReport::new(report);
-                                fresh_json = Some(entry.render());
-                                Answer::Simulated(Arc::new(entry))
-                            }
+                            Ok(entry) => Answer::Simulated(Arc::new(entry)),
                             // The job ends at its first failing cell.
                             Err(e) => {
                                 return ControlFlow::Break(self.refuse(
@@ -688,16 +685,10 @@ impl Server {
                         }
                     }
                 };
-                let body = match &answer {
-                    Answer::Simulated(entry) => {
-                        CellBody::Report(fresh_json.as_deref().unwrap_or_else(|| entry.json()))
-                    }
-                    Answer::Screened(analytic) => CellBody::Screened(analytic),
-                };
                 let name = &scenarios[cells[i].scenario].name;
                 let ends_run = waits_for(i + 1);
                 let emitted =
-                    self.emit_cell(job, job_no, i, name, &cells[i], body, ends_run, writer);
+                    self.emit_cell(job, job_no, i, name, &cells[i], &answer, ends_run, writer);
                 if let Err(e) = emitted {
                     return ControlFlow::Break(Err(e));
                 }
@@ -720,37 +711,13 @@ impl Server {
             }
         }
 
-        let targets_met = answers
-            .iter()
-            .filter(|answer| match answer {
-                Answer::Simulated(entry) => entry.report().all_targets_met(),
-                // A pruned cell counts exactly as its verdict proves:
-                // trivial cells meet every target, infeasible ones don't.
-                Answer::Screened(a) => a.verdict == ScreenVerdict::ProvablyTrivial,
-            })
-            .count();
+        let targets_met = answers.iter().filter(|answer| answer.key().met).count();
         let artifact = match &job.json_out {
             None => None,
             Some(path) => {
-                // The artifact is the exact `sara matrix --json` document
-                // for this job's matrix: same cells, same rankings, same
-                // bytes (profiles are wall-clock and stay out of the JSON,
-                // so zeroed placeholders are invisible). It is the one
-                // place a served report is copied out of its entry.
-                let outcomes = answers
-                    .iter()
-                    .map(|answer| match answer {
-                        Answer::Simulated(entry) => {
-                            CellOutcome::Simulated(Box::new(entry.report().clone()))
-                        }
-                        Answer::Screened(analytic) => CellOutcome::Screened((*analytic).clone()),
-                    })
-                    .collect();
-                let profile = vec![CellProfile::default(); cells.len()];
-                let summary = summarize_cells(&scenarios, &cells, outcomes, profile);
                 let write = std::fs::File::create(path).and_then(|file| {
                     let mut out = BufWriter::new(file);
-                    summary.to_json_writer(&mut out)?;
+                    write_artifact(&mut out, &scenarios, &cells, &answers)?;
                     out.flush()
                 });
                 if let Err(e) = write {
@@ -784,9 +751,9 @@ impl Server {
     /// Copies one cell record into the reply buffer, writes the buffer
     /// out when the record ends a run of ready cells (`ends_run`: the next
     /// cell is simulated), and journals its emission. A simulated cell's
-    /// record is its small head with the report's JSON copied in behind
-    /// it, whoever rendered that JSON: this job a moment ago, or the first
-    /// hit on the cache entry.
+    /// record is its small head with the entry's JSON spliced in behind
+    /// it, rendered once when the cell was simulated, by this job or an
+    /// earlier one.
     #[allow(clippy::too_many_arguments)]
     fn emit_cell<W: Write>(
         &self,
@@ -795,23 +762,17 @@ impl Server {
         i: usize,
         scenario: &str,
         spec: &CellSpec,
-        body: CellBody<'_>,
+        answer: &Answer<'_>,
         ends_run: bool,
         writer: &mut BufWriter<W>,
     ) -> io::Result<()> {
         let t_emit = self.clock.now_us();
-        match body {
-            CellBody::Report(report_json) => {
-                protocol::write_simulated_cell(writer, &job.id, i, scenario, spec, report_json)?;
+        match answer {
+            Answer::Simulated(entry) => {
+                protocol::write_simulated_cell(writer, &job.id, i, scenario, spec, entry.json())?;
             }
-            CellBody::Screened(analytic) => {
-                let cell = MatrixCell {
-                    scenario: scenario.to_string(),
-                    policy: spec.policy,
-                    freq: spec.freq,
-                    channels: spec.channels,
-                    outcome: CellOutcome::Screened(analytic.clone()),
-                };
+            Answer::Screened(analytic) => {
+                let cell = screened_cell(scenario, spec, analytic);
                 protocol::cell_record(&job.id, i, &cell).write_ndjson_line(writer)?;
             }
         }
@@ -823,6 +784,56 @@ impl Server {
         self.record("emitted", job_no, &job.id, fields, t_emit, t_done);
         Ok(())
     }
+}
+
+/// A pruned cell as the batch harness holds it.
+fn screened_cell(scenario: &str, spec: &CellSpec, analytic: &AnalyticReport) -> MatrixCell {
+    MatrixCell {
+        scenario: scenario.to_string(),
+        policy: spec.policy,
+        freq: spec.freq,
+        channels: spec.channels,
+        outcome: CellOutcome::Screened(analytic.clone()),
+    }
+}
+
+/// Writes a job's `json_out` artifact: the exact `sara matrix --json`
+/// document for its matrix — same cells, same rankings, same bytes. A
+/// simulated cell's report is its entry's JSON, spliced in as stored
+/// ([`json::Stream::raw`]), so no report is rebuilt or copied out of the
+/// cache.
+fn write_artifact<W: Write>(
+    out: &mut W,
+    scenarios: &[Scenario],
+    cells: &[CellSpec],
+    answers: &[Answer<'_>],
+) -> io::Result<()> {
+    let mut doc = json::Stream::new(out, false);
+    doc.open_object(None);
+    doc.open_array(Some("cells"));
+    for (spec, answer) in cells.iter().zip(answers) {
+        let scenario = &scenarios[spec.scenario].name;
+        match answer {
+            Answer::Simulated(entry) => {
+                doc.open_object(None);
+                protocol::write_simulated_members(&mut doc, scenario, spec, entry.json())?;
+                doc.close();
+            }
+            Answer::Screened(analytic) => {
+                let cell = screened_cell(scenario, spec, analytic);
+                doc.node(None, &cell.to_json_value())?;
+            }
+        }
+    }
+    doc.close();
+    let keys: Vec<RankKey> = answers.iter().map(Answer::key).collect();
+    doc.open_array(Some("rankings"));
+    for ranking in rank_cells(scenarios, cells, &keys) {
+        doc.node(None, &ranking.to_json_value())?;
+    }
+    doc.close();
+    doc.close();
+    doc.finish()
 }
 
 #[cfg(test)]

@@ -184,44 +184,91 @@ fn worker_count_and_cache_state_never_change_the_byte_stream() {
 
 #[test]
 fn served_cells_and_artifact_match_the_batch_harness_byte_for_byte() {
-    let scenarios = vec![catalog::by_name("camcorder-b").unwrap()];
-    let batch = run_matrix(&scenarios, &submit_spec()).unwrap();
-
+    // The canonical job once, then a mixed one twice in one server: with
+    // `"screen":"prune"`, 266 MHz screens saturation's and camcorder-b's
+    // cells and FCFS twice makes an in-job duplicate, so the cold run
+    // holds screened, simulated and duplicate cells and the warm run
+    // screened cells and hits. `(hits, misses, screened)` per run.
+    let mixed_spec = MatrixSpec {
+        policies: vec![PolicyKind::Fcfs, PolicyKind::Priority, PolicyKind::Fcfs],
+        freqs_mhz: vec![266, 1700],
+        screen: ScreenMode::Prune,
+        ..submit_spec()
+    };
+    let jobs = [
+        (
+            (|out| submit("m", &format!(",\"json_out\":\"{out}\""))) as fn(&str) -> String,
+            vec!["camcorder-b"],
+            submit_spec(),
+            vec![(0, 2, 0)],
+        ),
+        (
+            |out| {
+                format!(
+                    "{{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"m\",\
+                     \"scenarios\":[\"saturation\",\"camcorder-b\"],\
+                     \"policies\":[\"FCFS\",\"QoS\",\"FCFS\"],\"freqs_mhz\":[266,1700],\
+                     \"duration_ms\":0.05,\"screen\":\"prune\",\"json_out\":\"{out}\"}}\n"
+                )
+            },
+            vec!["saturation", "camcorder-b"],
+            mixed_spec,
+            vec![(2, 4, 6), (6, 0, 6)],
+        ),
+    ];
     let dir = scratch("artifact");
-    let artifact = dir.join("job.json");
-    let server = Server::new(ServeConfig::default());
-    let transcript = run_session(
-        &server,
-        &submit("m", &format!(",\"json_out\":\"{}\"", artifact.display())),
-    );
+    for (n, (submit_to, names, spec, runs)) in jobs.iter().enumerate() {
+        let scenarios: Vec<_> = names.iter().map(|s| catalog::by_name(s).unwrap()).collect();
+        let batch = run_matrix(&scenarios, spec).unwrap();
+        let server = Server::new(ServeConfig::default());
+        for (run, &(hits, misses, screened)) in runs.iter().enumerate() {
+            let artifact = dir.join(format!("job-{n}-{run}.json"));
+            let transcript = run_session(&server, &submit_to(&artifact.display().to_string()));
 
-    // Every streamed cell record is the batch cell plus the envelope.
-    let replies = records(&transcript);
-    let cells = of_type(&replies, "cell");
-    assert_eq!(cells.len(), batch.cells.len());
-    for (seq, (record, batch_cell)) in cells.iter().zip(&batch.cells).enumerate() {
-        let mut members = vec![
-            ("format".to_string(), Value::from(FORMAT_TAG)),
-            ("type".to_string(), Value::from("cell")),
-            ("id".to_string(), Value::from("m")),
-            ("seq".to_string(), Value::from(seq as u64)),
-        ];
-        members.extend(batch_cell.json_members());
-        assert_eq!(
-            record.to_string_compact(),
-            Value::Object(members).to_string_compact(),
-            "cell {seq} drifted from the batch harness"
-        );
+            // Every streamed cell record is the batch cell plus the
+            // envelope.
+            let replies = records(&transcript);
+            let cells = of_type(&replies, "cell");
+            assert_eq!(cells.len(), batch.cells.len());
+            for (seq, (record, batch_cell)) in cells.iter().zip(&batch.cells).enumerate() {
+                let mut members = vec![
+                    ("format".to_string(), Value::from(FORMAT_TAG)),
+                    ("type".to_string(), Value::from("cell")),
+                    ("id".to_string(), Value::from("m")),
+                    ("seq".to_string(), Value::from(seq as u64)),
+                ];
+                members.extend(batch_cell.json_members());
+                assert_eq!(
+                    record.to_string_compact(),
+                    Value::Object(members).to_string_compact(),
+                    "job {n} run {run}: cell {seq} drifted from the batch harness"
+                );
+            }
+
+            // The artifact is exactly what `sara matrix --json` writes.
+            let served_bytes = std::fs::read_to_string(&artifact).expect("artifact written");
+            assert_eq!(
+                served_bytes,
+                format!("{}\n", batch.to_json()),
+                "job {n} run {run}"
+            );
+            let summary = of_type(&replies, "summary")[0];
+            assert_eq!(
+                summary.get("artifact").and_then(Value::as_str),
+                Some(artifact.display().to_string().as_str())
+            );
+            let count = |key| summary.get(key).and_then(Value::as_u64).unwrap_or(0);
+            assert_eq!(
+                (
+                    count("cache_hits"),
+                    count("cache_misses"),
+                    count("screened")
+                ),
+                (hits, misses, screened),
+                "job {n} run {run}"
+            );
+        }
     }
-
-    // The artifact is exactly what `sara matrix --json` writes.
-    let served_bytes = std::fs::read_to_string(&artifact).expect("artifact written");
-    assert_eq!(served_bytes, format!("{}\n", batch.to_json()));
-    let summary = of_type(&replies, "summary")[0];
-    assert_eq!(
-        summary.get("artifact").and_then(Value::as_str),
-        Some(artifact.display().to_string().as_str())
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -234,11 +281,11 @@ fn cell_lines(transcript: &str) -> Vec<&str> {
 }
 
 #[test]
-fn a_hit_replays_the_cold_cell_lines_whether_it_renders_or_copies() {
+fn every_hit_replays_the_cold_cell_lines_from_the_one_rendering() {
     // One server, the whole catalog under all six policies: the cold job
-    // simulates and renders, the first warm job renders each entry's
-    // stored JSON, the second copies it. The same scenario sent inline
-    // keys the same cells as its catalog name: a third warm job.
+    // simulates and renders each cell once, and two warm jobs copy those
+    // renderings. The same scenario sent inline keys the same cells as
+    // its catalog name: a third warm job.
     let server = Server::new(ServeConfig::default());
     for name in catalog::names() {
         let submit = |scenario: &str| {
@@ -249,16 +296,12 @@ fn a_hit_replays_the_cold_cell_lines_whether_it_renders_or_copies() {
         };
         let line = submit(&format!("\"{name}\""));
         let cold = run_session(&server, &line);
-        let rendering = run_session(&server, &line);
-        let copying = run_session(&server, &line);
+        let first = run_session(&server, &line);
+        let second = run_session(&server, &line);
         let document = catalog::by_name(&name).unwrap().to_json_value();
         let inline = run_session(&server, &submit(&document.to_string_compact()));
         assert_eq!(cell_lines(&cold).len(), 6, "{name}");
-        for (warm, what) in [
-            (&rendering, "first"),
-            (&copying, "second"),
-            (&inline, "inline"),
-        ] {
+        for (warm, what) in [(&first, "first"), (&second, "second"), (&inline, "inline")] {
             let summary = of_type(&records(warm), "summary")[0].clone();
             assert_eq!(u64_field(&summary, "cache_hits"), 6, "{name}");
             assert_eq!(
