@@ -8,21 +8,20 @@
 //! `docs/reproduction.txt` all evaluate this table.
 
 use std::fmt::Write as _;
-use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use sara_dram::DramConfig;
 use sara_memctrl::{McConfig, PolicyKind, NUM_QUEUES};
 use sara_scenarios::{
-    catalog, expand_cells, run_ordered, summarize_cells, CellOutcome, CellProfile, MatrixSpec,
+    catalog, expand_cells, run_systems, summarize_cells, CellOutcome, CellProfile, MatrixSpec,
 };
 use sara_sim::experiment::{DvfsPoint, FreqPoint};
-use sara_sim::{CoreReport, SimReport, Simulation, SystemConfig};
-use sara_types::{Clock, ConfigError, CoreClass, CoreKind, MegaHertz, Priority, PriorityBits};
+use sara_sim::{CoreReport, SimReport, SystemConfig};
+use sara_types::{Clock, ConfigError, CoreClass, CoreKind, Priority, PriorityBits};
 use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
-use crate::commands::sweep::{csv_doc, residency_table};
+use crate::commands::sweep::{csv_doc, fig7_systems, residency_table};
 use crate::output::page;
 
 use CoreKind::{Camera, Display, Dsp, Gps, ImageProcessor, Rotator, Usb, VideoCodec, WiFi};
@@ -70,7 +69,8 @@ const FIG8_POLICIES: [PolicyKind; 5] = [RoundRobin, Fcfs, Qos, QosRb, FrFcfs];
 
 /// The systems a target simulates: per cell, its row label (the leading
 /// column(s) of an ablation table, empty elsewhere) and its configuration.
-/// Equal systems named by the selected targets simulate once.
+/// Equal systems named by the selected targets simulate once
+/// ([`run_systems`]).
 type Cells = fn() -> Vec<(String, SystemConfig)>;
 
 /// A target's labelled cells with their reports, in its `cells` order.
@@ -205,9 +205,8 @@ static TARGETS: [Target; 11] = [
         name: "fig7",
         title: "Fig. 7: image processor priority residency over {ms} ms",
         cells: || {
-            let at = |mhz| SystemConfig::custom(MegaHertz::new(mhz), Qos, TestCase::A.cores());
-            let cell = |mhz| (String::new(), at(mhz).expect("case A builds"));
-            FIG7_FREQS.map(cell).into()
+            let systems = fig7_systems(&FIG7_FREQS).expect("case A builds");
+            systems.into_iter().map(|s| (String::new(), s)).collect()
         },
         render: fig7,
         paper: "at 1700 MHz the image processor spends ~90% of the frame at priority 0; as the \
@@ -415,52 +414,28 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
         // Before minutes of simulation, not after.
         std::fs::create_dir_all(dir).map_err(|e| io_failure(dir, e))?;
     }
-    let cells = simulate(&selected, ms);
+    let cells = simulate(&selected, ms)?;
     let mut text = String::new();
     let status = evaluate(&selected, &cells, ms, out, &mut text);
     page(text.trim_end());
     status
 }
 
-/// Simulates every distinct system the selected targets name, all in one
-/// ordered batch, and returns each target's labelled reports in its own
-/// `cells` order.
-fn simulate(selected: &[&Target], ms: f64) -> Vec<Vec<(String, SimReport)>> {
+/// Simulates the systems of every selected target as one [`run_systems`]
+/// batch and returns each target's labelled reports in its own `cells`
+/// order.
+fn simulate(selected: &[&Target], ms: f64) -> Result<Vec<Vec<(String, SimReport)>>, CliError> {
     let cells: Vec<_> = selected.iter().map(|t| (t.cells)()).collect();
-    let systems = distinct(&cells);
-    let mut reports = Vec::with_capacity(systems.len());
-    let _: ControlFlow<()> = run_ordered(
-        systems.len(),
-        MatrixSpec::default().threads,
-        |i, _| {
-            let mut sim = Simulation::new(systems[i].clone()).expect("a paper system builds");
-            sim.run_for_ms(ms)
-        },
-        |_, report| {
-            reports.push(report);
-            ControlFlow::Continue(())
-        },
-    );
-    let report = |system: &SystemConfig| {
-        let i = systems.iter().position(|s| *s == system);
-        reports[i.expect("every system ran")].clone()
+    let systems = cells.iter().flatten();
+    let runs: Vec<_> = systems.map(|(_, s)| (s.clone(), ms)).collect();
+    let ran = run_systems(&runs, MatrixSpec::default().threads).map_err(failure)?;
+    let mut reports = ran.into_iter();
+    let mut report = |(label, _): &(String, SystemConfig)| {
+        let (report, _) = reports.next().expect("one report per cell");
+        (label.clone(), report)
     };
-    let labelled = |(label, system): &(String, SystemConfig)| (label.clone(), report(system));
-    cells
-        .iter()
-        .map(|target| target.iter().map(labelled).collect())
-        .collect()
-}
-
-/// The distinct systems of `cells`, in the order they are first named.
-fn distinct(cells: &[Vec<(String, SystemConfig)>]) -> Vec<&SystemConfig> {
-    let mut systems: Vec<&SystemConfig> = Vec::new();
-    for (_, system) in cells.iter().flatten() {
-        if !systems.contains(&system) {
-            systems.push(system);
-        }
-    }
-    systems
+    let labelled = cells.iter().map(|t| t.iter().map(&mut report).collect());
+    Ok(labelled.collect())
 }
 
 /// Renders every selected target into `text` and checks its claims.
@@ -933,8 +908,12 @@ mod tests {
     /// `all` names 39 cells and simulates 30 systems.
     #[test]
     fn all_targets_name_30_distinct_systems_in_39_cells() {
-        let cells: Vec<_> = TARGETS.iter().map(|t| (t.cells)()).collect();
-        assert_eq!(cells.iter().map(Vec::len).sum::<usize>(), 39);
-        assert_eq!(distinct(&cells).len(), 30);
+        let cells = TARGETS.iter().flat_map(|t| (t.cells)());
+        let runs: Vec<_> = cells.map(|(_, system)| (system, 0.001)).collect();
+        assert_eq!(runs.len(), 39);
+        let ran = run_systems(&runs, 2).unwrap();
+        // A repeat gets its first's report and an empty profile.
+        let simulated = ran.iter().filter(|(_, p)| p.total_ms() > 0.0).count();
+        assert_eq!(simulated, 30);
     }
 }

@@ -1,13 +1,14 @@
 //! `sara sweep` — DRAM frequency and DVFS-governor sweeps.
 
 use json::Value;
-use sara_memctrl::PolicyKind;
+use sara_memctrl::PolicyKind::Priority;
 use sara_scenarios::{
-    catalog, csv_field, dvfs_search, run_matrix, MatrixSpec, Scenario, SearchOutcome,
+    catalog, csv_field, dvfs_search, run_systems, MatrixSpec, Scenario, SearchOutcome,
 };
 use sara_sim::experiment::{DvfsPoint, FreqPoint};
-use sara_sim::MAX_LEVELS;
-use sara_types::{ConfigError, CoreKind};
+use sara_sim::{SystemConfig, MAX_LEVELS};
+use sara_types::{ConfigError, CoreKind, MegaHertz};
+use sara_workloads::TestCase;
 
 use crate::args::{ascending_mhz, flag_word, positive, Args, CliError};
 use crate::commands::{load_scenarios, take_scenario_names};
@@ -145,18 +146,13 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
         }
         let observed = core.unwrap_or(CoreKind::ImageProcessor);
         let freqs = freqs.unwrap_or_else(|| vec![1300, 1500, 1700]);
-        // Fig. 7: the case-A workload under Policy 1, one cell per frequency.
-        let spec = MatrixSpec {
-            policies: vec![PolicyKind::Priority],
-            freqs_mhz: freqs,
-            duration_ms: Some(duration_ms),
-            ..MatrixSpec::default()
-        };
-        let summary = run_matrix(&[catalog::camcorder_a()], &spec)
-            .map_err(|e| CliError::Failure(e.message().to_string()))?;
-        let points: Vec<FreqPoint> = summary
-            .reports()
-            .map(|report| FreqPoint::from_report(report, observed))
+        let fail = |e: ConfigError| CliError::Failure(e.message().to_string());
+        let systems = fig7_systems(&freqs).map_err(fail)?;
+        let runs: Vec<_> = systems.into_iter().map(|s| (s, duration_ms)).collect();
+        let points: Vec<FreqPoint> = run_systems(&runs, MatrixSpec::default().threads)
+            .map_err(fail)?
+            .iter()
+            .map(|(report, _)| FreqPoint::from_report(report, observed))
             .collect::<Option<_>>()
             .ok_or_else(|| CliError::Failure(format!("core {observed} not in workload")))?;
         progress.line(format!(
@@ -177,6 +173,13 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
         sink.deliver(progress, |w| w.write_all(json.as_bytes()))?;
     }
     Ok(())
+}
+
+/// The systems of the Fig. 7 sweep: case A under Policy 1 at each
+/// frequency — what `sara sweep` and `sara repro fig7` simulate.
+pub(crate) fn fig7_systems(freqs: &[u32]) -> Result<Vec<SystemConfig>, ConfigError> {
+    let at = |&mhz: &u32| SystemConfig::custom(MegaHertz::new(mhz), Priority, TestCase::A.cores());
+    freqs.iter().map(at).collect()
 }
 
 /// A CSV document: `header`, then one `row` per point.

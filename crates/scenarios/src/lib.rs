@@ -27,13 +27,15 @@
 //!   [`Scenario::from_json_str`] plus [`load_dir`] for running
 //!   user-supplied catalogs without recompiling (and
 //!   [`catalog::export_all`] for seeding such a directory);
-//! * [`run_matrix`] — scenario × policy × frequency sharded across scoped
-//!   worker threads, aggregated into a ranked [`MatrixSummary`] whose JSON
-//!   is identical no matter the thread count;
-//! * [`run_ordered`] — the ordered executor under `run_matrix` and every
-//!   `sara serve` job: the one place cells run on threads;
+//! * [`run_matrix`] — scenario × policy × frequency cells, each lowered
+//!   once to a system ([`CellSpec::system`]), aggregated into a ranked
+//!   [`MatrixSummary`] whose JSON is identical no matter the thread count;
+//! * [`run_ordered`] — the one place cells run on threads, under every
+//!   `sara serve` job and [`run_systems`]: the one batch of systems
+//!   `run_matrix`, `dvfs_search`, `sara sweep` and `sara repro` simulate
+//!   through, equal systems once;
 //! * [`dvfs_search`] — the offline DVFS search: one scenario × candidate
-//!   frequencies as `run_matrix` cells, lowest passing frequency chosen.
+//!   frequencies as one batch, lowest passing frequency chosen.
 //!
 //! # Examples
 //!
@@ -75,6 +77,6 @@ pub use matrix::{
     summarize_cells, CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec, MatrixSummary,
     RankKey, ScenarioFingerprint, ScenarioRanking, ScreenMode,
 };
-pub use ordered::run_ordered;
+pub use ordered::{run_ordered, run_systems};
 pub use scenario::Scenario;
 pub use search::{dvfs_search, SearchOutcome};

@@ -2,21 +2,21 @@
 //! channel-count runs sharded across scoped worker threads, aggregated
 //! into a ranked comparison summary.
 //!
-//! Each cell of the matrix is one fully deterministic single-threaded
-//! simulation; [`run_ordered`] collects the cells in submission order, so
-//! the aggregate is byte-identical no matter how many workers run it (the
+//! Each cell of the matrix lowers once to a system ([`CellSpec::system`])
+//! and is one fully deterministic single-threaded simulation;
+//! [`run_systems`] returns the reports in submission order, so the
+//! aggregate is byte-identical no matter how many workers run it (the
 //! property `matrix_deterministic_across_thread_counts` pins down).
 
-use std::ops::ControlFlow;
 use std::time::Instant;
 
 use json::Value;
 use sara_memctrl::PolicyKind;
-use sara_sim::{AnalyticReport, ScreenVerdict, SimReport};
+use sara_sim::{AnalyticReport, ScreenVerdict, SimReport, SystemConfig};
 use sara_telemetry::ChromeTrace;
-use sara_types::{ConfigError, Cycle, MegaHertz};
+use sara_types::{ConfigError, MegaHertz};
 
-use crate::ordered::run_ordered;
+use crate::ordered::run_systems;
 use crate::scenario::Scenario;
 
 /// How the analytic pre-screener participates in a matrix run.
@@ -251,9 +251,9 @@ impl RankKey {
 pub struct CellProfile {
     /// Index of the worker thread that ran the cell (0 for serial runs).
     pub worker: usize,
-    /// Cell start, milliseconds since the matrix was submitted.
+    /// Cell start, milliseconds since its [`run_systems`] batch started.
     pub start_ms: f64,
-    /// Configuration lowering + system construction, milliseconds.
+    /// System construction (a pruned cell's: lowering and screening), ms.
     pub setup_ms: f64,
     /// Event-loop simulation, milliseconds.
     pub sim_ms: f64,
@@ -302,12 +302,6 @@ impl ScenarioRanking {
 }
 
 impl MatrixSummary {
-    /// The simulated cells' reports in submission order (pruned cells
-    /// have none).
-    pub fn reports(&self) -> impl Iterator<Item = &SimReport> {
-        self.cells.iter().filter_map(MatrixCell::report)
-    }
-
     /// The winning cell for a scenario, if it ran.
     pub fn best(&self, scenario: &str) -> Option<&MatrixCell> {
         self.rankings
@@ -414,8 +408,8 @@ impl MatrixSummary {
     /// complete span per cell with nested setup/sim/report phase spans,
     /// and the cell's headline results attached as span args.
     ///
-    /// Timestamps are wall-clock microseconds since the matrix was
-    /// submitted, so — unlike [`MatrixSummary::write_json`] — the
+    /// Timestamps are wall-clock microseconds since the cells' batch
+    /// started, so — unlike [`MatrixSummary::write_json`] — the
     /// document is *not* byte-stable across runs.
     pub fn chrome_trace_value(&self) -> Value {
         let mut trace = ChromeTrace::new();
@@ -537,7 +531,8 @@ pub fn csv_field(raw: &str) -> String {
 ///
 /// A matrix is nothing but a vector of these in deterministic submission
 /// order ([`expand_cells`]); `sara serve` runs the same specs through the
-/// same [`run_ordered`] and caches each one by [`cell_fingerprint`].
+/// same [`run_ordered`](crate::run_ordered) and caches each one by
+/// [`cell_fingerprint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// Index into the scenario list the cell was expanded from.
@@ -550,6 +545,27 @@ pub struct CellSpec {
     pub channels: usize,
     /// Run length in milliseconds.
     pub duration_ms: f64,
+}
+
+impl CellSpec {
+    /// The system this cell runs: `scenario` (the entry `self.scenario`
+    /// indexes) under the cell's policy, frequency and channel count — the
+    /// one place a cell becomes a system.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] on an inconsistent cell (e.g. a channel
+    /// count that is not a power of two).
+    pub fn system(&self, scenario: &Scenario) -> Result<SystemConfig, ConfigError> {
+        SystemConfig::from_scenario(
+            self.freq,
+            self.policy,
+            scenario.cores.clone(),
+            scenario.frame_period_ns,
+            scenario.seed,
+            self.channels,
+        )
+    }
 }
 
 /// Expands a matrix spec into its cells — the deterministic
@@ -595,40 +611,8 @@ pub fn expand_cells(
     Ok(cells)
 }
 
-/// Runs one cell and times its harness phases. `epoch` anchors
-/// `start_ms` so all profiles of one batch share a time base.
-fn run_cell_timed(
-    scenario: &Scenario,
-    cell: &CellSpec,
-    worker: usize,
-    epoch: Instant,
-) -> Result<(SimReport, CellProfile), ConfigError> {
-    let ms_since = |from: Instant, to: Instant| to.duration_since(from).as_secs_f64() * 1e3;
-    let started = Instant::now();
-    let mut sim = scenario
-        .clone()
-        .with_policy(cell.policy)
-        .with_freq(cell.freq)
-        .with_channels(cell.channels)
-        .build()?;
-    let built = Instant::now();
-    let end = sim.config().clock().cycles_from_ms(cell.duration_ms);
-    sim.advance_until(Cycle::new(end));
-    let advanced = Instant::now();
-    let report = sim.report();
-    let reported = Instant::now();
-    let profile = CellProfile {
-        worker,
-        start_ms: ms_since(epoch, started),
-        setup_ms: ms_since(started, built),
-        sim_ms: ms_since(built, advanced),
-        report_ms: ms_since(advanced, reported),
-    };
-    Ok((report, profile))
-}
-
-/// Runs one cell of a matrix to its report — exactly what [`run_matrix`]
-/// does per cell, so a report produced here is byte-identical (through
+/// Runs one cell of a matrix to its report through [`run_systems`], as
+/// [`run_matrix`] does, so the report is byte-identical (through
 /// `SimReport::to_json_value`) to the same cell inside a batch run.
 ///
 /// `scenario` must be the entry `cell.scenario` indexes in the list the
@@ -636,10 +620,11 @@ fn run_cell_timed(
 ///
 /// # Errors
 ///
-/// Returns the [`ConfigError`] of a cell whose configuration fails to
-/// lower.
+/// Returns the [`ConfigError`] of a cell whose system fails to lower or
+/// build.
 pub fn run_cell(scenario: &Scenario, cell: &CellSpec) -> Result<SimReport, ConfigError> {
-    run_cell_timed(scenario, cell, 0, Instant::now()).map(|(report, _)| report)
+    let run = [(cell.system(scenario)?, cell.duration_ms)];
+    Ok(run_systems(&run, 1)?.remove(0).0)
 }
 
 /// Assembles completed cells into a [`MatrixSummary`], ranked by
@@ -778,22 +763,16 @@ fn fnv_field(mut hash: u64, bytes: &[u8]) -> u64 {
     hash.wrapping_mul(PRIME)
 }
 
-/// Evaluates the closed-form screener for one cell: lowers the scenario
-/// with the cell's policy/frequency/channel overrides and prices it in
-/// microseconds — no simulator state is built.
+/// Evaluates the closed-form screener for one cell: prices the cell's
+/// system ([`CellSpec::system`]) in microseconds — no simulator state is
+/// built.
 ///
 /// # Errors
 ///
-/// Returns the [`ConfigError`] of a cell whose configuration fails to
-/// lower (the same error simulation would have surfaced).
+/// Returns the [`ConfigError`] of a cell whose system fails to lower (the
+/// same error simulation would have surfaced).
 pub fn screen_cell(scenario: &Scenario, cell: &CellSpec) -> Result<AnalyticReport, ConfigError> {
-    let cfg = scenario
-        .clone()
-        .with_policy(cell.policy)
-        .with_freq(cell.freq)
-        .with_channels(cell.channels)
-        .config()?;
-    Ok(sara_sim::analytic_report(&cfg))
+    Ok(sara_sim::analytic_report(&cell.system(scenario)?))
 }
 
 /// `--screen=verify`'s per-cell contract: simulation must never
@@ -837,9 +816,9 @@ fn verify_screened_cell(
 }
 
 /// Runs every scenario under every policy (× every frequency and
-/// channel-count override), sharding cells across `spec.threads` scoped
-/// worker threads ([`run_ordered`]); once a cell has failed, no further
-/// cell starts.
+/// channel-count override): each cell lowers once ([`CellSpec::system`])
+/// and the systems simulate as one [`run_systems`] batch on
+/// `spec.threads` workers, so equal cells simulate once.
 ///
 /// With `spec.screen == ScreenMode::Prune`, provably-decided cells skip
 /// simulation entirely and surface as [`CellOutcome::Screened`]; the
@@ -849,77 +828,64 @@ fn verify_screened_cell(
 ///
 /// # Errors
 ///
-/// Returns the [`ConfigError`] of the earliest failing cell (in submission
-/// order), an error for an empty matrix, or a screening contradiction
-/// under `ScreenMode::Verify`.
+/// Returns an error for an empty matrix, else — in every screen mode —
+/// the [`ConfigError`] of the earliest cell (in submission order) that
+/// fails to lower or build; no cell after it starts. Under
+/// `ScreenMode::Verify`, once every cell has run, the earliest screening
+/// contradiction.
 pub fn run_matrix(scenarios: &[Scenario], spec: &MatrixSpec) -> Result<MatrixSummary, ConfigError> {
-    let jobs = expand_cells(scenarios, spec)?;
-    let epoch = Instant::now();
+    let cells = expand_cells(scenarios, spec)?;
+    let prunes = |a: &AnalyticReport| spec.screen == ScreenMode::Prune && !a.verdict.needs_sim();
 
-    // Screening pass: serial on purpose — the whole pass costs
+    // Lower (and screen) in submission order up to the first cell that
+    // fails to lower; the cells before it still run, since one that fails
+    // to build is the earlier error. Screening is serial on purpose —
     // microseconds per cell, and a fixed evaluation order keeps the
     // emitted floats trivially deterministic.
-    let mut screens: Vec<Option<(AnalyticReport, f64)>> = Vec::with_capacity(jobs.len());
-    if spec.screen == ScreenMode::Off {
-        screens.resize_with(jobs.len(), || None);
-    } else {
-        for job in &jobs {
-            let started = Instant::now();
-            let report = screen_cell(&scenarios[job.scenario], job)?;
-            let screen_ms = started.elapsed().as_secs_f64() * 1e3;
-            screens.push(Some((report, screen_ms)));
+    let (mut screens, mut runs, mut lowered) = (Vec::new(), Vec::new(), Ok(()));
+    for cell in &cells {
+        let started = Instant::now();
+        let system = match cell.system(&scenarios[cell.scenario]) {
+            Ok(system) => system,
+            Err(e) => {
+                lowered = Err(e);
+                break;
+            }
+        };
+        let screen = (spec.screen != ScreenMode::Off).then(|| {
+            let analytic = sara_sim::analytic_report(&system);
+            (analytic, started.elapsed().as_secs_f64() * 1e3)
+        });
+        if !screen.as_ref().is_some_and(|(a, _)| prunes(a)) {
+            runs.push((system, cell.duration_ms));
         }
+        screens.push(screen);
     }
-    let pruned: Vec<bool> = screens
-        .iter()
-        .map(|s| {
-            spec.screen == ScreenMode::Prune
-                && s.as_ref().is_some_and(|(r, _)| !r.verdict.needs_sim())
-        })
-        .collect();
+    let mut ran = run_systems(&runs, spec.threads)?.into_iter();
+    lowered?;
 
-    // Collect in submission order; stop at the earliest error.
-    let simulated_jobs = pruned.iter().filter(|&&p| !p).count();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    let mut profile = Vec::with_capacity(jobs.len());
-    let stopped = run_ordered(
-        jobs.len(),
-        spec.threads.min(simulated_jobs),
-        |i, worker| {
-            (!pruned[i])
-                .then(|| run_cell_timed(&scenarios[jobs[i].scenario], &jobs[i], worker, epoch))
-        },
-        |i, result| {
-            let Some(result) = result else {
-                let (analytic, screen_ms) = screens[i].take().expect("pruned cell was screened");
+    let (mut outcomes, mut profile) = (Vec::new(), Vec::new());
+    for (cell, screen) in cells.iter().zip(screens) {
+        match screen {
+            Some((analytic, screen_ms)) if prunes(&analytic) => {
                 outcomes.push(CellOutcome::Screened(analytic));
                 profile.push(CellProfile {
                     setup_ms: screen_ms,
                     ..CellProfile::default()
                 });
-                return ControlFlow::Continue(());
-            };
-            let (report, cell_profile) = match result {
-                Ok(ran) => ran,
-                Err(e) => return ControlFlow::Break(e),
-            };
-            if spec.screen == ScreenMode::Verify {
-                let (analytic, _) = screens[i].as_ref().expect("verify screened every cell");
-                let name = &scenarios[jobs[i].scenario].name;
-                if let Err(e) = verify_screened_cell(name, &jobs[i], analytic, &report) {
-                    return ControlFlow::Break(e);
-                }
             }
-            outcomes.push(CellOutcome::Simulated(Box::new(report)));
-            profile.push(cell_profile);
-            ControlFlow::Continue(())
-        },
-    );
-    if let ControlFlow::Break(e) = stopped {
-        return Err(e);
+            screen => {
+                let (report, cell_profile) = ran.next().expect("every unpruned cell ran");
+                if let (ScreenMode::Verify, Some((analytic, _))) = (spec.screen, &screen) {
+                    let name = &scenarios[cell.scenario].name;
+                    verify_screened_cell(name, cell, analytic, &report)?;
+                }
+                outcomes.push(CellOutcome::Simulated(Box::new(report)));
+                profile.push(cell_profile);
+            }
+        }
     }
-
-    Ok(summarize_cells(scenarios, &jobs, outcomes, profile))
+    Ok(summarize_cells(scenarios, &cells, outcomes, profile))
 }
 
 #[cfg(test)]
@@ -989,6 +955,18 @@ mod tests {
         let eight = small_matrix(8).to_json();
         assert_eq!(one, two);
         assert_eq!(one, eight);
+        // A grid that names one system twice.
+        let duplicated = |threads| {
+            let spec = MatrixSpec {
+                policies: vec![PolicyKind::Fcfs, PolicyKind::Priority, PolicyKind::Fcfs],
+                duration_ms: Some(0.1),
+                threads,
+                ..MatrixSpec::default()
+            };
+            let scenarios = [catalog::by_name("camcorder-b").unwrap()];
+            run_matrix(&scenarios, &spec).unwrap().to_json()
+        };
+        assert_eq!(duplicated(1), duplicated(8));
     }
 
     #[test]
@@ -1046,25 +1024,44 @@ mod tests {
 
     #[test]
     fn earliest_failing_cell_wins_at_any_thread_count() {
+        use sara_workloads::PatternSpec;
         // Cells 1 and 3 fail to lower (3 and 5 channels are not powers
         // of two); the error must be cell 1's however the cells are
         // scheduled, and must differ from cell 3's.
-        let s = vec![catalog::by_name("camcorder-b").unwrap()];
-        let error = |channels: Vec<usize>, threads| {
+        let s = catalog::by_name("camcorder-b").unwrap();
+        let error = |s: &Scenario, channels: Vec<usize>, screen, threads| {
             let spec = MatrixSpec {
                 policies: vec![PolicyKind::Priority],
                 freqs_mhz: Vec::new(),
                 channels,
                 duration_ms: Some(0.05),
                 threads,
-                screen: ScreenMode::Off,
+                screen,
             };
-            run_matrix(&s, &spec).unwrap_err().message().to_string()
+            let e = run_matrix(std::slice::from_ref(s), &spec).unwrap_err();
+            e.message().to_string()
         };
-        let first = error(vec![2, 3, 2, 5], 1);
-        assert_ne!(first, error(vec![2, 5], 1));
+        let first = error(&s, vec![2, 3, 2, 5], ScreenMode::Off, 1);
+        assert_ne!(first, error(&s, vec![2, 5], ScreenMode::Off, 1));
         for threads in [1, 4] {
-            assert_eq!(error(vec![2, 3, 2, 5], threads), first, "{threads} threads");
+            let e = error(&s, vec![2, 3, 2, 5], ScreenMode::Off, threads);
+            assert_eq!(e, first, "{threads} threads");
+        }
+        // A 1.5 GiB region: the one-channel cell lowers (the screener
+        // rates it as needing simulation) but fails to build, and its error
+        // must beat cell 1's lowering failure in every screen mode.
+        let mut big = s;
+        match &mut big.cores[0].dmas[0].pattern {
+            PatternSpec::Sequential { region_bytes }
+            | PatternSpec::Strided { region_bytes, .. }
+            | PatternSpec::Random { region_bytes } => *region_bytes = 3 << 29,
+        }
+        let capacity = "workload regions exceed DRAM capacity (1610612736 > 1073741824)";
+        for screen in [ScreenMode::Off, ScreenMode::Prune, ScreenMode::Verify] {
+            for threads in [1, 4] {
+                let e = error(&big, vec![1, 3], screen, threads);
+                assert_eq!(e, capacity, "{screen:?}, {threads} threads");
+            }
         }
     }
 
@@ -1124,40 +1121,77 @@ mod tests {
     fn run_cell_matches_the_matrix_cell() {
         // The single-cell runner is the matrix's own per-cell path, so a
         // service that runs cells one at a time (and caches them) can
-        // guarantee byte-identical reports to a batch run.
+        // guarantee byte-identical reports to a batch run. The second grid
+        // names one system twice: the repeat is not simulated again.
+        use PolicyKind::{Fcfs, Priority};
         let scenarios = vec![catalog::by_name("camcorder-b").unwrap()];
-        let spec = MatrixSpec {
-            policies: vec![PolicyKind::Fcfs, PolicyKind::Priority],
-            freqs_mhz: Vec::new(),
-            channels: Vec::new(),
-            duration_ms: Some(0.1),
-            threads: 2,
-            screen: ScreenMode::Off,
-        };
-        let summary = run_matrix(&scenarios, &spec).unwrap();
-        let cells = expand_cells(&scenarios, &spec).unwrap();
-        assert_eq!(cells.len(), summary.cells.len());
-        for (spec_cell, matrix_cell) in cells.iter().zip(&summary.cells) {
-            let report = run_cell(&scenarios[spec_cell.scenario], spec_cell).unwrap();
-            assert_eq!(
-                report.to_json_value().to_string_compact(),
-                matrix_cell
-                    .report()
-                    .expect("unscreened matrix simulates every cell")
-                    .to_json_value()
-                    .to_string_compact()
-            );
+        for policies in [vec![Fcfs, Priority], vec![Fcfs, Priority, Fcfs]] {
+            let spec = MatrixSpec {
+                policies,
+                freqs_mhz: Vec::new(),
+                channels: Vec::new(),
+                duration_ms: Some(0.1),
+                threads: 2,
+                screen: ScreenMode::Off,
+            };
+            let summary = run_matrix(&scenarios, &spec).unwrap();
+            let cells = expand_cells(&scenarios, &spec).unwrap();
+            assert_eq!(cells.len(), summary.cells.len());
+            for (i, (spec_cell, matrix_cell)) in cells.iter().zip(&summary.cells).enumerate() {
+                let report = run_cell(&scenarios[spec_cell.scenario], spec_cell).unwrap();
+                assert_eq!(
+                    report.to_json_value().to_string_compact(),
+                    matrix_cell
+                        .report()
+                        .expect("unscreened matrix simulates every cell")
+                        .to_json_value()
+                        .to_string_compact()
+                );
+                let repeat = cells[..i].contains(spec_cell);
+                assert_eq!(summary.profile[i].total_ms() == 0.0, repeat, "cell {i}");
+            }
+            // Rebuilding the summary from the individual reports reproduces
+            // the batch aggregate byte for byte (profiles stay out of the
+            // JSON, so placeholder timings are fine).
+            let outcomes: Vec<CellOutcome> = cells
+                .iter()
+                .map(|c| {
+                    let report = run_cell(&scenarios[c.scenario], c).unwrap();
+                    CellOutcome::Simulated(Box::new(report))
+                })
+                .collect();
+            let profile: Vec<CellProfile> = summary.profile.clone();
+            let rebuilt = summarize_cells(&scenarios, &cells, outcomes, profile);
+            assert_eq!(rebuilt.to_json(), summary.to_json());
         }
-        // Rebuilding the summary from the individual reports reproduces
-        // the batch aggregate byte for byte (profiles stay out of the
-        // JSON, so placeholder timings are fine).
-        let outcomes: Vec<CellOutcome> = cells
-            .iter()
-            .map(|c| CellOutcome::Simulated(Box::new(run_cell(&scenarios[c.scenario], c).unwrap())))
-            .collect();
-        let profile: Vec<CellProfile> = summary.profile.clone();
-        let rebuilt = summarize_cells(&scenarios, &cells, outcomes, profile);
-        assert_eq!(rebuilt.to_json(), summary.to_json());
+    }
+
+    #[test]
+    fn a_camcorder_cell_lowers_to_the_papers_system() {
+        use sara_workloads::TestCase;
+        let cell = |s: &Scenario, policy, mhz| CellSpec {
+            scenario: 0,
+            policy,
+            freq: MegaHertz::new(mhz),
+            channels: s.channels,
+            duration_ms: s.duration_ms,
+        };
+        for (name, case) in [("camcorder-a", TestCase::A), ("camcorder-b", TestCase::B)] {
+            let s = catalog::by_name(name).unwrap();
+            for policy in PolicyKind::ALL {
+                let system = cell(&s, policy, s.freq.as_u32()).system(&s).unwrap();
+                let paper = SystemConfig::camcorder(case, policy).unwrap();
+                assert!(system == paper, "{name} under {}", policy.name());
+            }
+        }
+        // Fig. 7's systems: case A under QoS across the sweep.
+        let a = catalog::camcorder_a();
+        for mhz in [1300, 1400, 1500, 1600, 1700] {
+            let system = cell(&a, PolicyKind::Priority, mhz).system(&a).unwrap();
+            let at = MegaHertz::new(mhz);
+            let fig7 = SystemConfig::custom(at, PolicyKind::Priority, TestCase::A.cores());
+            assert!(system == fig7.unwrap(), "{mhz} MHz");
+        }
     }
 
     #[test]

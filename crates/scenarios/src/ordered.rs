@@ -1,9 +1,70 @@
-//! The one place cells run on threads: the ordered executor under both
-//! [`run_matrix`](crate::run_matrix) and `sara serve` jobs.
+//! The one place cells run on threads: the ordered executor under
+//! `sara serve` jobs, and on it [`run_systems`], the one batch of systems
+//! every other harness simulates through.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+use std::time::Instant;
+
+use sara_sim::{SimReport, Simulation, SystemConfig};
+use sara_types::{ConfigError, Cycle};
+
+use crate::matrix::CellProfile;
+
+/// Simulates each `(system, duration_ms)` run on up to `threads` workers
+/// ([`run_ordered`]) and returns its report and harness profile, aligned
+/// with `runs`. Equal runs simulate once: a repeat gets the first one's
+/// report and an empty profile. `start_ms` counts from the batch's start.
+///
+/// # Errors
+///
+/// Returns the [`ConfigError`] of the earliest run whose system fails to
+/// build; once one has failed, no further run starts.
+pub fn run_systems(
+    runs: &[(SystemConfig, f64)],
+    threads: usize,
+) -> Result<Vec<(SimReport, CellProfile)>, ConfigError> {
+    // first[i]: the first run equal to run i (i itself when none is).
+    let first: Vec<usize> = (0..runs.len())
+        .map(|i| runs[..i].iter().position(|r| *r == runs[i]).unwrap_or(i))
+        .collect();
+    let epoch = Instant::now();
+    let ms = |from: Instant, to: Instant| to.duration_since(from).as_secs_f64() * 1e3;
+    let run = |i: usize, worker| {
+        (first[i] == i).then(|| -> Result<_, ConfigError> {
+            let (system, duration_ms) = &runs[i];
+            let started = Instant::now();
+            let mut sim = Simulation::new(system.clone())?;
+            let built = Instant::now();
+            sim.advance_until(Cycle::new(system.clock().cycles_from_ms(*duration_ms)));
+            let advanced = Instant::now();
+            let report = sim.report();
+            let profile = CellProfile {
+                worker,
+                start_ms: ms(epoch, started),
+                setup_ms: ms(started, built),
+                sim_ms: ms(built, advanced),
+                report_ms: ms(advanced, Instant::now()),
+            };
+            Ok((report, profile))
+        })
+    };
+    let mut results: Vec<(SimReport, CellProfile)> = Vec::with_capacity(runs.len());
+    let stopped = run_ordered(runs.len(), threads, run, |i, ran| {
+        // A first moves in; only a repeat clones (its first's report).
+        results.push(match ran {
+            Some(Ok(done)) => done,
+            Some(Err(e)) => return ControlFlow::Break(e),
+            None => (results[first[i]].0.clone(), CellProfile::default()),
+        });
+        ControlFlow::Continue(())
+    });
+    match stopped {
+        ControlFlow::Continue(()) => Ok(results),
+        ControlFlow::Break(e) => Err(e),
+    }
+}
 
 /// Runs `run(i, worker)` for every `i` in `0..items` on up to `workers`
 /// scoped threads and hands each result to `sink(i, result)` on the

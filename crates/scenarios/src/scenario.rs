@@ -171,15 +171,6 @@ impl Scenario {
         )
     }
 
-    /// Runs the scenario for its nominal duration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] on an inconsistent spec.
-    pub fn run(&self) -> Result<SimReport, ConfigError> {
-        self.run_for_ms(self.duration_ms)
-    }
-
     /// Runs the scenario for an explicit duration in milliseconds.
     ///
     /// # Errors

@@ -1,11 +1,13 @@
 //! The offline DVFS search: one scenario × its own policy × candidate
-//! frequencies, run as [`run_matrix`] cells.
+//! frequencies, each candidate lowered as a matrix cell
+//! ([`CellSpec::system`]) and all simulated as one [`run_systems`] batch.
 
 use sara_sim::experiment::DvfsPoint;
 use sara_sim::ScreenVerdict;
-use sara_types::ConfigError;
+use sara_types::{ConfigError, MegaHertz};
 
-use crate::matrix::{expand_cells, run_matrix, screen_cell, MatrixSpec};
+use crate::matrix::{CellSpec, MatrixSpec};
+use crate::ordered::run_systems;
 use crate::scenario::Scenario;
 
 /// The outcome of one scenario's search.
@@ -32,7 +34,7 @@ impl SearchOutcome {
 
 /// Runs `scenario` statically at each candidate DRAM frequency (its own
 /// policy, frame period, seed and channels; only the frequency varies)
-/// as one [`run_matrix`] batch on the default worker count, and picks the
+/// as one [`run_systems`] batch on the default worker count, and picks the
 /// lowest one at which *every* core still meets its target — the
 /// energy-saving reading of the paper's Fig. 7: the adaptation absorbs
 /// frequency loss until capacity truly runs out. This is the *planning*
@@ -59,8 +61,9 @@ impl SearchOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] on an inconsistent scenario or an empty
-/// candidate list.
+/// Returns [`ConfigError`] on an empty candidate list, else that of the
+/// first candidate that fails to lower, else that of the first that fails
+/// to build.
 pub fn dvfs_search(
     scenario: &Scenario,
     freqs_mhz: &[u32],
@@ -70,35 +73,29 @@ pub fn dvfs_search(
     if freqs_mhz.is_empty() {
         return Err(ConfigError::new("DVFS search needs at least one candidate"));
     }
-    let mut spec = MatrixSpec {
-        policies: vec![scenario.policy],
-        freqs_mhz: freqs_mhz.to_vec(),
-        duration_ms,
-        ..MatrixSpec::default()
-    };
+    let duration_ms = duration_ms.unwrap_or(scenario.duration_ms);
+    let mut runs = Vec::with_capacity(freqs_mhz.len());
     let mut screened_out = Vec::new();
-    if screen {
-        let cells = expand_cells(std::slice::from_ref(scenario), &spec)?;
-        spec.freqs_mhz.clear();
-        for cell in &cells {
-            let analytic = screen_cell(scenario, cell)?;
-            if analytic.verdict == ScreenVerdict::ProvablyInfeasible {
-                screened_out.push((cell.freq.as_u32(), analytic.reason));
-            } else {
-                spec.freqs_mhz.push(cell.freq.as_u32());
+    for &mhz in freqs_mhz {
+        let cell = CellSpec {
+            scenario: 0,
+            policy: scenario.policy,
+            freq: MegaHertz::new(mhz),
+            channels: scenario.channels,
+            duration_ms,
+        };
+        let system = cell.system(scenario)?;
+        match screen.then(|| sara_sim::analytic_report(&system)) {
+            Some(a) if a.verdict == ScreenVerdict::ProvablyInfeasible => {
+                screened_out.push((mhz, a.reason));
             }
+            _ => runs.push((system, duration_ms)),
         }
     }
-    // An empty frequency axis would mean "the scenario's own" to the
-    // matrix; an all-screened-out search simulates nothing instead.
-    let points: Vec<DvfsPoint> = if spec.freqs_mhz.is_empty() {
-        Vec::new()
-    } else {
-        run_matrix(std::slice::from_ref(scenario), &spec)?
-            .reports()
-            .map(DvfsPoint::from_report)
-            .collect()
-    };
+    let points: Vec<DvfsPoint> = run_systems(&runs, MatrixSpec::default().threads)?
+        .iter()
+        .map(|(report, _)| DvfsPoint::from_report(report))
+        .collect();
     let chosen = points
         .iter()
         .enumerate()
@@ -117,7 +114,7 @@ pub fn dvfs_search(
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::matrix::run_cell;
+    use crate::matrix::{expand_cells, run_cell, run_matrix};
 
     fn rows(points: &[DvfsPoint]) -> Vec<String> {
         points.iter().map(DvfsPoint::csv_row).collect()
@@ -172,7 +169,8 @@ mod tests {
         for threads in [1, 4] {
             spec.threads = threads;
             let summary = run_matrix(&s, &spec).unwrap();
-            let points: Vec<_> = summary.reports().map(DvfsPoint::from_report).collect();
+            let reports = summary.cells.iter().filter_map(|c| c.report());
+            let points: Vec<_> = reports.map(DvfsPoint::from_report).collect();
             assert_eq!(rows(&points), csv, "{threads} threads");
         }
         let cells = expand_cells(&s, &spec).unwrap();

@@ -1,6 +1,7 @@
 //! Single-cell runners and the per-report projections behind the
 //! paper's sweeps. Batches of cells (policy comparisons, frequency
-//! sweeps, the DVFS search) run through `sara-scenarios`' `run_matrix`.
+//! sweeps, the DVFS search, the reproduction) run through
+//! `sara-scenarios`' `run_systems`.
 //!
 //! Each projection owns its CSV header, CSV row and JSON object, with
 //! [`SimReport::to_json`]'s conventions: stable column/key order,
