@@ -342,14 +342,28 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
     // A pruned cell was never simulated: it carries a screening verdict
     // and the closed-form evaluation instead of a report.
     if let Some(verdict) = cell.opt("screened").and_then(Value::as_str) {
-        let bound_gbs = Fields::new(cell.get("analytic")?, what)?.finite("bound_gbs")?;
+        let analytic = Fields::new(cell.get("analytic")?, what)?;
+        let bound_gbs = analytic.finite("bound_gbs")?;
+        let targets_met = verdict == "trivial";
+        // `RankKey::screened`'s rule, so the summary agrees with the
+        // ranking: an infeasible cell fails every core with a rated
+        // demand, and at least one.
+        let mut failed_cores = 0;
+        if !targets_met {
+            for share in analytic.array("static_alloc")? {
+                if Fields::new(share, what)?.finite("demand_gbs")? > 0.0 {
+                    failed_cores += 1;
+                }
+            }
+            failed_cores = failed_cores.max(1);
+        }
         return Ok(CellFacts {
             scenario,
             policy,
             freq_mhz,
             channels,
-            targets_met: verdict == "trivial",
-            failed_cores: 0,
+            targets_met,
+            failed_cores,
             bandwidth_gbs: bound_gbs,
             screened: Some(verdict.to_string()),
             bound_gbs: Some(bound_gbs),
@@ -496,17 +510,18 @@ fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, V
         if o.targets_met && !n.targets_met {
             faults.push("QoS targets newly missed".to_string());
         }
-        if n.failed_cores > o.failed_cores {
+        // A screened cell carries its analytic *bound* and a pessimistic
+        // failure count, not achieved figures — comparing them across
+        // prune/off dumps would flag every achieved-under-bound cell, so
+        // failed cores and the bandwidth floor are judged only when both
+        // sides were simulated.
+        let comparable = o.screened.is_none() && n.screened.is_none();
+        if comparable && n.failed_cores > o.failed_cores {
             faults.push(format!(
                 "failed cores {} -> {}",
                 o.failed_cores, n.failed_cores
             ));
         }
-        // A screened cell carries its analytic *bound*, not an achieved
-        // bandwidth — comparing the two across prune/off dumps would flag
-        // every achieved-under-bound cell, so the bandwidth floor only
-        // applies when both sides were simulated.
-        let comparable = o.screened.is_none() && n.screened.is_none();
         let floor = o.bandwidth_gbs * (1.0 - tol);
         if comparable && n.bandwidth_gbs < floor {
             faults.push(format!(

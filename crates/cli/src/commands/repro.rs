@@ -16,12 +16,11 @@ use sara_scenarios::{
     catalog, expand_cells, run_systems, summarize_cells, CellOutcome, CellProfile, MatrixSpec,
 };
 use sara_sim::experiment::{DvfsPoint, FreqPoint};
-use sara_sim::{CoreReport, SimReport, SystemConfig};
-use sara_types::{Clock, ConfigError, CoreClass, CoreKind, Priority, PriorityBits};
+use sara_sim::{CoreReport, SimReport, SystemConfig, MAX_LEVELS};
+use sara_types::{Clock, ConfigError, CoreClass, CoreKind, MegaHertz, Priority, PriorityBits};
 use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
-use crate::commands::sweep::{csv_doc, fig7_systems, residency_table};
 use crate::output::page;
 
 use CoreKind::{Camera, Display, Dsp, Gps, ImageProcessor, Rotator, Usb, VideoCodec, WiFi};
@@ -47,8 +46,9 @@ options:
                      camcorder frame)
   --out DIR          also write the figures' plot inputs into DIR: NPI
                      series for Figs 5, 6 and 9 (fig5_<policy>.csv ...),
-                     fig7.csv with the `sara sweep --csv` columns and
-                     fig8.csv with the `sara matrix --csv` columns
+                     fig7.csv (the image processor's residency per
+                     frequency) and fig8.csv with the `sara matrix --csv`
+                     columns
 
 Each target prints its table, what the paper reports, and the claims
 checked against that as `[ ok ]` / `[FAIL]` lines. Output ends with
@@ -204,10 +204,7 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig7",
         title: "Fig. 7: image processor priority residency over {ms} ms",
-        cells: || {
-            let systems = fig7_systems(&FIG7_FREQS).expect("case A builds");
-            systems.into_iter().map(|s| (String::new(), s)).collect()
-        },
+        cells: fig7_points,
         render: fig7,
         paper: "at 1700 MHz the image processor spends ~90% of the frame at priority 0; as the \
                 frequency falls the self-adaptation shifts residency towards the urgent levels, \
@@ -691,15 +688,27 @@ fn npi_figure(
     Ok(text)
 }
 
-/// Fig. 7: the table `sara sweep` prints, and its `--csv`.
+/// Fig. 7: the image processor's priority residency per frequency, one
+/// row each, and the same points as `fig7.csv`.
 fn fig7(_: &Target, reports: &Reports, out: Option<&Path>) -> Result<String, CliError> {
     let points: Vec<FreqPoint> = reports.iter().map(|(_, r)| image_processor(r)).collect();
-    let mut text = residency_table(&points) + "\n";
+    let mut text = format!("{:<10}", "freq");
+    for level in 0..MAX_LEVELS {
+        let _ = write!(text, " {:>6}", format!("P{level}"));
+    }
+    let _ = writeln!(text, "  {:>7} {:>9}", "minNPI", "coreGB/s");
+    let mut csv = FreqPoint::csv_header() + "\n";
+    for p in &points {
+        let _ = write!(text, "{:<10}", p.freq.to_string());
+        for level in 0..MAX_LEVELS {
+            let _ = write!(text, " {:>5.1}%", p.residency[level] * 100.0);
+        }
+        let gbs = p.core_bytes_per_s / 1e9;
+        let _ = writeln!(text, "  {:>7.3} {gbs:>9.2}", p.min_npi);
+        csv += &(p.csv_row() + "\n");
+    }
     if let Some(dir) = out {
-        text += &write_plot(
-            dir.join("fig7.csv"),
-            &csv_doc(&FreqPoint::csv_header(), &points, FreqPoint::csv_row),
-        )?;
+        text += &write_plot(dir.join("fig7.csv"), &csv)?;
     }
     Ok(text)
 }
@@ -754,6 +763,15 @@ fn camcorder(case: TestCase, policies: &[PolicyKind]) -> Vec<(String, SystemConf
         (String::new(), system)
     };
     policies.iter().map(cell).collect()
+}
+
+/// Case A under Policy 1 at each Fig. 7 frequency.
+fn fig7_points() -> Vec<(String, SystemConfig)> {
+    let point = |mhz| {
+        let system = SystemConfig::custom(MegaHertz::new(mhz), Qos, TestCase::A.cores());
+        (String::new(), system.expect("case A builds"))
+    };
+    FIG7_FREQS.map(point).into()
 }
 
 /// Case A under `policy` with the controller `mc` builds.

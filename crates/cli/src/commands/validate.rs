@@ -1,8 +1,8 @@
 //! `sara validate` — strictly parse and check scenario files.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use sara_scenarios::{Scenario, SCENARIO_FILE_SUFFIX};
+use sara_scenarios::{scenario_files, Scenario};
 
 use crate::args::{Args, CliError};
 use crate::output::page;
@@ -39,7 +39,7 @@ pub(crate) fn run(args: Args) -> Result<(), CliError> {
     for path in &paths {
         let path = Path::new(path);
         let files = if path.is_dir() {
-            scenario_files(path)?
+            scenario_files(path).map_err(|e| CliError::Failure(e.message().to_string()))?
         } else {
             vec![path.to_path_buf()]
         };
@@ -70,33 +70,4 @@ fn validate_file(path: &Path) -> Result<Scenario, CliError> {
         .config()
         .map_err(|e| CliError::Failure(format!("{}: {}", path.display(), e.message())))?;
     Ok(scenario)
-}
-
-/// All `*.scenario.json` files in a directory, sorted by file name (the
-/// same selection and order as `load_dir`, kept per-file so each validated
-/// path is reported individually).
-fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, CliError> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| CliError::Failure(format!("{}: {e}", dir.display())))?;
-    let mut files = Vec::new();
-    for entry in entries {
-        let path = entry
-            .map_err(|e| CliError::Failure(format!("{}: {e}", dir.display())))?
-            .path();
-        if path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(SCENARIO_FILE_SUFFIX))
-        {
-            files.push(path);
-        }
-    }
-    files.sort();
-    if files.is_empty() {
-        return Err(CliError::Failure(format!(
-            "{}: no *{SCENARIO_FILE_SUFFIX} files found",
-            dir.display()
-        )));
-    }
-    Ok(files)
 }

@@ -52,10 +52,14 @@ fn golden_path(name: &str) -> PathBuf {
 fn check_golden(args: &[&str], name: &str) {
     let out = sara(args);
     assert_eq!(code(&out), 0, "{args:?} failed: {}", stderr(&out));
-    let text = stdout(&out);
+    check_golden_text(&stdout(&out), &format!("`sara {}`", args.join(" ")), name);
+}
+
+/// Compares `text` (what `source` produced) with the golden file `name`.
+fn check_golden_text(text: &str, source: &str, name: &str) {
     let path = golden_path(name);
     if std::env::var_os("SARA_UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, &text).expect("write golden");
+        std::fs::write(&path, text).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -68,9 +72,8 @@ fn check_golden(args: &[&str], name: &str) {
     assert_eq!(
         text,
         want,
-        "`sara {}` drifted from {}; regenerate with SARA_UPDATE_GOLDENS=1 \
+        "{source} drifted from {}; regenerate with SARA_UPDATE_GOLDENS=1 \
          cargo test -p sara-cli --test cli",
-        args.join(" "),
         path.display()
     );
 }
@@ -162,11 +165,15 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
         "usage errors must not touch stdout"
     );
 
-    // The retired lane-stepping switches are ordinary unknown flags.
+    // Retired switches (lane stepping; the sweep's Fig. 7 mode, its
+    // observed core and its camcorder cases) are ordinary unknown flags.
     for (cmd, flag) in [
         ("matrix", "--parallel-channels"),
         ("govern", "--parallel-channels"),
         ("serve", "--parallel-channels"),
+        ("sweep", "--dvfs"),
+        ("sweep", "--core"),
+        ("sweep", "--case"),
     ] {
         let out = sara(&[cmd, flag]);
         assert_eq!(code(&out), 2, "sara {cmd} {flag}");
@@ -623,7 +630,7 @@ fn govern_csv_covers_each_epoch_and_flags_are_validated() {
 #[test]
 fn sweep_rejects_unordered_or_duplicate_freqs() {
     for freqs in ["1700,1333", "1333,1333"] {
-        let out = sara(&["sweep", "--dvfs", "--freqs", freqs]);
+        let out = sara(&["sweep", "--freqs", freqs]);
         assert_eq!(code(&out), 2, "freqs {freqs} must be rejected");
         let err = stderr(&out);
         assert!(
@@ -631,31 +638,42 @@ fn sweep_rejects_unordered_or_duplicate_freqs() {
             "{err}"
         );
     }
-    // The Fig. 7 mode is hardened the same way.
-    let out = sara(&["sweep", "--freqs", "1500,1300"]);
-    assert_eq!(code(&out), 2);
 }
 
-/// The Fig. 7 sweep, the camcorder DVFS search and a screened scenario
-/// search, byte for byte (generated before the searches moved onto
+/// A camcorder search and a screened two-scenario search, byte for byte
+/// (the screened goldens were generated before the searches moved onto
 /// `run_matrix`; they must not drift).
 #[test]
 fn sweep_output_matches_goldens() {
-    let case_b = "sweep --dvfs --case B --freqs 600,1700 --duration-ms 0.3";
-    let screened = "sweep --dvfs --scenarios adas,ar-headset --freqs 400,1120,1866 --screen \
+    let camcorder = "sweep --scenarios camcorder-b --freqs 600,1700 --duration-ms 0.3";
+    let screened = "sweep --scenarios adas,ar-headset --freqs 400,1120,1866 --screen \
                     --duration-ms 0.3";
     for (args, golden) in [
-        (
-            "sweep --freqs 1300,1700 --duration-ms 0.3 --json -".to_string(),
-            "sweep-freq.json",
-        ),
-        (format!("{case_b} --json -"), "sweep-dvfs-case-b.json"),
-        (format!("{case_b} --csv -"), "sweep-dvfs-case-b.csv"),
+        (format!("{camcorder} --json -"), "sweep-camcorder-b.json"),
+        (format!("{camcorder} --csv -"), "sweep-camcorder-b.csv"),
         (format!("{screened} --json -"), "sweep-dvfs-screened.json"),
         (format!("{screened} --csv -"), "sweep-dvfs-screened.csv"),
     ] {
         check_golden(&args.split_whitespace().collect::<Vec<_>>(), golden);
     }
+}
+
+/// `repro fig7 --out`'s `fig7.csv`, byte for byte: the image processor's
+/// residency at each Fig. 7 frequency.
+#[test]
+fn repro_fig7_csv_matches_its_golden() {
+    let dir = scratch("repro-fig7");
+    let out = sara(&[
+        "repro",
+        "fig7",
+        "--duration-ms",
+        "0.3",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(stdout(&out).contains("wrote "), "{}", stdout(&out));
+    let csv = std::fs::read_to_string(dir.join("fig7.csv")).expect("fig7.csv written");
+    check_golden_text(&csv, "`sara repro fig7 --out`", "repro-fig7.csv");
 }
 
 /// Splits one RFC 4180 row (no embedded newlines) into its fields.
@@ -692,14 +710,7 @@ fn every_csv_writer_quotes_scenario_names() {
     let dir = dir.to_str().unwrap();
     for args in [
         vec!["matrix", "--policies", "FCFS,QoS", "--duration-ms", "0.05"],
-        vec![
-            "sweep",
-            "--dvfs",
-            "--freqs",
-            "1120,1866",
-            "--duration-ms",
-            "0.05",
-        ],
+        vec!["sweep", "--freqs", "1120,1866", "--duration-ms", "0.05"],
         vec!["govern", "--duration-ms", "0.2", "--no-baseline"],
     ] {
         let out = sara(&[&args[..], &["--dir", dir, "--csv", "-"]].concat());
@@ -720,7 +731,6 @@ fn every_csv_writer_quotes_scenario_names() {
 fn sweep_dvfs_runs_over_scenarios() {
     let out = sara(&[
         "sweep",
-        "--dvfs",
         "--scenarios",
         "adas,smartphone-burst",
         "--freqs",
@@ -738,8 +748,8 @@ fn sweep_dvfs_runs_over_scenarios() {
         let points = run.get("points").and_then(Value::as_array).unwrap();
         assert_eq!(points.len(), 2);
     }
-    // --case conflicts with scenario selection.
-    let out = sara(&["sweep", "--dvfs", "--case", "B", "--scenarios", "adas"]);
+    // --dir and --scenarios conflict.
+    let out = sara(&["sweep", "--dir", "x", "--scenarios", "adas"]);
     assert_eq!(code(&out), 2);
     assert!(
         stderr(&out).contains("mutually exclusive"),
@@ -897,6 +907,61 @@ fn report_summarizes_and_diffs_matrix_dumps() {
         "{}",
         stderr(&out)
     );
+}
+
+/// A screened-infeasible cell fails as many cores in `sara report` as in
+/// the ranking and CSV that wrote it, and a prune dump diffs clean against
+/// the simulated one: failed cores, like bandwidth, are judged only
+/// between two simulated cells.
+#[test]
+fn report_reads_screened_failures_as_the_ranking_does() {
+    let dir = scratch("report-screened");
+    let dump = |screen: &str| {
+        let path = dir.join(format!("{screen}.json"));
+        let out = sara(&[
+            "matrix",
+            "--scenarios",
+            "saturation",
+            "--policies",
+            "FCFS,QoS",
+            "--freqs",
+            "266",
+            "--screen",
+            screen,
+            "--duration-ms",
+            "0.05",
+            "--json",
+            path.to_str().unwrap(),
+            "--csv",
+            "-",
+        ]);
+        assert_eq!(code(&out), 0, "{}", stderr(&out));
+        (path.to_str().unwrap().to_string(), stdout(&out))
+    };
+    let (pruned, csv) = dump("prune");
+    let (simulated, _) = dump("off");
+    let rows: Vec<Vec<String>> = csv.lines().map(csv_fields).collect();
+    let column = |name: &str| rows[0].iter().position(|c| c == name).unwrap();
+    let best = rows.iter().find(|r| r[column("rank")] == "1").unwrap();
+    assert_eq!(best[column("screened")], "infeasible", "{csv}");
+    let failures = &best[column("failures")];
+    assert_ne!(failures, "0", "{csv}");
+
+    let out = sara(&["report", &pruned]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    let text = stdout(&out);
+    let best_line = format!("best {:<8} @266 MHz", best[column("policy")]);
+    let line = text.lines().find(|l| l.contains(&best_line)).expect(&text);
+    assert!(
+        line.ends_with(&format!(" {failures} failed cores")),
+        "{text}"
+    );
+
+    for (old, new) in [(&pruned, &simulated), (&simulated, &pruned)] {
+        let out = sara(&["report", "--diff", old, new]);
+        assert_eq!(code(&out), 0, "{old} -> {new}: {}", stderr(&out));
+        assert!(!stderr(&out).contains("failed cores"), "{}", stderr(&out));
+    }
 }
 
 #[test]

@@ -92,7 +92,7 @@
 //! # Ok::<(), sara_types::ConfigError>(())
 //! ```
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use json::read::{self, Fields};
 use json::Value;
@@ -561,18 +561,14 @@ impl Scenario {
     }
 }
 
-/// Loads every `*.scenario.json` file in a directory, sorted by file name
-/// (so run order is stable no matter what the filesystem returns).
-///
-/// This is how `sara matrix --dir` runs user-supplied
-/// catalogs without recompiling.
+/// Every `*.scenario.json` file in a directory, sorted by file name (so
+/// run order is stable no matter what the filesystem returns).
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] if the directory cannot be read, contains no
-/// scenario files, or any file fails to parse (the error names the file).
-pub fn load_dir(dir: impl AsRef<Path>) -> Result<Vec<Scenario>, ConfigError> {
-    let dir = dir.as_ref();
+/// Returns [`ConfigError`] if the directory cannot be read or contains no
+/// scenario files.
+pub fn scenario_files(dir: &Path) -> Result<Vec<PathBuf>, ConfigError> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| ConfigError::new(format!("{}: {e}", dir.display())))?;
     let mut paths = Vec::new();
@@ -597,7 +593,23 @@ pub fn load_dir(dir: impl AsRef<Path>) -> Result<Vec<Scenario>, ConfigError> {
             dir.display()
         )));
     }
-    paths.iter().map(Scenario::from_json_file).collect()
+    Ok(paths)
+}
+
+/// Loads every [`scenario_files`] entry of a directory, in that order.
+///
+/// This is how `sara matrix --dir` runs user-supplied
+/// catalogs without recompiling.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] if the directory cannot be read, contains no
+/// scenario files, or any file fails to parse (the error names the file).
+pub fn load_dir(dir: impl AsRef<Path>) -> Result<Vec<Scenario>, ConfigError> {
+    scenario_files(dir.as_ref())?
+        .iter()
+        .map(Scenario::from_json_file)
+        .collect()
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ mod ordered;
 mod scenario;
 mod search;
 
-pub use format::{load_dir, FORMAT_TAG, SCENARIO_FILE_SUFFIX};
+pub use format::{load_dir, scenario_files, FORMAT_TAG, SCENARIO_FILE_SUFFIX};
 pub use generator::{random_scenario, random_scenario_with, GeneratorConfig};
 pub use governor_spec::{
     GovernorSpec, DEFAULT_DOWN_THRESHOLD, DEFAULT_EPOCH_US, DEFAULT_PATIENCE, DEFAULT_UP_THRESHOLD,

@@ -514,7 +514,7 @@ impl MatrixSummary {
 /// RFC 4180 quoting for a free-text CSV field: wrapped in double quotes
 /// (with `"` doubled) only when it contains a comma, quote, or newline.
 /// The one quoting rule of every CSV writer that carries a scenario name
-/// (`sara matrix`, `sara sweep --dvfs`, `sara govern`): the format only
+/// (`sara matrix`, `sara sweep`, `sara govern`): the format only
 /// requires a name to be non-empty, so `adas,"v2"` is a legal registry
 /// key.
 pub fn csv_field(raw: &str) -> String {

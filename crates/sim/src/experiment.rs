@@ -3,11 +3,11 @@
 //! sweeps, the DVFS search, the reproduction) run through
 //! `sara-scenarios`' `run_systems`.
 //!
-//! Each projection owns its CSV header, CSV row and JSON object, with
-//! [`SimReport::to_json`]'s conventions: stable column/key order,
-//! shortest-round-trip floats, `null` (JSON) for non-finite values. CSV
-//! is the plot input, JSON the machine-comparable form batch tooling
-//! diffs.
+//! Each projection owns its CSV header and CSV row (and [`DvfsPoint`]
+//! its JSON object), with [`SimReport::to_json`]'s conventions: stable
+//! column/key order, shortest-round-trip floats, `null` (JSON) for
+//! non-finite values. CSV is the plot input, JSON the machine-comparable
+//! form batch tooling diffs.
 
 use ::json::Value;
 use sara_memctrl::PolicyKind;
@@ -87,20 +87,6 @@ impl FreqPoint {
             out.push_str(&format!(",{r}"));
         }
         out
-    }
-
-    /// This point as a JSON object.
-    pub fn to_json_value(&self) -> Value {
-        Value::Object(vec![
-            ("freq_mhz".to_string(), self.freq.as_u32().into()),
-            ("min_npi".to_string(), self.min_npi.into()),
-            ("core_bytes_per_s".to_string(), self.core_bytes_per_s.into()),
-            (
-                "system_bandwidth_gbs".to_string(),
-                self.system_bandwidth_gbs.into(),
-            ),
-            ("residency".to_string(), self.residency.to_vec().into()),
-        ])
     }
 }
 
@@ -240,17 +226,6 @@ mod tests {
         // Every row has the same column count as the header.
         let cols = header.split(',').count();
         assert!(rows.iter().all(|l| l.split(',').count() == cols));
-    }
-
-    #[test]
-    fn freq_json_parses_back_with_the_same_fields() {
-        let json = freq_fixture()[0].to_json_value().to_string_compact();
-        let point = ::json::parse(&json).expect("sweep JSON parses");
-        assert_eq!(point.get("freq_mhz").and_then(Value::as_u64), Some(1333));
-        assert_eq!(point.get("min_npi").and_then(Value::as_f64), Some(0.875));
-        let residency = point.get("residency").and_then(Value::as_array).unwrap();
-        assert_eq!(residency.len(), MAX_LEVELS);
-        assert_eq!(residency[7].as_f64(), Some(0.25));
     }
 
     #[test]
