@@ -1,8 +1,12 @@
-//! The matrix document's emit holds one cell, not the grid: writing the
-//! catalog × six-policy summary must raise the peak live heap by less
-//! than [`BOUND`] over its level before the write. Assembling the whole
-//! document as one `Value` tree plus one `String` first, as the emit once
-//! did, raised it by about 3.3 MB.
+//! What a matrix summary costs in heap. The catalog × six-policy summary
+//! at 0.01 simulated ms must retain at most [`CELL_BOUND`] a cell: its
+//! reports' telemetry histograms store only the buckets they filled
+//! (about 7.5 KB a cell), where fixed 65-bucket histograms retained about
+//! 16 KB. And its emit holds one cell, not the grid: writing the summary
+//! must raise the peak live heap by less than [`BOUND`] over its level
+//! before the write. Assembling the whole document as one `Value` tree
+//! plus one `String` first, as the emit once did, raised it by about
+//! 3.3 MB.
 //!
 //! A counting global allocator tracks live and peak bytes, so this binary
 //! holds this one test: another test running beside it would allocate
@@ -12,6 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sara_scenarios::{catalog, run_matrix, MatrixSpec, ScreenMode};
+
+/// Heap a summary may retain per cell.
+const CELL_BOUND: usize = 10 << 10;
 
 /// Peak heap rise the emit may cost.
 const BOUND: usize = 256 << 10;
@@ -68,8 +75,15 @@ fn writing_the_catalog_matrix_holds_one_cell_not_the_grid() {
         screen: ScreenMode::Off,
         ..MatrixSpec::default()
     };
-    let summary = run_matrix(&catalog::builtin(), &spec).expect("the catalog runs");
+    let scenarios = catalog::builtin();
+    let before = LIVE.load(Ordering::SeqCst);
+    let summary = run_matrix(&scenarios, &spec).expect("the catalog runs");
     assert_eq!(summary.cells.len(), 60);
+    let per_cell = (LIVE.load(Ordering::SeqCst) - before) / summary.cells.len();
+    assert!(
+        per_cell <= CELL_BOUND,
+        "the summary retains {per_cell} bytes a cell (bound {CELL_BOUND})"
+    );
 
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);

@@ -16,14 +16,14 @@
 //! when the cell is simulated, and that rendering is both the record the
 //! simulating job streams and what every later hit copies; the report
 //! itself is dropped right after. A catalog report of 0.01–0.2 simulated
-//! ms holds 11.8–24.9 KB of heap (77–84 % of it telemetry histograms)
-//! while its compact JSON is 6.1–13.4 KB. Over the 60 catalog × policy
-//! cells at 0.05 ms (`tests/cache_memory.rs`) the cache retains 8.3 KB
-//! an entry — its 8.2 KB of JSON plus under 100 B — where an entry that
-//! kept its report retained 16.2 KB, so `json().len()` plus a small
-//! constant is an entry's whole size. The cache hands entries out behind
-//! an [`Arc`], so a hit copies a pointer under the cache lock and nothing
-//! else.
+//! ms holds 5.6–14.6 KB of heap (36–52 % of it telemetry histograms,
+//! which store only the buckets they filled) while its compact JSON is
+//! 6.1–13.4 KB. Over the 60 catalog × policy cells at 0.05 ms
+//! (`tests/cache_memory.rs`) the cache retains 8.3 KB an entry — its
+//! 8.2 KB of JSON plus under 100 B — about what an entry that kept its
+//! report would retain (7.8 KB), and `json().len()` plus a small
+//! constant is an entry's whole size. The cache hands entries out behind an [`Arc`], so a hit
+//! copies a pointer under the cache lock and nothing else.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -2,11 +2,9 @@
 
 use json::Value;
 
-/// Number of buckets: one for zero plus one per bit position of a `u64`.
-pub(crate) const NUM_BUCKETS: usize = 65;
-
 /// Bucket index of a value: 0 holds exactly the value 0; bucket `k ≥ 1`
-/// holds the range `[2^(k-1), 2^k - 1]`.
+/// holds the range `[2^(k-1), 2^k - 1]`, so a `u64` spans buckets
+/// `0..=64`.
 #[inline]
 fn bucket_index(v: u64) -> usize {
     if v == 0 {
@@ -50,7 +48,13 @@ fn bucket_upper_bound(k: usize) -> u64 {
 /// Quantiles ([`quantile`]) are bucket-resolution upper bounds: the true
 /// p99 is guaranteed ≤ the reported value, within a factor of 2. That is
 /// deliberately coarse — exact order statistics would need the raw sample
-/// stream, which a deterministic fixed-size accumulator cannot keep.
+/// stream, which a deterministic bounded accumulator cannot keep.
+///
+/// Only the buckets up to the highest filled one are stored: a new
+/// histogram allocates nothing, and a sample above every filled bucket
+/// extends the storage to reach it. Nothing shrinks it, so the stored
+/// length is always the highest non-empty bucket plus one, equal states
+/// store equal vectors, and a clone allocates exactly the filled range.
 ///
 /// [`merge`]: Histogram::merge
 /// [`quantile`]: Histogram::quantile
@@ -75,7 +79,9 @@ pub struct Histogram {
     sum: u128,
     min: u64,
     max: u64,
-    buckets: [u64; NUM_BUCKETS],
+    /// Buckets `0..=k`, `k` the highest non-empty one; empty while no
+    /// sample is recorded.
+    buckets: Vec<u64>,
 }
 
 impl Default for Histogram {
@@ -92,7 +98,7 @@ impl Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: [0; NUM_BUCKETS],
+            buckets: Vec::new(),
         }
     }
 
@@ -103,7 +109,19 @@ impl Histogram {
         self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.buckets[bucket_index(v)] += 1;
+        let k = bucket_index(v);
+        match self.buckets.get_mut(k) {
+            Some(n) => *n += 1,
+            None => self.record_above(k),
+        }
+    }
+
+    /// Records a sample in bucket `k`, above every filled one.
+    #[cold]
+    #[inline(never)]
+    fn record_above(&mut self, k: usize) {
+        self.buckets.resize(k + 1, 0);
+        self.buckets[k] = 1;
     }
 
     /// Folds another histogram's samples into this one, exactly.
@@ -112,7 +130,10 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
             *dst += *src;
         }
     }
@@ -230,6 +251,9 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of buckets: one for zero plus one per bit position of a `u64`.
+    const NUM_BUCKETS: usize = 65;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -352,5 +376,178 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// The fixed 65-bucket histogram the stored-range representation
+    /// replaced, kept as the reference model it must agree with.
+    #[derive(Clone)]
+    struct Reference {
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+        buckets: [u64; NUM_BUCKETS],
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Reference {
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+                buckets: [0; NUM_BUCKETS],
+            }
+        }
+
+        fn record(&mut self, v: u64) {
+            self.count += 1;
+            self.sum += u128::from(v);
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            self.buckets[bucket_index(v)] += 1;
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            self.count += other.count;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+                *dst += *src;
+            }
+        }
+
+        fn min(&self) -> u64 {
+            if self.count == 0 {
+                0
+            } else {
+                self.min
+            }
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut seen = 0u64;
+            for (k, &n) in self.buckets.iter().enumerate() {
+                seen += n;
+                if seen >= rank {
+                    return bucket_upper_bound(k).min(self.max);
+                }
+            }
+            self.max
+        }
+
+        fn buckets(&self) -> Vec<(u64, u64, u64)> {
+            (0..NUM_BUCKETS)
+                .filter(|&k| self.buckets[k] > 0)
+                .map(|k| {
+                    (
+                        bucket_lower_bound(k),
+                        bucket_upper_bound(k),
+                        self.buckets[k],
+                    )
+                })
+                .collect()
+        }
+
+        fn to_json(&self) -> String {
+            let mean = if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            };
+            let buckets = self
+                .buckets()
+                .into_iter()
+                .map(|(lower, _, n)| Value::Array(vec![lower.into(), n.into()]))
+                .collect();
+            Value::Object(vec![
+                ("count".to_string(), self.count.into()),
+                (
+                    "sum".to_string(),
+                    u64::try_from(self.sum).unwrap_or(u64::MAX).into(),
+                ),
+                ("min".to_string(), self.min().into()),
+                ("max".to_string(), self.max.into()),
+                ("mean".to_string(), mean.into()),
+                ("p50".to_string(), self.quantile(0.50).into()),
+                ("p90".to_string(), self.quantile(0.90).into()),
+                ("p99".to_string(), self.quantile(0.99).into()),
+                ("buckets".to_string(), Value::Array(buckets)),
+            ])
+            .to_string_compact()
+        }
+    }
+
+    /// `h` reads exactly as the reference `r` and stores buckets up to
+    /// its highest non-empty one, no further.
+    fn assert_agrees(h: &Histogram, r: &Reference, what: &str) {
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max()),
+            (r.count, r.sum, r.min(), r.max),
+            "{what}"
+        );
+        for q in [0.001, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), r.quantile(q), "{what}: q={q}");
+        }
+        assert_eq!(h.buckets().collect::<Vec<_>>(), r.buckets(), "{what}");
+        assert_eq!(h.to_json_value().to_string_compact(), r.to_json(), "{what}");
+        let filled = r.buckets.iter().rposition(|&n| n > 0).map_or(0, |k| k + 1);
+        assert_eq!(h.buckets.len(), filled, "{what}: stored length");
+    }
+
+    /// For 64 seeds, a random script of records, merges and resets over
+    /// four histograms leaves the one each step touches agreeing with the
+    /// fixed-65-bucket reference; clones allocate exactly their length and a new
+    /// histogram allocates nothing. The script reaches 0, `u64::MAX`,
+    /// empty↔full merges and short↔long merges in both directions.
+    #[test]
+    fn stored_buckets_agree_with_the_fixed_reference_across_64_seeds() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Reached: 0, u64::MAX, empty into full, full into empty,
+        // short into long, long into short.
+        let mut reached = [false; 6];
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pool = vec![(Histogram::new(), Reference::new()); 4];
+            for step in 0..200 {
+                let i = rng.gen_range(0..pool.len());
+                let what = format!("seed {seed} step {step}");
+                match rng.gen_range(0..10u32) {
+                    0..=5 => {
+                        let v = match rng.gen_range(0..8u32) {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => rng.next_u64() >> rng.gen_range(0..64u32),
+                        };
+                        reached[0] |= v == 0;
+                        reached[1] |= v == u64::MAX;
+                        pool[i].0.record(v);
+                        pool[i].1.record(v);
+                    }
+                    6..=8 => {
+                        let (src, src_ref) = pool[rng.gen_range(0..pool.len())].clone();
+                        assert_eq!(src.buckets.capacity(), src.buckets.len(), "{what}: clone");
+                        let (dst, src_len) = (pool[i].0.buckets.len(), src.buckets.len());
+                        reached[2] |= dst == 0 && src_len > 0;
+                        reached[3] |= dst > 0 && src_len == 0;
+                        reached[4] |= 0 < dst && dst < src_len;
+                        reached[5] |= 0 < src_len && src_len < dst;
+                        pool[i].0.merge(&src);
+                        pool[i].1.merge(&src_ref);
+                    }
+                    _ => {
+                        pool[i] = (Histogram::new(), Reference::new());
+                        assert_eq!(pool[i].0.buckets.capacity(), 0, "{what}: new");
+                    }
+                }
+                assert_agrees(&pool[i].0, &pool[i].1, &what);
+            }
+        }
+        assert_eq!(reached, [true; 6], "the scripts reach every case");
     }
 }

@@ -121,10 +121,8 @@ pub enum Metric {
     Counter(Counter),
     /// A last-value reading.
     Gauge(Gauge),
-    /// A log2-bucketed distribution. Boxed: the bucket array dwarfs the
-    /// other variants, and registries are only assembled at snapshot
-    /// time, so the indirection costs nothing on hot paths.
-    Histogram(Box<Histogram>),
+    /// A log2-bucketed distribution.
+    Histogram(Histogram),
 }
 
 impl Metric {
@@ -204,7 +202,7 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        match self.slot(name, Metric::Histogram(Box::default())) {
+        match self.slot(name, Metric::Histogram(Histogram::new())) {
             Metric::Histogram(h) => h,
             other => panic!("metric {name:?} is not a histogram: {other:?}"),
         }
