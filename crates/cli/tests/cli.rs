@@ -2,7 +2,8 @@
 //! stderr on bad invocations, golden `--help` output, and the
 //! export → validate → matrix end-to-end path.
 //!
-//! Golden regeneration (after an intentional help-text change):
+//! Goldens follow `tests/support/golden.rs` at the repository root:
+//! after an intentional output change, regenerate them with
 //!
 //! ```sh
 //! SARA_UPDATE_GOLDENS=1 cargo test -p sara-cli --test cli
@@ -43,39 +44,13 @@ fn scratch(test: &str) -> PathBuf {
 
 // --- golden --help output ---------------------------------------------------
 
-fn golden_path(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data")
-        .join(name)
-}
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
 
 fn check_golden(args: &[&str], name: &str) {
     let out = sara(args);
     assert_eq!(code(&out), 0, "{args:?} failed: {}", stderr(&out));
-    check_golden_text(&stdout(&out), &format!("`sara {}`", args.join(" ")), name);
-}
-
-/// Compares `text` (what `source` produced) with the golden file `name`.
-fn check_golden_text(text: &str, source: &str, name: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("SARA_UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, text).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(regenerate goldens with SARA_UPDATE_GOLDENS=1 \
-             cargo test -p sara-cli --test cli)",
-            path.display()
-        )
-    });
-    assert_eq!(
-        text,
-        want,
-        "{source} drifted from {}; regenerate with SARA_UPDATE_GOLDENS=1 \
-         cargo test -p sara-cli --test cli",
-        path.display()
-    );
+    golden::check(name, &stdout(&out));
 }
 
 #[test]
@@ -627,6 +602,26 @@ fn govern_csv_covers_each_epoch_and_flags_are_validated() {
     assert!(stderr(&out).contains("start_mhz"), "{}", stderr(&out));
 }
 
+/// Per-channel DVFS on the overload showcase, byte for byte (the claim that
+/// its lanes settle on different rungs is the governor's own test). CI
+/// `cmp`s the release binary's trace with this golden.
+#[test]
+fn per_channel_govern_csv_matches_its_golden() {
+    let out = sara(&[
+        "govern",
+        "--scenarios",
+        "adas-overload",
+        "--per-channel",
+        "--duration-ms",
+        "1.5",
+        "--no-baseline",
+        "--csv",
+        "-",
+    ]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    golden::check("govern-per-channel.csv", &stdout(&out));
+}
+
 #[test]
 fn sweep_rejects_unordered_or_duplicate_freqs() {
     for freqs in ["1700,1333", "1333,1333"] {
@@ -673,7 +668,7 @@ fn repro_fig7_csv_matches_its_golden() {
     ]);
     assert!(stdout(&out).contains("wrote "), "{}", stdout(&out));
     let csv = std::fs::read_to_string(dir.join("fig7.csv")).expect("fig7.csv written");
-    check_golden_text(&csv, "`sara repro fig7 --out`", "repro-fig7.csv");
+    golden::check("repro-fig7.csv", &csv);
 }
 
 /// Splits one RFC 4180 row (no embedded newlines) into its fields.

@@ -70,6 +70,9 @@ fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
+#[path = "support/golden.rs"]
+mod golden;
+
 /// Every catalog scenario × every policy, 0.1 ms: the report JSON hashes
 /// to the digest committed in `tests/data/catalog-report-digests.json`.
 /// This is the check behind "`ENGINE_VERSION` did not need to move": an
@@ -78,10 +81,10 @@ fn fnv1a_hex(bytes: &[u8]) -> String {
 /// A diff here means simulated behaviour (or the report format) changed:
 /// if intentional, bump the engine version and regenerate with
 /// `SARA_UPDATE_GOLDENS=1 cargo test --test determinism catalog_report`.
+/// One `"scenario/policy": "digest"` member per line, so the first
+/// differing line names the cell that drifted.
 #[test]
 fn catalog_report_digests_match_the_committed_golden() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data/catalog-report-digests.json");
     let mut digests = Vec::new();
     for s in catalog::builtin() {
         for policy in PolicyKind::ALL {
@@ -93,60 +96,82 @@ fn catalog_report_digests_match_the_committed_golden() {
         }
     }
     let emitted = json::Value::Object(digests).to_string_pretty() + "\n";
-    if std::env::var_os("SARA_UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, &emitted).unwrap();
-        return;
+    golden::check("catalog-report-digests.json", &emitted);
+}
+
+/// `tests/data/engine-digests.txt` holds one `workload seconds digest` row
+/// per benchmark workload: the benchmark's `sim_digest` at seed 1, which
+/// CI checks row by row. The rows must name exactly `BENCHMARK.json`'s
+/// workloads, so a renamed workload cannot leave CI checking nothing.
+#[test]
+fn engine_digest_file_covers_every_benchmark_workload() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("BENCHMARK.json")).unwrap();
+    let manifest = json::parse(&manifest).unwrap();
+    let workloads: Vec<&str> = manifest
+        .get("workloads")
+        .and_then(json::Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|w| w.get("name").and_then(json::Value::as_str).unwrap())
+        .collect();
+    let text = std::fs::read_to_string(golden::path("engine-digests.txt")).unwrap();
+    let rows = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let mut named = Vec::new();
+    for row in rows {
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        let [workload, seconds, digest] = fields[..] else {
+            panic!("{row:?}: expected `workload seconds digest`");
+        };
+        assert!(
+            seconds.parse::<f64>().is_ok_and(|s| s > 0.0),
+            "{row:?}: seconds"
+        );
+        assert!(
+            digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit()),
+            "{row:?}: a digest is 16 hex digits"
+        );
+        named.push(workload);
     }
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(regenerate with SARA_UPDATE_GOLDENS=1)",
-            path.display()
-        )
-    });
-    // One `"scenario/policy": "digest"` member per line, so the first
-    // differing line names the cell that drifted.
-    for (got, want) in emitted.lines().zip(committed.lines()) {
-        assert_eq!(got, want, "report bytes drifted from the golden");
-    }
-    assert_eq!(emitted, committed, "digest golden lists different cells");
+    assert_eq!(named, workloads, "engine-digests.txt vs BENCHMARK.json");
 }
 
 /// The refusal and forward counters, in readable form where the digest
 /// above only says "differs": per-class `rejected`, the NoC root's
 /// `blocked` and `noc_forwarded` for two QoS cells at 0.5 ms, as the
-/// offer-by-offer root counted them. Every refused root head counts once
-/// in its class's `rejected` and once in `blocked`; leaves never refuse.
+/// offer-by-offer root counted them, pinned in
+/// `tests/data/refusal-counts.txt` (one counter per line). Every refused
+/// root head counts once in its class's `rejected` and once in `blocked`;
+/// leaves never refuse.
 #[test]
 fn refusal_counters_match_the_pinned_counts() {
-    for (name, rejected, blocked, forwarded) in [
-        (
-            "camcorder-a",
-            [109_531, 114_585, 0, 124_169, 17_215],
-            365_500,
-            62_206,
-        ),
-        (
-            "ml-inference-8ch",
-            [3_971, 169_341, 0, 0, 0],
-            173_312,
-            110_699,
-        ),
-    ] {
+    let mut pinned =
+        String::from("# QoS at 0.5 ms: scenario, counter, count (tests/determinism.rs)\n");
+    for name in ["camcorder-a", "ml-inference-8ch"] {
         let report = catalog::by_name(name)
             .unwrap()
             .with_policy(PolicyKind::Priority)
             .run_for_ms(0.5)
             .unwrap();
         let telemetry = &report.telemetry;
-        let per_class: Vec<u64> = telemetry.classes.iter().map(|c| c.rejected).collect();
-        assert_eq!(per_class, rejected, "{name}: rejected per class");
+        let mut pin = |counter: &str, count: u64| {
+            pinned += &format!("{name:<16} {counter:<17} {count}\n");
+        };
+        for class in &telemetry.classes {
+            pin(&format!("rejected.{}", class.class.name()), class.rejected);
+        }
+        pin("noc_root.blocked", telemetry.noc_root.blocked);
+        pin("noc_forwarded", report.noc_forwarded);
+        let rejected: u64 = telemetry.classes.iter().map(|c| c.rejected).sum();
         assert_eq!(
-            telemetry.noc_root.blocked, blocked,
-            "{name}: noc_root.blocked"
+            rejected, telemetry.noc_root.blocked,
+            "{name}: rejected summed over classes vs noc_root.blocked"
         );
-        assert_eq!(report.noc_forwarded, forwarded, "{name}: noc_forwarded");
         assert!(telemetry.noc_leaves.iter().all(|leaf| leaf.blocked == 0));
     }
+    golden::check("refusal-counts.txt", &pinned);
 }
 
 /// The governor's per-epoch trace — JSON and CSV — is part of the

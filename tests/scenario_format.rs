@@ -62,11 +62,8 @@ fn emission_is_byte_deterministic_across_runs() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/data")
-        .join(format!("{name}{SCENARIO_FILE_SUFFIX}"))
-}
+#[path = "support/golden.rs"]
+mod golden;
 
 /// Every catalog entry serializes to exactly the bytes committed under
 /// `tests/data/`, and the committed bytes parse back to the entry.
@@ -76,30 +73,10 @@ fn golden_path(name: &str) -> PathBuf {
 /// and commit the result; v1 files must otherwise stay readable forever.
 #[test]
 fn golden_files_pin_the_format() {
-    let update = std::env::var_os("SARA_UPDATE_GOLDENS").is_some();
     for s in catalog::builtin() {
-        let path = golden_path(&s.name);
-        let emitted = s.to_json();
-        if update {
-            std::fs::write(&path, &emitted).unwrap();
-            continue;
-        }
-        let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "{}: {e}\n(regenerate goldens with SARA_UPDATE_GOLDENS=1 \
-                 cargo test --test scenario_format)",
-                path.display()
-            )
-        });
-        assert_eq!(
-            emitted,
-            committed,
-            "{} drifted from its golden file {} — if intentional, regenerate \
-             with SARA_UPDATE_GOLDENS=1 cargo test --test scenario_format",
-            s.name,
-            path.display()
-        );
-        let parsed = Scenario::from_json_file(&path).unwrap();
+        let name = format!("{}{SCENARIO_FILE_SUFFIX}", s.name);
+        golden::check(&name, &s.to_json());
+        let parsed = Scenario::from_json_file(golden::path(&name)).unwrap();
         assert_eq!(
             parsed, s,
             "{}: golden does not parse back to the entry",
@@ -107,6 +84,13 @@ fn golden_files_pin_the_format() {
         );
     }
 }
+
+/// The files under `tests/data/` that are not scenario goldens.
+const DATA_FILES: [&str; 3] = [
+    "catalog-report-digests.json",
+    "engine-digests.txt",
+    "refusal-counts.txt",
+];
 
 /// There is exactly one golden per catalog entry — a renamed or removed
 /// scenario must not leave a stale file behind.
@@ -117,9 +101,9 @@ fn no_stale_golden_files() {
     for entry in std::fs::read_dir(&dir).unwrap() {
         let file_name = entry.unwrap().file_name();
         let file_name = file_name.to_str().unwrap();
-        // The report-digest golden (`tests/determinism.rs`) shares the
+        // The pins of simulated output (`tests/determinism.rs`) share the
         // directory.
-        if file_name == "catalog-report-digests.json" {
+        if DATA_FILES.contains(&file_name) {
             continue;
         }
         let Some(stem) = file_name.strip_suffix(SCENARIO_FILE_SUFFIX) else {
