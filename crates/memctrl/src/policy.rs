@@ -400,4 +400,117 @@ mod tests {
         assert!(PolicyKind::Priority.uses_priorities());
         assert!(!PolicyKind::FrFcfs.uses_priorities());
     }
+
+    /// The six policies spelled out candidate by candidate: the DMA turn
+    /// is taken mod 2¹⁶ and the queue turn mod 5, and Policy 2 keeps only
+    /// the row hits unless a non-hit is at or above δ and above every hit.
+    fn reference(
+        policy: PolicyKind,
+        cands: &[Candidate],
+        state: &PolicyState,
+        delta: Priority,
+    ) -> Option<usize> {
+        let dma_turn = |c: &Candidate| (c.dma.index() + 65536 - state.dma_cursor as usize) % 65536;
+        let queue_turn = |c: &Candidate| (c.queue + 5 - state.queue_cursor % 5) % 5;
+        let best_hit = cands
+            .iter()
+            .filter(|c| c.row_hit)
+            .map(|c| c.effective_priority)
+            .max();
+        let breaks_the_row = |hit: u8| {
+            cands.iter().any(|c| {
+                !c.row_hit && c.effective_priority >= delta.as_u8() && c.effective_priority > hit
+            })
+        };
+        let hits_only = best_hit.is_some_and(|hit| !breaks_the_row(hit));
+        let mut best: Option<&Candidate> = None;
+        let mut pick = None;
+        for (i, c) in cands.iter().enumerate() {
+            if policy == PolicyKind::QosRowBuffer && hits_only && !c.row_hit {
+                continue;
+            }
+            let beats = |b: &Candidate| match policy {
+                PolicyKind::Fcfs => c.seq < b.seq,
+                PolicyKind::RoundRobin => (queue_turn(c), c.seq) < (queue_turn(b), b.seq),
+                PolicyKind::FrameQos => (!c.urgent, c.seq) < (!b.urgent, b.seq),
+                PolicyKind::Priority | PolicyKind::QosRowBuffer => {
+                    c.effective_priority > b.effective_priority
+                        || (c.effective_priority == b.effective_priority
+                            && (dma_turn(c), c.seq) < (dma_turn(b), b.seq))
+                }
+                PolicyKind::FrFcfs => (!c.row_hit, c.seq) < (!b.row_hit, b.seq),
+            };
+            if best.is_none_or(beats) {
+                best = Some(c);
+                pick = Some(i);
+            }
+        }
+        pick
+    }
+
+    #[test]
+    fn select_matches_the_spelled_out_rules() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5e1e_c742);
+        // DMA ids and cursors on both sides of the 2¹⁶ wrap.
+        let dma = |rng: &mut StdRng| -> u16 {
+            if rng.gen_bool(0.5) {
+                rng.gen_range(0u16..6)
+            } else {
+                rng.gen_range(65530u16..65535) + u16::from(rng.gen_bool(0.3))
+            }
+        };
+        let (mut aged, mut delta_rule_cases) = (0, 0);
+        for case in 0..6000 {
+            let n = rng.gen_range(0usize..43);
+            let cands: Vec<Candidate> = (0..n)
+                .map(|_| {
+                    let stamp = rng.gen_range(0u8..8);
+                    let level = if rng.gen_bool(0.1) { u8::MAX } else { stamp };
+                    let mut c = cand(
+                        rng.gen_range(0usize..5),
+                        // Few sequence numbers, so full ties happen.
+                        rng.gen_range(0u64..60),
+                        0,
+                        level,
+                        rng.gen_bool(0.3),
+                        rng.gen_bool(0.4),
+                    );
+                    c.priority = Priority::new(stamp);
+                    c.dma = DmaId::new(dma(&mut rng));
+                    c
+                })
+                .collect();
+            aged += cands
+                .iter()
+                .filter(|c| c.effective_priority == u8::MAX)
+                .count();
+            let state = PolicyState {
+                // Cursors past the five queues as well.
+                queue_cursor: rng.gen_range(0usize..12),
+                dma_cursor: dma(&mut rng),
+            };
+            let delta = Priority::new(rng.gen_range(0u8..9));
+            let urgent_non_hit = cands
+                .iter()
+                .any(|c| !c.row_hit && c.effective_priority >= delta.as_u8());
+            if urgent_non_hit && cands.iter().any(|c| c.row_hit) {
+                delta_rule_cases += 1;
+            }
+            for policy in PolicyKind::ALL {
+                let mut st = state.clone();
+                assert_eq!(
+                    select(policy, &cands, &mut st, delta),
+                    reference(policy, &cands, &state, delta),
+                    "case {case} {policy:?} {state:?} δ {delta} cands {cands:?}"
+                );
+                assert_eq!(st, state, "select leaves the cursors alone");
+            }
+        }
+        assert!(
+            aged > 1000 && delta_rule_cases > 1000,
+            "{aged} {delta_rule_cases}"
+        );
+    }
 }

@@ -7,7 +7,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sara_dram::{Channel, ChannelStats, DramCommand, Location, TimingParams};
 use sara_memctrl::{ChannelController, McConfig, McStats, PolicyKind, TickResult};
-use sara_types::{Addr, CoreKind, Cycle, DmaId, MemOp, Priority, Transaction, TransactionId};
+use sara_types::{
+    Addr, CoreClass, CoreKind, Cycle, DmaId, MemOp, Priority, Transaction, TransactionId,
+};
 
 const CORES: [CoreKind; 5] = [
     CoreKind::Cpu,
@@ -236,10 +238,15 @@ fn drive(seed: u64, policy: PolicyKind, fused: bool) -> Run {
     lane.finish()
 }
 
+/// Besides the fused/chained identity, counts the completions that aging
+/// promoted: the scripts' 600-cycle threshold makes the two QoS policies
+/// reach it, so the pinned command streams cover the aging path, and the
+/// four policies without priorities never age.
 #[test]
 fn tick_until_equals_the_tick_chain_it_replaces() {
     let mut jumps_over_refresh = 0;
     for policy in PolicyKind::ALL {
+        let mut aged = 0;
         for seed in 0..64u64 {
             let fused = drive(0x71c4_0000 + seed, policy, true);
             let chained = drive(0x71c4_0000 + seed, policy, false);
@@ -265,7 +272,16 @@ fn tick_until_equals_the_tick_chain_it_replaces() {
                 "{policy:?} seed {seed}: traffic ran"
             );
             jumps_over_refresh += fused.jumps_over_refresh;
+            aged += CoreClass::ALL
+                .iter()
+                .map(|&class| fused.mc.class(class).aged)
+                .sum::<u64>();
         }
+        assert_eq!(
+            aged > 0,
+            policy.uses_priorities(),
+            "{policy:?}: {aged} aged completions"
+        );
     }
     assert!(
         jumps_over_refresh > 0,
