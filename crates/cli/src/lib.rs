@@ -134,14 +134,4 @@ mod tests {
         assert_eq!(run(Vec::new()), 2);
         assert_eq!(run(["no-such-command".to_string()]), 2);
     }
-
-    #[test]
-    fn help_succeeds() {
-        assert_eq!(run(["--help".to_string()]), 0);
-        assert_eq!(run(["help".to_string()]), 0);
-        // `help <command>` forwards to the subcommand's own help...
-        assert_eq!(run(["help".to_string(), "matrix".to_string()]), 0);
-        // ...so an unknown command is still a loud usage error.
-        assert_eq!(run(["help".to_string(), "conquer".to_string()]), 2);
-    }
 }

@@ -63,6 +63,30 @@ fn help_output_matches_goldens() {
     check_golden(&["serve", "--help"], "help-serve.txt");
 }
 
+/// `sara help` is `sara --help`, and `sara help <command>` forwards to the
+/// command's own `--help`, so an unknown command is still a loud usage
+/// error.
+#[test]
+fn help_forwards_to_the_command_help() {
+    for (help, direct) in [
+        (&["help"][..], &["--help"][..]),
+        (&["help", "matrix"], &["matrix", "--help"]),
+    ] {
+        let (out, want) = (sara(help), sara(direct));
+        assert_eq!(code(&out), 0, "sara {help:?}");
+        assert_eq!(out.stdout, want.stdout, "sara {help:?} vs sara {direct:?}");
+        assert!(!out.stdout.is_empty());
+    }
+    let out = sara(&["help", "conquer"]);
+    assert_eq!(code(&out), 2);
+    assert!(
+        stderr(&out).contains("unknown command \"conquer\""),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty());
+}
+
 #[test]
 fn completion_scripts_match_goldens() {
     check_golden(&["completions", "bash"], "completions-bash.txt");

@@ -43,11 +43,12 @@
 //! on every tick.
 
 use sara_dram::{Channel, Location, NextCommand};
+use sara_types::arbitration::aged_level;
 use sara_types::{Cycle, Transaction};
 
 use crate::config::{McConfig, NUM_QUEUES};
 use crate::controller::{Completion, TickResult};
-use crate::policy::{select, Candidate, PolicyKind, PolicyState, AGED_PRIORITY};
+use crate::policy::{select, Candidate, PolicyKind, PolicyState};
 use crate::stats::McStats;
 
 /// One row of the scheduling table: a queued transaction and what the
@@ -327,11 +328,8 @@ impl ChannelController {
         // what "first-ready" means); the other policies ignore it.
         let policy = self.cfg.policy();
         let row_guard = matches!(policy, PolicyKind::QosRowBuffer | PolicyKind::FrFcfs);
-        let aging = if policy.uses_priorities() {
-            self.cfg.aging_threshold()
-        } else {
-            None
-        };
+        let threshold = self.cfg.aging_threshold();
+        let aging = threshold.filter(|_| policy.uses_priorities());
         self.cands.clear();
         self.cand_entry.clear();
         for (i, entry) in self.table.iter().enumerate() {
@@ -339,15 +337,9 @@ impl ChannelController {
                 continue;
             }
             // Backlog clearing (§3.3) bounds the waiting time of
-            // transactions with a QoS stamp; best-effort (priority 0)
-            // traffic has no target to protect and never ages.
-            let aged = entry.txn.priority.as_u8() > 0
-                && matches!(aging, Some(t) if at.saturating_sub(entry.accepted_at) >= t);
-            let effective_priority = if aged {
-                AGED_PRIORITY
-            } else {
-                entry.txn.priority.as_u8()
-            };
+            // transactions with a QoS stamp.
+            let waited = at.saturating_sub(entry.accepted_at);
+            let effective_priority = aged_level(entry.txn.priority, waited, aging);
             if row_guard
                 && matches!(entry.next, NextCommand::Precharge)
                 && self.banks_with_hits & bank_bit(entry.bank) != 0
@@ -393,7 +385,8 @@ impl ChannelController {
         let completed = issued.completion().map(|done_at| {
             let entry = self.table.remove(pos);
             let queued_for = now.saturating_sub(entry.accepted_at);
-            let was_aged = cand.effective_priority == AGED_PRIORITY;
+            // Aging is the only thing that moves a level off its stamp.
+            let was_aged = cand.effective_priority != entry.txn.priority.as_u8();
             self.class_counts[cand.queue] -= 1;
             let class = self.stats.class_mut(cand.queue);
             class.completed += 1;

@@ -33,7 +33,7 @@ mod stats;
 pub use channel_ctrl::{AdmissionControl, ChannelController};
 pub use config::{McConfig, McConfigBuilder, NUM_QUEUES};
 pub use controller::{Completion, MemoryController, TickResult};
-pub use policy::{select, Candidate, PolicyKind, PolicyState, AGED_PRIORITY};
+pub use policy::{select, Candidate, PolicyKind, PolicyState};
 pub use stats::{ClassStats, McStats};
 
 // The facade and sim crates re-export the DRAM types alongside the

@@ -13,11 +13,8 @@
 //! legally issue in the current cycle; timing-blocked transactions do not
 //! stall younger ready ones.
 
+use sara_types::arbitration::{least, Rank, Rotation};
 use sara_types::{DmaId, Priority};
-
-/// Effective priority of an aged transaction — above every stampable level,
-/// so aged backlog drains first (§3.3 starvation clearing).
-pub const AGED_PRIORITY: u8 = u8::MAX;
 
 /// Scheduling discipline of the memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,7 +96,7 @@ pub struct Candidate {
     pub dma: DmaId,
     /// Stamped SARA priority.
     pub priority: Priority,
-    /// Priority after aging promotion ([`AGED_PRIORITY`] once over T).
+    /// Priority after aging ([`sara_types::arbitration::aged_level`]).
     pub effective_priority: u8,
     /// Frame-urgency flag (FrameQoS baseline).
     pub urgent: bool,
@@ -153,75 +150,38 @@ pub fn select(
     state: &mut PolicyState,
     delta: Priority,
 ) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
-    }
-    let idx = match policy {
-        PolicyKind::Fcfs => min_by_seq(candidates, |_| true),
+    let all = candidates.iter();
+    let dmas = Rotation::new(state.dma_cursor.into(), 1 << 16);
+    let qos = |c: &Candidate| Rank::new(c.effective_priority, dmas.turn(c.dma.index()), c.seq);
+    match policy {
+        PolicyKind::Fcfs => least(all.map(|c| Rank::new(0, 0, c.seq))),
         PolicyKind::RoundRobin => {
-            let cursor = state.queue_cursor;
-            (0..crate::config::NUM_QUEUES)
-                .map(|off| (cursor + off) % crate::config::NUM_QUEUES)
-                .find_map(|q| min_by_seq(candidates, |c| c.queue == q))
+            let queues = Rotation::new(state.queue_cursor, crate::config::NUM_QUEUES);
+            least(all.map(|c| Rank::new(0, queues.turn(c.queue), c.seq)))
         }
-        PolicyKind::FrameQos => {
-            min_by_seq(candidates, |c| c.urgent).or_else(|| min_by_seq(candidates, |_| true))
-        }
-        PolicyKind::Priority => priority_rr(candidates, state, |_| true),
+        PolicyKind::FrameQos => least(all.map(|c| Rank::new(c.urgent.into(), 0, c.seq))),
+        PolicyKind::Priority => least(all.map(qos)),
         PolicyKind::QosRowBuffer => {
-            let best_hit = candidates
-                .iter()
-                .filter(|c| c.row_hit)
-                .map(|c| c.effective_priority)
-                .max();
-            let best_other = candidates
-                .iter()
-                .filter(|c| !c.row_hit)
-                .map(|c| c.effective_priority)
-                .max()
-                .unwrap_or(0);
-            match best_hit {
-                // Row hits win unless a non-hit is both urgent (≥ δ) and
-                // strictly more urgent than every hit (Policy 2).
-                Some(hit) if !(best_other >= delta.as_u8() && best_other > hit) => {
-                    priority_rr(candidates, state, |c| c.row_hit)
+            let (hit, other) = all
+                .clone()
+                .fold((None, 0), |(hit, other), c| match c.row_hit {
+                    true => (hit.max(Some(c.effective_priority)), other),
+                    false => (hit, other.max(c.effective_priority)),
+                });
+            // Row hits win unless a non-hit is both urgent (≥ δ) and
+            // strictly more urgent than every hit (Policy 2); when they
+            // win, the non-hits drop out.
+            let hits_only = hit.is_some_and(|hit| other < delta.as_u8() || other <= hit);
+            least(all.map(|c| {
+                if hits_only && !c.row_hit {
+                    Rank::NONE
+                } else {
+                    qos(c)
                 }
-                _ => priority_rr(candidates, state, |_| true),
-            }
+            }))
         }
-        PolicyKind::FrFcfs => {
-            min_by_seq(candidates, |c| c.row_hit).or_else(|| min_by_seq(candidates, |_| true))
-        }
-    };
-    debug_assert!(idx.is_some(), "non-empty candidate set must yield a winner");
-    idx
-}
-
-fn min_by_seq(candidates: &[Candidate], pred: impl Fn(&Candidate) -> bool) -> Option<usize> {
-    candidates
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| pred(c))
-        .min_by_key(|(_, c)| c.seq)
-        .map(|(i, _)| i)
-}
-
-/// Highest effective priority wins; ties rotate round-robin over DMA index
-/// relative to the cursor, then fall back to age.
-fn priority_rr(
-    candidates: &[Candidate],
-    state: &PolicyState,
-    pred: impl Fn(&Candidate) -> bool,
-) -> Option<usize> {
-    candidates
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| pred(c))
-        .min_by_key(|(_, c)| {
-            let rr_dist = (c.dma.index() as u16).wrapping_sub(state.dma_cursor);
-            (core::cmp::Reverse(c.effective_priority), rr_dist, c.seq)
-        })
-        .map(|(i, _)| i)
+        PolicyKind::FrFcfs => least(all.map(|c| Rank::new(c.row_hit.into(), 0, c.seq))),
+    }
 }
 
 #[cfg(test)]
@@ -334,7 +294,7 @@ mod tests {
     #[test]
     fn aged_candidate_beats_everything() {
         let c = [
-            cand(0, 1, 0, AGED_PRIORITY, false, false),
+            cand(0, 1, 0, u8::MAX, false, false),
             cand(1, 0, 1, 7, false, true),
         ];
         assert_eq!(pick(PolicyKind::Priority, &c), Some(0));

@@ -1,39 +1,23 @@
-//! Switch-allocation arbitration policies.
-//!
-//! §3.3: "In on-chip network routers, transactions with higher priorities
-//! are preferentially selected during switch allocation." The same four
-//! policies evaluated in the memory controller exist here so that the whole
-//! memory path applies a consistent QoS discipline (the paper's critique of
-//! single-layer QoS is precisely that an interconnect with a different
-//! policy undoes the controller's guarantees).
+//! Switch-allocation arbitration policies (§3.3: "In on-chip network
+//! routers, transactions with higher priorities are preferentially selected
+//! during switch allocation"), ranked by the rule the memory controller
+//! shares, [`sara_types::arbitration`].
 
+use sara_types::arbitration::{least, Rank, Rotation};
 use sara_types::{Priority, TransactionId};
 
 /// Arbitration discipline applied at every node of the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArbiterKind {
     /// Oldest transaction first (global arrival order).
     Fcfs,
     /// Rotate across input ports; FIFO within a port.
-    #[default]
     RoundRobin,
     /// Frame-urgency first (the DAC'12 frame-rate QoS baseline): urgent
     /// transactions beat non-urgent; FCFS within each group.
     FrameUrgent,
     /// SARA: highest priority level first, round-robin as tiebreaker.
     Priority,
-}
-
-impl ArbiterKind {
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArbiterKind::Fcfs => "FCFS",
-            ArbiterKind::RoundRobin => "RR",
-            ArbiterKind::FrameUrgent => "FrameQoS",
-            ArbiterKind::Priority => "Priority",
-        }
-    }
 }
 
 /// Head-of-port metadata fed to the arbiter.
@@ -74,52 +58,30 @@ pub fn select(kind: ArbiterKind, contenders: &[Contender], cursor: usize) -> Opt
     if contenders.len() <= 1 {
         return contenders.first().copied();
     }
+    let all = contenders.iter();
     let winner = match kind {
-        ArbiterKind::Fcfs => contenders.iter().min_by_key(|c| c.id),
+        ArbiterKind::Fcfs => least(all.map(|c| Rank::new(0, 0, c.id.as_u64()))),
         ArbiterKind::RoundRobin => {
-            let rr = RoundRobin::new(contenders, cursor);
-            contenders.iter().min_by_key(|c| rr.distance(c))
+            let ports = rotation(contenders, cursor);
+            least(all.map(|c| Rank::new(0, ports.turn(c.port), c.id.as_u64())))
         }
-        ArbiterKind::FrameUrgent => contenders
-            .iter()
-            .min_by_key(|c| (core::cmp::Reverse(c.urgent as u8), c.id)),
+        ArbiterKind::FrameUrgent => {
+            least(all.map(|c| Rank::new(c.urgent.into(), 0, c.id.as_u64())))
+        }
         ArbiterKind::Priority => {
-            let rr = RoundRobin::new(contenders, cursor);
-            contenders
-                .iter()
-                .min_by_key(|c| (core::cmp::Reverse(c.priority.as_u8()), rr.distance(c)))
+            let ports = rotation(contenders, cursor);
+            least(all.map(|c| Rank::new(c.priority.as_u8(), ports.turn(c.port), c.id.as_u64())))
         }
     };
-    winner.copied()
+    winner.map(|i| contenders[i])
 }
 
-/// Round-robin rotation over the ports present in one contender set: the
-/// modulus is the highest contending port + 1 (not the node's port count),
-/// computed once per decision.
-struct RoundRobin {
-    n: usize,
-    start: usize,
-}
-
-impl RoundRobin {
-    fn new(contenders: &[Contender], cursor: usize) -> Self {
-        let n = contenders.iter().map(|c| c.port).max().unwrap_or(0) + 1;
-        RoundRobin {
-            n,
-            start: cursor % n,
-        }
-    }
-
-    /// Distance from the cursor, so that ties rotate fairly:
-    /// `(port - start) mod n`, without the division (both are below `n`).
-    #[inline]
-    fn distance(&self, c: &Contender) -> usize {
-        if c.port >= self.start {
-            c.port - self.start
-        } else {
-            c.port + self.n - self.start
-        }
-    }
+/// The round-robin rotation over the ports present in one contender set:
+/// its length is the highest contending port + 1, not the port count.
+#[inline]
+fn rotation(contenders: &[Contender], cursor: usize) -> Rotation {
+    let highest = contenders.iter().map(|c| c.port).max().unwrap_or(0);
+    Rotation::new(cursor, highest + 1)
 }
 
 #[cfg(test)]
@@ -182,12 +144,6 @@ mod tests {
         // Without urgency it degrades to FCFS.
         let calm = [c(0, 1, 0, false), c(1, 99, 0, false)];
         assert_eq!(select(ArbiterKind::FrameUrgent, &calm, 0).unwrap().port, 0);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(ArbiterKind::Priority.name(), "Priority");
-        assert_eq!(ArbiterKind::default(), ArbiterKind::RoundRobin);
     }
 
     /// The selection rules spelled out port by port, including the quirk

@@ -4,12 +4,12 @@
 //! simulation stack: simulated time ([`Cycle`], [`Clock`]), memory
 //! transactions ([`Transaction`], [`Addr`], [`MemOp`]), QoS priorities
 //! ([`Priority`], [`PriorityBits`]) and core/class identities
-//! ([`CoreKind`], [`CoreClass`], [`DmaId`]).
-//!
-//! Every other crate in the workspace builds on these types; none of them
-//! carry behaviour beyond cheap conversions, so the substrates (DRAM model,
-//! NoC, memory controller) and the SARA framework can interoperate without
-//! depending on each other.
+//! ([`CoreKind`], [`CoreClass`], [`DmaId`]). Every other crate in the
+//! workspace builds on these types. Besides the one arbitration order the
+//! NoC and the memory controller both rank by ([`arbitration`]), none of
+//! them carry behaviour beyond cheap conversions, so the substrates (DRAM
+//! model, NoC, memory controller) and the SARA framework can interoperate
+//! without depending on each other.
 //!
 //! # Examples
 //!
@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod arbitration;
 mod error;
 mod ids;
 mod priority;
