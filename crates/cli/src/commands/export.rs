@@ -14,7 +14,7 @@ usage: sara export [DIR]
 
 Writes every built-in scenario as DIR/<name>.scenario.json (DIR defaults
 to `catalog`, created if needed). The written files are byte-identical to
-the goldens under tests/data/ and are directly runnable with
+the built-in documents and are directly runnable with
 `sara matrix --dir DIR` after any edits — the zero-recompilation path.";
 
 /// Runs the subcommand.

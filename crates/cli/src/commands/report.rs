@@ -16,6 +16,7 @@ use json::Value;
 
 use crate::args::{Args, CliError};
 use crate::output::page;
+use sara_scenarios::RankKey;
 use sara_serve::FORMAT_TAG as SERVE_TAG;
 use sara_serve::{EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
 use sara_telemetry::prometheus;
@@ -345,17 +346,14 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
         let analytic = Fields::new(cell.get("analytic")?, what)?;
         let bound_gbs = analytic.finite("bound_gbs")?;
         let targets_met = verdict == "trivial";
-        // `RankKey::screened`'s rule, so the summary agrees with the
-        // ranking: an infeasible cell fails every core with a rated
-        // demand, and at least one.
         let mut failed_cores = 0;
         if !targets_met {
-            for share in analytic.array("static_alloc")? {
-                if Fields::new(share, what)?.finite("demand_gbs")? > 0.0 {
-                    failed_cores += 1;
-                }
-            }
-            failed_cores = failed_cores.max(1);
+            let demands = analytic
+                .array("static_alloc")?
+                .iter()
+                .map(|share| Fields::new(share, what)?.finite("demand_gbs"))
+                .collect::<Result<Vec<f64>, _>>()?;
+            failed_cores = RankKey::infeasible_failures(demands);
         }
         return Ok(CellFacts {
             scenario,

@@ -721,7 +721,7 @@ fn csv_fields(row: &str) -> Vec<String> {
 fn every_csv_writer_quotes_scenario_names() {
     const NAME: &str = "adas,\"v2\"";
     let dir = scratch("csv-quoting");
-    let catalog = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    let catalog = Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios/catalog");
     let text = std::fs::read_to_string(catalog.join("adas.scenario.json")).unwrap();
     let renamed = text.replacen("\"name\": \"adas\"", "\"name\": \"adas,\\\"v2\\\"\"", 1);
     assert_ne!(renamed, text);

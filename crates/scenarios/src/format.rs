@@ -50,8 +50,9 @@
 //! | | `bandwidth` | `target_fraction`, `window_ns` |
 //!
 //! Versioning: the `format` tag is checked exactly. A future `v2` will get
-//! its own reader; `v1` documents stay readable (golden files under
-//! `tests/data/` pin the emitted bytes per catalog entry).
+//! its own reader; `v1` documents stay readable (the built-in catalog's
+//! own documents under `crates/scenarios/catalog/` and the camcorder
+//! goldens under `tests/data/` pin the emitted bytes per catalog entry).
 //!
 //! # Examples
 //!

@@ -73,9 +73,9 @@ pub use governor_spec::{
     GovernorSpec, DEFAULT_DOWN_THRESHOLD, DEFAULT_EPOCH_US, DEFAULT_PATIENCE, DEFAULT_UP_THRESHOLD,
 };
 pub use matrix::{
-    cell_fingerprint, csv_field, expand_cells, rank_cells, run_cell, run_matrix, screen_cell,
-    summarize_cells, CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec, MatrixSummary,
-    RankKey, ScenarioFingerprint, ScenarioRanking, ScreenMode,
+    cell_fingerprint, cell_head_members, csv_field, expand_cells, rank_cells, run_cell, run_matrix,
+    screen_cell, summarize_cells, CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec,
+    MatrixSummary, RankKey, ScenarioFingerprint, ScenarioRanking, ScreenMode,
 };
 pub use ordered::{run_ordered, run_systems};
 pub use scenario::Scenario;

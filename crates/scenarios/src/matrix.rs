@@ -171,12 +171,9 @@ impl MatrixCell {
     /// `screened` (the verdict label) plus `analytic` (the closed-form
     /// evaluation).
     pub fn json_members(&self) -> Vec<(String, Value)> {
-        let mut members = vec![
-            ("scenario".to_string(), self.scenario.as_str().into()),
-            ("policy".to_string(), self.policy.name().into()),
-            ("freq_mhz".to_string(), self.freq.as_u32().into()),
-            ("channels".to_string(), (self.channels as u64).into()),
-        ];
+        let head = cell_head_members(&self.scenario, self.policy, self.freq, self.channels);
+        let mut members = Vec::with_capacity(head.len() + 2);
+        members.extend(head.map(|(key, value)| (key.to_string(), value)));
         match &self.outcome {
             CellOutcome::Simulated(r) => {
                 members.push(("report".to_string(), r.to_json_value()));
@@ -189,6 +186,23 @@ impl MatrixCell {
         }
         members
     }
+}
+
+/// A matrix cell's head members, the ones ahead of its outcome, in
+/// emission order: [`MatrixCell::json_members`] starts with them, and so
+/// does a `sara serve` cell record spliced around a cached report.
+pub fn cell_head_members(
+    scenario: &str,
+    policy: PolicyKind,
+    freq: MegaHertz,
+    channels: usize,
+) -> [(&'static str, Value); 4] {
+    [
+        ("scenario", scenario.into()),
+        ("policy", policy.name().into()),
+        ("freq_mhz", freq.as_u32().into()),
+        ("channels", (channels as u64).into()),
+    ]
 }
 
 /// The facts a cell is ranked by, and all a ranking needs of it:
@@ -224,18 +238,21 @@ impl RankKey {
         let failures = if met {
             0
         } else {
-            analytic
-                .static_alloc
-                .iter()
-                .filter(|s| s.demand_gbs > 0.0)
-                .count()
-                .max(1)
+            RankKey::infeasible_failures(analytic.static_alloc.iter().map(|s| s.demand_gbs))
         };
         RankKey {
             met,
             failures,
             bandwidth_gbs: analytic.bound_gbs,
         }
+    }
+
+    /// How many cores a provably infeasible cell fails, given each core's
+    /// rated demand (its `static_alloc` entry's `demand_gbs`): every core
+    /// with a demand, and at least one. `sara report` reads a dumped cell
+    /// through this rule too, so its summary agrees with the ranking.
+    pub fn infeasible_failures(demands_gbs: impl IntoIterator<Item = f64>) -> usize {
+        demands_gbs.into_iter().filter(|&d| d > 0.0).count().max(1)
     }
 }
 

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use json::read::{self, Fields};
 use json::{Stream, Value};
 use sara_memctrl::PolicyKind;
-use sara_scenarios::{CellSpec, MatrixCell, Scenario, ScreenMode};
+use sara_scenarios::{cell_head_members, CellSpec, MatrixCell, Scenario, ScreenMode};
 
 /// The version tag carried by every request and response record.
 pub const FORMAT_TAG: &str = "sara-serve/v1";
@@ -356,19 +356,18 @@ pub fn write_simulated_cell<W: Write>(
 }
 
 /// Writes a simulated cell's members into the open object of `doc`: those
-/// of [`MatrixCell::json_members`], with `report_json` spliced in as the
-/// `report` member. A `cell` record and a matrix dump's `cells[i]` entry
-/// share them.
+/// of [`MatrixCell::json_members`] (the same [`cell_head_members`]), with
+/// `report_json` spliced in as the `report` member. A `cell` record and a
+/// matrix dump's `cells[i]` entry share them.
 pub(crate) fn write_simulated_members<W: Write + ?Sized>(
     doc: &mut Stream<'_, W>,
     scenario: &str,
     spec: &CellSpec,
     report_json: &str,
 ) -> io::Result<()> {
-    doc.node(Some("scenario"), &scenario.into())?;
-    doc.node(Some("policy"), &spec.policy.name().into())?;
-    doc.node(Some("freq_mhz"), &spec.freq.as_u32().into())?;
-    doc.node(Some("channels"), &(spec.channels as u64).into())?;
+    for (key, value) in cell_head_members(scenario, spec.policy, spec.freq, spec.channels) {
+        doc.node(Some(key), &value)?;
+    }
     doc.raw(Some("report"), report_json)
 }
 

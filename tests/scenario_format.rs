@@ -1,6 +1,6 @@
 //! Conformance suite for the `sara-scenario/v1` file format: round-trip
-//! properties over the generator, byte-level determinism, committed golden
-//! files per catalog entry, the error paths a hand-edited file hits, and
+//! properties over the generator, byte-level determinism, the committed
+//! file of every catalog entry, the error paths a hand-edited file hits, and
 //! seeded fuzzing of the JSON reader and the scenario parser.
 //!
 //! Golden regeneration (after an intentional format or catalog change):
@@ -65,21 +65,38 @@ fn emission_is_byte_deterministic_across_runs() {
 #[path = "support/golden.rs"]
 mod golden;
 
-/// Every catalog entry serializes to exactly the bytes committed under
-/// `tests/data/`, and the committed bytes parse back to the entry.
+/// The directory of the catalog entries defined by their documents.
+fn catalog_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/scenarios/catalog")
+}
+
+/// Every catalog entry serializes to exactly the bytes of its committed
+/// file, and the committed bytes parse back to the entry. An entry defined
+/// by its document is pinned to that document under
+/// `crates/scenarios/catalog/`; the two camcorder cases, built in Rust, to
+/// their goldens under `tests/data/`.
 ///
 /// A diff here means the format or the catalog changed: if intentional,
 /// regenerate with `SARA_UPDATE_GOLDENS=1 cargo test --test scenario_format`
-/// and commit the result; v1 files must otherwise stay readable forever.
+/// (which rewrites both kinds of file) and commit the result; v1 files
+/// must otherwise stay readable forever.
 #[test]
 fn golden_files_pin_the_format() {
     for s in catalog::builtin() {
-        let name = format!("{}{SCENARIO_FILE_SUFFIX}", s.name);
-        golden::check(&name, &s.to_json());
-        let parsed = Scenario::from_json_file(golden::path(&name)).unwrap();
+        let text = s.to_json();
+        let file = format!("{}{SCENARIO_FILE_SUFFIX}", s.name);
+        let source = catalog_dir().join(&file);
+        let path = if source.exists() {
+            golden::check_file(&source, &text);
+            source
+        } else {
+            golden::check(&file, &text);
+            golden::path(&file)
+        };
+        let parsed = Scenario::from_json_file(&path).unwrap();
         assert_eq!(
             parsed, s,
-            "{}: golden does not parse back to the entry",
+            "{}: committed file does not parse back to the entry",
             s.name
         );
     }
@@ -92,8 +109,10 @@ const DATA_FILES: [&str; 3] = [
     "refusal-counts.txt",
 ];
 
-/// There is exactly one golden per catalog entry — a renamed or removed
-/// scenario must not leave a stale file behind.
+/// `tests/data/` holds a golden for each catalog entry built in Rust and
+/// for nothing else: a renamed or removed scenario must not leave a stale
+/// file behind, nor may an entry defined by its document keep a second
+/// copy there.
 #[test]
 fn no_stale_golden_files() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
@@ -112,6 +131,10 @@ fn no_stale_golden_files() {
         assert!(
             names.iter().any(|n| n == stem),
             "stale golden {file_name}: no catalog entry named {stem:?}"
+        );
+        assert!(
+            !catalog_dir().join(file_name).exists(),
+            "{file_name} duplicates the catalog's own document"
         );
     }
 }

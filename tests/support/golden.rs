@@ -6,7 +6,7 @@
 //! rewrites it instead; `scripts/rebaseline.sh` runs the whole suite that
 //! way after an intentional change to simulated output.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// `tests/data/NAME` of the package whose test includes this module.
 pub(crate) fn path(name: &str) -> PathBuf {
@@ -19,9 +19,13 @@ pub(crate) fn path(name: &str) -> PathBuf {
 /// `text` there when `SARA_UPDATE_GOLDENS` is set. A mismatch panics with
 /// the first line that differs.
 pub(crate) fn check(name: &str, text: &str) {
-    let path = path(name);
+    check_file(&path(name), text);
+}
+
+/// [`check`] for a committed file outside `tests/data/`.
+pub(crate) fn check_file(path: &Path, text: &str) {
     if std::env::var_os("SARA_UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        std::fs::write(path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         return;
     }
     let regenerate = format!(
@@ -30,7 +34,7 @@ pub(crate) fn check(name: &str, text: &str) {
         env!("CARGO_PKG_NAME"),
         env!("CARGO_CRATE_NAME"),
     );
-    let want = std::fs::read_to_string(&path)
+    let want = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{}: {e}\n{regenerate}", path.display()));
     if text == want {
         return;
