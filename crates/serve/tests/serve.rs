@@ -854,14 +854,16 @@ fn accepted_precedes_cells_and_streaming_is_in_submission_order() {
 fn a_failing_cell_ends_the_job_after_its_predecessors_streamed() {
     // camcorder-a does not fit one DRAM channel, so the job's last cell
     // fails to lower: the three before it stream, then one error record
-    // ends the job — no summary, a live session.
-    let job = format!(
-        "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"f\",\
-         \"scenarios\":[\"camcorder-b\",\"camcorder-a\"],\"policies\":[\"QoS\"],\
-         \"channels\":[2,1],\"duration_ms\":0.05}}\n\
-         {{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}\n"
-    );
-    for workers in [1, 4] {
+    // ends the job — no summary, a live session. Under "prune" the
+    // screener decides none of the four, and the one it cannot price falls
+    // through to the cache: a miss like the others.
+    for (screen, workers) in [("off", 1), ("off", 4), ("prune", 1), ("prune", 4)] {
+        let job = format!(
+            "{{\"format\":\"{FORMAT_TAG}\",\"type\":\"submit\",\"id\":\"f\",\
+             \"scenarios\":[\"camcorder-b\",\"camcorder-a\"],\"policies\":[\"QoS\"],\
+             \"channels\":[2,1],\"duration_ms\":0.05,\"screen\":\"{screen}\"}}\n\
+             {{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}\n"
+        );
         let server = Server::new(ServeConfig {
             workers,
             ..ServeConfig::default()
@@ -872,10 +874,14 @@ fn a_failing_cell_ends_the_job_after_its_predecessors_streamed() {
             .map(|r| r.get("type").and_then(Value::as_str).unwrap())
             .collect();
         let want = ["accepted", "cell", "cell", "cell", "error", "pong"];
-        assert_eq!(kinds, want, "{workers} workers");
+        assert_eq!(kinds, want, "{screen}, {workers} workers");
         let error = replies[4].get("error").and_then(Value::as_str).unwrap();
         assert!(error.contains("exceed DRAM capacity"), "{error}");
-        assert_eq!(u64_field(&server.counters(), "jobs_failed"), 1);
+        let counters = server.counters();
+        assert_eq!(u64_field(&counters, "jobs_failed"), 1);
+        assert_eq!(u64_field(&counters, "cells_screened"), 0);
+        assert_eq!(u64_field(&counters, "cache_hits"), 0);
+        assert_eq!(u64_field(&counters, "cache_misses"), 4);
         // Only completed jobs publish to the cache.
         assert_eq!(server.cache_len(), 0);
     }
