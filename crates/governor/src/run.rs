@@ -430,6 +430,27 @@ mod tests {
     }
 
     #[test]
+    fn a_pinned_run_at_the_beat_clock_is_the_matrix_cell() {
+        // Pinned at its own beat clock, a run never re-clocks, so it is
+        // the scenario's matrix cell at that frequency, byte for byte:
+        // the governor lowers a scenario as the batch harness does.
+        for s in catalog::builtin() {
+            let spec = s.governor_spec();
+            let beat = beat_freq(&s, &spec);
+            let pinned = run_pinned(&s, &spec, beat, 0.6).unwrap();
+            let cell = sara_scenarios::CellSpec {
+                scenario: 0,
+                policy: s.policy,
+                freq: beat,
+                channels: s.channels,
+                duration_ms: 0.6,
+            };
+            let matrix = sara_scenarios::run_cell(&s, &cell).unwrap();
+            assert_eq!(pinned.report.to_json(), matrix.to_json(), "{}", s.name);
+        }
+    }
+
+    #[test]
     fn rejects_bad_duration_and_bad_spec() {
         let s = catalog::by_name("adas").unwrap();
         let spec = short_spec(vec![1120, 1600]);

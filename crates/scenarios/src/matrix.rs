@@ -1201,6 +1201,11 @@ mod tests {
                 assert!(system == paper, "{name} under {}", policy.name());
             }
         }
+        // A scenario's own system is its own cell's, for every entry.
+        for s in catalog::builtin() {
+            let own = cell(&s, s.policy, s.freq.as_u32()).system(&s).unwrap();
+            assert!(s.config().unwrap() == own, "{}", s.name);
+        }
         // Fig. 7's systems: case A under QoS across the sweep.
         let a = catalog::camcorder_a();
         for mhz in [1300, 1400, 1500, 1600, 1700] {
