@@ -3,7 +3,7 @@
 
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{GovernorSpec, Scenario};
-use sara_sim::{channel_bound_bytes_per_s, SimReport};
+use sara_sim::{channel_bound_bytes_per_s, SimReport, Simulation};
 use sara_types::{ConfigError, Cycle, MegaHertz};
 
 use crate::controller::{Governor, GovernorAction};
@@ -204,7 +204,8 @@ fn run_at_beat(
             "duration must be > 0 ms, got {duration_ms}"
         )));
     }
-    let mut sim = scenario.clone().with_freq(beat).build()?;
+    // The scenario's own cell at the beat clock: the matrix's lowering.
+    let mut sim = Simulation::new(scenario.cell_at(beat).system(scenario)?)?;
     let channels = sim.channel_count();
     // One automaton for the single knob; one per lane under `per_channel`.
     let mut governors: Vec<Governor> = if spec.per_channel {

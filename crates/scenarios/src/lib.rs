@@ -12,8 +12,8 @@
 //! model — so policy questions can be asked across a whole catalog at
 //! once:
 //!
-//! * [`Scenario`] — name + cores + platform knobs, lowered onto
-//!   `SystemConfig::from_scenario` by [`Scenario::config`];
+//! * [`Scenario`] — name + cores + platform knobs, lowered onto a
+//!   `SystemConfig` by [`Scenario::config`] as its own cell;
 //! * [`catalog`] — built-ins: the two camcorder cases, an AR headset, an
 //!   automotive ADAS stack (plus a mixed-criticality overload variant),
 //!   smartphone burst multitasking, ML-inference offload, and a
@@ -28,12 +28,14 @@
 //!   user-supplied catalogs without recompiling (and
 //!   [`catalog::export_all`] for seeding such a directory);
 //! * [`run_matrix`] — scenario × policy × frequency cells, each lowered
-//!   once to a system ([`CellSpec::system`]), aggregated into a ranked
-//!   [`MatrixSummary`] whose JSON is identical no matter the thread count;
+//!   and screened once ([`lower_cell`], over [`CellSpec::system`]),
+//!   aggregated into a ranked [`MatrixSummary`] whose JSON is identical no
+//!   matter the thread count and is written by [`write_matrix_document`];
 //! * [`run_ordered`] — the one place cells run on threads, under every
 //!   `sara serve` job and [`run_systems`]: the one batch of systems
 //!   `run_matrix`, `dvfs_search`, `sara sweep` and `sara repro` simulate
-//!   through, equal systems once;
+//!   through, equal systems once, each through [`run_system`] — the
+//!   simulate step a `sara serve` worker and [`run_cell`] take too;
 //! * [`dvfs_search`] — the offline DVFS search: one scenario × candidate
 //!   frequencies as one batch, lowest passing frequency chosen.
 //!
@@ -73,10 +75,11 @@ pub use governor_spec::{
     GovernorSpec, DEFAULT_DOWN_THRESHOLD, DEFAULT_EPOCH_US, DEFAULT_PATIENCE, DEFAULT_UP_THRESHOLD,
 };
 pub use matrix::{
-    cell_fingerprint, cell_head_members, csv_field, expand_cells, rank_cells, run_cell, run_matrix,
-    screen_cell, summarize_cells, CellOutcome, CellProfile, CellSpec, MatrixCell, MatrixSpec,
-    MatrixSummary, RankKey, ScenarioFingerprint, ScenarioRanking, ScreenMode,
+    cell_fingerprint, cell_head_members, csv_field, expand_cells, lower_cell, rank_cells, run_cell,
+    run_matrix, screen_cell, summarize_cells, write_cell_members, write_matrix_document, CellBody,
+    CellOutcome, CellProfile, CellSpec, LoweredCell, MatrixCell, MatrixSpec, MatrixSummary,
+    RankKey, ScenarioFingerprint, ScenarioRanking, ScreenMode,
 };
-pub use ordered::{run_ordered, run_systems};
+pub use ordered::{run_ordered, run_system, run_systems};
 pub use scenario::Scenario;
 pub use search::{dvfs_search, SearchOutcome};

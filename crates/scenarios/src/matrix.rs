@@ -2,12 +2,14 @@
 //! channel-count runs sharded across scoped worker threads, aggregated
 //! into a ranked comparison summary.
 //!
-//! Each cell of the matrix lowers once to a system ([`CellSpec::system`])
-//! and is one fully deterministic single-threaded simulation;
+//! Each cell of the matrix lowers (and screens) once ([`lower_cell`]) and
+//! is one fully deterministic single-threaded simulation ([`run_system`]);
 //! [`run_systems`] returns the reports in submission order, so the
 //! aggregate is byte-identical no matter how many workers run it (the
-//! property `matrix_deterministic_across_thread_counts` pins down).
+//! property `matrix_deterministic_across_thread_counts` pins down). A
+//! `sara serve` job takes the same steps.
 
+use std::io::{self, Write};
 use std::time::Instant;
 
 use json::Value;
@@ -16,7 +18,7 @@ use sara_sim::{AnalyticReport, ScreenVerdict, SimReport, SystemConfig};
 use sara_telemetry::ChromeTrace;
 use sara_types::{ConfigError, MegaHertz};
 
-use crate::ordered::run_systems;
+use crate::ordered::{run_system, run_systems};
 use crate::scenario::Scenario;
 
 /// How the analytic pre-screener participates in a matrix run.
@@ -147,6 +149,14 @@ impl MatrixCell {
         }
     }
 
+    /// What answers the cell in a matrix document.
+    pub fn body(&self) -> CellBody<'_> {
+        match &self.outcome {
+            CellOutcome::Simulated(r) => CellBody::Simulated(r),
+            CellOutcome::Screened(a) => CellBody::Screened(a),
+        }
+    }
+
     /// What the rankings read of the cell: the engine's figures for a
     /// simulated cell, the screener's proof for a pruned one.
     pub fn rank_key(&self) -> RankKey {
@@ -203,6 +213,77 @@ pub fn cell_head_members(
         ("freq_mhz", freq.as_u32().into()),
         ("channels", (channels as u64).into()),
     ]
+}
+
+/// What answers a cell in a matrix document, after its head members.
+#[derive(Debug, Clone, Copy)]
+pub enum CellBody<'a> {
+    /// A simulated cell's report.
+    Simulated(&'a SimReport),
+    /// A simulated cell's report as already rendered compact JSON, spliced
+    /// in as is (a compact document only).
+    Rendered(&'a str),
+    /// A pruned cell's closed-form evaluation.
+    Screened(&'a AnalyticReport),
+}
+
+/// Writes a cell's members — those of [`MatrixCell::json_members`] — into
+/// the open object of `doc`: `head` ([`cell_head_members`]), then `body`.
+/// A matrix document's `cells[i]` and a `sara serve` cell record alike.
+///
+/// # Errors
+///
+/// Returns the first error the writer reports.
+pub fn write_cell_members<W: Write + ?Sized>(
+    doc: &mut json::Stream<'_, W>,
+    head: [(&'static str, Value); 4],
+    body: CellBody<'_>,
+) -> io::Result<()> {
+    for (key, value) in head {
+        doc.node(Some(key), &value)?;
+    }
+    match body {
+        CellBody::Simulated(r) => doc.node(Some("report"), &r.to_json_value()),
+        CellBody::Rendered(report_json) => doc.raw(Some("report"), report_json),
+        CellBody::Screened(a) => {
+            let label = a.verdict.label().unwrap_or("needs-sim");
+            doc.node(Some("screened"), &label.into())?;
+            doc.node(Some("analytic"), &a.to_json_value())
+        }
+    }
+}
+
+/// The one writer of a matrix document, under [`MatrixSummary::write_json`]
+/// and a `sara serve` `json_out` artifact: `cells` then `rankings`,
+/// compact or pretty, plus a trailing newline, written one cell at a time
+/// ([`write_cell_members`]) so the emit holds one cell's tree, never the
+/// grid's.
+///
+/// # Errors
+///
+/// Returns any I/O error from the writer, after a partial document.
+pub fn write_matrix_document<'a, W: Write + ?Sized>(
+    w: &mut W,
+    pretty: bool,
+    cells: impl IntoIterator<Item = ([(&'static str, Value); 4], CellBody<'a>)>,
+    rankings: &[ScenarioRanking],
+) -> io::Result<()> {
+    let mut doc = json::Stream::new(w, pretty);
+    doc.open_object(None);
+    doc.open_array(Some("cells"));
+    for (head, body) in cells {
+        doc.open_object(None);
+        write_cell_members(&mut doc, head, body)?;
+        doc.close();
+    }
+    doc.close();
+    doc.open_array(Some("rankings"));
+    for ranking in rankings {
+        doc.node(None, &ranking.to_json_value())?;
+    }
+    doc.close();
+    doc.close();
+    doc.finish()
 }
 
 /// The facts a cell is ranked by, and all a ranking needs of it:
@@ -364,38 +445,18 @@ impl MatrixSummary {
         out
     }
 
-    /// Writes the summary document — `cells` then `rankings`, compact or
-    /// pretty, plus a trailing newline — to `w` one cell at a time: each
-    /// cell's [`MatrixCell::to_json_value`] is built, written and dropped
-    /// before the next, so the emit holds one cell's tree, never the
-    /// grid's. The bytes equal those of the assembled document through
-    /// `Value::to_string_compact` / `to_string_pretty`.
-    ///
-    /// Deterministic for a given matrix regardless of worker-thread count.
+    /// Writes the summary document ([`write_matrix_document`]), the bytes
+    /// of the assembled document, deterministic across worker counts.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the writer; the cells written before it
-    /// stay written, so a failed write leaves a partial document.
-    pub fn write_json<W: std::io::Write + ?Sized>(
-        &self,
-        w: &mut W,
-        pretty: bool,
-    ) -> std::io::Result<()> {
-        let mut doc = json::Stream::new(w, pretty);
-        doc.open_object(None);
-        doc.open_array(Some("cells"));
-        for cell in &self.cells {
-            doc.node(None, &cell.to_json_value())?;
-        }
-        doc.close();
-        doc.open_array(Some("rankings"));
-        for ranking in &self.rankings {
-            doc.node(None, &ranking.to_json_value())?;
-        }
-        doc.close();
-        doc.close();
-        doc.finish()
+    /// Returns any I/O error from the writer, after a partial document.
+    pub fn write_json<W: Write + ?Sized>(&self, w: &mut W, pretty: bool) -> io::Result<()> {
+        let cells = self.cells.iter().map(|c| {
+            let head = cell_head_members(&c.scenario, c.policy, c.freq, c.channels);
+            (head, c.body())
+        });
+        write_matrix_document(w, pretty, cells, &self.rankings)
     }
 
     /// The compact summary document, without the trailing newline
@@ -416,7 +477,7 @@ impl MatrixSummary {
     /// # Errors
     ///
     /// Returns any I/O error from the writer, after a partial document.
-    pub fn to_json_writer<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
+    pub fn to_json_writer<W: Write>(&self, w: &mut W) -> io::Result<()> {
         self.write_json(w, false)
     }
 
@@ -628,9 +689,10 @@ pub fn expand_cells(
     Ok(cells)
 }
 
-/// Runs one cell of a matrix to its report through [`run_systems`], as
-/// [`run_matrix`] does, so the report is byte-identical (through
-/// `SimReport::to_json_value`) to the same cell inside a batch run.
+/// Runs one cell of a matrix to its report: its system
+/// ([`CellSpec::system`]) through [`run_system`], as in every batch, so
+/// the report is byte-identical (through `SimReport::to_json_value`) to
+/// the same cell inside a batch run.
 ///
 /// `scenario` must be the entry `cell.scenario` indexes in the list the
 /// cell was expanded from.
@@ -640,8 +702,7 @@ pub fn expand_cells(
 /// Returns the [`ConfigError`] of a cell whose system fails to lower or
 /// build.
 pub fn run_cell(scenario: &Scenario, cell: &CellSpec) -> Result<SimReport, ConfigError> {
-    let run = [(cell.system(scenario)?, cell.duration_ms)];
-    Ok(run_systems(&run, 1)?.remove(0).0)
+    Ok(run_system(cell.system(scenario)?, cell.duration_ms)?.0)
 }
 
 /// Assembles completed cells into a [`MatrixSummary`], ranked by
@@ -780,16 +841,49 @@ fn fnv_field(mut hash: u64, bytes: &[u8]) -> u64 {
     hash.wrapping_mul(PRIME)
 }
 
-/// Evaluates the closed-form screener for one cell: prices the cell's
-/// system ([`CellSpec::system`]) in microseconds — no simulator state is
-/// built.
+/// A cell after [`lower_cell`].
+#[derive(Debug)]
+pub enum LoweredCell {
+    /// Decided outright by the screener under [`ScreenMode::Prune`].
+    Pruned(AnalyticReport),
+    /// The system to simulate, with the screener's evaluation if screened.
+    Run(Box<SystemConfig>, Option<AnalyticReport>),
+}
+
+/// The one lower-and-screen step: lowers `cell` to its system
+/// ([`CellSpec::system`]) and, unless `screen` is [`ScreenMode::Off`],
+/// prices it with the closed-form screener (microseconds, no simulator
+/// state). The one prune rule: under [`ScreenMode::Prune`] a cell the
+/// screener decides outright is pruned. `scenario` is the entry
+/// `cell.scenario` indexes.
 ///
 /// # Errors
 ///
-/// Returns the [`ConfigError`] of a cell whose system fails to lower (the
-/// same error simulation would have surfaced).
+/// Returns the [`ConfigError`] of a cell whose system fails to lower.
+pub fn lower_cell(
+    scenario: &Scenario,
+    cell: &CellSpec,
+    screen: ScreenMode,
+) -> Result<LoweredCell, ConfigError> {
+    let system = cell.system(scenario)?;
+    let analytic = (screen != ScreenMode::Off).then(|| sara_sim::analytic_report(&system));
+    Ok(match analytic {
+        Some(a) if screen == ScreenMode::Prune && !a.verdict.needs_sim() => LoweredCell::Pruned(a),
+        analytic => LoweredCell::Run(Box::new(system), analytic),
+    })
+}
+
+/// The closed-form screener's evaluation of one cell: [`lower_cell`] under
+/// [`ScreenMode::Verify`], which screens every cell and prunes none.
+///
+/// # Errors
+///
+/// Returns the [`ConfigError`] of a cell whose system fails to lower.
 pub fn screen_cell(scenario: &Scenario, cell: &CellSpec) -> Result<AnalyticReport, ConfigError> {
-    Ok(sara_sim::analytic_report(&cell.system(scenario)?))
+    match lower_cell(scenario, cell, ScreenMode::Verify)? {
+        LoweredCell::Run(_, Some(analytic)) => Ok(analytic),
+        _ => unreachable!("verify screens and never prunes"),
+    }
 }
 
 /// `--screen=verify`'s per-cell contract: simulation must never
@@ -833,9 +927,9 @@ fn verify_screened_cell(
 }
 
 /// Runs every scenario under every policy (× every frequency and
-/// channel-count override): each cell lowers once ([`CellSpec::system`])
-/// and the systems simulate as one [`run_systems`] batch on
-/// `spec.threads` workers, so equal cells simulate once.
+/// channel-count override): each cell lowers and screens once
+/// ([`lower_cell`]) and the systems simulate as one [`run_systems`] batch
+/// on `spec.threads` workers, so equal cells simulate once.
 ///
 /// With `spec.screen == ScreenMode::Prune`, provably-decided cells skip
 /// simulation entirely and surface as [`CellOutcome::Screened`]; the
@@ -852,31 +946,30 @@ fn verify_screened_cell(
 /// contradiction.
 pub fn run_matrix(scenarios: &[Scenario], spec: &MatrixSpec) -> Result<MatrixSummary, ConfigError> {
     let cells = expand_cells(scenarios, spec)?;
-    let prunes = |a: &AnalyticReport| spec.screen == ScreenMode::Prune && !a.verdict.needs_sim();
 
     // Lower (and screen) in submission order up to the first cell that
     // fails to lower; the cells before it still run, since one that fails
     // to build is the earlier error. Screening is serial on purpose —
     // microseconds per cell, and a fixed evaluation order keeps the
-    // emitted floats trivially deterministic.
+    // emitted floats trivially deterministic. Per cell: its evaluation,
+    // and a pruned cell's setup time.
     let (mut screens, mut runs, mut lowered) = (Vec::new(), Vec::new(), Ok(()));
     for cell in &cells {
         let started = Instant::now();
-        let system = match cell.system(&scenarios[cell.scenario]) {
-            Ok(system) => system,
+        match lower_cell(&scenarios[cell.scenario], cell, spec.screen) {
+            Ok(LoweredCell::Pruned(analytic)) => {
+                let setup_ms = started.elapsed().as_secs_f64() * 1e3;
+                screens.push((Some(analytic), Some(setup_ms)));
+            }
+            Ok(LoweredCell::Run(system, analytic)) => {
+                runs.push((*system, cell.duration_ms));
+                screens.push((analytic, None));
+            }
             Err(e) => {
                 lowered = Err(e);
                 break;
             }
-        };
-        let screen = (spec.screen != ScreenMode::Off).then(|| {
-            let analytic = sara_sim::analytic_report(&system);
-            (analytic, started.elapsed().as_secs_f64() * 1e3)
-        });
-        if !screen.as_ref().is_some_and(|(a, _)| prunes(a)) {
-            runs.push((system, cell.duration_ms));
         }
-        screens.push(screen);
     }
     let mut ran = run_systems(&runs, spec.threads)?.into_iter();
     lowered?;
@@ -884,16 +977,16 @@ pub fn run_matrix(scenarios: &[Scenario], spec: &MatrixSpec) -> Result<MatrixSum
     let (mut outcomes, mut profile) = (Vec::new(), Vec::new());
     for (cell, screen) in cells.iter().zip(screens) {
         match screen {
-            Some((analytic, screen_ms)) if prunes(&analytic) => {
+            (Some(analytic), Some(setup_ms)) => {
                 outcomes.push(CellOutcome::Screened(analytic));
                 profile.push(CellProfile {
-                    setup_ms: screen_ms,
+                    setup_ms,
                     ..CellProfile::default()
                 });
             }
-            screen => {
+            (analytic, _) => {
                 let (report, cell_profile) = ran.next().expect("every unpruned cell ran");
-                if let (ScreenMode::Verify, Some((analytic, _))) = (spec.screen, &screen) {
+                if let (ScreenMode::Verify, Some(analytic)) = (spec.screen, &analytic) {
                     let name = &scenarios[cell.scenario].name;
                     verify_screened_cell(name, cell, analytic, &report)?;
                 }

@@ -1,6 +1,7 @@
 //! The one place cells run on threads: the ordered executor under
 //! `sara serve` jobs, and on it [`run_systems`], the one batch of systems
-//! every other harness simulates through.
+//! every other harness simulates through; both run each system through
+//! [`run_system`], the one simulate step.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,9 +14,10 @@ use sara_types::{ConfigError, Cycle};
 use crate::matrix::CellProfile;
 
 /// Simulates each `(system, duration_ms)` run on up to `threads` workers
-/// ([`run_ordered`]) and returns its report and harness profile, aligned
-/// with `runs`. Equal runs simulate once: a repeat gets the first one's
-/// report and an empty profile. `start_ms` counts from the batch's start.
+/// ([`run_ordered`]), one [`run_system`] each, and returns its report and
+/// harness profile, aligned with `runs`. Equal runs simulate once: a
+/// repeat gets the first one's report and an empty profile. `start_ms`
+/// counts from the batch's start.
 ///
 /// # Errors
 ///
@@ -30,23 +32,11 @@ pub fn run_systems(
         .map(|i| runs[..i].iter().position(|r| *r == runs[i]).unwrap_or(i))
         .collect();
     let epoch = Instant::now();
-    let ms = |from: Instant, to: Instant| to.duration_since(from).as_secs_f64() * 1e3;
     let run = |i: usize, worker| {
-        (first[i] == i).then(|| -> Result<_, ConfigError> {
-            let (system, duration_ms) = &runs[i];
-            let started = Instant::now();
-            let mut sim = Simulation::new(system.clone())?;
-            let built = Instant::now();
-            sim.advance_until(Cycle::new(system.clock().cycles_from_ms(*duration_ms)));
-            let advanced = Instant::now();
-            let report = sim.report();
-            let profile = CellProfile {
-                worker,
-                start_ms: ms(epoch, started),
-                setup_ms: ms(started, built),
-                sim_ms: ms(built, advanced),
-                report_ms: ms(advanced, Instant::now()),
-            };
+        (first[i] == i).then(|| {
+            let start_ms = ms(epoch, Instant::now());
+            let (report, mut profile) = run_system(runs[i].0.clone(), runs[i].1)?;
+            (profile.worker, profile.start_ms) = (worker, start_ms);
             Ok((report, profile))
         })
     };
@@ -64,6 +54,38 @@ pub fn run_systems(
         ControlFlow::Continue(()) => Ok(results),
         ControlFlow::Break(e) => Err(e),
     }
+}
+
+/// The one simulate step (under [`run_systems`], [`run_cell`](crate::run_cell)
+/// and a `sara serve` worker): builds `system`, runs it `duration_ms`
+/// simulated ms and reports, timing each phase; a batch fills in the
+/// profile's `worker` and `start_ms`.
+///
+/// # Errors
+///
+/// Returns the [`ConfigError`] of a system that fails to build.
+pub fn run_system(
+    system: SystemConfig,
+    duration_ms: f64,
+) -> Result<(SimReport, CellProfile), ConfigError> {
+    let end = Cycle::new(system.clock().cycles_from_ms(duration_ms));
+    let started = Instant::now();
+    let mut sim = Simulation::new(system)?;
+    let built = Instant::now();
+    sim.advance_until(end);
+    let advanced = Instant::now();
+    let report = sim.report();
+    let profile = CellProfile {
+        setup_ms: ms(started, built),
+        sim_ms: ms(built, advanced),
+        report_ms: ms(advanced, Instant::now()),
+        ..CellProfile::default()
+    };
+    Ok((report, profile))
+}
+
+fn ms(from: Instant, to: Instant) -> f64 {
+    to.duration_since(from).as_secs_f64() * 1e3
 }
 
 /// Runs `run(i, worker)` for every `i` in `0..items` on up to `workers`

@@ -7,13 +7,16 @@ use sara_types::{ConfigError, MegaHertz};
 use sara_workloads::CoreSpec;
 
 use crate::governor_spec::GovernorSpec;
+use crate::matrix::CellSpec;
+use crate::ordered::run_system;
 
 /// One self-contained allocation problem: a named set of core specs plus
 /// the platform knobs a run varies (DRAM frequency, scheduling policy,
 /// frame period, duration, seed).
 ///
 /// Scenarios are plain data — SCALL-style declarative specs that
-/// [`Scenario::config`] lowers onto [`SystemConfig::from_scenario`].
+/// [`Scenario::config`] lowers onto a [`SystemConfig`] as a matrix cell
+/// ([`CellSpec::system`]).
 /// The batch harness ([`crate::run_matrix`]) crosses them with policy and
 /// frequency overrides without touching the workload definition.
 ///
@@ -153,48 +156,44 @@ impl Scenario {
             .unwrap_or_else(|| GovernorSpec::new(GovernorSpec::default_ladder(self.freq.as_u32())))
     }
 
+    /// The scenario's own cell at `freq`: its policy and channel count for
+    /// its nominal duration, indexing a one-entry scenario list.
+    pub fn cell_at(&self, freq: MegaHertz) -> CellSpec {
+        CellSpec {
+            scenario: 0,
+            policy: self.policy,
+            freq,
+            channels: self.channels,
+            duration_ms: self.duration_ms,
+        }
+    }
+
     /// Lowers the scenario onto a full system configuration with default
-    /// substrates.
+    /// substrates: its own cell's system ([`CellSpec::system`]).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] on an inconsistent spec (e.g. a meter/traffic
     /// mismatch or address regions exceeding DRAM capacity).
     pub fn config(&self) -> Result<SystemConfig, ConfigError> {
-        SystemConfig::from_scenario(
-            self.freq,
-            self.policy,
-            self.cores.clone(),
-            self.frame_period_ns,
-            self.seed,
-            self.channels,
-        )
+        self.cell_at(self.freq).system(self)
     }
 
-    /// Runs the scenario for an explicit duration in milliseconds.
+    /// Runs the scenario for an explicit duration in milliseconds: its own
+    /// system through the one simulate step ([`run_system`]).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] on an inconsistent spec.
     pub fn run_for_ms(&self, ms: f64) -> Result<SimReport, ConfigError> {
-        Ok(self.build()?.run_for_ms(ms))
+        Ok(run_system(self.config()?, ms)?.0)
     }
 
-    /// Builds the runnable simulation without advancing it — the setup
-    /// half of [`Scenario::run_for_ms`], split out so harnesses can drive
-    /// (and time) the setup, simulation and reporting phases separately.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] on an inconsistent spec.
-    pub fn build(&self) -> Result<Simulation, ConfigError> {
-        Simulation::new(self.config()?)
-    }
-
-    /// [`Scenario::build`] under its old name, for the frozen `benchmark/` package.
+    /// The scenario's runnable simulation, not yet advanced, for the
+    /// frozen `benchmark/` package (the flag is ignored).
     #[doc(hidden)]
     pub fn build_stepped(&self, _: bool) -> Result<Simulation, ConfigError> {
-        self.build()
+        Simulation::new(self.config()?)
     }
 
     /// Total offered load of all rated (non-elastic) traffic, GB/s.

@@ -1,12 +1,12 @@
 //! The offline DVFS search: one scenario × its own policy × candidate
-//! frequencies, each candidate lowered as a matrix cell
-//! ([`CellSpec::system`]) and all simulated as one [`run_systems`] batch.
+//! frequencies, expanded ([`expand_cells`]) and lowered ([`lower_cell`])
+//! as matrix cells and all simulated as one [`run_systems`] batch.
 
 use sara_sim::experiment::DvfsPoint;
 use sara_sim::ScreenVerdict;
-use sara_types::{ConfigError, MegaHertz};
+use sara_types::ConfigError;
 
-use crate::matrix::{CellSpec, MatrixSpec};
+use crate::matrix::{expand_cells, lower_cell, LoweredCell, MatrixSpec, ScreenMode};
 use crate::ordered::run_systems;
 use crate::scenario::Scenario;
 
@@ -73,26 +73,30 @@ pub fn dvfs_search(
     if freqs_mhz.is_empty() {
         return Err(ConfigError::new("DVFS search needs at least one candidate"));
     }
-    let duration_ms = duration_ms.unwrap_or(scenario.duration_ms);
-    let mut runs = Vec::with_capacity(freqs_mhz.len());
-    let mut screened_out = Vec::new();
-    for &mhz in freqs_mhz {
-        let cell = CellSpec {
-            scenario: 0,
-            policy: scenario.policy,
-            freq: MegaHertz::new(mhz),
-            channels: scenario.channels,
-            duration_ms,
-        };
-        let system = cell.system(scenario)?;
-        match screen.then(|| sara_sim::analytic_report(&system)) {
-            Some(a) if a.verdict == ScreenVerdict::ProvablyInfeasible => {
-                screened_out.push((mhz, a.reason));
+    // The matrix of the scenario's own policy × the candidates. Screening
+    // never prunes here: a provably met candidate still needs its point.
+    let spec = MatrixSpec {
+        policies: vec![scenario.policy],
+        freqs_mhz: freqs_mhz.to_vec(),
+        duration_ms: Some(duration_ms.unwrap_or(scenario.duration_ms)),
+        screen: if screen {
+            ScreenMode::Verify
+        } else {
+            ScreenMode::Off
+        },
+        ..MatrixSpec::default()
+    };
+    let (mut runs, mut screened_out) = (Vec::new(), Vec::new());
+    for cell in expand_cells(std::slice::from_ref(scenario), &spec)? {
+        match lower_cell(scenario, &cell, spec.screen)? {
+            LoweredCell::Run(_, Some(a)) if a.verdict == ScreenVerdict::ProvablyInfeasible => {
+                screened_out.push((cell.freq.as_u32(), a.reason));
             }
-            _ => runs.push((system, duration_ms)),
+            LoweredCell::Run(system, _) => runs.push((*system, cell.duration_ms)),
+            LoweredCell::Pruned(_) => unreachable!("verify prunes no cell"),
         }
     }
-    let points: Vec<DvfsPoint> = run_systems(&runs, MatrixSpec::default().threads)?
+    let points: Vec<DvfsPoint> = run_systems(&runs, spec.threads)?
         .iter()
         .map(|(report, _)| DvfsPoint::from_report(report))
         .collect();

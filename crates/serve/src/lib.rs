@@ -14,10 +14,11 @@
 //! * **Byte identity.** A served job's cell reports — and its optional
 //!   `json_out` artifact — are byte-identical to the equivalent
 //!   `sara matrix` run, for any worker count, cache state, or job
-//!   arrival order. The server reuses the batch harness's own
-//!   primitives (`expand_cells` → `run_cell` on `run_ordered` →
-//!   `rank_cells`), and streams records in submission order, so
-//!   there is no second code path to drift.
+//!   arrival order. A job takes the batch harness's own steps:
+//!   `expand_cells`, `lower_cell` (the one lowering and prune rule),
+//!   `run_system` (the one simulate step) on `run_ordered`, `rank_cells`
+//!   and `write_matrix_document` (the one matrix-document writer), and
+//!   streams records in submission order.
 //! * **No cell is simulated twice.** Every cell is content-addressed by
 //!   [`sara_scenarios::cell_fingerprint`] (scenario document, overrides
 //!   and engine version) in the server's [`ResultCache`]; repeats — across

@@ -17,7 +17,9 @@ use std::path::PathBuf;
 use json::read::{self, Fields};
 use json::{Stream, Value};
 use sara_memctrl::PolicyKind;
-use sara_scenarios::{cell_head_members, CellSpec, MatrixCell, Scenario, ScreenMode};
+use sara_scenarios::{
+    cell_head_members, write_cell_members, CellBody, CellSpec, MatrixCell, Scenario, ScreenMode,
+};
 
 /// The version tag carried by every request and response record.
 pub const FORMAT_TAG: &str = "sara-serve/v1";
@@ -323,52 +325,33 @@ fn cell_envelope(id: &str, seq: usize) -> Vec<(String, Value)> {
     members
 }
 
-/// Writes a simulated cell's record, terminator included, around the
-/// report's compact JSON as already rendered
-/// (`SimReport::to_json_value().to_string_compact()`): only the record's
-/// small head is assembled here, and `report_json` is spliced in as the
-/// `report` member ([`json::Stream::raw`]). For the same cell the bytes
-/// equal `cell_record(..).write_ndjson_line(..)`, which stays the reference
-/// (and the builder for pruned cells); this is what lets the server answer
-/// a cache hit without walking the report again, or copying it more than
-/// once. The record reaches `writer` in several pieces, so `writer` should
-/// buffer.
+/// Writes a cell's record, terminator included: the envelope, then the
+/// cell's members ([`write_cell_members`]). A report rendered already
+/// ([`CellBody::Rendered`]) is spliced in as is, so a cache hit is
+/// answered without walking or copying its report again. The bytes equal
+/// `cell_record(..).write_ndjson_line(..)`, the reference. The record
+/// reaches `writer` in several pieces, so `writer` should buffer.
 ///
 /// # Errors
 ///
 /// Returns the first error `writer` reports.
-pub fn write_simulated_cell<W: Write>(
+pub fn write_cell_record<W: Write>(
     writer: &mut W,
     id: &str,
     seq: usize,
     scenario: &str,
     spec: &CellSpec,
-    report_json: &str,
+    body: CellBody<'_>,
 ) -> io::Result<()> {
     let mut record = Stream::new(writer, false);
     record.open_object(None);
     for (key, value) in cell_envelope(id, seq) {
         record.node(Some(&key), &value)?;
     }
-    write_simulated_members(&mut record, scenario, spec, report_json)?;
+    let head = cell_head_members(scenario, spec.policy, spec.freq, spec.channels);
+    write_cell_members(&mut record, head, body)?;
     record.close();
     record.finish()
-}
-
-/// Writes a simulated cell's members into the open object of `doc`: those
-/// of [`MatrixCell::json_members`] (the same [`cell_head_members`]), with
-/// `report_json` spliced in as the `report` member. A `cell` record and a
-/// matrix dump's `cells[i]` entry share them.
-pub(crate) fn write_simulated_members<W: Write + ?Sized>(
-    doc: &mut Stream<'_, W>,
-    scenario: &str,
-    spec: &CellSpec,
-    report_json: &str,
-) -> io::Result<()> {
-    for (key, value) in cell_head_members(scenario, spec.policy, spec.freq, spec.channels) {
-        doc.node(Some(key), &value)?;
-    }
-    doc.raw(Some("report"), report_json)
 }
 
 /// Builds a job's final `summary` record.
@@ -562,7 +545,7 @@ mod tests {
 
     #[test]
     fn a_spliced_cell_line_equals_the_built_record() {
-        use sara_scenarios::{catalog, run_cell, CellOutcome};
+        use sara_scenarios::{catalog, run_cell, screen_cell, CellOutcome};
         let scenario = catalog::by_name("camcorder-b").unwrap();
         let spec = CellSpec {
             scenario: 0,
@@ -573,23 +556,41 @@ mod tests {
         };
         let report = run_cell(&scenario, &spec).unwrap();
         let report_json = report.to_json_value().to_string_compact();
+        let analytic = screen_cell(&scenario, &spec).unwrap();
         // Ids and scenario names come from the client: the head goes
-        // through the same escaping as the built record.
+        // through the same escaping as the built record. A simulated cell
+        // streams its report rendered or whole; a pruned one its verdict.
         for (id, name) in [("j", "camcorder-b"), ("a\"b\\c\n", "inline \"x\"\t\u{1}é")] {
-            let cell = MatrixCell {
-                scenario: name.to_string(),
-                policy: spec.policy,
-                freq: spec.freq,
-                channels: spec.channels,
-                outcome: CellOutcome::Simulated(Box::new(report.clone())),
-            };
-            let mut built = Vec::new();
-            cell_record(id, 7, &cell)
-                .write_ndjson_line(&mut built)
-                .unwrap();
-            let mut spliced = Vec::new();
-            write_simulated_cell(&mut spliced, id, 7, name, &spec, &report_json).unwrap();
-            assert_eq!(spliced, built);
+            let cells = [
+                (
+                    CellBody::Rendered(&report_json),
+                    CellOutcome::Simulated(Box::new(report.clone())),
+                ),
+                (
+                    CellBody::Simulated(&report),
+                    CellOutcome::Simulated(Box::new(report.clone())),
+                ),
+                (
+                    CellBody::Screened(&analytic),
+                    CellOutcome::Screened(analytic.clone()),
+                ),
+            ];
+            for (body, outcome) in cells {
+                let cell = MatrixCell {
+                    scenario: name.to_string(),
+                    policy: spec.policy,
+                    freq: spec.freq,
+                    channels: spec.channels,
+                    outcome,
+                };
+                let mut built = Vec::new();
+                cell_record(id, 7, &cell)
+                    .write_ndjson_line(&mut built)
+                    .unwrap();
+                let mut streamed = Vec::new();
+                write_cell_record(&mut streamed, id, 7, name, &spec, body).unwrap();
+                assert_eq!(streamed, built);
+            }
         }
     }
 

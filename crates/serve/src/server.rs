@@ -4,11 +4,12 @@
 //! [`ResultCache`], the telemetry [`Registry`], and the per-client
 //! admission ledger — and [`Server::handle_session`] runs one client
 //! conversation over any `BufRead`/`Write` pair: stdin/stdout, a TCP
-//! stream, or a Unix socket. Each `submit` is lowered through the exact
-//! same primitives as `sara matrix` (`expand_cells` → `run_cell` on
-//! `run_ordered` → `rank_cells`), which is what makes a served job
-//! byte-identical to the equivalent batch run no matter the worker
-//! count, the cache state, or the order jobs arrive in.
+//! stream, or a Unix socket. Each `submit` takes the same steps as
+//! `sara matrix` — `expand_cells`, `lower_cell`, `run_system` on
+//! `run_ordered`, and `rank_cells` with `write_matrix_document` for its
+//! artifact — which is what makes a served job byte-identical to the
+//! equivalent batch run no matter the worker count, the cache state, or
+//! the order jobs arrive in.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -19,10 +20,11 @@ use std::sync::{Arc, Mutex};
 use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
-    catalog, expand_cells, rank_cells, run_cell, run_ordered, screen_cell, CellOutcome, CellSpec,
-    MatrixCell, MatrixSpec, RankKey, Scenario, ScenarioFingerprint, ScreenMode,
+    catalog, cell_head_members, expand_cells, lower_cell, rank_cells, run_ordered, run_system,
+    write_matrix_document, CellBody, LoweredCell, MatrixSpec, RankKey, Scenario,
+    ScenarioFingerprint, ScreenMode,
 };
-use sara_sim::{AnalyticReport, ENGINE_VERSION};
+use sara_sim::{AnalyticReport, SystemConfig, ENGINE_VERSION};
 use sara_telemetry::{prometheus, Metric, Registry, TimeSource, WallClock};
 use sara_types::ConfigError;
 
@@ -104,8 +106,10 @@ enum CellSource {
     /// before the cache was even consulted; never simulated and never
     /// counted as a hit or a miss.
     Screened(Box<AnalyticReport>),
-    /// Simulated by the job's workers.
-    Run,
+    /// Simulated by the job's workers: from what screening lowered (a
+    /// system, or the error it met) in a screened job; in an unscreened
+    /// one the worker lowers the cell.
+    Run(Option<Result<LoweredCell, ConfigError>>),
 }
 
 /// What an emitted cell was answered with, kept to the end of the job.
@@ -124,6 +128,14 @@ impl Answer<'_> {
         match self {
             Answer::Simulated(entry) => entry.key(),
             Answer::Screened(analytic) => RankKey::screened(analytic),
+        }
+    }
+
+    /// What answers the cell in its record and in the job's artifact.
+    fn body(&self) -> CellBody<'_> {
+        match self {
+            Answer::Simulated(entry) => CellBody::Rendered(entry.json()),
+            Answer::Screened(analytic) => CellBody::Screened(analytic),
         }
     }
 }
@@ -560,6 +572,7 @@ impl Server {
         // simulation, or alone just before the first one that does.
         protocol::accepted_record(&job.id, cells.len()).write_ndjson_line(writer)?;
 
+        let scenario_of = |i: usize| &scenarios[cells[i].scenario];
         let fingerprints: Vec<u64> = cells
             .iter()
             .map(|c| prefixes[c.scenario].cell(c, ENGINE_VERSION))
@@ -568,8 +581,9 @@ impl Server {
         // Classify every cell against the cache under one lock, so the
         // hit/miss split is a pure function of job + cache state (no
         // worker races in the accounting). With `"screen": "prune"`
-        // the closed-form screener runs first: a provably-decided cell
-        // never reaches the cache (or a worker) at all.
+        // each cell is lowered and screened first (`lower_cell`, as in
+        // `sara matrix`): a provably-decided cell never reaches the cache
+        // (or a worker) at all.
         let mut sources: Vec<CellSource> = Vec::with_capacity(cells.len());
         let mut first_seen: HashMap<u64, usize> = HashMap::new();
         let (mut hits, mut misses, mut screened) = (0u64, 0u64, 0u64);
@@ -582,9 +596,10 @@ impl Server {
                 let t_queued = self.clock.now_us();
                 let queued = [("seq", i.into()), ("ts_us", t_queued.into())];
                 self.journal.append("queued", job_no, &job.id, queued);
-                if job.screen == ScreenMode::Prune {
-                    if let Ok(analytic) = screen_cell(&scenarios[cells[i].scenario], &cells[i]) {
-                        if !analytic.verdict.needs_sim() {
+                let screen = job.screen != ScreenMode::Off;
+                let lowered =
+                    match screen.then(|| lower_cell(scenario_of(i), &cells[i], job.screen)) {
+                        Some(Ok(LoweredCell::Pruned(analytic))) => {
                             screened += 1;
                             let t_screened = self.clock.now_us();
                             let verdict = analytic.verdict.label().unwrap_or("needs-sim");
@@ -594,8 +609,8 @@ impl Server {
                             queued_us.push(t_screened);
                             continue;
                         }
-                    }
-                }
+                        lowered => lowered,
+                    };
                 let hit = if let Some(&j) = first_seen.get(&fp) {
                     hits += 1;
                     sources.push(CellSource::DupOf(j));
@@ -608,7 +623,7 @@ impl Server {
                 } else {
                     misses += 1;
                     first_seen.insert(fp, i);
-                    sources.push(CellSource::Run);
+                    sources.push(CellSource::Run(lowered));
                     false
                 };
                 let t_classified = self.clock.now_us();
@@ -623,7 +638,7 @@ impl Server {
         self.bump("cache_misses", misses);
         // The session is about to wait for a simulation: what is buffered
         // leaves first.
-        let waits_for = |i: usize| matches!(sources.get(i), Some(CellSource::Run));
+        let waits_for = |i: usize| matches!(sources.get(i), Some(CellSource::Run(_)));
         if waits_for(0) {
             writer.flush()?;
         }
@@ -638,23 +653,30 @@ impl Server {
         // byte-identical across runs.
         let runnable = sources
             .iter()
-            .filter(|s| matches!(s, CellSource::Run))
+            .filter(|s| matches!(s, CellSource::Run(_)))
             .count();
         let mut answers: Vec<Answer> = Vec::with_capacity(cells.len());
         let stopped = run_ordered(
             cells.len(),
             self.workers.min(runnable),
             |i, worker| {
-                matches!(sources[i], CellSource::Run).then(|| {
-                    let start_us = self.clock.now_us();
-                    let result = run_cell(&scenarios[cells[i].scenario], &cells[i]);
-                    let end_us = self.clock.now_us();
-                    TimedResult {
-                        result: result.map(|report| CachedReport::new(&report)),
-                        worker,
-                        start_us,
-                        end_us,
-                    }
+                let CellSource::Run(lowered) = &sources[i] else {
+                    return None;
+                };
+                let start_us = self.clock.now_us();
+                // An unscreened job's cell lowers here, inside its span.
+                let system = match lowered {
+                    Some(Ok(LoweredCell::Run(system, _))) => Ok(SystemConfig::clone(system)),
+                    Some(Err(e)) => Err(e.clone()),
+                    _ => cells[i].system(scenario_of(i)),
+                };
+                let result = system.and_then(|system| run_system(system, cells[i].duration_ms));
+                let end_us = self.clock.now_us();
+                Some(TimedResult {
+                    result: result.map(|(report, _)| CachedReport::new(&report)),
+                    worker,
+                    start_us,
+                    end_us,
                 })
             },
             |i, timed| {
@@ -665,7 +687,7 @@ impl Server {
                     CellSource::Cached(entry) => Answer::Simulated(Arc::clone(entry)),
                     CellSource::DupOf(j) => answers[*j].clone(),
                     CellSource::Screened(analytic) => Answer::Screened(analytic),
-                    CellSource::Run => {
+                    CellSource::Run(_) => {
                         let timed = timed.expect("a Run cell was simulated");
                         let fields = || [("seq", i.into()), ("worker", timed.worker.into())];
                         let (start, end) = (timed.start_us, timed.end_us);
@@ -685,13 +707,28 @@ impl Server {
                         }
                     }
                 };
-                let name = &scenarios[cells[i].scenario].name;
-                let ends_run = waits_for(i + 1);
-                let emitted =
-                    self.emit_cell(job, job_no, i, name, &cells[i], &answer, ends_run, writer);
+                // The record goes into the reply buffer, written out when it
+                // ends a run of ready cells (the next one is simulated).
+                let t_emit = self.clock.now_us();
+                let name = &scenario_of(i).name;
+                let body = answer.body();
+                let mut emitted =
+                    protocol::write_cell_record(writer, &job.id, i, name, &cells[i], body);
+                if emitted.is_ok() && waits_for(i + 1) {
+                    emitted = writer.flush();
+                }
                 if let Err(e) = emitted {
                     return ControlFlow::Break(Err(e));
                 }
+                let t_done = self.clock.now_us();
+                self.record(
+                    "emitted",
+                    job_no,
+                    &job.id,
+                    [("seq", i.into())],
+                    t_emit,
+                    t_done,
+                );
                 answers.push(answer);
                 ControlFlow::Continue(())
             },
@@ -705,7 +742,7 @@ impl Server {
         {
             let mut cache = self.cache.lock().expect("cache");
             for (i, answer) in answers.iter().enumerate() {
-                if let (CellSource::Run, Answer::Simulated(entry)) = (&sources[i], answer) {
+                if let (CellSource::Run(_), Answer::Simulated(entry)) = (&sources[i], answer) {
                     cache.insert_shared(fingerprints[i], Arc::clone(entry));
                 }
             }
@@ -715,9 +752,18 @@ impl Server {
         let artifact = match &job.json_out {
             None => None,
             Some(path) => {
+                // The `sara matrix --json` document of the job's matrix, its
+                // simulated reports spliced in as their entries store them.
+                let keys: Vec<RankKey> = answers.iter().map(Answer::key).collect();
+                let rankings = rank_cells(&scenarios, &cells, &keys);
+                let bodies = cells.iter().zip(&answers).map(|(spec, answer)| {
+                    let name = &scenarios[spec.scenario].name;
+                    let head = cell_head_members(name, spec.policy, spec.freq, spec.channels);
+                    (head, answer.body())
+                });
                 let write = std::fs::File::create(path).and_then(|file| {
                     let mut out = BufWriter::new(file);
-                    write_artifact(&mut out, &scenarios, &cells, &answers)?;
+                    write_matrix_document(&mut out, false, bodies, &rankings)?;
                     out.flush()
                 });
                 if let Err(e) = write {
@@ -747,93 +793,6 @@ impl Server {
         .write_ndjson_line(writer)?;
         writer.flush()
     }
-
-    /// Copies one cell record into the reply buffer, writes the buffer
-    /// out when the record ends a run of ready cells (`ends_run`: the next
-    /// cell is simulated), and journals its emission. A simulated cell's
-    /// record is its small head with the entry's JSON spliced in behind
-    /// it, rendered once when the cell was simulated, by this job or an
-    /// earlier one.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_cell<W: Write>(
-        &self,
-        job: &JobRequest,
-        job_no: u64,
-        i: usize,
-        scenario: &str,
-        spec: &CellSpec,
-        answer: &Answer<'_>,
-        ends_run: bool,
-        writer: &mut BufWriter<W>,
-    ) -> io::Result<()> {
-        let t_emit = self.clock.now_us();
-        match answer {
-            Answer::Simulated(entry) => {
-                protocol::write_simulated_cell(writer, &job.id, i, scenario, spec, entry.json())?;
-            }
-            Answer::Screened(analytic) => {
-                let cell = screened_cell(scenario, spec, analytic);
-                protocol::cell_record(&job.id, i, &cell).write_ndjson_line(writer)?;
-            }
-        }
-        if ends_run {
-            writer.flush()?;
-        }
-        let t_done = self.clock.now_us();
-        let fields = [("seq", i.into())];
-        self.record("emitted", job_no, &job.id, fields, t_emit, t_done);
-        Ok(())
-    }
-}
-
-/// A pruned cell as the batch harness holds it.
-fn screened_cell(scenario: &str, spec: &CellSpec, analytic: &AnalyticReport) -> MatrixCell {
-    MatrixCell {
-        scenario: scenario.to_string(),
-        policy: spec.policy,
-        freq: spec.freq,
-        channels: spec.channels,
-        outcome: CellOutcome::Screened(analytic.clone()),
-    }
-}
-
-/// Writes a job's `json_out` artifact: the exact `sara matrix --json`
-/// document for its matrix — same cells, same rankings, same bytes. A
-/// simulated cell's report is its entry's JSON, spliced in as stored
-/// ([`json::Stream::raw`]), so no report is rebuilt or copied out of the
-/// cache.
-fn write_artifact<W: Write>(
-    out: &mut W,
-    scenarios: &[Scenario],
-    cells: &[CellSpec],
-    answers: &[Answer<'_>],
-) -> io::Result<()> {
-    let mut doc = json::Stream::new(out, false);
-    doc.open_object(None);
-    doc.open_array(Some("cells"));
-    for (spec, answer) in cells.iter().zip(answers) {
-        let scenario = &scenarios[spec.scenario].name;
-        match answer {
-            Answer::Simulated(entry) => {
-                doc.open_object(None);
-                protocol::write_simulated_members(&mut doc, scenario, spec, entry.json())?;
-                doc.close();
-            }
-            Answer::Screened(analytic) => {
-                let cell = screened_cell(scenario, spec, analytic);
-                doc.node(None, &cell.to_json_value())?;
-            }
-        }
-    }
-    doc.close();
-    let keys: Vec<RankKey> = answers.iter().map(Answer::key).collect();
-    doc.open_array(Some("rankings"));
-    for ranking in rank_cells(scenarios, cells, &keys) {
-        doc.node(None, &ranking.to_json_value())?;
-    }
-    doc.close();
-    doc.close();
-    doc.finish()
 }
 
 #[cfg(test)]
