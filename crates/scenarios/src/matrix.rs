@@ -149,14 +149,6 @@ impl MatrixCell {
         }
     }
 
-    /// What answers the cell in a matrix document.
-    pub fn body(&self) -> CellBody<'_> {
-        match &self.outcome {
-            CellOutcome::Simulated(r) => CellBody::Simulated(r),
-            CellOutcome::Screened(a) => CellBody::Screened(a),
-        }
-    }
-
     /// What the rankings read of the cell: the engine's figures for a
     /// simulated cell, the screener's proof for a pruned one.
     pub fn rank_key(&self) -> RankKey {
@@ -453,8 +445,14 @@ impl MatrixSummary {
     /// Returns any I/O error from the writer, after a partial document.
     pub fn write_json<W: Write + ?Sized>(&self, w: &mut W, pretty: bool) -> io::Result<()> {
         let cells = self.cells.iter().map(|c| {
-            let head = cell_head_members(&c.scenario, c.policy, c.freq, c.channels);
-            (head, c.body())
+            let body = match &c.outcome {
+                CellOutcome::Simulated(r) => CellBody::Simulated(r),
+                CellOutcome::Screened(a) => CellBody::Screened(a),
+            };
+            (
+                cell_head_members(&c.scenario, c.policy, c.freq, c.channels),
+                body,
+            )
         });
         write_matrix_document(w, pretty, cells, &self.rankings)
     }

@@ -78,7 +78,7 @@ pub fn dvfs_search(
     let spec = MatrixSpec {
         policies: vec![scenario.policy],
         freqs_mhz: freqs_mhz.to_vec(),
-        duration_ms: Some(duration_ms.unwrap_or(scenario.duration_ms)),
+        duration_ms,
         screen: if screen {
             ScreenMode::Verify
         } else {

@@ -21,7 +21,7 @@ use json::Value;
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
     catalog, cell_head_members, expand_cells, lower_cell, rank_cells, run_ordered, run_system,
-    write_matrix_document, CellBody, LoweredCell, MatrixSpec, RankKey, Scenario,
+    write_matrix_document, CellBody, CellSpec, LoweredCell, MatrixSpec, RankKey, Scenario,
     ScenarioFingerprint, ScreenMode,
 };
 use sara_sim::{AnalyticReport, SystemConfig, ENGINE_VERSION};
@@ -707,28 +707,13 @@ impl Server {
                         }
                     }
                 };
-                // The record goes into the reply buffer, written out when it
-                // ends a run of ready cells (the next one is simulated).
-                let t_emit = self.clock.now_us();
                 let name = &scenario_of(i).name;
-                let body = answer.body();
-                let mut emitted =
-                    protocol::write_cell_record(writer, &job.id, i, name, &cells[i], body);
-                if emitted.is_ok() && waits_for(i + 1) {
-                    emitted = writer.flush();
-                }
+                let ends_run = waits_for(i + 1);
+                let emitted =
+                    self.emit_cell(job, job_no, i, name, &cells[i], &answer, ends_run, writer);
                 if let Err(e) = emitted {
                     return ControlFlow::Break(Err(e));
                 }
-                let t_done = self.clock.now_us();
-                self.record(
-                    "emitted",
-                    job_no,
-                    &job.id,
-                    [("seq", i.into())],
-                    t_emit,
-                    t_done,
-                );
                 answers.push(answer);
                 ControlFlow::Continue(())
             },
@@ -792,6 +777,35 @@ impl Server {
         )
         .write_ndjson_line(writer)?;
         writer.flush()
+    }
+
+    /// Copies one cell record into the reply buffer, writes the buffer
+    /// out when the record ends a run of ready cells (`ends_run`: the next
+    /// cell is simulated), and journals its emission. A simulated cell's
+    /// record is its small head with the entry's JSON spliced in behind
+    /// it, rendered once when the cell was simulated, by this job or an
+    /// earlier one.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_cell<W: Write>(
+        &self,
+        job: &JobRequest,
+        job_no: u64,
+        i: usize,
+        scenario: &str,
+        spec: &CellSpec,
+        answer: &Answer<'_>,
+        ends_run: bool,
+        writer: &mut BufWriter<W>,
+    ) -> io::Result<()> {
+        let t_emit = self.clock.now_us();
+        protocol::write_cell_record(writer, &job.id, i, scenario, spec, answer.body())?;
+        if ends_run {
+            writer.flush()?;
+        }
+        let t_done = self.clock.now_us();
+        let fields = [("seq", i.into())];
+        self.record("emitted", job_no, &job.id, fields, t_emit, t_done);
+        Ok(())
     }
 }
 
