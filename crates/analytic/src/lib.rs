@@ -38,7 +38,7 @@
 use json::Value;
 use sara_dram::TimingParams;
 use sara_types::MegaHertz;
-use sara_workloads::{CoreSpec, MeterSpec, PatternSpec, TrafficSpec};
+use sara_workloads::{CoreSpec, DmaSpec, MeterSpec, PatternSpec, TrafficSpec};
 
 /// Demand must exceed the optimistic bound by this factor before a cell
 /// is declared infeasible. The engine fails a core below NPI 0.97, so an
@@ -320,6 +320,19 @@ fn worst_burst_beats(t: &TimingParams) -> f64 {
     (t.row_conflict_penalty() + t.cl() + t.burst_beats() + t.rtw_gap()) as f64
 }
 
+/// Every DMA with a latency limit or a work-unit deadline, paired with
+/// that limit in ns.
+fn timed_dmas(cores: &[CoreSpec]) -> impl Iterator<Item = (&DmaSpec, f64)> {
+    cores.iter().flat_map(|c| &c.dmas).filter_map(|dma| {
+        let limit_ns = match (&dma.meter, &dma.traffic) {
+            (MeterSpec::Latency { limit_ns, .. }, _) => *limit_ns,
+            (MeterSpec::WorkUnit, TrafficSpec::Batch { deadline_ns, .. }) => *deadline_ns,
+            _ => return None,
+        };
+        Some((dma, limit_ns))
+    })
+}
+
 fn classify(
     input: &AnalyticInput<'_>,
     bound: f64,
@@ -342,27 +355,20 @@ fn classify(
             ),
         );
     }
-    for core in input.cores {
-        for dma in &core.dmas {
-            let limit_ns = match (&dma.meter, &dma.traffic) {
-                (MeterSpec::Latency { limit_ns, .. }, _) => *limit_ns,
-                (MeterSpec::WorkUnit, TrafficSpec::Batch { deadline_ns, .. }) => *deadline_ns,
-                _ => continue,
-            };
-            let limit_cycles = limit_ns * ns_to_cycles;
-            let floor = latency_floor_cycles(input, dma.op.is_read());
-            // Even an unloaded device cannot answer fast enough: the
-            // meter's NPI tops out below the pass threshold.
-            if limit_cycles * 1.05 < floor {
-                return (
-                    ScreenVerdict::ProvablyInfeasible,
-                    format!(
-                        "{}: limit {limit_ns} ns ({limit_cycles:.0} cycles) is under the \
-                         unloaded service floor ({floor:.0} cycles)",
-                        dma.name
-                    ),
-                );
-            }
+    for (dma, limit_ns) in timed_dmas(input.cores) {
+        let limit_cycles = limit_ns * ns_to_cycles;
+        let floor = latency_floor_cycles(input, dma.op.is_read());
+        // Even an unloaded device cannot answer fast enough: the
+        // meter's NPI tops out below the pass threshold.
+        if limit_cycles * 1.05 < floor {
+            return (
+                ScreenVerdict::ProvablyInfeasible,
+                format!(
+                    "{}: limit {limit_ns} ns ({limit_cycles:.0} cycles) is under the \
+                     unloaded service floor ({floor:.0} cycles)",
+                    dma.name
+                ),
+            );
         }
     }
 
@@ -390,25 +396,18 @@ fn classify(
         .map(|d| d.window)
         .sum();
     let worst_wait = total_window as f64 * worst_burst_beats(t) + t.trfc() as f64;
-    for core in input.cores {
-        for dma in &core.dmas {
-            let limit_ns = match (&dma.meter, &dma.traffic) {
-                (MeterSpec::Latency { limit_ns, .. }, _) => *limit_ns,
-                (MeterSpec::WorkUnit, TrafficSpec::Batch { deadline_ns, .. }) => *deadline_ns,
-                _ => continue,
-            };
-            let limit_cycles = limit_ns * ns_to_cycles;
-            let pess_latency = latency_floor_cycles(input, dma.op.is_read()) + worst_wait;
-            if limit_cycles < TRIVIAL_LATENCY_SLACK * pess_latency {
-                return (
-                    ScreenVerdict::NeedsSim,
-                    format!(
-                        "{}: limit {limit_cycles:.0} cycles is within {TRIVIAL_LATENCY_SLACK}x \
-                         of the worst-case estimate {pess_latency:.0}; not provably trivial",
-                        dma.name
-                    ),
-                );
-            }
+    for (dma, limit_ns) in timed_dmas(input.cores) {
+        let limit_cycles = limit_ns * ns_to_cycles;
+        let pess_latency = latency_floor_cycles(input, dma.op.is_read()) + worst_wait;
+        if limit_cycles < TRIVIAL_LATENCY_SLACK * pess_latency {
+            return (
+                ScreenVerdict::NeedsSim,
+                format!(
+                    "{}: limit {limit_cycles:.0} cycles is within {TRIVIAL_LATENCY_SLACK}x \
+                     of the worst-case estimate {pess_latency:.0}; not provably trivial",
+                    dma.name
+                ),
+            );
         }
     }
     (

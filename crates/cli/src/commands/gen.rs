@@ -81,7 +81,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     for seed in seed..end {
         let mut scenario = random_scenario_with(&cfg, seed);
         if let Some(n) = channels {
-            scenario = scenario.with_channels(n);
+            scenario.channels = n;
         }
         page(scenario_row(&scenario));
         // The overload guarantee is quoted against QoS-metered demand; a

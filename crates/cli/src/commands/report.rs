@@ -305,9 +305,9 @@ struct CellFacts {
     /// Channel count, when the dump carries one (older dumps predate the
     /// channels axis and omit the key).
     channels: Option<u64>,
-    targets_met: bool,
-    failed_cores: usize,
-    bandwidth_gbs: f64,
+    /// Met, failed cores and bandwidth: the simulated figures, or what
+    /// [`RankKey::pruned`] ranks a pruned cell by.
+    rank: RankKey,
     /// The screening verdict (`infeasible`/`trivial`) of a pruned cell
     /// that was never simulated; `None` for simulated cells.
     screened: Option<String>,
@@ -345,31 +345,24 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
     if let Some(verdict) = cell.opt("screened").and_then(Value::as_str) {
         let analytic = Fields::new(cell.get("analytic")?, what)?;
         let bound_gbs = analytic.finite("bound_gbs")?;
-        let targets_met = verdict == "trivial";
-        let mut failed_cores = 0;
-        if !targets_met {
-            let demands = analytic
-                .array("static_alloc")?
-                .iter()
-                .map(|share| Fields::new(share, what)?.finite("demand_gbs"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            failed_cores = RankKey::infeasible_failures(demands);
-        }
+        let demands = analytic
+            .array("static_alloc")?
+            .iter()
+            .map(|share| Fields::new(share, what)?.finite("demand_gbs"))
+            .collect::<Result<Vec<f64>, _>>()?;
         return Ok(CellFacts {
             scenario,
             policy,
             freq_mhz,
             channels,
-            targets_met,
-            failed_cores,
-            bandwidth_gbs: bound_gbs,
+            rank: RankKey::pruned(verdict == "trivial", demands, bound_gbs),
             screened: Some(verdict.to_string()),
             bound_gbs: Some(bound_gbs),
             achieved_over_bound: None,
         });
     }
     let report = Fields::new(cell.get("report")?, what)?;
-    let failed_cores = report
+    let failures = report
         .array("cores")?
         .iter()
         .filter(|c| c.get("failed").and_then(Value::as_bool) == Some(true))
@@ -380,9 +373,11 @@ fn cell_facts(cell: &Value, what: &str) -> Result<CellFacts, CliError> {
         policy,
         freq_mhz,
         channels,
-        targets_met: report.bool("all_targets_met")?,
-        failed_cores,
-        bandwidth_gbs: report.finite("bandwidth_gbs")?,
+        rank: RankKey {
+            met: report.bool("all_targets_met")?,
+            failures,
+            bandwidth_gbs: report.finite("bandwidth_gbs")?,
+        },
         screened: None,
         bound_gbs: analytic
             .and_then(|a| a.get("bound_gbs"))
@@ -418,7 +413,7 @@ fn cells_of(doc: &Value, kind: Kind, what: &str) -> Result<Vec<CellFacts>, CliEr
 
 /// `"all targets met in M/N {what}"`, plus how many of them were screened.
 fn targets_met(cells: &[CellFacts], what: &str) -> String {
-    let met = cells.iter().filter(|c| c.targets_met).count();
+    let met = cells.iter().filter(|c| c.rank.met).count();
     let screened = cells.iter().filter(|c| c.screened.is_some()).count();
     format!(
         "all targets met in {met}/{} {what}{}",
@@ -462,10 +457,10 @@ fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
             scenario,
             c.policy,
             c.freq_mhz,
-            c.bandwidth_gbs,
-            c.failed_cores,
-            if c.failed_cores == 1 { "" } else { "s" },
-            if c.targets_met {
+            c.rank.bandwidth_gbs,
+            c.rank.failures,
+            if c.rank.failures == 1 { "" } else { "s" },
+            if c.rank.met {
                 "  (all targets met)"
             } else {
                 ""
@@ -491,7 +486,7 @@ fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
             lines.push(format!(
                 "    {:<36} {:.2} GB/s achieved vs {:.2} GB/s bound ({:.1}%)",
                 c.key(),
-                c.bandwidth_gbs,
+                c.rank.bandwidth_gbs,
                 c.bound_gbs.unwrap_or(f64::NAN),
                 c.achieved_over_bound.unwrap_or(f64::NAN) * 100.0
             ));
@@ -505,7 +500,7 @@ fn summarize_matrix(doc: &Value) -> Result<Vec<String>, CliError> {
 fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, Vec<String>) {
     diff_keyed("cell", old, new, CellFacts::key, |key, o, n| {
         let mut faults = Vec::new();
-        if o.targets_met && !n.targets_met {
+        if o.rank.met && !n.rank.met {
             faults.push("QoS targets newly missed".to_string());
         }
         // A screened cell carries its analytic *bound* and a pessimistic
@@ -514,17 +509,17 @@ fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, V
         // failed cores and the bandwidth floor are judged only when both
         // sides were simulated.
         let comparable = o.screened.is_none() && n.screened.is_none();
-        if comparable && n.failed_cores > o.failed_cores {
+        if comparable && n.rank.failures > o.rank.failures {
             faults.push(format!(
                 "failed cores {} -> {}",
-                o.failed_cores, n.failed_cores
+                o.rank.failures, n.rank.failures
             ));
         }
-        let floor = o.bandwidth_gbs * (1.0 - tol);
-        if comparable && n.bandwidth_gbs < floor {
+        let floor = o.rank.bandwidth_gbs * (1.0 - tol);
+        if comparable && n.rank.bandwidth_gbs < floor {
             faults.push(format!(
                 "bandwidth {:.3} -> {:.3} GB/s (below the {floor:.3} GB/s floor)",
-                o.bandwidth_gbs, n.bandwidth_gbs
+                o.rank.bandwidth_gbs, n.rank.bandwidth_gbs
             ));
         }
         if let (Some(ov), Some(nv)) = (&o.screened, &n.screened) {
@@ -535,7 +530,7 @@ fn diff_cells(old: &[CellFacts], new: &[CellFacts], tol: f64) -> (Vec<String>, V
         let line = if comparable {
             format!(
                 "ok {key:<36} {:.3} -> {:.3} GB/s",
-                o.bandwidth_gbs, n.bandwidth_gbs
+                o.rank.bandwidth_gbs, n.rank.bandwidth_gbs
             )
         } else {
             format!(
@@ -1199,6 +1194,45 @@ mod tests {
         }
         let cells = cells_of(&doc, Kind::Matrix, "t").unwrap();
         assert_eq!(cells[0].key(), "a FCFS @1600 MHz x4ch");
+    }
+
+    #[test]
+    fn a_pruned_cell_reads_back_as_the_ranking_ranks_it() {
+        use sara_memctrl::PolicyKind;
+        use sara_scenarios::{catalog, screen_cell, CellOutcome, CellSpec, MatrixCell};
+        use sara_sim::ScreenVerdict;
+        use sara_types::MegaHertz;
+
+        let scenario = catalog::by_name("saturation").unwrap();
+        let spec = CellSpec {
+            scenario: 0,
+            policy: PolicyKind::Priority,
+            freq: MegaHertz::new(266),
+            channels: scenario.channels,
+            duration_ms: 0.05,
+        };
+        let infeasible = screen_cell(&scenario, &spec).unwrap();
+        assert_eq!(infeasible.verdict, ScreenVerdict::ProvablyInfeasible);
+        let trivial = sara_sim::AnalyticReport {
+            verdict: ScreenVerdict::ProvablyTrivial,
+            ..infeasible.clone()
+        };
+        for analytic in [infeasible, trivial] {
+            let cell = MatrixCell {
+                scenario: scenario.name.clone(),
+                policy: spec.policy,
+                freq: spec.freq,
+                channels: spec.channels,
+                outcome: CellOutcome::Screened(analytic.clone()),
+            };
+            let facts = cell_facts(&cell.to_json_value(), "t").unwrap();
+            assert_eq!(
+                facts.rank,
+                RankKey::screened(&analytic),
+                "{:?}",
+                analytic.verdict
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::path::Path;
 
 use sara_scenarios::{scenario_files, Scenario};
+use sara_sim::Simulation;
 
 use crate::args::{Args, CliError};
 use crate::output::page;
@@ -18,7 +19,8 @@ Each PATH is a .scenario.json file or a directory (every *.scenario.json
 inside, sorted by file name). Validation is the full production path: the
 strict sara-scenario/v1 reader (unknown keys, missing fields, nulled
 numbers and out-of-range values are errors naming the offending path)
-plus a lowering check that the scenario builds a simulator configuration.
+plus the engine's own build check: the scenario must build a simulator
+(meter/traffic pairing and region capacity included).
 Exits non-zero on the first error.";
 
 /// Runs the subcommand.
@@ -26,7 +28,7 @@ Exits non-zero on the first error.";
 /// # Errors
 ///
 /// Usage error when no path is given; runtime failure naming the first
-/// file that fails to parse, check, or lower.
+/// file that fails to parse, check, or build.
 pub(crate) fn run(args: Args) -> Result<(), CliError> {
     let paths = args.finish_positional(usize::MAX)?;
     if paths.is_empty() {
@@ -62,12 +64,13 @@ pub(crate) fn run(args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses one file and checks that it lowers onto a simulator config.
+/// Parses one file and checks that the engine builds it.
 fn validate_file(path: &Path) -> Result<Scenario, CliError> {
     let scenario =
         Scenario::from_json_file(path).map_err(|e| CliError::Failure(e.message().to_string()))?;
     scenario
         .config()
+        .and_then(Simulation::new)
         .map_err(|e| CliError::Failure(format!("{}: {}", path.display(), e.message())))?;
     Ok(scenario)
 }

@@ -300,12 +300,25 @@ fn malformed_scenario_files_exit_1_with_the_offender_named() {
     assert!(err.contains("unknown key \"sede\""), "{err}");
 
     // A directory is checked file-by-file: the bad one fails the run.
-    std::fs::write(dir.join("ok.scenario.json"), good).unwrap();
+    std::fs::write(dir.join("ok.scenario.json"), &good).unwrap();
     let out = sara(&["validate", dir.to_str().unwrap()]);
     assert_eq!(code(&out), 1);
     assert!(
         stderr(&out).contains("misspelled.scenario.json") || stderr(&out).contains("truncated")
     );
+
+    // Parses and lowers, but the engine refuses to build it: an occupancy
+    // meter over burst traffic.
+    let unbuildable = scratch("unbuildable").join("burst.scenario.json");
+    let at = good.find("\"cam-front\"").unwrap();
+    let kind = at + good[at..].find("\"kind\": \"constant\"").unwrap();
+    let burst = good[..kind].to_string() + "\"kind\": \"burst\"" + &good[kind + 18..];
+    std::fs::write(&unbuildable, burst).unwrap();
+    let out = sara(&["validate", unbuildable.to_str().unwrap()]);
+    assert_eq!(code(&out), 1, "{}", stdout(&out));
+    let err = stderr(&out);
+    assert!(err.contains("burst.scenario.json"), "{err}");
+    assert!(err.contains("cam-front"), "{err}");
 }
 
 /// What follows `subject` on the first line of `message`.
@@ -323,10 +336,11 @@ fn rule_after(message: &str, subject: &str) -> String {
 #[test]
 fn every_front_door_words_each_rule_the_same() {
     let dir = scratch("front-doors");
-    let adas = sara_scenarios::catalog::by_name("adas")
-        .unwrap()
-        .with_channels(8)
-        .to_json();
+    let adas = sara_scenarios::Scenario {
+        channels: 8,
+        ..sara_scenarios::catalog::by_name("adas").unwrap()
+    }
+    .to_json();
     let file = |from: &str, to: &str| {
         assert!(adas.contains(from), "fixture drifted: {from}");
         let path = dir.join("bad.scenario.json");

@@ -120,7 +120,10 @@ mod tests {
 
     fn outcome() -> GovernedOutcome {
         let s = catalog::by_name("adas").unwrap();
-        let spec = GovernorSpec::new(vec![1120, 1600]).with_epoch_us(200.0);
+        let spec = GovernorSpec {
+            epoch_us: 200.0,
+            ..GovernorSpec::new(vec![1120, 1600])
+        };
         run_governed(&s, &spec, 0.6).unwrap()
     }
 

@@ -205,7 +205,10 @@ mod tests {
 
     #[test]
     fn escalation_fires_once_after_patience_at_the_top() {
-        let spec = GovernorSpec::new(vec![1000, 2000]).with_escalate_policy(PolicyKind::Priority);
+        let spec = GovernorSpec {
+            escalate_policy: Some(PolicyKind::Priority),
+            ..GovernorSpec::new(vec![1000, 2000])
+        };
         let mut g = Governor::new(&spec).unwrap();
         assert_eq!(g.decide(0.5), GovernorAction::StepUp(MegaHertz::new(2000)));
         assert_eq!(g.decide(0.5), GovernorAction::Hold);

@@ -408,7 +408,10 @@ mod tests {
     #[test]
     fn epoch_structure_covers_the_window_exactly() {
         let s = catalog::by_name("adas").unwrap();
-        let spec = short_spec(vec![1120, 1600]).with_epoch_us(200.0);
+        let spec = GovernorSpec {
+            epoch_us: 200.0,
+            ..short_spec(vec![1120, 1600])
+        };
         let out = run_governed(&s, &spec, 1.0).unwrap();
         assert_eq!(out.trace.len(), 5, "1 ms at 200 µs epochs");
         let last = out.trace.last().unwrap();

@@ -85,7 +85,10 @@ fn per_channel_control_settles_lanes_on_different_rungs() {
     // single knob can only jump both channels at once, overshoots to the
     // ceiling, and still degrades — per-lane structure beats it outright.
     let s = catalog::by_name("adas-overload").unwrap();
-    let spec = s.governor_spec().with_per_channel(true);
+    let spec = GovernorSpec {
+        per_channel: true,
+        ..s.governor_spec()
+    };
     let out = run_governed(&s, &spec, 2.0).unwrap();
     assert!(out.settled(4), "per-channel run must converge");
     let rungs: std::collections::BTreeSet<u32> =
@@ -130,10 +133,11 @@ fn per_channel_mode_still_escalates_policy_when_every_lane_tops_out() {
     // reading precisely so their escalation counters survive the
     // alternation.
     let s = catalog::by_name("saturation").unwrap();
-    let spec = s
-        .governor_spec()
-        .with_per_channel(true)
-        .with_escalate_policy(sara_memctrl::PolicyKind::QosRowBuffer);
+    let spec = GovernorSpec {
+        per_channel: true,
+        escalate_policy: Some(sara_memctrl::PolicyKind::QosRowBuffer),
+        ..s.governor_spec()
+    };
     let out = run_governed(&s, &spec, 2.0).unwrap();
     assert_eq!(
         out.final_freq_per_channel,
@@ -155,7 +159,10 @@ fn per_channel_mode_still_escalates_policy_when_every_lane_tops_out() {
 #[test]
 fn per_channel_runs_are_deterministic() {
     let s = catalog::by_name("adas-overload").unwrap();
-    let spec = s.governor_spec().with_per_channel(true);
+    let spec = GovernorSpec {
+        per_channel: true,
+        ..s.governor_spec()
+    };
     let text = || {
         let out = run_governed(&s, &spec, 1.0).unwrap();
         trace::trace_json(&[(out.clone(), None)]) + &trace::trace_csv(&[out])

@@ -763,7 +763,10 @@ mod tests {
     #[test]
     fn channels_key_round_trips_and_is_optional() {
         // Off-default counts are emitted and read back exactly.
-        let s = catalog::by_name("adas").unwrap().with_channels(8);
+        let s = Scenario {
+            channels: 8,
+            ..catalog::by_name("adas").unwrap()
+        };
         let text = s.to_json();
         assert!(text.contains("\"channels\": 8"), "{text}");
         let back = Scenario::from_json_str(&text).unwrap();
@@ -793,11 +796,14 @@ mod tests {
         // Full stanza (all optional keys) round-trips value- and byte-exact.
         let spec = GovernorSpec {
             start_mhz: Some(1600),
+            epoch_us: 50.0,
+            escalate_policy: Some(PolicyKind::QosRowBuffer),
             ..GovernorSpec::new(vec![1333, 1600, 1866])
-                .with_epoch_us(50.0)
-                .with_escalate_policy(PolicyKind::QosRowBuffer)
         };
-        let s = catalog::by_name("adas").unwrap().with_governor(spec);
+        let s = Scenario {
+            governor: Some(spec),
+            ..catalog::by_name("adas").unwrap()
+        };
         let text = s.to_json();
         assert!(text.contains("\"governor\""), "{text}");
         let back = Scenario::from_json_str(&text).unwrap();
@@ -817,10 +823,11 @@ mod tests {
     fn governor_stanza_violations_are_rejected_with_context() {
         use crate::governor_spec::GovernorSpec;
 
-        let base = catalog::by_name("adas")
-            .unwrap()
-            .with_governor(GovernorSpec::new(vec![1333, 1600]))
-            .to_json();
+        let base = Scenario {
+            governor: Some(GovernorSpec::new(vec![1333, 1600])),
+            ..catalog::by_name("adas").unwrap()
+        }
+        .to_json();
         // The pretty emitter breaks arrays across lines; match the block.
         let ladder = "\"ladder_mhz\": [\n      1333,\n      1600\n    ]";
         let cases = [
@@ -859,11 +866,16 @@ mod tests {
         use crate::governor_spec::GovernorSpec;
 
         let adas = catalog::by_name("adas").unwrap().to_json();
-        let eight = catalog::by_name("adas").unwrap().with_channels(8).to_json();
-        let governed = catalog::by_name("adas")
-            .unwrap()
-            .with_governor(GovernorSpec::new(vec![1333, 1600]))
-            .to_json();
+        let eight = Scenario {
+            channels: 8,
+            ..catalog::by_name("adas").unwrap()
+        }
+        .to_json();
+        let governed = Scenario {
+            governor: Some(GovernorSpec::new(vec![1333, 1600])),
+            ..catalog::by_name("adas").unwrap()
+        }
+        .to_json();
         let mut no_seed = json::parse(&adas).unwrap();
         if let Value::Object(members) = &mut no_seed {
             members.retain(|(k, _)| k != "seed");

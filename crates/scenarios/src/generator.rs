@@ -143,17 +143,16 @@ pub fn random_scenario_with(cfg: &GeneratorConfig, seed: u64) -> Scenario {
         }
     }
 
-    Scenario::new(
-        format!("gen-{seed:016x}"),
-        format!(
-            "generated: {} cores at {freq} MHz, {fps:.0} fps, seed {seed:#x}",
-            cores.len()
-        ),
-        MegaHertz::new(freq),
-        cores,
-    )
-    .with_frame_period_ns(1e9 / fps)
-    .with_seed(seed)
+    let name = format!("gen-{seed:016x}");
+    let description = format!(
+        "generated: {} cores at {freq} MHz, {fps:.0} fps, seed {seed:#x}",
+        cores.len()
+    );
+    Scenario {
+        frame_period_ns: 1e9 / fps,
+        seed,
+        ..Scenario::new(name, description, MegaHertz::new(freq), cores)
+    }
 }
 
 fn scale_traffic(traffic: &mut TrafficSpec, scale: f64) {

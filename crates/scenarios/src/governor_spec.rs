@@ -59,7 +59,7 @@ pub struct GovernorSpec {
 /// Default control-epoch length (µs): ten NPI sampling periods.
 pub const DEFAULT_EPOCH_US: f64 = 100.0;
 /// Default up-step threshold: the report layer's failure line.
-pub const DEFAULT_UP_THRESHOLD: f64 = 0.97;
+pub const DEFAULT_UP_THRESHOLD: f64 = sara_sim::FAIL_THRESHOLD;
 /// Default down-step threshold: comfortable headroom above target.
 pub const DEFAULT_DOWN_THRESHOLD: f64 = 1.10;
 /// Default patience in epochs.
@@ -99,27 +99,6 @@ impl GovernorSpec {
     /// Panics on an empty ladder (rejected by [`GovernorSpec::validate`]).
     pub fn start_mhz(&self) -> u32 {
         self.start_mhz.unwrap_or_else(|| self.ladder_mhz[0])
-    }
-
-    /// Replaces the epoch length.
-    #[must_use]
-    pub fn with_epoch_us(mut self, epoch_us: f64) -> Self {
-        self.epoch_us = epoch_us;
-        self
-    }
-
-    /// Enables policy escalation.
-    #[must_use]
-    pub fn with_escalate_policy(mut self, policy: PolicyKind) -> Self {
-        self.escalate_policy = Some(policy);
-        self
-    }
-
-    /// Enables or disables per-channel control.
-    #[must_use]
-    pub fn with_per_channel(mut self, per_channel: bool) -> Self {
-        self.per_channel = per_channel;
-        self
     }
 
     /// Checks the spec's internal consistency: positive finite epoch, a

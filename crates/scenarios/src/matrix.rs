@@ -53,15 +53,6 @@ impl ScreenMode {
             )),
         }
     }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScreenMode::Off => "off",
-            ScreenMode::Prune => "prune",
-            ScreenMode::Verify => "verify",
-        }
-    }
 }
 
 /// What to cross with the scenario list.
@@ -128,15 +119,6 @@ impl MatrixCell {
         match &self.outcome {
             CellOutcome::Simulated(r) => Some(r),
             CellOutcome::Screened(_) => None,
-        }
-    }
-
-    /// The closed-form evaluation of the cell — the screener's report for
-    /// pruned cells, the `analytic` section for simulated ones.
-    pub fn analytic(&self) -> &AnalyticReport {
-        match &self.outcome {
-            CellOutcome::Simulated(r) => &r.analytic,
-            CellOutcome::Screened(a) => a,
         }
     }
 
@@ -301,31 +283,34 @@ impl RankKey {
         }
     }
 
-    /// A pruned cell's key. Provably trivial cells meet every target;
-    /// provably infeasible ones fail the rated-core count — a
-    /// deterministic pessimistic stand-in (at least one of them must
-    /// fail; the exact set is unknowable without simulating). The
-    /// analytic bound stands in for delivered bandwidth.
+    /// A pruned cell's key, from its screening report.
     pub fn screened(analytic: &AnalyticReport) -> RankKey {
-        let met = analytic.verdict == ScreenVerdict::ProvablyTrivial;
-        let failures = if met {
-            0
-        } else {
-            RankKey::infeasible_failures(analytic.static_alloc.iter().map(|s| s.demand_gbs))
-        };
-        RankKey {
-            met,
-            failures,
-            bandwidth_gbs: analytic.bound_gbs,
-        }
+        RankKey::pruned(
+            analytic.verdict == ScreenVerdict::ProvablyTrivial,
+            analytic.static_alloc.iter().map(|s| s.demand_gbs),
+            analytic.bound_gbs,
+        )
     }
 
-    /// How many cores a provably infeasible cell fails, given each core's
-    /// rated demand (its `static_alloc` entry's `demand_gbs`): every core
-    /// with a demand, and at least one. `sara report` reads a dumped cell
-    /// through this rule too, so its summary agrees with the ranking.
-    pub fn infeasible_failures(demands_gbs: impl IntoIterator<Item = f64>) -> usize {
-        demands_gbs.into_iter().filter(|&d| d > 0.0).count().max(1)
+    /// The one rule that ranks a pruned cell, given its verdict, each
+    /// core's rated demand (its `static_alloc` entry's `demand_gbs`) and
+    /// the analytic bound. Provably trivial cells meet every target;
+    /// provably infeasible ones fail every core with a rated demand — a
+    /// deterministic pessimistic stand-in (at least one of them must
+    /// fail; the exact set is unknowable without simulating). The bound
+    /// stands in for delivered bandwidth. `sara report` reads a dumped
+    /// cell through this rule too, so its summary agrees with the ranking.
+    pub fn pruned(
+        trivial: bool,
+        demands_gbs: impl IntoIterator<Item = f64>,
+        bound_gbs: f64,
+    ) -> RankKey {
+        let rated = demands_gbs.into_iter().filter(|&d| d > 0.0).count();
+        RankKey {
+            met: trivial,
+            failures: if trivial { 0 } else { rated.max(1) },
+            bandwidth_gbs: bound_gbs,
+        }
     }
 }
 
@@ -1179,7 +1164,11 @@ mod tests {
         // Same catalog scenario submitted twice at different frequencies:
         // the shared name must not merge their rankings.
         let base = catalog::by_name("camcorder-b").unwrap();
-        let scenarios = vec![base.clone().with_freq(MegaHertz::new(1333)), base];
+        let faster = Scenario {
+            freq: MegaHertz::new(1333),
+            ..base.clone()
+        };
+        let scenarios = vec![faster, base];
         let spec = MatrixSpec {
             policies: vec![PolicyKind::Fcfs, PolicyKind::Priority],
             freqs_mhz: Vec::new(),
@@ -1483,7 +1472,8 @@ mod tests {
                 // and agreement with the screener re-evaluated directly.
                 Some(label) => {
                     assert_eq!(label, "infeasible");
-                    assert_eq!(p.analytic().verdict, ScreenVerdict::ProvablyInfeasible);
+                    assert!(matches!(&p.outcome, CellOutcome::Screened(a)
+                        if a.verdict == ScreenVerdict::ProvablyInfeasible));
                     assert!(!p.rank_key().met);
                     let json = p.to_json_value().to_string_compact();
                     assert!(json.contains("\"screened\":\"infeasible\""), "{json}");

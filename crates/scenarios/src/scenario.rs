@@ -88,42 +88,6 @@ impl Scenario {
         self
     }
 
-    /// Replaces the DRAM frequency.
-    #[must_use]
-    pub fn with_freq(mut self, freq: MegaHertz) -> Self {
-        self.freq = freq;
-        self
-    }
-
-    /// Replaces the frame period (e.g. `1e9 / 90.0` for a 90 fps headset).
-    #[must_use]
-    pub fn with_frame_period_ns(mut self, ns: f64) -> Self {
-        self.frame_period_ns = ns;
-        self
-    }
-
-    /// Replaces the nominal run length.
-    #[must_use]
-    pub fn with_duration_ms(mut self, ms: f64) -> Self {
-        self.duration_ms = ms;
-        self
-    }
-
-    /// Replaces the master seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the DRAM channel count (power of two; 2 is the Table 1
-    /// default, wider counts lower onto a channel-skewed address map).
-    #[must_use]
-    pub fn with_channels(mut self, channels: usize) -> Self {
-        self.channels = channels;
-        self
-    }
-
     /// The one check of a DRAM channel count, for scenario files, `submit`
     /// requests and CLI flags alike: a power of two in `1..=256` (the
     /// address map folds the channel index out of power-of-two bit fields).
@@ -137,13 +101,6 @@ impl Scenario {
         } else {
             Err(format!("must be a power of two in 1..=256, got {n}"))
         }
-    }
-
-    /// Attaches an online-governor stanza (see [`GovernorSpec`]).
-    #[must_use]
-    pub fn with_governor(mut self, spec: GovernorSpec) -> Self {
-        self.governor = Some(spec);
-        self
     }
 
     /// The governor spec this scenario runs under: its own stanza, or the
@@ -235,27 +192,6 @@ mod tests {
                 )],
             )],
         )
-    }
-
-    #[test]
-    fn builders_replace_fields() {
-        let s = tiny()
-            .with_policy(PolicyKind::Fcfs)
-            .with_freq(MegaHertz::new(1333))
-            .with_frame_period_ns(1e9 / 60.0)
-            .with_duration_ms(2.0)
-            .with_seed(9)
-            .with_channels(4);
-        assert_eq!(s.policy, PolicyKind::Fcfs);
-        assert_eq!(s.freq.as_u32(), 1333);
-        assert_eq!(s.seed, 9);
-        assert_eq!(s.channels, 4);
-        let cfg = s.config().unwrap();
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.dram.channels(), 4);
-        assert_eq!(cfg.policy, PolicyKind::Fcfs);
-        let expected = 1333.0e6 / 60.0;
-        assert!((cfg.frame_period_cycles as f64 - expected).abs() < 2.0);
     }
 
     #[test]

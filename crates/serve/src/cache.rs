@@ -59,12 +59,11 @@ impl CachedReport {
     }
 }
 
-/// An in-memory fingerprint → report store with hit/miss accounting.
+/// An in-memory fingerprint → report store. The server counts its hits
+/// and misses (`cache_hits`/`cache_misses`).
 #[derive(Debug, Default)]
 pub struct ResultCache {
     reports: HashMap<u64, Arc<CachedReport>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl ResultCache {
@@ -73,20 +72,10 @@ impl ResultCache {
         ResultCache::default()
     }
 
-    /// Looks a fingerprint up, counting the outcome: a hit bumps the hit
-    /// counter, a miss the miss counter. A hit shares the entry; no
-    /// report is copied.
+    /// Looks a fingerprint up. A hit shares the entry; no report is
+    /// copied.
     pub fn lookup(&mut self, fingerprint: u64) -> Option<Arc<CachedReport>> {
-        match self.reports.get(&fingerprint) {
-            Some(entry) => {
-                self.hits += 1;
-                Some(Arc::clone(entry))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.reports.get(&fingerprint).map(Arc::clone)
     }
 
     /// Renders a freshly simulated report and stores the entry under its
@@ -110,11 +99,6 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.reports.is_empty()
     }
-
-    /// Lifetime (hits, misses) across all lookups.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counts_and_returns_identical_reports() {
+    fn lookup_returns_identical_reports() {
         let (key, report) = camcorder_b_fcfs();
         let mut cache = ResultCache::new();
         assert!(cache.is_empty());
@@ -150,7 +134,6 @@ mod tests {
             report.to_json_value().to_string_compact(),
             "a cache hit is byte-identical to the stored report"
         );
-        assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]
@@ -170,10 +153,8 @@ mod tests {
             "every hit reads the one rendering"
         );
 
-        // Two hits above, one hit and one miss here.
         assert!(cache.lookup(key + 2).is_none());
         assert!(cache.lookup(key + 1).is_some());
-        assert_eq!(cache.stats(), (3, 1));
         assert_eq!(cache.len(), 2);
     }
 }

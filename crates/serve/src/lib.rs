@@ -22,9 +22,10 @@
 //! * **No cell is simulated twice.** Every cell is content-addressed by
 //!   [`sara_scenarios::cell_fingerprint`] (scenario document, overrides
 //!   and engine version) in the server's [`ResultCache`]; repeats — across
-//!   jobs or within one — are served from cache and surface in the
-//!   `cache_hits`/`cache_misses` counters of each job's `summary` record
-//!   and the server-wide `stats` reply.
+//!   jobs or within one — are served from cache. The server, not the
+//!   cache, counts hits and misses: the `cache_hits`/`cache_misses` of
+//!   each job's `summary` record and of the server-wide `stats` and
+//!   `metrics` replies.
 //!
 //! The wire protocol is specified in `docs/serve-protocol.md` and
 //! implemented (strict parse + emit) in [`protocol`]; the spec is

@@ -76,7 +76,7 @@ pub use config::SystemConfig;
 // `sara-analytic` dependency.
 pub use engine::Simulation;
 pub use health::{DmaHealth, SystemHealth};
-pub use report::{CoreReport, SimReport};
+pub use report::{CoreReport, SimReport, FAIL_THRESHOLD};
 pub use sampling::MAX_LEVELS;
 pub use sara_analytic::{channel_bound_bytes_per_s, AnalyticReport, ScreenVerdict};
 pub use telemetry::{SimTelemetry, TelemetryReport};

@@ -17,7 +17,8 @@ use crate::telemetry::TelemetryReport;
 /// NPI below this is a failed target. Slightly under 1.0 to absorb the
 /// quantisation ripple of byte-granular meters; real failures in this
 /// regime are drastic (the paper reports cores at 10–13% of target).
-pub(crate) const FAIL_THRESHOLD: f64 = 0.97;
+/// The governor's default up-threshold is this line too.
+pub const FAIL_THRESHOLD: f64 = 0.97;
 
 /// QoS outcome of one core over the simulated window.
 #[derive(Debug, Clone, PartialEq)]

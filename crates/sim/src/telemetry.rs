@@ -20,7 +20,7 @@
 use json::Value;
 use sara_dram::DramStats;
 use sara_memctrl::McStats;
-use sara_noc::Noc;
+use sara_noc::{Noc, NodeStats};
 use sara_telemetry::{Histogram, Registry};
 use sara_types::{CoreClass, CoreKind};
 
@@ -150,17 +150,6 @@ pub struct LaneTelemetry {
     pub row_conflicts: u64,
 }
 
-/// Occupancy/flow counters of one NoC arbiter node.
-#[derive(Debug, Clone)]
-pub struct NocNodeTelemetry {
-    /// Transactions the node forwarded.
-    pub forwarded: u64,
-    /// Grant attempts refused downstream backpressure.
-    pub blocked: u64,
-    /// Peak simultaneous occupancy of the node's ports.
-    pub peak_occupancy: usize,
-}
-
 /// The owned telemetry snapshot embedded in a
 /// [`SimReport`](crate::SimReport).
 #[derive(Debug, Clone)]
@@ -172,9 +161,9 @@ pub struct TelemetryReport {
     /// Per-lane completion/row-buffer telemetry, in lane order.
     pub lanes: Vec<LaneTelemetry>,
     /// Root arbiter of the NoC tree.
-    pub noc_root: NocNodeTelemetry,
+    pub noc_root: NodeStats,
     /// Per-class leaf arbiters, in queue order.
-    pub noc_leaves: Vec<NocNodeTelemetry>,
+    pub noc_leaves: Vec<NodeStats>,
 }
 
 impl TelemetryReport {
@@ -223,19 +212,14 @@ impl TelemetryReport {
                 row_conflicts: ch.row_conflicts,
             })
             .collect();
-        let node = |s: &sara_noc::NodeStats| NocNodeTelemetry {
-            forwarded: s.forwarded,
-            blocked: s.blocked,
-            peak_occupancy: s.peak_occupancy,
-        };
         TelemetryReport {
             classes,
             dmas,
             lanes,
-            noc_root: node(noc.root_stats()),
+            noc_root: noc.root_stats().clone(),
             noc_leaves: CoreClass::ALL
                 .iter()
-                .map(|&c| node(noc.leaf_stats(c)))
+                .map(|&c| noc.leaf_stats(c).clone())
                 .collect(),
         }
     }
@@ -300,7 +284,7 @@ impl TelemetryReport {
                 ("row_conflicts".to_string(), l.row_conflicts.into()),
             ])
         };
-        let node_value = |n: &NocNodeTelemetry| {
+        let node_value = |n: &NodeStats| {
             Value::Object(vec![
                 ("forwarded".to_string(), n.forwarded.into()),
                 ("blocked".to_string(), n.blocked.into()),

@@ -7,7 +7,7 @@ use sara::dram::{
 };
 use sara::governor::{run_governed, run_pinned, trace};
 use sara::memctrl::{McConfig, MemoryController, PolicyKind, TickResult};
-use sara::scenarios::catalog;
+use sara::scenarios::{catalog, Scenario};
 use sara::sim::experiment::run_camcorder;
 use sara::types::{
     Addr, CoreKind, Cycle, DmaId, MegaHertz, MemOp, Priority, Transaction, TransactionId,
@@ -45,7 +45,10 @@ fn identical_runs_are_bit_identical() {
     }
     for name in ["adas", "camcorder-b"] {
         for channels in [4usize, 8] {
-            subjects.push(catalog::by_name(name).unwrap().with_channels(channels));
+            subjects.push(Scenario {
+                channels,
+                ..catalog::by_name(name).unwrap()
+            });
         }
     }
     for s in subjects {

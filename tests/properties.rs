@@ -202,7 +202,7 @@ fn per_dma_accounting_is_consistent() {
 /// the built-in catalog; this covers the generated-workload space).
 #[test]
 fn analytic_screener_is_sound_under_simulation() {
-    use sara::scenarios::random_scenario;
+    use sara::scenarios::{random_scenario, Scenario};
     use sara::sim::{analytic_report, ScreenVerdict};
 
     // The frequency and channel points the built-in catalog exercises
@@ -215,12 +215,13 @@ fn analytic_screener_is_sound_under_simulation() {
         let scenario = random_scenario(seed);
         for freq in CATALOG_FREQS {
             for channels in CATALOG_CHANNELS {
-                let cfg = scenario
-                    .clone()
-                    .with_freq(MegaHertz::new(freq))
-                    .with_channels(channels)
-                    .config()
-                    .unwrap_or_else(|e| panic!("seed {seed} @{freq}x{channels}: {e}"));
+                let cfg = Scenario {
+                    freq: MegaHertz::new(freq),
+                    channels,
+                    ..scenario.clone()
+                }
+                .config()
+                .unwrap_or_else(|e| panic!("seed {seed} @{freq}x{channels}: {e}"));
                 let analytic = analytic_report(&cfg);
                 if analytic.verdict == ScreenVerdict::NeedsSim {
                     continue;

@@ -39,7 +39,10 @@ fn roundtrip_property_over_generator_seeds() {
 #[test]
 fn large_seeds_roundtrip_exactly() {
     for seed in [u64::MAX, u64::MAX - 1, (1 << 53) + 1, 0x5a5a_0001] {
-        let s = random_scenario(7).with_seed(seed);
+        let s = Scenario {
+            seed,
+            ..random_scenario(7)
+        };
         let back = Scenario::from_json_str(&s.to_json()).unwrap();
         assert_eq!(back.seed, seed);
         assert_eq!(back, s);
@@ -170,10 +173,11 @@ fn error_paths_are_actionable() {
 /// naive readers choke on, and extreme magnitudes round-trip.
 #[test]
 fn exponent_magnitudes_roundtrip() {
-    let s = catalog::by_name("camcorder-b")
-        .unwrap()
-        .with_frame_period_ns(1e21)
-        .with_duration_ms(2.5e-7);
+    let s = Scenario {
+        frame_period_ns: 1e21,
+        duration_ms: 2.5e-7,
+        ..catalog::by_name("camcorder-b").unwrap()
+    };
     let text = s.to_json();
     let back = Scenario::from_json_str(&text).unwrap();
     assert_eq!(back.frame_period_ns, 1e21);
