@@ -18,12 +18,12 @@ use sara_scenarios::{
 use sara_sim::experiment::{DvfsPoint, FreqPoint};
 use sara_sim::{CoreReport, SimReport, SystemConfig, MAX_LEVELS};
 use sara_types::{Clock, ConfigError, CoreClass, CoreKind, MegaHertz, Priority, PriorityBits};
-use sara_workloads::{camcorder_cores, MeterSpec, TestCase, TrafficSpec};
+use sara_workloads::{MeterSpec, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
 use crate::output::page;
 
-use CoreKind::{Camera, Display, Dsp, Gps, ImageProcessor, Rotator, Usb, VideoCodec, WiFi};
+use CoreKind::{Camera, Display, Dsp, Gps, ImageProcessor, Jpeg, Rotator, Usb, VideoCodec, WiFi};
 use PolicyKind::{Fcfs, FrFcfs, FrameQos, Priority as Qos, QosRowBuffer as QosRb, RoundRobin};
 
 pub(crate) const USAGE: &str = "usage: sara repro \
@@ -66,6 +66,29 @@ const FIG5_POLICIES: [PolicyKind; 4] = [Fcfs, RoundRobin, FrameQos, Qos];
 
 /// The policies of Fig. 8, in the paper's bar order (bottom to top).
 const FIG8_POLICIES: [PolicyKind; 5] = [RoundRobin, Fcfs, Qos, QosRb, FrFcfs];
+
+/// Table 1's two cases, in the paper's print order: label, catalog entry
+/// and the cores the entry leaves inactive.
+const CASES: [(&str, &str, &[CoreKind]); 2] = [
+    ("A", "camcorder-a", &[]),
+    ("B", "camcorder-b", &[Gps, Camera, Rotator, Jpeg]),
+];
+
+/// The cores the NPI figures plot, in the paper's row order: case A's
+/// (Figs 5 and 9), then case B's (Fig. 6).
+const PLOTTED: [&[CoreKind]; 2] = [
+    &[
+        ImageProcessor,
+        Rotator,
+        VideoCodec,
+        Display,
+        Camera,
+        Usb,
+        Gps,
+        WiFi,
+    ],
+    &[ImageProcessor, VideoCodec, Display, Usb, Dsp, WiFi],
+];
 
 /// The systems a target simulates: per cell, its row label (the leading
 /// column(s) of an ablation table, empty elsewhere) and its configuration.
@@ -132,8 +155,8 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig5",
         title: "Fig. 5: case A NPI over {ms} ms",
-        cells: || camcorder(TestCase::A, &FIG5_POLICIES),
-        render: |t, r, out| npi_figure(t, TestCase::A, r, out),
+        cells: || camcorder("camcorder-a", &FIG5_POLICIES),
+        render: |t, r, out| npi_figure(t, PLOTTED[0], r, out),
         paper: "FCFS starves GPS and the display (display NPI bottoms out around 0.13); RR \
                 starves display and camera (< 10% of target); frame-rate QoS rescues media but \
                 fails every system core; the priority-based policy meets all targets",
@@ -169,8 +192,8 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig6",
         title: "Fig. 6: case B NPI over {ms} ms",
-        cells: || camcorder(TestCase::B, &FIG5_POLICIES),
-        render: |t, r, out| npi_figure(t, TestCase::B, r, out),
+        cells: || camcorder("camcorder-b", &FIG5_POLICIES),
+        render: |t, r, out| npi_figure(t, PLOTTED[1], r, out),
         paper: "FCFS hurts the latency-sensitive DSP; RR gives the DSP its own queue (it \
                 recovers) but the display fails from intensified media interference; frame-rate \
                 QoS fails the non-media cores; the priority-based policy meets all targets",
@@ -254,7 +277,7 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig8",
         title: "Fig. 8: average DRAM bandwidth over {ms} ms (case A)",
-        cells: || camcorder(TestCase::A, &FIG8_POLICIES),
+        cells: || camcorder("camcorder-a", &FIG8_POLICIES),
         render: fig8,
         paper: "FR-FCFS achieves the most row hits and the highest bandwidth; QoS-RB lands \
                 within ~1% of it and beats RR, FCFS and plain QoS by roughly +24%, +12% and +10%",
@@ -299,8 +322,8 @@ static TARGETS: [Target; 11] = [
     Target {
         name: "fig9",
         title: "Fig. 9: FR-FCFS vs QoS-RB over {ms} ms",
-        cells: || camcorder(TestCase::A, &[FrFcfs, QosRb]),
-        render: |t, r, out| npi_figure(t, TestCase::A, r, out),
+        cells: || camcorder("camcorder-a", &[FrFcfs, QosRb]),
+        render: |t, r, out| npi_figure(t, PLOTTED[0], r, out),
         paper: "FR-FCFS maximises row hits but degrades the GPS and the display; QoS-RB keeps \
                 the bandwidth within ~1% of FR-FCFS with no performance degradation to any core",
         claims: |r| {
@@ -536,18 +559,14 @@ fn setting_meets(setting: &str, report: &SimReport) -> Vec<Claim> {
 /// the paper's settings, this shows it.
 fn table1(_: &Target, _: &Reports, _: Option<&Path>) -> Result<String, CliError> {
     let mut out = String::from("Test cases\n");
-    for (case, label) in [(TestCase::A, "A"), (TestCase::B, "B")] {
-        let inactive: Vec<&str> = case.inactive().iter().map(|k| k.name()).collect();
-        let inactive = if inactive.is_empty() {
-            String::new()
-        } else {
-            format!(" (inactive: {})", inactive.join(", "))
-        };
-        let (cores, freq) = (case.cores().len(), case.dram_freq());
-        let _ = writeln!(
-            out,
-            "  Case {label}: {cores} cores active{inactive} with DRAM @ {freq}"
-        );
+    for (label, name, inactive) in CASES {
+        let s = catalog::by_name(name).expect("a catalog entry");
+        let _ = write!(out, "  Case {label}: {} cores active", s.cores.len());
+        if !inactive.is_empty() {
+            let names: Vec<&str> = inactive.iter().map(|k| k.name()).collect();
+            let _ = write!(out, " (inactive: {})", names.join(", "));
+        }
+        let _ = writeln!(out, " with DRAM @ {}", s.freq);
     }
     let mut section = |name: &str, rows: &[(&str, String)]| {
         let _ = writeln!(out, "{name}");
@@ -598,7 +617,7 @@ fn table2(_: &Target, _: &Reports, _: Option<&Path>) -> Result<String, CliError>
         "core", "performance type", "class", "DMAs"
     );
     let mut total_fixed = 0.0;
-    for core in camcorder_cores() {
+    for core in catalog::camcorder_a().cores {
         let meter = match core.dmas[0].meter {
             MeterSpec::FrameRate => "frame rate",
             MeterSpec::Latency { .. } => "latency",
@@ -654,7 +673,7 @@ fn traffic_label(traffic: &TrafficSpec) -> String {
 /// NPI-series CSV per policy.
 fn npi_figure(
     t: &Target,
-    case: TestCase,
+    plotted: &[CoreKind],
     reports: &Reports,
     out: Option<&Path>,
 ) -> Result<String, CliError> {
@@ -667,7 +686,7 @@ fn npi_figure(
         text.push('\n');
     };
     row("core", &|r| format!("{:>16}", r.policy.name()));
-    for kind in case.critical_cores() {
+    for &kind in plotted {
         row(kind.name(), &|r| {
             let core = core_report(r, kind);
             let verdict = if core.failed { "FAIL" } else { "ok" };
@@ -756,27 +775,30 @@ fn write_plot(path: PathBuf, csv: &str) -> Result<String, CliError> {
 
 // --- cells -------------------------------------------------------------------
 
-/// `case` at its Table 1 frequency, one cell per policy.
-fn camcorder(case: TestCase, policies: &[PolicyKind]) -> Vec<(String, SystemConfig)> {
-    let cell = |&policy| {
-        let system = SystemConfig::camcorder(case, policy).expect("the paper's cases build");
-        (String::new(), system)
-    };
+/// Catalog entry `name`'s own cell under `policy` at `freq` (its Table 1
+/// frequency when `None`), as a system.
+fn system(name: &str, policy: PolicyKind, freq: Option<MegaHertz>) -> SystemConfig {
+    let s = catalog::by_name(name).expect("a catalog entry");
+    let mut cell = s.cell_at(freq.unwrap_or(s.freq));
+    cell.policy = policy;
+    cell.system(&s).expect("the paper's cases build")
+}
+
+/// `name` at its Table 1 frequency, one cell per policy.
+fn camcorder(name: &str, policies: &[PolicyKind]) -> Vec<(String, SystemConfig)> {
+    let cell = |&policy| (String::new(), system(name, policy, None));
     policies.iter().map(cell).collect()
 }
 
 /// Case A under Policy 1 at each Fig. 7 frequency.
 fn fig7_points() -> Vec<(String, SystemConfig)> {
-    let point = |mhz| {
-        let system = SystemConfig::custom(MegaHertz::new(mhz), Qos, TestCase::A.cores());
-        (String::new(), system.expect("case A builds"))
-    };
-    FIG7_FREQS.map(point).into()
+    let point = |mhz| system("camcorder-a", Qos, Some(MegaHertz::new(mhz)));
+    FIG7_FREQS.map(|mhz| (String::new(), point(mhz))).into()
 }
 
 /// Case A under `policy` with the controller `mc` builds.
 fn knob(policy: PolicyKind, mc: Result<McConfig, ConfigError>) -> SystemConfig {
-    let mut cfg = SystemConfig::camcorder(TestCase::A, policy).expect("case A builds");
+    let mut cfg = system("camcorder-a", policy, None);
     cfg.mc = mc.expect("a valid controller configuration");
     cfg
 }
@@ -853,13 +875,13 @@ fn failures(report: &SimReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sara_sim::experiment::run_camcorder;
 
     /// FCFS misses targets within 0.3 ms; passed off as each Fig. 5
     /// policy, it must fail "QoS: all targets met" and exit 1.
     #[test]
     fn a_failed_claim_is_marked_listed_and_exits_1() {
-        let fcfs = run_camcorder(TestCase::A, Fcfs, 0.3).unwrap();
+        let fcfs = catalog::camcorder_a().with_policy(Fcfs).run_for_ms(0.3);
+        let fcfs = fcfs.unwrap();
         let relabel = |&policy| {
             let report = SimReport {
                 policy,
@@ -921,6 +943,26 @@ mod tests {
             assert!(cells[row].1 == *system, "{}", t.title);
             assert_eq!(cells.iter().filter(|(_, s)| s == system).count(), 1);
         }
+    }
+
+    /// Case B's inactive cores are case A's core kinds minus case B's, and
+    /// each NPI figure plots only cores its case runs (Fig. 6 the DSP).
+    #[test]
+    fn case_lists_name_cores_of_their_entries() {
+        let kinds = |name| -> Vec<CoreKind> {
+            let s = catalog::by_name(name).unwrap();
+            s.cores.iter().map(|c| c.kind).collect()
+        };
+        let [a, b] = CASES.map(|(_, name, _)| kinds(name));
+        let mut off: Vec<CoreKind> = a.iter().copied().filter(|k| !b.contains(k)).collect();
+        let mut inactive = CASES[1].2.to_vec();
+        off.sort();
+        inactive.sort();
+        assert_eq!(inactive, off);
+        assert!(CASES[0].2.is_empty());
+        assert!(PLOTTED[0].iter().all(|k| a.contains(k)));
+        assert!(PLOTTED[1].iter().all(|k| b.contains(k)));
+        assert!(PLOTTED[1].contains(&Dsp));
     }
 
     /// `all` names 39 cells and simulates 30 systems.

@@ -51,8 +51,8 @@
 //!
 //! Versioning: the `format` tag is checked exactly. A future `v2` will get
 //! its own reader; `v1` documents stay readable (the built-in catalog's
-//! own documents under `crates/scenarios/catalog/` and the camcorder
-//! goldens under `tests/data/` pin the emitted bytes per catalog entry).
+//! documents under `crates/scenarios/catalog/` pin the emitted bytes per
+//! catalog entry).
 //!
 //! # Examples
 //!

@@ -146,7 +146,13 @@ mod tests {
     #[test]
     fn search_picks_lowest_passing_frequency() {
         // Case B at a short window: 1700 passes, an absurdly low clock fails.
-        let outcome = dvfs_search(&catalog::camcorder_b(), &[600, 1700], Some(1.5), false).unwrap();
+        let outcome = dvfs_search(
+            &catalog::by_name("camcorder-b").unwrap(),
+            &[600, 1700],
+            Some(1.5),
+            false,
+        )
+        .unwrap();
         let (points, chosen) = (&outcome.points, outcome.chosen);
         assert_eq!(points.len(), 2);
         assert!(!points[0].all_met, "600 MHz cannot carry the camcorder");

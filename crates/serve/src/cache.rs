@@ -74,7 +74,7 @@ impl ResultCache {
 
     /// Looks a fingerprint up. A hit shares the entry; no report is
     /// copied.
-    pub fn lookup(&mut self, fingerprint: u64) -> Option<Arc<CachedReport>> {
+    pub fn lookup(&self, fingerprint: u64) -> Option<Arc<CachedReport>> {
         self.reports.get(&fingerprint).map(Arc::clone)
     }
 

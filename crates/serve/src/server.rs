@@ -591,7 +591,7 @@ impl Server {
         // cell became runnable, the origin of its queue-wait measurement.
         let mut queued_us: Vec<u64> = Vec::with_capacity(cells.len());
         {
-            let mut cache = self.cache.lock().expect("cache");
+            let cache = self.cache.lock().expect("cache");
             for (i, &fp) in fingerprints.iter().enumerate() {
                 let t_queued = self.clock.now_us();
                 let queued = [("seq", i.into()), ("ts_us", t_queued.into())];

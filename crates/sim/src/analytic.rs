@@ -30,32 +30,3 @@ pub fn analytic_report(cfg: &SystemConfig) -> AnalyticReport {
         read_response_latency: READ_RESPONSE_LATENCY,
     })
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sara_analytic::ScreenVerdict;
-    use sara_memctrl::PolicyKind;
-    use sara_workloads::TestCase;
-
-    #[test]
-    fn camcorder_is_not_provably_infeasible() {
-        let cfg = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority).unwrap();
-        let report = analytic_report(&cfg);
-        assert!(report.bound_gbs > 0.0);
-        assert!(
-            report.verdict != ScreenVerdict::ProvablyInfeasible,
-            "the paper's working set must not screen out: {}",
-            report.reason
-        );
-        // The bound is an upper bound on the theoretical peak too.
-        let peak = cfg.dram.peak_bandwidth_bytes_per_s() / 1e9;
-        assert!(report.bound_gbs <= peak, "{} > {peak}", report.bound_gbs);
-    }
-
-    #[test]
-    fn evaluation_is_stable_across_calls() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
-        assert_eq!(analytic_report(&cfg), analytic_report(&cfg));
-    }
-}

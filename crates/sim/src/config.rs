@@ -4,7 +4,7 @@ use sara_dram::{DramConfig, Interleave};
 use sara_memctrl::{McConfig, PolicyKind};
 use sara_noc::{ArbiterKind, NocConfig};
 use sara_types::{Clock, ConfigError, MegaHertz, PriorityBits};
-use sara_workloads::{CoreSpec, TestCase, FRAMES_PER_SECOND};
+use sara_workloads::CoreSpec;
 
 /// Cycles between a NoC admission decision and the transaction becoming
 /// visible to its channel lane: a plausible interconnect forwarding delay.
@@ -44,9 +44,16 @@ pub(crate) fn arbiter_for(policy: PolicyKind) -> ArbiterKind {
 /// ```
 /// use sara_memctrl::PolicyKind;
 /// use sara_sim::SystemConfig;
-/// use sara_workloads::TestCase;
+/// use sara_types::MegaHertz;
 ///
-/// let cfg = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority)?;
+/// let cfg = SystemConfig::from_scenario(
+///     MegaHertz::new(1866),
+///     PolicyKind::Priority,
+///     Vec::new(), // the workload's `CoreSpec`s
+///     SystemConfig::DEFAULT_FRAME_PERIOD_NS,
+///     SystemConfig::DEFAULT_SEED,
+///     SystemConfig::DEFAULT_CHANNELS,
+/// )?;
 /// assert_eq!(cfg.freq.as_u32(), 1866);
 /// assert!(cfg.frame_period_cycles > 60_000_000); // 33.3 ms at 1866 MHz
 /// # Ok::<(), sara_types::ConfigError>(())
@@ -75,51 +82,16 @@ pub struct SystemConfig {
     /// sweeps 1..=4). Non-default widths replace every core's custom map
     /// with a linear ramp of the chosen width.
     pub priority_bits: PriorityBits,
-    /// Per-transaction trace ring size (0 disables tracing).
-    pub trace_capacity: usize,
 }
 
 impl SystemConfig {
-    /// The frame period every workload starts from (in [`Self::custom`]
-    /// and `sara_scenarios::Scenario::new`): the camcorder's 30 fps.
-    pub const DEFAULT_FRAME_PERIOD_NS: f64 = 1e9 / FRAMES_PER_SECOND;
+    /// The frame period every workload starts from (in
+    /// `sara_scenarios::Scenario::new`): the camcorder's 30 fps, 33.3 ms.
+    pub const DEFAULT_FRAME_PERIOD_NS: f64 = 1e9 / 30.0;
     /// The master seed every workload starts from: the paper runs' seed.
     pub const DEFAULT_SEED: u64 = 0x5a5a_0001;
     /// The DRAM channel count every workload starts from: Table 1's two.
     pub const DEFAULT_CHANNELS: usize = 2;
-
-    /// The paper's camcorder configuration for a test case and policy:
-    /// Table 1 DRAM, 42-entry controller, matching NoC discipline, 30 fps
-    /// frame period, ~10 µs NPI sampling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the derived substrate configs are
-    /// inconsistent (should not happen for the built-in cases).
-    pub fn camcorder(case: TestCase, policy: PolicyKind) -> Result<Self, ConfigError> {
-        Self::custom(case.dram_freq(), policy, case.cores())
-    }
-
-    /// A configuration with default substrates for an arbitrary workload at
-    /// the camcorder defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the substrate configuration is invalid.
-    pub fn custom(
-        freq: MegaHertz,
-        policy: PolicyKind,
-        cores: Vec<CoreSpec>,
-    ) -> Result<Self, ConfigError> {
-        Self::from_scenario(
-            freq,
-            policy,
-            cores,
-            Self::DEFAULT_FRAME_PERIOD_NS,
-            Self::DEFAULT_SEED,
-            Self::DEFAULT_CHANNELS,
-        )
-    }
 
     /// The one constructor, which a scenario lowers onto: default
     /// substrates (Table 1 DRAM geometry at the requested frequency and
@@ -171,7 +143,6 @@ impl SystemConfig {
             interleave,
             seed,
             priority_bits: PriorityBits::PAPER,
-            trace_capacity: 0,
         })
     }
 
@@ -205,19 +176,8 @@ mod tests {
         assert_eq!(arbiter_for(PolicyKind::FrFcfs), ArbiterKind::Fcfs);
     }
 
-    #[test]
-    fn camcorder_config_matches_case() {
-        let a = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority).unwrap();
-        assert_eq!(a.freq.as_u32(), 1866);
-        assert_eq!(a.dram.io_freq().as_u32(), 1866);
-        assert_eq!(a.cores.len(), 14);
-        let b = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
-        assert_eq!(b.freq.as_u32(), 1700);
-        assert_eq!(b.cores.len(), 10);
-        assert!(b.frame_period_cycles < a.frame_period_cycles);
-    }
-
-    /// `from_scenario` at the camcorder defaults, with one field replaced.
+    /// `from_scenario` of an empty workload at the defaults, with one
+    /// field replaced.
     fn lowered(
         frame_period_ns: f64,
         seed: u64,
@@ -226,7 +186,7 @@ mod tests {
         SystemConfig::from_scenario(
             MegaHertz::new(1600),
             PolicyKind::Priority,
-            TestCase::B.cores(),
+            Vec::new(),
             frame_period_ns,
             seed,
             channels,
@@ -258,12 +218,5 @@ mod tests {
         assert_eq!(cfg.interleave, Interleave::default());
 
         assert!(lowered(period, seed, 3).is_err(), "non-power-of-two");
-    }
-
-    #[test]
-    fn frame_period_is_one_thirtieth_second() {
-        let cfg = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority).unwrap();
-        let expected = 1866.0e6 / 30.0;
-        assert!((cfg.frame_period_cycles as f64 - expected).abs() < 2.0);
     }
 }

@@ -61,7 +61,6 @@ use crate::report::{ReportBuilder, SimReport};
 use crate::runtime::{build_dmas, DmaRuntime, BURST_BYTES};
 use crate::sampling::Samplers;
 use crate::telemetry::{SimTelemetry, TelemetryReport};
-use crate::trace::{TraceRecord, TransactionTrace};
 
 /// One runnable system instance.
 ///
@@ -70,9 +69,18 @@ use crate::trace::{TraceRecord, TransactionTrace};
 /// ```no_run
 /// use sara_memctrl::PolicyKind;
 /// use sara_sim::{Simulation, SystemConfig};
-/// use sara_workloads::TestCase;
+/// use sara_types::MegaHertz;
+/// # let cores = Vec::new();
 ///
-/// let cfg = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority)?;
+/// // `cores`: the workload, a `Vec<sara_workloads::CoreSpec>`.
+/// let cfg = SystemConfig::from_scenario(
+///     MegaHertz::new(1866),
+///     PolicyKind::Priority,
+///     cores,
+///     SystemConfig::DEFAULT_FRAME_PERIOD_NS,
+///     SystemConfig::DEFAULT_SEED,
+///     SystemConfig::DEFAULT_CHANNELS,
+/// )?;
 /// let mut sim = Simulation::new(cfg)?;
 /// let report = sim.run_for_ms(33.3);
 /// assert!(report.all_targets_met());
@@ -96,7 +104,6 @@ pub struct Simulation {
     noc_pending: Option<Cycle>,
     samplers: Samplers,
     next_sample: Cycle,
-    trace: TransactionTrace,
     /// Hot-path metrics recorder (fed from the completion merge and the
     /// `Deliver` handler, both on the deterministic engine order).
     telemetry: SimTelemetry,
@@ -172,7 +179,6 @@ impl Simulation {
             channels: channel_count,
             samplers,
             next_sample: Cycle::new(cfg.sample_period()),
-            trace: TransactionTrace::new(cfg.trace_capacity),
             telemetry: SimTelemetry::new(dmas.len(), channel_count),
             epoch_floor: vec![f64::INFINITY; dmas.len()],
             merged: Vec::new(),
@@ -288,7 +294,7 @@ impl Simulation {
     }
 
     /// Applies the lanes' buffered window outputs to the global state in
-    /// deterministic `(cycle, lane)` order: trace records, `Deliver`
+    /// deterministic `(cycle, lane)` order: telemetry, `Deliver`
     /// events, shared-budget releases, and a NoC pump at each completion
     /// cycle (a freed controller entry may unblock the root arbiter).
     /// Returns the earliest merged completion cycle, if any.
@@ -304,20 +310,6 @@ impl Simulation {
         for (li, c) in merged.drain(..) {
             self.telemetry
                 .record_completion(li, c.txn.class, c.queued_for, c.row_hit, c.was_aged);
-            if self.cfg.trace_capacity > 0 {
-                self.trace.push(TraceRecord {
-                    id: c.txn.id,
-                    dma: c.txn.dma,
-                    core: c.txn.core,
-                    op: c.txn.op,
-                    priority: c.txn.priority,
-                    injected_at: c.txn.injected_at,
-                    done_at: c.done_at,
-                    queued_for: c.queued_for,
-                    row_hit: c.row_hit,
-                    was_aged: c.was_aged,
-                });
-            }
             let is_read = c.txn.op.is_read();
             let deliver_at = if is_read {
                 c.done_at + READ_RESPONSE_LATENCY
@@ -526,11 +518,6 @@ impl Simulation {
         self.events.push(self.next_sample, EventKind::Sample);
     }
 
-    /// The per-transaction trace (empty unless `trace_capacity` was set).
-    pub fn trace(&self) -> &TransactionTrace {
-        &self.trace
-    }
-
     /// The live metrics recorder (distributions accumulated so far).
     /// [`Simulation::report`] joins it with the admission/DRAM/NoC
     /// counters into the report's [`TelemetryReport`] snapshot.
@@ -722,244 +709,5 @@ impl Simulation {
             telemetry,
         }
         .build()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sara_memctrl::PolicyKind;
-    use sara_workloads::TestCase;
-
-    #[test]
-    fn run_until_is_resumable() {
-        // One run to 0.4 ms must equal stacked runs cut anywhere, byte for
-        // byte: a lane's fused retry jump may straddle the boundary of an
-        // `advance_until` call, and the cut must not move it.
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::QosRowBuffer).unwrap();
-        let end = cfg.clock().cycles_from_ms(0.4);
-        let mut one = Simulation::new(cfg.clone()).unwrap();
-        let full = one.run_until(Cycle::new(end)).to_json();
-
-        // Half way, an odd cycle just past it, and three cuts in one run.
-        for cuts in [
-            vec![end / 2],
-            vec![end / 2 + 7],
-            vec![end / 5, end / 3 + 1, end - 9],
-        ] {
-            let mut stacked = Simulation::new(cfg.clone()).unwrap();
-            for &cut in &cuts {
-                stacked.advance_until(Cycle::new(cut));
-            }
-            let resumed = stacked.run_until(Cycle::new(end)).to_json();
-            assert!(full == resumed, "cuts at {cuts:?} changed the report");
-        }
-    }
-
-    #[test]
-    fn clock_mismatch_rejected() {
-        use sara_dram::DramConfig;
-        use sara_types::MegaHertz;
-        let mut cfg = SystemConfig::camcorder(TestCase::A, PolicyKind::Fcfs).unwrap();
-        cfg.dram = DramConfig::table1(MegaHertz::new(1300)); // != cfg.freq
-        assert!(Simulation::new(cfg).is_err());
-    }
-
-    #[test]
-    fn now_advances_to_run_end() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
-        let mut sim = Simulation::new(cfg).unwrap();
-        let _ = sim.run_for_ms(0.1);
-        let expected = sim.config().clock().cycles_from_ms(0.1);
-        assert_eq!(sim.now().as_u64(), expected);
-    }
-
-    #[test]
-    fn a_run_that_ends_in_the_past_is_a_no_op() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
-        let mut sim = Simulation::new(cfg.clone()).unwrap();
-        let first = sim.run_for_ms(0.2).to_json();
-        let reached = sim.now();
-        let second = sim.run_for_ms(0.1).to_json();
-        assert_eq!(sim.now(), reached, "time ran backwards");
-        assert!(first == second, "the shorter request changed the report");
-        let resumed = sim.run_for_ms(0.3).to_json();
-        let uninterrupted = Simulation::new(cfg).unwrap().run_for_ms(0.3).to_json();
-        assert!(resumed == uninterrupted, "the no-op request left a mark");
-    }
-}
-
-#[cfg(test)]
-mod governor_hook_tests {
-    use super::*;
-    use sara_memctrl::PolicyKind;
-    use sara_workloads::TestCase;
-
-    #[test]
-    fn dvfs_step_down_reduces_delivered_bandwidth() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let mut pinned = Simulation::new(cfg.clone()).unwrap();
-        let full = pinned.run_for_ms(0.4);
-
-        let mut stepped = Simulation::new(cfg).unwrap();
-        assert_eq!(stepped.effective_dram_freq().as_u32(), 1700);
-        let _ = stepped.run_for_ms(0.2);
-        stepped.set_dram_freq(MegaHertz::new(850)).unwrap();
-        assert_eq!(stepped.effective_dram_freq().as_u32(), 850);
-        let slowed = stepped.run_for_ms(0.4);
-        assert!(
-            slowed.dram.total.total_bytes() < full.dram.total.total_bytes(),
-            "half-speed DRAM in the second half must deliver fewer bytes \
-             ({} vs {})",
-            slowed.dram.total.total_bytes(),
-            full.dram.total.total_bytes()
-        );
-    }
-
-    #[test]
-    fn dvfs_step_back_up_restores_service_and_is_deterministic() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let run = |cfg: SystemConfig| {
-            let mut sim = Simulation::new(cfg).unwrap();
-            let _ = sim.run_for_ms(0.1);
-            sim.set_dram_freq(MegaHertz::new(850)).unwrap();
-            let _ = sim.run_for_ms(0.2);
-            sim.set_dram_freq(MegaHertz::new(1700)).unwrap();
-            sim.run_for_ms(0.4)
-        };
-        let a = run(cfg.clone());
-        let b = run(cfg);
-        assert_eq!(a.dram.total, b.dram.total);
-        assert_eq!(a.mc.total_completed(), b.mc.total_completed());
-        for (x, y) in a.cores.iter().zip(&b.cores) {
-            assert_eq!(x.min_npi, y.min_npi);
-            assert_eq!(x.completed, y.completed);
-        }
-    }
-
-    #[test]
-    fn dvfs_above_beat_clock_rejected_and_idempotent_step_is_free() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let mut sim = Simulation::new(cfg).unwrap();
-        assert!(sim.set_dram_freq(MegaHertz::new(1866)).is_err());
-        sim.set_dram_freq(MegaHertz::new(1700)).unwrap();
-        assert_eq!(sim.effective_dram_freq().as_u32(), 1700);
-    }
-
-    #[test]
-    fn per_channel_steps_decouple_the_lanes() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let mut sim = Simulation::new(cfg).unwrap();
-        let _ = sim.run_for_ms(0.1);
-        sim.set_channel_freq(1, MegaHertz::new(850)).unwrap();
-        assert_eq!(
-            sim.channel_freqs()
-                .iter()
-                .map(|f| f.as_u32())
-                .collect::<Vec<_>>(),
-            vec![1700, 850]
-        );
-        // The aggregate view reports the fastest domain; health carries
-        // the full per-lane vector.
-        assert_eq!(sim.effective_dram_freq().as_u32(), 1700);
-        let h = sim.health();
-        assert_eq!(h.freq_per_channel.len(), 2);
-        assert_eq!(h.freq_per_channel[1].as_u32(), 850);
-        // Out-of-range channel and over-clock are rejected.
-        assert!(sim.set_channel_freq(7, MegaHertz::new(850)).is_err());
-        assert!(sim.set_channel_freq(0, MegaHertz::new(1866)).is_err());
-        // Asymmetric lanes still simulate deterministically.
-        let a = sim.run_for_ms(0.3);
-        assert!(a.mc.total_completed() > 0);
-    }
-
-    #[test]
-    fn per_channel_slowdown_skews_channel_bandwidth() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let mut even = Simulation::new(cfg.clone()).unwrap();
-        let balanced = even.run_for_ms(0.4);
-
-        let mut skewed = Simulation::new(cfg).unwrap();
-        skewed.set_channel_freq(0, MegaHertz::new(566)).unwrap();
-        let report = skewed.run_for_ms(0.4);
-        let slow = report.dram.per_channel[0].total_bytes();
-        let fast = report.dram.per_channel[1].total_bytes();
-        assert!(
-            slow < fast,
-            "the down-clocked lane must move fewer bytes ({slow} vs {fast})"
-        );
-        // The balanced run splits roughly evenly by interleave.
-        let b0 = balanced.dram.per_channel[0].total_bytes() as f64;
-        let b1 = balanced.dram.per_channel[1].total_bytes() as f64;
-        assert!(
-            (b0 / b1 - 1.0).abs() < 0.2,
-            "balanced split drifted: {b0} {b1}"
-        );
-    }
-
-    #[test]
-    fn policy_switch_mid_run_takes_effect() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
-        let mut sim = Simulation::new(cfg).unwrap();
-        let _ = sim.run_for_ms(0.1);
-        sim.set_policy(PolicyKind::Priority);
-        let report = sim.run_for_ms(0.2);
-        assert_eq!(report.policy, PolicyKind::Priority);
-        assert_eq!(sim.health().policy, PolicyKind::Priority);
-    }
-
-    #[test]
-    fn health_reports_floors_and_mark_epoch_resets_them() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        let mut sim = Simulation::new(cfg).unwrap();
-        let _ = sim.run_for_ms(0.2);
-        let h = sim.health();
-        assert_eq!(h.dmas.len(), sim.dmas.len());
-        assert!(h.worst_npi().is_finite());
-        assert!(h.dmas.iter().all(|d| d.epoch_floor.is_finite()));
-        assert!(h.dram_bytes > 0);
-        assert_eq!(h.queued_per_channel.len(), 2);
-        assert_eq!(h.freq_per_channel.len(), 2);
-        sim.mark_epoch();
-        let fresh = sim.health();
-        assert!(
-            fresh.dmas.iter().all(|d| d.epoch_floor.is_infinite()),
-            "mark_epoch must clear the sampled floors"
-        );
-        // Live NPI still reads without samples.
-        assert!(fresh.worst_npi().is_finite());
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use sara_memctrl::PolicyKind;
-    use sara_workloads::TestCase;
-
-    #[test]
-    fn trace_records_completions_when_enabled() {
-        let mut cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        cfg.trace_capacity = 256;
-        let mut sim = Simulation::new(cfg).unwrap();
-        let report = sim.run_for_ms(0.05);
-        let trace = sim.trace();
-        assert!(!trace.is_empty());
-        assert_eq!(
-            trace.len() as u64 + trace.dropped(),
-            report.mc.total_completed()
-        );
-        for r in trace.iter() {
-            assert!(r.done_at >= r.injected_at);
-        }
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Fcfs).unwrap();
-        let mut sim = Simulation::new(cfg).unwrap();
-        let _ = sim.run_for_ms(0.05);
-        assert!(sim.trace().is_empty());
-        assert_eq!(sim.trace().dropped(), 0);
     }
 }

@@ -1,7 +1,6 @@
-//! Single-cell runners and the per-report projections behind the
-//! paper's sweeps. Batches of cells (policy comparisons, frequency
-//! sweeps, the DVFS search, the reproduction) run through
-//! `sara-scenarios`' `run_systems`.
+//! The per-report projections behind the paper's sweeps. The cells
+//! themselves (policy comparisons, frequency sweeps, the DVFS search, the
+//! reproduction) run through `sara-scenarios`' `run_systems`.
 //!
 //! Each projection owns its CSV header and CSV row (and [`DvfsPoint`]
 //! its JSON object), with [`SimReport::to_json`]'s conventions: stable
@@ -10,28 +9,10 @@
 //! form batch tooling diffs.
 
 use ::json::Value;
-use sara_memctrl::PolicyKind;
-use sara_types::{ConfigError, CoreKind, MegaHertz};
-use sara_workloads::TestCase;
+use sara_types::{CoreKind, MegaHertz};
 
-use crate::config::SystemConfig;
-use crate::engine::Simulation;
 use crate::report::SimReport;
 use crate::sampling::MAX_LEVELS;
-
-/// Runs the camcorder workload for one policy (Figs 5/6/9 machinery).
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] on inconsistent configuration.
-pub fn run_camcorder(
-    case: TestCase,
-    policy: PolicyKind,
-    duration_ms: f64,
-) -> Result<SimReport, ConfigError> {
-    let cfg = SystemConfig::camcorder(case, policy)?;
-    Ok(Simulation::new(cfg)?.run_for_ms(duration_ms))
-}
 
 /// One point of the Fig. 7 frequency sweep: one core's priority
 /// adaptation as observed in one run.
@@ -155,33 +136,6 @@ impl DvfsPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A short smoke run: the full camcorder system simulates end to end
-    /// and produces sane numbers. (Figure-length runs are `sara repro`.)
-    #[test]
-    fn camcorder_smoke() {
-        let report = run_camcorder(TestCase::A, PolicyKind::Priority, 0.5).unwrap();
-        assert!(report.bandwidth_gbs > 1.0, "bw = {}", report.bandwidth_gbs);
-        assert_eq!(report.cores.len(), 14);
-        assert!(report.noc_forwarded > 1000);
-        assert!(report.mc.total_completed() > 1000);
-        // Series exist for every core.
-        for c in &report.cores {
-            assert!(!report.npi_series[&c.kind].is_empty());
-        }
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let a = run_camcorder(TestCase::B, PolicyKind::Fcfs, 0.3).unwrap();
-        let b = run_camcorder(TestCase::B, PolicyKind::Fcfs, 0.3).unwrap();
-        assert_eq!(a.dram.total, b.dram.total);
-        assert_eq!(a.mc.total_completed(), b.mc.total_completed());
-        for (x, y) in a.cores.iter().zip(&b.cores) {
-            assert_eq!(x.min_npi, y.min_npi);
-            assert_eq!(x.completed, y.completed);
-        }
-    }
 
     fn freq_fixture() -> Vec<FreqPoint> {
         let mut residency = [0.0; MAX_LEVELS];

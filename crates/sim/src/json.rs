@@ -88,41 +88,3 @@ impl SimReport {
         writeln!(w, "{}", self.to_json())
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiment::run_camcorder;
-    use sara_memctrl::PolicyKind;
-    use sara_workloads::TestCase;
-
-    #[test]
-    fn report_json_is_deterministic_and_parses_back() {
-        let a = run_camcorder(TestCase::B, PolicyKind::Fcfs, 0.3).unwrap();
-        let b = run_camcorder(TestCase::B, PolicyKind::Fcfs, 0.3).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
-
-        let json = a.to_json();
-        // The emitted document re-parses, and re-emitting the parse is
-        // byte-identical — a stronger check than brace counting now that a
-        // real reader exists. (Tree equality is too strict: whole-valued
-        // floats like 0.0 emit as "0" and read back as integers.)
-        let doc = ::json::parse(&json).expect("report JSON parses");
-        assert_eq!(doc.to_string_compact(), json);
-        assert_eq!(
-            doc.get("policy").and_then(Value::as_str),
-            Some("FCFS"),
-            "{json}"
-        );
-        assert_eq!(
-            doc.get("cores")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(a.cores.len())
-        );
-
-        let mut buf = Vec::new();
-        a.to_json_writer(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), format!("{json}\n"));
-    }
-}

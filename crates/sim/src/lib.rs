@@ -13,9 +13,9 @@
 //!   arbitrary workloads via [`SystemConfig::from_scenario`],
 //! * [`Simulation`] — build with [`Simulation::new`], drive with
 //!   [`Simulation::run_for_ms`], inspect the returned [`SimReport`],
-//! * [`experiment`] — single-cell runners and the per-report projections
-//!   behind the paper's sweeps, each with its CSV and JSON forms (batches
-//!   run through `sara-scenarios`),
+//! * [`experiment`] — the per-report projections behind the paper's
+//!   sweeps, each with its CSV and JSON forms (the cells run through
+//!   `sara-scenarios`),
 //! * [`SystemHealth`] — the live snapshot API ([`Simulation::health`])
 //!   and the online actuators ([`Simulation::set_dram_freq`],
 //!   [`Simulation::set_policy`]) that the `sara-governor` closed loop
@@ -30,12 +30,34 @@
 //!
 //! ```
 //! use sara_memctrl::PolicyKind;
-//! use sara_sim::experiment::run_camcorder;
-//! use sara_workloads::TestCase;
+//! use sara_sim::{Simulation, SystemConfig};
+//! use sara_types::{CoreKind, MegaHertz, MemOp};
+//! use sara_workloads::builders::{constant_mb, occupancy_drain_kib, seq_mib};
+//! use sara_workloads::{CoreSpec, DmaSpec};
 //!
-//! // A 2 ms camcorder slice under the SARA policy — long enough for
-//! // the meters to settle (full frames are 33 ms; Fig. 5d uses 33.3).
-//! let report = run_camcorder(TestCase::A, PolicyKind::Priority, 2.0)?;
+//! // A display refresh under the SARA policy for 2 ms — long enough for
+//! // the meters to settle. (The catalog's workloads, the paper's
+//! // camcorder among them, lower the same way: `sara_scenarios`.)
+//! let display = CoreSpec::new(
+//!     CoreKind::Display,
+//!     vec![DmaSpec::new(
+//!         "display-rd",
+//!         MemOp::Read,
+//!         constant_mb(1500.0),
+//!         seq_mib(64),
+//!         occupancy_drain_kib(512),
+//!         8,
+//!     )],
+//! );
+//! let cfg = SystemConfig::from_scenario(
+//!     MegaHertz::new(1866),
+//!     PolicyKind::Priority,
+//!     vec![display],
+//!     SystemConfig::DEFAULT_FRAME_PERIOD_NS,
+//!     SystemConfig::DEFAULT_SEED,
+//!     SystemConfig::DEFAULT_CHANNELS,
+//! )?;
+//! let report = Simulation::new(cfg)?.run_for_ms(2.0);
 //! println!("{}", report.summary());
 //! assert!(report.all_targets_met());
 //! # Ok::<(), sara_types::ConfigError>(())
@@ -56,7 +78,6 @@ mod report;
 mod runtime;
 mod sampling;
 pub mod telemetry;
-mod trace;
 
 /// The engine's version string, stamped into content-addressed result
 /// caches (see `sara_scenarios::cell_fingerprint`): a report is only
@@ -80,4 +101,3 @@ pub use report::{CoreReport, SimReport, FAIL_THRESHOLD};
 pub use sampling::MAX_LEVELS;
 pub use sara_analytic::{channel_bound_bytes_per_s, AnalyticReport, ScreenVerdict};
 pub use telemetry::{SimTelemetry, TelemetryReport};
-pub use trace::{TraceRecord, TransactionTrace};

@@ -287,31 +287,3 @@ mod tests {
         assert!(FAIL_THRESHOLD > 0.9 && FAIL_THRESHOLD < 1.0);
     }
 }
-
-#[cfg(test)]
-mod csv_tests {
-    use crate::experiment::run_camcorder;
-    use sara_memctrl::PolicyKind;
-    use sara_types::Clock;
-    use sara_workloads::TestCase;
-
-    #[test]
-    fn csv_writers_produce_well_formed_files() {
-        let report = run_camcorder(TestCase::B, PolicyKind::Priority, 0.3).unwrap();
-        let dir = std::env::temp_dir().join("sara_report_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let clock = Clock::new(report.freq);
-
-        let npi = dir.join("npi.csv");
-        report.write_npi_csv(&npi, clock).unwrap();
-        let text = std::fs::read_to_string(&npi).unwrap();
-        let mut lines = text.lines();
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("time_ms,"));
-        let cols = header.split(',').count();
-        for line in lines {
-            assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}

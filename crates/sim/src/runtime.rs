@@ -280,16 +280,46 @@ fn build_dma(
 mod tests {
     use super::*;
     use sara_types::MegaHertz;
-    use sara_workloads::TestCase;
+    use sara_workloads::builders::*;
 
     fn clock() -> Clock {
         Clock::new(MegaHertz::new(1866))
     }
 
+    /// A camcorder-sized workload: one core of every kind with a read and
+    /// a write DMA, 28 in all, cycling through every traffic, pattern and
+    /// meter arm.
+    fn every_kind_twice() -> Vec<CoreSpec> {
+        let arms = [
+            (burst_mb(500.0), seq_mib(32), frame_rate()),
+            (
+                constant_mb(400.0),
+                strided_mib(32, 64),
+                occupancy_fill_kib(256),
+            ),
+            (poisson_mb(100.0), random_mib(16), latency_ns(500.0, 0.1)),
+            (batch_kib(256, 4.0e6, 2.0e6), seq_mib(8), work_unit()),
+            (constant_mb(200.0), seq_mib(8), bandwidth(0.9, 2.0e5)),
+            (elastic(), seq_mib(64), best_effort()),
+            (constant_mb(900.0), seq_mib(64), occupancy_drain_kib(512)),
+        ];
+        let dma = |i: usize, op: MemOp| {
+            let (traffic, pattern, meter) = arms[i % arms.len()].clone();
+            DmaSpec::new(format!("dma-{i}"), op, traffic, pattern, meter, 4)
+        };
+        let core = |(i, &kind): (usize, &CoreKind)| {
+            CoreSpec::new(
+                kind,
+                vec![dma(2 * i, MemOp::Read), dma(2 * i + 1, MemOp::Write)],
+            )
+        };
+        CoreKind::ALL.iter().enumerate().map(core).collect()
+    }
+
     #[test]
     fn builds_full_camcorder() {
         let dmas = build_dmas(
-            &TestCase::A.cores(),
+            &every_kind_twice(),
             clock(),
             62_200_000,
             2 << 30,
@@ -297,7 +327,7 @@ mod tests {
             PriorityBits::PAPER,
         )
         .unwrap();
-        // 14 cores, several with two DMAs, CPU with three.
+        // 14 cores, two DMAs each.
         assert!(dmas.len() >= 20, "got {}", dmas.len());
         // Regions must be disjoint.
         let mut regions: Vec<(u64, u64)> = dmas.iter().map(|d| d.pattern.region()).collect();

@@ -328,61 +328,3 @@ impl TelemetryReport {
         ])
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::SystemConfig;
-    use crate::engine::Simulation;
-    use sara_memctrl::PolicyKind;
-    use sara_workloads::TestCase;
-
-    fn run() -> crate::report::SimReport {
-        let cfg = SystemConfig::camcorder(TestCase::B, PolicyKind::Priority).unwrap();
-        Simulation::new(cfg).unwrap().run_for_ms(0.3)
-    }
-
-    #[test]
-    fn telemetry_accounts_for_every_completion_and_delivery() {
-        let report = run();
-        let t = &report.telemetry;
-        // Every merged completion landed in exactly one class histogram.
-        let hist_total: u64 = t.classes.iter().map(|c| c.queue_delay.count()).sum();
-        assert_eq!(hist_total, report.mc.total_completed());
-        let lane_total: u64 = t.lanes.iter().map(|l| l.completions).sum();
-        assert_eq!(lane_total, report.mc.total_completed());
-        // Per-DMA latency histograms partition the per-class ones.
-        let dma_total: u64 = t.dmas.iter().map(|d| d.latency.count()).sum();
-        let class_total: u64 = t.classes.iter().map(|c| c.latency.count()).sum();
-        assert_eq!(dma_total, class_total);
-        // Each completion is one column access on its lane's channel
-        // (refreshes and activates are not completions).
-        for (l, ch) in t.lanes.iter().zip(&report.dram.per_channel) {
-            assert_eq!(l.completions, ch.column_accesses(), "lane {}", l.lane);
-            assert_eq!(l.row_conflicts, ch.row_conflicts, "lane {}", l.lane);
-            // `row_hits` counts final column commands that found their row
-            // open — a superset of the DRAM's first-touch hit class.
-            assert!(l.row_hits >= ch.row_hits, "lane {}", l.lane);
-            assert!(l.row_hits <= l.completions, "lane {}", l.lane);
-        }
-        assert_eq!(t.noc_root.forwarded, report.noc_forwarded);
-    }
-
-    #[test]
-    fn totals_registry_matches_the_breakdowns() {
-        let report = run();
-        let t = &report.telemetry;
-        let totals = t.totals();
-        let doc = totals.to_json_value();
-        assert_eq!(
-            doc.get("completed").and_then(Value::as_u64),
-            Some(report.mc.total_completed())
-        );
-        assert_eq!(
-            doc.get("noc_forwarded").and_then(Value::as_u64),
-            Some(report.noc_forwarded)
-        );
-        let lat = doc.get("latency_cycles").expect("latency histogram");
-        assert!(lat.get("p99").and_then(Value::as_u64).unwrap() > 0);
-    }
-}

@@ -1,7 +1,7 @@
-//! Composable spec constructors, public so workload catalogs outside this
-//! crate (notably `sara-scenarios`) can assemble [`CoreSpec`](crate::CoreSpec)s from the
-//! same vocabulary the built-in camcorder uses, without re-spelling the
-//! enum plumbing at every call site.
+//! Composable spec constructors, public so code outside this crate
+//! (notably `sara-scenarios`' random scenario generator) can assemble
+//! [`CoreSpec`](crate::CoreSpec)s without re-spelling the enum plumbing at
+//! every call site.
 //!
 //! All helpers are wall-clock denominated (MB/s, nanoseconds) like the
 //! specs themselves; conversion to cycles happens in the simulation

@@ -9,20 +9,18 @@
 //! ```
 
 use sara::memctrl::PolicyKind;
-use sara::sim::experiment::run_camcorder;
-use sara::workloads::TestCase;
+use sara::scenarios::catalog;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "--full");
     let duration_ms = if full { 33.334 } else { 8.0 };
 
-    for case in [TestCase::A, TestCase::B] {
-        let report = run_camcorder(case, PolicyKind::Priority, duration_ms)?;
-        println!(
-            "== camcorder case {:?} @ {} — priority-based QoS ==",
-            case,
-            case.dram_freq()
-        );
+    // Table 1's two cases are the catalog entries camcorder-a and -b.
+    for name in ["camcorder-a", "camcorder-b"] {
+        let case = catalog::by_name(name).expect("a catalog entry");
+        let case = case.with_policy(PolicyKind::Priority);
+        let report = case.run_for_ms(duration_ms)?;
+        println!("== {name} @ {} — priority-based QoS ==", case.freq);
         println!("{}", report.summary());
         if report.all_targets_met() {
             println!("all heterogeneous cores met their targets\n");

@@ -12,13 +12,14 @@
 
 use sara::core::BufferDirection;
 use sara::memctrl::PolicyKind;
-use sara::sim::{Simulation, SystemConfig};
+use sara::scenarios::catalog;
+use sara::sim::Simulation;
 use sara::types::{CoreKind, MemOp};
-use sara::workloads::{DmaSpec, MeterSpec, PatternSpec, TestCase, TrafficSpec};
+use sara::workloads::{DmaSpec, MeterSpec, PatternSpec, TrafficSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Start from the stock case-A camcorder...
-    let mut cores = TestCase::A.cores();
+    let mut camcorder = catalog::camcorder_a().with_policy(PolicyKind::Priority);
 
     // ...and add a thermal camera: another constant-rate sensor writing
     // 400 MB/s through a small staging buffer. Its DMA self-monitors with
@@ -36,15 +37,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         6,
     );
-    cores
+    camcorder
+        .cores
         .iter_mut()
         .find(|c| c.kind == CoreKind::Camera)
         .expect("camera present in case A")
         .dmas
         .push(thermal);
 
-    let cfg = SystemConfig::custom(TestCase::A.dram_freq(), PolicyKind::Priority, cores)?;
-    let mut sim = Simulation::new(cfg)?;
+    let mut sim = Simulation::new(camcorder.config()?)?;
     let report = sim.run_for_ms(4.0);
     println!("{}", report.summary());
 

@@ -7,7 +7,8 @@
 
 use sara::core::BufferDirection;
 use sara::memctrl::PolicyKind;
-use sara::sim::{Simulation, SystemConfig};
+use sara::scenarios::Scenario;
+use sara::sim::Simulation;
 use sara::types::{CoreKind, MegaHertz, MemOp};
 use sara::workloads::{CoreSpec, DmaSpec, MeterSpec, PatternSpec, TrafficSpec};
 
@@ -66,7 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // SARA's priority-based policy end to end: self-monitoring DMAs, a
     // priority-aware NoC, the 42-entry controller, LPDDR4-1866.
-    let cfg = SystemConfig::custom(MegaHertz::new(1866), PolicyKind::Priority, cores)?;
+    let scenario = Scenario::new("quickstart", "three cores", MegaHertz::new(1866), cores);
+    let cfg = scenario.with_policy(PolicyKind::Priority).config()?;
     let mut sim = Simulation::new(cfg)?;
     let report = sim.run_for_ms(1.0);
 

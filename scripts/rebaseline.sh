@@ -3,10 +3,9 @@
 # it (an ENGINE_VERSION bump), then prints what moved:
 #
 #   1. `SARA_UPDATE_GOLDENS=1 cargo test` rewrites every golden under a
-#      `tests/data/` directory (the CLI outputs, the camcorder scenario
-#      files, the catalog report digests, the refusal counts and the
-#      controller's command streams) and the built-in catalog's own
-#      documents under crates/scenarios/catalog/;
+#      `tests/data/` directory (the CLI outputs, the catalog report
+#      digests, the refusal counts and the controller's command streams)
+#      and the built-in catalog's documents under crates/scenarios/catalog/;
 #   2. the benchmark (benchmark/, run as it is; nothing there is edited)
 #      rewrites the digest column of tests/data/engine-digests.txt, one run
 #      per row at seed 1 and the seconds the row names;

@@ -13,12 +13,12 @@
 //! * [`memctrl`] — the 42-entry five-queue memory controller with the six
 //!   scheduling policies of §4 (FCFS, RR, frame-rate QoS, Policy 1,
 //!   Policy 2/QoS-RB, FR-FCFS);
-//! * [`workloads`] — the camcorder use case (Fig. 2 / Table 2) as
-//!   deterministic synthetic traffic, built from a composable
-//!   traffic/pattern/meter vocabulary ([`workloads::builders`]);
-//! * [`scenarios`] — the scenario catalog beyond the camcorder (AR
-//!   headset, automotive ADAS, smartphone multitasking, ML offload,
-//!   saturation stress), a seeded random scenario generator, the
+//! * [`workloads`] — the composable traffic/pattern/meter vocabulary of
+//!   deterministic synthetic traffic ([`workloads::builders`]);
+//! * [`scenarios`] — the scenario catalog: the camcorder use case
+//!   (Fig. 2 / Table 2) in both Table 1 cases, then AR headset,
+//!   automotive ADAS, smartphone multitasking, ML offload and a
+//!   saturation stress; a seeded random scenario generator, the
 //!   multi-threaded scenario × policy × frequency batch harness, and the
 //!   offline DVFS search over its cells;
 //! * [`sim`] — the event-driven co-simulation engine and the per-report
@@ -37,10 +37,10 @@
 //!
 //! ```no_run
 //! use sara::memctrl::PolicyKind;
-//! use sara::sim::experiment::run_camcorder;
-//! use sara::workloads::TestCase;
+//! use sara::scenarios::catalog;
 //!
-//! let report = run_camcorder(TestCase::A, PolicyKind::Priority, 33.3)?;
+//! let case_a = catalog::camcorder_a().with_policy(PolicyKind::Priority);
+//! let report = case_a.run_for_ms(33.3)?;
 //! println!("{}", report.summary());
 //! assert!(report.all_targets_met());
 //! # Ok::<(), sara::types::ConfigError>(())

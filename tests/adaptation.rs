@@ -3,14 +3,19 @@
 //! frequency ↓ → priority residency ↑ — is a claim of `sara repro fig7`.)
 
 use sara::memctrl::PolicyKind;
-use sara::sim::experiment::run_camcorder;
-use sara::sim::{Simulation, SystemConfig};
-use sara::types::{CoreKind, MegaHertz};
-use sara::workloads::TestCase;
+use sara::scenarios::catalog;
+use sara::sim::{SimReport, Simulation};
+use sara::types::CoreKind;
+
+/// Case A under the SARA policy for `ms` milliseconds.
+fn camcorder_a(ms: f64) -> SimReport {
+    let camcorder = catalog::camcorder_a().with_policy(PolicyKind::Priority);
+    camcorder.run_for_ms(ms).unwrap()
+}
 
 #[test]
 fn residency_distributions_are_normalised() {
-    let report = run_camcorder(TestCase::A, PolicyKind::Priority, 1.0).unwrap();
+    let report = camcorder_a(1.0);
     for core in &report.cores {
         let total: f64 = core.priority_residency.iter().sum();
         assert!(
@@ -25,7 +30,7 @@ fn residency_distributions_are_normalised() {
 
 #[test]
 fn best_effort_cpu_never_escalates() {
-    let report = run_camcorder(TestCase::A, PolicyKind::Priority, 2.0).unwrap();
+    let report = camcorder_a(2.0);
     let cpu = report.core(CoreKind::Cpu).unwrap();
     assert!(
         (cpu.priority_residency[0] - 1.0).abs() < 1e-9,
@@ -36,7 +41,7 @@ fn best_effort_cpu_never_escalates() {
 
 #[test]
 fn latency_cores_hold_the_fig4_floor_under_load() {
-    let report = run_camcorder(TestCase::A, PolicyKind::Priority, 2.0).unwrap();
+    let report = camcorder_a(2.0);
     let dsp = report.core(CoreKind::Dsp).unwrap();
     // The DSP is loaded throughout; its map floors at level 3 (Fig. 4a), so
     // levels 1-2 must be (almost) unvisited.
@@ -51,8 +56,8 @@ fn latency_cores_hold_the_fig4_floor_under_load() {
 fn overload_drives_priorities_up_not_down() {
     // Crank the display demand beyond any reasonable share and check that
     // its adaptation saturates at the top level instead of oscillating.
-    let mut cores = TestCase::A.cores();
-    for core in &mut cores {
+    let mut camcorder = catalog::camcorder_a().with_policy(PolicyKind::Priority);
+    for core in &mut camcorder.cores {
         if core.kind == CoreKind::Display {
             for dma in &mut core.dmas {
                 if let sara::workloads::TrafficSpec::Constant { bytes_per_s } = &mut dma.traffic {
@@ -61,8 +66,7 @@ fn overload_drives_priorities_up_not_down() {
             }
         }
     }
-    let cfg = SystemConfig::custom(MegaHertz::new(1866), PolicyKind::Priority, cores).unwrap();
-    let mut sim = Simulation::new(cfg).unwrap();
+    let mut sim = Simulation::new(camcorder.config().unwrap()).unwrap();
     let report = sim.run_for_ms(2.0);
     let display = report.core(CoreKind::Display).unwrap();
     assert!(display.failed, "an impossible target must be missed");

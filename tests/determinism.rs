@@ -8,19 +8,18 @@ use sara::dram::{
 use sara::governor::{run_governed, run_pinned, trace};
 use sara::memctrl::{McConfig, MemoryController, PolicyKind, TickResult};
 use sara::scenarios::{catalog, Scenario};
-use sara::sim::experiment::run_camcorder;
 use sara::types::{
     Addr, CoreKind, Cycle, DmaId, MegaHertz, MemOp, Priority, Transaction, TransactionId,
 };
-use sara::workloads::TestCase;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 #[test]
 fn identical_runs_are_bit_identical() {
-    let a = run_camcorder(TestCase::A, PolicyKind::QosRowBuffer, 1.0).unwrap();
-    let b = run_camcorder(TestCase::A, PolicyKind::QosRowBuffer, 1.0).unwrap();
+    let camcorder = catalog::camcorder_a().with_policy(PolicyKind::QosRowBuffer);
+    let a = camcorder.run_for_ms(1.0).unwrap();
+    let b = camcorder.run_for_ms(1.0).unwrap();
     assert_eq!(a.dram.total, b.dram.total);
     assert_eq!(a.noc_forwarded, b.noc_forwarded);
     for (x, y) in a.cores.iter().zip(&b.cores) {
@@ -221,10 +220,11 @@ fn governor_epoch_trace_json_is_byte_identical() {
 
 #[test]
 fn different_seeds_change_stochastic_cores_only_slightly() {
-    use sara::sim::{Simulation, SystemConfig};
-    let mut cfg_a = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority).unwrap();
+    use sara::sim::Simulation;
+    let camcorder = catalog::camcorder_a().with_policy(PolicyKind::Priority);
+    let mut cfg_a = camcorder.config().unwrap();
     cfg_a.seed = 1;
-    let mut cfg_b = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority).unwrap();
+    let mut cfg_b = camcorder.config().unwrap();
     cfg_b.seed = 2;
     let a = Simulation::new(cfg_a).unwrap().run_for_ms(3.0);
     let b = Simulation::new(cfg_b).unwrap().run_for_ms(3.0);

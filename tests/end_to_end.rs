@@ -6,13 +6,13 @@
 //! tests and at the full 33 ms frame in `docs/reproduction.txt`.
 
 use sara::memctrl::PolicyKind;
-use sara::sim::experiment::run_camcorder;
-use sara::sim::{Simulation, SystemConfig};
-use sara::workloads::TestCase;
+use sara::scenarios::catalog;
+use sara::sim::Simulation;
 
 #[test]
 fn conservation_no_transactions_lost() {
-    let cfg = SystemConfig::camcorder(TestCase::A, PolicyKind::Priority).unwrap();
+    let cfg = catalog::camcorder_a().with_policy(PolicyKind::Priority);
+    let cfg = cfg.config().unwrap();
     let mut sim = Simulation::new(cfg).unwrap();
     let report = sim.run_for_ms(1.0);
     // Every class: accepted == completed + still-queued; nothing vanishes.
@@ -37,9 +37,10 @@ fn conservation_no_transactions_lost() {
 
 #[test]
 fn report_summary_is_complete() {
-    let report = run_camcorder(TestCase::A, PolicyKind::Priority, 0.5).unwrap();
+    let camcorder = catalog::camcorder_a().with_policy(PolicyKind::Priority);
+    let report = camcorder.run_for_ms(0.5).unwrap();
     let summary = report.summary();
-    for core in TestCase::A.cores() {
+    for core in camcorder.cores {
         assert!(
             summary.contains(core.kind.name()),
             "summary must list {}",

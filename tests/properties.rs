@@ -13,7 +13,8 @@ use rand::{Rng, SeedableRng};
 
 use sara::core::BufferDirection;
 use sara::memctrl::PolicyKind;
-use sara::sim::{Simulation, SystemConfig};
+use sara::scenarios::Scenario;
+use sara::sim::Simulation;
 use sara::types::{CoreKind, MegaHertz, MemOp};
 use sara::workloads::{CoreSpec, DmaSpec, MeterSpec, PatternSpec, TrafficSpec};
 
@@ -113,7 +114,8 @@ fn random_workloads_preserve_invariants() {
             .map(|i| build_core(i, &RandomDma::draw(&mut rng)))
             .collect();
         let policy = PolicyKind::ALL[rng.gen_range(0usize..PolicyKind::ALL.len())];
-        let mut cfg = SystemConfig::custom(MegaHertz::new(1866), policy, cores).unwrap();
+        let scenario = Scenario::new("random", "", MegaHertz::new(1866), cores);
+        let mut cfg = scenario.with_policy(policy).config().unwrap();
         cfg.seed = rng.next_u64();
         let mut sim = Simulation::new(cfg).unwrap();
         let report = sim.run_for_ms(0.25);
@@ -180,8 +182,8 @@ fn per_dma_accounting_is_consistent() {
                 window,
             )],
         )];
-        let mut cfg =
-            SystemConfig::custom(MegaHertz::new(1866), PolicyKind::Priority, cores).unwrap();
+        let scenario = Scenario::new("stream", "", MegaHertz::new(1866), cores);
+        let mut cfg = scenario.config().unwrap();
         cfg.seed = rng.next_u64();
         let mut sim = Simulation::new(cfg).unwrap();
         let report = sim.run_for_ms(0.25);
@@ -202,7 +204,7 @@ fn per_dma_accounting_is_consistent() {
 /// the built-in catalog; this covers the generated-workload space).
 #[test]
 fn analytic_screener_is_sound_under_simulation() {
-    use sara::scenarios::{random_scenario, Scenario};
+    use sara::scenarios::random_scenario;
     use sara::sim::{analytic_report, ScreenVerdict};
 
     // The frequency and channel points the built-in catalog exercises

@@ -68,34 +68,23 @@ fn emission_is_byte_deterministic_across_runs() {
 #[path = "support/golden.rs"]
 mod golden;
 
-/// The directory of the catalog entries defined by their documents.
+/// The directory of the catalog's documents.
 fn catalog_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/scenarios/catalog")
 }
 
 /// Every catalog entry serializes to exactly the bytes of its committed
-/// file, and the committed bytes parse back to the entry. An entry defined
-/// by its document is pinned to that document under
-/// `crates/scenarios/catalog/`; the two camcorder cases, built in Rust, to
-/// their goldens under `tests/data/`.
+/// document under `crates/scenarios/catalog/`, its own golden, and the
+/// committed bytes parse back to the entry.
 ///
 /// A diff here means the format or the catalog changed: if intentional,
 /// regenerate with `SARA_UPDATE_GOLDENS=1 cargo test --test scenario_format`
-/// (which rewrites both kinds of file) and commit the result; v1 files
-/// must otherwise stay readable forever.
+/// and commit the result; v1 files must otherwise stay readable forever.
 #[test]
 fn golden_files_pin_the_format() {
     for s in catalog::builtin() {
-        let text = s.to_json();
-        let file = format!("{}{SCENARIO_FILE_SUFFIX}", s.name);
-        let source = catalog_dir().join(&file);
-        let path = if source.exists() {
-            golden::check_file(&source, &text);
-            source
-        } else {
-            golden::check(&file, &text);
-            golden::path(&file)
-        };
+        let path = catalog_dir().join(format!("{}{SCENARIO_FILE_SUFFIX}", s.name));
+        golden::check(&path, &s.to_json());
         let parsed = Scenario::from_json_file(&path).unwrap();
         assert_eq!(
             parsed, s,
@@ -105,39 +94,18 @@ fn golden_files_pin_the_format() {
     }
 }
 
-/// The files under `tests/data/` that are not scenario goldens.
-const DATA_FILES: [&str; 3] = [
-    "catalog-report-digests.json",
-    "engine-digests.txt",
-    "refusal-counts.txt",
-];
-
-/// `tests/data/` holds a golden for each catalog entry built in Rust and
-/// for nothing else: a renamed or removed scenario must not leave a stale
-/// file behind, nor may an entry defined by its document keep a second
-/// copy there.
+/// `tests/data/` holds the pins of simulated output
+/// (`tests/determinism.rs`) and no catalog document: every entry's one
+/// copy is its document under `crates/scenarios/catalog/`.
 #[test]
 fn no_stale_golden_files() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
-    let names = catalog::names();
     for entry in std::fs::read_dir(&dir).unwrap() {
         let file_name = entry.unwrap().file_name();
         let file_name = file_name.to_str().unwrap();
-        // The pins of simulated output (`tests/determinism.rs`) share the
-        // directory.
-        if DATA_FILES.contains(&file_name) {
-            continue;
-        }
-        let Some(stem) = file_name.strip_suffix(SCENARIO_FILE_SUFFIX) else {
-            panic!("unexpected file in tests/data: {file_name}");
-        };
         assert!(
-            names.iter().any(|n| n == stem),
-            "stale golden {file_name}: no catalog entry named {stem:?}"
-        );
-        assert!(
-            !catalog_dir().join(file_name).exists(),
-            "{file_name} duplicates the catalog's own document"
+            !file_name.ends_with(SCENARIO_FILE_SUFFIX),
+            "{file_name}: a catalog document's one copy is under crates/scenarios/catalog/"
         );
     }
 }

@@ -8,22 +8,19 @@
 
 use std::path::{Path, PathBuf};
 
-/// `tests/data/NAME` of the package whose test includes this module.
-pub(crate) fn path(name: &str) -> PathBuf {
+/// `tests/data/NAME` of the package whose test includes this module; an
+/// absolute NAME, a committed file outside `tests/data/`, is itself.
+pub(crate) fn path(name: impl AsRef<Path>) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/data")
         .join(name)
 }
 
-/// Compares `text` with the committed golden `tests/data/NAME`, or writes
+/// Compares `text` with the committed golden [`path`]`(name)`, or writes
 /// `text` there when `SARA_UPDATE_GOLDENS` is set. A mismatch panics with
 /// the first line that differs.
-pub(crate) fn check(name: &str, text: &str) {
-    check_file(&path(name), text);
-}
-
-/// [`check`] for a committed file outside `tests/data/`.
-pub(crate) fn check_file(path: &Path, text: &str) {
+pub(crate) fn check(name: impl AsRef<Path>, text: &str) {
+    let path = &path(name);
     if std::env::var_os("SARA_UPDATE_GOLDENS").is_some() {
         std::fs::write(path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         return;
