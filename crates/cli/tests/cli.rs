@@ -660,6 +660,48 @@ fn per_channel_govern_csv_matches_its_golden() {
     golden::check("govern-per-channel.csv", &stdout(&out));
 }
 
+/// A single-knob run that climbs the ladder and escalates its policy, with
+/// its pinned baseline, byte for byte: every outcome member, `beat_mhz`,
+/// `pinned_mhz` and each epoch's `bound_gbs` as JSON, and the lanes'
+/// spans as a Chrome trace. CI `cmp`s the release binary's JSON with the
+/// golden.
+#[test]
+fn escalating_govern_json_and_chrome_trace_match_their_goldens() {
+    let run = |output: &str| {
+        let out = sara(&[
+            "govern",
+            "--scenarios",
+            "adas-overload",
+            "--duration-ms",
+            "1.5",
+            "--escalate-policy",
+            "QoS-RB",
+            output,
+            "-",
+        ]);
+        assert_eq!(code(&out), 0, "{}", stderr(&out));
+        stdout(&out)
+    };
+    let json_text = run("--json");
+    golden::check("govern-escalate.json", &json_text);
+    golden::check("govern-escalate.chrome.json", &run("--chrome-trace"));
+    // The golden keeps covering both step counts.
+    let doc = json::parse(json_text.trim()).expect("govern JSON parses");
+    let actions: Vec<String> = doc.as_array().unwrap()[0]
+        .get("trace")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|e| e.get("action").and_then(Value::as_str).unwrap().to_string())
+        .collect();
+    for kind in ["up:", "policy:"] {
+        assert!(
+            actions.iter().any(|a| a.starts_with(kind)),
+            "no {kind} action in {actions:?}"
+        );
+    }
+}
+
 #[test]
 fn sweep_rejects_unordered_or_duplicate_freqs() {
     for freqs in ["1700,1333", "1333,1333"] {
