@@ -130,7 +130,7 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
             progress.line(format!(
                 "  lanes: {}",
                 governed
-                    .final_freq_per_channel
+                    .final_freq_per_channel()
                     .iter()
                     .enumerate()
                     .map(|(ch, f)| format!("ch{ch}={f} MHz"))
@@ -142,16 +142,16 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
             progress.line(format!(
                 "  static @ {} MHz: {} failing epochs, deficit {:.3} -> governed {} \
                  ({} failing, deficit {:.3})",
-                b.final_freq.as_u32(),
-                b.failing_epochs,
-                b.qos_deficit,
-                if governed.qos_deficit <= b.qos_deficit {
+                b.final_freq().as_u32(),
+                b.failing_epochs(),
+                b.qos_deficit(),
+                if governed.qos_deficit() <= b.qos_deficit() {
                     "improves"
                 } else {
                     "regresses"
                 },
-                governed.failing_epochs,
-                governed.qos_deficit
+                governed.failing_epochs(),
+                governed.qos_deficit()
             ));
         }
         runs.push((governed, baseline));

@@ -33,7 +33,7 @@ pub fn chrome_trace_value<'a>(outcomes: impl IntoIterator<Item = &'a GovernedOut
     let mut trace = ChromeTrace::new();
     for (pid, o) in outcomes.into_iter().enumerate() {
         let pid = pid as u32;
-        let lanes = o.final_freq_per_channel.len();
+        let lanes = o.final_freq_per_channel().len();
         trace.process_name(pid, &o.scenario);
         trace.thread_name(pid, GOVERNOR_TRACK, "governor");
         let lane_names: Vec<String> = (0..lanes).map(|ch| format!("ch{ch}")).collect();
@@ -107,11 +107,6 @@ pub fn chrome_trace_value<'a>(outcomes: impl IntoIterator<Item = &'a GovernedOut
     trace.to_value()
 }
 
-/// Serializes [`chrome_trace_value`] compactly.
-pub fn chrome_trace<'a>(outcomes: impl IntoIterator<Item = &'a GovernedOutcome>) -> String {
-    chrome_trace_value(outcomes).to_string_compact()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +127,7 @@ mod tests {
         let o = outcome();
         let doc = chrome_trace_value(std::slice::from_ref(&o));
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        let lanes = o.final_freq_per_channel.len();
+        let lanes = o.final_freq_per_channel().len();
         // Metadata: 1 process name + governor + one per lane.
         let meta = events
             .iter()
@@ -172,8 +167,8 @@ mod tests {
 
     #[test]
     fn export_is_deterministic_and_reparses() {
-        let a = chrome_trace(std::slice::from_ref(&outcome()));
-        let b = chrome_trace(std::slice::from_ref(&outcome()));
+        let export = || chrome_trace_value(std::slice::from_ref(&outcome())).to_string_compact();
+        let (a, b) = (export(), export());
         assert_eq!(a, b);
         let doc = ::json::parse(&a).expect("chrome trace parses");
         assert_eq!(

@@ -21,7 +21,9 @@
 //! * [`run_governed`] — the epoch loop over any declarative
 //!   [`Scenario`](sara_scenarios::Scenario), yielding a byte-deterministic
 //!   per-epoch [`EpochRecord`] trace plus the final
-//!   [`SimReport`](sara_sim::SimReport);
+//!   [`SimReport`](sara_sim::SimReport); every figure a run is judged by
+//!   ([`GovernedOutcome::freq_changes`], [`GovernedOutcome::qos_deficit`],
+//!   the final operating point, …) is read off that trace;
 //! * [`run_pinned`] — the equivalent *static* run (same beat clock, fixed
 //!   frequency) every governed run is judged against;
 //! * [`trace`] — CSV/JSON serialization of epoch traces.
@@ -41,7 +43,7 @@
 //! let spec = scenario.governor_spec();
 //! // Five 100 µs control epochs — long runs climb further.
 //! let out: GovernedOutcome = run_governed(&scenario, &spec, 0.5)?;
-//! assert!(out.freq_changes > 0, "the overload forces the ladder up");
+//! assert!(out.freq_changes() > 0, "the overload forces the ladder up");
 //! println!("{}", out.summary_line());
 //! # Ok::<(), sara_types::ConfigError>(())
 //! ```

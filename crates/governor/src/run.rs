@@ -3,7 +3,7 @@
 
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{GovernorSpec, Scenario};
-use sara_sim::{channel_bound_bytes_per_s, SimReport, Simulation};
+use sara_sim::{SimReport, Simulation};
 use sara_types::{ConfigError, Cycle, MegaHertz};
 
 use crate::controller::{Governor, GovernorAction};
@@ -16,9 +16,6 @@ pub struct EpochRecord {
     pub epoch: u32,
     /// Simulated time at the epoch's end, milliseconds.
     pub end_ms: f64,
-    /// DRAM frequency in force *during* the epoch (the fastest lane's
-    /// clock domain when per-channel control has decoupled them).
-    pub freq_mhz: u32,
     /// Effective DRAM frequency of each channel's clock domain during the
     /// epoch, in channel order.
     pub freq_per_channel: Vec<u32>,
@@ -37,8 +34,8 @@ pub struct EpochRecord {
     /// DRAM bytes transferred during the epoch.
     pub bytes: u64,
     /// Closed-form aggregate bandwidth bound at the operating point in
-    /// force during the epoch (sum over channels of the analytic
-    /// per-channel ceiling at each lane's stretched timings), GB/s.
+    /// force during the epoch, GB/s: [`sara_sim::SystemHealth::bound_gbs`],
+    /// priced from each lane's own timing set.
     pub bound_gbs: f64,
     /// The governor's decision at the epoch's end (applies to the next
     /// epoch).
@@ -48,41 +45,88 @@ pub struct EpochRecord {
     pub action_lane: Option<u8>,
 }
 
-/// Everything a governed run produces: the per-epoch trace, the final
-/// report, and the aggregate QoS accounting used to judge the run against
-/// a static baseline.
+/// Everything a governed run produces: the per-epoch trace and the final
+/// report. Every figure a governed run is judged by is read off the
+/// trace (the final boundary never actuates, so the last epoch's
+/// operating point is the one the run ended at).
 #[derive(Debug, Clone)]
 pub struct GovernedOutcome {
     /// Scenario name.
     pub scenario: String,
     /// The spec the run was governed by (after resolution).
     pub spec: GovernorSpec,
-    /// The beat clock the system was built at (ladder top ∨ scenario
-    /// nominal).
-    pub beat_freq: MegaHertz,
-    /// Per-epoch trace, in order.
+    /// Per-epoch trace, in order (at least one epoch).
     pub trace: Vec<EpochRecord>,
     /// Final full report over the whole window.
     pub report: SimReport,
-    /// Frequency in force when the run ended (fastest lane).
-    pub final_freq: MegaHertz,
-    /// Frequency of each channel's clock domain when the run ended, in
-    /// channel order — the per-lane convergence witness.
-    pub final_freq_per_channel: Vec<u32>,
-    /// Policy in force when the run ended.
-    pub final_policy: PolicyKind,
-    /// Number of frequency steps taken.
-    pub freq_changes: u32,
-    /// Number of policy escalations taken (0 or 1).
-    pub policy_changes: u32,
-    /// Epochs whose worst NPI fell below the up-threshold.
-    pub failing_epochs: u32,
-    /// Sum over epochs of `max(0, up_threshold − worst_npi)` — the
-    /// integrated QoS error, the governed-vs-static comparison metric.
-    pub qos_deficit: f64,
+}
+
+impl EpochRecord {
+    /// DRAM frequency in force *during* the epoch (the fastest lane's
+    /// clock domain when per-channel control has decoupled them).
+    pub fn freq_mhz(&self) -> u32 {
+        self.freq_per_channel
+            .iter()
+            .copied()
+            .max()
+            .expect("at least one channel")
+    }
 }
 
 impl GovernedOutcome {
+    /// The beat clock the system was built at (ladder top ∨ scenario
+    /// nominal).
+    pub fn beat_freq(&self) -> MegaHertz {
+        self.report.freq
+    }
+
+    fn last(&self) -> &EpochRecord {
+        self.trace
+            .last()
+            .expect("a governed run has at least one epoch")
+    }
+
+    /// Frequency in force when the run ended (fastest lane).
+    pub fn final_freq(&self) -> MegaHertz {
+        MegaHertz::new(self.last().freq_mhz())
+    }
+
+    /// Frequency of each channel's clock domain when the run ended, in
+    /// channel order — the per-lane convergence witness.
+    pub fn final_freq_per_channel(&self) -> &[u32] {
+        &self.last().freq_per_channel
+    }
+
+    /// Policy in force when the run ended.
+    pub fn final_policy(&self) -> PolicyKind {
+        self.last().policy
+    }
+
+    /// Number of frequency steps taken.
+    pub fn freq_changes(&self) -> u32 {
+        self.count_actions(|a| matches!(a, GovernorAction::StepUp(_) | GovernorAction::StepDown(_)))
+    }
+
+    /// Number of policy escalations taken (0 or 1).
+    pub fn policy_changes(&self) -> u32 {
+        self.count_actions(|a| matches!(a, GovernorAction::SwitchPolicy(_)))
+    }
+
+    fn count_actions(&self, kind: impl Fn(&GovernorAction) -> bool) -> u32 {
+        self.trace.iter().filter(|e| kind(&e.action)).count() as u32
+    }
+
+    /// Epochs whose worst NPI fell below the up-threshold.
+    pub fn failing_epochs(&self) -> u32 {
+        qos_accounting(&self.trace, self.spec.up_threshold).0
+    }
+
+    /// Sum over epochs of `max(0, up_threshold − worst_npi)` — the
+    /// integrated QoS error, the governed-vs-static comparison metric.
+    pub fn qos_deficit(&self) -> f64 {
+        qos_accounting(&self.trace, self.spec.up_threshold).1
+    }
+
     /// Whether every lane's frequency was constant over the last `tail`
     /// epochs (the convergence check; `tail` is clamped to the trace
     /// length).
@@ -94,25 +138,25 @@ impl GovernedOutcome {
         let tail = tail.clamp(1, n);
         let window = &self.trace[n - tail..];
         window.iter().all(|e| {
-            e.freq_mhz == window[0].freq_mhz
-                && e.freq_per_channel == window[0].freq_per_channel
+            e.freq_per_channel == window[0].freq_per_channel
                 && matches!(e.action, GovernorAction::Hold)
         })
     }
 
     /// One human-readable summary line for CLI output.
     pub fn summary_line(&self) -> String {
+        let steps = self.freq_changes();
         format!(
             "{}: {} -> {} MHz in {} step{} ({} epochs, {} failing, deficit {:.3}), policy {}",
             self.scenario,
             self.spec.start_mhz(),
-            self.final_freq.as_u32(),
-            self.freq_changes,
-            if self.freq_changes == 1 { "" } else { "s" },
+            self.final_freq().as_u32(),
+            steps,
+            if steps == 1 { "" } else { "s" },
             self.trace.len(),
-            self.failing_epochs,
-            self.qos_deficit,
-            self.final_policy.name()
+            self.failing_epochs(),
+            self.qos_deficit(),
+            self.final_policy().name()
         )
     }
 }
@@ -223,32 +267,17 @@ fn run_at_beat(
     let clock = sim.config().clock();
     let epoch_cycles = clock.cycles_from_ns(spec.epoch_us * 1e3).max(1);
     let end = Cycle::new(clock.cycles_from_ms(duration_ms));
-    // The analytic per-channel ceiling is priced at each lane's *stretched*
-    // timings: the engine keeps one beat-clock domain and rescales DRAM
-    // timings by beat/target, so the same rescale reproduces each lane's
-    // effective timing set exactly.
-    let (ref_timing, burst_bytes, beat_u, beat_hz) = {
-        let dram = &sim.config().dram;
-        (
-            dram.timing().clone(),
-            dram.burst_bytes(),
-            u64::from(beat.as_u32()),
-            f64::from(beat.as_u32()) * 1e6,
-        )
-    };
 
     let mut trace = Vec::new();
-    let mut freq_changes = 0u32;
-    let mut policy_changes = 0u32;
     let mut escalated = false;
     let mut prev_bytes = 0u64;
     let mut epoch = 0u32;
     let mut epoch_end = Cycle::new(epoch_cycles).min(end);
     loop {
-        let freq_during = sim.effective_dram_freq();
-        let freqs_during: Vec<u32> = sim.channel_freqs().iter().map(|f| f.as_u32()).collect();
-        let policy_during = sim.config().policy;
         sim.advance_until(epoch_end);
+        // Nothing re-clocks or re-schedules the platform during an
+        // advance, so the snapshot's clocks, policy and bound are the
+        // operating point the epoch ran under.
         let health = sim.health();
         let worst = health.worst_npi();
         // An epoch-end action governs the *next* epoch; at the final
@@ -281,13 +310,10 @@ fn run_at_beat(
         };
         match action {
             GovernorAction::Hold => {}
-            GovernorAction::StepUp(f) | GovernorAction::StepDown(f) => {
-                match action_lane {
-                    Some(ch) => sim.set_channel_freq(ch as usize, f)?,
-                    None => sim.set_dram_freq(f)?,
-                }
-                freq_changes += 1;
-            }
+            GovernorAction::StepUp(f) | GovernorAction::StepDown(f) => match action_lane {
+                Some(ch) => sim.set_channel_freq(ch as usize, f)?,
+                None => sim.set_dram_freq(f)?,
+            },
             GovernorAction::SwitchPolicy(p) => {
                 // The scheduling policy is a platform-wide actuator: the
                 // first lane to exhaust its ladder escalates, later
@@ -297,27 +323,14 @@ fn run_at_beat(
                 } else {
                     escalated = true;
                     sim.set_policy(p);
-                    policy_changes += 1;
                 }
             }
         }
-        let bound_gbs = freqs_during
-            .iter()
-            .map(|&f| {
-                channel_bound_bytes_per_s(
-                    &ref_timing.rescaled(beat_u, u64::from(f)),
-                    burst_bytes,
-                    beat_hz,
-                )
-            })
-            .sum::<f64>()
-            / 1e9;
         trace.push(EpochRecord {
             epoch,
             end_ms: clock.ns_from_cycles(epoch_end.as_u64()) / 1e6,
-            freq_mhz: freq_during.as_u32(),
-            freq_per_channel: freqs_during,
-            policy: policy_during,
+            freq_per_channel: health.freq_per_channel.iter().map(|f| f.as_u32()).collect(),
+            policy: health.policy,
             worst_npi: worst.clamp(0.0, 10.0),
             failing_dmas: health.failing(spec.up_threshold) as u32,
             mc_occupancy: health.mc_occupancy as u32,
@@ -327,7 +340,7 @@ fn run_at_beat(
                 .map(|&q| q as u32)
                 .collect(),
             bytes: health.dram_bytes - prev_bytes,
-            bound_gbs,
+            bound_gbs: health.bound_gbs,
             action,
             action_lane: match action {
                 GovernorAction::Hold => None,
@@ -343,21 +356,11 @@ fn run_at_beat(
         epoch_end = (epoch_end + epoch_cycles).min(end);
     }
 
-    let report = sim.report();
-    let (failing_epochs, qos_deficit) = qos_accounting(&trace, spec.up_threshold);
     Ok(GovernedOutcome {
         scenario: scenario.name.clone(),
         spec: spec.clone(),
-        beat_freq: beat,
-        final_freq: sim.effective_dram_freq(),
-        final_freq_per_channel: sim.channel_freqs().iter().map(|f| f.as_u32()).collect(),
-        final_policy: report.policy,
         trace,
-        report,
-        freq_changes,
-        policy_changes,
-        failing_epochs,
-        qos_deficit,
+        report: sim.report(),
     })
 }
 
@@ -401,8 +404,8 @@ mod tests {
         let a = run_governed(&s, &spec, 0.8).unwrap();
         let b = run_governed(&s, &spec, 0.8).unwrap();
         assert_eq!(a.trace, b.trace);
-        assert_eq!(a.freq_changes, b.freq_changes);
-        assert_eq!(a.qos_deficit, b.qos_deficit);
+        assert_eq!(a.freq_changes(), b.freq_changes());
+        assert_eq!(a.qos_deficit(), b.qos_deficit());
     }
 
     #[test]
@@ -419,7 +422,7 @@ mod tests {
         for (i, e) in out.trace.iter().enumerate() {
             assert_eq!(e.epoch as usize, i);
         }
-        assert_eq!(out.beat_freq.as_u32(), 1600);
+        assert_eq!(out.beat_freq().as_u32(), 1600);
     }
 
     #[test]
@@ -427,10 +430,10 @@ mod tests {
         let s = catalog::by_name("adas").unwrap();
         let spec = short_spec(vec![1120, 1360, 1600]);
         let out = run_pinned(&s, &spec, MegaHertz::new(1120), 0.6).unwrap();
-        assert_eq!(out.freq_changes, 0);
-        assert!(out.trace.iter().all(|e| e.freq_mhz == 1120));
+        assert_eq!(out.freq_changes(), 0);
+        assert!(out.trace.iter().all(|e| e.freq_mhz() == 1120));
         // Built at the governed run's beat clock for a fair comparison.
-        assert_eq!(out.beat_freq.as_u32(), 1600);
+        assert_eq!(out.beat_freq().as_u32(), 1600);
     }
 
     #[test]

@@ -9,119 +9,94 @@ use sara_scenarios::csv_field;
 
 use crate::run::{EpochRecord, GovernedOutcome};
 
-fn cell(v: f64) -> String {
-    format!("{v}")
+/// An epoch member: its key and how it reads off the record.
+type Member = (&'static str, fn(&EpochRecord) -> Value);
+
+/// One epoch's members in emission order: the one list the JSON object,
+/// the CSV header and every CSV row are rendered from. The
+/// `*_per_channel` members hold one value per DRAM channel in channel
+/// order; `action_lane` names the channel a per-channel action applied
+/// to (`null` for the single knob and for holds); `bound_gbs` is the
+/// epoch's analytic bandwidth bound in GB/s.
+const EPOCH_MEMBERS: [Member; 13] = [
+    ("epoch", |e| e.epoch.into()),
+    ("end_ms", |e| e.end_ms.into()),
+    ("freq_mhz", |e| e.freq_mhz().into()),
+    ("freq_per_channel", |e| e.freq_per_channel.clone().into()),
+    ("policy", |e| e.policy.name().into()),
+    ("worst_npi", |e| e.worst_npi.into()),
+    ("failing_dmas", |e| e.failing_dmas.into()),
+    ("mc_occupancy", |e| e.mc_occupancy.into()),
+    ("queued_per_channel", |e| {
+        e.queued_per_channel.clone().into()
+    }),
+    ("bytes", |e| e.bytes.into()),
+    ("action", |e| e.action.label().into()),
+    ("action_lane", |e| {
+        e.action_lane.map_or(Value::Null, |ch| u64::from(ch).into())
+    }),
+    ("bound_gbs", |e| e.bound_gbs.into()),
+];
+
+/// The CSV header shared by every epoch-trace row: `scenario`, then the
+/// epoch members, with `bound_gbs` spelled `bound`.
+fn csv_header() -> String {
+    let columns = EPOCH_MEMBERS.map(|(key, _)| if key == "bound_gbs" { "bound" } else { key });
+    format!("scenario,{}\n", columns.join(","))
 }
 
-/// Packs a per-channel vector into one rectangular CSV cell
-/// (semicolon-joined, channel order), so the header stays fixed whatever
-/// the device geometry.
-fn lanes_cell<T: std::fmt::Display>(values: &[T]) -> String {
-    values
-        .iter()
-        .map(T::to_string)
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-/// The CSV header shared by every epoch-trace row. The `*_per_channel`
-/// columns pack one value per DRAM channel, semicolon-joined in channel
-/// order; `action_lane` names the channel a per-channel action applied to
-/// (`-` for the single knob and for holds); `bound` is the epoch's
-/// analytic bandwidth bound in GB/s.
-pub const TRACE_CSV_HEADER: &str = "scenario,epoch,end_ms,freq_mhz,freq_per_channel,policy,\
-     worst_npi,failing_dmas,mc_occupancy,queued_per_channel,bytes,action,action_lane,bound";
-
-fn epoch_row(scenario: &str, e: &EpochRecord) -> String {
-    format!(
-        "{scenario},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-        e.epoch,
-        cell(e.end_ms),
-        e.freq_mhz,
-        lanes_cell(&e.freq_per_channel),
-        e.policy.name(),
-        cell(e.worst_npi),
-        e.failing_dmas,
-        e.mc_occupancy,
-        lanes_cell(&e.queued_per_channel),
-        e.bytes,
-        e.action.label(),
-        match e.action_lane {
-            Some(ch) => ch.to_string(),
-            None => "-".to_string(),
-        },
-        cell(e.bound_gbs)
-    )
+/// One member as a CSV cell: a per-channel array packs into one
+/// semicolon-joined cell (so the header stays fixed whatever the device
+/// geometry), `null` reads `-`, floats print shortest round-trip.
+fn csv_cell(v: &Value) -> String {
+    match v {
+        Value::Null => "-".to_string(),
+        Value::UInt(u) => u.to_string(),
+        Value::Float(f) => format!("{f}"),
+        Value::Str(s) => s.clone(),
+        Value::Array(items) => items.iter().map(csv_cell).collect::<Vec<_>>().join(";"),
+        other => unreachable!("no epoch member is {other:?}"),
+    }
 }
 
 /// Serializes governed runs as CSV: one row per (scenario, epoch).
 /// Borrow-based so callers holding `(outcome, baseline)` pairs can feed
 /// it without cloning traces.
 pub fn trace_csv<'a>(outcomes: impl IntoIterator<Item = &'a GovernedOutcome>) -> String {
-    let mut out = format!("{TRACE_CSV_HEADER}\n");
+    let mut out = csv_header();
     for o in outcomes {
         let scenario = csv_field(&o.scenario);
         for e in &o.trace {
-            out.push_str(&epoch_row(&scenario, e));
+            let cells = EPOCH_MEMBERS.map(|(_, value)| csv_cell(&value(e)));
+            out.push_str(&format!("{scenario},{}\n", cells.join(",")));
         }
     }
     out
 }
 
 fn epoch_value(e: &EpochRecord) -> Value {
-    Value::Object(vec![
-        ("epoch".to_string(), e.epoch.into()),
-        ("end_ms".to_string(), e.end_ms.into()),
-        ("freq_mhz".to_string(), e.freq_mhz.into()),
-        (
-            "freq_per_channel".to_string(),
-            Value::Array(e.freq_per_channel.iter().map(|&f| Value::from(f)).collect()),
-        ),
-        ("policy".to_string(), e.policy.name().into()),
-        ("worst_npi".to_string(), e.worst_npi.into()),
-        ("failing_dmas".to_string(), e.failing_dmas.into()),
-        ("mc_occupancy".to_string(), e.mc_occupancy.into()),
-        (
-            "queued_per_channel".to_string(),
-            Value::Array(
-                e.queued_per_channel
-                    .iter()
-                    .map(|&q| Value::from(q))
-                    .collect(),
-            ),
-        ),
-        ("bytes".to_string(), e.bytes.into()),
-        ("action".to_string(), e.action.label().into()),
-        (
-            "action_lane".to_string(),
-            match e.action_lane {
-                Some(ch) => Value::from(u64::from(ch)),
-                None => Value::Null,
-            },
-        ),
-        ("bound_gbs".to_string(), e.bound_gbs.into()),
-    ])
+    Value::Object(
+        EPOCH_MEMBERS
+            .iter()
+            .map(|(key, value)| (key.to_string(), value(e)))
+            .collect(),
+    )
 }
 
 /// Aggregate QoS accounting of a run as a JSON node (shared between the
 /// governed result and its static baseline).
 fn outcome_value(o: &GovernedOutcome) -> Value {
     Value::Object(vec![
-        ("final_mhz".to_string(), o.final_freq.as_u32().into()),
+        ("final_mhz".to_string(), o.final_freq().as_u32().into()),
         (
             "final_mhz_per_channel".to_string(),
-            Value::Array(
-                o.final_freq_per_channel
-                    .iter()
-                    .map(|&f| Value::from(f))
-                    .collect(),
-            ),
+            o.final_freq_per_channel().to_vec().into(),
         ),
-        ("final_policy".to_string(), o.final_policy.name().into()),
-        ("freq_changes".to_string(), o.freq_changes.into()),
-        ("policy_changes".to_string(), o.policy_changes.into()),
-        ("failing_epochs".to_string(), o.failing_epochs.into()),
-        ("qos_deficit".to_string(), o.qos_deficit.into()),
+        ("final_policy".to_string(), o.final_policy().name().into()),
+        ("freq_changes".to_string(), o.freq_changes().into()),
+        ("policy_changes".to_string(), o.policy_changes().into()),
+        ("failing_epochs".to_string(), o.failing_epochs().into()),
+        ("qos_deficit".to_string(), o.qos_deficit().into()),
         (
             "failed_cores".to_string(),
             Value::Array(
@@ -140,12 +115,9 @@ fn outcome_value(o: &GovernedOutcome) -> Value {
 pub fn governed_value(o: &GovernedOutcome, baseline: Option<&GovernedOutcome>) -> Value {
     let mut members = vec![
         ("scenario".to_string(), o.scenario.as_str().into()),
-        ("beat_mhz".to_string(), o.beat_freq.as_u32().into()),
+        ("beat_mhz".to_string(), o.beat_freq().as_u32().into()),
         ("epoch_us".to_string(), o.spec.epoch_us.into()),
-        (
-            "ladder_mhz".to_string(),
-            Value::Array(o.spec.ladder_mhz.iter().map(|&f| Value::from(f)).collect()),
-        ),
+        ("ladder_mhz".to_string(), o.spec.ladder_mhz.clone().into()),
         ("start_mhz".to_string(), o.spec.start_mhz().into()),
         ("up_threshold".to_string(), o.spec.up_threshold.into()),
         ("down_threshold".to_string(), o.spec.down_threshold.into()),
@@ -168,7 +140,7 @@ pub fn governed_value(o: &GovernedOutcome, baseline: Option<&GovernedOutcome>) -
         members.push((
             "baseline".to_string(),
             Value::Object(vec![
-                ("pinned_mhz".to_string(), b.final_freq.as_u32().into()),
+                ("pinned_mhz".to_string(), b.final_freq().as_u32().into()),
                 ("outcome".to_string(), outcome_value(b)),
             ]),
         ));
@@ -208,7 +180,7 @@ mod tests {
         let csv = trace_csv(std::slice::from_ref(&o));
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), o.trace.len() + 1);
-        assert_eq!(lines[0], TRACE_CSV_HEADER);
+        assert_eq!(lines[0], csv_header().trim_end());
         let cols = lines[0].split(',').count();
         assert!(lines.iter().all(|l| l.split(',').count() == cols));
         assert!(lines[1].starts_with("adas,0,"));
@@ -222,7 +194,7 @@ mod tests {
         }
         // A lower operating point can never have a higher bound.
         for pair in o.trace.windows(2) {
-            if pair[1].freq_mhz < pair[0].freq_mhz
+            if pair[1].freq_mhz() < pair[0].freq_mhz()
                 && pair[1]
                     .freq_per_channel
                     .iter()
@@ -247,7 +219,7 @@ mod tests {
         assert_eq!(trace.len(), o.trace.len());
         assert_eq!(
             trace[0].get("freq_mhz").and_then(Value::as_u64),
-            Some(u64::from(o.trace[0].freq_mhz))
+            Some(u64::from(o.trace[0].freq_mhz()))
         );
         assert!(run.get("baseline").is_some());
         assert!(run

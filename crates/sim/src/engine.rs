@@ -46,6 +46,7 @@
 //! within a few cycles of the current one, so an insert is a short
 //! `memmove`.
 
+use sara_analytic::channel_bound_bytes_per_s;
 use sara_dram::{AddressMap, ChannelStats, Dram, DramStats};
 use sara_memctrl::{AdmissionControl, ChannelController, Completion, McStats, PolicyKind};
 use sara_noc::Noc;
@@ -634,36 +635,35 @@ impl Simulation {
     }
 
     /// A cheap live health snapshot: per-DMA live NPI + worst sampled NPI
-    /// since the last [`Simulation::mark_epoch`], stamped priorities,
-    /// controller queue depths and effective frequency per channel, and
-    /// the DRAM byte counter. The governor's sensor.
+    /// since the last [`Simulation::mark_epoch`], controller queue depths,
+    /// each channel's effective frequency and the analytic bandwidth bound
+    /// priced from each channel's own current timing set, the policy in
+    /// force, and the DRAM byte counter. The governor's sensor.
     pub fn health(&self) -> SystemHealth {
         let now = self.now;
         let dmas = self
             .dmas
             .iter()
-            .enumerate()
-            .map(|(i, dma)| {
-                let snap = dma.adapter.snapshot(now);
-                DmaHealth {
-                    dma: i,
-                    core: dma.core,
-                    class: dma.class,
-                    npi: snap.npi.as_f64(),
-                    epoch_floor: self.epoch_floor[i],
-                    priority: snap.priority.as_u8(),
-                    inflight: dma.inflight,
-                }
+            .zip(&self.epoch_floor)
+            .map(|(dma, &epoch_floor)| DmaHealth {
+                npi: dma.adapter.snapshot(now).npi.as_f64(),
+                epoch_floor,
             })
             .collect();
+        let burst_bytes = self.cfg.dram.burst_bytes();
+        let beat_hz = f64::from(self.cfg.freq.as_u32()) * 1e6;
         SystemHealth {
-            now,
             dmas,
             mc_occupancy: self.front.occupancy(),
             queued_per_channel: self.lanes.iter().map(|lane| lane.ctrl.queued()).collect(),
             freq_per_channel: self.channel_freqs(),
+            bound_gbs: self
+                .lanes
+                .iter()
+                .map(|lane| channel_bound_bytes_per_s(lane.chan.timing(), burst_bytes, beat_hz))
+                .sum::<f64>()
+                / 1e9,
             dram_bytes: self.dram_bytes(),
-            effective_freq: self.effective_dram_freq(),
             policy: self.cfg.policy,
         }
     }

@@ -3,34 +3,26 @@
 //!
 //! Unlike [`SimReport`](crate::SimReport) — a full post-mortem built from
 //! the complete sample history — a [`SystemHealth`] is a cheap instant
-//! view: per-DMA live NPI (via [`sara_core::SelfAwareDma::snapshot`]),
-//! the worst NPI *sampled* since the last epoch mark, stamped priorities,
-//! queue depths in the memory controller, and the cumulative DRAM byte
+//! view: per-DMA live NPI (via [`sara_core::SelfAwareDma::snapshot`]) and
+//! the worst NPI *sampled* since the last epoch mark, queue depths in the
+//! memory controller, each channel's clock and the analytic bandwidth
+//! bound they price, the scheduling policy, and the cumulative DRAM byte
 //! counter. Everything a closed-loop controller needs, nothing it has to
 //! pay a report build for.
 
 use sara_memctrl::PolicyKind;
-use sara_types::{CoreClass, CoreKind, Cycle, MegaHertz};
+use sara_types::MegaHertz;
 
-/// Health of one DMA engine at a snapshot instant.
+/// Health of one DMA engine at a snapshot instant (its identity is its
+/// index in [`SystemHealth::dmas`], the workload order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DmaHealth {
-    /// Index in workload order: the order of the DMAs in `SystemConfig::cores`.
-    pub dma: usize,
-    /// Owning core.
-    pub core: CoreKind,
-    /// Traffic class.
-    pub class: CoreClass,
     /// Live NPI at the snapshot instant.
     pub npi: f64,
     /// Worst NPI recorded by the periodic sampler since the last
     /// [`crate::Simulation::mark_epoch`] (`f64::INFINITY` when no sample
     /// fell inside the window).
     pub epoch_floor: f64,
-    /// Priority level currently stamped on outgoing transactions.
-    pub priority: u8,
-    /// Transactions currently in flight.
-    pub inflight: usize,
 }
 
 impl DmaHealth {
@@ -44,8 +36,6 @@ impl DmaHealth {
 /// An instant health snapshot of the whole simulated system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemHealth {
-    /// Snapshot time.
-    pub now: Cycle,
     /// Per-DMA health, in workload order.
     pub dmas: Vec<DmaHealth>,
     /// Transactions queued in the memory controller.
@@ -55,11 +45,13 @@ pub struct SystemHealth {
     /// Effective DRAM frequency of each channel's clock domain, in
     /// channel order (all equal until per-channel DVFS decouples them).
     pub freq_per_channel: Vec<MegaHertz>,
+    /// Closed-form aggregate bandwidth bound at these clocks: the sum over
+    /// channels of the analytic per-channel ceiling
+    /// ([`sara_analytic::channel_bound_bytes_per_s`]) at each channel's
+    /// own current timing set, GB/s.
+    pub bound_gbs: f64,
     /// Cumulative DRAM bytes transferred (reads + writes).
     pub dram_bytes: u64,
-    /// Effective DRAM frequency of the fastest lane (≤ the beat clock
-    /// under online DVFS).
-    pub effective_freq: MegaHertz,
     /// Scheduling policy currently in force.
     pub policy: PolicyKind,
 }
@@ -85,16 +77,8 @@ impl SystemHealth {
 mod tests {
     use super::*;
 
-    fn dma(npi: f64, floor: f64) -> DmaHealth {
-        DmaHealth {
-            dma: 0,
-            core: CoreKind::Cpu,
-            class: CoreClass::Cpu,
-            npi,
-            epoch_floor: floor,
-            priority: 0,
-            inflight: 0,
-        }
+    fn dma(npi: f64, epoch_floor: f64) -> DmaHealth {
+        DmaHealth { npi, epoch_floor }
     }
 
     #[test]
@@ -106,13 +90,12 @@ mod tests {
     #[test]
     fn system_aggregates_minimum_and_failing_count() {
         let h = SystemHealth {
-            now: Cycle::ZERO,
             dmas: vec![dma(1.2, 1.1), dma(0.9, 0.6), dma(2.0, f64::INFINITY)],
             mc_occupancy: 0,
             queued_per_channel: vec![0, 0],
             freq_per_channel: vec![MegaHertz::new(1866); 2],
+            bound_gbs: 0.0,
             dram_bytes: 0,
-            effective_freq: MegaHertz::new(1866),
             policy: PolicyKind::Priority,
         };
         assert_eq!(h.worst_npi(), 0.6);

@@ -16,8 +16,11 @@
 //! * [`experiment`] — the per-report projections behind the paper's
 //!   sweeps, each with its CSV and JSON forms (the cells run through
 //!   `sara-scenarios`),
-//! * [`SystemHealth`] — the live snapshot API ([`Simulation::health`])
-//!   and the online actuators ([`Simulation::set_dram_freq`],
+//! * [`SystemHealth`] — the live snapshot API ([`Simulation::health`]:
+//!   per-DMA live NPI and sampled floor, queue depths, each channel's
+//!   clock and the analytic bandwidth bound it prices, the policy and the
+//!   DRAM byte counter) and the online actuators
+//!   ([`Simulation::set_dram_freq`], [`Simulation::set_channel_freq`],
 //!   [`Simulation::set_policy`]) that the `sara-governor` closed loop
 //!   drives at every control epoch,
 //! * [`json`] — machine-comparable report serialization
@@ -99,5 +102,5 @@ pub use engine::Simulation;
 pub use health::{DmaHealth, SystemHealth};
 pub use report::{CoreReport, SimReport, FAIL_THRESHOLD};
 pub use sampling::MAX_LEVELS;
-pub use sara_analytic::{channel_bound_bytes_per_s, AnalyticReport, ScreenVerdict};
+pub use sara_analytic::{AnalyticReport, ScreenVerdict};
 pub use telemetry::{SimTelemetry, TelemetryReport};
