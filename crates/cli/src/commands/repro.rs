@@ -15,9 +15,9 @@ use sara_memctrl::{McConfig, PolicyKind, NUM_QUEUES};
 use sara_scenarios::{
     catalog, expand_cells, run_systems, summarize_cells, CellOutcome, CellProfile, MatrixSpec,
 };
-use sara_sim::experiment::{DvfsPoint, FreqPoint};
+use sara_sim::experiment::DvfsPoint;
 use sara_sim::{CoreReport, SimReport, SystemConfig, MAX_LEVELS};
-use sara_types::{Clock, ConfigError, CoreClass, CoreKind, MegaHertz, Priority, PriorityBits};
+use sara_types::{ConfigError, CoreClass, CoreKind, MegaHertz, Priority, PriorityBits};
 use sara_workloads::{MeterSpec, TrafficSpec};
 
 use crate::args::{positive, Args, CliError};
@@ -234,11 +234,14 @@ static TARGETS: [Target; 11] = [
                 reaching a priority-7-dominated distribution at 1300 MHz, while the core's \
                 average bandwidth stays above target",
         claims: |r| {
-            let (low, high) = (image_processor(&r[0].1), image_processor(&r[r.len() - 1].1));
-            let p0 = |p: &FreqPoint| p.residency[0] * 100.0;
-            let urgent = |p: &FreqPoint, from| p.residency[from..].iter().sum::<f64>() * 100.0;
+            let (low_run, high_run) = (&r[0].1, &r[r.len() - 1].1);
+            let (low, high) = (image_processor(low_run), image_processor(high_run));
+            let low_bytes_per_s = bytes_per_s(low_run, low);
+            let p0 = |p: &CoreReport| p.priority_residency[0] * 100.0;
+            let urgent =
+                |p: &CoreReport, from| p.priority_residency[from..].iter().sum::<f64>() * 100.0;
             let shift = |from| {
-                let (low, high) = (urgent(&low, from), urgent(&high, from));
+                let (low, high) = (urgent(low, from), urgent(high, from));
                 let text = format!(
                     "Fig 7: more urgent (P{from}+) time at 1300 ({low:.0}%) than 1700 \
                      ({high:.0}%)"
@@ -255,10 +258,10 @@ static TARGETS: [Target; 11] = [
                 Claim::new(
                     format!(
                         "Fig 7: more relaxed (P0) time at 1700 ({:.0}%) than 1300 ({:.0}%)",
-                        p0(&high),
-                        p0(&low)
+                        p0(high),
+                        p0(low)
                     ),
-                    p0(&high) > p0(&low),
+                    p0(high) > p0(low),
                 ),
                 shift(4),
                 shift(3),
@@ -266,10 +269,10 @@ static TARGETS: [Target; 11] = [
                     format!(
                         "Fig 7: image processor average bandwidth at 1300 ({:.2} GB/s) stays \
                          near target ({:.2} GB/s)",
-                        low.core_bytes_per_s / 1e9,
+                        low_bytes_per_s / 1e9,
                         demand / 1e9
                     ),
-                    low.core_bytes_per_s > demand * 0.95,
+                    low_bytes_per_s > demand * 0.95,
                 ),
             ]
         },
@@ -525,8 +528,13 @@ fn core_report(report: &SimReport, kind: CoreKind) -> &CoreReport {
     report.core(kind).expect("core active in this test case")
 }
 
-fn image_processor(report: &SimReport) -> FreqPoint {
-    FreqPoint::from_report(report, ImageProcessor).expect("image processor in case A")
+fn image_processor(report: &SimReport) -> &CoreReport {
+    core_report(report, ImageProcessor)
+}
+
+/// `core`'s average delivered bandwidth over `report`'s window, bytes/s.
+fn bytes_per_s(report: &SimReport, core: &CoreReport) -> f64 {
+    core.bytes as f64 / (report.elapsed_ms / 1e3)
 }
 
 /// Under `policy`, `kind` misses ([`MISSES`]) or meets ([`MEETS`]) its target.
@@ -700,8 +708,7 @@ fn npi_figure(
     for (_, r) in reports {
         let Some(dir) = out else { break };
         let path = dir.join(format!("{}_{}.csv", t.name, r.policy.name().to_lowercase()));
-        r.write_npi_csv(&path, Clock::new(r.freq))
-            .map_err(|e| io_failure(&path, e))?;
+        r.write_npi_csv(&path).map_err(|e| io_failure(&path, e))?;
         let _ = writeln!(text, "wrote {}", path.display());
     }
     Ok(text)
@@ -710,21 +717,32 @@ fn npi_figure(
 /// Fig. 7: the image processor's priority residency per frequency, one
 /// row each, and the same points as `fig7.csv`.
 fn fig7(_: &Target, reports: &Reports, out: Option<&Path>) -> Result<String, CliError> {
-    let points: Vec<FreqPoint> = reports.iter().map(|(_, r)| image_processor(r)).collect();
     let mut text = format!("{:<10}", "freq");
+    let mut csv = String::from("freq_mhz,min_npi,core_bytes_per_s,system_bandwidth_gbs");
     for level in 0..MAX_LEVELS {
         let _ = write!(text, " {:>6}", format!("P{level}"));
+        let _ = write!(csv, ",residency_p{level}");
     }
     let _ = writeln!(text, "  {:>7} {:>9}", "minNPI", "coreGB/s");
-    let mut csv = FreqPoint::csv_header() + "\n";
-    for p in &points {
-        let _ = write!(text, "{:<10}", p.freq.to_string());
-        for level in 0..MAX_LEVELS {
-            let _ = write!(text, " {:>5.1}%", p.residency[level] * 100.0);
+    csv.push('\n');
+    for (_, r) in reports {
+        let p = image_processor(r);
+        let core_bytes_per_s = bytes_per_s(r, p);
+        let _ = write!(text, "{:<10}", r.freq.to_string());
+        let _ = write!(
+            csv,
+            "{},{},{core_bytes_per_s},{}",
+            r.freq.as_u32(),
+            p.min_npi,
+            r.bandwidth_gbs
+        );
+        for residency in p.priority_residency {
+            let _ = write!(text, " {:>5.1}%", residency * 100.0);
+            let _ = write!(csv, ",{residency}");
         }
-        let gbs = p.core_bytes_per_s / 1e9;
+        let gbs = core_bytes_per_s / 1e9;
         let _ = writeln!(text, "  {:>7.3} {gbs:>9.2}", p.min_npi);
-        csv += &(p.csv_row() + "\n");
+        csv.push('\n');
     }
     if let Some(dir) = out {
         text += &write_plot(dir.join("fig7.csv"), &csv)?;
@@ -922,7 +940,7 @@ mod tests {
         let figure = |name, policy| {
             let target = TARGETS.iter().find(|t| t.name == name).unwrap();
             let mut systems = (target.cells)().into_iter().map(|(_, s)| s);
-            systems.find(|s| s.policy == policy).unwrap()
+            systems.find(|s| s.policy() == policy).unwrap()
         };
         let (qos, qos_rb) = (figure("fig5", Qos), figure("fig8", QosRb));
         let ablations: Vec<&Target> = TARGETS.iter().filter(|t| t.name == "ablations").collect();

@@ -6,26 +6,6 @@ use crate::meter::{BoxedMeter, PerformanceMeter};
 use crate::npi::Npi;
 use crate::priority_map::PriorityMap;
 
-/// One DMA's health as read by an external observer (the governor's
-/// snapshot API): the live meter reading alongside the stamped state.
-///
-/// `npi` is the meter evaluated *at the snapshot instant*, which may be
-/// fresher than the NPI backing `priority`/`urgent` (those change only at
-/// the adaptation points — inject, complete, periodic refresh). Taking a
-/// snapshot never restamps the priority, so observation is side-effect
-/// free.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthSnapshot {
-    /// Live NPI at the snapshot instant.
-    pub npi: Npi,
-    /// NPI at the last adaptation refresh (what the priority is based on).
-    pub stamped_npi: Npi,
-    /// Priority level currently stamped on outgoing transactions.
-    pub priority: Priority,
-    /// Frame-urgency flag as of the last refresh.
-    pub urgent: bool,
-}
-
 /// The self-aware adaptation unit of one DMA: couples a performance meter
 /// with an NPI→priority look-up table and stamps the resulting level (and
 /// the frame-urgency flag used by the DAC'12 baseline) onto outgoing
@@ -97,18 +77,6 @@ impl SelfAwareDma {
         self.last_npi
     }
 
-    /// A side-effect-free health readout at `now`: the live meter value
-    /// plus the stamped adaptation state (see [`HealthSnapshot`]). This is
-    /// the per-DMA signal the online governor aggregates each epoch.
-    pub fn snapshot(&self, now: Cycle) -> HealthSnapshot {
-        HealthSnapshot {
-            npi: self.meter.npi(now),
-            stamped_npi: self.last_npi,
-            priority: self.current,
-            urgent: self.is_urgent(),
-        }
-    }
-
     /// Frame-urgency flag for the frame-rate QoS baseline: the core is
     /// urgent when it runs behind target (NPI < 1).
     #[inline]
@@ -116,14 +84,10 @@ impl SelfAwareDma {
         !self.last_npi.is_met()
     }
 
-    /// Access to the underlying meter (reports, assertions).
+    /// Access to the underlying meter: its live NPI at any instant, read
+    /// without restamping the priority (the governor's health sensor).
     pub fn meter(&self) -> &dyn PerformanceMeter {
         self.meter.as_ref()
-    }
-
-    /// The priority map in use.
-    pub fn priority_map(&self) -> &PriorityMap {
-        &self.map
     }
 }
 
@@ -167,23 +131,14 @@ mod tests {
         );
         dma.refresh(Cycle::ZERO);
         let stamped = dma.priority();
-        let _live = dma.meter().npi(Cycle::new(900));
-        assert_eq!(dma.priority(), stamped);
-    }
-
-    #[test]
-    fn snapshot_reads_live_without_restamping() {
-        let mut dma = SelfAwareDma::new(
-            Box::new(FrameProgressMeter::new(1000, 1000)),
-            PriorityMap::paper_default(),
+        let live = dma.meter().npi(Cycle::new(900));
+        assert!(live.as_f64() < 1.0, "live meter sees the stall");
+        assert!(dma.npi().is_met(), "the stamped NPI is the refresh's");
+        assert_eq!(
+            dma.priority(),
+            stamped,
+            "reading the meter is side-effect free"
         );
-        dma.refresh(Cycle::ZERO);
-        let stamped = dma.priority();
-        let snap = dma.snapshot(Cycle::new(900));
-        assert!(snap.npi.as_f64() < 1.0, "live meter sees the stall");
-        assert_eq!(snap.stamped_npi, dma.npi());
-        assert_eq!(snap.priority, stamped);
-        assert_eq!(dma.priority(), stamped, "snapshot is side-effect free");
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod meter;
 mod npi;
 mod priority_map;
 
-pub use adaptation::{HealthSnapshot, SelfAwareDma};
+pub use adaptation::SelfAwareDma;
 pub use meter::{
     BandwidthMeter, BoxedMeter, BufferDirection, FrameProgressMeter, LatencyMeter, OccupancyMeter,
     PerformanceMeter, WorkUnitMeter,

@@ -288,7 +288,7 @@ mod tests {
     fn every_scenario_lowers_onto_a_config() {
         for s in builtin() {
             let cfg = s.config().unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert_eq!(cfg.freq, s.freq, "{}", s.name);
+            assert_eq!(cfg.freq(), s.freq, "{}", s.name);
             assert!(s.dma_count() >= 5, "{} too trivial", s.name);
         }
     }

@@ -24,7 +24,7 @@ pub fn analytic_report(cfg: &SystemConfig) -> AnalyticReport {
         bytes_per_beat: cfg.dram.bytes_per_beat(),
         row_bytes: cfg.dram.row_bytes(),
         burst_bytes: cfg.dram.burst_bytes(),
-        freq: cfg.freq,
+        freq: cfg.freq(),
         cores: &cfg.cores,
         admit_latency: ADMIT_LATENCY,
         read_response_latency: READ_RESPONSE_LATENCY,

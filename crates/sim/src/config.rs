@@ -54,28 +54,24 @@ pub(crate) fn arbiter_for(policy: PolicyKind) -> ArbiterKind {
 ///     SystemConfig::DEFAULT_SEED,
 ///     SystemConfig::DEFAULT_CHANNELS,
 /// )?;
-/// assert_eq!(cfg.freq.as_u32(), 1866);
-/// assert!(cfg.frame_period_cycles > 60_000_000); // 33.3 ms at 1866 MHz
+/// assert_eq!(cfg.freq().as_u32(), 1866);
+/// assert!(cfg.frame_period_cycles() > 60_000_000); // 33.3 ms at 1866 MHz
 /// # Ok::<(), sara_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
-    /// DRAM I/O frequency (also the simulation beat clock).
-    pub freq: MegaHertz,
-    /// Memory scheduling policy (the NoC arbiters follow it).
-    pub policy: PolicyKind,
     /// The workload.
     pub cores: Vec<CoreSpec>,
-    /// Frame period in cycles (camcorder default: 1/30 s).
-    pub frame_period_cycles: u64,
+    /// Frame period in nanoseconds (camcorder default: 1/30 s).
+    pub frame_period_ns: f64,
     /// On-chip network configuration.
     pub noc: NocConfig,
-    /// Memory-controller configuration.
+    /// Memory-controller configuration; its policy is the system's
+    /// scheduling policy.
     pub mc: McConfig,
-    /// DRAM configuration (frequency must match `freq`).
+    /// DRAM configuration; its I/O frequency is the simulation beat clock
+    /// and its channel count picks the address interleave.
     pub dram: DramConfig,
-    /// Address interleaving.
-    pub interleave: Interleave,
     /// Master seed for all stochastic generators.
     pub seed: u64,
     /// Priority encoding width k (the paper uses 3 bits; the ablation
@@ -115,10 +111,8 @@ impl SystemConfig {
                 "frame period must be positive, got {frame_period_ns} ns"
             )));
         }
-        let frame_period_cycles = Clock::new(freq).cycles_from_ns(frame_period_ns).max(1);
         // Table 1 is a 2-channel part; wider configs re-derive the same
-        // geometry per channel and adopt the channel-skewed map so strided
-        // traffic cannot camp on one lane.
+        // geometry per channel (and `interleave` skews their map).
         let dram = if channels == 2 {
             DramConfig::table1(freq)
         } else {
@@ -127,28 +121,45 @@ impl SystemConfig {
                 .io_freq(freq)
                 .build()?
         };
-        let interleave = if channels > 2 {
-            Interleave::RowRankBankColChanXor
-        } else {
-            Interleave::default()
-        };
         Ok(SystemConfig {
-            freq,
-            policy,
             cores,
-            frame_period_cycles,
+            frame_period_ns,
             noc: NocConfig::new(arbiter_for(policy)),
             mc: McConfig::builder(policy).build()?,
             dram,
-            interleave,
             seed,
             priority_bits: PriorityBits::PAPER,
         })
     }
 
+    /// DRAM I/O frequency, which is also the simulation beat clock.
+    pub fn freq(&self) -> MegaHertz {
+        self.dram.io_freq()
+    }
+
+    /// The memory-scheduling policy (the NoC arbiters follow it).
+    pub fn policy(&self) -> PolicyKind {
+        self.mc.policy()
+    }
+
+    /// The address interleave: wider-than-Table-1 parts adopt the
+    /// channel-skewed map so strided traffic cannot camp on one lane.
+    pub fn interleave(&self) -> Interleave {
+        if self.dram.channels() > 2 {
+            Interleave::RowRankBankColChanXor
+        } else {
+            Interleave::default()
+        }
+    }
+
     /// The clock for wall-clock conversions.
     pub fn clock(&self) -> Clock {
-        Clock::new(self.freq)
+        Clock::new(self.freq())
+    }
+
+    /// The frame period in beat cycles (at least one).
+    pub fn frame_period_cycles(&self) -> u64 {
+        self.clock().cycles_from_ns(self.frame_period_ns).max(1)
     }
 
     /// NPI/priority/bandwidth sampling period in cycles (10 µs).
@@ -198,7 +209,7 @@ mod tests {
         let cfg = lowered(1e9 / 90.0, 42, 2).unwrap(); // 90 fps
         assert_eq!(cfg.seed, 42);
         let expected = 1600.0e6 / 90.0;
-        assert!((cfg.frame_period_cycles as f64 - expected).abs() < 2.0);
+        assert!((cfg.frame_period_cycles() as f64 - expected).abs() < 2.0);
         assert!(lowered(0.0, 42, 2).is_err());
     }
 
@@ -211,11 +222,11 @@ mod tests {
         let cfg = lowered(period, seed, 4).unwrap();
         assert_eq!(cfg.dram.channels(), 4);
         assert_eq!(cfg.dram.io_freq().as_u32(), 1600);
-        assert_eq!(cfg.interleave, Interleave::RowRankBankColChanXor);
+        assert_eq!(cfg.interleave(), Interleave::RowRankBankColChanXor);
 
         let cfg = lowered(period, seed, 2).unwrap();
         assert_eq!(cfg.dram.channels(), 2);
-        assert_eq!(cfg.interleave, Interleave::default());
+        assert_eq!(cfg.interleave(), Interleave::default());
 
         assert!(lowered(period, seed, 3).is_err(), "non-power-of-two");
     }

@@ -51,7 +51,7 @@ use sara_dram::{AddressMap, ChannelStats, Dram, DramStats};
 use sara_memctrl::{AdmissionControl, ChannelController, Completion, McStats, PolicyKind};
 use sara_noc::Noc;
 use sara_types::{
-    Clock, ConfigError, CoreClass, Cycle, DmaId, MegaHertz, MemOp, Transaction, TransactionId,
+    ConfigError, CoreClass, Cycle, DmaId, MegaHertz, MemOp, Transaction, TransactionId,
 };
 
 use crate::config::{SystemConfig, ADMIT_LATENCY, READ_RESPONSE_LATENCY};
@@ -90,7 +90,6 @@ use crate::telemetry::{SimTelemetry, TelemetryReport};
 #[derive(Debug)]
 pub struct Simulation {
     cfg: SystemConfig,
-    clock: Clock,
     map: AddressMap,
     /// The per-channel lanes, in channel order.
     lanes: Vec<ChannelLane>,
@@ -100,7 +99,6 @@ pub struct Simulation {
     events: EventQueue,
     now: Cycle,
     txn_seq: u64,
-    channels: usize,
     dma_pending: Vec<Option<Cycle>>,
     noc_pending: Option<Cycle>,
     samplers: Samplers,
@@ -131,15 +129,7 @@ impl Simulation {
     /// Returns [`ConfigError`] if the workload or substrate configuration
     /// is inconsistent.
     pub fn new(cfg: SystemConfig) -> Result<Self, ConfigError> {
-        let clock = cfg.clock();
-        if cfg.dram.io_freq() != cfg.freq {
-            return Err(ConfigError::new(format!(
-                "DRAM frequency {} does not match system clock {}",
-                cfg.dram.io_freq(),
-                cfg.freq
-            )));
-        }
-        let dram = Dram::new(cfg.dram.clone(), cfg.interleave)?;
+        let dram = Dram::new(cfg.dram.clone(), cfg.interleave())?;
         let (_, map, channels) = dram.into_parts();
         let lanes: Vec<ChannelLane> = channels
             .into_iter()
@@ -149,25 +139,24 @@ impl Simulation {
                     ch,
                     ChannelController::new(cfg.mc.clone(), ch),
                     chan,
-                    cfg.freq,
+                    cfg.freq(),
                 )
             })
             .collect::<Result<_, _>>()?;
         let front = AdmissionControl::new(&cfg.mc);
         let dmas = build_dmas(
             &cfg.cores,
-            clock,
-            cfg.frame_period_cycles,
+            cfg.clock(),
+            cfg.frame_period_cycles(),
             cfg.dram.capacity_bytes(),
             cfg.seed,
             cfg.priority_bits,
         )?;
         let classes: Vec<CoreClass> = dmas.iter().map(|d| d.class).collect();
         let noc = Noc::class_tree(cfg.noc.clone(), &classes)?;
-        let channel_count = lanes.len();
+        let telemetry = SimTelemetry::new(dmas.len(), lanes.len());
         let samplers = Samplers::new(dmas.len(), cfg.sample_period());
         let mut sim = Simulation {
-            clock,
             map,
             lanes,
             front,
@@ -177,10 +166,9 @@ impl Simulation {
             events: EventQueue::default(),
             now: Cycle::ZERO,
             txn_seq: 0,
-            channels: channel_count,
             samplers,
             next_sample: Cycle::new(cfg.sample_period()),
-            telemetry: SimTelemetry::new(dmas.len(), channel_count),
+            telemetry,
             epoch_floor: vec![f64::INFINITY; dmas.len()],
             merged: Vec::new(),
             drain_limit: Cycle::ZERO,
@@ -206,7 +194,7 @@ impl Simulation {
 
     /// Number of DRAM channels (= lanes).
     pub fn channel_count(&self) -> usize {
-        self.channels
+        self.lanes.len()
     }
 
     /// Runs until `end` (absolute cycle) without building a report — the
@@ -272,7 +260,7 @@ impl Simulation {
 
     /// Runs for a wall-clock duration in milliseconds (from time zero).
     pub fn run_for_ms(&mut self, ms: f64) -> SimReport {
-        let end = Cycle::new(self.clock.cycles_from_ms(ms));
+        let end = Cycle::new(self.cfg.clock().cycles_from_ms(ms));
         self.run_until(end)
     }
 
@@ -492,9 +480,7 @@ impl Simulation {
         dma.adapter.on_complete(now, bytes, latency, op);
         debug_assert!(dma.inflight > 0, "completion without in-flight txn");
         dma.inflight -= 1;
-        dma.completed += 1;
         dma.bytes_completed += bytes as u64;
-        dma.total_latency += latency;
         self.try_inject(i);
     }
 
@@ -517,25 +503,6 @@ impl Simulation {
         self.samplers.record_bandwidth(bytes);
         self.next_sample = now + self.samplers.period();
         self.events.push(self.next_sample, EventKind::Sample);
-    }
-
-    /// The live metrics recorder (distributions accumulated so far).
-    /// [`Simulation::report`] joins it with the admission/DRAM/NoC
-    /// counters into the report's [`TelemetryReport`] snapshot.
-    pub fn telemetry(&self) -> &SimTelemetry {
-        &self.telemetry
-    }
-
-    /// The fastest lane's effective DRAM frequency (all lanes are equal
-    /// until [`Simulation::set_channel_freq`] decouples them; then this is
-    /// the pace of the fastest clock domain).
-    #[inline]
-    pub fn effective_dram_freq(&self) -> MegaHertz {
-        self.lanes
-            .iter()
-            .map(|lane| lane.effective_freq)
-            .max()
-            .expect("at least one channel")
     }
 
     /// Effective DRAM frequency of every channel's clock domain, in
@@ -563,7 +530,7 @@ impl Simulation {
     /// Returns [`ConfigError`] if `target` exceeds the beat clock — the
     /// ladder's top rung must be the frequency the system was built at.
     pub fn set_dram_freq(&mut self, target: MegaHertz) -> Result<(), ConfigError> {
-        for ch in 0..self.channels {
+        for ch in 0..self.lanes.len() {
             self.set_channel_freq(ch, target)?;
         }
         Ok(())
@@ -585,20 +552,20 @@ impl Simulation {
         channel: usize,
         target: MegaHertz,
     ) -> Result<(), ConfigError> {
-        if target > self.cfg.freq {
+        let beat_clock = self.cfg.freq();
+        if target > beat_clock {
             return Err(ConfigError::new(format!(
-                "DVFS target {target} exceeds the beat clock {} the system was built at",
-                self.cfg.freq
+                "DVFS target {target} exceeds the beat clock {beat_clock} the system was built at"
             )));
         }
-        if channel >= self.channels {
+        if channel >= self.lanes.len() {
             return Err(ConfigError::new(format!(
                 "channel {channel} does not exist ({} channels)",
-                self.channels
+                self.lanes.len()
             )));
         }
         let now = self.now;
-        let beat = self.cfg.freq.as_u32() as u64;
+        let beat = beat_clock.as_u32() as u64;
         let lane = &mut self.lanes[channel];
         if target == lane.effective_freq {
             return Ok(());
@@ -628,7 +595,7 @@ impl Simulation {
     /// and intentionally keeps the original scheme — the controller is the
     /// paper's QoS enforcement point.
     pub fn set_policy(&mut self, policy: PolicyKind) {
-        self.cfg.policy = policy;
+        self.cfg.mc.set_policy(policy);
         for lane in &mut self.lanes {
             lane.ctrl.set_policy(policy);
         }
@@ -646,12 +613,12 @@ impl Simulation {
             .iter()
             .zip(&self.epoch_floor)
             .map(|(dma, &epoch_floor)| DmaHealth {
-                npi: dma.adapter.snapshot(now).npi.as_f64(),
+                npi: dma.adapter.meter().npi(now).as_f64(),
                 epoch_floor,
             })
             .collect();
         let burst_bytes = self.cfg.dram.burst_bytes();
-        let beat_hz = f64::from(self.cfg.freq.as_u32()) * 1e6;
+        let beat_hz = f64::from(self.cfg.freq().as_u32()) * 1e6;
         SystemHealth {
             dmas,
             mc_occupancy: self.front.occupancy(),
@@ -664,7 +631,7 @@ impl Simulation {
                 .sum::<f64>()
                 / 1e9,
             dram_bytes: self.dram_bytes(),
-            policy: self.cfg.policy,
+            policy: self.cfg.policy(),
         }
     }
 
@@ -699,7 +666,6 @@ impl Simulation {
         let telemetry = TelemetryReport::new(&self.telemetry, &mc, &dram, &self.noc, &self.dmas);
         ReportBuilder {
             cfg: &self.cfg,
-            clock: self.clock,
             now: self.now,
             dmas: &self.dmas,
             dram,

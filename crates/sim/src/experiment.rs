@@ -1,75 +1,15 @@
-//! The per-report projections behind the paper's sweeps. The cells
-//! themselves (policy comparisons, frequency sweeps, the DVFS search, the
-//! reproduction) run through `sara-scenarios`' `run_systems`.
+//! The DVFS search's per-report projection, [`DvfsPoint`]. The cells
+//! themselves run through `sara-scenarios`' `run_systems`.
 //!
-//! Each projection owns its CSV header and CSV row (and [`DvfsPoint`]
-//! its JSON object), with [`SimReport::to_json`]'s conventions: stable
-//! column/key order, shortest-round-trip floats, `null` (JSON) for
-//! non-finite values. CSV is the plot input, JSON the machine-comparable
-//! form batch tooling diffs.
+//! The projection owns its CSV header, CSV row and JSON object, with
+//! [`SimReport::to_json`]'s conventions: stable column/key order,
+//! shortest-round-trip floats, `null` (JSON) for non-finite values. CSV is
+//! the plot input, JSON the machine-comparable form batch tooling diffs.
 
 use ::json::Value;
-use sara_types::{CoreKind, MegaHertz};
+use sara_types::MegaHertz;
 
 use crate::report::SimReport;
-use crate::sampling::MAX_LEVELS;
-
-/// One point of the Fig. 7 frequency sweep: one core's priority
-/// adaptation as observed in one run.
-#[derive(Debug, Clone)]
-pub struct FreqPoint {
-    /// DRAM frequency of this run.
-    pub freq: MegaHertz,
-    /// Priority-level residency of the observed core (fractions per level).
-    pub residency: [f64; MAX_LEVELS],
-    /// Worst post-warmup NPI of the observed core.
-    pub min_npi: f64,
-    /// Average delivered bandwidth of the observed core in bytes/second.
-    pub core_bytes_per_s: f64,
-    /// System DRAM bandwidth in GB/s.
-    pub system_bandwidth_gbs: f64,
-}
-
-impl FreqPoint {
-    /// Projects `observed`'s adaptation out of one report; `None` if the
-    /// core is not in the workload.
-    pub fn from_report(report: &SimReport, observed: CoreKind) -> Option<Self> {
-        let core = report.core(observed)?;
-        Some(FreqPoint {
-            freq: report.freq,
-            residency: core.priority_residency,
-            min_npi: core.min_npi,
-            core_bytes_per_s: core.bytes as f64 / (report.elapsed_ms / 1e3),
-            system_bandwidth_gbs: report.bandwidth_gbs,
-        })
-    }
-
-    /// The CSV header of a frequency sweep: a `residency_p<level>` column
-    /// per priority level (no newline).
-    pub fn csv_header() -> String {
-        let mut out = String::from("freq_mhz,min_npi,core_bytes_per_s,system_bandwidth_gbs");
-        for level in 0..MAX_LEVELS {
-            out.push_str(&format!(",residency_p{level}"));
-        }
-        out
-    }
-
-    /// This point as one CSV row in [`FreqPoint::csv_header`] order (no
-    /// newline).
-    pub fn csv_row(&self) -> String {
-        let mut out = format!(
-            "{},{},{},{}",
-            self.freq.as_u32(),
-            self.min_npi,
-            self.core_bytes_per_s,
-            self.system_bandwidth_gbs
-        );
-        for r in self.residency {
-            out.push_str(&format!(",{r}"));
-        }
-        out
-    }
-}
 
 /// Outcome of one DVFS candidate frequency.
 #[derive(Debug, Clone)]
@@ -137,28 +77,6 @@ impl DvfsPoint {
 mod tests {
     use super::*;
 
-    fn freq_fixture() -> Vec<FreqPoint> {
-        let mut residency = [0.0; MAX_LEVELS];
-        residency[0] = 0.75;
-        residency[7] = 0.25;
-        vec![
-            FreqPoint {
-                freq: MegaHertz::new(1333),
-                residency,
-                min_npi: 0.875,
-                core_bytes_per_s: 1.5e9,
-                system_bandwidth_gbs: 19.25,
-            },
-            FreqPoint {
-                freq: MegaHertz::new(1866),
-                residency: [0.0; MAX_LEVELS],
-                min_npi: 1.25,
-                core_bytes_per_s: 2e9,
-                system_bandwidth_gbs: 27.5,
-            },
-        ]
-    }
-
     fn dvfs_fixture() -> DvfsPoint {
         DvfsPoint {
             freq: MegaHertz::new(1600),
@@ -167,19 +85,6 @@ mod tests {
             pj_per_bit: 3.75,
             bandwidth_gbs: 21.5,
         }
-    }
-
-    #[test]
-    fn freq_csv_has_header_and_one_row_per_point() {
-        let header = FreqPoint::csv_header();
-        let rows: Vec<String> = freq_fixture().iter().map(FreqPoint::csv_row).collect();
-        assert!(header.starts_with("freq_mhz,min_npi,"));
-        assert!(header.ends_with(&format!("residency_p{}", MAX_LEVELS - 1)));
-        assert!(rows[0].starts_with("1333,0.875,1500000000,19.25,0.75,"));
-        assert!(rows[1].starts_with("1866,1.25,"));
-        // Every row has the same column count as the header.
-        let cols = header.split(',').count();
-        assert!(rows.iter().all(|l| l.split(',').count() == cols));
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //!
 //! Unlike [`SimReport`](crate::SimReport) — a full post-mortem built from
 //! the complete sample history — a [`SystemHealth`] is a cheap instant
-//! view: per-DMA live NPI (via [`sara_core::SelfAwareDma::snapshot`]) and
-//! the worst NPI *sampled* since the last epoch mark, queue depths in the
-//! memory controller, each channel's clock and the analytic bandwidth
-//! bound they price, the scheduling policy, and the cumulative DRAM byte
-//! counter. Everything a closed-loop controller needs, nothing it has to
-//! pay a report build for.
+//! view: per-DMA live NPI (the meter read without restamping, via
+//! [`sara_core::SelfAwareDma::meter`]) and the worst NPI *sampled* since
+//! the last epoch mark, queue depths in the memory controller, each
+//! channel's clock and the analytic bandwidth bound they price, the
+//! scheduling policy, and the cumulative DRAM byte counter. Everything a
+//! closed-loop controller needs, nothing it has to pay a report build for.
 
 use sara_memctrl::PolicyKind;
 use sara_types::MegaHertz;

@@ -9,13 +9,13 @@
 //!
 //! Entry points:
 //!
-//! * [`SystemConfig`] — one run's clock/policy/workload/substrates; build
-//!   arbitrary workloads via [`SystemConfig::from_scenario`],
+//! * [`SystemConfig`] — one run's workload and substrates (the clock is
+//!   the DRAM's, the policy the controller's); build arbitrary workloads
+//!   via [`SystemConfig::from_scenario`],
 //! * [`Simulation`] — build with [`Simulation::new`], drive with
 //!   [`Simulation::run_for_ms`], inspect the returned [`SimReport`],
-//! * [`experiment`] — the per-report projections behind the paper's
-//!   sweeps, each with its CSV and JSON forms (the cells run through
-//!   `sara-scenarios`),
+//! * [`experiment`] — the DVFS search's per-report projection, with its
+//!   CSV and JSON forms (the cells run through `sara-scenarios`),
 //! * [`SystemHealth`] — the live snapshot API ([`Simulation::health`]:
 //!   per-DMA live NPI and sampled floor, queue depths, each channel's
 //!   clock and the analytic bandwidth bound it prices, the policy and the
@@ -25,8 +25,8 @@
 //!   drives at every control epoch,
 //! * [`json`] — machine-comparable report serialization
 //!   ([`SimReport::to_json`]),
-//! * [`telemetry`] — the deterministic metrics plane: hot-path recorders
-//!   ([`SimTelemetry`]) and the owned snapshot every report embeds
+//! * [`telemetry`] — the deterministic metrics plane: the owned snapshot
+//!   of the engine's hot-path recorders that every report embeds
 //!   ([`TelemetryReport`], serialized under the report's `telemetry` key).
 //!
 //! # Examples
@@ -103,4 +103,4 @@ pub use health::{DmaHealth, SystemHealth};
 pub use report::{CoreReport, SimReport, FAIL_THRESHOLD};
 pub use sampling::MAX_LEVELS;
 pub use sara_analytic::{AnalyticReport, ScreenVerdict};
-pub use telemetry::{SimTelemetry, TelemetryReport};
+pub use telemetry::TelemetryReport;

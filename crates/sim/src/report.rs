@@ -145,7 +145,8 @@ impl SimReport {
     /// # Errors
     ///
     /// Returns any I/O error from creating or writing the file.
-    pub fn write_npi_csv(&self, path: &Path, clock: Clock) -> std::io::Result<()> {
+    pub fn write_npi_csv(&self, path: &Path) -> std::io::Result<()> {
+        let clock = Clock::new(self.freq);
         let mut f = BufWriter::new(std::fs::File::create(path)?);
         write!(f, "time_ms")?;
         for kind in self.npi_series.keys() {
@@ -170,7 +171,6 @@ impl SimReport {
 #[derive(Debug)]
 pub(crate) struct ReportBuilder<'a> {
     pub cfg: &'a SystemConfig,
-    pub clock: Clock,
     pub now: Cycle,
     pub dmas: &'a [DmaRuntime],
     /// Merged per-lane DRAM counters (the lanes own their channels).
@@ -224,9 +224,12 @@ impl ReportBuilder<'_> {
                 post.iter().map(|v| v.min(10.0)).sum::<f64>() / post.len() as f64
             };
             let final_npi = series.last().copied().unwrap_or(f64::NAN);
-            let completed: u64 = idxs.iter().map(|&i| self.dmas[i].completed).sum();
+            // Every delivery records one sample in its DMA's latency
+            // histogram: the count is the completions, the sum the latency.
+            let latency = |i: usize| &self.telemetry.dmas[i].latency;
+            let completed: u64 = idxs.iter().map(|&i| latency(i).count()).sum();
+            let total_latency: u128 = idxs.iter().map(|&i| latency(i).sum()).sum();
             let bytes: u64 = idxs.iter().map(|&i| self.dmas[i].bytes_completed).sum();
-            let total_latency: u64 = idxs.iter().map(|&i| self.dmas[i].total_latency).sum();
             let mut residency = [0.0; MAX_LEVELS];
             for &i in idxs {
                 let r = self.samplers.residency(i);
@@ -253,13 +256,14 @@ impl ReportBuilder<'_> {
         }
 
         let dram_stats = self.dram;
-        let bandwidth_gbs = dram_stats.bandwidth_bytes_per_s(self.cfg.freq.as_hz(), elapsed) / 1e9;
+        let bandwidth_gbs =
+            dram_stats.bandwidth_bytes_per_s(self.cfg.freq().as_hz(), elapsed) / 1e9;
         let analytic = crate::analytic::analytic_report(self.cfg);
         SimReport {
-            policy: self.cfg.policy,
-            freq: self.cfg.freq,
+            policy: self.cfg.policy(),
+            freq: self.cfg.freq(),
             elapsed_cycles: elapsed,
-            elapsed_ms: self.clock.ns_from_cycles(elapsed) / 1e6,
+            elapsed_ms: self.cfg.clock().ns_from_cycles(elapsed) / 1e6,
             row_hit_rate: dram_stats.total.row_hit_rate(),
             dram: dram_stats,
             mc: self.mc,

@@ -34,12 +34,8 @@ pub(crate) struct DmaRuntime {
     pub injected: u64,
     /// Transactions currently in flight.
     pub inflight: usize,
-    /// Transactions completed.
-    pub completed: u64,
     /// Bytes completed.
     pub bytes_completed: u64,
-    /// Sum of completion latencies (cycles).
-    pub total_latency: u64,
     /// Whether injection is currently stalled on NoC backpressure.
     pub blocked_on_noc: bool,
 }
@@ -269,9 +265,7 @@ fn build_dma(
         window: spec.window,
         injected: 0,
         inflight: 0,
-        completed: 0,
         bytes_completed: 0,
-        total_latency: 0,
         blocked_on_noc: false,
     })
 }

@@ -1,7 +1,7 @@
 //! The simulation's telemetry plane: hot-path recorders and the owned
 //! snapshot embedded in every [`SimReport`](crate::SimReport).
 //!
-//! [`SimTelemetry`] is the live recorder the engine feeds from exactly two
+//! `SimTelemetry` is the engine's live recorder, fed from exactly two
 //! hot paths — the deterministic completion merge (per-class queueing
 //! delay, per-lane row-hit counters) and the `Deliver` handler (per-class
 //! and per-DMA end-to-end latency). Both paths run on the engine thread in
@@ -33,7 +33,7 @@ use crate::runtime::DmaRuntime;
 /// allocates only when its sample lands above every filled bucket of its
 /// histogram, which happens at most 65 times per histogram.
 #[derive(Debug, Clone)]
-pub struct SimTelemetry {
+pub(crate) struct SimTelemetry {
     /// Queueing delay (controller accept → final column command) per
     /// traffic class, in cycles.
     queue_delay: [Histogram; 5],
@@ -89,21 +89,6 @@ impl SimTelemetry {
         self.class_latency[class.queue_index()].record(latency);
         self.dma_latency[dma].record(latency);
     }
-
-    /// Queueing-delay distribution of one traffic class, in cycles.
-    pub fn queue_delay(&self, class: CoreClass) -> &Histogram {
-        &self.queue_delay[class.queue_index()]
-    }
-
-    /// End-to-end latency distribution of one traffic class, in cycles.
-    pub fn latency(&self, class: CoreClass) -> &Histogram {
-        &self.class_latency[class.queue_index()]
-    }
-
-    /// End-to-end latency distribution of one DMA, in cycles.
-    pub fn dma_latency(&self, dma: usize) -> &Histogram {
-        &self.dma_latency[dma]
-    }
 }
 
 /// Per-class slice of a [`TelemetryReport`].
@@ -132,7 +117,8 @@ pub struct DmaTelemetry {
     pub dma: usize,
     /// Owning core.
     pub core: CoreKind,
-    /// End-to-end latency distribution, cycles.
+    /// End-to-end latency distribution, cycles: one sample per delivery,
+    /// so its count is the DMA's completed transactions.
     pub latency: Histogram,
 }
 

@@ -8,7 +8,7 @@ use json::Value;
 use sara::memctrl::PolicyKind;
 use sara::scenarios::catalog;
 use sara::sim::{analytic_report, ScreenVerdict, SimReport, Simulation, SystemConfig};
-use sara::types::{Clock, Cycle, MegaHertz};
+use sara::types::{Cycle, MegaHertz};
 
 /// The catalog entry `name` under `policy`, lowered onto its system.
 fn system(name: &str, policy: PolicyKind) -> SystemConfig {
@@ -28,20 +28,82 @@ fn run(name: &str, policy: PolicyKind, ms: f64) -> SimReport {
 #[test]
 fn camcorder_config_matches_case() {
     let a = system("camcorder-a", PolicyKind::Priority);
-    assert_eq!(a.freq.as_u32(), 1866);
+    assert_eq!(a.freq().as_u32(), 1866);
     assert_eq!(a.dram.io_freq().as_u32(), 1866);
     assert_eq!(a.cores.len(), 14);
     let b = system("camcorder-b", PolicyKind::Fcfs);
-    assert_eq!(b.freq.as_u32(), 1700);
+    assert_eq!(b.freq().as_u32(), 1700);
     assert_eq!(b.cores.len(), 10);
-    assert!(b.frame_period_cycles < a.frame_period_cycles);
+    assert!(b.frame_period_cycles() < a.frame_period_cycles());
 }
 
 #[test]
 fn frame_period_is_one_thirtieth_second() {
     let cfg = system("camcorder-a", PolicyKind::Priority);
     let expected = 1866.0e6 / 30.0;
-    assert!((cfg.frame_period_cycles as f64 - expected).abs() < 2.0);
+    assert!((cfg.frame_period_cycles() as f64 - expected).abs() < 2.0);
+}
+
+#[test]
+fn retimed_dram_moves_clock_and_frame_period_together() {
+    use sara::dram::{DramConfig, Interleave};
+    let mut cfg = system("camcorder-a", PolicyKind::Fcfs);
+    let period_ns = cfg.frame_period_ns;
+    cfg.dram = DramConfig::table1(MegaHertz::new(1300));
+    assert_eq!(cfg.freq().as_u32(), 1300);
+    assert_eq!(cfg.clock().freq().as_u32(), 1300);
+    assert_eq!(cfg.frame_period_ns, period_ns);
+    let expected = 1300.0e6 / 30.0;
+    assert!((cfg.frame_period_cycles() as f64 - expected).abs() < 2.0);
+    // The address map follows `dram`'s channel count, not its clock.
+    assert_eq!(cfg.interleave(), Interleave::default());
+    let sim = Simulation::new(cfg).expect("a retimed system builds");
+    assert_eq!(sim.channel_freqs(), vec![MegaHertz::new(1300); 2]);
+}
+
+/// README's "Model constants" paragraph names every `SystemConfig` field:
+/// the destructuring is exhaustive, so a new field breaks this build.
+#[test]
+fn readme_names_every_system_config_field() {
+    macro_rules! field_names {
+        ($cfg:expr, $($field:ident),*) => {{
+            let SystemConfig { $($field: _),* } = $cfg;
+            vec![$(stringify!($field)),*]
+        }};
+    }
+    let mut fields = field_names!(
+        system("camcorder-a", PolicyKind::Fcfs),
+        cores,
+        frame_period_ns,
+        noc,
+        mc,
+        dram,
+        seed,
+        priority_bits
+    );
+    let words = ["five", "six", "seven", "eight", "nine", "ten", "eleven"];
+    let lead = format!("`SystemConfig`'s {} fields:", words[fields.len() - 5]);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/README.md");
+    let readme = std::fs::read_to_string(path).expect("README.md");
+    let readme = readme.split_whitespace().collect::<Vec<_>>().join(" ");
+    let start = readme
+        .find(&lead)
+        .unwrap_or_else(|| panic!("README lacks {lead:?}"));
+    let sentence = &readme[start + lead.len()..];
+    let sentence = &sentence[..sentence.find(". ").expect("the sentence ends")];
+    // Backticked identifiers only: a backticked command is no field name.
+    let mut named: Vec<&str> = sentence
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|s| s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'))
+        .collect();
+    fields.sort_unstable();
+    named.sort_unstable();
+    assert_eq!(
+        named, fields,
+        "README's SystemConfig sentence vs the struct"
+    );
 }
 
 // --- running ------------------------------------------------------------------
@@ -99,14 +161,6 @@ fn run_until_is_resumable() {
 }
 
 #[test]
-fn clock_mismatch_rejected() {
-    use sara::dram::DramConfig;
-    let mut cfg = system("camcorder-a", PolicyKind::Fcfs);
-    cfg.dram = DramConfig::table1(MegaHertz::new(1300)); // != cfg.freq
-    assert!(Simulation::new(cfg).is_err());
-}
-
-#[test]
 fn now_advances_to_run_end() {
     let cfg = system("camcorder-b", PolicyKind::Fcfs);
     let mut sim = Simulation::new(cfg).unwrap();
@@ -138,10 +192,10 @@ fn dvfs_step_down_reduces_delivered_bandwidth() {
     let full = pinned.run_for_ms(0.4);
 
     let mut stepped = Simulation::new(cfg).unwrap();
-    assert_eq!(stepped.effective_dram_freq().as_u32(), 1700);
+    assert_eq!(stepped.channel_freqs(), vec![MegaHertz::new(1700); 2]);
     let _ = stepped.run_for_ms(0.2);
     stepped.set_dram_freq(MegaHertz::new(850)).unwrap();
-    assert_eq!(stepped.effective_dram_freq().as_u32(), 850);
+    assert_eq!(stepped.channel_freqs(), vec![MegaHertz::new(850); 2]);
     let slowed = stepped.run_for_ms(0.4);
     assert!(
         slowed.dram.total.total_bytes() < full.dram.total.total_bytes(),
@@ -179,7 +233,7 @@ fn dvfs_above_beat_clock_rejected_and_idempotent_step_is_free() {
     let mut sim = Simulation::new(cfg).unwrap();
     assert!(sim.set_dram_freq(MegaHertz::new(1866)).is_err());
     sim.set_dram_freq(MegaHertz::new(1700)).unwrap();
-    assert_eq!(sim.effective_dram_freq().as_u32(), 1700);
+    assert_eq!(sim.channel_freqs(), vec![MegaHertz::new(1700); 2]);
 }
 
 #[test]
@@ -195,12 +249,9 @@ fn per_channel_steps_decouple_the_lanes() {
             .collect::<Vec<_>>(),
         vec![1700, 850]
     );
-    // The aggregate view reports the fastest domain; health carries
-    // the full per-lane vector.
-    assert_eq!(sim.effective_dram_freq().as_u32(), 1700);
+    // Health carries the same per-lane vector.
     let h = sim.health();
-    assert_eq!(h.freq_per_channel.len(), 2);
-    assert_eq!(h.freq_per_channel[1].as_u32(), 850);
+    assert_eq!(h.freq_per_channel, sim.channel_freqs());
     // Out-of-range channel and over-clock are rejected.
     assert!(sim.set_channel_freq(7, MegaHertz::new(850)).is_err());
     assert!(sim.set_channel_freq(0, MegaHertz::new(1866)).is_err());
@@ -242,6 +293,17 @@ fn policy_switch_mid_run_takes_effect() {
     let report = sim.run_for_ms(0.2);
     assert_eq!(report.policy, PolicyKind::Priority);
     assert_eq!(sim.health().policy, PolicyKind::Priority);
+}
+
+#[test]
+fn a_policy_switch_leaves_one_policy() {
+    let mut sim = Simulation::new(system("camcorder-b", PolicyKind::Fcfs)).unwrap();
+    let _ = sim.run_for_ms(0.1);
+    sim.set_policy(PolicyKind::QosRowBuffer);
+    assert_eq!(sim.config().policy(), PolicyKind::QosRowBuffer);
+    assert_eq!(sim.config().mc.policy(), PolicyKind::QosRowBuffer);
+    assert_eq!(sim.health().policy, PolicyKind::QosRowBuffer);
+    assert_eq!(sim.run_for_ms(0.2).policy, PolicyKind::QosRowBuffer);
 }
 
 #[test]
@@ -348,10 +410,9 @@ fn csv_writers_produce_well_formed_files() {
     let report = run("camcorder-b", PolicyKind::Priority, 0.3);
     let dir = std::env::temp_dir().join("sara_report_csv_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let clock = Clock::new(report.freq);
 
     let npi = dir.join("npi.csv");
-    report.write_npi_csv(&npi, clock).unwrap();
+    report.write_npi_csv(&npi).unwrap();
     let text = std::fs::read_to_string(&npi).unwrap();
     let mut lines = text.lines();
     let header = lines.next().unwrap();
