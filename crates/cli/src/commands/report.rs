@@ -855,6 +855,10 @@ fn summarize_journal(doc: &Value) -> Result<Vec<String>, CliError> {
             facts.lookups()
         ));
     }
+    let evicted = facts.count("evicted");
+    if evicted > 0 {
+        head.push_str(&format!("; {evicted} cache evictions"));
+    }
     let mut lines = vec![head];
     for (stage, samples) in &facts.stages {
         if samples.is_empty() {
@@ -1478,6 +1482,7 @@ mod tests {
             lines[0].contains("cache hit rate 50.0% (1/2 lookups)"),
             "{lines:?}"
         );
+        assert!(!lines[0].contains("evictions"), "{lines:?}");
         let stages: Vec<&String> = lines.iter().filter(|l| l.contains(" p95 ")).collect();
         assert_eq!(stages.len(), 4, "{lines:?}");
         assert!(stages[2].contains("sim"), "{lines:?}");
@@ -1486,6 +1491,23 @@ mod tests {
             lines.last().unwrap().contains("1 job, 2 cells"),
             "{lines:?}"
         );
+
+        // Evictions are counted and feed no stage.
+        let Value::Array(mut events) = journal_doc("ci", 1) else {
+            unreachable!("a journal is an event array")
+        };
+        let evicted = Value::Object(vec![
+            ("format".to_string(), JOURNAL_TAG.into()),
+            ("event".to_string(), "evicted".into()),
+            ("bytes".to_string(), 9654u64.into()),
+        ]);
+        events.extend([evicted.clone(), evicted]);
+        let with_evictions = summarize_journal(&Value::Array(events)).unwrap();
+        assert!(
+            with_evictions[0].ends_with("(1/2 lookups); 2 cache evictions"),
+            "{with_evictions:?}"
+        );
+        assert_eq!(with_evictions[1..], lines[1..]);
     }
 
     #[test]

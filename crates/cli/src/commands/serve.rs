@@ -11,14 +11,14 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sara_serve::{journal, Journal, ServeConfig, Server};
+use sara_serve::{journal, Journal, ServeConfig, Server, DEFAULT_CACHE_MAX_BYTES};
 
 use crate::args::{count, Args, CliError};
 use crate::output::{emit_value, page};
 
 pub(crate) const USAGE: &str =
     "usage: sara serve [--tcp ADDR | --unix PATH] [--workers N] [--budget N] \
-     [--max-sessions N] [--journal PATH] [--journal-max-bytes N] \
+     [--cache-max-bytes N] [--max-sessions N] [--journal PATH] [--journal-max-bytes N] \
      [--metrics ADDR] [--chrome-trace PATH]";
 
 pub(crate) const HELP: &str = "\
@@ -31,7 +31,8 @@ replies the same way (see docs/serve-protocol.md). Each submitted job is
 lowered into the same scenario x policy x frequency x channel cells as
 `sara matrix`; results are byte-identical to the batch harness for any
 worker count or cache state. A content-addressed cache guarantees no
-cell is ever simulated twice, across jobs or within one.
+cell is simulated twice within a job, nor twice across jobs while its
+entry is within the cache's byte budget.
 
 With no transport flag the session runs over stdin/stdout (one session,
 then exit — shell-pipeline friendly):
@@ -48,14 +49,18 @@ then exit — shell-pipeline friendly):
   --budget N            per-client admission budget: max outstanding
                         cells per client across its in-flight jobs
                         (default 4096)
+  --cache-max-bytes N   the result cache's byte budget of rendered JSON
+                        (default 2097152 = 2 MiB; 0 keeps nothing); past
+                        it the cells nobody reads again are evicted
+                        first, which moves hit/miss counts, never bytes
 
 Observability (see docs/observability.md):
 
   --journal PATH        write one `sara-serve-journal/v1` NDJSON event
                         per job/cell lifecycle transition (accepted,
                         queued, cache hit/miss, screened, sim start/end,
-                        emitted, rejected); feed the file to `sara report`
-                        for per-stage latency quantiles
+                        emitted, evicted, rejected); feed the file to
+                        `sara report` for per-stage latency quantiles
   --journal-max-bytes N rotate the journal when the next event would push
                         it past N bytes: PATH is renamed to PATH.1
                         (replacing any previous PATH.1) and a fresh PATH
@@ -88,6 +93,9 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
     let budget = args
         .take_one("--budget", count)?
         .unwrap_or_else(|| ServeConfig::default().budget);
+    let cache_max_bytes = args
+        .take_parsed::<usize>("--cache-max-bytes")?
+        .unwrap_or(DEFAULT_CACHE_MAX_BYTES);
     let max_sessions = args.take_one("--max-sessions", count)?;
     let journal_path = args.take_opt("--journal")?;
     let journal_max_bytes = args.take_one("--journal-max-bytes", count)?;
@@ -134,7 +142,12 @@ pub(crate) fn run(mut args: Args) -> Result<(), CliError> {
         Journal::disabled()
     };
 
-    let server = Arc::new(Server::new(ServeConfig { workers, budget }).with_journal(journal));
+    let config = ServeConfig {
+        workers,
+        budget,
+        cache_max_bytes,
+    };
+    let server = Arc::new(Server::new(config).with_journal(journal));
 
     if let Some(addr) = &metrics_addr {
         let listener = TcpListener::bind(addr)

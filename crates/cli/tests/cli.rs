@@ -1203,6 +1203,36 @@ fn serve_transcripts_are_matrix_identical_and_reportable() {
 }
 
 #[test]
+fn serve_with_no_cache_budget_misses_every_time_and_journals_evictions() {
+    let dir = scratch("serve-zero-cache");
+    let journal = dir.join("session.journal");
+    let submit = concat!(
+        r#"{"format":"sara-serve/v1","type":"submit","id":"z","scenarios":["camcorder-b"],"#,
+        r#""policies":["FCFS","QoS"],"duration_ms":0.05}"#,
+        "\n"
+    );
+    let flags = [
+        "--cache-max-bytes",
+        "0",
+        "--journal",
+        journal.to_str().unwrap(),
+    ];
+    let out = sara_serve_session_with(&flags, &submit.repeat(2));
+    assert_eq!(code(&out), 0, "serve failed: {}", stderr(&out));
+    let transcript = stdout(&out);
+    let all_misses = r#""cells":2,"cache_hits":0,"cache_misses":2"#;
+    assert_eq!(transcript.matches(all_misses).count(), 2, "{transcript}");
+    let out = sara(&["report", journal.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "report failed: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("cache hit rate 0.0% (0/4 lookups); 4 cache evictions"),
+        "{}",
+        stdout(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_rejects_protocol_garbage_with_exit_zero() {
     // A session that only ever sends garbage still terminates cleanly on
     // EOF: errors are records on the stream, not process failures.

@@ -250,7 +250,7 @@ fn run_at_beat(
     }
     // The scenario's own cell at the beat clock: the matrix's lowering.
     let mut sim = Simulation::new(scenario.cell_at(beat).system(scenario)?)?;
-    let channels = sim.channel_count();
+    let channels = sim.config().dram.channels();
     // One automaton for the single knob; one per lane under `per_channel`.
     let mut governors: Vec<Governor> = if spec.per_channel {
         (0..channels)

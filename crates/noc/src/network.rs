@@ -399,6 +399,34 @@ mod tests {
         assert_eq!(noc.occupancy(), 1); // CPU transaction still queued
     }
 
+    /// Reference test of a known wake-hint gap, due to be fixed in
+    /// ROADMAP item 1's `ENGINE_VERSION` bump: when every ready head at
+    /// the root is refused, the root's wake (`earliest_action`, the oldest
+    /// head's arrival) is not after `now`, so the hint drops the root, and
+    /// a later head of an open class already queued there gets no wake.
+    /// Here the USB head reaches the root at 15, yet the pump at 12
+    /// returns `next_action: None`; a script pumping at 15 delivers it,
+    /// while in the engine it waits for an unrelated pump.
+    #[test]
+    fn a_root_refusing_every_ready_head_hides_a_later_open_head() {
+        let mut noc = small_noc(ArbiterKind::Fcfs);
+        noc.inject(0, Cycle::ZERO, txn(0, CoreKind::Cpu, 0))
+            .unwrap();
+        noc.inject(2, Cycle::new(3), txn(1, CoreKind::Usb, 0))
+            .unwrap();
+        let cpu = closing(CoreClass::Cpu);
+        let mut delivered = Vec::new();
+        for t in [6u64, 9] {
+            noc.pump_closed(Cycle::new(t), cpu, |t| delivered.push(t));
+        }
+        let r = noc.pump_closed(Cycle::new(12), cpu, |t| delivered.push(t));
+        assert_eq!(r.refused, cpu);
+        assert_eq!(r.next_action, None, "item 1: the USB head's 15 is missed");
+        let r = noc.pump_closed(Cycle::new(15), cpu, |t| delivered.push(t));
+        assert_eq!(r.delivered, 1);
+        assert_eq!(delivered[0].core, CoreKind::Usb);
+    }
+
     #[test]
     fn min_traversal_matches_observed() {
         let mut noc = small_noc(ArbiterKind::Fcfs);

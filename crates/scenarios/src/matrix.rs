@@ -777,7 +777,9 @@ pub fn rank_cells(
 /// scenario document captures every workload and platform knob, the
 /// overrides capture the rest, and the engine is deterministic), which is
 /// what lets `sara serve` return a cached report instead of simulating —
-/// the basis of its "no cell is ever simulated twice" guarantee. The
+/// the basis of its guarantee that no cell is simulated twice within a
+/// job, nor twice across jobs while its entry is within the cache's byte
+/// budget. The
 /// engine version ties keys to the code that produced them, so persisted
 /// caches cannot leak stale reports across releases.
 pub fn cell_fingerprint(scenario: &Scenario, cell: &CellSpec, engine_version: &str) -> u64 {

@@ -36,8 +36,10 @@ pub const STAGE_HISTOGRAMS: [&str; 4] = ["cache_lookup_us", "queue_wait_us", "si
 /// Every journal event, in the order one job produces them, with the
 /// stage histogram its `dur_us` feeds. `screened` carries the screening
 /// time as its `dur_us` but feeds no stage: a screened cell never
-/// reaches the cache.
-pub const EVENTS: [(&str, Option<&str>); 9] = [
+/// reaches the cache. `evicted` (one per entry the cache drops when the
+/// job publishes its fresh entries, with the entry's JSON `bytes`) is
+/// untimed.
+pub const EVENTS: [(&str, Option<&str>); 10] = [
     ("accepted", None),
     ("queued", None),
     ("screened", None),
@@ -46,6 +48,7 @@ pub const EVENTS: [(&str, Option<&str>); 9] = [
     ("sim_start", Some(STAGE_HISTOGRAMS[1])),
     ("sim_end", Some(STAGE_HISTOGRAMS[2])),
     ("emitted", Some(STAGE_HISTOGRAMS[3])),
+    ("evicted", None),
     ("rejected", None),
 ];
 
@@ -186,7 +189,7 @@ pub fn chrome_trace_of(events: &[Value]) -> ChromeTrace {
             .as_object()
             .unwrap_or_default()
             .iter()
-            .filter(|(k, _)| matches!(k.as_str(), "job" | "client" | "reason"))
+            .filter(|(k, _)| matches!(k.as_str(), "job" | "client" | "reason" | "bytes"))
             .map(|(k, v)| (k.as_str(), v.clone()))
             .collect();
         match event {
@@ -205,7 +208,7 @@ pub fn chrome_trace_of(events: &[Value]) -> ChromeTrace {
             "emitted" => {
                 trace.complete(0, 0, &label, "emit", ts.saturating_sub(dur), dur, &arg_refs);
             }
-            "accepted" | "rejected" | "cache_hit" | "cache_miss" | "screened" => {
+            "accepted" | "rejected" | "cache_hit" | "cache_miss" | "screened" | "evicted" => {
                 trace.instant(0, 0, &format!("{event}:{label}"), event, ts, &arg_refs);
             }
             // queued/sim_start carry no span of their own: the queue

@@ -19,13 +19,17 @@
 //!   `run_system` (the one simulate step) on `run_ordered`, `rank_cells`
 //!   and `write_matrix_document` (the one matrix-document writer), and
 //!   streams records in submission order.
-//! * **No cell is simulated twice.** Every cell is content-addressed by
-//!   [`sara_scenarios::cell_fingerprint`] (scenario document, overrides
-//!   and engine version) in the server's [`ResultCache`]; repeats — across
-//!   jobs or within one — are served from cache. The server, not the
-//!   cache, counts hits and misses: the `cache_hits`/`cache_misses` of
-//!   each job's `summary` record and of the server-wide `stats` and
-//!   `metrics` replies.
+//! * **No cell is simulated twice within a job, nor twice across jobs
+//!   while its entry is within the cache's byte budget.** Every cell is
+//!   content-addressed by [`sara_scenarios::cell_fingerprint`] (scenario
+//!   document, overrides and engine version) in the server's
+//!   [`ResultCache`]; repeats within one job, and across jobs while the
+//!   entry is kept, are served from cache. The cache holds at most
+//!   [`ServeConfig::cache_max_bytes`] of rendered JSON and evicts what
+//!   nobody reads again first. The server, not the cache, counts hits,
+//!   misses and evictions: the `cache_hits`/`cache_misses` of each job's
+//!   `summary` record and of the server-wide `stats` and `metrics`
+//!   replies, and `cache_evictions` beside them.
 //!
 //! The wire protocol is specified in `docs/serve-protocol.md` and
 //! implemented (strict parse + emit) in [`protocol`]; the spec is
@@ -61,7 +65,7 @@ pub mod journal;
 pub mod protocol;
 mod server;
 
-pub use cache::{CachedReport, ResultCache};
+pub use cache::{CachedReport, ResultCache, DEFAULT_CACHE_MAX_BYTES};
 pub use journal::{Journal, EVENTS, JOURNAL_TAG, STAGE_HISTOGRAMS};
 pub use protocol::{JobRequest, JobSummary, ProtocolError, Request, ScenarioRef, FORMAT_TAG};
 pub use server::{ServeConfig, Server, COUNTERS, MAX_REQUEST_LINE, REPLY_BUFFER};

@@ -28,13 +28,13 @@ use sara_sim::{AnalyticReport, SystemConfig, ENGINE_VERSION};
 use sara_telemetry::{prometheus, Metric, Registry, TimeSource, WallClock};
 use sara_types::ConfigError;
 
-use crate::cache::{CachedReport, ResultCache};
+use crate::cache::{CachedReport, ResultCache, DEFAULT_CACHE_MAX_BYTES};
 use crate::journal::{Journal, EVENTS};
 use crate::protocol::{self, JobRequest, JobSummary, Request, ScenarioRef};
 
 /// The server's cumulative counters, registered in this order at
 /// construction so `stats` replies list them deterministically.
-pub const COUNTERS: [&str; 8] = [
+pub const COUNTERS: [&str; 9] = [
     "jobs_accepted",
     "jobs_rejected",
     "jobs_failed",
@@ -42,6 +42,7 @@ pub const COUNTERS: [&str; 8] = [
     "cells_screened",
     "cache_hits",
     "cache_misses",
+    "cache_evictions",
     "protocol_errors",
 ];
 
@@ -68,6 +69,10 @@ pub struct ServeConfig {
     /// Per-client admission budget: the most cells one client may have
     /// outstanding across its in-flight jobs.
     pub budget: usize,
+    /// The result cache's byte budget: the most rendered JSON it keeps
+    /// (0 keeps nothing). Never changes output bytes, only which cells
+    /// are hits.
+    pub cache_max_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -75,6 +80,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             budget: 4096,
+            cache_max_bytes: DEFAULT_CACHE_MAX_BYTES,
         }
     }
 }
@@ -200,7 +206,7 @@ impl Server {
                     (s, prefix)
                 })
                 .collect(),
-            cache: Mutex::new(ResultCache::new()),
+            cache: Mutex::new(ResultCache::with_budget(config.cache_max_bytes)),
             registry: Mutex::new(registry),
             outstanding: Mutex::new(HashMap::new()),
         }
@@ -722,14 +728,25 @@ impl Server {
             return ended;
         }
 
-        // Publish fresh results so no future job simulates these cells:
-        // the cache takes a handle on the entry the job already holds.
+        // Publish fresh results so no future job simulates these cells
+        // while they are within the budget: the cache takes a handle on
+        // the entry the job already holds. What it drops to stay within
+        // the budget is counted and journaled, in submission order.
+        let mut evicted = Vec::new();
         {
             let mut cache = self.cache.lock().expect("cache");
             for (i, answer) in answers.iter().enumerate() {
                 if let (CellSource::Run(_), Answer::Simulated(entry)) = (&sources[i], answer) {
-                    cache.insert_shared(fingerprints[i], Arc::clone(entry));
+                    evicted.extend(cache.insert_shared(fingerprints[i], Arc::clone(entry)));
                 }
+            }
+        }
+        if !evicted.is_empty() {
+            self.bump("cache_evictions", evicted.len() as u64);
+            let t_evicted = self.clock.now_us();
+            for bytes in evicted {
+                let fields = [("bytes", bytes.into()), ("ts_us", t_evicted.into())];
+                self.journal.append("evicted", job_no, &job.id, fields);
             }
         }
 

@@ -7,7 +7,7 @@ use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use json::Value;
-use sara_serve::{Journal, ServeConfig, Server};
+use sara_serve::{Journal, ServeConfig, Server, COUNTERS};
 use sara_telemetry::{prometheus, MockClock};
 
 fn run_session(server: &Server, input: &str) -> String {
@@ -186,6 +186,7 @@ fn mock_clock_journal_bytes_are_pinned() {
     let server = Server::new(ServeConfig {
         workers: 1,
         budget: 4,
+        ..Default::default()
     })
     .with_clock(Box::new(MockClock::new(7)))
     .with_journal(Journal::new(None, true));
@@ -249,21 +250,28 @@ fn screening_time_is_not_a_cache_lookup() {
 
 #[test]
 fn masked_journal_sequence_is_worker_count_invariant() {
-    // 1 scenario × 6 policies so a wide pool actually shards.
+    // 1 scenario × 6 policies so a wide pool actually shards, twice,
+    // through a cache that keeps two of the six entries (about 10 KB
+    // each): the second job mixes hits with re-simulated evicted cells,
+    // and both jobs evict.
     let all = "{\"format\":\"sara-serve/v1\",\"type\":\"submit\",\"id\":\"w\",\
                \"scenarios\":[\"camcorder-b\"],\"duration_ms\":0.05}\n";
     let masked = |workers: usize| {
         let server = Server::new(ServeConfig {
             workers,
+            cache_max_bytes: 25_000,
             ..Default::default()
         })
         .with_journal(Journal::new(None, true));
-        run_session(&server, all);
+        run_session(&server, &all.repeat(2));
+        assert_eq!(server.cache_len(), 2);
         masked_journal(&server)
     };
     let serial = masked(1);
     let wide = masked(8);
     assert!(!serial.is_empty());
+    assert!(serial.contains("\"event\":\"evicted\""), "{serial}");
+    assert!(serial.contains("\"event\":\"cache_hit\""), "{serial}");
     assert_eq!(
         serial, wide,
         "worker count leaked into the journal's event sequence"
@@ -327,6 +335,7 @@ fn metrics_reply_carries_prometheus_exposition() {
         "{exposition}"
     );
     assert!(exposition.contains("cache_misses 2\n"), "{exposition}");
+    assert!(exposition.contains("cache_evictions 0\n"), "{exposition}");
     assert!(
         exposition.contains("# TYPE sim_us histogram\n"),
         "{exposition}"
@@ -349,15 +358,21 @@ fn metrics_reply_carries_prometheus_exposition() {
     if let Err(e) = prometheus::check(exposition) {
         panic!("{e}\n{exposition}");
     }
-    // `stats` stays the fixed eight counters — wall-clock data must not
-    // leak into the deterministic reply.
+    // `stats` stays the fixed nine counters, in order — wall-clock data
+    // must not leak into the deterministic reply.
     let stats = records(&run_session(
         &server,
         "{\"format\":\"sara-serve/v1\",\"type\":\"stats\"}\n",
     ));
     let counters = stats[0].get("counters").expect("counters object");
-    assert_eq!(counters.as_object().unwrap().len(), 8);
-    assert!(counters.get("sim_us").is_none());
+    let names: Vec<&str> = counters
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(names, COUNTERS);
+    assert_eq!(COUNTERS.len(), 9);
 }
 
 #[test]
@@ -401,6 +416,7 @@ fn concurrent_tcp_clients_keep_budgets_and_ordering_separate() {
     let server = Server::new(ServeConfig {
         budget: 4,
         workers: 2,
+        ..Default::default()
     });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");

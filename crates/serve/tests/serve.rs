@@ -1,11 +1,11 @@
 //! End-to-end tests of the service against its two core guarantees:
 //! byte-identity with `sara matrix` (for any worker count, cache state,
-//! or arrival order) and "no cell is ever simulated twice" (proved by
-//! the cache-hit accounting), plus admission control and the
-//! transports: one write per reply plus one per simulated cell (the
-//! reply buffer goes out before each simulation), no delayed-ACK stall
-//! over TCP, a client that leaves mid-job ending only its own session, a
-//! capped request line.
+//! cache budget, or arrival order) and "no cell is simulated twice while
+//! its entry is within the budget" (proved by the cache-hit accounting),
+//! plus admission control and the transports: one write per reply plus
+//! one per simulated cell (the reply buffer goes out before each
+//! simulation), no delayed-ACK stall over TCP, a client that leaves
+//! mid-job ending only its own session, a capped request line.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -145,6 +145,29 @@ fn double_submit_simulates_each_cell_exactly_once() {
     assert_eq!(u64_field(counters, "cells_total"), 4);
     assert_eq!(u64_field(counters, "cache_hits"), 2);
     assert_eq!(u64_field(counters, "cache_misses"), 2);
+}
+
+#[test]
+fn a_cache_with_no_budget_keeps_nothing_and_changes_no_byte() {
+    let server = Server::new(ServeConfig {
+        cache_max_bytes: 0,
+        ..ServeConfig::default()
+    });
+    let first = run_session(&server, &submit("a", ""));
+    let second = run_session(&server, &submit("a", ""));
+    for transcript in [&first, &second] {
+        let summary = of_type(&records(transcript), "summary")[0].clone();
+        assert_eq!(u64_field(&summary, "cache_hits"), 0);
+        assert_eq!(u64_field(&summary, "cache_misses"), 2);
+    }
+    assert_eq!(mask_elapsed(&first), mask_elapsed(&second));
+    assert_eq!(server.cache_len(), 0);
+    let stats = records(&run_session(
+        &server,
+        "{\"format\":\"sara-serve/v1\",\"type\":\"stats\"}\n",
+    ));
+    let counters = stats[0].get("counters").expect("counters object");
+    assert_eq!(u64_field(counters, "cache_evictions"), 4);
 }
 
 #[test]

@@ -192,11 +192,6 @@ impl Simulation {
         self.now
     }
 
-    /// Number of DRAM channels (= lanes).
-    pub fn channel_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Runs until `end` (absolute cycle) without building a report — the
     /// cheap stepping primitive for epoch-driven callers (the online
     /// governor advances one control epoch at a time and reads
