@@ -277,16 +277,4 @@ mod tests {
         let kept: Vec<u64> = (0..20).filter(|k| cache.slots.contains_key(k)).collect();
         assert_eq!(kept, [0, 18, 19]);
     }
-
-    #[test]
-    fn an_entry_over_the_whole_budget_is_not_kept() {
-        let (key, report) = camcorder_b_fcfs();
-        let entry = Arc::new(CachedReport::new(&report));
-        let size = entry.json().len();
-        let mut cache = ResultCache::with_budget(size - 1);
-        assert_eq!(cache.insert_shared(key, entry), [size]);
-        assert!(cache.is_empty());
-        assert_eq!(cache.bytes(), 0);
-        assert!(cache.lookup(key).is_none());
-    }
 }
