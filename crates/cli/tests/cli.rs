@@ -508,7 +508,9 @@ fn gen_writes_deterministic_loadable_scenarios() {
 /// Tier-1's check of the paper: all 44 claims, ablations included, hold at
 /// 3 ms (39 cells, 30 distinct systems). `fig9` alone then prints the same
 /// section and writes the same two NPI series: what a target reports does
-/// not depend on what it ran beside, or on the run.
+/// not depend on what it ran beside, or on the run. The aging-threshold
+/// ablation's table (worst queueing delays, aged completions) is pinned
+/// byte for byte.
 #[test]
 fn repro_checks_every_figure_claim_and_is_target_independent() {
     // No simulation: the bytes the former `table1` / `table2` binaries printed.
@@ -522,6 +524,11 @@ fn repro_checks_every_figure_claim_and_is_target_independent() {
     assert_eq!(code(&out), 0, "{together}{}", stderr(&out));
     assert!(together.ends_with("\n44 of 44 claims hold\n"), "{together}");
     assert!(!together.contains("[FAIL]"), "{together}");
+    let aging = together
+        .split("\n\n")
+        .find(|section| section.starts_with("== ablation: aging threshold T"))
+        .expect("aging ablation section");
+    golden::check("repro-aging-3ms.txt", &format!("{aging}\n"));
     let written = std::fs::read_dir(&dir).unwrap().count();
     assert_eq!(written, 12, "10 NPI series, fig7.csv and fig8.csv");
     let npi = |policy| std::fs::read(dir.join(format!("fig9_{policy}.csv"))).unwrap();
