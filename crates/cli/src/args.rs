@@ -77,14 +77,15 @@ impl<'a> Args<'a> {
     /// # Errors
     ///
     /// Usage error if the flag is present without a value — including when
-    /// the next token is another flag (a lone `-`, the stdout sink, is a
-    /// value; `--anything` is not), so `--json --pretty` fails loudly
-    /// instead of writing a file named `--pretty`.
+    /// the next token is another flag, `--anything` (any other token is a
+    /// value: the stdout sink `-`, a negative number such as `-1`), so
+    /// `--json --pretty` fails loudly instead of writing a file named
+    /// `--pretty`, and `--budget -1` reaches the value's own check.
     pub(crate) fn take_opt(&mut self, name: &str) -> Result<Option<String>, CliError> {
         let mut value = None;
         while let Some(i) = self.items.iter().position(|a| a == name) {
             let next = self.items.get(i + 1);
-            if next.is_none() || next.is_some_and(|v| v.len() > 1 && v.starts_with('-')) {
+            if next.is_none_or(|v| v.starts_with("--")) {
                 return Err(CliError::usage(
                     self.usage,
                     format!("{name} requires a value"),
@@ -288,6 +289,9 @@ mod tests {
         // But `-` is the stdout sink, a legitimate value.
         let mut a = args(&["--json", "-"]);
         assert_eq!(a.take_opt("--json").unwrap().as_deref(), Some("-"));
+        // So is a negative number: its own check refuses it, naming it.
+        let mut a = args(&["--budget", "-1"]);
+        assert_eq!(a.take_opt("--budget").unwrap().as_deref(), Some("-1"));
     }
 
     #[test]

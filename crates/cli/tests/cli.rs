@@ -225,6 +225,24 @@ fn bad_flags_exit_2_with_usage_on_stderr() {
         assert!(err.contains(&format!("usage: sara {cmd}")), "{err}");
         assert!(stdout(&out).is_empty());
     }
+
+    // A negative number is a value, not the next flag: its own check
+    // refuses it and names it.
+    for (cmd, flag, complaint) in [
+        ("serve", "--budget", "--budget: cannot parse \"-1\""),
+        (
+            "matrix",
+            "--duration-ms",
+            "--duration-ms must be > 0, got -1",
+        ),
+    ] {
+        let out = sara(&[cmd, flag, "-1"]);
+        assert_eq!(code(&out), 2, "sara {cmd} {flag} -1");
+        let err = stderr(&out);
+        assert!(err.starts_with(complaint), "{err}");
+        assert!(err.contains(&format!("usage: sara {cmd}")), "{err}");
+        assert!(stdout(&out).is_empty());
+    }
 }
 
 #[test]
