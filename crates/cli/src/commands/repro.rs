@@ -368,11 +368,13 @@ static TARGETS: [Target; 11] = [
             let header = "T(cycles)        GB/s  failures  maxWait CPU  maxWait med       aged";
             knob_table(header, r, |r| {
                 let aged: u64 = CoreClass::ALL.iter().map(|&c| r.mc.class(c).aged).sum();
+                let max_wait =
+                    |c: CoreClass| r.telemetry.classes[c.queue_index()].queue_delay.max();
                 format!(
                     "{:>9} {:>12} {:>12} {aged:>10}",
                     r.failed_cores().len(),
-                    r.mc.class(CoreClass::Cpu).max_wait,
-                    r.mc.class(CoreClass::Media).max_wait
+                    max_wait(CoreClass::Cpu),
+                    max_wait(CoreClass::Media)
                 )
             })
         },

@@ -114,8 +114,6 @@ pub struct ChannelController {
     cfg: McConfig,
     /// The scheduling table, in arrival order.
     table: Vec<Entry>,
-    /// Entries of `table` per class queue.
-    class_counts: [usize; NUM_QUEUES],
     /// `table[..synced]` has been probed; the rest was accepted since.
     synced: usize,
     /// [`Channel::version`] the probed entries and the two summaries below
@@ -141,7 +139,6 @@ impl ChannelController {
         ChannelController {
             channel,
             table: Vec::with_capacity(cfg.total_entries()),
-            class_counts: [0; NUM_QUEUES],
             synced: 0,
             // No channel's counter reaches this, so the first tick probes.
             version: u64::MAX,
@@ -167,9 +164,10 @@ impl ChannelController {
         &self.cfg
     }
 
-    /// This channel's counters: accepted/completed/wait/aging per class
-    /// plus commands issued. Rejections and peak occupancy are admission
-    /// concerns and live with the front-end.
+    /// This channel's scheduling counters: completions and aging
+    /// promotions per class plus commands issued. Admission counts
+    /// (accepted, rejected, peak occupancy) have one writer, the
+    /// front-end's [`AdmissionControl::stats`], and stay zero here.
     #[inline]
     pub fn stats(&self) -> &McStats {
         &self.stats
@@ -195,9 +193,6 @@ impl ChannelController {
             loc.channel, self.channel,
             "transaction routed to wrong lane"
         );
-        let q = txn.class.queue_index();
-        self.class_counts[q] += 1;
-        self.stats.class_mut(q).accepted += 1;
         self.table.push(Entry {
             txn,
             loc,
@@ -387,11 +382,8 @@ impl ChannelController {
             let queued_for = now.saturating_sub(entry.accepted_at);
             // Aging is the only thing that moves a level off its stamp.
             let was_aged = cand.effective_priority != entry.txn.priority.as_u8();
-            self.class_counts[cand.queue] -= 1;
             let class = self.stats.class_mut(cand.queue);
             class.completed += 1;
-            class.total_wait += queued_for;
-            class.max_wait = class.max_wait.max(queued_for);
             if was_aged {
                 class.aged += 1;
             }
@@ -500,10 +492,9 @@ impl AdmissionControl {
     }
 
     /// Admission-side statistics: accepted/rejected per class and the peak
-    /// simultaneous occupancy. Fold the per-channel controllers' counters
-    /// in with [`McStats::merge_scheduling`] for the full controller view
-    /// (both sides count `accepted`, which is why the scheduling merge
-    /// deliberately skips admission fields).
+    /// simultaneous occupancy; the scheduling counts stay zero here. Fold
+    /// the per-channel controllers' counters in with
+    /// [`McStats::merge_scheduling`] for the full controller view.
     #[inline]
     pub fn stats(&self) -> &McStats {
         &self.stats

@@ -121,13 +121,6 @@ impl MemoryController {
         stats
     }
 
-    /// Statistics of one channel's controller (`None` if the channel never
-    /// saw traffic).
-    #[inline]
-    pub fn channel_stats(&self, channel: usize) -> Option<&McStats> {
-        self.lanes.get(channel).map(ChannelController::stats)
-    }
-
     /// Transactions currently queued.
     #[inline]
     pub fn occupancy(&self) -> usize {

@@ -13,10 +13,6 @@ pub struct ClassStats {
     pub completed: u64,
     /// Admissions refused (queue or total budget full).
     pub rejected: u64,
-    /// Sum of queueing delays (accept → final command), cycles.
-    pub total_wait: u64,
-    /// Worst observed queueing delay, cycles.
-    pub max_wait: u64,
     /// Completions that had been promoted by aging.
     pub aged: u64,
 }
@@ -51,19 +47,19 @@ impl McStats {
         self.per_class.iter().map(|c| c.rejected).sum()
     }
 
-    /// Folds a per-channel controller's *scheduling* counters into this
-    /// (admission-side) view: completions, waits, aging promotions and
-    /// commands issued. Admission counters (`accepted`, `rejected`, peak
-    /// occupancy) are left alone — the front-end already tracked those, and
-    /// summing both sides would double count.
+    /// Folds a per-channel controller's counters into this (admission-side)
+    /// view, field by field. Each count has one writer — the front-end
+    /// counts admissions, a lane counts what it schedules — so the sum is
+    /// exact.
     pub fn merge_scheduling(&mut self, lane: &McStats) {
         for (acc, c) in self.per_class.iter_mut().zip(&lane.per_class) {
+            acc.accepted += c.accepted;
             acc.completed += c.completed;
-            acc.total_wait += c.total_wait;
-            acc.max_wait = acc.max_wait.max(c.max_wait);
+            acc.rejected += c.rejected;
             acc.aged += c.aged;
         }
         self.commands_issued += lane.commands_issued;
+        self.peak_occupancy = self.peak_occupancy.max(lane.peak_occupancy);
     }
 }
 

@@ -106,8 +106,8 @@ pub struct Simulation {
     /// Hot-path metrics recorder (fed from the completion merge and the
     /// `Deliver` handler, both on the deterministic engine order).
     telemetry: SimTelemetry,
-    /// Per-DMA worst sampled NPI since the last [`Simulation::mark_epoch`].
-    epoch_floor: Vec<f64>,
+    /// Samples taken before the last [`Simulation::mark_epoch`].
+    epoch_start: usize,
     /// Scratch for the deterministic completion merge: the window's
     /// completions moved out of the lanes, each with its lane index.
     merged: Vec<(usize, Completion)>,
@@ -169,7 +169,7 @@ impl Simulation {
             samplers,
             next_sample: Cycle::new(cfg.sample_period()),
             telemetry,
-            epoch_floor: vec![f64::INFINITY; dmas.len()],
+            epoch_start: 0,
             merged: Vec::new(),
             drain_limit: Cycle::ZERO,
             dmas,
@@ -293,7 +293,7 @@ impl Simulation {
         let first = merged.first().map(|(_, c)| c.issued_at);
         for (li, c) in merged.drain(..) {
             self.telemetry
-                .record_completion(li, c.txn.class, c.queued_for, c.row_hit, c.was_aged);
+                .record_completion(li, c.txn.class, c.queued_for, c.row_hit);
             let is_read = c.txn.op.is_read();
             let deliver_at = if is_read {
                 c.done_at + READ_RESPONSE_LATENCY
@@ -468,8 +468,7 @@ impl Simulation {
     fn deliver(&mut self, i: usize, bytes: u32, injected_at: Cycle, is_read: bool) {
         let now = self.now;
         let latency = now.saturating_sub(injected_at);
-        self.telemetry
-            .record_delivery(i, self.dmas[i].class, latency);
+        self.telemetry.record_delivery(i, latency);
         let dma = &mut self.dmas[i];
         let op = if is_read { MemOp::Read } else { MemOp::Write };
         dma.adapter.on_complete(now, bytes, latency, op);
@@ -490,9 +489,8 @@ impl Simulation {
         let now = self.now;
         for (i, dma) in self.dmas.iter_mut().enumerate() {
             dma.adapter.refresh(now);
-            let npi = dma.adapter.npi();
-            self.epoch_floor[i] = self.epoch_floor[i].min(npi.as_f64());
-            self.samplers.record(i, npi, dma.adapter.priority());
+            self.samplers
+                .record(i, dma.adapter.npi(), dma.adapter.priority());
         }
         let bytes = self.dram_bytes();
         self.samplers.record_bandwidth(bytes);
@@ -606,10 +604,13 @@ impl Simulation {
         let dmas = self
             .dmas
             .iter()
-            .zip(&self.epoch_floor)
-            .map(|(dma, &epoch_floor)| DmaHealth {
+            .enumerate()
+            .map(|(i, dma)| DmaHealth {
                 npi: dma.adapter.meter().npi(now).as_f64(),
-                epoch_floor,
+                epoch_floor: self.samplers.npi_series(i)[self.epoch_start..]
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min),
             })
             .collect();
         let burst_bytes = self.cfg.dram.burst_bytes();
@@ -630,12 +631,10 @@ impl Simulation {
         }
     }
 
-    /// Starts a new control epoch: resets the per-DMA sampled-NPI floors
-    /// that [`Simulation::health`] reports as `epoch_floor`.
+    /// Starts a new control epoch: [`Simulation::health`]'s `epoch_floor`
+    /// reads only the samples taken from here on.
     pub fn mark_epoch(&mut self) {
-        for floor in &mut self.epoch_floor {
-            *floor = f64::INFINITY;
-        }
+        self.epoch_start = self.samplers.samples();
     }
 
     /// Aggregated controller statistics: the admission front-end's
@@ -658,7 +657,7 @@ impl Simulation {
             .collect();
         let dram = DramStats::from_channels(&channel_stats);
         let mc = self.mc_stats();
-        let telemetry = TelemetryReport::new(&self.telemetry, &mc, &dram, &self.noc, &self.dmas);
+        let telemetry = TelemetryReport::new(&self.telemetry, &mc, &self.noc, &self.dmas);
         ReportBuilder {
             cfg: &self.cfg,
             now: self.now,

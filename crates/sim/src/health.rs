@@ -20,8 +20,9 @@ pub struct DmaHealth {
     /// Live NPI at the snapshot instant.
     pub npi: f64,
     /// Worst NPI recorded by the periodic sampler since the last
-    /// [`crate::Simulation::mark_epoch`] (`f64::INFINITY` when no sample
-    /// fell inside the window).
+    /// [`crate::Simulation::mark_epoch`]: the minimum of the DMA's sampled
+    /// NPI series over the samples taken since the mark (`f64::INFINITY`
+    /// when none was).
     pub epoch_floor: f64,
 }
 

@@ -60,7 +60,10 @@ impl SimReport {
                 "cores".to_string(),
                 Value::Array(self.cores.iter().map(core_value).collect()),
             ),
-            ("telemetry".to_string(), self.telemetry.to_json_value()),
+            (
+                "telemetry".to_string(),
+                self.telemetry.to_json_value(&self.mc, &self.dram),
+            ),
             // The closed-form yardstick, appended last so every earlier
             // byte of the report is identical to pre-analytic consumers.
             ("analytic".to_string(), {

@@ -48,6 +48,11 @@ impl Samplers {
         self.bytes.push(total_bytes);
     }
 
+    /// Samples taken so far (each sample records every DMA).
+    pub(crate) fn samples(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// NPI series of one DMA.
     pub(crate) fn npi_series(&self, dma: usize) -> &[f64] {
         &self.npi[dma]

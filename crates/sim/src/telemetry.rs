@@ -1,24 +1,24 @@
 //! The simulation's telemetry plane: hot-path recorders and the owned
 //! snapshot embedded in every [`SimReport`](crate::SimReport).
 //!
-//! `SimTelemetry` is the engine's live recorder, fed from exactly two
-//! hot paths — the deterministic completion merge (per-class queueing
-//! delay, per-lane row-hit counters) and the `Deliver` handler (per-class
-//! and per-DMA end-to-end latency). Both paths run on the engine thread in
-//! the fixed `(cycle, lane)` merge order, and every accumulator is an
-//! integer [`Counter`](sara_telemetry::Counter) or log2 [`Histogram`]
-//! with exact merge, so the
-//! recorder's state — and the JSON it snapshots to — is a pure function
-//! of the simulated run (pinned by the determinism suite).
+//! `SimTelemetry` is the engine's live recorder, and it keeps only what no
+//! other layer counts: per-class queueing delay and per-lane row-buffer
+//! hits from the deterministic completion merge, per-DMA end-to-end
+//! latency from the `Deliver` handler. Both paths run on the engine thread
+//! in the fixed `(cycle, lane)` merge order, and every accumulator is an
+//! integer or a log2 [`Histogram`] with exact merge, so the recorder's
+//! state — and the JSON it snapshots to — is a pure function of the
+//! simulated run (pinned by the determinism suite).
 //!
-//! [`TelemetryReport`] is the owned snapshot: the recorder's distributions
-//! joined with the admission front-end's stall/reject counters, the DRAM
-//! channels' row-conflict counters and the NoC arbiter occupancy — one
-//! vocabulary for "where did the cycles go", nested per class / per DMA /
-//! per lane, plus a flat [`Registry`] of system totals.
+//! [`TelemetryReport`] is the owned snapshot: those distributions (a
+//! class's latency is the merge of its DMAs') and the NoC arbiters. Its
+//! JSON and [`Registry`] of totals read the counts other layers own —
+//! admissions, refusals, completions, aging ([`McStats`]), column accesses
+//! and row conflicts ([`DramStats`]) — from their owners: one vocabulary
+//! for "where did the cycles go", per class / per DMA / per lane.
 
 use json::Value;
-use sara_dram::DramStats;
+use sara_dram::{ChannelStats, DramStats};
 use sara_memctrl::McStats;
 use sara_noc::{Noc, NodeStats};
 use sara_telemetry::{Histogram, Registry};
@@ -37,16 +37,10 @@ pub(crate) struct SimTelemetry {
     /// Queueing delay (controller accept → final column command) per
     /// traffic class, in cycles.
     queue_delay: [Histogram; 5],
-    /// End-to-end latency (inject → deliver) per traffic class, in cycles.
-    class_latency: [Histogram; 5],
-    /// End-to-end latency per DMA, in cycles.
+    /// End-to-end latency (inject → deliver) per DMA, in cycles.
     dma_latency: Vec<Histogram>,
-    /// Completions merged per lane.
-    lane_completions: Vec<u64>,
     /// Row-buffer hits among each lane's completions.
     lane_row_hits: Vec<u64>,
-    /// Completions that had been promoted by aging.
-    aged: u64,
 }
 
 impl SimTelemetry {
@@ -54,11 +48,8 @@ impl SimTelemetry {
     pub(crate) fn new(dmas: usize, lanes: usize) -> Self {
         SimTelemetry {
             queue_delay: Default::default(),
-            class_latency: Default::default(),
             dma_latency: vec![Histogram::new(); dmas],
-            lane_completions: vec![0; lanes],
             lane_row_hits: vec![0; lanes],
-            aged: 0,
         }
     }
 
@@ -71,42 +62,35 @@ impl SimTelemetry {
         class: CoreClass,
         queued_for: u64,
         row_hit: bool,
-        was_aged: bool,
     ) {
         self.queue_delay[class.queue_index()].record(queued_for);
-        self.lane_completions[lane] += 1;
         if row_hit {
             self.lane_row_hits[lane] += 1;
-        }
-        if was_aged {
-            self.aged += 1;
         }
     }
 
     /// Records one delivered transaction's end-to-end latency.
     #[inline]
-    pub(crate) fn record_delivery(&mut self, dma: usize, class: CoreClass, latency: u64) {
-        self.class_latency[class.queue_index()].record(latency);
+    pub(crate) fn record_delivery(&mut self, dma: usize, latency: u64) {
         self.dma_latency[dma].record(latency);
     }
 }
 
-/// Per-class slice of a [`TelemetryReport`].
+/// Per-class slice of a [`TelemetryReport`]. The class's admission,
+/// refusal, completion and aging counts are
+/// [`SimReport::mc`](crate::SimReport::mc)`.class(class)`.
 #[derive(Debug, Clone)]
 pub struct ClassTelemetry {
     /// The traffic class.
     pub class: CoreClass,
-    /// Admissions into the class queue.
+    /// A copy of the controller's `accepted` count, kept for the benchmark
+    /// package's reader (the JSON reads the controller's).
     pub accepted: u64,
-    /// Admission rejections (queue or shared budget full).
-    pub rejected: u64,
-    /// Completions.
-    pub completed: u64,
-    /// Completions that had been promoted by aging.
-    pub aged: u64,
-    /// Queueing-delay distribution, cycles.
+    /// Queueing-delay distribution, cycles; its `max()` is the class's
+    /// worst queueing delay.
     pub queue_delay: Histogram,
-    /// End-to-end latency distribution, cycles.
+    /// End-to-end latency distribution, cycles: the merge of the class's
+    /// per-DMA latency histograms.
     pub latency: Histogram,
 }
 
@@ -122,29 +106,26 @@ pub struct DmaTelemetry {
     pub latency: Histogram,
 }
 
-/// Per-lane slice of a [`TelemetryReport`].
+/// Per-lane slice of a [`TelemetryReport`]. The lane's completions and row
+/// conflicts are its channel's in [`SimReport::dram`](crate::SimReport::dram).
 #[derive(Debug, Clone)]
 pub struct LaneTelemetry {
     /// Lane (= DRAM channel) index.
     pub lane: usize,
-    /// Completions merged from this lane.
-    pub completions: u64,
     /// Completions whose final column command found its row already open
     /// (a superset of the DRAM's first-touch row-hit classification).
     pub row_hits: u64,
-    /// Row-buffer conflicts observed by the lane's DRAM channel.
-    pub row_conflicts: u64,
 }
 
 /// The owned telemetry snapshot embedded in a
 /// [`SimReport`](crate::SimReport).
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
-    /// Per-class admission/queueing/latency telemetry, in queue order.
+    /// Per-class queueing/latency telemetry, in queue order.
     pub classes: Vec<ClassTelemetry>,
     /// Per-DMA latency telemetry, in DMA order.
     pub dmas: Vec<DmaTelemetry>,
-    /// Per-lane completion/row-buffer telemetry, in lane order.
+    /// Per-lane row-buffer telemetry, in lane order.
     pub lanes: Vec<LaneTelemetry>,
     /// Root arbiter of the NoC tree.
     pub noc_root: NodeStats,
@@ -153,28 +134,27 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Joins the live recorder with the admission, DRAM and NoC counters
-    /// into an owned snapshot.
+    /// Snapshots the live recorder and the NoC arbiters.
     pub(crate) fn new(
         telemetry: &SimTelemetry,
         mc: &McStats,
-        dram: &DramStats,
         noc: &Noc,
         dmas: &[DmaRuntime],
     ) -> Self {
         let classes = CoreClass::ALL
             .iter()
             .map(|&class| {
-                let qi = class.queue_index();
-                let cs = mc.class(class);
+                let mut latency = Histogram::new();
+                for (dma, hist) in dmas.iter().zip(&telemetry.dma_latency) {
+                    if dma.class == class {
+                        latency.merge(hist);
+                    }
+                }
                 ClassTelemetry {
                     class,
-                    accepted: cs.accepted,
-                    rejected: cs.rejected,
-                    completed: cs.completed,
-                    aged: cs.aged,
-                    queue_delay: telemetry.queue_delay[qi].clone(),
-                    latency: telemetry.class_latency[qi].clone(),
+                    accepted: mc.class(class).accepted,
+                    queue_delay: telemetry.queue_delay[class.queue_index()].clone(),
+                    latency,
                 }
             })
             .collect();
@@ -187,16 +167,11 @@ impl TelemetryReport {
                 latency: telemetry.dma_latency[i].clone(),
             })
             .collect();
-        let lanes = dram
-            .per_channel
+        let lanes = telemetry
+            .lane_row_hits
             .iter()
             .enumerate()
-            .map(|(lane, ch)| LaneTelemetry {
-                lane,
-                completions: telemetry.lane_completions[lane],
-                row_hits: telemetry.lane_row_hits[lane],
-                row_conflicts: ch.row_conflicts,
-            })
+            .map(|(lane, &row_hits)| LaneTelemetry { lane, row_hits })
             .collect();
         TelemetryReport {
             classes,
@@ -211,25 +186,26 @@ impl TelemetryReport {
     }
 
     /// The system-wide totals as a flat metrics [`Registry`] — the compact
-    /// vocabulary `sara report` summarizes.
-    pub fn totals(&self) -> Registry {
+    /// vocabulary `sara report` summarizes. `mc` and `dram` are the same
+    /// report's controller and DRAM counters.
+    pub fn totals(&self, mc: &McStats, dram: &DramStats) -> Registry {
         let mut reg = Registry::new();
         let mut latency = Histogram::new();
         let mut queue_delay = Histogram::new();
         for c in &self.classes {
-            reg.counter("accepted").add(c.accepted);
-            reg.counter("rejected").add(c.rejected);
-            reg.counter("completed").add(c.completed);
-            reg.counter("aged").add(c.aged);
+            let counts = mc.class(c.class);
+            reg.counter("accepted").add(counts.accepted);
+            reg.counter("rejected").add(counts.rejected);
+            reg.counter("completed").add(counts.completed);
+            reg.counter("aged").add(counts.aged);
             latency.merge(&c.latency);
             queue_delay.merge(&c.queue_delay);
         }
         reg.histogram("latency_cycles").merge(&latency);
         reg.histogram("queue_delay_cycles").merge(&queue_delay);
-        for lane in &self.lanes {
-            reg.counter("row_hits").add(lane.row_hits);
-            reg.counter("row_conflicts").add(lane.row_conflicts);
-        }
+        let row_hits = self.lanes.iter().map(|lane| lane.row_hits).sum();
+        reg.counter("row_hits").add(row_hits);
+        reg.counter("row_conflicts").add(dram.total.row_conflicts);
         reg.counter("noc_forwarded").add(self.noc_root.forwarded);
         reg.counter("noc_blocked").add(self.noc_root.blocked);
         reg.gauge("noc_peak_occupancy")
@@ -239,15 +215,17 @@ impl TelemetryReport {
 
     /// The snapshot as one JSON object node: a `totals` registry plus the
     /// nested per-class / per-DMA / per-lane / NoC breakdowns, all in
-    /// fixed order.
-    pub fn to_json_value(&self) -> Value {
+    /// fixed order. `mc` and `dram` are the same report's controller and
+    /// DRAM counters, which supply the per-class and per-lane counts.
+    pub fn to_json_value(&self, mc: &McStats, dram: &DramStats) -> Value {
         let class_value = |c: &ClassTelemetry| {
+            let counts = mc.class(c.class);
             Value::Object(vec![
                 ("class".to_string(), c.class.name().into()),
-                ("accepted".to_string(), c.accepted.into()),
-                ("rejected".to_string(), c.rejected.into()),
-                ("completed".to_string(), c.completed.into()),
-                ("aged".to_string(), c.aged.into()),
+                ("accepted".to_string(), counts.accepted.into()),
+                ("rejected".to_string(), counts.rejected.into()),
+                ("completed".to_string(), counts.completed.into()),
+                ("aged".to_string(), counts.aged.into()),
                 (
                     "queue_delay_cycles".to_string(),
                     c.queue_delay.to_json_value(),
@@ -262,14 +240,15 @@ impl TelemetryReport {
                 ("latency_cycles".to_string(), d.latency.to_json_value()),
             ])
         };
-        let lane_value = |l: &LaneTelemetry| {
+        let lane_value = |(l, ch): (&LaneTelemetry, &ChannelStats)| {
             Value::Object(vec![
                 ("lane".to_string(), l.lane.into()),
-                ("completions".to_string(), l.completions.into()),
+                ("completions".to_string(), ch.column_accesses().into()),
                 ("row_hits".to_string(), l.row_hits.into()),
-                ("row_conflicts".to_string(), l.row_conflicts.into()),
+                ("row_conflicts".to_string(), ch.row_conflicts.into()),
             ])
         };
+        let lanes = self.lanes.iter().zip(&dram.per_channel);
         let node_value = |n: &NodeStats| {
             Value::Object(vec![
                 ("forwarded".to_string(), n.forwarded.into()),
@@ -297,7 +276,7 @@ impl TelemetryReport {
             ),
         ]);
         Value::Object(vec![
-            ("totals".to_string(), self.totals().to_json_value()),
+            ("totals".to_string(), self.totals(mc, dram).to_json_value()),
             (
                 "classes".to_string(),
                 Value::Array(self.classes.iter().map(class_value).collect()),
@@ -308,7 +287,7 @@ impl TelemetryReport {
             ),
             (
                 "lanes".to_string(),
-                Value::Array(self.lanes.iter().map(lane_value).collect()),
+                Value::Array(lanes.map(lane_value).collect()),
             ),
             ("noc".to_string(), noc),
         ])

@@ -9,7 +9,7 @@ use sara::governor::{run_governed, run_pinned, trace};
 use sara::memctrl::{McConfig, MemoryController, PolicyKind, TickResult};
 use sara::scenarios::{catalog, Scenario};
 use sara::types::{
-    Addr, CoreKind, Cycle, DmaId, MegaHertz, MemOp, Priority, Transaction, TransactionId,
+    Addr, CoreClass, CoreKind, Cycle, DmaId, MegaHertz, MemOp, Priority, Transaction, TransactionId,
 };
 
 use rand::rngs::StdRng;
@@ -161,14 +161,17 @@ fn refusal_counters_match_the_pinned_counts() {
         let mut pin = |counter: &str, count: u64| {
             pinned += &format!("{name:<16} {counter:<17} {count}\n");
         };
-        for class in &telemetry.classes {
-            pin(&format!("rejected.{}", class.class.name()), class.rejected);
+        for class in CoreClass::ALL {
+            pin(
+                &format!("rejected.{}", class.name()),
+                report.mc.class(class).rejected,
+            );
         }
         pin("noc_root.blocked", telemetry.noc_root.blocked);
         pin("noc_forwarded", report.noc_forwarded);
-        let rejected: u64 = telemetry.classes.iter().map(|c| c.rejected).sum();
         assert_eq!(
-            rejected, telemetry.noc_root.blocked,
+            report.mc.total_rejected(),
+            telemetry.noc_root.blocked,
             "{name}: rejected summed over classes vs noc_root.blocked"
         );
         assert!(telemetry.noc_leaves.iter().all(|leaf| leaf.blocked == 0));

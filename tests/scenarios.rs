@@ -31,9 +31,14 @@ fn every_builtin_scenario_completes_one_ms() {
             cell.scenario
         );
         let report = cell.report().unwrap();
-        let lane_completions: u64 = report.telemetry.lanes.iter().map(|l| l.completions).sum();
+        let column_accesses: u64 = report
+            .dram
+            .per_channel
+            .iter()
+            .map(|ch| ch.column_accesses())
+            .sum();
         assert_eq!(
-            lane_completions,
+            column_accesses,
             report.mc.total_completed(),
             "{}: telemetry lost completions",
             cell.scenario
