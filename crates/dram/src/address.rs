@@ -328,9 +328,13 @@ mod tests {
         }
     }
 
-    fn wide_map(channels: usize) -> AddressMap {
+    fn map_for(channels: usize, scheme: Interleave) -> AddressMap {
         let cfg = DramConfig::builder().channels(channels).build().unwrap();
-        AddressMap::new(&cfg, Interleave::RowRankBankColChanXor).unwrap()
+        AddressMap::new(&cfg, scheme).unwrap()
+    }
+
+    fn wide_map(channels: usize) -> AddressMap {
+        map_for(channels, Interleave::RowRankBankColChanXor)
     }
 
     #[test]
@@ -375,6 +379,60 @@ mod tests {
                 seen[loc.channel] = true;
             }
             assert!(seen.iter().all(|&s| s), "every channel should be reachable");
+        }
+    }
+
+    /// The map spelled out field by field: `row | rank | bank | col | chan |
+    /// offset` over Table 1's 128 B bursts, 16 columns, 8 banks, 2 ranks and
+    /// 32 Ki rows, with the channel XOR-ed with the low row bits when
+    /// `skew` is set. Returns the expected location and burst-aligned
+    /// address.
+    fn oracle(addr: u64, channels: u64, skew: bool) -> (Location, u64) {
+        let capacity = channels * 2 * 8 * 32 * 1024 * 2048;
+        let a = addr % capacity;
+        let burst = a / 128;
+        let raw_chan = burst % channels;
+        let col = (burst / channels) % 16;
+        let bank = (burst / channels / 16) % 8;
+        let rank = (burst / channels / 16 / 8) % 2;
+        let row = burst / channels / 16 / 8 / 2;
+        let channel = if skew {
+            raw_chan ^ (row % channels)
+        } else {
+            raw_chan
+        };
+        let loc = Location {
+            channel: channel as usize,
+            rank: rank as usize,
+            bank: bank as usize,
+            row: row as u32,
+            col: col as u32,
+        };
+        (loc, a / 128 * 128)
+    }
+
+    #[test]
+    fn decode_and_encode_match_the_spelled_out_bit_layout() {
+        let mut rng = StdRng::seed_from_u64(0xadd2_0006);
+        for channels in [1usize, 2, 4, 8, 16] {
+            for scheme in [Interleave::default(), Interleave::RowRankBankColChanXor] {
+                let m = map_for(channels, scheme);
+                let skew = scheme == Interleave::RowRankBankColChanXor;
+                for _ in 0..4096 {
+                    let addr = rng.next_u64();
+                    let (loc, aligned) = oracle(addr, channels as u64, skew);
+                    assert_eq!(
+                        m.decode(Addr::new(addr)),
+                        loc,
+                        "{channels} ch {scheme:?} {addr:#x}"
+                    );
+                    assert_eq!(
+                        m.encode(loc).as_u64(),
+                        aligned,
+                        "{channels} ch {scheme:?} {loc}"
+                    );
+                }
+            }
         }
     }
 
