@@ -2,15 +2,16 @@
 //!
 //! The mapping determines how much bank/channel parallelism and row locality
 //! a given traffic pattern enjoys, which is exactly what the paper's
-//! row-buffer-hit experiments probe. Three interleavings are provided; the
-//! default puts the channel bit right above the burst offset so sequential
-//! streams stripe across channels while still hitting open rows, and the
-//! XOR-skewed variant additionally hashes the channel bits with the row so
-//! wide (4+ channel) configs never let a strided stream camp on one lane.
+//! row-buffer-hit experiments probe. Both interleavings slice
+//! `row | rank | bank | col | channel | offset`: the channel bits sit right
+//! above the burst offset so sequential streams stripe across channels
+//! while still hitting open rows. The XOR-skewed variant additionally
+//! hashes the channel bits with the row so wide (4+ channel) configs never
+//! let a strided stream camp on one lane.
 
 use core::fmt;
 
-use sara_types::{Addr, ConfigError};
+use sara_types::Addr;
 
 use crate::config::DramConfig;
 
@@ -49,11 +50,6 @@ pub enum Interleave {
     /// channel parallelism and row locality for sequential streams.
     #[default]
     RowRankBankColChan,
-    /// `row | col | rank | bank | channel | offset`.
-    ///
-    /// Bank interleaving at burst granularity: sequential streams touch a
-    /// new bank every burst (more bank parallelism, less row locality).
-    RowColRankBankChan,
     /// `row | rank | bank | col | channel^row | offset`.
     ///
     /// Channel-skewed variant of the default map: the channel index is the
@@ -73,12 +69,11 @@ pub enum Interleave {
 /// use sara_dram::{AddressMap, DramConfig, Interleave};
 /// use sara_types::Addr;
 ///
-/// let map = AddressMap::new(&DramConfig::table1_1866(), Interleave::default())?;
+/// let map = AddressMap::new(&DramConfig::table1_1866(), Interleave::default());
 /// let loc = map.decode(Addr::new(0x1234_5680));
 /// let back = map.encode(loc);
 /// // encode() returns the burst-aligned base of the decoded location
 /// assert_eq!(back.as_u64(), 0x1234_5680 & !(128 - 1));
-/// # Ok::<(), sara_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AddressMap {
@@ -88,42 +83,31 @@ pub struct AddressMap {
     bank_bits: u32,
     rank_bits: u32,
     row_bits: u32,
-    scheme: Interleave,
+    /// The low row bits XOR-ed into the channel: all channel bits under
+    /// the skewed map, none under the plain one.
+    skew_mask: u64,
     capacity_mask: u64,
 }
 
 impl AddressMap {
     /// Creates a map for `cfg` with the given interleaving.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if any geometry dimension is not a power of
-    /// two (the map is pure bit slicing).
-    pub fn new(cfg: &DramConfig, scheme: Interleave) -> Result<Self, ConfigError> {
-        fn log2(name: &str, v: u64) -> Result<u32, ConfigError> {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(ConfigError::new(format!(
-                    "{name} ({v}) must be a power of two for bit-sliced mapping"
-                )));
-            }
-            Ok(v.trailing_zeros())
-        }
-        let offset_bits = log2("burst size", cfg.burst_bytes() as u64)?;
-        let chan_bits = log2("channels", cfg.channels() as u64)?;
-        let col_bits = log2("columns", cfg.cols() as u64)?;
-        let bank_bits = log2("banks", cfg.banks() as u64)?;
-        let rank_bits = log2("ranks", cfg.ranks() as u64)?;
-        let row_bits = log2("rows", cfg.rows() as u64)?;
-        Ok(AddressMap {
-            offset_bits,
+    pub fn new(cfg: &DramConfig, scheme: Interleave) -> Self {
+        let bits = |v: usize| v.trailing_zeros();
+        let chan_bits = bits(cfg.channels());
+        let skew_mask = match scheme {
+            Interleave::RowRankBankColChan => 0,
+            Interleave::RowRankBankColChanXor => (1u64 << chan_bits) - 1,
+        };
+        AddressMap {
+            offset_bits: cfg.burst_bytes().trailing_zeros(),
             chan_bits,
-            col_bits,
-            bank_bits,
-            rank_bits,
-            row_bits,
-            scheme,
+            col_bits: bits(cfg.cols()),
+            bank_bits: bits(cfg.banks()),
+            rank_bits: bits(cfg.ranks()),
+            row_bits: bits(cfg.rows()),
+            skew_mask,
             capacity_mask: cfg.capacity_bytes() - 1,
-        })
+        }
     }
 
     /// Decodes an address into its DRAM location.
@@ -138,51 +122,17 @@ impl AddressMap {
             bits >>= n;
             v
         };
-        match self.scheme {
-            Interleave::RowRankBankColChan => {
-                let channel = take(self.chan_bits) as usize;
-                let col = take(self.col_bits) as u32;
-                let bank = take(self.bank_bits) as usize;
-                let rank = take(self.rank_bits) as usize;
-                let row = take(self.row_bits) as u32;
-                Location {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    col,
-                }
-            }
-            Interleave::RowColRankBankChan => {
-                let channel = take(self.chan_bits) as usize;
-                let bank = take(self.bank_bits) as usize;
-                let rank = take(self.rank_bits) as usize;
-                let col = take(self.col_bits) as u32;
-                let row = take(self.row_bits) as u32;
-                Location {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    col,
-                }
-            }
-            Interleave::RowRankBankColChanXor => {
-                let raw_chan = take(self.chan_bits);
-                let col = take(self.col_bits) as u32;
-                let bank = take(self.bank_bits) as usize;
-                let rank = take(self.rank_bits) as usize;
-                let row = take(self.row_bits) as u32;
-                let chan_mask = (1u64 << self.chan_bits) - 1;
-                let channel = (raw_chan ^ (row as u64 & chan_mask)) as usize;
-                Location {
-                    channel,
-                    rank,
-                    bank,
-                    row,
-                    col,
-                }
-            }
+        let raw_chan = take(self.chan_bits);
+        let col = take(self.col_bits) as u32;
+        let bank = take(self.bank_bits) as usize;
+        let rank = take(self.rank_bits) as usize;
+        let row = take(self.row_bits) as u32;
+        Location {
+            channel: (raw_chan ^ (row as u64 & self.skew_mask)) as usize,
+            rank,
+            bank,
+            row,
+            col,
         }
     }
 
@@ -194,42 +144,17 @@ impl AddressMap {
             bits |= (v & ((1u64 << n) - 1)) << shift;
             shift += n;
         };
-        match self.scheme {
-            Interleave::RowRankBankColChan => {
-                put(loc.channel as u64, self.chan_bits);
-                put(loc.col as u64, self.col_bits);
-                put(loc.bank as u64, self.bank_bits);
-                put(loc.rank as u64, self.rank_bits);
-                put(loc.row as u64, self.row_bits);
-            }
-            Interleave::RowColRankBankChan => {
-                put(loc.channel as u64, self.chan_bits);
-                put(loc.bank as u64, self.bank_bits);
-                put(loc.rank as u64, self.rank_bits);
-                put(loc.col as u64, self.col_bits);
-                put(loc.row as u64, self.row_bits);
-            }
-            Interleave::RowRankBankColChanXor => {
-                // Invert the XOR hash: the raw channel slot stores
-                // channel ^ (row & chan_mask), and row is stored untouched.
-                let chan_mask = (1u64 << self.chan_bits) - 1;
-                put(
-                    loc.channel as u64 ^ (loc.row as u64 & chan_mask),
-                    self.chan_bits,
-                );
-                put(loc.col as u64, self.col_bits);
-                put(loc.bank as u64, self.bank_bits);
-                put(loc.rank as u64, self.rank_bits);
-                put(loc.row as u64, self.row_bits);
-            }
-        }
+        // The raw channel slot stores channel ^ (row & skew_mask), which
+        // inverts the skew because row is stored untouched.
+        put(
+            loc.channel as u64 ^ (loc.row as u64 & self.skew_mask),
+            self.chan_bits,
+        );
+        put(loc.col as u64, self.col_bits);
+        put(loc.bank as u64, self.bank_bits);
+        put(loc.rank as u64, self.rank_bits);
+        put(loc.row as u64, self.row_bits);
         Addr::new(bits << self.offset_bits)
-    }
-
-    /// The interleaving scheme in use.
-    #[inline]
-    pub fn scheme(&self) -> Interleave {
-        self.scheme
     }
 }
 
@@ -240,7 +165,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn map(scheme: Interleave) -> AddressMap {
-        AddressMap::new(&DramConfig::table1_1866(), scheme).unwrap()
+        AddressMap::new(&DramConfig::table1_1866(), scheme)
     }
 
     #[test]
@@ -274,15 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_interleave_rotates_banks() {
-        let m = map(Interleave::RowColRankBankChan);
-        let a = m.decode(Addr::new(0));
-        let b = m.decode(Addr::new(256)); // same channel, next unit
-        assert_eq!(a.channel, b.channel);
-        assert_ne!(a.bank, b.bank);
-    }
-
-    #[test]
     fn addresses_wrap_at_capacity() {
         let m = map(Interleave::default());
         let cap = DramConfig::table1_1866().capacity_bytes();
@@ -293,18 +209,6 @@ mod tests {
     fn decode_encode_roundtrip_default() {
         let mut rng = StdRng::seed_from_u64(0xadd2_0001);
         let m = map(Interleave::default());
-        for _ in 0..512 {
-            let addr = rng.gen_range(0u64..(2u64 << 30));
-            let aligned = addr & !127;
-            let loc = m.decode(Addr::new(addr));
-            assert_eq!(m.encode(loc).as_u64(), aligned);
-        }
-    }
-
-    #[test]
-    fn decode_encode_roundtrip_bank_interleave() {
-        let mut rng = StdRng::seed_from_u64(0xadd2_0002);
-        let m = map(Interleave::RowColRankBankChan);
         for _ in 0..512 {
             let addr = rng.gen_range(0u64..(2u64 << 30));
             let aligned = addr & !127;
@@ -329,8 +233,8 @@ mod tests {
     }
 
     fn map_for(channels: usize, scheme: Interleave) -> AddressMap {
-        let cfg = DramConfig::builder().channels(channels).build().unwrap();
-        AddressMap::new(&cfg, scheme).unwrap()
+        let cfg = DramConfig::table1_1866().with_channels(channels).unwrap();
+        AddressMap::new(&cfg, scheme)
     }
 
     fn wide_map(channels: usize) -> AddressMap {

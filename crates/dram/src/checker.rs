@@ -430,7 +430,7 @@ mod fuzz {
                 .refresh_enabled(false)
                 .build()
                 .unwrap();
-            let cfg = DramConfig::builder().timing(timing).build().unwrap();
+            let cfg = DramConfig::table1_1866().with_timing(timing).unwrap();
             let mut dram = Dram::new(cfg.clone(), Interleave::default()).unwrap();
             let mut checker = TimingChecker::new(cfg);
             let mut now = Cycle::ZERO;

@@ -4,12 +4,27 @@ use sara_types::{ConfigError, MegaHertz};
 
 use crate::timing::TimingParams;
 
-/// Geometry + timing of the simulated DRAM device.
+/// Bytes moved by one column burst (BL16 on an 8-byte channel). Every
+/// transaction the simulator issues is one burst.
+pub const BURST_BYTES: u32 = 128;
+const RANKS: usize = 2;
+const BANKS: usize = 8;
+const ROWS: usize = 32 * 1024;
+const ROW_BYTES: u64 = 2048;
+const BYTES_PER_BEAT: u32 = 8;
+
+// The memory controller's row guard keeps one bit per bank of a channel in
+// a `u64`.
+const _: () = assert!(RANKS * BANKS <= 64);
+
+/// The simulated DRAM part: Table 1's geometry at a chosen I/O frequency,
+/// channel count and timing set.
 ///
-/// The paper's Table 1 system: 2 GB, 2 channels × 2 ranks × 8 banks, I/O up
-/// to 1866 MHz. Row size and burst size are chosen LPDDR4-typical (2 KiB
-/// rows, 128-byte column bursts on an 8-byte-per-beat channel) and are
-/// validated to multiply out to the configured capacity.
+/// The paper's Table 1 system is 2 GB, 2 channels × 2 ranks × 8 banks, I/O
+/// up to 1866 MHz. Rows (32 Ki per bank), row size (2 KiB), beat width
+/// (8 B) and burst size ([`BURST_BYTES`]) are LPDDR4-typical constants
+/// that multiply out to that capacity. A wider part repeats the same
+/// per-channel geometry ([`DramConfig::with_channels`]).
 ///
 /// # Examples
 ///
@@ -23,16 +38,12 @@ use crate::timing::TimingParams;
 /// assert_eq!(cfg.capacity_bytes(), 2 * 1024 * 1024 * 1024);
 /// // 8 bytes/beat * 1866 MHz * 2 channels ≈ 29.9 GB/s peak
 /// assert!((cfg.peak_bandwidth_bytes_per_s() - 29.856e9).abs() < 1e7);
+/// assert_eq!(cfg.with_channels(8)?.capacity_bytes(), 8 << 30);
+/// # Ok::<(), sara_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     channels: usize,
-    ranks: usize,
-    banks: usize,
-    rows: usize,
-    row_bytes: u64,
-    burst_bytes: u32,
-    bytes_per_beat: u32,
     io_freq: MegaHertz,
     timing: TimingParams,
 }
@@ -43,7 +54,7 @@ impl DramConfig {
         Self::table1(MegaHertz::new(1866))
     }
 
-    /// The Table 1 geometry at an arbitrary I/O frequency (test case B uses
+    /// The Table 1 part at an arbitrary I/O frequency (test case B uses
     /// 1700 MHz; Fig. 7 sweeps 1300–1700 MHz).
     ///
     /// Cycle-denominated timings are kept constant across frequencies; the
@@ -51,22 +62,43 @@ impl DramConfig {
     pub fn table1(io_freq: MegaHertz) -> Self {
         DramConfig {
             channels: 2,
-            ranks: 2,
-            banks: 8,
-            rows: 32 * 1024,
-            row_bytes: 2048,
-            burst_bytes: 128,
-            bytes_per_beat: 8,
             io_freq,
             timing: TimingParams::lpddr4_1866(),
         }
     }
 
-    /// Starts building a custom configuration from the Table 1 baseline.
-    pub fn builder() -> DramConfigBuilder {
-        DramConfigBuilder {
-            cfg: Self::table1_1866(),
+    /// The same part with `n` channels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] unless `n` is a non-zero power of two (the
+    /// address map is pure bit slicing).
+    pub fn with_channels(mut self, n: usize) -> Result<Self, ConfigError> {
+        if !n.is_power_of_two() {
+            return Err(ConfigError::new(format!(
+                "channels must be a non-zero power of two, got {n}"
+            )));
         }
+        self.channels = n;
+        Ok(self)
+    }
+
+    /// The same part under another timing set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] unless the set's burst length is the
+    /// [`BURST_BYTES`] burst's beat count (16).
+    pub fn with_timing(mut self, timing: TimingParams) -> Result<Self, ConfigError> {
+        let beats = (BURST_BYTES / BYTES_PER_BEAT) as u64;
+        if beats != timing.burst_beats() {
+            return Err(ConfigError::new(format!(
+                "burst occupies {beats} beats but timing BL is {}",
+                timing.burst_beats()
+            )));
+        }
+        self.timing = timing;
+        Ok(self)
     }
 
     /// Number of independent channels.
@@ -78,37 +110,37 @@ impl DramConfig {
     /// Ranks per channel.
     #[inline]
     pub fn ranks(&self) -> usize {
-        self.ranks
+        RANKS
     }
 
     /// Banks per rank.
     #[inline]
     pub fn banks(&self) -> usize {
-        self.banks
+        BANKS
     }
 
     /// Rows per bank.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.rows
+        ROWS
     }
 
     /// Bytes stored in one row (row-buffer size).
     #[inline]
     pub fn row_bytes(&self) -> u64 {
-        self.row_bytes
+        ROW_BYTES
     }
 
-    /// Bytes transferred by one column burst.
+    /// Bytes transferred by one column burst ([`BURST_BYTES`]).
     #[inline]
     pub fn burst_bytes(&self) -> u32 {
-        self.burst_bytes
+        BURST_BYTES
     }
 
     /// Bytes moved per data-bus beat (channel width).
     #[inline]
     pub fn bytes_per_beat(&self) -> u32 {
-        self.bytes_per_beat
+        BYTES_PER_BEAT
     }
 
     /// I/O bus frequency.
@@ -126,161 +158,25 @@ impl DramConfig {
     /// Column bursts per row.
     #[inline]
     pub fn cols(&self) -> usize {
-        (self.row_bytes / self.burst_bytes as u64) as usize
+        (ROW_BYTES / BURST_BYTES as u64) as usize
     }
 
     /// Total device capacity in bytes.
     #[inline]
     pub fn capacity_bytes(&self) -> u64 {
-        self.channels as u64
-            * self.ranks as u64
-            * self.banks as u64
-            * self.rows as u64
-            * self.row_bytes
+        (self.channels * RANKS * BANKS * ROWS) as u64 * ROW_BYTES
     }
 
     /// Theoretical peak data bandwidth across all channels, in bytes/second.
     #[inline]
     pub fn peak_bandwidth_bytes_per_s(&self) -> f64 {
-        self.channels as f64 * self.bytes_per_beat as f64 * self.io_freq.as_hz() as f64
+        self.channels as f64 * BYTES_PER_BEAT as f64 * self.io_freq.as_hz() as f64
     }
 }
 
 impl Default for DramConfig {
     fn default() -> Self {
         Self::table1_1866()
-    }
-}
-
-/// Builder for [`DramConfig`].
-///
-/// # Examples
-///
-/// ```
-/// use sara_dram::DramConfig;
-/// use sara_types::MegaHertz;
-///
-/// let small = DramConfig::builder().channels(1).ranks(1).rows(1024).build()?;
-/// assert_eq!(small.channels(), 1);
-/// # Ok::<(), sara_types::ConfigError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct DramConfigBuilder {
-    cfg: DramConfig,
-}
-
-impl DramConfigBuilder {
-    /// Sets the channel count (must be a power of two).
-    pub fn channels(mut self, n: usize) -> Self {
-        self.cfg.channels = n;
-        self
-    }
-
-    /// Sets ranks per channel (must be a power of two).
-    pub fn ranks(mut self, n: usize) -> Self {
-        self.cfg.ranks = n;
-        self
-    }
-
-    /// Sets banks per rank (must be a power of two).
-    pub fn banks(mut self, n: usize) -> Self {
-        self.cfg.banks = n;
-        self
-    }
-
-    /// Sets rows per bank (must be a power of two).
-    pub fn rows(mut self, n: usize) -> Self {
-        self.cfg.rows = n;
-        self
-    }
-
-    /// Sets the row size in bytes (power of two, multiple of burst size).
-    pub fn row_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.row_bytes = bytes;
-        self
-    }
-
-    /// Sets the column-burst size in bytes (power of two).
-    pub fn burst_bytes(mut self, bytes: u32) -> Self {
-        self.cfg.burst_bytes = bytes;
-        self
-    }
-
-    /// Sets the channel width in bytes per beat.
-    pub fn bytes_per_beat(mut self, bytes: u32) -> Self {
-        self.cfg.bytes_per_beat = bytes;
-        self
-    }
-
-    /// Sets the I/O frequency.
-    pub fn io_freq(mut self, freq: MegaHertz) -> Self {
-        self.cfg.io_freq = freq;
-        self
-    }
-
-    /// Replaces the timing set.
-    pub fn timing(mut self, timing: TimingParams) -> Self {
-        self.cfg.timing = timing;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if any dimension is zero or not a power of
-    /// two, if a channel would have more than 64 banks (`ranks * banks`),
-    /// if the row size is not a multiple of the burst size, or if the
-    /// burst size is not a multiple of the channel width (bursts must occupy
-    /// a whole number of beats matching the timing set's BL).
-    pub fn build(self) -> Result<DramConfig, ConfigError> {
-        let c = &self.cfg;
-        for (name, v) in [
-            ("channels", c.channels),
-            ("ranks", c.ranks),
-            ("banks", c.banks),
-            ("rows", c.rows),
-        ] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(ConfigError::new(format!(
-                    "{name} must be a non-zero power of two, got {v}"
-                )));
-            }
-        }
-        if c.ranks * c.banks > 64 {
-            return Err(ConfigError::new(format!(
-                "{} ranks x {} banks is {} banks per channel; the limit is 64, one bit \
-                 each in the memory controller's row-guard bank mask",
-                c.ranks,
-                c.banks,
-                c.ranks * c.banks
-            )));
-        }
-        if !c.row_bytes.is_power_of_two() || !c.burst_bytes.is_power_of_two() {
-            return Err(ConfigError::new(
-                "row and burst sizes must be powers of two",
-            ));
-        }
-        if !c.row_bytes.is_multiple_of(c.burst_bytes as u64) {
-            return Err(ConfigError::new(format!(
-                "row size {} must be a multiple of burst size {}",
-                c.row_bytes, c.burst_bytes
-            )));
-        }
-        if !c.burst_bytes.is_multiple_of(c.bytes_per_beat) {
-            return Err(ConfigError::new(format!(
-                "burst size {} must be a multiple of channel width {}",
-                c.burst_bytes, c.bytes_per_beat
-            )));
-        }
-        let beats = (c.burst_bytes / c.bytes_per_beat) as u64;
-        if beats != c.timing.burst_beats() {
-            return Err(ConfigError::new(format!(
-                "burst occupies {beats} beats but timing BL is {}",
-                c.timing.burst_beats()
-            )));
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -297,36 +193,27 @@ mod tests {
 
     #[test]
     fn builder_rejects_non_power_of_two() {
-        assert!(DramConfig::builder().channels(3).build().is_err());
-        assert!(DramConfig::builder().rows(0).build().is_err());
-    }
-
-    #[test]
-    fn builder_rejects_more_than_64_banks_per_channel() {
-        let err = DramConfig::builder()
-            .ranks(8)
-            .banks(16)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("limit is 64"), "{err}");
-        assert!(DramConfig::builder().ranks(4).banks(16).build().is_ok());
+        let cfg = DramConfig::table1_1866();
+        assert!(cfg.clone().with_channels(3).is_err());
+        assert!(cfg.clone().with_channels(0).is_err());
+        assert_eq!(cfg.with_channels(16).unwrap().channels(), 16);
     }
 
     #[test]
     fn builder_rejects_mismatched_burst() {
-        // 64-byte burst = 8 beats, but timing BL stays 16.
-        assert!(DramConfig::builder().burst_bytes(64).build().is_err());
-        // Fixing the timing makes it valid.
+        // An 8-beat burst cannot carry Table 1's 128-byte burst.
         let t = TimingParams::builder()
             .burst_beats(8)
             .tccd(8)
             .build()
             .unwrap();
-        assert!(DramConfig::builder()
-            .burst_bytes(64)
-            .timing(t)
+        let cfg = DramConfig::table1_1866();
+        assert!(cfg.clone().with_timing(t).is_err());
+        let t = TimingParams::builder()
+            .refresh_enabled(false)
             .build()
-            .is_ok());
+            .unwrap();
+        assert!(!cfg.with_timing(t).unwrap().timing().refresh_enabled());
     }
 
     #[test]

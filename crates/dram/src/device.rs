@@ -46,14 +46,14 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Creates a device from a validated configuration.
+    /// Creates a device from a configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the geometry cannot be bit-sliced for the
-    /// chosen interleaving.
+    /// None today: a [`DramConfig`] is valid by construction. The `Result`
+    /// keeps callers that build a device with `?` unchanged.
     pub fn new(cfg: DramConfig, interleave: Interleave) -> Result<Self, ConfigError> {
-        let map = AddressMap::new(&cfg, interleave)?;
+        let map = AddressMap::new(&cfg, interleave);
         let channels = (0..cfg.channels())
             .map(|_| {
                 Channel::new(

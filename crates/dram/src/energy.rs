@@ -7,56 +7,25 @@
 //! column burst, per refresh, plus background power — enough to compare
 //! scheduling policies' energy-per-bit, which is what row-hit optimisation
 //! actually buys.
+//!
+//! The five charges are constants of the modelled LPDDR4-class part:
+//! order-of-magnitude values assembled from public LPDDR4 datasheet IDD
+//! figures. The interesting output is the *relative* energy-per-bit
+//! between scheduling policies, which depends only weakly on the absolute
+//! calibration.
 
 use crate::stats::ChannelStats;
 
-/// Per-operation energy parameters, in picojoules (LPDDR4-class defaults).
-///
-/// Defaults are order-of-magnitude values assembled from public LPDDR4
-/// datasheet IDD figures; the interesting output is the *relative*
-/// energy-per-bit between scheduling policies, which depends only weakly on
-/// the absolute calibration.
-///
-/// # Examples
-///
-/// ```
-/// use sara_dram::EnergyParams;
-///
-/// let p = EnergyParams::lpddr4();
-/// assert!(p.act_pre_pj > 0.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyParams {
-    /// Energy of one ACT + PRE pair (row open + close), pJ.
-    pub act_pre_pj: f64,
-    /// Energy of one read column burst (BL16 × 8 B), pJ.
-    pub read_burst_pj: f64,
-    /// Energy of one write column burst, pJ.
-    pub write_burst_pj: f64,
-    /// Energy of one all-bank refresh, pJ.
-    pub refresh_pj: f64,
-    /// Background (standby) power per channel, mW.
-    pub background_mw: f64,
-}
-
-impl EnergyParams {
-    /// LPDDR4-class defaults.
-    pub fn lpddr4() -> Self {
-        EnergyParams {
-            act_pre_pj: 160.0,
-            read_burst_pj: 380.0,
-            write_burst_pj: 420.0,
-            refresh_pj: 22_000.0,
-            background_mw: 45.0,
-        }
-    }
-}
-
-impl Default for EnergyParams {
-    fn default() -> Self {
-        Self::lpddr4()
-    }
-}
+/// One ACT + PRE pair (row open + close), pJ.
+const ACT_PRE_PJ: f64 = 160.0;
+/// One read column burst (BL16 × 8 B), pJ.
+const READ_BURST_PJ: f64 = 380.0;
+/// One write column burst, pJ.
+const WRITE_BURST_PJ: f64 = 420.0;
+/// One all-bank refresh, pJ.
+const REFRESH_PJ: f64 = 22_000.0;
+/// Background (standby) power per channel, mW.
+const BACKGROUND_MW: f64 = 45.0;
 
 /// An energy estimate over a simulated window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,37 +59,31 @@ impl EnergyEstimate {
     }
 }
 
-/// Estimates the energy consumed by the activity recorded in `stats` over
-/// `elapsed_cycles` at `freq_hz`.
+/// Estimates the energy the LPDDR4-class part consumes for the activity
+/// recorded in `stats` over `elapsed_cycles` at `freq_hz`.
 ///
 /// # Examples
 ///
 /// ```
-/// use sara_dram::{estimate_energy, ChannelStats, EnergyParams};
+/// use sara_dram::{estimate_energy, ChannelStats};
 ///
 /// let mut stats = ChannelStats::default();
 /// stats.activates = 1000;
 /// stats.precharges = 1000;
 /// stats.reads = 10_000;
 /// stats.read_bytes = 10_000 * 128;
-/// let e = estimate_energy(&stats, &EnergyParams::lpddr4(), 1_866_000_000, 1_866_000);
+/// let e = estimate_energy(&stats, 1_866_000_000, 1_866_000);
 /// assert!(e.total_mj() > 0.0);
 /// assert!(e.pj_per_bit(stats.total_bytes()).is_finite());
 /// ```
-pub fn estimate_energy(
-    stats: &ChannelStats,
-    params: &EnergyParams,
-    freq_hz: u64,
-    elapsed_cycles: u64,
-) -> EnergyEstimate {
+pub fn estimate_energy(stats: &ChannelStats, freq_hz: u64, elapsed_cycles: u64) -> EnergyEstimate {
     let acts = stats.activates.max(stats.precharges) as f64;
-    let act_pre_mj = acts * params.act_pre_pj * 1e-9;
-    let column_mj = (stats.reads as f64 * params.read_burst_pj
-        + stats.writes as f64 * params.write_burst_pj)
-        * 1e-9;
-    let refresh_mj = stats.refreshes as f64 * params.refresh_pj * 1e-9;
+    let act_pre_mj = acts * ACT_PRE_PJ * 1e-9;
+    let column_mj =
+        (stats.reads as f64 * READ_BURST_PJ + stats.writes as f64 * WRITE_BURST_PJ) * 1e-9;
+    let refresh_mj = stats.refreshes as f64 * REFRESH_PJ * 1e-9;
     let seconds = elapsed_cycles as f64 / freq_hz as f64;
-    let background_mj = params.background_mw * seconds;
+    let background_mj = BACKGROUND_MW * seconds;
     EnergyEstimate {
         act_pre_mj,
         column_mj,
@@ -155,9 +118,8 @@ mod tests {
         // Same data volume; hit-friendly schedule needs 10x fewer ACTs.
         let thrash = stats(10_000, 10_000);
         let friendly = stats(1_000, 10_000);
-        let p = EnergyParams::lpddr4();
-        let e_thrash = estimate_energy(&thrash, &p, 1_866_000_000, 1_000_000);
-        let e_friendly = estimate_energy(&friendly, &p, 1_866_000_000, 1_000_000);
+        let e_thrash = estimate_energy(&thrash, 1_866_000_000, 1_000_000);
+        let e_friendly = estimate_energy(&friendly, 1_866_000_000, 1_000_000);
         assert!(
             e_friendly.pj_per_bit(friendly.total_bytes())
                 < e_thrash.pj_per_bit(thrash.total_bytes())
@@ -167,21 +129,15 @@ mod tests {
     #[test]
     fn background_scales_with_time() {
         let s = stats(10, 10);
-        let p = EnergyParams::lpddr4();
-        let short = estimate_energy(&s, &p, 1_000_000_000, 1_000_000);
-        let long = estimate_energy(&s, &p, 1_000_000_000, 2_000_000);
+        let short = estimate_energy(&s, 1_000_000_000, 1_000_000);
+        let long = estimate_energy(&s, 1_000_000_000, 2_000_000);
         assert!((long.background_mj - 2.0 * short.background_mj).abs() < 1e-12);
         assert_eq!(long.act_pre_mj, short.act_pre_mj);
     }
 
     #[test]
     fn empty_stats_pure_background() {
-        let e = estimate_energy(
-            &ChannelStats::default(),
-            &EnergyParams::lpddr4(),
-            1_866_000_000,
-            1_866_000,
-        );
+        let e = estimate_energy(&ChannelStats::default(), 1_866_000_000, 1_866_000);
         assert_eq!(e.act_pre_mj, 0.0);
         assert_eq!(e.column_mj, 0.0);
         assert!(e.background_mj > 0.0);
@@ -191,7 +147,7 @@ mod tests {
     #[test]
     fn component_sum_is_total() {
         let s = stats(500, 4000);
-        let e = estimate_energy(&s, &EnergyParams::lpddr4(), 1_866_000_000, 500_000);
+        let e = estimate_energy(&s, 1_866_000_000, 500_000);
         let sum = e.act_pre_mj + e.column_mj + e.refresh_mj + e.background_mj;
         assert!((e.total_mj() - sum).abs() < 1e-15);
     }

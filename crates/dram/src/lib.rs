@@ -5,6 +5,9 @@
 //! bank/rank/channel timing protocol (tRCD, tRP, tRAS, tRRD, tFAW, tWTR,
 //! tRTP, tWR, tCCD, CL/WL, data-bus occupancy, all-bank refresh), tracks
 //! row-buffer hits/misses/conflicts, and accounts bandwidth per channel.
+//! The part is Table 1's: its geometry and energy figures are constants,
+//! and a [`DramConfig`] varies only the I/O frequency, the channel count
+//! and the timing set.
 //!
 //! The device is *passive*: a memory controller (see `sara-memctrl`) asks
 //! what a transaction needs next ([`Dram::next_command`]), when that command
@@ -52,8 +55,8 @@ pub use bank::AccessOutcome;
 pub use channel::{Channel, Gates};
 pub use checker::{TimingChecker, TimingViolation};
 pub use command::{CommandRecord, DramCommand, Issued, NextCommand};
-pub use config::{DramConfig, DramConfigBuilder};
+pub use config::{DramConfig, BURST_BYTES};
 pub use device::Dram;
-pub use energy::{estimate_energy, EnergyEstimate, EnergyParams};
+pub use energy::{estimate_energy, EnergyEstimate};
 pub use stats::{ChannelStats, DramStats};
 pub use timing::{TimingParams, TimingParamsBuilder};

@@ -3,7 +3,7 @@
 //!
 //! The controller is split along the channel boundary so a lane-structured
 //! engine can advance channels independently (and concurrently): admission
-//! against the shared entry budget happens in the policy front-end
+//! against the class queues' capacities happens in the policy front-end
 //! ([`crate::AdmissionControl`] or the [`crate::MemoryController`] facade),
 //! after which a transaction belongs to exactly one channel's controller
 //! and never interacts with the others again. Everything a scheduling
@@ -76,9 +76,9 @@ struct Entry {
 /// table, see the module docs), its own round-robin/aging [`PolicyState`]
 /// and its own counters, and issues at most one DRAM command per
 /// [`ChannelController::tick`] against the one [`Channel`] it is paired
-/// with for life. Admission (the shared 42-entry budget)
+/// with for life. Admission (a free entry in the class queue)
 /// is the front-end's job; [`ChannelController::accept`] trusts that the
-/// caller already charged the budget.
+/// caller already charged the queue.
 ///
 /// # Examples
 ///
@@ -185,8 +185,8 @@ impl ChannelController {
         self.cfg.set_policy(policy);
     }
 
-    /// Enqueues a transaction the front-end already admitted against the
-    /// shared budget. `loc` must decode to this controller's channel. The
+    /// Enqueues a transaction the front-end already admitted into its
+    /// class queue. `loc` must decode to this controller's channel. The
     /// entry is probed by the next tick.
     pub fn accept(&mut self, txn: Transaction, loc: Location, now: Cycle) {
         debug_assert_eq!(
@@ -430,18 +430,18 @@ fn bank_bit(bank: usize) -> u64 {
 }
 
 /// The shared policy front-end of the split controller: admission against
-/// the per-class capacities and the shared entry budget, plus the
-/// admission-side statistics (rejections, peak occupancy).
+/// the per-class queue capacities (which together are Table 1's 42
+/// entries), plus the admission-side statistics (rejections, peak
+/// occupancy).
 ///
 /// Scheduling never touches this struct — once admitted, a transaction is
 /// handed to its channel's [`ChannelController`] and the front-end only
-/// hears back when the completion releases its budget credit
+/// hears back when the completion releases its queue credit
 /// ([`AdmissionControl::release`]). That one-way flow is what lets lanes
 /// advance concurrently between admission points.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     caps: [usize; NUM_QUEUES],
-    total: usize,
     occupancy: usize,
     class_counts: [usize; NUM_QUEUES],
     stats: McStats,
@@ -452,7 +452,6 @@ impl AdmissionControl {
     pub fn new(cfg: &McConfig) -> Self {
         AdmissionControl {
             caps: cfg.queue_capacities(),
-            total: cfg.total_entries(),
             occupancy: 0,
             class_counts: [0; NUM_QUEUES],
             stats: McStats::default(),
@@ -465,13 +464,14 @@ impl AdmissionControl {
         self.occupancy
     }
 
-    /// Whether a transaction of `class_queue` would currently be admitted.
+    /// Whether a transaction of `class_queue` would currently be admitted:
+    /// whether its class queue has a free entry.
     #[inline]
     pub fn has_room(&self, class_queue: usize) -> bool {
-        self.occupancy < self.total && self.class_counts[class_queue] < self.caps[class_queue]
+        self.class_counts[class_queue] < self.caps[class_queue]
     }
 
-    /// Charges the budget for an admitted transaction.
+    /// Charges the class queue for an admitted transaction.
     pub fn admit(&mut self, class_queue: usize) {
         self.occupancy += 1;
         self.class_counts[class_queue] += 1;
@@ -479,12 +479,12 @@ impl AdmissionControl {
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupancy);
     }
 
-    /// Records a refused admission (queue or shared budget full).
+    /// Records a refused admission (class queue full).
     pub fn reject(&mut self, class_queue: usize) {
         self.stats.class_mut(class_queue).rejected += 1;
     }
 
-    /// Releases the budget credit of a completed transaction.
+    /// Releases the queue credit of a completed transaction.
     pub fn release(&mut self, class_queue: usize) {
         debug_assert!(self.class_counts[class_queue] > 0, "release without admit");
         self.occupancy -= 1;
@@ -492,12 +492,26 @@ impl AdmissionControl {
     }
 
     /// Admission-side statistics: accepted/rejected per class and the peak
-    /// simultaneous occupancy; the scheduling counts stay zero here. Fold
-    /// the per-channel controllers' counters in with
-    /// [`McStats::merge_scheduling`] for the full controller view.
+    /// simultaneous occupancy; the scheduling counts stay zero here.
+    /// [`AdmissionControl::controller_stats`] is the full controller view.
     #[inline]
     pub fn stats(&self) -> &McStats {
         &self.stats
+    }
+
+    /// The whole controller's statistics: these admission counters folded
+    /// together with the scheduling counters of every channel controller
+    /// in `lanes`. Computed on demand, so each counter has exactly one
+    /// owner and nothing can drift.
+    pub fn controller_stats<'a>(
+        &self,
+        lanes: impl IntoIterator<Item = &'a ChannelController>,
+    ) -> McStats {
+        let mut stats = self.stats.clone();
+        for lane in lanes {
+            stats.merge_scheduling(lane.stats());
+        }
+        stats
     }
 }
 
@@ -613,8 +627,7 @@ mod tests {
     #[test]
     fn admission_budget_and_stats() {
         let cfg = McConfig::builder(PolicyKind::Fcfs)
-            .queue_capacities([2, 2, 2, 2, 2])
-            .total_entries(3)
+            .queue_capacities([2, 10, 10, 10, 10])
             .build()
             .unwrap();
         let mut front = AdmissionControl::new(&cfg);
@@ -624,8 +637,7 @@ mod tests {
         assert!(!front.has_room(0), "class capacity binds");
         assert!(front.has_room(1));
         front.admit(1);
-        assert!(!front.has_room(2), "shared budget binds");
-        front.reject(2);
+        front.reject(0);
         assert_eq!(front.occupancy(), 3);
         assert_eq!(front.stats().peak_occupancy, 3);
         assert_eq!(front.stats().total_rejected(), 1);

@@ -7,13 +7,17 @@ use crate::policy::PolicyKind;
 /// Number of class queues (CPU, GPU, DSP, media, system — §4.1).
 pub const NUM_QUEUES: usize = 5;
 
+/// Table 1's controller entries, all of them in the class queues.
+const TOTAL_ENTRIES: usize = 42;
+
 /// Memory-controller configuration.
 ///
-/// Defaults follow the paper: 42 total entries split over five class queues
-/// (the split itself is not specified by Table 1; the default CPU 6, GPU 6,
-/// DSP 4, media 20, system 6 reflects that media cores dominate camcorder
-/// traffic), starvation aging at T = 10000 cycles (§3.3), and row-buffer
-/// threshold δ = 6 for Policy 2.
+/// Defaults follow the paper: Table 1's 42 entries split over five class
+/// queues (the split itself is not specified by Table 1; the default CPU 6,
+/// GPU 6, DSP 4, media 20, system 6 reflects that media cores dominate
+/// camcorder traffic), starvation aging at T = 10000 cycles (§3.3), and
+/// row-buffer threshold δ = 6 for Policy 2. Any split must use all 42
+/// entries, so the queues' capacities are the whole budget.
 ///
 /// # Examples
 ///
@@ -30,7 +34,6 @@ pub const NUM_QUEUES: usize = 5;
 pub struct McConfig {
     policy: PolicyKind,
     queue_capacities: [usize; NUM_QUEUES],
-    total_entries: usize,
     aging_threshold: Option<u64>,
     delta: Priority,
 }
@@ -42,7 +45,6 @@ impl McConfig {
             cfg: McConfig {
                 policy,
                 queue_capacities: [6, 6, 4, 20, 6],
-                total_entries: 42,
                 aging_threshold: Some(10_000),
                 delta: Priority::new(6),
             },
@@ -70,10 +72,10 @@ impl McConfig {
         self.queue_capacities
     }
 
-    /// Total entry budget shared by all queues.
+    /// Total entries over all queues: Table 1's 42.
     #[inline]
     pub fn total_entries(&self) -> usize {
-        self.total_entries
+        TOTAL_ENTRIES
     }
 
     /// Aging threshold T in cycles; `None` disables starvation aging.
@@ -99,15 +101,10 @@ pub struct McConfigBuilder {
 }
 
 impl McConfigBuilder {
-    /// Overrides the per-class queue capacities.
+    /// Overrides the per-class queue capacities (a split of the 42
+    /// entries).
     pub fn queue_capacities(mut self, caps: [usize; NUM_QUEUES]) -> Self {
         self.cfg.queue_capacities = caps;
-        self
-    }
-
-    /// Overrides the shared total entry budget.
-    pub fn total_entries(mut self, total: usize) -> Self {
-        self.cfg.total_entries = total;
         self
     }
 
@@ -127,26 +124,22 @@ impl McConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any queue capacity is zero, exceeds the
-    /// total budget, or if the total budget is zero, or the aging threshold
-    /// is zero.
+    /// Returns [`ConfigError`] if any queue capacity is zero, if the
+    /// capacities do not add up to 42, or if the aging threshold is zero.
     pub fn build(self) -> Result<McConfig, ConfigError> {
         let c = &self.cfg;
-        if c.total_entries == 0 {
-            return Err(ConfigError::new("total entries must be positive"));
+        if let Some(i) = c.queue_capacities.iter().position(|&cap| cap == 0) {
+            return Err(ConfigError::new(format!(
+                "queue {i} capacity must be positive"
+            )));
         }
-        for (i, cap) in c.queue_capacities.iter().enumerate() {
-            if *cap == 0 {
-                return Err(ConfigError::new(format!(
-                    "queue {i} capacity must be positive"
-                )));
-            }
-            if *cap > c.total_entries {
-                return Err(ConfigError::new(format!(
-                    "queue {i} capacity {cap} exceeds total budget {}",
-                    c.total_entries
-                )));
-            }
+        let sum: usize = c.queue_capacities.iter().sum();
+        if sum != TOTAL_ENTRIES {
+            return Err(ConfigError::new(format!(
+                "queue capacities {:?} add up to {sum}, not the controller's \
+                 {TOTAL_ENTRIES} entries",
+                c.queue_capacities
+            )));
         }
         if c.aging_threshold == Some(0) {
             return Err(ConfigError::new(
@@ -172,17 +165,24 @@ mod tests {
     #[test]
     fn rejects_zero_capacity() {
         assert!(McConfig::builder(PolicyKind::Fcfs)
-            .queue_capacities([0, 8, 6, 12, 8])
+            .queue_capacities([0, 8, 6, 20, 8])
             .build()
             .is_err());
     }
 
     #[test]
     fn rejects_capacity_above_total() {
+        for caps in [[50, 8, 6, 12, 8], [6, 6, 4, 20, 5], [6, 6, 4, 20, 7]] {
+            let err = McConfig::builder(PolicyKind::Fcfs)
+                .queue_capacities(caps)
+                .build()
+                .unwrap_err();
+            assert!(err.to_string().contains("42 entries"), "{err}");
+        }
         assert!(McConfig::builder(PolicyKind::Fcfs)
-            .queue_capacities([50, 8, 6, 12, 8])
+            .queue_capacities([2, 10, 10, 10, 10])
             .build()
-            .is_err());
+            .is_ok());
     }
 
     #[test]

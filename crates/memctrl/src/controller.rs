@@ -52,8 +52,8 @@ pub enum TickResult {
 
 /// The QoS-aware memory controller (§3.3, §4.1).
 ///
-/// Five class queues (CPU / GPU / DSP / media / system) share a 42-entry
-/// budget; each cycle, per channel, the configured policy picks one legal
+/// Five class queues (CPU / GPU / DSP / media / system) split Table 1's
+/// 42 entries; each cycle, per channel, the configured policy picks one legal
 /// DRAM command to issue. Priority-aware policies honour the SARA priority
 /// stamped on each transaction and promote starved entries after T cycles.
 ///
@@ -111,14 +111,10 @@ impl MemoryController {
 
     /// Statistics snapshot: the admission front-end's counters
     /// (accepted/rejected, peak occupancy) folded together with every
-    /// channel controller's scheduling counters. Computed on demand, so
-    /// there is exactly one owner per counter and nothing to drift.
+    /// channel controller's scheduling counters
+    /// ([`AdmissionControl::controller_stats`]).
     pub fn stats(&self) -> McStats {
-        let mut stats = self.front.stats().clone();
-        for lane in &self.lanes {
-            stats.merge_scheduling(lane.stats());
-        }
-        stats
+        self.front.controller_stats(&self.lanes)
     }
 
     /// Transactions currently queued.
@@ -156,8 +152,8 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns the transaction back when its class queue or the shared
-    /// 42-entry budget is full (backpressure into the NoC).
+    /// Returns the transaction back when its class queue is full
+    /// (backpressure into the NoC).
     pub fn try_accept(
         &mut self,
         txn: Transaction,
@@ -268,8 +264,7 @@ mod tests {
     fn admission_respects_queue_capacity() {
         let d = dram();
         let cfg = McConfig::builder(PolicyKind::Fcfs)
-            .queue_capacities([2, 2, 2, 2, 2])
-            .total_entries(10)
+            .queue_capacities([2, 10, 10, 10, 10])
             .build()
             .unwrap();
         let mut m = MemoryController::new(cfg);
@@ -286,26 +281,6 @@ mod tests {
         assert!(m
             .try_accept(txn(3, CoreKind::Usb, 512, 0), Cycle::ZERO, &d)
             .is_ok());
-    }
-
-    #[test]
-    fn admission_respects_total_budget() {
-        let d = dram();
-        let cfg = McConfig::builder(PolicyKind::Fcfs)
-            .queue_capacities([4, 4, 4, 4, 4])
-            .total_entries(4)
-            .build()
-            .unwrap();
-        let mut m = MemoryController::new(cfg);
-        for i in 0..4 {
-            let core = [CoreKind::Cpu, CoreKind::Gpu, CoreKind::Dsp, CoreKind::Usb][i as usize];
-            assert!(m
-                .try_accept(txn(i, core, i * 128, 0), Cycle::ZERO, &d)
-                .is_ok());
-        }
-        assert!(m
-            .try_accept(txn(9, CoreKind::Display, 4096, 0), Cycle::ZERO, &d)
-            .is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # sara-memctrl
 //!
 //! The QoS-aware memory controller of the SARA stack (§3.3, §4): five class
-//! transaction queues sharing a 42-entry budget (Table 1), work-conserving
+//! transaction queues that split Table 1's 42 entries, work-conserving
 //! command scheduling against the cycle-level DRAM model of `sara-dram`, and
 //! the six arbitration policies the paper evaluates — FCFS, round-robin, the
 //! frame-rate QoS baseline, **Policy 1** (priority-based round-robin with
@@ -9,8 +9,8 @@
 //! the δ threshold) and FR-FCFS.
 //!
 //! The controller is split along the channel boundary: a shared policy
-//! front-end ([`AdmissionControl`]) admits transactions against the
-//! per-class capacities and the shared entry budget, after which each
+//! front-end ([`AdmissionControl`]) admits a transaction while its class
+//! queue has a free entry, after which each
 //! transaction belongs to exactly one [`ChannelController`] — the
 //! scheduling engine for one DRAM channel, with its own queues,
 //! round-robin/aging state and counters. [`MemoryController`] composes the

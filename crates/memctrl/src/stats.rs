@@ -11,7 +11,7 @@ pub struct ClassStats {
     pub accepted: u64,
     /// Transactions completed (final column command issued).
     pub completed: u64,
-    /// Admissions refused (queue or total budget full).
+    /// Admissions refused (class queue full).
     pub rejected: u64,
     /// Completions that had been promoted by aging.
     pub aged: u64,
@@ -51,7 +51,7 @@ impl McStats {
     /// view, field by field. Each count has one writer — the front-end
     /// counts admissions, a lane counts what it schedules — so the sum is
     /// exact.
-    pub fn merge_scheduling(&mut self, lane: &McStats) {
+    pub(crate) fn merge_scheduling(&mut self, lane: &McStats) {
         for (acc, c) in self.per_class.iter_mut().zip(&lane.per_class) {
             acc.accepted += c.accepted;
             acc.completed += c.completed;

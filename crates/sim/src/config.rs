@@ -111,16 +111,9 @@ impl SystemConfig {
                 "frame period must be positive, got {frame_period_ns} ns"
             )));
         }
-        // Table 1 is a 2-channel part; wider configs re-derive the same
-        // geometry per channel (and `interleave` skews their map).
-        let dram = if channels == 2 {
-            DramConfig::table1(freq)
-        } else {
-            DramConfig::builder()
-                .channels(channels)
-                .io_freq(freq)
-                .build()?
-        };
+        // Wider parts repeat Table 1's per-channel geometry (and
+        // `interleave` skews their map).
+        let dram = DramConfig::table1(freq).with_channels(channels)?;
         Ok(SystemConfig {
             cores,
             frame_period_ns,

@@ -47,8 +47,8 @@
 //! `memmove`.
 
 use sara_analytic::channel_bound_bytes_per_s;
-use sara_dram::{AddressMap, ChannelStats, Dram, DramStats};
-use sara_memctrl::{AdmissionControl, ChannelController, Completion, McStats, PolicyKind};
+use sara_dram::{AddressMap, ChannelStats, Dram, DramStats, BURST_BYTES};
+use sara_memctrl::{AdmissionControl, ChannelController, Completion, PolicyKind};
 use sara_noc::Noc;
 use sara_types::{
     ConfigError, CoreClass, Cycle, DmaId, MegaHertz, MemOp, Transaction, TransactionId,
@@ -59,7 +59,7 @@ use crate::event_queue::{EventKind, EventQueue};
 use crate::health::{DmaHealth, SystemHealth};
 use crate::lane::ChannelLane;
 use crate::report::{ReportBuilder, SimReport};
-use crate::runtime::{build_dmas, DmaRuntime, BURST_BYTES};
+use crate::runtime::{build_dmas, DmaRuntime};
 use crate::sampling::Samplers;
 use crate::telemetry::{SimTelemetry, TelemetryReport};
 
@@ -102,7 +102,6 @@ pub struct Simulation {
     dma_pending: Vec<Option<Cycle>>,
     noc_pending: Option<Cycle>,
     samplers: Samplers,
-    next_sample: Cycle,
     /// Hot-path metrics recorder (fed from the completion merge and the
     /// `Deliver` handler, both on the deterministic engine order).
     telemetry: SimTelemetry,
@@ -167,7 +166,6 @@ impl Simulation {
             now: Cycle::ZERO,
             txn_seq: 0,
             samplers,
-            next_sample: Cycle::new(cfg.sample_period()),
             telemetry,
             epoch_start: 0,
             merged: Vec::new(),
@@ -178,7 +176,8 @@ impl Simulation {
         for i in 0..sim.dmas.len() {
             sim.schedule_inject(i, Cycle::ZERO);
         }
-        sim.events.push(sim.next_sample, EventKind::Sample);
+        sim.events
+            .push(Cycle::new(sim.samplers.period()), EventKind::Sample);
         Ok(sim)
     }
 
@@ -474,7 +473,6 @@ impl Simulation {
         dma.adapter.on_complete(now, bytes, latency, op);
         debug_assert!(dma.inflight > 0, "completion without in-flight txn");
         dma.inflight -= 1;
-        dma.bytes_completed += bytes as u64;
         self.try_inject(i);
     }
 
@@ -494,8 +492,8 @@ impl Simulation {
         }
         let bytes = self.dram_bytes();
         self.samplers.record_bandwidth(bytes);
-        self.next_sample = now + self.samplers.period();
-        self.events.push(self.next_sample, EventKind::Sample);
+        self.events
+            .push(now + self.samplers.period(), EventKind::Sample);
     }
 
     /// Effective DRAM frequency of every channel's clock domain, in
@@ -637,17 +635,6 @@ impl Simulation {
         self.epoch_start = self.samplers.samples();
     }
 
-    /// Aggregated controller statistics: the admission front-end's
-    /// counters (rejections, peak occupancy) folded together with every
-    /// lane's scheduling counters.
-    fn mc_stats(&self) -> McStats {
-        let mut stats = self.front.stats().clone();
-        for lane in &self.lanes {
-            stats.merge_scheduling(lane.ctrl.stats());
-        }
-        stats
-    }
-
     /// Builds a report for the elapsed window.
     pub fn report(&self) -> SimReport {
         let channel_stats: Vec<ChannelStats> = self
@@ -656,7 +643,9 @@ impl Simulation {
             .map(|lane| lane.chan.stats().clone())
             .collect();
         let dram = DramStats::from_channels(&channel_stats);
-        let mc = self.mc_stats();
+        let mc = self
+            .front
+            .controller_stats(self.lanes.iter().map(|lane| &lane.ctrl));
         let telemetry = TelemetryReport::new(&self.telemetry, &mc, &self.noc, &self.dmas);
         ReportBuilder {
             cfg: &self.cfg,

@@ -6,11 +6,11 @@ use sara_types::Cycle;
 pub(crate) enum EventKind {
     Inject(u16),
     Pump,
-    /// A completed transaction's shared-budget credit returns to the
+    /// A completed transaction's queue credit returns to the
     /// admission front-end (and the NoC gets a pump to exploit it). Kept
     /// as an event so a credit freed late in a lane window cannot be spent
     /// by a pump running at an earlier cycle of the same window — the
-    /// 42-entry budget stays cycle-accurate.
+    /// class queues' capacities stay cycle-accurate.
     Release(u8),
     Deliver {
         dma: u16,

@@ -35,7 +35,6 @@ impl DvfsPoint {
     pub fn from_report(report: &SimReport) -> Self {
         let energy = sara_dram::estimate_energy(
             &report.dram.total,
-            &sara_dram::EnergyParams::lpddr4(),
             report.freq.as_hz(),
             report.elapsed_cycles,
         );

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use sara_dram::DramStats;
+use sara_dram::{DramStats, BURST_BYTES};
 use sara_memctrl::{McStats, PolicyKind};
 use sara_noc::Noc;
 use sara_types::{Clock, CoreKind, Cycle, MegaHertz};
@@ -226,10 +226,11 @@ impl ReportBuilder<'_> {
             let final_npi = series.last().copied().unwrap_or(f64::NAN);
             // Every delivery records one sample in its DMA's latency
             // histogram: the count is the completions, the sum the latency.
+            // Every transaction is one burst, so the bytes follow.
             let latency = |i: usize| &self.telemetry.dmas[i].latency;
             let completed: u64 = idxs.iter().map(|&i| latency(i).count()).sum();
             let total_latency: u128 = idxs.iter().map(|&i| latency(i).sum()).sum();
-            let bytes: u64 = idxs.iter().map(|&i| self.dmas[i].bytes_completed).sum();
+            let bytes = completed * u64::from(BURST_BYTES);
             let mut residency = [0.0; MAX_LEVELS];
             for &i in idxs {
                 let r = self.samplers.residency(i);

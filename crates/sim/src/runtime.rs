@@ -4,14 +4,12 @@ use sara_core::{
     BandwidthMeter, BoxedMeter, FrameProgressMeter, LatencyMeter, OccupancyMeter, PriorityMap,
     SelfAwareDma, WorkUnitMeter,
 };
+use sara_dram::BURST_BYTES;
 use sara_types::{Clock, ConfigError, CoreClass, CoreKind, MemOp, PriorityBits};
 use sara_workloads::{
     AddressPattern, BatchStimulus, BestEffortMeter, BurstStimulus, ConstantRateStimulus, CoreSpec,
     DmaSpec, ElasticStimulus, MeterSpec, PatternSpec, PoissonStimulus, Stimulus, TrafficSpec,
 };
-
-/// Burst size of every DMA transaction (one DRAM column burst).
-pub(crate) const BURST_BYTES: u32 = 128;
 
 /// Runtime state of one DMA engine.
 #[derive(Debug)]
@@ -34,8 +32,6 @@ pub(crate) struct DmaRuntime {
     pub injected: u64,
     /// Transactions currently in flight.
     pub inflight: usize,
-    /// Bytes completed.
-    pub bytes_completed: u64,
     /// Whether injection is currently stalled on NoC backpressure.
     pub blocked_on_noc: bool,
 }
@@ -265,7 +261,6 @@ fn build_dma(
         window: spec.window,
         injected: 0,
         inflight: 0,
-        bytes_completed: 0,
         blocked_on_noc: false,
     })
 }

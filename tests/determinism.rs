@@ -253,7 +253,7 @@ fn controller_command_stream_passes_timing_checker() {
             .refresh_enabled(false)
             .build()
             .unwrap();
-        let cfg = DramConfig::builder().timing(timing).build().unwrap();
+        let cfg = DramConfig::table1_1866().with_timing(timing).unwrap();
         let mut dram = Dram::new(cfg.clone(), Interleave::default()).unwrap();
         let mut checker = TimingChecker::new(cfg);
         let mut mc = MemoryController::new(McConfig::builder(policy).build().unwrap());
@@ -328,7 +328,7 @@ fn device_vs_checker_random_streams() {
         .refresh_enabled(false)
         .build()
         .unwrap();
-    let cfg = DramConfig::builder().timing(timing).build().unwrap();
+    let cfg = DramConfig::table1_1866().with_timing(timing).unwrap();
     let mut dram = Dram::new(cfg.clone(), Interleave::default()).unwrap();
     let mut checker = TimingChecker::new(cfg);
     let mut rng = StdRng::seed_from_u64(7);
