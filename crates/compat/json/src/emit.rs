@@ -2,37 +2,94 @@
 
 use std::fmt::Write as _;
 
-use crate::Value;
+use crate::{Scalar, Value};
 
-/// Escapes `s` for a JSON string body (no surrounding quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Escapes `s` for a JSON string body (no surrounding quotes): `"`, `\`
+/// and the bytes below 0x20, the ones JSON forbids raw. Everything else
+/// is copied a run at a time, so a string with nothing to escape costs
+/// one copy.
+fn escape_into(out: &mut String, mut s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    while let Some(at) = first_to_escape(s.as_bytes()) {
+        // An ASCII byte is a char boundary, so the run ends on one.
+        out.push_str(&s[..at]);
+        let b = s.as_bytes()[at];
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
+        s = &s[at + 1..];
     }
+    out.push_str(s);
 }
 
-/// The token a float emits as: shortest round-trip form, `null` when
-/// non-finite (JSON has no NaN/infinity literals). Negative zero
+/// The position of the first byte [`escape_into`] escapes, found eight
+/// clean bytes at a time.
+fn first_to_escape(bytes: &[u8]) -> Option<usize> {
+    let mut clean = 0;
+    for word in bytes.chunks_exact(8) {
+        if any_to_escape(u64::from_le_bytes(word.try_into().expect("8 bytes"))) {
+            break;
+        }
+        clean += 8;
+    }
+    bytes[clean..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .map(|at| clean + at)
+}
+
+/// Whether any of the eight bytes of `word` is one [`escape_into`]
+/// escapes: below 0x20, `"` or `\`. Each test sets a byte's high bit
+/// exactly when some byte matches (the borrow only spreads above a
+/// match), and no byte of 0x80 or more matches.
+fn any_to_escape(word: u64) -> bool {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    const HIGH: u64 = ONES << 7;
+    let below = |n: u8| word.wrapping_sub(ONES * u64::from(n)) & !word & HIGH;
+    let equal = |c: u8| {
+        let v = word ^ (ONES * u64::from(c));
+        v.wrapping_sub(ONES) & !v & HIGH
+    };
+    below(0x20) | equal(b'"') | equal(b'\\') != 0
+}
+
+/// Appends `n` in decimal, as `Display` writes it, without the
+/// formatting machinery.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends the token a float emits as: shortest round-trip form, `null`
+/// when non-finite (JSON has no NaN/infinity literals). Negative zero
 /// normalizes to `0`: Rust would print `-0`, which reads back as the
 /// integer 0 and would break the emit∘parse byte-identity the crate
 /// promises.
-fn float_token(v: f64) -> String {
+fn push_float(out: &mut String, v: f64) {
     if v == 0.0 {
-        "0".to_string()
+        out.push('0');
     } else if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -76,13 +133,14 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
+            Value::UInt(u) => push_uint(out, *u),
             Value::Int(i) => {
-                let _ = write!(out, "{i}");
+                if *i < 0 {
+                    out.push('-');
+                }
+                push_uint(out, i.unsigned_abs());
             }
-            Value::Float(f) => out.push_str(&float_token(*f)),
+            Value::Float(f) => push_float(out, *f),
             Value::Str(s) => push_string(out, s),
             Value::Array(_) | Value::Object(_) => unreachable!("containers handled by callers"),
         }
@@ -171,6 +229,12 @@ fn push_string(out: &mut String, s: &str) {
 /// an unbuffered sink in a `BufWriter`. An I/O error surfaces at the
 /// call that met it, leaving a partial document behind.
 ///
+/// A short string or count needs no [`Value`]: [`Stream::scalar`] writes
+/// a borrowed [`Scalar`] by the same separator and escape rules, held
+/// with the brackets until the next node, raw text or
+/// [`Stream::finish`] goes out, so a record of small members reaches the
+/// writer in one piece.
+///
 /// ```
 /// use json::{Stream, Value};
 ///
@@ -204,7 +268,8 @@ impl<'w, W: std::io::Write + ?Sized> Stream<'w, W> {
             w,
             pretty,
             open: Vec::new(),
-            buf: String::new(),
+            // Room for a record's small members, so they do not regrow it.
+            buf: String::with_capacity(256),
         }
     }
 
@@ -254,6 +319,18 @@ impl<'w, W: std::io::Write + ?Sized> Stream<'w, W> {
         self.w.write_all(self.buf.as_bytes())?;
         self.buf.clear();
         Ok(())
+    }
+
+    /// Writes `value` as the next child (`key` names it inside an
+    /// object), the bytes [`Stream::node`] writes for the equal [`Value`],
+    /// without building one. It cannot fail: the bytes wait for the next
+    /// call that writes.
+    pub fn scalar(&mut self, key: Option<&str>, value: Scalar<'_>) {
+        self.child(key);
+        match value {
+            Scalar::Str(s) => push_string(&mut self.buf, s),
+            Scalar::UInt(u) => push_uint(&mut self.buf, u),
+        }
     }
 
     /// Writes `compact` — the compact text of a complete value, as
@@ -530,7 +607,7 @@ mod tests {
     fn non_finite_floats_emit_null() {
         assert_eq!(Value::Float(f64::NAN).to_string_compact(), "null");
         assert_eq!(Value::Float(f64::INFINITY).to_string_pretty(), "null");
-        assert_eq!(float_token(1.5), "1.5");
+        assert_eq!(Value::Float(1.5).to_string_compact(), "1.5");
     }
 
     #[test]
@@ -545,9 +622,218 @@ mod tests {
     #[test]
     fn extreme_magnitudes_emit_their_shortest_form_and_reparse() {
         for v in [1e21, 5e-324, 1.7976931348623157e308, -2.5e-7] {
-            let token = float_token(v);
+            let token = Value::Float(v).to_string_compact();
             let back = parse(&token).unwrap();
             assert_eq!(back.as_f64(), Some(v), "token {token}");
+        }
+    }
+
+    /// A seeded source for the oracle tests (SplitMix64).
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % u64::from(n)) as u32
+        }
+
+        /// A string of up to 24 chars drawn from every class the escape
+        /// treats apart: quote, backslash, each control, DEL, plain
+        /// ASCII, and 2-, 3- and 4-byte UTF-8 (U+2028 among them).
+        fn string(&mut self) -> String {
+            let len = self.below(25);
+            (0..len)
+                .map(|_| {
+                    let code = match self.below(9) {
+                        0 => u32::from(b'"'),
+                        1 => u32::from(b'\\'),
+                        2 => self.below(0x20),
+                        3 => 0x7f,
+                        4 => 0x20 + self.below(0x5f),
+                        5 => 0x80 + self.below(0x780),
+                        6 => 0x2028 + self.below(2),
+                        7 => 0x800 + self.below(0xd000),
+                        _ => 0x10000 + self.below(0x10_0000),
+                    };
+                    char::from_u32(code).expect("no surrogate is drawn")
+                })
+                .collect()
+        }
+    }
+
+    /// The escape as it was written before runs were copied whole: one
+    /// char at a time.
+    fn escape_char_by_char(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// A float's token as it was written before it went straight into
+    /// the output: an owned `String` per float.
+    fn float_token(v: f64) -> String {
+        if v == 0.0 {
+            "0".to_string()
+        } else if v.is_finite() {
+            format!("{v}")
+        } else {
+            "null".to_string()
+        }
+    }
+
+    #[test]
+    fn the_run_copying_escape_equals_the_char_by_char_one() {
+        let escape = |s: &str| {
+            let mut out = String::from("prefix");
+            escape_into(&mut out, s);
+            out
+        };
+        let fixed = (0u8..0x80)
+            .map(char::from)
+            .chain(['\u{2028}', 'é', '€', '😀'])
+            .collect::<String>();
+        for s in ["", "plain", "\"", "\\", "\u{0}", "a\u{1f}b", &fixed] {
+            assert_eq!(
+                escape(s),
+                format!("prefix{}", escape_char_by_char(s)),
+                "{s:?}"
+            );
+        }
+        let mut rng = Seeded(0x0e5c_a9e0);
+        for _ in 0..4096 {
+            let s = rng.string();
+            assert_eq!(
+                escape(&s),
+                format!("prefix{}", escape_char_by_char(&s)),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_word_needs_escaping_exactly_when_one_of_its_bytes_does() {
+        // Bytes at and around every edge the word test has.
+        const EDGES: [u8; 12] = [
+            0x00, 0x01, 0x1f, 0x20, 0x21, 0x22, 0x23, 0x5b, 0x5c, 0x5d, 0x80, 0xff,
+        ];
+        let mut rng = Seeded(0x005a_a7a7);
+        for _ in 0..1 << 16 {
+            let bytes: [u8; 8] = std::array::from_fn(|_| {
+                if rng.below(2) == 0 {
+                    EDGES[rng.below(EDGES.len() as u32) as usize]
+                } else {
+                    rng.next() as u8
+                }
+            });
+            let want = bytes.iter().any(|&b| b < 0x20 || b == b'"' || b == b'\\');
+            assert_eq!(
+                any_to_escape(u64::from_le_bytes(bytes)),
+                want,
+                "{bytes:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_in_place_float_equals_its_owned_token() {
+        let fixed = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e21,
+            5e-324,
+            0.1 + 0.2,
+            f64::MAX,
+            -2.5e-7,
+        ];
+        let mut rng = Seeded(0x000f_10a7);
+        let seeded = (0..4096).map(|_| f64::from_bits(rng.next()));
+        for v in fixed.into_iter().chain(seeded) {
+            let mut out = String::from("[");
+            push_float(&mut out, v);
+            assert_eq!(out, format!("[{}", float_token(v)), "{v:e}");
+        }
+    }
+
+    #[test]
+    fn integers_emit_as_display_writes_them() {
+        let mut rng = Seeded(0x0001_7e6e);
+        let fixed = [0, 1, 9, 10, 99, 100, u64::MAX, i64::MAX as u64, 1 << 63];
+        for n in fixed
+            .into_iter()
+            .chain((0..4096).map(|_| rng.next() >> rng.below(64)))
+        {
+            assert_eq!(Value::UInt(n).to_string_compact(), n.to_string());
+            let i = n as i64;
+            assert_eq!(Value::Int(i).to_string_compact(), i.to_string());
+        }
+        assert_eq!(
+            Value::Int(i64::MIN).to_string_compact(),
+            i64::MIN.to_string()
+        );
+    }
+
+    #[test]
+    fn a_scalar_member_equals_the_node_of_its_value() {
+        let mut rng = Seeded(0x005c_a1a2);
+        for round in 0..512 {
+            let text = rng.string();
+            let scalars = [
+                Scalar::Str(&text),
+                Scalar::UInt(rng.next() >> rng.below(64)),
+                Scalar::UInt(0),
+                Scalar::UInt(u64::MAX),
+                Scalar::Str(""),
+            ];
+            for pretty in [false, true] {
+                let write = |by_value: bool| {
+                    let mut out = Vec::new();
+                    let mut s = Stream::new(&mut out, pretty);
+                    s.open_object(None);
+                    for (i, &scalar) in scalars.iter().enumerate() {
+                        let key = format!("k{i}\"{text}");
+                        if by_value {
+                            s.node(Some(&key), &Value::from(scalar)).unwrap();
+                        } else {
+                            s.scalar(Some(&key), scalar);
+                        }
+                    }
+                    s.open_array(Some("list"));
+                    for &scalar in &scalars {
+                        if by_value {
+                            s.node(None, &Value::from(scalar)).unwrap();
+                        } else {
+                            s.scalar(None, scalar);
+                        }
+                    }
+                    s.close();
+                    s.close();
+                    s.finish().unwrap();
+                    String::from_utf8(out).unwrap()
+                };
+                assert_eq!(write(false), write(true), "round {round} pretty={pretty}");
+            }
         }
     }
 }

@@ -51,6 +51,26 @@ pub mod read;
 pub use emit::Stream;
 pub use parse::{parse, ParseError};
 
+/// A borrowed string or unsigned integer: what a record's small members
+/// are, written by [`Stream::scalar`] without the owned [`Value`] it
+/// converts into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar<'a> {
+    /// A string, escaped as [`Value::Str`] is.
+    Str(&'a str),
+    /// A non-negative integer, as [`Value::UInt`].
+    UInt(u64),
+}
+
+impl From<Scalar<'_>> for Value {
+    fn from(value: Scalar<'_>) -> Value {
+        match value {
+            Scalar::Str(s) => Value::Str(s.to_string()),
+            Scalar::UInt(u) => Value::UInt(u),
+        }
+    }
+}
+
 /// A parsed or constructed JSON document node.
 ///
 /// Object members keep insertion order, which is what makes emission

@@ -9,10 +9,11 @@
 //! property `matrix_deterministic_across_thread_counts` pins down). A
 //! `sara serve` job takes the same steps.
 
+use std::borrow::Borrow;
 use std::io::{self, Write};
 use std::time::Instant;
 
-use json::Value;
+use json::{Scalar, Value};
 use sara_memctrl::PolicyKind;
 use sara_sim::{AnalyticReport, ScreenVerdict, SimReport, SystemConfig};
 use sara_telemetry::ChromeTrace;
@@ -157,7 +158,7 @@ impl MatrixCell {
     pub fn json_members(&self) -> Vec<(String, Value)> {
         let head = cell_head_members(&self.scenario, self.policy, self.freq, self.channels);
         let mut members = Vec::with_capacity(head.len() + 2);
-        members.extend(head.map(|(key, value)| (key.to_string(), value)));
+        members.extend(head.map(|(key, value)| (key.to_string(), value.into())));
         match &self.outcome {
             CellOutcome::Simulated(r) => {
                 members.push(("report".to_string(), r.to_json_value()));
@@ -174,18 +175,19 @@ impl MatrixCell {
 
 /// A matrix cell's head members, the ones ahead of its outcome, in
 /// emission order: [`MatrixCell::json_members`] starts with them, and so
-/// does a `sara serve` cell record spliced around a cached report.
+/// does a `sara serve` cell record spliced around a cached report. They
+/// borrow what they name, so a streamed head builds no [`Value`].
 pub fn cell_head_members(
     scenario: &str,
     policy: PolicyKind,
     freq: MegaHertz,
     channels: usize,
-) -> [(&'static str, Value); 4] {
+) -> [(&'static str, Scalar<'_>); 4] {
     [
-        ("scenario", scenario.into()),
-        ("policy", policy.name().into()),
-        ("freq_mhz", freq.as_u32().into()),
-        ("channels", (channels as u64).into()),
+        ("scenario", Scalar::Str(scenario)),
+        ("policy", Scalar::Str(policy.name())),
+        ("freq_mhz", Scalar::UInt(freq.as_u32().into())),
+        ("channels", Scalar::UInt(channels as u64)),
     ]
 }
 
@@ -210,18 +212,18 @@ pub enum CellBody<'a> {
 /// Returns the first error the writer reports.
 pub fn write_cell_members<W: Write + ?Sized>(
     doc: &mut json::Stream<'_, W>,
-    head: [(&'static str, Value); 4],
+    head: [(&'static str, Scalar<'_>); 4],
     body: CellBody<'_>,
 ) -> io::Result<()> {
     for (key, value) in head {
-        doc.node(Some(key), &value)?;
+        doc.scalar(Some(key), value);
     }
     match body {
         CellBody::Simulated(r) => doc.node(Some("report"), &r.to_json_value()),
         CellBody::Rendered(report_json) => doc.raw(Some("report"), report_json),
         CellBody::Screened(a) => {
             let label = a.verdict.label().unwrap_or("needs-sim");
-            doc.node(Some("screened"), &label.into())?;
+            doc.scalar(Some("screened"), Scalar::Str(label));
             doc.node(Some("analytic"), &a.to_json_value())
         }
     }
@@ -239,7 +241,7 @@ pub fn write_cell_members<W: Write + ?Sized>(
 pub fn write_matrix_document<'a, W: Write + ?Sized>(
     w: &mut W,
     pretty: bool,
-    cells: impl IntoIterator<Item = ([(&'static str, Value); 4], CellBody<'a>)>,
+    cells: impl IntoIterator<Item = ([(&'static str, Scalar<'a>); 4], CellBody<'a>)>,
     rankings: &[ScenarioRanking],
 ) -> io::Result<()> {
     let mut doc = json::Stream::new(w, pretty);
@@ -637,27 +639,27 @@ impl CellSpec {
 ///
 /// Returns an error for an empty matrix (no scenarios or no policies).
 pub fn expand_cells(
-    scenarios: &[Scenario],
+    scenarios: &[impl Borrow<Scenario>],
     spec: &MatrixSpec,
 ) -> Result<Vec<CellSpec>, ConfigError> {
     if scenarios.is_empty() || spec.policies.is_empty() {
         return Err(ConfigError::new("empty scenario matrix"));
     }
     let mut cells = Vec::new();
-    for (si, s) in scenarios.iter().enumerate() {
+    for (si, s) in scenarios.iter().map(Borrow::borrow).enumerate() {
+        let freqs: Vec<MegaHertz> = if spec.freqs_mhz.is_empty() {
+            vec![s.freq]
+        } else {
+            spec.freqs_mhz.iter().map(|&m| MegaHertz::new(m)).collect()
+        };
+        let channel_counts = if spec.channels.is_empty() {
+            std::slice::from_ref(&s.channels)
+        } else {
+            &spec.channels
+        };
         for &policy in &spec.policies {
-            let freqs: Vec<MegaHertz> = if spec.freqs_mhz.is_empty() {
-                vec![s.freq]
-            } else {
-                spec.freqs_mhz.iter().map(|&m| MegaHertz::new(m)).collect()
-            };
-            for freq in freqs {
-                let channel_counts: Vec<usize> = if spec.channels.is_empty() {
-                    vec![s.channels]
-                } else {
-                    spec.channels.clone()
-                };
-                for channels in channel_counts {
+            for &freq in &freqs {
+                for &channels in channel_counts {
                     cells.push(CellSpec {
                         scenario: si,
                         policy,
@@ -741,13 +743,14 @@ pub fn summarize_cells(
 ///
 /// Panics if `keys` and `specs` disagree on length.
 pub fn rank_cells(
-    scenarios: &[Scenario],
+    scenarios: &[impl Borrow<Scenario>],
     specs: &[CellSpec],
     keys: &[RankKey],
 ) -> Vec<ScenarioRanking> {
     assert_eq!(specs.len(), keys.len(), "one key per cell");
     scenarios
         .iter()
+        .map(Borrow::borrow)
         .enumerate()
         .map(|(si, s)| {
             let mut ranked: Vec<usize> = (0..specs.len())

@@ -115,16 +115,14 @@ impl Journal {
     }
 
     /// Appends one [`EVENTS`] record of job number `job` (client id `id`):
-    /// the `format`/`event`/`span`/`job`/`id` lead-in, then `fields` in
-    /// order. Writes are best-effort (a full disk must not kill the
-    /// service).
-    pub(crate) fn append(
-        &self,
-        event: &str,
-        job: u64,
-        id: &str,
-        fields: impl IntoIterator<Item = (&'static str, Value)>,
-    ) {
+    /// the `format`/`event`/`span`/`job`/`id` lead-in, then the members
+    /// `fields` builds, in order. A disabled journal never calls `fields`,
+    /// so a server without one builds no event. Writes are best-effort (a
+    /// full disk must not kill the service).
+    pub(crate) fn append<F>(&self, event: &str, job: u64, id: &str, fields: impl FnOnce() -> F)
+    where
+        F: IntoIterator<Item = (&'static str, Value)>,
+    {
         if !self.enabled {
             return;
         }
@@ -138,7 +136,7 @@ impl Journal {
             ("job".to_string(), job.into()),
             ("id".to_string(), id.into()),
         ];
-        members.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+        members.extend(fields().into_iter().map(|(k, v)| (k.to_string(), v)));
         let record = Value::Object(members);
         if let Some(w) = &mut inner.writer {
             let _ = record.write_ndjson_line(w);
@@ -241,7 +239,9 @@ mod tests {
     /// Appends cell events of job `job` (id `a`) with integer fields.
     fn cells(j: &Journal, job: u64, events: &[(&str, &[(&'static str, u64)])]) {
         for &(event, fields) in events {
-            j.append(event, job, "a", fields.iter().map(|&(k, v)| (k, v.into())));
+            j.append(event, job, "a", || {
+                fields.iter().map(|&(k, v)| (k, v.into()))
+            });
         }
     }
 
@@ -266,7 +266,9 @@ mod tests {
         let j = Journal::disabled();
         assert_eq!(j.next_job(), 1);
         assert_eq!(j.next_job(), 2);
-        j.append("accepted", 1, "a", accepted("ci", 2, 10));
+        j.append("accepted", 1, "a", || -> [(&'static str, Value); 0] {
+            panic!("a disabled journal builds no fields")
+        });
         assert!(j.events().is_empty());
     }
 
@@ -275,7 +277,7 @@ mod tests {
         let sink = Shared::default();
         let j = Journal::new(Some(Box::new(sink.clone())), true);
         let job = j.next_job();
-        j.append("accepted", job, "a", accepted("ci", 1, 100));
+        j.append("accepted", job, "a", || accepted("ci", 1, 100));
         cells(
             &j,
             job,
@@ -320,7 +322,7 @@ mod tests {
     fn chrome_trace_has_one_track_per_worker() {
         let j = Journal::new(None, true);
         let job = j.next_job();
-        j.append("accepted", job, "a", accepted("ci", 2, 0));
+        j.append("accepted", job, "a", || accepted("ci", 2, 0));
         for (seq, worker) in [(0, 1), (1, 0)] {
             cells(
                 &j,

@@ -15,7 +15,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 
 use json::read::{self, Fields};
-use json::{Stream, Value};
+use json::{Scalar, Stream, Value};
 use sara_memctrl::PolicyKind;
 use sara_scenarios::{
     cell_head_members, write_cell_members, CellBody, CellSpec, MatrixCell, Scenario, ScreenMode,
@@ -299,38 +299,51 @@ pub struct JobSummary {
     pub artifact: Option<String>,
 }
 
-/// Builds an `accepted` record: the job passed admission and expands to
-/// `cells` cells.
-pub fn accepted_record(id: &str, cells: usize) -> Value {
-    let mut members = envelope("accepted");
-    members.push(kv("id", id));
-    members.push(kv("cells", cells as u64));
-    Value::Object(members)
+/// Opens a job's record of `record_type` on `record`: the object, then
+/// the envelope every job record leads with (`format`, `type`, `id`).
+fn open_job_record<W: Write + ?Sized>(record: &mut Stream<'_, W>, record_type: &str, id: &str) {
+    record.open_object(None);
+    record.scalar(Some("format"), Scalar::Str(FORMAT_TAG));
+    record.scalar(Some("type"), Scalar::Str(record_type));
+    record.scalar(Some("id"), Scalar::Str(id));
+}
+
+/// Writes an `accepted` record, terminator included: the job passed
+/// admission and expands to `cells` cells. Its small members reach
+/// `writer` in one piece.
+///
+/// # Errors
+///
+/// Returns the error `writer` reports.
+pub fn write_accepted_record<W: Write>(writer: &mut W, id: &str, cells: usize) -> io::Result<()> {
+    let mut record = Stream::new(writer, false);
+    open_job_record(&mut record, "accepted", id);
+    record.scalar(Some("cells"), Scalar::UInt(cells as u64));
+    record.close();
+    record.finish()
 }
 
 /// Builds a `cell` record: envelope plus the exact member list a
 /// `sara matrix` dump's `cells[seq]` entry carries, so the payload is
-/// byte-identical to the batch harness's output for the same cell.
+/// byte-identical to the batch harness's output for the same cell. The
+/// reference [`write_cell_record`] is tested against.
 pub fn cell_record(id: &str, seq: usize, cell: &MatrixCell) -> Value {
-    let mut members = cell_envelope(id, seq);
+    let mut members = envelope("cell");
+    members.push(kv("id", id));
+    members.push(kv("seq", seq as u64));
     members.extend(cell.json_members());
     Value::Object(members)
 }
 
-/// What a `cell` record carries ahead of the cell's own members.
-fn cell_envelope(id: &str, seq: usize) -> Vec<(String, Value)> {
-    let mut members = envelope("cell");
-    members.push(kv("id", id));
-    members.push(kv("seq", seq as u64));
-    members
-}
-
 /// Writes a cell's record, terminator included: the envelope, then the
-/// cell's members ([`write_cell_members`]). A report rendered already
+/// cell's members ([`write_cell_members`]). The envelope and head are
+/// borrowed scalars ([`Stream::scalar`]), and a report rendered already
 /// ([`CellBody::Rendered`]) is spliced in as is, so a cache hit is
-/// answered without walking or copying its report again. The bytes equal
-/// `cell_record(..).write_ndjson_line(..)`, the reference. The record
-/// reaches `writer` in several pieces, so `writer` should buffer.
+/// answered without building a tree or walking its report again. The
+/// bytes equal `cell_record(..).write_ndjson_line(..)`, the reference.
+/// The record reaches `writer` in at most three writes (everything ahead
+/// of a spliced report, the report, then the closing `}` and newline), so
+/// `writer` should buffer.
 ///
 /// # Errors
 ///
@@ -344,34 +357,46 @@ pub fn write_cell_record<W: Write>(
     body: CellBody<'_>,
 ) -> io::Result<()> {
     let mut record = Stream::new(writer, false);
-    record.open_object(None);
-    for (key, value) in cell_envelope(id, seq) {
-        record.node(Some(&key), &value)?;
-    }
+    open_job_record(&mut record, "cell", id);
+    record.scalar(Some("seq"), Scalar::UInt(seq as u64));
     let head = cell_head_members(scenario, spec.policy, spec.freq, spec.channels);
     write_cell_members(&mut record, head, body)?;
     record.close();
     record.finish()
 }
 
-/// Builds a job's final `summary` record.
-pub fn summary_record(id: &str, summary: &JobSummary) -> Value {
-    let mut members = envelope("summary");
-    members.push(kv("id", id));
-    members.push(kv("cells", summary.cells as u64));
-    members.push(kv("cache_hits", summary.cache_hits as u64));
-    members.push(kv("cache_misses", summary.cache_misses as u64));
-    members.push(kv("targets_met", summary.targets_met as u64));
-    members.push(kv("elapsed_us", summary.elapsed_us));
+/// Writes a job's final `summary` record, terminator included, in one
+/// piece.
+///
+/// # Errors
+///
+/// Returns the error `writer` reports.
+pub fn write_summary_record<W: Write>(
+    writer: &mut W,
+    id: &str,
+    summary: &JobSummary,
+) -> io::Result<()> {
+    let mut record = Stream::new(writer, false);
+    open_job_record(&mut record, "summary", id);
+    for (key, count) in [
+        ("cells", summary.cells as u64),
+        ("cache_hits", summary.cache_hits as u64),
+        ("cache_misses", summary.cache_misses as u64),
+        ("targets_met", summary.targets_met as u64),
+        ("elapsed_us", summary.elapsed_us),
+    ] {
+        record.scalar(Some(key), Scalar::UInt(count));
+    }
     // Omitted for unscreened jobs, so their summary bytes are identical
     // to what pre-screening servers emitted.
     if summary.screened > 0 {
-        members.push(kv("screened", summary.screened as u64));
+        record.scalar(Some("screened"), Scalar::UInt(summary.screened as u64));
     }
     if let Some(artifact) = &summary.artifact {
-        members.push(kv("artifact", artifact.as_str()));
+        record.scalar(Some("artifact"), Scalar::Str(artifact));
     }
-    Value::Object(members)
+    record.close();
+    record.finish()
 }
 
 /// Builds an `error` record; `id` is included when the failing request
@@ -409,6 +434,34 @@ pub fn pong_record() -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `accepted` record as a tree: the oracle of
+    /// [`write_accepted_record`].
+    fn accepted_record(id: &str, cells: usize) -> Value {
+        let mut members = envelope("accepted");
+        members.push(kv("id", id));
+        members.push(kv("cells", cells as u64));
+        Value::Object(members)
+    }
+
+    /// The `summary` record as a tree: the oracle of
+    /// [`write_summary_record`].
+    fn summary_record(id: &str, summary: &JobSummary) -> Value {
+        let mut members = envelope("summary");
+        members.push(kv("id", id));
+        members.push(kv("cells", summary.cells as u64));
+        members.push(kv("cache_hits", summary.cache_hits as u64));
+        members.push(kv("cache_misses", summary.cache_misses as u64));
+        members.push(kv("targets_met", summary.targets_met as u64));
+        members.push(kv("elapsed_us", summary.elapsed_us));
+        if summary.screened > 0 {
+            members.push(kv("screened", summary.screened as u64));
+        }
+        if let Some(artifact) = &summary.artifact {
+            members.push(kv("artifact", artifact.as_str()));
+        }
+        Value::Object(members)
+    }
 
     fn submit_with(scenarios: &str, extra: &str) -> String {
         format!(
@@ -543,6 +596,42 @@ mod tests {
         }
     }
 
+    /// A seeded client string: empty, or up to 12 chars drawn from every
+    /// class the escape treats apart — quote, backslash, each control,
+    /// DEL, plain ASCII, U+2028 and 2-, 3- and 4-byte UTF-8.
+    fn client_string(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        let len = rng.gen_range(0usize..13);
+        (0..len)
+            .map(|_| {
+                let code = match rng.gen_range(0u32..8) {
+                    0 => u32::from(b'"'),
+                    1 => u32::from(b'\\'),
+                    2 => rng.gen_range(0u32..0x20),
+                    3 => 0x7f,
+                    4 => rng.gen_range(0x20u32..0x7f),
+                    5 => 0x2028,
+                    6 => rng.gen_range(0x80u32..0xd800),
+                    _ => rng.gen_range(0x1_0000u32..0x11_0000),
+                };
+                char::from_u32(code).expect("no surrogate is drawn")
+            })
+            .collect()
+    }
+
+    /// Pairs of a job id and a scenario name: two fixed ones, then seeded
+    /// client strings.
+    fn ids_and_names() -> Vec<(String, String)> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e7e_2000);
+        let mut pairs = vec![
+            ("j".to_string(), "camcorder-b".to_string()),
+            ("a\"b\\c\n".to_string(), "inline \"x\"\t\u{1}é".to_string()),
+        ];
+        pairs.extend((0..48).map(|_| (client_string(&mut rng), client_string(&mut rng))));
+        pairs
+    }
+
     #[test]
     fn a_spliced_cell_line_equals_the_built_record() {
         use sara_scenarios::{catalog, run_cell, screen_cell, CellOutcome};
@@ -560,7 +649,7 @@ mod tests {
         // Ids and scenario names come from the client: the head goes
         // through the same escaping as the built record. A simulated cell
         // streams its report rendered or whole; a pruned one its verdict.
-        for (id, name) in [("j", "camcorder-b"), ("a\"b\\c\n", "inline \"x\"\t\u{1}é")] {
+        for (seq, (id, name)) in ids_and_names().iter().enumerate() {
             let cells = [
                 (
                     CellBody::Rendered(&report_json),
@@ -584,12 +673,50 @@ mod tests {
                     outcome,
                 };
                 let mut built = Vec::new();
-                cell_record(id, 7, &cell)
+                cell_record(id, seq, &cell)
                     .write_ndjson_line(&mut built)
                     .unwrap();
                 let mut streamed = Vec::new();
-                write_cell_record(&mut streamed, id, 7, name, &spec, body).unwrap();
-                assert_eq!(streamed, built);
+                write_cell_record(&mut streamed, id, seq, name, &spec, body).unwrap();
+                assert_eq!(streamed, built, "id {id:?} scenario {name:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_accepted_and_summary_lines_equal_the_built_records() {
+        for (n, (id, artifact)) in ids_and_names().into_iter().enumerate() {
+            let mut built = Vec::new();
+            accepted_record(&id, n)
+                .write_ndjson_line(&mut built)
+                .unwrap();
+            let mut streamed = Vec::new();
+            write_accepted_record(&mut streamed, &id, n).unwrap();
+            assert_eq!(streamed, built, "accepted {id:?}");
+
+            let n = n as u64;
+            for (screened, artifact) in [
+                (0, None),
+                (3, None),
+                (0, Some(&artifact)),
+                (n + 1, Some(&artifact)),
+            ] {
+                let summary = JobSummary {
+                    cells: 7 + n as usize,
+                    cache_hits: n as usize,
+                    cache_misses: 2,
+                    screened: screened as usize,
+                    targets_met: 1,
+                    elapsed_us: u64::MAX >> n,
+                    artifact: artifact.cloned(),
+                };
+                let mut built = Vec::new();
+                summary_record(&id, &summary)
+                    .write_ndjson_line(&mut built)
+                    .unwrap();
+                let mut streamed = Vec::new();
+                write_summary_record(&mut streamed, &id, &summary).unwrap();
+                assert_eq!(streamed, built, "summary {id:?} {summary:?}");
             }
         }
     }

@@ -29,7 +29,7 @@ use sara_telemetry::{prometheus, Metric, Registry, TimeSource, WallClock};
 use sara_types::ConfigError;
 
 use crate::cache::{CachedReport, ResultCache, DEFAULT_CACHE_MAX_BYTES};
-use crate::journal::{Journal, EVENTS};
+use crate::journal::{Journal, EVENTS, STAGE_HISTOGRAMS};
 use crate::protocol::{self, JobRequest, JobSummary, Request, ScenarioRef};
 
 /// The server's cumulative counters, registered in this order at
@@ -45,6 +45,21 @@ pub const COUNTERS: [&str; 9] = [
     "cache_evictions",
     "protocol_errors",
 ];
+
+/// A [`COUNTERS`] entry by its position, which is also its index in the
+/// server's registry: the counters are registered first, in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Count {
+    JobsAccepted,
+    JobsRejected,
+    JobsFailed,
+    CellsTotal,
+    CellsScreened,
+    CacheHits,
+    CacheMisses,
+    CacheEvictions,
+    ProtocolErrors,
+}
 
 /// The longest request line a session holds in memory, in bytes
 /// (terminator excluded): 1 MiB, two orders of magnitude above a catalog
@@ -96,8 +111,54 @@ pub struct Server {
     /// a job that names one neither rebuilds nor re-hashes it.
     catalog: Vec<(Scenario, ScenarioFingerprint)>,
     cache: Mutex<ResultCache>,
-    registry: Mutex<Registry>,
+    metrics: Mutex<Metrics>,
     outstanding: Mutex<HashMap<String, usize>>,
+}
+
+/// The metrics registry, with the places a job counts into resolved
+/// once: a [`Count`] is its own index, a stage histogram's and a client
+/// series' index is kept from the moment it registers.
+#[derive(Debug)]
+struct Metrics {
+    registry: Registry,
+    /// Each [`STAGE_HISTOGRAMS`] entry's index, once it has a sample.
+    stages: [Option<usize>; STAGE_HISTOGRAMS.len()],
+    /// Each client's `jobs{client="…"}` and `cells{client="…"}` indices.
+    clients: HashMap<String, [usize; 2]>,
+}
+
+impl Metrics {
+    fn bump(&mut self, count: Count, by: u64) {
+        self.registry.counter_at(count as usize).add(by);
+    }
+
+    /// Records one sample into the stage histogram at `stage` in
+    /// [`STAGE_HISTOGRAMS`]. A stage registers on its first sample, behind
+    /// the fixed [`COUNTERS`], so `stats` replies are unaffected.
+    fn observe(&mut self, stage: usize, v: u64) {
+        let index = *self.stages[stage]
+            .get_or_insert_with(|| self.registry.histogram_index(STAGE_HISTOGRAMS[stage]));
+        self.registry.histogram_at(index).record(v);
+    }
+
+    /// Counts one job of `cells` cells for `client`, in its two labelled
+    /// series, named once per client.
+    fn bump_client(&mut self, client: &str, cells: u64) {
+        let [jobs, cells_index] = match self.clients.get(client) {
+            Some(&series) => series,
+            None => {
+                let escaped = prometheus::escape_label_value(client);
+                let series = ["jobs", "cells"].map(|kind| {
+                    self.registry
+                        .counter_index(&format!("{kind}{{client=\"{escaped}\"}}"))
+                });
+                self.clients.insert(client.to_string(), series);
+                series
+            }
+        };
+        self.registry.counter_at(jobs).add(1);
+        self.registry.counter_at(cells_index).add(cells);
+    }
 }
 
 /// Where a cell's report comes from, decided up front so the hit/miss
@@ -192,7 +253,7 @@ impl Server {
         };
         let mut registry = Registry::new();
         for name in COUNTERS {
-            registry.counter(name);
+            registry.counter_index(name);
         }
         Server {
             config,
@@ -207,7 +268,11 @@ impl Server {
                 })
                 .collect(),
             cache: Mutex::new(ResultCache::with_budget(config.cache_max_bytes)),
-            registry: Mutex::new(registry),
+            metrics: Mutex::new(Metrics {
+                registry,
+                stages: [None; STAGE_HISTOGRAMS.len()],
+                clients: HashMap::new(),
+            }),
             outstanding: Mutex::new(HashMap::new()),
         }
     }
@@ -230,7 +295,7 @@ impl Server {
     /// histograms and per-client series — `stats` replies stay
     /// deterministic; the full registry is what `metrics` is for.
     pub fn counters(&self) -> Value {
-        let registry = self.registry.lock().expect("registry");
+        let registry = &self.metrics.lock().expect("registry").registry;
         Value::Object(
             COUNTERS
                 .iter()
@@ -248,7 +313,7 @@ impl Server {
     /// The full metrics registry — counters, per-client series, stage
     /// histograms — as Prometheus text exposition (format 0.0.4).
     pub fn prometheus_text(&self) -> String {
-        prometheus::encode(&self.registry.lock().expect("registry"))
+        prometheus::encode(&self.metrics.lock().expect("registry").registry)
     }
 
     /// A copy of the journal's retained events (empty unless the journal
@@ -262,61 +327,52 @@ impl Server {
         self.cache.lock().expect("cache").len()
     }
 
-    fn bump(&self, name: &str, by: u64) {
-        self.registry
-            .lock()
-            .expect("registry")
-            .counter(name)
-            .add(by);
-    }
-
-    /// Records one sample into a stage histogram. Stage histograms are
-    /// registered on first sample, behind the fixed [`COUNTERS`], so
-    /// `stats` replies are unaffected.
-    fn observe(&self, name: &str, v: u64) {
-        self.registry
-            .lock()
-            .expect("registry")
-            .histogram(name)
-            .record(v);
+    fn bump(&self, count: Count, by: u64) {
+        self.metrics.lock().expect("registry").bump(count, by);
     }
 
     /// Records a timed transition of job `job_no` that ran from `from_us`
     /// to `to_us`: its duration goes into the stage histogram [`EVENTS`]
-    /// gives `event`, if any, and the event is journaled with `fields`
-    /// followed by `dur_us` and `ts_us` (= `to_us`).
-    fn record(
+    /// gives `event`, if any, and the event is journaled with the members
+    /// `fields` builds followed by `dur_us` and `ts_us` (= `to_us`).
+    fn record<F>(
         &self,
         event: &str,
         job_no: u64,
         id: &str,
-        fields: impl IntoIterator<Item = (&'static str, Value)>,
+        fields: impl FnOnce() -> F,
         from_us: u64,
         to_us: u64,
-    ) {
+    ) where
+        F: IntoIterator<Item = (&'static str, Value)>,
+    {
         let dur_us = to_us.saturating_sub(from_us);
-        if let Some(&(_, Some(stage))) = EVENTS.iter().find(|(name, _)| *name == event) {
-            self.observe(stage, dur_us);
+        let stage = EVENTS
+            .iter()
+            .find(|(name, _)| *name == event)
+            .and_then(|(_, stage)| STAGE_HISTOGRAMS.iter().position(|s| Some(*s) == *stage));
+        if let Some(stage) = stage {
+            self.metrics
+                .lock()
+                .expect("registry")
+                .observe(stage, dur_us);
         }
-        let timing = [("dur_us", dur_us.into()), ("ts_us", to_us.into())];
-        self.journal
-            .append(event, job_no, id, fields.into_iter().chain(timing));
+        self.journal.append(event, job_no, id, || {
+            let timing = [("dur_us", dur_us.into()), ("ts_us", to_us.into())];
+            fields().into_iter().chain(timing)
+        });
     }
 
     /// Journals the refusal of job `job_no` for `reason`.
     fn journal_rejected(&self, job_no: u64, job: &JobRequest, reason: &str) {
-        let fields = [
-            ("client", job.client.as_str().into()),
-            ("reason", reason.into()),
-            ("ts_us", self.clock.now_us().into()),
-        ];
-        self.journal.append("rejected", job_no, &job.id, fields);
-    }
-
-    /// Bumps a per-client counter series (`kind{client="…"}`).
-    fn bump_client(&self, kind: &str, client: &str, by: u64) {
-        let escaped = prometheus::escape_label_value(client);
-        self.bump(&format!("{kind}{{client=\"{escaped}\"}}"), by);
+        let ts_us = self.clock.now_us();
+        self.journal.append("rejected", job_no, &job.id, || {
+            [
+                ("client", job.client.as_str().into()),
+                ("reason", reason.into()),
+                ("ts_us", ts_us.into()),
+            ]
+        });
     }
 
     /// Runs one client session: reads request lines until EOF or a
@@ -364,7 +420,7 @@ impl Server {
                 }
             } else if buf.len() > MAX_REQUEST_LINE {
                 self.refuse(
-                    "protocol_errors",
+                    Count::ProtocolErrors,
                     None,
                     &format!("request line exceeds {MAX_REQUEST_LINE} bytes; skipped"),
                     writer,
@@ -376,7 +432,7 @@ impl Server {
             // the end of the session.
             let Ok(line) = std::str::from_utf8(&buf) else {
                 self.refuse(
-                    "protocol_errors",
+                    Count::ProtocolErrors,
                     None,
                     "request line is not valid UTF-8; skipped",
                     writer,
@@ -388,7 +444,12 @@ impl Server {
             }
             match protocol::parse_request(line) {
                 Err(err) => {
-                    self.refuse("protocol_errors", err.id.as_deref(), &err.message, writer)?;
+                    self.refuse(
+                        Count::ProtocolErrors,
+                        err.id.as_deref(),
+                        &err.message,
+                        writer,
+                    )?;
                 }
                 Ok(Request::Ping) => {
                     protocol::pong_record().write_ndjson_line(writer)?;
@@ -489,12 +550,12 @@ impl Server {
     /// job's, when the request got far enough to have one).
     fn refuse<W: Write>(
         &self,
-        counter: &str,
+        count: Count,
         id: Option<&str>,
         message: &str,
         writer: &mut BufWriter<W>,
     ) -> io::Result<()> {
-        self.bump(counter, 1);
+        self.bump(count, 1);
         protocol::error_record(id, message).write_ndjson_line(writer)?;
         writer.flush()
     }
@@ -505,12 +566,13 @@ impl Server {
         // Lower the job exactly as `sara matrix` would: resolve scenarios,
         // then expand the cross product in scenario-major order. A
         // scenario's document is serialised and hashed at most once per
-        // job (an inline one), or never (a catalog one: `Server::new` did).
-        let mut scenarios: Vec<Scenario> = Vec::with_capacity(job.scenarios.len());
+        // job (an inline one), or never (a catalog one: `Server::new` did),
+        // and borrowed, never copied.
+        let mut scenarios: Vec<&Scenario> = Vec::with_capacity(job.scenarios.len());
         let mut prefixes: Vec<ScenarioFingerprint> = Vec::with_capacity(job.scenarios.len());
         for sref in &job.scenarios {
             let (scenario, prefix) = match sref {
-                ScenarioRef::Inline(s) => ((**s).clone(), ScenarioFingerprint::new(s)),
+                ScenarioRef::Inline(s) => (&**s, ScenarioFingerprint::new(s)),
                 ScenarioRef::Catalog(name) => {
                     let Some((s, prefix)) = self.catalog.iter().find(|(s, _)| s.name == *name)
                     else {
@@ -518,13 +580,13 @@ impl Server {
                         let names: Vec<&str> =
                             self.catalog.iter().map(|(s, _)| s.name.as_str()).collect();
                         return self.refuse(
-                            "jobs_failed",
+                            Count::JobsFailed,
                             Some(&job.id),
                             &format!("unknown scenario {name:?} (catalog: {})", names.join(", ")),
                             writer,
                         );
                     };
-                    (s.clone(), *prefix)
+                    (s, *prefix)
                 }
             };
             scenarios.push(scenario);
@@ -546,14 +608,14 @@ impl Server {
             Ok(cells) => cells,
             Err(e) => {
                 self.journal_rejected(job_no, job, "bad-matrix");
-                return self.refuse("jobs_failed", Some(&job.id), e.message(), writer);
+                return self.refuse(Count::JobsFailed, Some(&job.id), e.message(), writer);
             }
         };
 
         let Some(_budget) = self.admit(&job.client, cells.len()) else {
             self.journal_rejected(job_no, job, "budget");
             return self.refuse(
-                "jobs_rejected",
+                Count::JobsRejected,
                 Some(&job.id),
                 &format!(
                     "admission refused: {} cells would exceed client {:?}'s budget of {}",
@@ -564,21 +626,24 @@ impl Server {
                 writer,
             );
         };
-        self.bump("jobs_accepted", 1);
-        self.bump("cells_total", cells.len() as u64);
-        self.bump_client("jobs", &job.client, 1);
-        self.bump_client("cells", &job.client, cells.len() as u64);
-        let fields = [
-            ("client", job.client.as_str().into()),
-            ("cells", cells.len().into()),
-            ("ts_us", t_accept.into()),
-        ];
-        self.journal.append("accepted", job_no, &job.id, fields);
+        {
+            let mut metrics = self.metrics.lock().expect("registry");
+            metrics.bump(Count::JobsAccepted, 1);
+            metrics.bump(Count::CellsTotal, cells.len() as u64);
+            metrics.bump_client(&job.client, cells.len() as u64);
+        }
+        self.journal.append("accepted", job_no, &job.id, || {
+            [
+                ("client", job.client.as_str().into()),
+                ("cells", cells.len().into()),
+                ("ts_us", t_accept.into()),
+            ]
+        });
         // Buffered: it leaves with the first cell that does not wait for a
         // simulation, or alone just before the first one that does.
-        protocol::accepted_record(&job.id, cells.len()).write_ndjson_line(writer)?;
+        protocol::write_accepted_record(writer, &job.id, cells.len())?;
 
-        let scenario_of = |i: usize| &scenarios[cells[i].scenario];
+        let scenario_of = |i: usize| scenarios[cells[i].scenario];
         let fingerprints: Vec<u64> = cells
             .iter()
             .map(|c| prefixes[c.scenario].cell(c, ENGINE_VERSION))
@@ -600,7 +665,7 @@ impl Server {
             let cache = self.cache.lock().expect("cache");
             for (i, &fp) in fingerprints.iter().enumerate() {
                 let t_queued = self.clock.now_us();
-                let queued = [("seq", i.into()), ("ts_us", t_queued.into())];
+                let queued = || [("seq", i.into()), ("ts_us", t_queued.into())];
                 self.journal.append("queued", job_no, &job.id, queued);
                 let screen = job.screen != ScreenMode::Off;
                 let lowered =
@@ -609,7 +674,7 @@ impl Server {
                             screened += 1;
                             let t_screened = self.clock.now_us();
                             let verdict = analytic.verdict.label().unwrap_or("needs-sim");
-                            let fields = [("seq", i.into()), ("verdict", verdict.into())];
+                            let fields = || [("seq", i.into()), ("verdict", verdict.into())];
                             self.record("screened", job_no, &job.id, fields, t_queued, t_screened);
                             sources.push(CellSource::Screened(Box::new(analytic)));
                             queued_us.push(t_screened);
@@ -634,14 +699,17 @@ impl Server {
                 };
                 let t_classified = self.clock.now_us();
                 let event = if hit { "cache_hit" } else { "cache_miss" };
-                let fields = [("seq", i.into())];
+                let fields = || [("seq", i.into())];
                 self.record(event, job_no, &job.id, fields, t_queued, t_classified);
                 queued_us.push(t_classified);
             }
         }
-        self.bump("cells_screened", screened);
-        self.bump("cache_hits", hits);
-        self.bump("cache_misses", misses);
+        {
+            let mut metrics = self.metrics.lock().expect("registry");
+            metrics.bump(Count::CellsScreened, screened);
+            metrics.bump(Count::CacheHits, hits);
+            metrics.bump(Count::CacheMisses, misses);
+        }
         // The session is about to wait for a simulation: what is buffered
         // leaves first.
         let waits_for = |i: usize| matches!(sources.get(i), Some(CellSource::Run(_)));
@@ -697,14 +765,14 @@ impl Server {
                         let timed = timed.expect("a Run cell was simulated");
                         let fields = || [("seq", i.into()), ("worker", timed.worker.into())];
                         let (start, end) = (timed.start_us, timed.end_us);
-                        self.record("sim_start", job_no, &job.id, fields(), queued_us[i], start);
-                        self.record("sim_end", job_no, &job.id, fields(), start, end);
+                        self.record("sim_start", job_no, &job.id, fields, queued_us[i], start);
+                        self.record("sim_end", job_no, &job.id, fields, start, end);
                         match timed.result {
                             Ok(entry) => Answer::Simulated(Arc::new(entry)),
                             // The job ends at its first failing cell.
                             Err(e) => {
                                 return ControlFlow::Break(self.refuse(
-                                    "jobs_failed",
+                                    Count::JobsFailed,
                                     Some(&job.id),
                                     e.message(),
                                     writer,
@@ -742,10 +810,10 @@ impl Server {
             }
         }
         if !evicted.is_empty() {
-            self.bump("cache_evictions", evicted.len() as u64);
+            self.bump(Count::CacheEvictions, evicted.len() as u64);
             let t_evicted = self.clock.now_us();
             for bytes in evicted {
-                let fields = [("bytes", bytes.into()), ("ts_us", t_evicted.into())];
+                let fields = || [("bytes", bytes.into()), ("ts_us", t_evicted.into())];
                 self.journal.append("evicted", job_no, &job.id, fields);
             }
         }
@@ -770,7 +838,7 @@ impl Server {
                 });
                 if let Err(e) = write {
                     return self.refuse(
-                        "jobs_failed",
+                        Count::JobsFailed,
                         Some(&job.id),
                         &format!("failed to write artifact {}: {e}", path.display()),
                         writer,
@@ -780,19 +848,16 @@ impl Server {
             }
         };
 
-        protocol::summary_record(
-            &job.id,
-            &JobSummary {
-                cells: cells.len(),
-                cache_hits: hits as usize,
-                cache_misses: misses as usize,
-                screened: screened as usize,
-                targets_met,
-                elapsed_us: self.clock.now_us().saturating_sub(t_accept),
-                artifact,
-            },
-        )
-        .write_ndjson_line(writer)?;
+        let summary = JobSummary {
+            cells: cells.len(),
+            cache_hits: hits as usize,
+            cache_misses: misses as usize,
+            screened: screened as usize,
+            targets_met,
+            elapsed_us: self.clock.now_us().saturating_sub(t_accept),
+            artifact,
+        };
+        protocol::write_summary_record(writer, &job.id, &summary)?;
         writer.flush()
     }
 
@@ -820,7 +885,7 @@ impl Server {
             writer.flush()?;
         }
         let t_done = self.clock.now_us();
-        let fields = [("seq", i.into())];
+        let fields = || [("seq", i.into())];
         self.record("emitted", job_no, &job.id, fields, t_emit, t_done);
         Ok(())
     }
@@ -829,6 +894,35 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_count_is_its_counters_entry_and_registry_slot() {
+        let server = Server::new(ServeConfig::default());
+        let counts = [
+            (Count::JobsAccepted, "jobs_accepted"),
+            (Count::JobsRejected, "jobs_rejected"),
+            (Count::JobsFailed, "jobs_failed"),
+            (Count::CellsTotal, "cells_total"),
+            (Count::CellsScreened, "cells_screened"),
+            (Count::CacheHits, "cache_hits"),
+            (Count::CacheMisses, "cache_misses"),
+            (Count::CacheEvictions, "cache_evictions"),
+            (Count::ProtocolErrors, "protocol_errors"),
+        ];
+        assert_eq!(counts.len(), COUNTERS.len());
+        for (by, (count, name)) in (1..).zip(counts) {
+            assert_eq!(COUNTERS[count as usize], name);
+            server.bump(count, by);
+        }
+        let counters = server.counters();
+        for (by, name) in (1..).zip(COUNTERS) {
+            assert_eq!(
+                counters.get(name).and_then(Value::as_u64),
+                Some(by),
+                "{name}"
+            );
+        }
+    }
 
     #[test]
     fn every_catalog_scenario_is_stored_with_its_own_fingerprint_prefix() {

@@ -5,7 +5,8 @@
 //! plus admission control and the transports: one write per reply plus
 //! one per simulated cell (the reply buffer goes out before each
 //! simulation), no delayed-ACK stall over TCP, a client that leaves
-//! mid-job ending only its own session, a capped request line.
+//! mid-job ending only its own session, a capped request line, and
+//! seeded mutants of a valid submit, each refused alone.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -527,6 +528,175 @@ fn protocol_errors_answer_without_killing_the_session() {
             .unwrap()
             .contains("unknown scenario"),
         "{transcript}"
+    );
+}
+
+/// The members of the valid warm submit the mutants start from, values
+/// as JSON text.
+fn warm_members() -> Vec<(&'static str, String)> {
+    vec![
+        ("format", format!("{FORMAT_TAG:?}")),
+        ("type", "\"submit\"".to_string()),
+        ("id", "\"warm\"".to_string()),
+        ("scenarios", "[\"camcorder-b\"]".to_string()),
+        ("policies", "[\"FCFS\",\"QoS\"]".to_string()),
+        ("duration_ms", "0.05".to_string()),
+    ]
+}
+
+fn line_of(members: &[(&str, String)]) -> String {
+    let body: Vec<String> = members.iter().map(|(k, v)| format!("{k:?}:{v}")).collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// Seeded mutants of the warm submit, one line each (no line break):
+/// truncations, one byte flipped, a key given twice, a value of another
+/// type, and two long ids — one past the line cap, one past the reply
+/// buffer. A value is replaced only by one of another type, never by
+/// another number: nothing bounds a job's length yet.
+fn submit_mutants(seed: u64) -> Vec<Vec<u8>> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    const VALUES: [&str; 7] = ["null", "true", "-3", "\"x\"", "[]", "{}", "[1,\"a\"]"];
+    // A JSON value's type, by its first byte.
+    let kind = |text: &str| match text.as_bytes()[0] {
+        b'-' | b'0'..=b'9' => b'0',
+        first => first,
+    };
+    let members = warm_members();
+    let valid = line_of(&members).into_bytes();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mutants = Vec::new();
+    while mutants.len() < 400 {
+        let mutant = match rng.gen_range(0u32..4) {
+            0 => valid[..rng.gen_range(1..valid.len())].to_vec(),
+            1 => {
+                let mut bytes = valid.clone();
+                bytes[rng.gen_range(0..valid.len())] ^= 1 << rng.gen_range(0u32..8);
+                bytes
+            }
+            2 => {
+                let mut twice = members.clone();
+                let at = rng.gen_range(0..twice.len());
+                twice.insert(rng.gen_range(0..twice.len() + 1), members[at].clone());
+                line_of(&twice).into_bytes()
+            }
+            _ => {
+                let mut swapped = members.clone();
+                let at = rng.gen_range(0..swapped.len());
+                let value = VALUES[rng.gen_range(0..VALUES.len())];
+                if kind(value) == kind(&swapped[at].1) {
+                    continue;
+                }
+                swapped[at].1 = value.to_string();
+                line_of(&swapped).into_bytes()
+            }
+        };
+        // A line break would make two requests of one mutant.
+        if !mutant.contains(&b'\n') {
+            mutants.push(mutant);
+        }
+    }
+    for id_len in [MAX_REQUEST_LINE, REPLY_BUFFER + 1] {
+        let mut long = members.clone();
+        long[2].1 = format!("\"{}\"", "i".repeat(id_len));
+        mutants.push(line_of(&long).into_bytes());
+    }
+    mutants
+}
+
+#[test]
+fn submit_mutants_get_one_error_each_and_leave_the_session_whole() {
+    let warm = line_of(&warm_members());
+    let ping = format!("{{\"format\":\"{FORMAT_TAG}\",\"type\":\"ping\"}}");
+    let mutants = submit_mutants(0x5e7e_3000);
+    // Each request is followed by a ping, so the replies split into one
+    // segment per request at the pongs: the cold job, the warm one, each
+    // mutant, and the warm job again.
+    let mut input = Vec::new();
+    for line in [warm.as_bytes(), warm.as_bytes()]
+        .into_iter()
+        .chain(mutants.iter().map(Vec::as_slice))
+        .chain([warm.as_bytes()])
+    {
+        input.extend_from_slice(line);
+        input.push(b'\n');
+        input.extend_from_slice(ping.as_bytes());
+        input.push(b'\n');
+    }
+    let server = Server::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut out = Vec::new();
+    server
+        .handle_session(input.as_slice(), &mut out)
+        .expect("session I/O");
+    let transcript = String::from_utf8(out).expect("utf-8 replies");
+    let mut segments = vec![String::new()];
+    for line in transcript.lines() {
+        if line.contains("\"type\":\"pong\"") {
+            segments.push(String::new());
+        } else {
+            let segment = segments.last_mut().expect("one segment at least");
+            segment.push_str(line);
+            segment.push('\n');
+        }
+    }
+    assert_eq!(
+        segments.pop().as_deref(),
+        Some(""),
+        "a pong ends the session"
+    );
+    assert_eq!(segments.len(), mutants.len() + 3, "one reply per request");
+
+    let mut refused = 0;
+    for (mutant, segment) in mutants.iter().zip(&segments[2..]) {
+        let shown = String::from_utf8_lossy(&mutant[..mutant.len().min(200)]);
+        let replies = records(segment);
+        let request = std::str::from_utf8(mutant)
+            .ok()
+            .filter(|line| line.len() <= MAX_REQUEST_LINE)
+            .map(sara_serve::protocol::parse_request);
+        match request {
+            Some(Ok(sara_serve::Request::Submit(job))) => {
+                // Still a valid submit: answered as a job, or refused by
+                // the server (say, a scenario name no catalog entry has).
+                let kinds: Vec<&str> = replies
+                    .iter()
+                    .map(|r| r.get("type").and_then(Value::as_str).unwrap())
+                    .collect();
+                let answered =
+                    kinds.first() == Some(&"accepted") && kinds.last() == Some(&"summary");
+                assert!(answered || kinds == ["error"], "{shown}: {kinds:?}");
+                for reply in &replies {
+                    assert_eq!(
+                        reply.get("id").and_then(Value::as_str),
+                        Some(job.id.as_str())
+                    );
+                }
+            }
+            Some(Ok(other)) => panic!("a mutant became another request: {other:?}"),
+            _ => {
+                refused += 1;
+                assert_eq!(replies.len(), 1, "{shown}: {segment}");
+                assert_eq!(of_type(&replies, "error").len(), 1, "{shown}: {segment}");
+            }
+        }
+    }
+    assert!(
+        refused >= mutants.len() / 2,
+        "only {refused} mutants were refused"
+    );
+    assert_eq!(
+        mask_elapsed(&segments[segments.len() - 1]),
+        mask_elapsed(&segments[1]),
+        "the warm job after the mutants"
+    );
+    assert!(
+        segments[1].contains("\"cache_hits\":2,\"cache_misses\":0"),
+        "{}",
+        segments[1]
     );
 }
 

@@ -163,12 +163,14 @@ impl Registry {
         self.metrics.is_empty()
     }
 
-    fn slot(&mut self, name: &str, default: Metric) -> &mut Metric {
+    /// The index of the metric named `name`, registered as `default` on
+    /// first use.
+    fn slot(&mut self, name: &str, default: Metric) -> usize {
         if let Some(i) = self.metrics.iter().position(|(n, _)| n == name) {
-            return &mut self.metrics[i].1;
+            return i;
         }
         self.metrics.push((name.to_string(), default));
-        &mut self.metrics.last_mut().expect("just pushed").1
+        self.metrics.len() - 1
     }
 
     /// The counter named `name`, registered on first use.
@@ -178,9 +180,33 @@ impl Registry {
     /// Panics if `name` is already registered as a different metric kind —
     /// a registry is one vocabulary, not a union type per name.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        match self.slot(name, Metric::Counter(Counter::new())) {
-            Metric::Counter(c) => c,
-            other => panic!("metric {name:?} is not a counter: {other:?}"),
+        let index = self.counter_index(name);
+        self.counter_at(index)
+    }
+
+    /// The index of the counter named `name`, registered on first use.
+    /// Metrics are only ever appended, so an index holds for the
+    /// registry's life: a hot caller resolves a name once and counts
+    /// through [`Registry::counter_at`] without searching for it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    pub fn counter_index(&mut self, name: &str) -> usize {
+        let index = self.slot(name, Metric::Counter(Counter::new()));
+        self.counter_at(index);
+        index
+    }
+
+    /// The counter at `index` ([`Registry::counter_index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or holds another metric kind.
+    pub fn counter_at(&mut self, index: usize) -> &mut Counter {
+        match &mut self.metrics[index] {
+            (_, Metric::Counter(c)) => c,
+            (name, other) => panic!("metric {name:?} is not a counter: {other:?}"),
         }
     }
 
@@ -190,9 +216,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        match self.slot(name, Metric::Gauge(Gauge::new())) {
-            Metric::Gauge(g) => g,
-            other => panic!("metric {name:?} is not a gauge: {other:?}"),
+        let index = self.slot(name, Metric::Gauge(Gauge::new()));
+        match &mut self.metrics[index] {
+            (_, Metric::Gauge(g)) => g,
+            (name, other) => panic!("metric {name:?} is not a gauge: {other:?}"),
         }
     }
 
@@ -202,9 +229,31 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        match self.slot(name, Metric::Histogram(Histogram::new())) {
-            Metric::Histogram(h) => h,
-            other => panic!("metric {name:?} is not a histogram: {other:?}"),
+        let index = self.histogram_index(name);
+        self.histogram_at(index)
+    }
+
+    /// The index of the histogram named `name`, registered on first use;
+    /// see [`Registry::counter_index`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different metric kind.
+    pub fn histogram_index(&mut self, name: &str) -> usize {
+        let index = self.slot(name, Metric::Histogram(Histogram::new()));
+        self.histogram_at(index);
+        index
+    }
+
+    /// The histogram at `index` ([`Registry::histogram_index`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or holds another metric kind.
+    pub fn histogram_at(&mut self, index: usize) -> &mut Histogram {
+        match &mut self.metrics[index] {
+            (_, Metric::Histogram(h)) => h,
+            (name, other) => panic!("metric {name:?} is not a histogram: {other:?}"),
         }
     }
 
