@@ -144,7 +144,7 @@ impl Metrics {
     /// Counts one job of `cells` cells for `client`, in its two labelled
     /// series, named once per client.
     fn bump_client(&mut self, client: &str, cells: u64) {
-        let [jobs, cells_index] = match self.clients.get(client) {
+        let [jobs_series, cells_series] = match self.clients.get(client) {
             Some(&series) => series,
             None => {
                 let escaped = prometheus::escape_label_value(client);
@@ -156,8 +156,8 @@ impl Metrics {
                 series
             }
         };
-        self.registry.counter_at(jobs).add(1);
-        self.registry.counter_at(cells_index).add(cells);
+        self.registry.counter_at(jobs_series).add(1);
+        self.registry.counter_at(cells_series).add(cells);
     }
 }
 
