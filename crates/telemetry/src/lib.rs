@@ -194,7 +194,7 @@ impl Registry {
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter_index(&mut self, name: &str) -> usize {
         let index = self.slot(name, Metric::Counter(Counter::new()));
-        self.counter_at(index);
+        self.counter_at(index); // the kind check
         index
     }
 
@@ -241,7 +241,7 @@ impl Registry {
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram_index(&mut self, name: &str) -> usize {
         let index = self.slot(name, Metric::Histogram(Histogram::new()));
-        self.histogram_at(index);
+        self.histogram_at(index); // the kind check
         index
     }
 
